@@ -20,8 +20,8 @@ import (
 type CheckpointManager struct {
 	env Env
 
-	// votes[seq][replica] = claimed state hash.
-	votes map[types.SeqNum]map[types.NodeID]types.Digest
+	// votes tallies the claimed state hash per checkpoint.
+	votes Tally[types.SeqNum, types.Digest]
 	// expected remembers the hash of a stable checkpoint we are
 	// fetching state for, so a malicious snapshot can be rejected.
 	expected map[types.SeqNum]types.Digest
@@ -52,7 +52,6 @@ type CheckpointManager struct {
 func NewCheckpointManager(env Env) *CheckpointManager {
 	return &CheckpointManager{
 		env:      env,
-		votes:    make(map[types.SeqNum]map[types.NodeID]types.Digest),
 		expected: make(map[types.SeqNum]types.Digest),
 	}
 }
@@ -109,72 +108,53 @@ func (cm *CheckpointManager) onCheckpoint(from types.NodeID, m *CheckpointMsg) {
 	cm.recordVote(from, m.Seq, m.StateHash)
 }
 
+// recordVote tallies a vote and acts once its hash holds a quorum. Only
+// the hash just voted for can have gained a backer, so it is the only one
+// checked — on every vote, not just the quorum-completing one: a replica
+// that executes seq after the quorum formed stabilizes on its own vote.
 func (cm *CheckpointManager) recordVote(from types.NodeID, seq types.SeqNum, hash types.Digest) {
-	set := cm.votes[seq]
-	if set == nil {
-		set = make(map[types.NodeID]types.Digest)
-		cm.votes[seq] = set
+	cm.votes.Add(seq, from, hash)
+	voters := Backers(&cm.votes, seq, hash)
+	if len(voters) < cm.env.Config().Quorum() {
+		return
 	}
-	set[from] = hash
-	cm.maybeStabilize(seq)
-}
-
-func (cm *CheckpointManager) maybeStabilize(seq types.SeqNum) {
-	set := cm.votes[seq]
-	counts := make(map[types.Digest][]types.NodeID)
-	for id, h := range set {
-		counts[h] = append(counts[h], id)
+	// Order the voters so downstream choices (fetch target, recorded
+	// voter set) don't depend on arrival order.
+	sort.Slice(voters, func(i, j int) bool { return voters[i] < voters[j] })
+	led := cm.env.Ledger()
+	if seq <= led.LowWater() {
+		return
 	}
-	quorum := cm.env.Config().Quorum()
-	for hash, voters := range counts {
-		if len(voters) < quorum {
-			continue
-		}
-		// Voter lists come out of a map; order them so downstream
-		// choices (fetch target, recorded voter set) don't depend on
-		// map iteration order — replays must be bit-identical.
-		sort.Slice(voters, func(i, j int) bool { return voters[i] < voters[j] })
-		led := cm.env.Ledger()
-		if seq <= led.LowWater() {
-			return
-		}
-		cp := &ledger.Checkpoint{Seq: seq, StateHash: hash, Voters: voters}
-		if own := led.OwnCheckpoint(seq); own != nil && own.StateHash == hash {
-			cp.Snapshot = own.Snapshot
-		}
-		if led.LastExecuted() < seq {
-			// In-dark: the network moved past us (P4's second purpose).
-			// Remember the certified hash and fetch the state from one
-			// of the voters; each newer certified checkpoint retries
-			// (rotating voters) in case the previous fetch was lost.
-			cm.expected[seq] = hash
-			if !cm.fetching || seq > cm.fetchSeq {
-				cm.fetching = true
-				cm.fetchSeq = seq
-				var peers []types.NodeID
-				for _, v := range voters {
-					if v != cm.env.ID() {
-						peers = append(peers, v)
-					}
-				}
-				if len(peers) > 0 {
-					cm.env.Send(peers[cm.fetchTries%len(peers)], &FetchStateMsg{Seq: seq})
-					cm.fetchTries++
+	cp := &ledger.Checkpoint{Seq: seq, StateHash: hash, Voters: voters}
+	if own := led.OwnCheckpoint(seq); own != nil && own.StateHash == hash {
+		cp.Snapshot = own.Snapshot
+	}
+	if led.LastExecuted() < seq {
+		// In-dark: the network moved past us (P4's second purpose).
+		// Remember the certified hash and fetch the state from one
+		// of the voters; each newer certified checkpoint retries
+		// (rotating voters) in case the previous fetch was lost.
+		cm.expected[seq] = hash
+		if !cm.fetching || seq > cm.fetchSeq {
+			cm.fetching = true
+			cm.fetchSeq = seq
+			var peers []types.NodeID
+			for _, v := range voters {
+				if v != cm.env.ID() {
+					peers = append(peers, v)
 				}
 			}
-			return
-		}
-		led.SetStable(cp)
-		cm.StableCount++
-		delete(cm.votes, seq)
-		// Drop vote state below the new low-water mark.
-		for s := range cm.votes {
-			if s <= seq {
-				delete(cm.votes, s)
+			if len(peers) > 0 {
+				cm.env.Send(peers[cm.fetchTries%len(peers)], &FetchStateMsg{Seq: seq})
+				cm.fetchTries++
 			}
 		}
 		return
 	}
+	led.SetStable(cp)
+	cm.StableCount++
+	// Drop vote state at and below the new low-water mark.
+	cm.votes.Prune(func(s types.SeqNum) bool { return s <= seq })
 }
 
 func (cm *CheckpointManager) onFetch(from types.NodeID, m *FetchStateMsg) {

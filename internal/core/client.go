@@ -186,14 +186,18 @@ type Requester struct {
 	env      ClientEnv
 	viewHint types.View
 	pending  map[uint64]*pendingReq
+	// votes tallies replies per request and result content.
+	votes Tally[replyKey, struct{}]
 }
 
 type pendingReq struct {
-	req *types.Request
-	// votes groups reply digests by result content; values are sets of
-	// replicas that reported that result.
-	votes map[string]map[types.NodeID]bool
-	done  bool
+	req  *types.Request
+	done bool
+}
+
+type replyKey struct {
+	ClientSeq uint64
+	Result    string
 }
 
 // NewRequester returns a requester with the given options.
@@ -213,7 +217,7 @@ func (r *Requester) timerID(clientSeq uint64) TimerID {
 
 // Submit implements ClientProtocol.
 func (r *Requester) Submit(req *types.Request) {
-	p := &pendingReq{req: req, votes: make(map[string]map[types.NodeID]bool)}
+	p := &pendingReq{req: req}
 	r.pending[req.ClientSeq] = p
 	msg := &RequestMsg{Req: req}
 	if r.Opts.SendToAll {
@@ -243,20 +247,16 @@ func (r *Requester) OnMessage(from types.NodeID, m types.Message) {
 	if rep.View > r.viewHint {
 		r.viewHint = rep.View
 	}
-	key := string(rep.Result)
-	set := p.votes[key]
-	if set == nil {
-		set = make(map[types.NodeID]bool)
-		p.votes[key] = set
-	}
 	// Votes are keyed by the authenticated sender, not the claimed
 	// rep.Replica: with signature checks off, one Byzantine replica
 	// could otherwise stuff f+1 matching votes under forged identities.
-	set[from] = true
-	if len(set) >= r.Opts.RepliesNeeded(r.env.F()) {
+	key := replyKey{rep.ClientSeq, string(rep.Result)}
+	r.votes.Add(key, from, struct{}{})
+	if r.votes.Count(key) >= r.Opts.RepliesNeeded(r.env.F()) {
 		p.done = true
 		r.env.StopTimer(r.timerID(rep.ClientSeq))
 		delete(r.pending, rep.ClientSeq)
+		r.votes.Prune(func(k replyKey) bool { return k.ClientSeq == rep.ClientSeq })
 		r.env.Done(p.req, rep.Result)
 	}
 }

@@ -140,14 +140,14 @@ type Timer int
 
 // Protocol timers.
 const (
-	TimerReply        Timer = iota + 1 // τ1: waiting for replies (Zyzzyva)
-	TimerViewChange                    // τ2: triggering view change (PBFT)
-	TimerBackupFault                   // τ3: detecting backup failures (SBFT)
-	TimerQuorum                        // τ4: quorum construction (Tendermint prevote/precommit)
-	TimerViewSync                      // τ5: view synchronization (Tendermint)
-	TimerRound                         // τ6: finishing a preordering round (Themis)
-	TimerHeartbeat                     // τ7: performance check (Aardvark)
-	TimerWatchdog                      // τ8: atomic recovery watchdog (PBFT-PR)
+	TimerReply       Timer = iota + 1 // τ1: waiting for replies (Zyzzyva)
+	TimerViewChange                   // τ2: triggering view change (PBFT)
+	TimerBackupFault                  // τ3: detecting backup failures (SBFT)
+	TimerQuorum                       // τ4: quorum construction (Tendermint prevote/precommit)
+	TimerViewSync                     // τ5: view synchronization (Tendermint)
+	TimerRound                        // τ6: finishing a preordering round (Themis)
+	TimerHeartbeat                    // τ7: performance check (Aardvark)
+	TimerWatchdog                     // τ8: atomic recovery watchdog (PBFT-PR)
 )
 
 // String implements fmt.Stringer.

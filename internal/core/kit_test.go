@@ -1,0 +1,443 @@
+package core
+
+import (
+	"reflect"
+	"testing"
+	"time"
+
+	"bftkit/internal/crypto"
+	"bftkit/internal/kvstore"
+	"bftkit/internal/types"
+)
+
+// --- Tally -----------------------------------------------------------------
+
+func TestTallyOneVotePerSender(t *testing.T) {
+	var tl Tally[types.SeqNum, types.Digest]
+	a, b := types.Digest{1}, types.Digest{2}
+	if n := tl.Add(8, 1, a); n != 1 {
+		t.Fatalf("first vote: count %d, want 1", n)
+	}
+	if n := tl.Add(8, 1, a); n != 0 {
+		t.Fatalf("duplicate vote counted: %d", n)
+	}
+	// A conflicting second vote from the same sender raises no count.
+	if n := tl.Add(8, 1, b); n != 0 {
+		t.Fatalf("conflicting vote counted: %d", n)
+	}
+	if got := Backers(&tl, 8, b); len(got) != 0 {
+		t.Fatalf("conflicting vote backed %v", got)
+	}
+	if got := Backers(&tl, 8, a); !reflect.DeepEqual(got, []types.NodeID{1}) {
+		t.Fatalf("backers of first vote = %v", got)
+	}
+	if tl.Count(8) != 1 || tl.Count(9) != 0 {
+		t.Fatalf("counts %d/%d, want 1/0", tl.Count(8), tl.Count(9))
+	}
+}
+
+func TestTallyThresholdReportedOnce(t *testing.T) {
+	var tl Tally[types.SeqNum, struct{}]
+	const quorum = 3
+	fired := 0
+	for _, from := range []types.NodeID{0, 1, 1, 2, 2, 3, 0} {
+		if tl.Add(5, from, struct{}{}) == quorum {
+			fired++
+		}
+	}
+	if fired != 1 {
+		t.Fatalf("threshold reported %d times, want exactly once", fired)
+	}
+	if tl.Count(5) != 4 {
+		t.Fatalf("count %d, want 4 distinct senders", tl.Count(5))
+	}
+}
+
+func TestTallyReplaceKeepsCount(t *testing.T) {
+	var tl Tally[types.View, string]
+	tl.Replace(2, 7, "old")
+	if n := tl.Replace(2, 7, "new"); n != 1 {
+		t.Fatalf("reissued payload moved the count to %d", n)
+	}
+	if v := tl.Votes(2); len(v) != 1 || v[0].Val != "new" {
+		t.Fatalf("votes = %+v, want the reissued payload", v)
+	}
+}
+
+func TestTallyPruneBelow(t *testing.T) {
+	var tl Tally[types.SeqNum, struct{}]
+	for s := types.SeqNum(1); s <= 5; s++ {
+		tl.Add(s, 0, struct{}{})
+	}
+	tl.Prune(func(s types.SeqNum) bool { return s <= 3 })
+	for s := types.SeqNum(1); s <= 5; s++ {
+		if want := map[bool]int{true: 1, false: 0}[s > 3]; tl.Count(s) != want {
+			t.Fatalf("after prune: slot %d holds %d votes, want %d", s, tl.Count(s), want)
+		}
+	}
+	tl.Delete(4)
+	if tl.Count(4) != 0 || tl.Count(5) != 1 {
+		t.Fatal("Delete removed the wrong slot")
+	}
+}
+
+func TestTallyAheadCountsDistinctSenders(t *testing.T) {
+	var tl Tally[types.View, struct{}]
+	// One sender votes in three future views: still one sender.
+	for v := types.View(3); v <= 5; v++ {
+		tl.Add(v, 9, struct{}{})
+	}
+	tl.Add(4, 0, struct{}{}) // self
+	tl.Add(1, 2, struct{}{}) // not ahead
+	if n, lowest := Ahead(&tl, 2, 0); n != 1 || lowest != 3 {
+		t.Fatalf("Ahead = (%d, %d), want one sender, lowest view 3", n, lowest)
+	}
+	tl.Add(7, 8, struct{}{})
+	if n, lowest := Ahead(&tl, 2, 0); n != 2 || lowest != 3 {
+		t.Fatalf("Ahead = (%d, %d), want two senders, lowest view 3", n, lowest)
+	}
+}
+
+func TestSlotClaimsOneClaimPerSender(t *testing.T) {
+	x := types.NewBatch(req(1, []byte("x")))
+	y := types.NewBatch(req(2, []byte("y")))
+	var c SlotClaims
+	// A Byzantine sender lists slot 4 three times with its own batch;
+	// two honest senders each claim the real one.
+	for i := 0; i < 3; i++ {
+		c.Add(3, 4, y.Digest(), y)
+	}
+	c.Add(0, 4, x.Digest(), x)
+	c.Add(1, 4, x.Digest(), x)
+	c.Add(2, 6, types.Digest{0xba}, x) // digest mismatch: ignored
+	if got := c.Best(4); got != x {
+		t.Fatal("a repeated claim outvoted two distinct senders")
+	}
+	if c.Max != 4 {
+		t.Fatalf("Max = %d, want 4 (the mismatched claim must not count)", c.Max)
+	}
+	if got := c.Best(5); got.Len() != 0 {
+		t.Fatal("unclaimed slot must be filled with the empty batch")
+	}
+}
+
+// --- Backlog ---------------------------------------------------------------
+
+const (
+	testProgress = "progress"
+	testRetry    = "vc-retry"
+)
+
+type kitRig struct {
+	rep  *Replica
+	d    *fakeDriver
+	rec  *recorder
+	auth *crypto.Authority
+}
+
+func newKitRig(id types.NodeID) *kitRig {
+	r := &kitRig{d: newFakeDriver(), rec: &recorder{}, auth: crypto.NewAuthority(1)}
+	r.rep = NewReplica(id, DefaultConfig(4), r.d, r.rec, kvstore.New(), r.auth, Hooks{})
+	r.rep.Start()
+	return r
+}
+
+func (r *kitRig) signedReq(seq uint64) *types.Request {
+	q := req(seq, []byte{byte(seq)})
+	q.Sig = r.auth.Signer(q.Client).Sign(q.Digest())
+	return q
+}
+
+// liveTimers returns the pending (uncancelled) timer deadlines.
+func (r *kitRig) liveTimers() []time.Duration {
+	var at []time.Duration
+	for _, t := range r.d.timers {
+		if !t.cancelled {
+			at = append(at, t.at)
+		}
+	}
+	return at
+}
+
+func seqs(reqs []*types.Request) []uint64 {
+	out := make([]uint64, len(reqs))
+	for i, q := range reqs {
+		out[i] = q.ClientSeq
+	}
+	return out
+}
+
+func TestBacklogTakeArrivalOrderSkipsInFlightAndDone(t *testing.T) {
+	r := newKitRig(0)
+	b := NewBacklog(r.rep, testProgress)
+	var all []*types.Request
+	for s := uint64(1); s <= 5; s++ {
+		q := r.signedReq(s)
+		all = append(all, q)
+		if !b.Submit(q, 0) {
+			t.Fatalf("leader got a fresh request %d but was not told to propose", s)
+		}
+	}
+	if b.Submit(all[0], 0) {
+		t.Fatal("a retransmitted request must not trigger a second proposal")
+	}
+	forged := req(9, []byte("x"))
+	forged.Sig = []byte("nope")
+	if b.Submit(forged, 0) || b.Len() != 5 {
+		t.Fatal("a request with a bad client signature was queued")
+	}
+
+	b.Proposed(types.NewBatch(all[1])) // 2 is inside a slot someone else proposed
+	b.Executed(types.NewBatch(all[2])) // 3 has executed
+	if got := seqs(b.Take(2)); !reflect.DeepEqual(got, []uint64{1, 4}) {
+		t.Fatalf("Take(2) = %v, want [1 4]", got)
+	}
+	if got := seqs(b.Take(9)); !reflect.DeepEqual(got, []uint64{5}) {
+		t.Fatalf("second Take = %v, want [5]: claimed requests are in flight", got)
+	}
+	if !b.Done(all[2].Key()) || b.Submit(all[2], 0) {
+		t.Fatal("an executed request must be dropped at admission")
+	}
+	// A view change voids the old view's proposals: everything not yet
+	// executed becomes proposable again, still in arrival order.
+	b.EnterView(1)
+	if got := seqs(b.Take(9)); !reflect.DeepEqual(got, []uint64{1, 2, 4, 5}) {
+		t.Fatalf("after EnterView Take = %v, want [1 2 4 5]", got)
+	}
+}
+
+func TestBacklogBackupForwardsToLeader(t *testing.T) {
+	r := newKitRig(2)
+	b := NewBacklog(r.rep, testProgress)
+	q := r.signedReq(1)
+	if b.Submit(q, 0) {
+		t.Fatal("a backup must not propose")
+	}
+	if len(r.d.sent) != 1 || r.d.sent[0].To != 0 {
+		t.Fatalf("sent %+v, want one forward to the leader", r.d.sent)
+	}
+	if _, ok := r.d.sent[0].M.(*ForwardMsg); !ok {
+		t.Fatalf("forwarded a %T", r.d.sent[0].M)
+	}
+	if b.Len() != 1 {
+		t.Fatal("a backup buffers the request too: it may be the next leader")
+	}
+}
+
+func TestBacklogProgressTimerIsLevelTriggered(t *testing.T) {
+	r := newKitRig(0)
+	b := NewBacklog(r.rep, testProgress)
+	timeout := r.rep.Config().ViewChangeTimeout
+
+	q1, q2 := r.signedReq(1), r.signedReq(2)
+	b.Submit(q1, 0)
+	r.d.advance(timeout / 2)
+	b.Submit(q2, 0) // a fresh request must not push the deadline out
+	if got := r.liveTimers(); !reflect.DeepEqual(got, []time.Duration{timeout}) {
+		t.Fatalf("τ2 deadlines %v, want the first request's %v only", got, timeout)
+	}
+
+	// Progress with a client still waiting restarts τ2 from now.
+	b.Executed(types.NewBatch(q1))
+	b.Progress()
+	if got := r.liveTimers(); !reflect.DeepEqual(got, []time.Duration{timeout/2 + timeout}) {
+		t.Fatalf("after progress τ2 deadlines %v, want %v", got, timeout/2+timeout)
+	}
+	// Progress with nobody waiting leaves τ2 off.
+	b.Executed(types.NewBatch(q2))
+	b.Progress()
+	if got := r.liveTimers(); len(got) != 0 {
+		t.Fatalf("τ2 still armed (%v) with an empty watch set", got)
+	}
+}
+
+func TestBacklogExpiryAndSuspension(t *testing.T) {
+	r := newKitRig(0)
+	b := NewBacklog(r.rep, testProgress)
+	b.Submit(r.signedReq(1), 0)
+	r.d.advance(r.rep.Config().ViewChangeTimeout)
+	if len(r.rec.timers) != 1 {
+		t.Fatalf("τ2 fired %d times", len(r.rec.timers))
+	}
+	if !b.Expired(r.rec.timers[0]) {
+		t.Fatal("τ2 expired with a client waiting: that is evidence against the leader")
+	}
+	if b.Expired(TimerID{Name: testProgress, View: 7}) {
+		t.Fatal("a timer armed under another view is stale")
+	}
+
+	b.Suspend()
+	b.Submit(r.signedReq(2), 0)
+	if got := r.liveTimers(); len(got) != 0 {
+		t.Fatalf("τ2 armed during a view change: %v", got)
+	}
+	b.EnterView(1)
+	if got := r.liveTimers(); len(got) != 1 {
+		t.Fatalf("τ2 deadlines after entering the view: %v, want one", got)
+	}
+}
+
+// --- ViewChange ------------------------------------------------------------
+
+type testVC struct {
+	NewView types.View
+	Replica types.NodeID
+	Payload int
+	Sig     []byte
+}
+
+func (*testVC) Kind() string { return "TEST-VIEW-CHANGE" }
+func (m *testVC) Vote() (types.View, types.NodeID, []byte) {
+	return m.NewView, m.Replica, m.Sig
+}
+func (m *testVC) SigDigest() types.Digest {
+	var h types.Hasher
+	h.Str("test-vc").U64(uint64(m.NewView)).U64(uint64(m.Replica))
+	return h.Sum()
+}
+
+type vcRig struct {
+	*kitRig
+	backlog  *Backlog
+	vc       *ViewChange[*testVC]
+	built    []types.View
+	newViews map[types.View][]*testVC
+}
+
+func newVCRig(id types.NodeID) *vcRig {
+	r := &vcRig{kitRig: newKitRig(id), newViews: make(map[types.View][]*testVC)}
+	r.backlog = NewBacklog(r.rep, testProgress)
+	r.vc = NewViewChange(r.rep, r.backlog, testRetry, r.rep.Config().Quorum(), ViewChangeHooks[*testVC]{
+		Build: func(v types.View) *testVC {
+			r.built = append(r.built, v)
+			return r.signed(v, id)
+		},
+		NewView: func(v types.View, vcs []*testVC) { r.newViews[v] = vcs },
+	})
+	return r
+}
+
+func (r *vcRig) signed(v types.View, from types.NodeID) *testVC {
+	m := &testVC{NewView: v, Replica: from}
+	m.Sig = r.auth.Signer(from).Sign(m.SigDigest())
+	return m
+}
+
+func TestViewChangeStartGate(t *testing.T) {
+	r := newVCRig(3)
+	r.vc.Start(0) // not ahead: means "the next view"
+	r.vc.Start(1) // already heading there
+	r.vc.Start(3)
+	r.vc.Start(2) // a running view change never moves to a lower target
+	if !reflect.DeepEqual(r.built, []types.View{1, 3}) {
+		t.Fatalf("view-change messages built for %v, want [1 3]", r.built)
+	}
+	if !r.vc.Active() || r.vc.View() != 0 || r.vc.MayPropose() {
+		t.Fatal("a started view change leaves the view unchanged and blocks proposing")
+	}
+	// The stalled attempt escalates; a retry timer of an abandoned
+	// target does not.
+	r.vc.Retry(TimerID{Name: testRetry, View: 1})
+	r.vc.Retry(TimerID{Name: testRetry, View: 3})
+	if !reflect.DeepEqual(r.built, []types.View{1, 3, 4}) {
+		t.Fatalf("after retries built %v, want [1 3 4]", r.built)
+	}
+}
+
+func TestViewChangeJoinNeedsDistinctOtherSenders(t *testing.T) {
+	r := newVCRig(0) // n=4, f=1: joining takes two distinct other senders
+	// One Byzantine replica signs view-changes for two future views.
+	r.vc.OnViewChange(3, r.signed(1, 3))
+	r.vc.OnViewChange(3, r.signed(2, 3))
+	if r.vc.Active() || len(r.built) != 0 {
+		t.Fatalf("one sender voting twice pushed an honest replica into a view change (built %v)", r.built)
+	}
+	// A second sender makes f+1: join the smallest view asked for.
+	r.vc.OnViewChange(2, r.signed(5, 2))
+	if !reflect.DeepEqual(r.built, []types.View{1}) {
+		t.Fatalf("joined %v, want the smallest supported view [1]", r.built)
+	}
+	// Our own message is not evidence that others moved on.
+	r2 := newVCRig(0)
+	r2.vc.Start(1)
+	r2.vc.OnViewChange(3, r2.signed(4, 3))
+	if !reflect.DeepEqual(r2.built, []types.View{1}) {
+		t.Fatalf("own view-change counted toward the join rule: built %v", r2.built)
+	}
+}
+
+func TestViewChangeRecordsOnlyAuthenticatedSenders(t *testing.T) {
+	r := newVCRig(1)                     // leader of view 1
+	r.vc.OnViewChange(2, r.signed(1, 3)) // relayed under another identity
+	forged := r.signed(1, 0)
+	forged.Sig = []byte("bad")
+	r.vc.OnViewChange(0, forged)
+	r.vc.OnViewChange(0, r.signed(0, 0)) // not ahead of the current view
+	r.vc.OnViewChange(2, r.signed(1, 2))
+	r.vc.OnViewChange(2, r.signed(1, 2)) // a resend is still one sender
+	if r.vc.Active() || len(r.newViews) != 0 {
+		t.Fatal("unauthenticated or repeated view-changes were counted")
+	}
+	// A second distinct sender: f+1 are ahead, so we join, and our own
+	// message completes the leader's 2f+1.
+	r.vc.OnViewChange(3, r.signed(1, 3))
+	if got := len(r.newViews[1]); got != 3 {
+		t.Fatalf("leader of view 1 got %d view-changes at quorum, want 3", got)
+	}
+	r.vc.OnViewChange(0, r.signed(1, 0))
+	if len(r.newViews) != 1 || len(r.newViews[1]) != 3 {
+		t.Fatal("the new-view must be sent exactly once")
+	}
+}
+
+func TestViewChangeJustified(t *testing.T) {
+	r := newVCRig(3)
+	nv := func(v types.View, from types.NodeID, vcs ...*testVC) bool {
+		var h types.Hasher
+		d := h.Str("test-nv").U64(uint64(v)).Sum()
+		return r.vc.Justified(from, v, d, r.auth.Signer(from).Sign(d), vcs)
+	}
+	quorum := []*testVC{r.signed(1, 0), r.signed(1, 1), r.signed(1, 2)}
+	if !nv(1, 1, quorum...) {
+		t.Fatal("a new-view from the right leader with 2f+1 distinct signed view-changes was rejected")
+	}
+	cases := map[string]bool{
+		"duplicate signer": nv(1, 1, r.signed(1, 0), r.signed(1, 2), r.signed(1, 2)),
+		"wrong view":       nv(1, 1, r.signed(1, 0), r.signed(1, 1), r.signed(2, 2)),
+		"wrong leader":     nv(1, 2, quorum...),
+		"below quorum":     nv(1, 1, quorum[:2]...),
+		"stale view":       nv(0, 0, r.signed(0, 0), r.signed(0, 1), r.signed(0, 2)),
+	}
+	bad := r.signed(1, 2)
+	bad.Sig = []byte("bad")
+	cases["forged view-change"] = nv(1, 1, quorum[0], quorum[1], bad)
+	for name, accepted := range cases {
+		if accepted {
+			t.Errorf("%s: new-view accepted", name)
+		}
+	}
+}
+
+func TestViewChangeInstallHoldsProposingAndResets(t *testing.T) {
+	r := newVCRig(1) // leader of view 1
+	r.backlog.Submit(r.signedReq(1), 0)
+	r.vc.Start(1)
+	if got := r.liveTimers(); len(got) != 1 {
+		t.Fatalf("timers during the view change: %v, want the retry timer only", got)
+	}
+	during := true
+	r.vc.Install(1, func() { during = r.vc.MayPropose() })
+	if during {
+		t.Fatal("proposing was allowed while the new view's slots were being adopted")
+	}
+	if r.vc.View() != 1 || r.vc.Active() || !r.vc.MayPropose() {
+		t.Fatalf("after install: view %d active %v mayPropose %v", r.vc.View(), r.vc.Active(), r.vc.MayPropose())
+	}
+	// Entering the view drops the retry timer and re-arms τ2 under the
+	// new view, because a client still waits.
+	r.d.advance(r.rep.Config().ViewChangeTimeout)
+	want := []TimerID{{Name: testProgress, View: 1}}
+	if !reflect.DeepEqual(r.rec.timers, want) {
+		t.Fatalf("timers fired after install: %v, want %v", r.rec.timers, want)
+	}
+}

@@ -48,24 +48,24 @@ func PBFTMACProfile() Profile {
 // threshold certificates, responsive (Pacemaker view synchronization).
 func HotStuffProfile() Profile {
 	return Profile{
-		Name:          "hotstuff",
-		Description:   "HotStuff (PODC'19): linearity and responsiveness",
-		Strategy:      Pessimistic,
-		Phases:        7, // proposal + three vote/broadcast rounds
-		PhaseTopos:    []Topology{Star, Star, Star, Star, Star, Star, Star},
-		Leader:        RotatingLeader,
-		Checkpointing: true,
-		Recovery:      RecoveryNone,
-		ClientRoles:   RoleRequester,
-		Replicas:      Term(3, 1),
-		Quorum:        Term(2, 1),
-		RepliesNeeded: Term(1, 1),
-		Topology:      Star,
-		AuthOrdering:  crypto.SchemeThreshold,
+		Name:           "hotstuff",
+		Description:    "HotStuff (PODC'19): linearity and responsiveness",
+		Strategy:       Pessimistic,
+		Phases:         7, // proposal + three vote/broadcast rounds
+		PhaseTopos:     []Topology{Star, Star, Star, Star, Star, Star, Star},
+		Leader:         RotatingLeader,
+		Checkpointing:  true,
+		Recovery:       RecoveryNone,
+		ClientRoles:    RoleRequester,
+		Replicas:       Term(3, 1),
+		Quorum:         Term(2, 1),
+		RepliesNeeded:  Term(1, 1),
+		Topology:       Star,
+		AuthOrdering:   crypto.SchemeThreshold,
 		AuthViewChange: crypto.SchemeThreshold,
-		Responsive:    true,
-		Timers:        []Timer{TimerViewSync},
-		LoadBalancing: LBRotation,
+		Responsive:     true,
+		Timers:         []Timer{TimerViewSync},
+		LoadBalancing:  LBRotation,
 	}
 }
 
@@ -83,25 +83,25 @@ func HotStuff2Profile() Profile {
 // wait on rotation (DC4), prevote/precommit timers.
 func TendermintProfile() Profile {
 	return Profile{
-		Name:          "tendermint",
-		Description:   "Tendermint (2014/2018): rotating leader, waits Δ",
-		Strategy:      Optimistic,
-		Assumptions:   []Assumption{AssumeSynchrony},
-		Phases:        3, // propose, prevote, precommit
-		PhaseTopos:    []Topology{Star, Clique, Clique},
-		Leader:        RotatingLeader,
-		Checkpointing: true,
-		Recovery:      RecoveryNone,
-		ClientRoles:   RoleRequester,
-		Replicas:      Term(3, 1),
-		Quorum:        Term(2, 1),
-		RepliesNeeded: Term(1, 1),
-		Topology:      Clique,
-		AuthOrdering:  crypto.SchemeSig,
+		Name:           "tendermint",
+		Description:    "Tendermint (2014/2018): rotating leader, waits Δ",
+		Strategy:       Optimistic,
+		Assumptions:    []Assumption{AssumeSynchrony},
+		Phases:         3, // propose, prevote, precommit
+		PhaseTopos:     []Topology{Star, Clique, Clique},
+		Leader:         RotatingLeader,
+		Checkpointing:  true,
+		Recovery:       RecoveryNone,
+		ClientRoles:    RoleRequester,
+		Replicas:       Term(3, 1),
+		Quorum:         Term(2, 1),
+		RepliesNeeded:  Term(1, 1),
+		Topology:       Clique,
+		AuthOrdering:   crypto.SchemeSig,
 		AuthViewChange: crypto.SchemeSig,
-		Responsive:    false,
-		Timers:        []Timer{TimerQuorum, TimerViewSync},
-		LoadBalancing: LBRotation,
+		Responsive:     false,
+		Timers:         []Timer{TimerQuorum, TimerViewSync},
+		LoadBalancing:  LBRotation,
 	}
 }
 
@@ -126,12 +126,12 @@ func SBFTProfile() Profile {
 		// The SBFT paper uses a threshold-signed execution proof so one
 		// reply suffices; our replies are plainly signed, so the client
 		// falls back to the classic f+1 matching-reply rule.
-		RepliesNeeded: Term(1, 1),
-		Topology:      Star,
-		AuthOrdering:  crypto.SchemeThreshold,
+		RepliesNeeded:  Term(1, 1),
+		Topology:       Star,
+		AuthOrdering:   crypto.SchemeThreshold,
 		AuthViewChange: crypto.SchemeThreshold,
-		Responsive:    false,
-		Timers:        []Timer{TimerViewChange, TimerBackupFault},
+		Responsive:     false,
+		Timers:         []Timer{TimerViewChange, TimerBackupFault},
 	}
 }
 
@@ -139,26 +139,26 @@ func SBFTProfile() Profile {
 // matching speculative replies, repairer fallback.
 func ZyzzyvaProfile() Profile {
 	return Profile{
-		Name:          "zyzzyva",
-		Description:   "Zyzzyva (SOSP'07): speculative BFT",
-		Strategy:      Optimistic,
-		Speculative:   true,
-		Assumptions:   []Assumption{AssumeHonestLeader, AssumeHonestBackups},
-		Phases:        1,
-		PhaseTopos:    []Topology{Star},
-		Leader:        StableLeader,
-		HasViewChange: true,
-		Checkpointing: true,
-		Recovery:      RecoveryNone,
-		ClientRoles:   RoleRequester | RoleRepairer,
-		Replicas:      Term(3, 1),
-		Quorum:        Term(2, 1),
-		RepliesNeeded: Term(3, 1),
-		Topology:      Star,
-		AuthOrdering:  crypto.SchemeSig,
+		Name:           "zyzzyva",
+		Description:    "Zyzzyva (SOSP'07): speculative BFT",
+		Strategy:       Optimistic,
+		Speculative:    true,
+		Assumptions:    []Assumption{AssumeHonestLeader, AssumeHonestBackups},
+		Phases:         1,
+		PhaseTopos:     []Topology{Star},
+		Leader:         StableLeader,
+		HasViewChange:  true,
+		Checkpointing:  true,
+		Recovery:       RecoveryNone,
+		ClientRoles:    RoleRequester | RoleRepairer,
+		Replicas:       Term(3, 1),
+		Quorum:         Term(2, 1),
+		RepliesNeeded:  Term(3, 1),
+		Topology:       Star,
+		AuthOrdering:   crypto.SchemeSig,
 		AuthViewChange: crypto.SchemeSig,
-		Responsive:    false,
-		Timers:        []Timer{TimerReply, TimerViewChange},
+		Responsive:     false,
+		Timers:         []Timer{TimerReply, TimerViewChange},
 	}
 }
 
@@ -178,27 +178,27 @@ func Zyzzyva5Profile() Profile {
 // certificate, roll back if the view change disagrees.
 func PoEProfile() Profile {
 	return Profile{
-		Name:          "poe",
-		Description:   "Proof-of-Execution (EDBT'21): fault-tolerant speculation",
-		Strategy:      Optimistic,
-		Speculative:   true,
-		Assumptions:   []Assumption{AssumeHonestBackups},
-		Phases:        3, // propose, vote→collector, certify
-		PhaseTopos:    []Topology{Star, Star, Star},
-		Leader:        StableLeader,
-		HasViewChange: true,
-		Checkpointing: true,
-		Recovery:      RecoveryNone,
-		ClientRoles:   RoleRequester,
-		Replicas:      Term(3, 1),
-		Quorum:        Term(2, 1),
-		FastQuorum:    Term(2, 1), // the speculative certificate quorum
-		RepliesNeeded: Term(2, 1),
-		Topology:      Star,
-		AuthOrdering:  crypto.SchemeThreshold,
+		Name:           "poe",
+		Description:    "Proof-of-Execution (EDBT'21): fault-tolerant speculation",
+		Strategy:       Optimistic,
+		Speculative:    true,
+		Assumptions:    []Assumption{AssumeHonestBackups},
+		Phases:         3, // propose, vote→collector, certify
+		PhaseTopos:     []Topology{Star, Star, Star},
+		Leader:         StableLeader,
+		HasViewChange:  true,
+		Checkpointing:  true,
+		Recovery:       RecoveryNone,
+		ClientRoles:    RoleRequester,
+		Replicas:       Term(3, 1),
+		Quorum:         Term(2, 1),
+		FastQuorum:     Term(2, 1), // the speculative certificate quorum
+		RepliesNeeded:  Term(2, 1),
+		Topology:       Star,
+		AuthOrdering:   crypto.SchemeThreshold,
 		AuthViewChange: crypto.SchemeThreshold,
-		Responsive:    true,
-		Timers:        []Timer{TimerViewChange},
+		Responsive:     true,
+		Timers:         []Timer{TimerViewChange},
 	}
 }
 
@@ -232,24 +232,24 @@ func CheapBFTProfile() Profile {
 // FaBProfile: fast Byzantine consensus (DC2) — 5f+1 replicas, two phases.
 func FaBProfile() Profile {
 	return Profile{
-		Name:          "fab",
-		Description:   "FaB Paxos (TDSC'06): two-phase consensus with 5f+1 replicas",
-		Strategy:      Pessimistic,
-		Phases:        2,
-		PhaseTopos:    []Topology{Star, Clique},
-		Leader:        StableLeader,
-		HasViewChange: true,
-		Checkpointing: true,
-		Recovery:      RecoveryNone,
-		ClientRoles:   RoleRequester,
-		Replicas:      Term(5, 1),
-		Quorum:        Term(4, 1),
-		RepliesNeeded: Term(1, 1),
-		Topology:      Clique,
-		AuthOrdering:  crypto.SchemeSig,
+		Name:           "fab",
+		Description:    "FaB Paxos (TDSC'06): two-phase consensus with 5f+1 replicas",
+		Strategy:       Pessimistic,
+		Phases:         2,
+		PhaseTopos:     []Topology{Star, Clique},
+		Leader:         StableLeader,
+		HasViewChange:  true,
+		Checkpointing:  true,
+		Recovery:       RecoveryNone,
+		ClientRoles:    RoleRequester,
+		Replicas:       Term(5, 1),
+		Quorum:         Term(4, 1),
+		RepliesNeeded:  Term(1, 1),
+		Topology:       Clique,
+		AuthOrdering:   crypto.SchemeSig,
 		AuthViewChange: crypto.SchemeSig,
-		Responsive:    true,
-		Timers:        []Timer{TimerViewChange},
+		Responsive:     true,
+		Timers:         []Timer{TimerViewChange},
 	}
 }
 
@@ -257,25 +257,25 @@ func FaBProfile() Profile {
 // to a quorum; no ordering phases as long as operations don't conflict.
 func QUProfile() Profile {
 	return Profile{
-		Name:          "qu",
-		Description:   "Q/U (SOSP'05): fault-scalable quorum objects",
-		Strategy:      Optimistic,
-		Assumptions:   []Assumption{AssumeConflictFree, AssumeHonestClients},
-		Phases:        1,
-		PhaseTopos:    []Topology{Star},
-		Leader:        StableLeader, // leaderless; no view change
-		Checkpointing: false,
-		Recovery:      RecoveryNone,
-		ClientRoles:   RoleRequester | RoleProposer | RoleRepairer,
-		Replicas:      Term(5, 1),
-		Quorum:        Term(4, 1),
-		RepliesNeeded: Term(4, 1),
-		Topology:      Star,
-		AuthOrdering:  crypto.SchemeSig,
+		Name:           "qu",
+		Description:    "Q/U (SOSP'05): fault-scalable quorum objects",
+		Strategy:       Optimistic,
+		Assumptions:    []Assumption{AssumeConflictFree, AssumeHonestClients},
+		Phases:         1,
+		PhaseTopos:     []Topology{Star},
+		Leader:         StableLeader, // leaderless; no view change
+		Checkpointing:  false,
+		Recovery:       RecoveryNone,
+		ClientRoles:    RoleRequester | RoleProposer | RoleRepairer,
+		Replicas:       Term(5, 1),
+		Quorum:         Term(4, 1),
+		RepliesNeeded:  Term(4, 1),
+		Topology:       Star,
+		AuthOrdering:   crypto.SchemeSig,
 		AuthViewChange: crypto.SchemeSig,
-		Responsive:    true,
-		Timers:        []Timer{TimerReply},
-		LoadBalancing: LBMultiLeader,
+		Responsive:     true,
+		Timers:         []Timer{TimerReply},
+		LoadBalancing:  LBMultiLeader,
 	}
 }
 
@@ -283,25 +283,25 @@ func QUProfile() Profile {
 // leader performance monitoring.
 func PrimeProfile() Profile {
 	return Profile{
-		Name:          "prime",
-		Description:   "Prime (TDSC'11): Byzantine replication under attack",
-		Strategy:      Robust,
-		Phases:        5, // po-request, po-ack, pre-prepare, prepare, commit
-		PhaseTopos:    []Topology{Clique, Clique, Star, Clique, Clique},
-		Leader:        StableLeader,
-		HasViewChange: true,
-		Checkpointing: true,
-		Recovery:      RecoveryNone,
-		ClientRoles:   RoleRequester,
-		Replicas:      Term(3, 1),
-		Quorum:        Term(2, 1),
-		RepliesNeeded: Term(1, 1),
-		Topology:      Clique,
-		AuthOrdering:  crypto.SchemeSig,
+		Name:           "prime",
+		Description:    "Prime (TDSC'11): Byzantine replication under attack",
+		Strategy:       Robust,
+		Phases:         5, // po-request, po-ack, pre-prepare, prepare, commit
+		PhaseTopos:     []Topology{Clique, Clique, Star, Clique, Clique},
+		Leader:         StableLeader,
+		HasViewChange:  true,
+		Checkpointing:  true,
+		Recovery:       RecoveryNone,
+		ClientRoles:    RoleRequester,
+		Replicas:       Term(3, 1),
+		Quorum:         Term(2, 1),
+		RepliesNeeded:  Term(1, 1),
+		Topology:       Clique,
+		AuthOrdering:   crypto.SchemeSig,
 		AuthViewChange: crypto.SchemeSig,
-		Responsive:    false,
-		Timers:        []Timer{TimerViewChange, TimerHeartbeat},
-		Fairness:      FairnessPartial,
+		Responsive:     false,
+		Timers:         []Timer{TimerViewChange, TimerHeartbeat},
+		Fairness:       FairnessPartial,
 	}
 }
 
@@ -322,15 +322,15 @@ func ThemisProfile() Profile {
 		Replicas:      Term(4, 1),
 		// With n = 4f+1, ordering quorums must grow to 3f+1 to keep the
 		// honest-intersection property.
-		Quorum:        Term(3, 1),
-		RepliesNeeded: Term(1, 1),
-		Topology:      Clique,
-		AuthOrdering:  crypto.SchemeSig,
+		Quorum:         Term(3, 1),
+		RepliesNeeded:  Term(1, 1),
+		Topology:       Clique,
+		AuthOrdering:   crypto.SchemeSig,
 		AuthViewChange: crypto.SchemeSig,
-		Responsive:    false,
-		Timers:        []Timer{TimerViewChange, TimerRound},
-		Fairness:      FairnessGamma,
-		Gamma:         1.0,
+		Responsive:     false,
+		Timers:         []Timer{TimerViewChange, TimerRound},
+		Fairness:       FairnessGamma,
+		Gamma:          1.0,
 	}
 }
 
@@ -338,25 +338,25 @@ func ThemisProfile() Profile {
 // pipeline; non-leaf faults trigger reconfiguration.
 func KauriProfile() Profile {
 	return Profile{
-		Name:          "kauri",
-		Description:   "Kauri (SOSP'21): pipelined tree dissemination and aggregation",
-		Strategy:      Optimistic,
-		Assumptions:   []Assumption{AssumeHonestInterior},
-		Phases:        7,
-		PhaseTopos:    []Topology{Tree, Tree, Tree, Tree, Tree, Tree, Tree},
-		Leader:        RotatingLeader,
-		Checkpointing: true,
-		Recovery:      RecoveryNone,
-		ClientRoles:   RoleRequester,
-		Replicas:      Term(3, 1),
-		Quorum:        Term(2, 1),
-		RepliesNeeded: Term(1, 1),
-		Topology:      Tree,
-		AuthOrdering:  crypto.SchemeThreshold,
+		Name:           "kauri",
+		Description:    "Kauri (SOSP'21): pipelined tree dissemination and aggregation",
+		Strategy:       Optimistic,
+		Assumptions:    []Assumption{AssumeHonestInterior},
+		Phases:         7,
+		PhaseTopos:     []Topology{Tree, Tree, Tree, Tree, Tree, Tree, Tree},
+		Leader:         RotatingLeader,
+		Checkpointing:  true,
+		Recovery:       RecoveryNone,
+		ClientRoles:    RoleRequester,
+		Replicas:       Term(3, 1),
+		Quorum:         Term(2, 1),
+		RepliesNeeded:  Term(1, 1),
+		Topology:       Tree,
+		AuthOrdering:   crypto.SchemeThreshold,
 		AuthViewChange: crypto.SchemeThreshold,
-		Responsive:    false,
-		Timers:        []Timer{TimerViewSync},
-		LoadBalancing: LBTree,
+		Responsive:     false,
+		Timers:         []Timer{TimerViewSync},
+		LoadBalancing:  LBTree,
 	}
 }
 
@@ -364,25 +364,25 @@ func KauriProfile() Profile {
 // pipeline with the head ordering and the tail replying.
 func ChainProfile() Profile {
 	return Profile{
-		Name:          "chain",
-		Description:   "Chain (Aliph, TOCS'15): pipelined replicas, optimistic",
-		Strategy:      Optimistic,
-		Assumptions:   []Assumption{AssumeHonestBackups, AssumeHonestClients},
-		Phases:        1, // one chain traversal; latency is n hops (see docs)
-		PhaseTopos:    []Topology{Chain},
-		Leader:        StableLeader,
-		Checkpointing: false,
-		Recovery:      RecoveryNone,
-		ClientRoles:   RoleRequester | RoleRepairer,
-		Replicas:      Term(3, 1),
-		Quorum:        Term(2, 1),
-		RepliesNeeded: Term(1, 1),
-		Topology:      Chain,
-		AuthOrdering:  crypto.SchemeMAC,
+		Name:           "chain",
+		Description:    "Chain (Aliph, TOCS'15): pipelined replicas, optimistic",
+		Strategy:       Optimistic,
+		Assumptions:    []Assumption{AssumeHonestBackups, AssumeHonestClients},
+		Phases:         1, // one chain traversal; latency is n hops (see docs)
+		PhaseTopos:     []Topology{Chain},
+		Leader:         StableLeader,
+		Checkpointing:  false,
+		Recovery:       RecoveryNone,
+		ClientRoles:    RoleRequester | RoleRepairer,
+		Replicas:       Term(3, 1),
+		Quorum:         Term(2, 1),
+		RepliesNeeded:  Term(1, 1),
+		Topology:       Chain,
+		AuthOrdering:   crypto.SchemeMAC,
 		AuthViewChange: crypto.SchemeSig,
-		Responsive:    true,
-		Timers:        []Timer{TimerReply},
-		LoadBalancing: LBChain,
+		Responsive:     true,
+		Timers:         []Timer{TimerReply},
+		LoadBalancing:  LBChain,
 	}
 }
 
@@ -390,24 +390,24 @@ func ChainProfile() Profile {
 // family). Outside the BFT design space (CrashOnly).
 func RaftLiteProfile() Profile {
 	return Profile{
-		Name:          "raftlite",
-		Description:   "Raft-style CFT baseline: 2f+1 replicas, leader append",
-		Strategy:      Pessimistic,
-		Phases:        2,
-		PhaseTopos:    []Topology{Star, Star},
-		Leader:        StableLeader,
-		HasViewChange: true,
-		Checkpointing: true,
-		Recovery:      RecoveryNone,
-		ClientRoles:   RoleRequester,
-		Replicas:      Term(2, 1),
-		Quorum:        Term(1, 1),
-		RepliesNeeded: Term(0, 1),
-		Topology:      Star,
-		AuthOrdering:  crypto.SchemeMAC,
+		Name:           "raftlite",
+		Description:    "Raft-style CFT baseline: 2f+1 replicas, leader append",
+		Strategy:       Pessimistic,
+		Phases:         2,
+		PhaseTopos:     []Topology{Star, Star},
+		Leader:         StableLeader,
+		HasViewChange:  true,
+		Checkpointing:  true,
+		Recovery:       RecoveryNone,
+		ClientRoles:    RoleRequester,
+		Replicas:       Term(2, 1),
+		Quorum:         Term(1, 1),
+		RepliesNeeded:  Term(0, 1),
+		Topology:       Star,
+		AuthOrdering:   crypto.SchemeMAC,
 		AuthViewChange: crypto.SchemeMAC,
-		Responsive:    true,
-		Timers:        []Timer{TimerViewChange},
-		CrashOnly:     true,
+		Responsive:     true,
+		Timers:         []Timer{TimerViewChange},
+		CrashOnly:      true,
 	}
 }

@@ -63,10 +63,10 @@ type recorder struct {
 	reqs     []*types.Request
 }
 
-func (r *recorder) Init(env Env)                      { r.env = env }
-func (r *recorder) OnRequest(req *types.Request)      { r.reqs = append(r.reqs, req) }
+func (r *recorder) Init(env Env)                              { r.env = env }
+func (r *recorder) OnRequest(req *types.Request)              { r.reqs = append(r.reqs, req) }
 func (r *recorder) OnMessage(_ types.NodeID, m types.Message) { r.msgs = append(r.msgs, m) }
-func (r *recorder) OnTimer(id TimerID)                { r.timers = append(r.timers, id) }
+func (r *recorder) OnTimer(id TimerID)                        { r.timers = append(r.timers, id) }
 func (r *recorder) OnExecuted(seq types.SeqNum, _ *types.Batch, _ [][]byte) {
 	r.executed = append(r.executed, seq)
 }

@@ -162,15 +162,12 @@ type Chain struct {
 	view    types.View
 	nextSeq types.SeqNum
 
-	pending       []*types.Request
-	pendingSet    map[types.RequestKey]bool
-	inFlight      map[types.RequestKey]bool
-	watch         map[types.RequestKey]bool
-	done          map[types.RequestKey]bool
-	replies       map[types.RequestKey]*types.Reply
-	progressArmed bool
+	// backlog is the kit's request intake, without a τ2 timer: the
+	// client drives fault detection here.
+	backlog *core.Backlog
+	replies map[types.RequestKey]*types.Reply
 
-	reconfigVotes map[types.View]map[types.NodeID]bool
+	reconfigVotes core.Tally[types.View, struct{}]
 	reconfigExec  map[types.View]types.SeqNum
 }
 
@@ -191,12 +188,8 @@ func init() {
 // Init implements core.Protocol.
 func (c *Chain) Init(env core.Env) {
 	c.env = env
-	c.pendingSet = make(map[types.RequestKey]bool)
-	c.inFlight = make(map[types.RequestKey]bool)
-	c.watch = make(map[types.RequestKey]bool)
-	c.done = make(map[types.RequestKey]bool)
+	c.backlog = core.NewBacklog(env, "")
 	c.replies = make(map[types.RequestKey]*types.Reply)
-	c.reconfigVotes = make(map[types.View]map[types.NodeID]bool)
 	c.reconfigExec = make(map[types.View]types.SeqNum)
 }
 
@@ -252,7 +245,7 @@ func (c *Chain) successor(id types.NodeID) types.NodeID {
 // OnRequest implements core.Protocol: the head orders; everyone else
 // forwards to the head.
 func (c *Chain) OnRequest(req *types.Request) {
-	if c.done[req.Key()] {
+	if c.backlog.Done(req.Key()) {
 		// Retransmission of an executed request: replicas that were not
 		// in the reply suffix when it executed have nothing in the
 		// runtime's reply cache, so answer from the protocol's own.
@@ -263,24 +256,9 @@ func (c *Chain) OnRequest(req *types.Request) {
 		}
 		return
 	}
-	if !c.env.Verifier().VerifySig(req.Client, req.Digest(), req.Sig) {
-		return
+	if c.backlog.Submit(req, c.Head()) {
+		c.maybePropose()
 	}
-	key := req.Key()
-	c.watch[key] = true
-	if c.pendingSet[key] {
-		if c.Head() != c.env.ID() {
-			c.env.Send(c.Head(), &core.ForwardMsg{Req: req})
-		}
-		return
-	}
-	c.pendingSet[key] = true
-	c.pending = append(c.pending, req)
-	if c.Head() != c.env.ID() {
-		c.env.Send(c.Head(), &core.ForwardMsg{Req: req})
-		return
-	}
-	c.maybePropose()
 }
 
 func (c *Chain) maybePropose() {
@@ -288,7 +266,7 @@ func (c *Chain) maybePropose() {
 		return
 	}
 	for {
-		reqs := c.takePending(c.env.Config().BatchSize)
+		reqs := c.backlog.Take(c.env.Config().BatchSize)
 		if len(reqs) == 0 {
 			return
 		}
@@ -297,24 +275,6 @@ func (c *Chain) maybePropose() {
 		m := &ChainMsg{View: c.view, Seq: c.nextSeq, Digest: batch.Digest(), Batch: batch}
 		c.processChainMsg(m)
 	}
-}
-
-func (c *Chain) takePending(max int) []*types.Request {
-	var out []*types.Request
-	live := c.pending[:0]
-	for _, req := range c.pending {
-		key := req.Key()
-		if !c.pendingSet[key] || c.done[req.Key()] {
-			continue
-		}
-		live = append(live, req)
-		if len(out) < max && !c.inFlight[key] {
-			c.inFlight[key] = true
-			out = append(out, req)
-		}
-	}
-	c.pending = live
-	return out
 }
 
 // processChainMsg appends this replica's endorsement and forwards (or
@@ -341,10 +301,7 @@ func (c *Chain) processChainMsg(m *ChainMsg) {
 	}
 	sd := slotDigest(m.View, m.Seq, m.Digest)
 	m.Hops = append(m.Hops, Hop{Replica: c.env.ID(), Sig: c.env.Signer().Sign(sd)})
-	for _, r := range m.Batch.Requests {
-		c.watch[r.Key()] = true
-		c.inFlight[r.Key()] = true
-	}
+	c.backlog.Proposed(m.Batch)
 	next := c.successor(c.env.ID())
 	if next >= 0 {
 		c.env.Send(next, m)
@@ -467,20 +424,15 @@ func (c *Chain) onReconfig(m *ReconfigMsg) {
 	if m.NewView <= c.view {
 		return
 	}
-	set := c.reconfigVotes[m.NewView]
-	if set == nil {
-		set = make(map[types.NodeID]bool)
-		c.reconfigVotes[m.NewView] = set
-	}
-	set[m.Replica] = true
+	c.reconfigVotes.Add(m.NewView, m.Replica, struct{}{})
 	if m.LastExec > c.reconfigExec[m.NewView] {
 		c.reconfigExec[m.NewView] = m.LastExec
 	}
-	if len(set) < c.env.F()+1 {
+	if c.reconfigVotes.Count(m.NewView) < c.env.F()+1 {
 		return
 	}
 	c.view = m.NewView
-	c.inFlight = make(map[types.RequestKey]bool)
+	c.backlog.EnterView(c.view)
 	// The new head numbers slots above the highest reported execution
 	// point, and members behind it repair the gap by fetching.
 	base := c.reconfigExec[m.NewView]
@@ -491,9 +443,9 @@ func (c *Chain) onReconfig(m *ReconfigMsg) {
 	if c.env.Ledger().LastExecuted() < base {
 		c.env.Broadcast(&FetchChainMsg{From: c.env.Ledger().LastExecuted()})
 	}
-	for v := range c.reconfigVotes {
+	c.reconfigVotes.Prune(func(v types.View) bool { return v <= c.view })
+	for v := range c.reconfigExec {
 		if v <= c.view {
-			delete(c.reconfigVotes, v)
 			delete(c.reconfigExec, v)
 		}
 	}
@@ -525,11 +477,8 @@ func (c *Chain) inReplySuffix() bool {
 // single-tail reply would let one corrupt tail hand clients wrong
 // results with no honest replica in the loop (P6).
 func (c *Chain) OnExecuted(seq types.SeqNum, batch *types.Batch, results [][]byte) {
+	c.backlog.Executed(batch)
 	for i, req := range batch.Requests {
-		delete(c.watch, req.Key())
-		delete(c.pendingSet, req.Key())
-		delete(c.inFlight, req.Key())
-		c.done[req.Key()] = true
 		rep := &types.Reply{
 			Client:    req.Client,
 			ClientSeq: req.ClientSeq,
@@ -558,15 +507,20 @@ type Client struct {
 	env      core.ClientEnv
 	view     types.View
 	pending  map[uint64]*types.Request
-	votes    map[uint64]map[string]map[types.NodeID]bool
+	votes    core.Tally[replyKey, struct{}]
 	panicked map[uint64]int
+}
+
+// replyKey groups signed replies by request and result content.
+type replyKey struct {
+	ClientSeq uint64
+	Result    string
 }
 
 // NewClient returns a chain client.
 func NewClient() *Client {
 	return &Client{
 		pending:  make(map[uint64]*types.Request),
-		votes:    make(map[uint64]map[string]map[types.NodeID]bool),
 		panicked: make(map[uint64]int),
 	}
 }
@@ -611,23 +565,14 @@ func (c *Client) OnMessage(from types.NodeID, m types.Message) {
 	// One corrupt suffix member (the tail included) must not be able to
 	// pass off a wrong result, so count signed matching replies until
 	// f+1 distinct replicas agree.
-	byResult := c.votes[rep.ClientSeq]
-	if byResult == nil {
-		byResult = make(map[string]map[types.NodeID]bool)
-		c.votes[rep.ClientSeq] = byResult
-	}
-	set := byResult[string(rep.Result)]
-	if set == nil {
-		set = make(map[types.NodeID]bool)
-		byResult[string(rep.Result)] = set
-	}
-	set[rep.Replica] = true
-	if len(set) < c.env.F()+1 {
+	k := replyKey{rep.ClientSeq, string(rep.Result)}
+	c.votes.Add(k, rep.Replica, struct{}{})
+	if c.votes.Count(k) < c.env.F()+1 {
 		return
 	}
 	c.env.StopTimer(core.TimerID{Name: "chain-wait", Seq: types.SeqNum(rep.ClientSeq)})
 	delete(c.pending, rep.ClientSeq)
-	delete(c.votes, rep.ClientSeq)
+	c.votes.Prune(func(k replyKey) bool { return k.ClientSeq == rep.ClientSeq })
 	delete(c.panicked, rep.ClientSeq)
 	c.env.Done(req, rep.Result)
 }

@@ -144,6 +144,9 @@ type PreparedSlot struct {
 // Kind implements types.Message.
 func (*ViewChangeMsg) Kind() string { return "CHEAP-VIEW-CHANGE" }
 
+// Vote implements core.ViewChangeVote.
+func (m *ViewChangeMsg) Vote() (types.View, types.NodeID, []byte) { return m.NewView, m.Replica, m.Sig }
+
 // SigDigest is the signed content.
 func (m *ViewChangeMsg) SigDigest() types.Digest {
 	var h types.Hasher
@@ -206,21 +209,13 @@ type CheapBFT struct {
 	opts Options
 	cm   *core.CheckpointManager
 
-	view    types.View
+	// backlog is the request intake and τ2 timer; vc the view-change
+	// skeleton, which owns the current view (both from the core kit).
+	backlog *core.Backlog
+	vc      *core.ViewChange[*ViewChangeMsg]
+
 	nextSeq types.SeqNum
 	slots   map[types.SeqNum]*slot
-
-	pending       []*types.Request
-	pendingSet    map[types.RequestKey]bool
-	inFlight      map[types.RequestKey]bool
-	watch         map[types.RequestKey]bool
-	done          map[types.RequestKey]bool
-	progressArmed bool
-
-	inViewChange bool
-	targetView   types.View
-	vcs          map[types.View]map[types.NodeID]*ViewChangeMsg
-	sentNewView  map[types.View]bool
 }
 
 // New returns a CheapBFT replica.
@@ -242,19 +237,13 @@ func (c *CheapBFT) Init(env core.Env) {
 	c.env = env
 	c.cm = core.NewCheckpointManager(env)
 	c.slots = make(map[types.SeqNum]*slot)
-	c.pendingSet = make(map[types.RequestKey]bool)
-	c.inFlight = make(map[types.RequestKey]bool)
-	c.watch = make(map[types.RequestKey]bool)
-	c.done = make(map[types.RequestKey]bool)
-	c.vcs = make(map[types.View]map[types.NodeID]*ViewChangeMsg)
-	c.sentNewView = make(map[types.View]bool)
+	c.backlog = core.NewBacklog(env, timerProgress)
+	c.vc = core.NewViewChange(env, c.backlog, timerVCRetry, env.Config().Quorum(),
+		core.ViewChangeHooks[*ViewChangeMsg]{Build: c.buildViewChange, NewView: c.sendNewView})
 }
 
 // View returns the current view.
-func (c *CheapBFT) View() types.View { return c.view }
-
-func (c *CheapBFT) leader() types.NodeID { return c.env.Config().LeaderOf(c.view) }
-func (c *CheapBFT) isLeader() bool       { return c.leader() == c.env.ID() }
+func (c *CheapBFT) View() types.View { return c.vc.View() }
 
 // ActiveSet returns the 2f+1 active replicas of a view: the leader and
 // the next 2f replicas in ring order (rotating the view rotates the set,
@@ -288,19 +277,6 @@ func (c *CheapBFT) broadcastActive(v types.View, m types.Message) {
 	}
 }
 
-func (c *CheapBFT) armProgress() {
-	if c.progressArmed || c.inViewChange {
-		return
-	}
-	c.progressArmed = true
-	c.env.SetTimer(core.TimerID{Name: timerProgress, View: c.view}, c.env.Config().ViewChangeTimeout)
-}
-
-func (c *CheapBFT) disarmProgress() {
-	c.progressArmed = false
-	c.env.StopTimer(core.TimerID{Name: timerProgress, View: c.view})
-}
-
 func (c *CheapBFT) slot(seq types.SeqNum) *slot {
 	sl := c.slots[seq]
 	if sl == nil {
@@ -312,68 +288,31 @@ func (c *CheapBFT) slot(seq types.SeqNum) *slot {
 
 // OnRequest implements core.Protocol.
 func (c *CheapBFT) OnRequest(req *types.Request) {
-	if c.done[req.Key()] {
-		return
+	if c.backlog.Submit(req, c.vc.Leader()) {
+		c.maybePropose()
 	}
-	if !c.env.Verifier().VerifySig(req.Client, req.Digest(), req.Sig) {
-		return
-	}
-	key := req.Key()
-	c.watch[key] = true
-	c.armProgress()
-	if c.pendingSet[key] {
-		if !c.isLeader() {
-			c.env.Send(c.leader(), &core.ForwardMsg{Req: req})
-		}
-		return
-	}
-	c.pendingSet[key] = true
-	c.pending = append(c.pending, req)
-	if !c.isLeader() {
-		c.env.Send(c.leader(), &core.ForwardMsg{Req: req})
-		return
-	}
-	c.maybePropose()
 }
 
 func (c *CheapBFT) maybePropose() {
-	if !c.isLeader() || c.inViewChange {
+	if !c.vc.MayPropose() {
 		return
 	}
 	for {
-		reqs := c.takePending(c.env.Config().BatchSize)
+		reqs := c.backlog.Take(c.env.Config().BatchSize)
 		if len(reqs) == 0 {
 			return
 		}
 		batch := types.NewBatch(reqs...)
 		c.nextSeq++
-		pm := &ProposeMsg{View: c.view, Seq: c.nextSeq, Digest: batch.Digest(), Batch: batch}
+		pm := &ProposeMsg{View: c.View(), Seq: c.nextSeq, Digest: batch.Digest(), Batch: batch}
 		pm.Sig = c.env.Signer().Sign(pm.SigDigest())
-		c.broadcastActive(c.view, pm)
+		c.broadcastActive(c.View(), pm)
 		c.acceptPropose(pm)
 	}
 }
 
-func (c *CheapBFT) takePending(k int) []*types.Request {
-	var out []*types.Request
-	live := c.pending[:0]
-	for _, req := range c.pending {
-		key := req.Key()
-		if !c.pendingSet[key] || c.done[req.Key()] {
-			continue
-		}
-		live = append(live, req)
-		if len(out) < k && !c.inFlight[key] {
-			c.inFlight[key] = true
-			out = append(out, req)
-		}
-	}
-	c.pending = live
-	return out
-}
-
 func (c *CheapBFT) acceptPropose(m *ProposeMsg) {
-	if m.View != c.view || c.inViewChange || !c.IsActive(c.view, c.env.ID()) {
+	if m.View != c.View() || c.vc.Active() || !c.IsActive(c.View(), c.env.ID()) {
 		return
 	}
 	if m.Batch.Digest() != m.Digest {
@@ -381,22 +320,18 @@ func (c *CheapBFT) acceptPropose(m *ProposeMsg) {
 	}
 	sl := c.slot(m.Seq)
 	if sl.proposed && sl.digest != m.Digest {
-		c.startViewChange(c.view + 1)
+		c.vc.Start(c.View() + 1)
 		return
 	}
 	sl.proposed = true
 	sl.digest = m.Digest
 	sl.batch = m.Batch
-	for _, r := range m.Batch.Requests {
-		c.watch[r.Key()] = true
-		c.inFlight[r.Key()] = true
-	}
-	c.armProgress()
+	c.backlog.Proposed(m.Batch)
 	if !sl.voted && !c.opts.SilentActive {
 		sl.voted = true
 		vm := &VoteMsg{View: m.View, Seq: m.Seq, Digest: m.Digest, Replica: c.env.ID()}
 		vm.Sig = c.env.Signer().Sign(vm.SigDigest())
-		c.broadcastActive(c.view, vm)
+		c.broadcastActive(c.View(), vm)
 		sl.votes[c.env.ID()] = vm.Sig
 	}
 	c.checkCommit(m.Seq, sl)
@@ -419,7 +354,7 @@ func (c *CheapBFT) OnMessage(from types.NodeID, m types.Message) {
 		}
 		c.acceptPropose(mm)
 	case *VoteMsg:
-		if mm.Replica != from || mm.View != c.view || c.inViewChange {
+		if mm.Replica != from || mm.View != c.View() || c.vc.Active() {
 			return
 		}
 		if !c.IsActive(mm.View, from) || !c.IsActive(mm.View, c.env.ID()) {
@@ -437,7 +372,7 @@ func (c *CheapBFT) OnMessage(from types.NodeID, m types.Message) {
 	case *UpdateMsg:
 		c.onUpdate(from, mm)
 	case *ViewChangeMsg:
-		c.onViewChange(from, mm)
+		c.vc.OnViewChange(from, mm)
 	case *NewViewMsg:
 		c.onNewView(from, mm)
 	}
@@ -453,17 +388,17 @@ func (c *CheapBFT) checkCommit(seq types.SeqNum, sl *slot) {
 		return
 	}
 	sl.done = true
-	proof := &types.CommitProof{View: c.view, Seq: seq, Digest: sl.digest}
+	proof := &types.CommitProof{View: c.View(), Seq: seq, Digest: sl.digest}
 	for id := range sl.votes {
 		proof.Voters = append(proof.Voters, id)
 	}
-	c.env.Commit(c.view, seq, sl.batch, proof)
+	c.env.Commit(c.View(), seq, sl.batch, proof)
 	// The leader informs the passive replicas.
-	if c.isLeader() {
-		up := &UpdateMsg{View: c.view, Seq: seq, Batch: sl.batch, Voters: proof.Voters}
+	if c.vc.Leading() {
+		up := &UpdateMsg{View: c.View(), Seq: seq, Batch: sl.batch, Voters: proof.Voters}
 		up.Sig = c.env.Signer().Sign(up.SigDigest())
 		for _, id := range c.env.Replicas() {
-			if !c.IsActive(c.view, id) {
+			if !c.IsActive(c.View(), id) {
 				c.env.Send(id, up)
 			}
 		}
@@ -487,43 +422,26 @@ func (c *CheapBFT) onUpdate(from types.NodeID, m *UpdateMsg) {
 func (c *CheapBFT) OnTimer(id core.TimerID) {
 	switch id.Name {
 	case timerProgress:
-		c.progressArmed = false
-		if id.View == c.view && len(c.watch) > 0 {
-			c.startViewChange(c.view + 1)
+		if c.backlog.Expired(id) {
+			c.vc.Start(c.View() + 1)
 		}
 	case timerVCRetry:
-		if c.inViewChange && id.View == c.targetView {
-			c.startViewChange(c.targetView + 1)
-		}
+		c.vc.Retry(id)
 	}
 }
 
 // OnExecuted implements core.Protocol.
 func (c *CheapBFT) OnExecuted(seq types.SeqNum, batch *types.Batch, results [][]byte) {
-	for i, req := range batch.Requests {
-		delete(c.watch, req.Key())
-		delete(c.pendingSet, req.Key())
-		delete(c.inFlight, req.Key())
-		c.done[req.Key()] = true
-		// Only active replicas answer clients in CheapBFT.
-		if c.IsActive(c.view, c.env.ID()) {
-			c.env.Reply(&types.Reply{
-				Client:    req.Client,
-				ClientSeq: req.ClientSeq,
-				View:      c.view,
-				Seq:       seq,
-				Result:    results[i],
-			})
-		}
+	c.backlog.Executed(batch)
+	// Only active replicas answer clients in CheapBFT.
+	if c.IsActive(c.View(), c.env.ID()) {
+		core.ReplyExecuted(c.env, c.View(), seq, batch, results)
 	}
 	delete(c.slots, seq)
 	if c.nextSeq < seq {
 		c.nextSeq = seq
 	}
 	c.cm.OnExecuted(seq)
-	c.disarmProgress()
-	if len(c.watch) > 0 {
-		c.armProgress()
-	}
+	c.backlog.Progress()
 	c.maybePropose()
 }

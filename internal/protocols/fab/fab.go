@@ -106,6 +106,9 @@ type AcceptedSlot struct {
 // Kind implements types.Message.
 func (*ViewChangeMsg) Kind() string { return "FAB-VIEW-CHANGE" }
 
+// Vote implements core.ViewChangeVote.
+func (m *ViewChangeMsg) Vote() (types.View, types.NodeID, []byte) { return m.NewView, m.Replica, m.Sig }
+
 // SigDigest is the signed content.
 func (m *ViewChangeMsg) SigDigest() types.Digest {
 	var h types.Hasher
@@ -161,21 +164,13 @@ type FaB struct {
 	env core.Env
 	cm  *core.CheckpointManager
 
-	view    types.View
+	// backlog is the request intake and τ2 timer; vc the view-change
+	// skeleton, which owns the current view (both from the core kit).
+	backlog *core.Backlog
+	vc      *core.ViewChange[*ViewChangeMsg]
+
 	nextSeq types.SeqNum
 	slots   map[types.SeqNum]*slot
-
-	pending       []*types.Request
-	pendingSet    map[types.RequestKey]bool
-	inFlight      map[types.RequestKey]bool
-	watch         map[types.RequestKey]bool
-	done          map[types.RequestKey]bool
-	progressArmed bool
-
-	inViewChange bool
-	targetView   types.View
-	vcs          map[types.View]map[types.NodeID]*ViewChangeMsg
-	sentNewView  map[types.View]bool
 }
 
 // New returns a FaB replica.
@@ -194,38 +189,17 @@ func (f *FaB) Init(env core.Env) {
 	f.env = env
 	f.cm = core.NewCheckpointManager(env)
 	f.slots = make(map[types.SeqNum]*slot)
-	f.pendingSet = make(map[types.RequestKey]bool)
-	f.inFlight = make(map[types.RequestKey]bool)
-	f.watch = make(map[types.RequestKey]bool)
-	f.done = make(map[types.RequestKey]bool)
-	f.vcs = make(map[types.View]map[types.NodeID]*ViewChangeMsg)
-	f.sentNewView = make(map[types.View]bool)
+	f.backlog = core.NewBacklog(env, timerProgress)
+	// FaB's view-change quorum is n−f messages.
+	f.vc = core.NewViewChange(env, f.backlog, timerVCRetry, env.N()-env.F(),
+		core.ViewChangeHooks[*ViewChangeMsg]{Build: f.buildViewChange, NewView: f.sendNewView})
 }
 
 // View returns the current view.
-func (f *FaB) View() types.View { return f.view }
+func (f *FaB) View() types.View { return f.vc.View() }
 
 // commitQuorum is FaB's 4f+1 (the price of losing a phase).
 func (f *FaB) commitQuorum() int { return 4*f.env.F() + 1 }
-
-// vcQuorum is n−f view-change messages.
-func (f *FaB) vcQuorum() int { return f.env.N() - f.env.F() }
-
-func (f *FaB) leader() types.NodeID { return f.env.Config().LeaderOf(f.view) }
-func (f *FaB) isLeader() bool       { return f.leader() == f.env.ID() }
-
-func (f *FaB) armProgress() {
-	if f.progressArmed || f.inViewChange {
-		return
-	}
-	f.progressArmed = true
-	f.env.SetTimer(core.TimerID{Name: timerProgress, View: f.view}, f.env.Config().ViewChangeTimeout)
-}
-
-func (f *FaB) disarmProgress() {
-	f.progressArmed = false
-	f.env.StopTimer(core.TimerID{Name: timerProgress, View: f.view})
-}
 
 func (f *FaB) slot(seq types.SeqNum) *slot {
 	sl := f.slots[seq]
@@ -238,68 +212,31 @@ func (f *FaB) slot(seq types.SeqNum) *slot {
 
 // OnRequest implements core.Protocol.
 func (f *FaB) OnRequest(req *types.Request) {
-	if f.done[req.Key()] {
-		return
+	if f.backlog.Submit(req, f.vc.Leader()) {
+		f.maybePropose()
 	}
-	if !f.env.Verifier().VerifySig(req.Client, req.Digest(), req.Sig) {
-		return
-	}
-	key := req.Key()
-	f.watch[key] = true
-	f.armProgress()
-	if f.pendingSet[key] {
-		if !f.isLeader() {
-			f.env.Send(f.leader(), &core.ForwardMsg{Req: req})
-		}
-		return
-	}
-	f.pendingSet[key] = true
-	f.pending = append(f.pending, req)
-	if !f.isLeader() {
-		f.env.Send(f.leader(), &core.ForwardMsg{Req: req})
-		return
-	}
-	f.maybePropose()
 }
 
 func (f *FaB) maybePropose() {
-	if !f.isLeader() || f.inViewChange {
+	if !f.vc.MayPropose() {
 		return
 	}
 	for {
-		reqs := f.takePending(f.env.Config().BatchSize)
+		reqs := f.backlog.Take(f.env.Config().BatchSize)
 		if len(reqs) == 0 {
 			return
 		}
 		batch := types.NewBatch(reqs...)
 		f.nextSeq++
-		pm := &ProposeMsg{View: f.view, Seq: f.nextSeq, Digest: batch.Digest(), Batch: batch}
+		pm := &ProposeMsg{View: f.View(), Seq: f.nextSeq, Digest: batch.Digest(), Batch: batch}
 		pm.Sig = f.env.Signer().Sign(pm.SigDigest())
 		f.env.Broadcast(pm)
 		f.acceptPropose(pm)
 	}
 }
 
-func (f *FaB) takePending(k int) []*types.Request {
-	var out []*types.Request
-	live := f.pending[:0]
-	for _, req := range f.pending {
-		key := req.Key()
-		if !f.pendingSet[key] || f.done[req.Key()] {
-			continue
-		}
-		live = append(live, req)
-		if len(out) < k && !f.inFlight[key] {
-			f.inFlight[key] = true
-			out = append(out, req)
-		}
-	}
-	f.pending = live
-	return out
-}
-
 func (f *FaB) acceptPropose(m *ProposeMsg) {
-	if m.View != f.view || f.inViewChange {
+	if m.View != f.View() || f.vc.Active() {
 		return
 	}
 	if m.Batch.Digest() != m.Digest {
@@ -307,17 +244,13 @@ func (f *FaB) acceptPropose(m *ProposeMsg) {
 	}
 	sl := f.slot(m.Seq)
 	if sl.proposed && sl.digest != m.Digest {
-		f.startViewChange(f.view + 1)
+		f.vc.Start(f.View() + 1)
 		return
 	}
 	sl.proposed = true
 	sl.digest = m.Digest
 	sl.batch = m.Batch
-	for _, r := range m.Batch.Requests {
-		f.watch[r.Key()] = true
-		f.inFlight[r.Key()] = true
-	}
-	f.armProgress()
+	f.backlog.Proposed(m.Batch)
 	if !sl.accepted {
 		sl.accepted = true
 		am := &AcceptMsg{View: m.View, Seq: m.Seq, Digest: m.Digest, Replica: f.env.ID()}
@@ -345,7 +278,7 @@ func (f *FaB) OnMessage(from types.NodeID, m types.Message) {
 		}
 		f.acceptPropose(mm)
 	case *AcceptMsg:
-		if mm.Replica != from || mm.View != f.view || f.inViewChange {
+		if mm.Replica != from || mm.View != f.View() || f.vc.Active() {
 			return
 		}
 		if !f.env.Verifier().VerifySig(from, mm.SigDigest(), mm.Sig) {
@@ -358,7 +291,7 @@ func (f *FaB) OnMessage(from types.NodeID, m types.Message) {
 		sl.accepts[from] = true
 		f.checkCommit(mm.Seq, sl)
 	case *ViewChangeMsg:
-		f.onViewChange(from, mm)
+		f.vc.OnViewChange(from, mm)
 	case *NewViewMsg:
 		f.onNewView(from, mm)
 	}
@@ -373,51 +306,34 @@ func (f *FaB) checkCommit(seq types.SeqNum, sl *slot) {
 		return
 	}
 	sl.done = true
-	proof := &types.CommitProof{View: f.view, Seq: seq, Digest: sl.digest}
+	proof := &types.CommitProof{View: f.View(), Seq: seq, Digest: sl.digest}
 	for id := range sl.accepts {
 		proof.Voters = append(proof.Voters, id)
 	}
-	f.env.Commit(f.view, seq, sl.batch, proof)
+	f.env.Commit(f.View(), seq, sl.batch, proof)
 }
 
 // OnTimer implements core.Protocol.
 func (f *FaB) OnTimer(id core.TimerID) {
 	switch id.Name {
 	case timerProgress:
-		f.progressArmed = false
-		if id.View == f.view && len(f.watch) > 0 {
-			f.startViewChange(f.view + 1)
+		if f.backlog.Expired(id) {
+			f.vc.Start(f.View() + 1)
 		}
 	case timerVCRetry:
-		if f.inViewChange && id.View == f.targetView {
-			f.startViewChange(f.targetView + 1)
-		}
+		f.vc.Retry(id)
 	}
 }
 
 // OnExecuted implements core.Protocol.
 func (f *FaB) OnExecuted(seq types.SeqNum, batch *types.Batch, results [][]byte) {
-	for i, req := range batch.Requests {
-		delete(f.watch, req.Key())
-		delete(f.pendingSet, req.Key())
-		delete(f.inFlight, req.Key())
-		f.done[req.Key()] = true
-		f.env.Reply(&types.Reply{
-			Client:    req.Client,
-			ClientSeq: req.ClientSeq,
-			View:      f.view,
-			Seq:       seq,
-			Result:    results[i],
-		})
-	}
+	f.backlog.Executed(batch)
+	core.ReplyExecuted(f.env, f.View(), seq, batch, results)
 	delete(f.slots, seq)
 	if f.nextSeq < seq {
 		f.nextSeq = seq
 	}
 	f.cm.OnExecuted(seq)
-	f.disarmProgress()
-	if len(f.watch) > 0 {
-		f.armProgress()
-	}
+	f.backlog.Progress()
 	f.maybePropose()
 }

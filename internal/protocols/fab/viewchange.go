@@ -11,100 +11,35 @@ import (
 // intersects any n−f view-change quorum in at least 3f+1 replicas, of
 // which at least 2f+1 are honest — always a strict plurality over any
 // competing digest (at most f Byzantine claims plus honest replicas that
-// accepted nothing), so decided slots survive.
+// accepted nothing), so decided slots survive. The frame is
+// core.ViewChange (with FaB's n−f quorum); this file holds what a FaB
+// view-change carries and how the new view is chosen and installed.
 
-func (f *FaB) startViewChange(v types.View) {
-	if v <= f.view {
-		v = f.view + 1
-	}
-	if f.inViewChange && v <= f.targetView {
-		return
-	}
-	f.inViewChange = true
-	f.targetView = v
-	f.disarmProgress()
-
+func (f *FaB) buildViewChange(v types.View) *ViewChangeMsg {
 	vc := &ViewChangeMsg{
 		NewView: v,
 		Base:    f.env.Ledger().LastExecuted(),
 		Replica: f.env.ID(),
 	}
-	for _, e := range f.env.Ledger().CommittedAbove(f.env.Ledger().LowWater()) {
-		cs := CommittedSlot{View: e.View, Seq: e.Seq, Batch: e.Batch}
-		if e.Proof != nil {
-			cs.Voters = e.Proof.Voters
-		}
-		vc.Committed = append(vc.Committed, cs)
-	}
+	core.RetainedCommitted(f.env, func(view types.View, seq types.SeqNum, b *types.Batch, voters []types.NodeID) {
+		vc.Committed = append(vc.Committed, CommittedSlot{View: view, Seq: seq, Batch: b, Voters: voters})
+	})
 	for seq, sl := range f.slots {
 		if seq > vc.Base && sl.proposed {
 			vc.Accepted = append(vc.Accepted, AcceptedSlot{
-				View: f.view, Seq: seq, Digest: sl.digest, Batch: sl.batch,
+				View: f.View(), Seq: seq, Digest: sl.digest, Batch: sl.batch,
 			})
 		}
 	}
 	vc.Sig = f.env.Signer().Sign(vc.SigDigest())
-	f.recordVC(f.env.ID(), vc)
-	f.env.Broadcast(vc)
-	f.env.SetTimer(core.TimerID{Name: timerVCRetry, View: v}, f.env.Config().ViewChangeTimeout)
+	return vc
 }
 
-func (f *FaB) recordVC(from types.NodeID, m *ViewChangeMsg) {
-	set := f.vcs[m.NewView]
-	if set == nil {
-		set = make(map[types.NodeID]*ViewChangeMsg)
-		f.vcs[m.NewView] = set
-	}
-	set[from] = m
-}
-
-func (f *FaB) onViewChange(from types.NodeID, m *ViewChangeMsg) {
-	if m.Replica != from || m.NewView <= f.view {
-		return
-	}
-	if !f.env.Verifier().VerifySig(from, m.SigDigest(), m.Sig) {
-		return
-	}
-	valid := m.Accepted[:0]
-	for _, s := range m.Accepted {
-		if s.Batch != nil && s.Batch.Digest() == s.Digest {
-			valid = append(valid, s)
-		}
-	}
-	m.Accepted = valid
-	f.recordVC(from, m)
-
-	if !f.inViewChange || m.NewView > f.targetView {
-		ahead := 0
-		for v, set := range f.vcs {
-			if v > f.view {
-				ahead += len(set)
-			}
-		}
-		if ahead >= f.env.F()+1 {
-			f.startViewChange(m.NewView)
-		}
-	}
-	f.maybeNewView(m.NewView)
-}
-
-func (f *FaB) maybeNewView(v types.View) {
-	if f.env.Config().LeaderOf(v) != f.env.ID() || f.sentNewView[v] {
-		return
-	}
-	set := f.vcs[v]
-	if len(set) < f.vcQuorum() {
-		return
-	}
-	f.sentNewView[v] = true
-
-	var base, maxS types.SeqNum
+func (f *FaB) sendNewView(v types.View, vcs []*ViewChangeMsg) {
+	var base types.SeqNum
 	committed := make(map[types.SeqNum]*CommittedSlot)
-	votes := make(map[types.SeqNum]map[types.Digest]int)
-	batches := make(map[types.SeqNum]map[types.Digest]*types.Batch)
-	var vcList []*ViewChangeMsg
-	for _, vc := range set {
-		vcList = append(vcList, vc)
+	var accepted core.SlotClaims
+	for _, vc := range vcs {
 		if vc.Base > base {
 			base = vc.Base
 		}
@@ -115,36 +50,18 @@ func (f *FaB) maybeNewView(v types.View) {
 			}
 		}
 		for _, s := range vc.Accepted {
-			if votes[s.Seq] == nil {
-				votes[s.Seq] = make(map[types.Digest]int)
-				batches[s.Seq] = make(map[types.Digest]*types.Batch)
-			}
-			votes[s.Seq][s.Digest]++
-			batches[s.Seq][s.Digest] = s.Batch
-			if s.Seq > maxS {
-				maxS = s.Seq
-			}
+			accepted.Add(vc.Replica, s.Seq, s.Digest, s.Batch)
 		}
 	}
-	nv := &NewViewMsg{View: v, Base: base, ViewChanges: vcList}
+	nv := &NewViewMsg{View: v, Base: base, ViewChanges: vcs}
 	for seq := types.SeqNum(1); seq <= base; seq++ {
 		if s := committed[seq]; s != nil {
 			nv.Committed = append(nv.Committed, *s)
 		}
 	}
-	for seq := base + 1; seq <= maxS; seq++ {
-		var batch *types.Batch
-		digest := types.ZeroDigest
-		best := 0
-		for d, n := range votes[seq] {
-			if n > best {
-				best, digest, batch = n, d, batches[seq][d]
-			}
-		}
-		if batch == nil {
-			batch, digest = types.NewBatch(), types.ZeroDigest
-		}
-		pm := &ProposeMsg{View: v, Seq: seq, Digest: digest, Batch: batch}
+	for seq := base + 1; seq <= accepted.Max; seq++ {
+		batch := accepted.Best(seq)
+		pm := &ProposeMsg{View: v, Seq: seq, Digest: batch.Digest(), Batch: batch}
 		pm.Sig = f.env.Signer().Sign(pm.SigDigest())
 		nv.Proposals = append(nv.Proposals, pm)
 	}
@@ -154,49 +71,27 @@ func (f *FaB) maybeNewView(v types.View) {
 }
 
 func (f *FaB) onNewView(from types.NodeID, m *NewViewMsg) {
-	if m.View < f.view || (m.View == f.view && !f.inViewChange) {
-		return
+	if f.vc.Justified(from, m.View, m.SigDigest(), m.Sig, m.ViewChanges) {
+		f.installNewView(m)
 	}
-	if from != f.env.Config().LeaderOf(m.View) {
-		return
-	}
-	if !f.env.Verifier().VerifySig(from, m.SigDigest(), m.Sig) {
-		return
-	}
-	if len(m.ViewChanges) < f.vcQuorum() {
-		return
-	}
-	seen := make(map[types.NodeID]bool)
-	for _, vc := range m.ViewChanges {
-		if vc.NewView != m.View || seen[vc.Replica] {
-			return
-		}
-		if !f.env.Verifier().VerifySig(vc.Replica, vc.SigDigest(), vc.Sig) {
-			return
-		}
-		seen[vc.Replica] = true
-	}
-	f.installNewView(m)
 }
 
 func (f *FaB) installNewView(m *NewViewMsg) {
-	f.view = m.View
-	f.inViewChange = false
-	f.inFlight = make(map[types.RequestKey]bool)
+	f.vc.Install(m.View, func() { f.adoptNewView(m) })
+	f.maybePropose()
+}
+
+// adoptNewView takes over what the new-view message carries; the kit
+// holds proposing until it returns.
+func (f *FaB) adoptNewView(m *NewViewMsg) {
 	f.slots = make(map[types.SeqNum]*slot)
-	f.env.StopTimer(core.TimerID{Name: timerVCRetry, View: m.View})
-	f.env.ViewChanged(m.View)
 
 	if f.nextSeq < m.Base {
 		f.nextSeq = m.Base
 	}
 	for i := range m.Committed {
 		s := &m.Committed[i]
-		if s.Seq > f.env.Ledger().LastExecuted() {
-			proof := &types.CommitProof{View: s.View, Seq: s.Seq, Digest: s.Batch.Digest(),
-				Voters: append([]types.NodeID(nil), s.Voters...)}
-			f.env.Commit(s.View, s.Seq, s.Batch, proof)
-		}
+		core.AdoptCommitted(f.env, s.View, s.Seq, s.Batch, s.Voters)
 	}
 	for _, pm := range m.Proposals {
 		if pm.Seq > f.nextSeq {
@@ -206,13 +101,4 @@ func (f *FaB) installNewView(m *NewViewMsg) {
 			f.acceptPropose(pm)
 		}
 	}
-	for v := range f.vcs {
-		if v <= m.View {
-			delete(f.vcs, v)
-		}
-	}
-	if len(f.watch) > 0 {
-		f.armProgress()
-	}
-	f.maybePropose()
 }

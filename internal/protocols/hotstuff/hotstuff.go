@@ -211,10 +211,11 @@ type HotStuff struct {
 	lockedQC  *QC
 	committed types.SeqNum
 
-	// votes collected by this replica in its role as next leader.
-	votes map[types.Digest]map[types.NodeID][]byte
+	// votes collected by this replica in its role as next leader, keyed
+	// by block; each vote carries the voter's signature.
+	votes core.Tally[types.Digest, []byte]
 	// timeouts per view for the pacemaker.
-	timeouts map[types.View]map[types.NodeID]*TimeoutMsg
+	timeouts core.Tally[types.View, struct{}]
 
 	mempool []*types.Request
 	memSet  map[types.RequestKey]bool
@@ -274,8 +275,6 @@ func (hs *HotStuff) Init(env core.Env) {
 	hs.cm = core.NewCheckpointManager(env)
 	hs.voted = make(map[types.View]bool)
 	hs.blocks = make(map[types.Digest]*Block)
-	hs.votes = make(map[types.Digest]map[types.NodeID][]byte)
-	hs.timeouts = make(map[types.View]map[types.NodeID]*TimeoutMsg)
 	hs.memSet = make(map[types.RequestKey]bool)
 	hs.done = make(map[types.RequestKey]bool)
 	hs.proposedInView = make(map[types.View]bool)
@@ -658,22 +657,16 @@ func (hs *HotStuff) fetch(d types.Digest) {
 }
 
 func (hs *HotStuff) onVote(v *VoteMsg) {
-	set := hs.votes[v.Block]
-	if set == nil {
-		set = make(map[types.NodeID][]byte)
-		hs.votes[v.Block] = set
-	}
-	set[v.Replica] = v.Sig
-	quorum := hs.env.Config().Quorum()
-	if len(set) < quorum {
+	hs.votes.Add(v.Block, v.Replica, v.Sig)
+	if hs.votes.Count(v.Block) < hs.env.Config().Quorum() {
 		return
 	}
 	cert := &crypto.Certificate{
 		Digest:    voteDigest(v.Block, v.View, v.Height),
 		Threshold: hs.env.Scheme() == crypto.SchemeThreshold,
 	}
-	for id, sig := range set {
-		cert.Add(id, sig)
+	for _, vote := range hs.votes.Votes(v.Block) {
+		cert.Add(vote.From, vote.Val)
 	}
 	qc := &QC{Block: v.Block, View: v.View, Height: v.Height, Cert: cert}
 	hs.updateHighQC(qc)
@@ -706,13 +699,8 @@ func (hs *HotStuff) onTimeout(m *TimeoutMsg) {
 		m.HighQC.Verify(hs.env.Verifier(), hs.env.Config().Quorum()) {
 		hs.updateHighQC(m.HighQC)
 	}
-	set := hs.timeouts[m.View]
-	if set == nil {
-		set = make(map[types.NodeID]*TimeoutMsg)
-		hs.timeouts[m.View] = set
-	}
-	set[m.Replica] = m
-	if len(set) < hs.env.Config().Quorum() && m.View > hs.view {
+	hs.timeouts.Add(m.View, m.Replica, struct{}{})
+	if hs.timeouts.Count(m.View) < hs.env.Config().Quorum() && m.View > hs.view {
 		// View synchronization: timeouts from f+1 distinct replicas for
 		// views beyond ours prove at least one honest replica has moved
 		// on. Without jumping, pacemakers scattered across views by
@@ -720,20 +708,8 @@ func (hs *HotStuff) onTimeout(m *TimeoutMsg) {
 		// for its own view, which the replicas ahead discard, so no view
 		// ever collects a same-view quorum. Jump to the lowest such view
 		// and add our own timeout so a full quorum can form there.
-		ahead := make(map[types.NodeID]bool)
-		lowest := types.View(0)
-		for v, s := range hs.timeouts {
-			if v <= hs.view {
-				continue
-			}
-			for id := range s {
-				ahead[id] = true
-			}
-			if lowest == 0 || v < lowest {
-				lowest = v
-			}
-		}
-		if len(ahead) > hs.env.Config().F {
+		// (Nobody is excluded from the count: -1 is no replica's ID.)
+		if ahead, lowest := core.Ahead(&hs.timeouts, hs.view, -1); ahead > hs.env.Config().F {
 			hs.view = lowest
 			hs.env.ViewChanged(hs.view)
 			hs.armViewTimer()
@@ -744,8 +720,8 @@ func (hs *HotStuff) onTimeout(m *TimeoutMsg) {
 			return
 		}
 	}
-	if len(set) >= hs.env.Config().Quorum() {
-		delete(hs.timeouts, m.View)
+	if hs.timeouts.Count(m.View) >= hs.env.Config().Quorum() {
+		hs.timeouts.Delete(m.View)
 		next := m.View + 1
 		if next > hs.view {
 			hs.view = next
@@ -826,23 +802,17 @@ func (hs *HotStuff) pruneMempool() {
 
 // OnExecuted implements core.Protocol.
 func (hs *HotStuff) OnExecuted(seq types.SeqNum, batch *types.Batch, results [][]byte) {
-	for i, req := range batch.Requests {
+	for _, req := range batch.Requests {
 		delete(hs.memSet, req.Key())
 		hs.done[req.Key()] = true
-		hs.env.Reply(&types.Reply{
-			Client:    req.Client,
-			ClientSeq: req.ClientSeq,
-			View:      types.View(seq),
-			Seq:       seq,
-			Result:    results[i],
-		})
 	}
+	core.ReplyExecuted(hs.env, types.View(seq), seq, batch, results)
 	hs.cm.OnExecuted(seq)
 	// Garbage-collect old vote/timeout/view state.
 	for d, b := range hs.blocks {
 		if b.Height != 0 && b.Height+64 < hs.committed {
 			delete(hs.blocks, d)
-			delete(hs.votes, d)
+			hs.votes.Delete(d)
 		}
 	}
 	for v := range hs.voted {

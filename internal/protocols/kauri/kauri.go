@@ -140,6 +140,9 @@ type PreparedSlot struct {
 // Kind implements types.Message.
 func (*ViewChangeMsg) Kind() string { return "KAURI-VIEW-CHANGE" }
 
+// Vote implements core.ViewChangeVote.
+func (m *ViewChangeMsg) Vote() (types.View, types.NodeID, []byte) { return m.NewView, m.Replica, m.Sig }
+
 // SigDigest is the signed content.
 func (m *ViewChangeMsg) SigDigest() types.Digest {
 	var h types.Hasher
@@ -201,24 +204,16 @@ type Kauri struct {
 	env core.Env
 	cm  *core.CheckpointManager
 
-	view    types.View
+	// backlog is the request intake and τ2 timer; vc the view-change
+	// skeleton, which owns the current view (both from the core kit).
+	backlog *core.Backlog
+	vc      *core.ViewChange[*ViewChangeMsg]
+
 	nextSeq types.SeqNum
 	slots   map[types.SeqNum]*slot
 	// preparedProof persists prepare certificates across tree
 	// reconfigurations (the per-view slots map is reset on install).
 	preparedProof map[types.SeqNum]*PreparedSlot
-
-	pending       []*types.Request
-	pendingSet    map[types.RequestKey]bool
-	inFlight      map[types.RequestKey]bool
-	watch         map[types.RequestKey]bool
-	done      map[types.RequestKey]bool
-	progressArmed bool
-
-	inViewChange bool
-	targetView   types.View
-	vcs          map[types.View]map[types.NodeID]*ViewChangeMsg
-	sentNewView  map[types.View]bool
 }
 
 // New returns a Kauri replica.
@@ -238,16 +233,13 @@ func (k *Kauri) Init(env core.Env) {
 	k.cm = core.NewCheckpointManager(env)
 	k.slots = make(map[types.SeqNum]*slot)
 	k.preparedProof = make(map[types.SeqNum]*PreparedSlot)
-	k.pendingSet = make(map[types.RequestKey]bool)
-	k.inFlight = make(map[types.RequestKey]bool)
-	k.watch = make(map[types.RequestKey]bool)
-	k.done = make(map[types.RequestKey]bool)
-	k.vcs = make(map[types.View]map[types.NodeID]*ViewChangeMsg)
-	k.sentNewView = make(map[types.View]bool)
+	k.backlog = core.NewBacklog(env, timerProgress)
+	k.vc = core.NewViewChange(env, k.backlog, timerVCRetry, env.Config().Quorum(),
+		core.ViewChangeHooks[*ViewChangeMsg]{Build: k.buildViewChange, NewView: k.sendNewView})
 }
 
 // View returns the current view.
-func (k *Kauri) View() types.View { return k.view }
+func (k *Kauri) View() types.View { return k.vc.View() }
 
 // --- tree geometry -------------------------------------------------------
 
@@ -287,89 +279,40 @@ func (k *Kauri) Children(v types.View) []types.NodeID {
 }
 
 func (k *Kauri) root(v types.View) types.NodeID { return k.replicaAt(v, 0) }
-func (k *Kauri) isRoot() bool                   { return k.root(k.view) == k.env.ID() }
+func (k *Kauri) isRoot() bool                   { return k.root(k.View()) == k.env.ID() }
 
 func (k *Kauri) down(m types.Message) {
-	for _, c := range k.Children(k.view) {
+	for _, c := range k.Children(k.View()) {
 		k.env.Send(c, m)
 	}
 }
 
 // --- request intake ------------------------------------------------------
 
-func (k *Kauri) armProgress() {
-	if k.progressArmed || k.inViewChange {
-		return
-	}
-	k.progressArmed = true
-	k.env.SetTimer(core.TimerID{Name: timerProgress, View: k.view}, k.env.Config().ViewChangeTimeout)
-}
-
-func (k *Kauri) disarmProgress() {
-	k.progressArmed = false
-	k.env.StopTimer(core.TimerID{Name: timerProgress, View: k.view})
-}
-
-// OnRequest implements core.Protocol.
+// OnRequest implements core.Protocol: requests go to the tree's root,
+// which is the view's round-robin leader.
 func (k *Kauri) OnRequest(req *types.Request) {
-	if k.done[req.Key()] {
-		return
+	if k.backlog.Submit(req, k.root(k.View())) {
+		k.maybePropose()
 	}
-	if !k.env.Verifier().VerifySig(req.Client, req.Digest(), req.Sig) {
-		return
-	}
-	key := req.Key()
-	k.watch[key] = true
-	k.armProgress()
-	if k.pendingSet[key] {
-		if !k.isRoot() {
-			k.env.Send(k.root(k.view), &core.ForwardMsg{Req: req})
-		}
-		return
-	}
-	k.pendingSet[key] = true
-	k.pending = append(k.pending, req)
-	if !k.isRoot() {
-		k.env.Send(k.root(k.view), &core.ForwardMsg{Req: req})
-		return
-	}
-	k.maybePropose()
 }
 
 func (k *Kauri) maybePropose() {
-	if !k.isRoot() || k.inViewChange {
+	if !k.vc.MayPropose() {
 		return
 	}
 	for {
-		reqs := k.takePending(k.env.Config().BatchSize)
+		reqs := k.backlog.Take(k.env.Config().BatchSize)
 		if len(reqs) == 0 {
 			return
 		}
 		batch := types.NewBatch(reqs...)
 		k.nextSeq++
-		prop := &ProposalMsg{View: k.view, Seq: k.nextSeq, Digest: batch.Digest(), Batch: batch}
+		prop := &ProposalMsg{View: k.View(), Seq: k.nextSeq, Digest: batch.Digest(), Batch: batch}
 		prop.Sig = k.env.Signer().Sign(prop.SigDigest())
 		k.down(prop)
 		k.acceptProposal(prop)
 	}
-}
-
-func (k *Kauri) takePending(max int) []*types.Request {
-	var out []*types.Request
-	live := k.pending[:0]
-	for _, req := range k.pending {
-		key := req.Key()
-		if !k.pendingSet[key] || k.done[req.Key()] {
-			continue
-		}
-		live = append(live, req)
-		if len(out) < max && !k.inFlight[key] {
-			k.inFlight[key] = true
-			out = append(out, req)
-		}
-	}
-	k.pending = live
-	return out
 }
 
 func (k *Kauri) slot(seq types.SeqNum) *slot {
@@ -386,7 +329,7 @@ func (k *Kauri) slot(seq types.SeqNum) *slot {
 
 // acceptProposal relays down the tree and starts the prepare aggregation.
 func (k *Kauri) acceptProposal(m *ProposalMsg) {
-	if m.View != k.view || k.inViewChange {
+	if m.View != k.View() || k.vc.Active() {
 		return
 	}
 	if m.Batch.Digest() != m.Digest {
@@ -394,7 +337,7 @@ func (k *Kauri) acceptProposal(m *ProposalMsg) {
 	}
 	sl := k.slot(m.Seq)
 	if sl.proposed && sl.digest != m.Digest {
-		k.startViewChange(k.view + 1)
+		k.vc.Start(k.View() + 1)
 		return
 	}
 	if sl.proposed {
@@ -403,11 +346,7 @@ func (k *Kauri) acceptProposal(m *ProposalMsg) {
 	sl.proposed = true
 	sl.digest = m.Digest
 	sl.batch = m.Batch
-	for _, r := range m.Batch.Requests {
-		k.watch[r.Key()] = true
-		k.inFlight[r.Key()] = true
-	}
-	k.armProgress()
+	k.backlog.Proposed(m.Batch)
 	k.down(m) // relay to the subtree
 	// Vote prepare: sign and start aggregating the subtree.
 	sl.prepare.own = k.env.Signer().Sign(shareDigest("prepare", m.View, m.Seq, m.Digest))
@@ -418,7 +357,7 @@ func (k *Kauri) acceptProposal(m *ProposalMsg) {
 // subtreeSize returns how many replicas (including self) sit in this
 // replica's subtree in the current view's tree.
 func (k *Kauri) subtreeSize() int {
-	pos := k.position(k.view, k.env.ID())
+	pos := k.position(k.View(), k.env.ID())
 	n := k.env.N()
 	size := 0
 	var count func(p int)
@@ -447,7 +386,7 @@ func (k *Kauri) maybeForwardAggr(stage string, seq types.SeqNum, sl *slot, st *s
 		if st.lastSent == 0 {
 			// Wait briefly for the subtree; forward a partial aggregate
 			// on timeout so a silent descendant cannot block the slot.
-			k.env.SetTimer(core.TimerID{Name: timerAggr + "-" + stage, Seq: seq, View: k.view},
+			k.env.SetTimer(core.TimerID{Name: timerAggr + "-" + stage, Seq: seq, View: k.View()},
 				2*k.env.Config().BatchTimeout)
 		} else if len(st.signers) > st.lastSent {
 			k.forwardAggr(stage, seq, sl, st) // incremental late votes
@@ -462,12 +401,12 @@ func (k *Kauri) forwardAggr(stage string, seq types.SeqNum, sl *slot, st *stageS
 		return
 	}
 	st.lastSent = len(st.signers)
-	agg := &AggrMsg{Stage: stage, View: k.view, Seq: seq, Digest: sl.digest}
+	agg := &AggrMsg{Stage: stage, View: k.View(), Seq: seq, Digest: sl.digest}
 	for id, sig := range st.signers {
 		agg.Signers = append(agg.Signers, id)
 		agg.Sigs = append(agg.Sigs, sig)
 	}
-	k.env.Send(k.Parent(k.view), agg)
+	k.env.Send(k.Parent(k.View()), agg)
 }
 
 // maybeFinishStage (root only) builds the certificate at quorum.
@@ -477,13 +416,13 @@ func (k *Kauri) maybeFinishStage(stage string, seq types.SeqNum, sl *slot, st *s
 	}
 	st.sent = true
 	cert := &crypto.Certificate{
-		Digest:    shareDigest(stage, k.view, seq, sl.digest),
+		Digest:    shareDigest(stage, k.View(), seq, sl.digest),
 		Threshold: k.env.Scheme() == crypto.SchemeThreshold,
 	}
 	for id, sig := range st.signers {
 		cert.Add(id, sig)
 	}
-	cm := &CertMsg{Stage: stage, View: k.view, Seq: seq, Digest: sl.digest, Cert: cert}
+	cm := &CertMsg{Stage: stage, View: k.View(), Seq: seq, Digest: sl.digest, Cert: cert}
 	cm.Sig = k.env.Signer().Sign(cm.SigDigest())
 	k.down(cm)
 	k.onCert(cm)
@@ -510,14 +449,14 @@ func (k *Kauri) OnMessage(from types.NodeID, m types.Message) {
 		}
 		k.onCert(mm)
 	case *ViewChangeMsg:
-		k.onViewChange(from, mm)
+		k.vc.OnViewChange(from, mm)
 	case *NewViewMsg:
 		k.onNewView(from, mm)
 	}
 }
 
 func (k *Kauri) onAggr(m *AggrMsg) {
-	if m.View != k.view || k.inViewChange || len(m.Signers) != len(m.Sigs) {
+	if m.View != k.View() || k.vc.Active() || len(m.Signers) != len(m.Sigs) {
 		return
 	}
 	sl := k.slot(m.Seq)
@@ -546,7 +485,7 @@ func (k *Kauri) onAggr(m *AggrMsg) {
 // onCert handles a certificate flowing down: a prepare certificate starts
 // the commit round; a commit certificate commits.
 func (k *Kauri) onCert(m *CertMsg) {
-	if m.View != k.view || k.inViewChange {
+	if m.View != k.View() || k.vc.Active() {
 		return
 	}
 	sl := k.slot(m.Seq)
@@ -584,53 +523,36 @@ func (k *Kauri) onCert(m *CertMsg) {
 func (k *Kauri) OnTimer(id core.TimerID) {
 	switch id.Name {
 	case timerAggr + "-prepare":
-		if id.View == k.view {
+		if id.View == k.View() {
 			if sl := k.slots[id.Seq]; sl != nil {
 				k.forwardAggr("prepare", id.Seq, sl, &sl.prepare)
 			}
 		}
 	case timerAggr + "-commit":
-		if id.View == k.view {
+		if id.View == k.View() {
 			if sl := k.slots[id.Seq]; sl != nil {
 				k.forwardAggr("commit", id.Seq, sl, &sl.commit)
 			}
 		}
 	case timerProgress:
-		k.progressArmed = false
-		if id.View == k.view && len(k.watch) > 0 {
-			k.startViewChange(k.view + 1)
+		if k.backlog.Expired(id) {
+			k.vc.Start(k.View() + 1)
 		}
 	case timerVCRetry:
-		if k.inViewChange && id.View == k.targetView {
-			k.startViewChange(k.targetView + 1)
-		}
+		k.vc.Retry(id)
 	}
 }
 
 // OnExecuted implements core.Protocol.
 func (k *Kauri) OnExecuted(seq types.SeqNum, batch *types.Batch, results [][]byte) {
-	for i, req := range batch.Requests {
-		delete(k.watch, req.Key())
-		delete(k.pendingSet, req.Key())
-		delete(k.inFlight, req.Key())
-		k.done[req.Key()] = true
-		k.env.Reply(&types.Reply{
-			Client:    req.Client,
-			ClientSeq: req.ClientSeq,
-			View:      k.view,
-			Seq:       seq,
-			Result:    results[i],
-		})
-	}
+	k.backlog.Executed(batch)
+	core.ReplyExecuted(k.env, k.View(), seq, batch, results)
 	delete(k.slots, seq)
 	delete(k.preparedProof, seq)
 	if k.nextSeq < seq {
 		k.nextSeq = seq
 	}
 	k.cm.OnExecuted(seq)
-	k.disarmProgress()
-	if len(k.watch) > 0 {
-		k.armProgress()
-	}
+	k.backlog.Progress()
 	k.maybePropose()
 }

@@ -9,102 +9,45 @@ import (
 // replica's tree position, so a faulty internal node ends up elsewhere
 // (assumption a3's escape hatch). Prepared slots travel with their
 // prepare certificates; the new root re-proposes the highest-certified
-// digest per slot and carries committed slots for stragglers.
+// digest per slot and carries committed slots for stragglers. The frame
+// is core.ViewChange (the root of view v's tree is v's round-robin
+// leader); this file holds what a Kauri view-change carries, how its
+// certificates are checked, and how the new tree's slots are chosen.
 
-func (k *Kauri) startViewChange(v types.View) {
-	if v <= k.view {
-		v = k.view + 1
-	}
-	if k.inViewChange && v <= k.targetView {
-		return
-	}
-	k.inViewChange = true
-	k.targetView = v
-	k.disarmProgress()
-
+func (k *Kauri) buildViewChange(v types.View) *ViewChangeMsg {
 	vc := &ViewChangeMsg{
 		NewView: v,
 		Base:    k.env.Ledger().LastExecuted(),
 		Replica: k.env.ID(),
 	}
-	for _, e := range k.env.Ledger().CommittedAbove(k.env.Ledger().LowWater()) {
-		cs := CommittedSlot{View: e.View, Seq: e.Seq, Batch: e.Batch}
-		if e.Proof != nil {
-			cs.Voters = e.Proof.Voters
-		}
-		vc.Committed = append(vc.Committed, cs)
-	}
+	core.RetainedCommitted(k.env, func(view types.View, seq types.SeqNum, b *types.Batch, voters []types.NodeID) {
+		vc.Committed = append(vc.Committed, CommittedSlot{View: view, Seq: seq, Batch: b, Voters: voters})
+	})
 	for seq, proof := range k.preparedProof {
 		if seq > vc.Base {
 			vc.Prepared = append(vc.Prepared, *proof)
 		}
 	}
 	vc.Sig = k.env.Signer().Sign(vc.SigDigest())
-	k.recordVC(k.env.ID(), vc)
-	k.env.Broadcast(vc)
-	k.env.SetTimer(core.TimerID{Name: timerVCRetry, View: v}, k.env.Config().ViewChangeTimeout)
+	return vc
 }
 
-func (k *Kauri) recordVC(from types.NodeID, m *ViewChangeMsg) {
-	set := k.vcs[m.NewView]
-	if set == nil {
-		set = make(map[types.NodeID]*ViewChangeMsg)
-		k.vcs[m.NewView] = set
+// validPrepared reports whether a carried slot's prepare certificate
+// verifies; the new root ignores the others. (Received messages are never
+// edited: the new-view message relays them, signatures intact.)
+func (k *Kauri) validPrepared(s *PreparedSlot) bool {
+	if s.Batch == nil || s.Batch.Digest() != s.Digest || s.Cert == nil {
+		return false
 	}
-	set[from] = m
+	return s.Cert.Digest == shareDigest("prepare", s.View, s.Seq, s.Digest) &&
+		s.Cert.Verify(k.env.Verifier(), k.env.Config().Quorum()) == nil
 }
 
-func (k *Kauri) onViewChange(from types.NodeID, m *ViewChangeMsg) {
-	if m.Replica != from || m.NewView <= k.view {
-		return
-	}
-	if !k.env.Verifier().VerifySig(from, m.SigDigest(), m.Sig) {
-		return
-	}
-	valid := m.Prepared[:0]
-	for _, s := range m.Prepared {
-		if s.Batch == nil || s.Batch.Digest() != s.Digest || s.Cert == nil {
-			continue
-		}
-		want := shareDigest("prepare", s.View, s.Seq, s.Digest)
-		if s.Cert.Digest != want || s.Cert.Verify(k.env.Verifier(), k.env.Config().Quorum()) != nil {
-			continue
-		}
-		valid = append(valid, s)
-	}
-	m.Prepared = valid
-	k.recordVC(from, m)
-
-	if !k.inViewChange || m.NewView > k.targetView {
-		ahead := 0
-		for v, set := range k.vcs {
-			if v > k.view {
-				ahead += len(set)
-			}
-		}
-		if ahead >= k.env.F()+1 {
-			k.startViewChange(m.NewView)
-		}
-	}
-	k.maybeNewView(m.NewView)
-}
-
-func (k *Kauri) maybeNewView(v types.View) {
-	if k.replicaAt(v, 0) != k.env.ID() || k.sentNewView[v] {
-		return
-	}
-	set := k.vcs[v]
-	if len(set) < k.env.Config().Quorum() {
-		return
-	}
-	k.sentNewView[v] = true
-
+func (k *Kauri) sendNewView(v types.View, vcs []*ViewChangeMsg) {
 	var base, maxS types.SeqNum
 	committed := make(map[types.SeqNum]*CommittedSlot)
 	chosen := make(map[types.SeqNum]*PreparedSlot)
-	var vcList []*ViewChangeMsg
-	for _, vc := range set {
-		vcList = append(vcList, vc)
+	for _, vc := range vcs {
 		if vc.Base > base {
 			base = vc.Base
 		}
@@ -116,6 +59,9 @@ func (k *Kauri) maybeNewView(v types.View) {
 		}
 		for i := range vc.Prepared {
 			s := &vc.Prepared[i]
+			if !k.validPrepared(s) {
+				continue
+			}
 			if cur := chosen[s.Seq]; cur == nil || s.View > cur.View {
 				chosen[s.Seq] = s
 			}
@@ -124,7 +70,7 @@ func (k *Kauri) maybeNewView(v types.View) {
 			}
 		}
 	}
-	nv := &NewViewMsg{View: v, Base: base, ViewChanges: vcList}
+	nv := &NewViewMsg{View: v, Base: base, ViewChanges: vcs}
 	for seq := types.SeqNum(1); seq <= base; seq++ {
 		if s := committed[seq]; s != nil {
 			nv.Committed = append(nv.Committed, *s)
@@ -148,49 +94,27 @@ func (k *Kauri) maybeNewView(v types.View) {
 }
 
 func (k *Kauri) onNewView(from types.NodeID, m *NewViewMsg) {
-	if m.View < k.view || (m.View == k.view && !k.inViewChange) {
-		return
+	if k.vc.Justified(from, m.View, m.SigDigest(), m.Sig, m.ViewChanges) {
+		k.installNewView(m)
 	}
-	if from != k.replicaAt(m.View, 0) {
-		return
-	}
-	if !k.env.Verifier().VerifySig(from, m.SigDigest(), m.Sig) {
-		return
-	}
-	if len(m.ViewChanges) < k.env.Config().Quorum() {
-		return
-	}
-	seen := make(map[types.NodeID]bool)
-	for _, vc := range m.ViewChanges {
-		if vc.NewView != m.View || seen[vc.Replica] {
-			return
-		}
-		if !k.env.Verifier().VerifySig(vc.Replica, vc.SigDigest(), vc.Sig) {
-			return
-		}
-		seen[vc.Replica] = true
-	}
-	k.installNewView(m)
 }
 
 func (k *Kauri) installNewView(m *NewViewMsg) {
-	k.view = m.View
-	k.inViewChange = false
-	k.inFlight = make(map[types.RequestKey]bool)
+	k.vc.Install(m.View, func() { k.adoptNewView(m) })
+	k.maybePropose()
+}
+
+// adoptNewView takes over what the new-view message carries; the kit
+// holds proposing until it returns.
+func (k *Kauri) adoptNewView(m *NewViewMsg) {
 	k.slots = make(map[types.SeqNum]*slot)
-	k.env.StopTimer(core.TimerID{Name: timerVCRetry, View: m.View})
-	k.env.ViewChanged(m.View)
 
 	if k.nextSeq < m.Base {
 		k.nextSeq = m.Base
 	}
 	for i := range m.Committed {
 		s := &m.Committed[i]
-		if s.Seq > k.env.Ledger().LastExecuted() {
-			proof := &types.CommitProof{View: s.View, Seq: s.Seq, Digest: s.Batch.Digest(),
-				Voters: append([]types.NodeID(nil), s.Voters...)}
-			k.env.Commit(s.View, s.Seq, s.Batch, proof)
-		}
+		core.AdoptCommitted(k.env, s.View, s.Seq, s.Batch, s.Voters)
 	}
 	for _, prop := range m.Proposals {
 		if prop.Seq > k.nextSeq {
@@ -200,13 +124,4 @@ func (k *Kauri) installNewView(m *NewViewMsg) {
 			k.acceptProposal(prop)
 		}
 	}
-	for v := range k.vcs {
-		if v <= m.View {
-			delete(k.vcs, v)
-		}
-	}
-	if len(k.watch) > 0 {
-		k.armProgress()
-	}
-	k.maybePropose()
 }

@@ -140,6 +140,9 @@ type ViewChangeMsg struct {
 // Kind implements types.Message.
 func (*ViewChangeMsg) Kind() string { return "VIEW-CHANGE" }
 
+// Vote implements core.ViewChangeVote.
+func (m *ViewChangeMsg) Vote() (types.View, types.NodeID, []byte) { return m.NewView, m.Replica, m.Sig }
+
 // SigDigest is the signed content.
 func (m *ViewChangeMsg) SigDigest() types.Digest {
 	var h types.Hasher

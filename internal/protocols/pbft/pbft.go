@@ -1,7 +1,6 @@
 package pbft
 
 import (
-	"fmt"
 	"sort"
 	"time"
 
@@ -55,11 +54,11 @@ type instance struct {
 	ppSig []byte
 	// prepares holds prepare signatures matching digest (sig-mode) or
 	// just vote presence (MAC mode), keyed by voter.
-	prepares map[types.NodeID][]byte
-	commits  map[types.NodeID][]byte
-	sentPrep bool
-	sentComm bool
-	prepared bool
+	prepares  map[types.NodeID][]byte
+	commits   map[types.NodeID][]byte
+	sentPrep  bool
+	sentComm  bool
+	prepared  bool
 	committed bool
 }
 
@@ -69,7 +68,11 @@ type PBFT struct {
 	opts Options
 	cm   *core.CheckpointManager
 
-	view    types.View
+	// backlog is the request intake and τ2 timer; vc the view-change
+	// skeleton, which owns the current view (both from the core kit).
+	backlog *core.Backlog
+	vc      *core.ViewChange[*ViewChangeMsg]
+
 	nextSeq types.SeqNum
 	insts   map[instKey]*instance
 	// preparedProof remembers, per sequence number, the
@@ -80,27 +83,10 @@ type PBFT struct {
 	// hand a single verifiable certificate to lagging replicas.
 	commitCerts map[types.SeqNum]*crypto.Certificate
 
-	pending    []*types.Request
-	pendingSet map[types.RequestKey]bool
-	// inFlight marks requests currently inside a proposed (but not yet
-	// executed) slot of the current view; cleared on view change so a
-	// new leader re-proposes anything the old view lost.
-	inFlight map[types.RequestKey]bool
-	watch      map[types.RequestKey]bool
-	done   map[types.RequestKey]bool
-	lastReply  map[types.NodeID]*types.Reply
-
-	progressArmed bool
-
-	// catchup collects committed-slot reports per sequence number; a
-	// slot is adopted once f+1 peers agree on its digest.
-	catchup map[types.SeqNum]map[types.Digest]*catchupEntry
-
-	inViewChange bool
-	targetView   types.View
-	vcs          map[types.View]map[types.NodeID]*ViewChangeMsg
-	sentNewView  map[types.View]bool
-	vcTimeout    time.Duration
+	// catchup collects committed-slot reports (the vote carries the
+	// reported batch); a slot is adopted once f+1 peers agree on its
+	// digest.
+	catchup core.Tally[catchupKey, *types.Batch]
 
 	// viewEvidence tracks, per peer, the highest view that peer has
 	// demonstrated through an authenticated protocol message. A replica
@@ -143,16 +129,10 @@ func (p *PBFT) Init(env core.Env) {
 	p.insts = make(map[instKey]*instance)
 	p.preparedProof = make(map[types.SeqNum]*PreparedProof)
 	p.commitCerts = make(map[types.SeqNum]*crypto.Certificate)
-	p.pendingSet = make(map[types.RequestKey]bool)
-	p.inFlight = make(map[types.RequestKey]bool)
-	p.watch = make(map[types.RequestKey]bool)
-	p.done = make(map[types.RequestKey]bool)
-	p.lastReply = make(map[types.NodeID]*types.Reply)
-	p.vcs = make(map[types.View]map[types.NodeID]*ViewChangeMsg)
-	p.sentNewView = make(map[types.View]bool)
+	p.backlog = core.NewBacklog(env, timerProgress)
+	p.vc = core.NewViewChange(env, p.backlog, timerViewChange, env.Config().Quorum(),
+		core.ViewChangeHooks[*ViewChangeMsg]{Build: p.buildViewChange, NewView: p.sendNewView})
 	p.viewEvidence = make(map[types.NodeID]types.View)
-	p.catchup = make(map[types.SeqNum]map[types.Digest]*catchupEntry)
-	p.vcTimeout = env.Config().ViewChangeTimeout
 	if p.opts.RejuvenationInterval > 0 {
 		stagger := time.Duration(int(env.ID())+1) * p.opts.RejuvenationInterval / time.Duration(env.N())
 		env.SetTimer(core.TimerID{Name: timerRejuvenate}, p.opts.RejuvenationInterval+stagger)
@@ -160,18 +140,10 @@ func (p *PBFT) Init(env core.Env) {
 }
 
 // Leader returns the current view's leader.
-func (p *PBFT) Leader() types.NodeID { return p.env.Config().LeaderOf(p.view) }
+func (p *PBFT) Leader() types.NodeID { return p.vc.Leader() }
 
 // View returns the current view (tests observe it).
-func (p *PBFT) View() types.View { return p.view }
-
-// DebugState summarizes internal state for tests.
-func (p *PBFT) DebugState() string {
-	return fmt.Sprintf("view=%d target=%d invc=%v pending=%d watch=%d proofs=%d nextSeq=%d",
-		p.view, p.targetView, p.inViewChange, len(p.pending), len(p.watch), len(p.preparedProof), p.nextSeq)
-}
-
-func (p *PBFT) isLeader() bool { return p.Leader() == p.env.ID() }
+func (p *PBFT) View() types.View { return p.vc.View() }
 
 func (p *PBFT) inst(k instKey) *instance {
 	in := p.insts[k]
@@ -187,78 +159,30 @@ func (p *PBFT) inst(k instKey) *instance {
 
 // OnRequest implements core.Protocol.
 func (p *PBFT) OnRequest(req *types.Request) {
-	if p.done[req.Key()] {
-		if r := p.lastReply[req.Client]; r != nil && r.ClientSeq == req.ClientSeq {
-			p.env.Reply(cloneReply(r))
-		}
-		return
+	if p.backlog.Submit(req, p.Leader()) && !p.opts.SilentLeader {
+		p.maybePropose()
 	}
-	if !p.env.Verifier().VerifySig(req.Client, req.Digest(), req.Sig) {
-		return
-	}
-	key := req.Key()
-	p.armProgress(key)
-	if p.pendingSet[key] {
-		if !p.isLeader() {
-			p.env.Send(p.Leader(), &core.ForwardMsg{Req: req})
-		}
-		return
-	}
-	// Both leader and backups buffer the request: a backup that later
-	// becomes leader proposes its buffered backlog (liveness across
-	// view changes).
-	p.pendingSet[key] = true
-	p.pending = append(p.pending, req)
-	if !p.isLeader() {
-		p.env.Send(p.Leader(), &core.ForwardMsg{Req: req})
-		return
-	}
-	if p.opts.SilentLeader {
-		return
-	}
-	p.maybePropose()
-}
-
-// armProgress is level-triggered: fresh requests must not keep pushing
-// the τ2 deadline out, or a faulty leader would never be suspected under
-// continuous load.
-func (p *PBFT) armProgress(key types.RequestKey) {
-	p.watch[key] = true
-	p.rearmProgress()
-}
-
-func (p *PBFT) rearmProgress() {
-	if p.progressArmed || p.inViewChange {
-		return
-	}
-	p.progressArmed = true
-	p.env.SetTimer(core.TimerID{Name: timerProgress, View: p.view}, p.env.Config().ViewChangeTimeout)
-}
-
-func (p *PBFT) disarmProgress() {
-	p.progressArmed = false
-	p.env.StopTimer(core.TimerID{Name: timerProgress, View: p.view})
 }
 
 func (p *PBFT) maybePropose() {
-	if !p.isLeader() || p.inViewChange {
+	if !p.vc.MayPropose() {
 		return
 	}
 	cfg := p.env.Config()
 	if p.opts.FrontRun {
 		// The front-running adversary deliberately holds requests to
 		// build a backlog it can drain newest-first.
-		if len(p.pending) > 0 && !p.batchArmed {
+		if p.backlog.Len() > 0 && !p.batchArmed {
 			p.batchArmed = true
 			p.env.SetTimer(core.TimerID{Name: timerBatch}, 5*cfg.BatchTimeout)
 		}
 		return
 	}
-	if len(p.pending) >= cfg.BatchSize {
+	if p.backlog.Len() >= cfg.BatchSize {
 		p.proposeBatch()
 		return
 	}
-	if len(p.pending) > 0 && !p.batchArmed {
+	if p.backlog.Len() > 0 && !p.batchArmed {
 		p.batchArmed = true
 		p.env.SetTimer(core.TimerID{Name: timerBatch}, cfg.BatchTimeout)
 	}
@@ -266,11 +190,15 @@ func (p *PBFT) maybePropose() {
 
 func (p *PBFT) proposeBatch() {
 	cfg := p.env.Config()
+	take := p.backlog.Take
+	if p.opts.FrontRun {
+		take = p.takeNewest
+	}
 	for {
 		if uint64(p.nextSeq) >= uint64(p.env.Ledger().LowWater())+cfg.HighWaterWindow {
 			return // out of window; resume as checkpoints advance
 		}
-		reqs := p.takePending(cfg.BatchSize)
+		reqs := take(cfg.BatchSize)
 		if len(reqs) == 0 {
 			return
 		}
@@ -279,48 +207,21 @@ func (p *PBFT) proposeBatch() {
 	}
 }
 
-// takePending selects up to k proposable requests from the backlog:
-// known, not yet executed, and not already inside an in-flight slot of
-// the current view. Requests stay buffered until execution so a proposal
-// lost to a view change is re-proposed rather than dropped. A FrontRun
-// adversary drains the backlog newest-first, inverting arrival order.
-func (p *PBFT) takePending(k int) []*types.Request {
-	live := p.pending[:0]
-	for _, req := range p.pending {
-		key := req.Key()
-		if !p.pendingSet[key] || p.done[req.Key()] {
-			continue // executed: drop from the backlog
-		}
-		live = append(live, req)
-	}
-	p.pending = live
+// takeNewest is the FrontRun adversary's pick: it drains the backlog
+// newest-first, inverting arrival order.
+func (p *PBFT) takeNewest(k int) []*types.Request {
 	var out []*types.Request
-	pick := func(req *types.Request) bool {
-		key := req.Key()
-		if len(out) < k && !p.inFlight[key] {
-			p.inFlight[key] = true
-			out = append(out, req)
-		}
-		return len(out) < k
-	}
-	if p.opts.FrontRun {
-		for i := len(p.pending) - 1; i >= 0; i-- {
-			if !pick(p.pending[i]) {
-				break
-			}
-		}
-	} else {
-		for _, req := range p.pending {
-			if !pick(req) {
-				break
-			}
+	pending := p.backlog.Pending()
+	for i := len(pending) - 1; i >= 0 && len(out) < k; i-- {
+		if p.backlog.Claim(pending[i]) {
+			out = append(out, pending[i])
 		}
 	}
 	return out
 }
 
 func (p *PBFT) sendPrePrepare(seq types.SeqNum, batch *types.Batch) {
-	pp := &PrePrepareMsg{View: p.view, Seq: seq, Digest: batch.Digest(), Batch: batch}
+	pp := &PrePrepareMsg{View: p.View(), Seq: seq, Digest: batch.Digest(), Batch: batch}
 	pp.Sig, pp.Auth = core.Authenticate(p.env, pp.SigDigest())
 	if p.opts.DelayAttack > 0 {
 		p.delayedBroadcast(pp, seq)
@@ -337,7 +238,7 @@ func (p *PBFT) sendPrePrepare(seq types.SeqNum, batch *types.Batch) {
 func (p *PBFT) delayedBroadcast(pp *PrePrepareMsg, seq types.SeqNum) {
 	p.env.SetTimer(core.TimerID{Name: timerDelay, Seq: seq}, p.opts.DelayAttack)
 	// Remember the proposal so the timer callback can send it.
-	in := p.inst(instKey{p.view, seq})
+	in := p.inst(instKey{p.View(), seq})
 	in.batch = pp.Batch
 	in.digest = pp.Digest
 }
@@ -362,11 +263,11 @@ func (p *PBFT) equivocate(pp *PrePrepareMsg) {
 // acceptPrePrepare runs the backup-side acceptance rules (also used by
 // the leader to record its own proposal).
 func (p *PBFT) acceptPrePrepare(pp *PrePrepareMsg) {
-	if pp.View != p.view || p.inViewChange {
+	if pp.View != p.View() || p.vc.Active() {
 		// Callers have already authenticated the pre-prepare against
 		// the leader of pp.View, so a future view counts as that
 		// leader's evidence toward a view jump.
-		if pp.View > p.view {
+		if pp.View > p.View() {
 			p.noteHigherView(p.env.Config().LeaderOf(pp.View), pp.View)
 		}
 		return
@@ -396,17 +297,21 @@ func (p *PBFT) acceptPrePrepare(pp *PrePrepareMsg) {
 	in := p.inst(k)
 	if in.prePrepared && in.digest != pp.Digest {
 		// Equivocation detected: refuse and push toward a view change.
-		p.startViewChange(p.view + 1)
+		p.vc.Start(p.View() + 1)
 		return
+	}
+	if in.digest != pp.Digest {
+		// Prepares that overtook the pre-prepare were buffered under the
+		// digest they named. The leader assigned a different one, so they
+		// are not votes for this proposal — and their signatures would
+		// make the slot's prepared certificate unverifiable.
+		clear(in.prepares)
 	}
 	in.prePrepared = true
 	in.digest = pp.Digest
 	in.batch = pp.Batch
 	in.ppSig = pp.Sig
-	for _, r := range pp.Batch.Requests {
-		p.armProgress(r.Key())
-		p.inFlight[r.Key()] = true
-	}
+	p.backlog.Proposed(pp.Batch)
 	if !in.sentPrep && p.env.ID() != p.env.Config().LeaderOf(pp.View) {
 		// Only backups send prepares; the leader's pre-prepare is its
 		// vote (Figure 2). Each backup also counts its own prepare,
@@ -447,7 +352,7 @@ func (p *PBFT) OnMessage(from types.NodeID, m types.Message) {
 	case *CommitMsg:
 		p.onCommit(from, mm)
 	case *ViewChangeMsg:
-		p.onViewChange(from, mm)
+		p.vc.OnViewChange(from, mm)
 	case *NewViewMsg:
 		p.onNewView(from, mm)
 	case *FetchCommittedMsg:
@@ -457,9 +362,9 @@ func (p *PBFT) OnMessage(from types.NodeID, m types.Message) {
 	}
 }
 
-type catchupEntry struct {
-	batch  *types.Batch
-	voters map[types.NodeID]bool
+type catchupKey struct {
+	Seq    types.SeqNum
+	Digest types.Digest
 }
 
 // requestCatchup asks all peers for committed slots we are missing.
@@ -529,39 +434,32 @@ func (p *PBFT) onCommitted(from types.NodeID, m *CommittedMsg) {
 		if e.Cert != nil && e.Cert.Digest == d && p.verifyCommitCert(e.View, e.Seq, d, e.Cert) {
 			proof := &types.CommitProof{View: e.View, Seq: e.Seq, Digest: d, Special: "catch-up-cert",
 				Voters: append([]types.NodeID(nil), e.Cert.Signers...)}
-			p.commitCerts[e.Seq] = e.Cert
+			p.keepCert(e.Seq, e.Cert)
 			p.env.Commit(e.View, e.Seq, e.Batch, proof)
-			delete(p.catchup, e.Seq)
+			p.dropCatchup(e.Seq)
 			continue
 		}
-		byDigest := p.catchup[e.Seq]
-		if byDigest == nil {
-			byDigest = make(map[types.Digest]*catchupEntry)
-			p.catchup[e.Seq] = byDigest
-		}
-		ce := byDigest[d]
-		if ce == nil {
-			ce = &catchupEntry{batch: e.Batch, voters: make(map[types.NodeID]bool)}
-			byDigest[d] = ce
-		}
-		ce.voters[from] = true
-		if len(ce.voters) >= p.env.F()+1 {
-			proof := &types.CommitProof{View: e.View, Seq: e.Seq, Digest: d, Special: "catch-up"}
-			for id := range ce.voters {
-				proof.Voters = append(proof.Voters, id)
-			}
-			p.env.Commit(e.View, e.Seq, ce.batch, proof)
-			delete(p.catchup, e.Seq)
+		k := catchupKey{e.Seq, d}
+		if p.catchup.Add(k, from, e.Batch) >= p.env.F()+1 {
+			votes := p.catchup.Votes(k)
+			proof := &types.CommitProof{View: e.View, Seq: e.Seq, Digest: d, Special: "catch-up",
+				Voters: core.Senders(votes)}
+			p.env.Commit(e.View, e.Seq, votes[0].Val, proof)
+			p.dropCatchup(e.Seq)
 		}
 	}
+}
+
+func (p *PBFT) dropCatchup(seq types.SeqNum) {
+	p.catchup.Prune(func(k catchupKey) bool { return k.Seq == seq })
 }
 
 func (p *PBFT) onPrepare(from types.NodeID, m *PrepareMsg) {
 	if m.Replica != from {
 		return
 	}
-	if m.View != p.view || p.inViewChange {
-		if m.View > p.view && core.VerifyAuth(p.env, from, m.SigDigest(), m.Sig, m.Auth) {
+	if m.View != p.View() || p.vc.Active() {
+		if m.View > p.View() && core.VerifyAuth(p.env, from, m.SigDigest(), m.Sig, m.Auth) {
 			p.noteHigherView(from, m.View)
 		}
 		return
@@ -631,8 +529,8 @@ func (p *PBFT) onCommit(from types.NodeID, m *CommitMsg) {
 	if m.Replica != from {
 		return
 	}
-	if m.View != p.view || p.inViewChange {
-		if m.View > p.view && core.VerifyAuth(p.env, from, m.SigDigest(), m.Sig, m.Auth) {
+	if m.View != p.View() || p.vc.Active() {
+		if m.View > p.View() && core.VerifyAuth(p.env, from, m.SigDigest(), m.Sig, m.Auth) {
 			p.noteHigherView(from, m.View)
 		}
 		return
@@ -675,32 +573,30 @@ func (p *PBFT) noteHigherView(from types.NodeID, v types.View) {
 		views = append(views, ev)
 	}
 	sort.Slice(views, func(i, j int) bool { return views[i] > views[j] })
-	if target := views[p.env.F()]; target > p.view {
+	if target := views[p.env.F()]; target > p.View() {
 		p.jumpToView(target)
 	}
 }
 
-// jumpToView adopts view v without running our own view change,
-// resetting the same per-view state installNewView does, then pulls the
-// committed slots we missed while dark.
+// jumpToView adopts view v without running our own view change — the
+// same entered-view reset installNewView gets from the kit — then pulls
+// the committed slots we missed while dark.
 func (p *PBFT) jumpToView(v types.View) {
-	p.env.Logf("view sync: jumping from view %d to %d on f+1 higher-view evidence", p.view, v)
-	p.view = v
-	p.inViewChange = false
-	p.inFlight = make(map[types.RequestKey]bool)
-	p.vcTimeout = p.env.Config().ViewChangeTimeout
-	p.env.StopTimer(core.TimerID{Name: timerViewChange, View: v})
-	p.env.ViewChanged(v)
+	p.env.Logf("view sync: jumping from view %d to %d on f+1 higher-view evidence", p.View(), v)
+	p.vc.Enter(v)
 	p.requestCatchup()
-	for vv := range p.vcs {
-		if vv <= v {
-			delete(p.vcs, vv)
-		}
-	}
 	p.viewEvidence = make(map[types.NodeID]types.View)
-	for key := range p.watch {
-		p.armProgress(key)
-		break
+}
+
+// keepCert retains a slot's commit certificate for catch-up — but only
+// the certificate of the commit that creates the ledger entry. A slot
+// re-proposed across a view change can be decided again in a later view;
+// that quorum signed the later view, and a certificate over it would not
+// verify against the entry's view that catch-up reports, leaving a lagging
+// peer unable to adopt the slot from this replica alone.
+func (p *PBFT) keepCert(seq types.SeqNum, cert *crypto.Certificate) {
+	if p.env.Ledger().Get(seq) == nil {
+		p.commitCerts[seq] = cert
 	}
 }
 
@@ -721,49 +617,25 @@ func (p *PBFT) checkCommitted(k instKey, in *instance) {
 		}
 	}
 	if cert.Size() >= p.env.Config().Quorum() {
-		p.commitCerts[k.Seq] = cert
+		p.keepCert(k.Seq, cert)
 	}
 	p.env.Commit(k.View, k.Seq, in.batch, proof)
 }
 
-// OnExecuted implements core.Protocol: reply to clients, update the
-// duplicate cache, service the checkpoint manager, and keep the
-// progress timer honest.
+// OnExecuted implements core.Protocol: reply to clients (the runtime
+// caches the signed reply for retransmissions), service the checkpoint
+// manager, and keep the progress timer honest.
 func (p *PBFT) OnExecuted(seq types.SeqNum, batch *types.Batch, results [][]byte) {
-	for i, req := range batch.Requests {
-		delete(p.watch, req.Key())
-		delete(p.pendingSet, req.Key())
-		delete(p.inFlight, req.Key())
-		p.done[req.Key()] = true
-		rep := &types.Reply{
-			Client:    req.Client,
-			ClientSeq: req.ClientSeq,
-			View:      p.view,
-			Seq:       seq,
-			Result:    results[i],
-		}
-		p.lastReply[req.Client] = rep
-		p.env.Reply(cloneReply(rep))
-	}
+	p.backlog.Executed(batch)
+	core.ReplyExecuted(p.env, p.View(), seq, batch, results)
 	delete(p.preparedProof, seq)
-	delete(p.catchup, seq)
+	p.dropCatchup(seq)
 	if p.nextSeq < seq {
 		p.nextSeq = seq
 	}
 	p.cm.OnExecuted(seq)
-	// Progress was made: rearm or clear the τ2 timer.
-	p.disarmProgress()
-	for key := range p.watch {
-		p.armProgress(key)
-		break
-	}
+	p.backlog.Progress()
 	p.maybePropose()
-}
-
-func cloneReply(r *types.Reply) *types.Reply {
-	cp := *r
-	cp.Sig = nil
-	return &cp
 }
 
 // OnTimer implements core.Protocol.
@@ -771,12 +643,11 @@ func (p *PBFT) OnTimer(id core.TimerID) {
 	switch id.Name {
 	case timerBatch:
 		p.batchArmed = false
-		if len(p.pending) > 0 {
+		if p.backlog.Len() > 0 {
 			p.proposeBatch()
 		}
 	case timerProgress:
-		p.progressArmed = false
-		if id.View == p.view && len(p.watch) > 0 {
+		if p.backlog.Expired(id) {
 			// A committed-but-gapped ledger means we may simply have
 			// missed slots on a lossy network — fetch them — but the
 			// gap can also be a slot nobody committed, which only a
@@ -785,23 +656,23 @@ func (p *PBFT) OnTimer(id core.TimerID) {
 			if led.Len() > 0 && led.NextExecutable() == nil {
 				p.requestCatchup()
 			}
-			p.startViewChange(p.view + 1)
+			p.vc.Start(p.View() + 1)
 		}
 	case timerViewChange:
-		if p.inViewChange && id.View == p.targetView {
+		if p.vc.RetryDue(id) {
 			// Exponential backoff, capped: with message loss a view
 			// change round may need several attempts, and an unbounded
 			// timeout would effectively halt the replica.
-			if p.vcTimeout < 4*p.env.Config().ViewChangeTimeout {
-				p.vcTimeout *= 2
+			if p.vc.RetryAfter < 4*p.env.Config().ViewChangeTimeout {
+				p.vc.RetryAfter *= 2
 			}
-			p.startViewChange(p.targetView + 1)
+			p.vc.Retry(id)
 		}
 	case timerDelay:
 		// Attack injection: release the withheld proposal.
-		in := p.insts[instKey{p.view, id.Seq}]
+		in := p.insts[instKey{p.View(), id.Seq}]
 		if in != nil && in.batch != nil {
-			pp := &PrePrepareMsg{View: p.view, Seq: id.Seq, Digest: in.digest, Batch: in.batch}
+			pp := &PrePrepareMsg{View: p.View(), Seq: id.Seq, Digest: in.digest, Batch: in.batch}
 			pp.Sig, pp.Auth = core.Authenticate(p.env, pp.SigDigest())
 			p.env.Broadcast(pp)
 			p.acceptPrePrepare(pp)
@@ -816,13 +687,7 @@ func (p *PBFT) OnTimer(id core.TimerID) {
 // re-proposed by the leader or recovered through the next view change.
 func (p *PBFT) rejuvenate() {
 	p.insts = make(map[instKey]*instance)
-	p.vcs = make(map[types.View]map[types.NodeID]*ViewChangeMsg)
-	if !p.inViewChange && len(p.watch) > 0 {
-		p.progressArmed = false
-		for key := range p.watch {
-			p.armProgress(key)
-			break
-		}
-	}
+	p.vc.Forget()
+	p.backlog.Progress()
 	p.env.SetTimer(core.TimerID{Name: timerRejuvenate}, p.opts.RejuvenationInterval)
 }

@@ -11,23 +11,14 @@ import (
 // messages carrying their prepared certificates; the designated leader of
 // the next view collects 2f+1 of them and installs the view with a
 // new-view message that re-issues every prepared slot, filling gaps with
-// no-op batches.
+// no-op batches. The frame — start gate, join rule, quorum gate, new-view
+// justification, entered-view reset — is core.ViewChange; this file holds
+// what is PBFT's own: what a view-change message carries, how carried
+// prepared proofs are validated, and how the new view's slots are chosen.
 
-func (p *PBFT) startViewChange(v types.View) {
-	if v <= p.view && p.inViewChange {
-		return
-	}
-	if v <= p.view {
-		v = p.view + 1
-	}
-	if p.inViewChange && v <= p.targetView {
-		return
-	}
-	p.inViewChange = true
-	p.targetView = v
+func (p *PBFT) buildViewChange(v types.View) *ViewChangeMsg {
 	p.batchArmed = false
 	p.env.StopTimer(core.TimerID{Name: timerBatch})
-	p.disarmProgress()
 
 	vc := &ViewChangeMsg{
 		NewView:    v,
@@ -41,109 +32,49 @@ func (p *PBFT) startViewChange(v types.View) {
 		}
 	}
 	vc.Sig = p.env.Signer().Sign(vc.SigDigest())
-	p.recordViewChange(p.env.ID(), vc)
-	p.env.Broadcast(vc)
-	// If this view change stalls, escalate (τ2 with backoff).
-	p.env.SetTimer(core.TimerID{Name: timerViewChange, View: v}, p.vcTimeout)
+	return vc
 }
 
-func (p *PBFT) recordViewChange(from types.NodeID, m *ViewChangeMsg) {
-	set := p.vcs[m.NewView]
-	if set == nil {
-		set = make(map[types.NodeID]*ViewChangeMsg)
-		p.vcs[m.NewView] = set
+// validProof checks a carried prepared proof; the new leader ignores
+// forged ones. A proof needs the leader's pre-prepare signature plus 2f
+// backup prepare signatures over the same digest. In MAC mode prepare
+// votes are not transferable (no non-repudiation — exactly DC 11's
+// point); we then rely on the signature over the whole view-change
+// message, the simplification PBFT's view-change-ack machinery papers
+// over. Received messages are never edited: the new-view message relays
+// them, and their signatures must still verify at every backup.
+func (p *PBFT) validProof(pp *PreparedProof) bool {
+	if pp.Batch == nil || pp.Batch.Digest() != pp.Digest {
+		return false
 	}
-	set[from] = m
+	if p.env.Scheme() == crypto.SchemeMAC {
+		return true
+	}
+	if pp.Cert == nil || pp.Cert.Size() < 2*p.env.F() {
+		return false
+	}
+	leader := p.env.Config().LeaderOf(pp.View)
+	ppProbe := &PrePrepareMsg{View: pp.View, Seq: pp.Seq, Digest: pp.Digest}
+	if !p.env.Verifier().VerifySig(leader, ppProbe.SigDigest(), pp.LeaderSig) {
+		return false
+	}
+	probe := &PrepareMsg{View: pp.View, Seq: pp.Seq, Digest: pp.Digest}
+	for i, signer := range pp.Cert.Signers {
+		probe.Replica = signer
+		if signer == leader || !p.env.Verifier().VerifySig(signer, probe.SigDigest(), pp.Cert.Sigs[i]) {
+			return false
+		}
+	}
+	return true
 }
 
-func (p *PBFT) onViewChange(from types.NodeID, m *ViewChangeMsg) {
-	if m.Replica != from || m.NewView <= p.view {
-		return
-	}
-	if !p.env.Verifier().VerifySig(from, m.SigDigest(), m.Sig) {
-		return
-	}
-	// Validate carried prepared proofs; discard forged ones. A proof
-	// needs the leader's pre-prepare signature plus 2f backup prepare
-	// signatures over the same digest. In MAC mode prepare votes are
-	// not transferable (no non-repudiation — exactly DC 11's point);
-	// we then rely on the signature over the whole view-change message,
-	// the simplification PBFT's view-change-ack machinery papers over.
-	macMode := p.env.Scheme() == crypto.SchemeMAC
-	valid := m.Prepared[:0]
-	for _, pp := range m.Prepared {
-		if pp.Batch == nil || pp.Batch.Digest() != pp.Digest {
-			continue
-		}
-		if macMode {
-			valid = append(valid, pp)
-			continue
-		}
-		if pp.Cert == nil || pp.Cert.Size() < 2*p.env.F() {
-			continue
-		}
-		leader := p.env.Config().LeaderOf(pp.View)
-		ppProbe := &PrePrepareMsg{View: pp.View, Seq: pp.Seq, Digest: pp.Digest}
-		ok := p.env.Verifier().VerifySig(leader, ppProbe.SigDigest(), pp.LeaderSig)
-		if ok {
-			probe := &PrepareMsg{View: pp.View, Seq: pp.Seq, Digest: pp.Digest}
-			for i, signer := range pp.Cert.Signers {
-				probe.Replica = signer
-				if signer == leader ||
-					!p.env.Verifier().VerifySig(signer, probe.SigDigest(), pp.Cert.Sigs[i]) {
-					ok = false
-					break
-				}
-			}
-		}
-		if ok {
-			valid = append(valid, pp)
-		}
-	}
-	m.Prepared = valid
-	p.recordViewChange(from, m)
-
-	// Liveness join rule: if f+1 replicas are ahead of us, join the
-	// smallest such view so a partitioned minority cannot stall us.
-	if !p.inViewChange || m.NewView > p.targetView {
-		ahead := 0
-		minView := m.NewView
-		for v, set := range p.vcs {
-			if v > p.view {
-				for id := range set {
-					if id != p.env.ID() {
-						ahead++
-					}
-				}
-				if v < minView {
-					minView = v
-				}
-			}
-		}
-		if ahead >= p.env.F()+1 && (!p.inViewChange || minView > p.targetView) {
-			p.startViewChange(minView)
-		}
-	}
-	p.maybeSendNewView(m.NewView)
-}
-
-func (p *PBFT) maybeSendNewView(v types.View) {
-	if p.env.Config().LeaderOf(v) != p.env.ID() || p.sentNewView[v] {
-		return
-	}
-	set := p.vcs[v]
-	if len(set) < p.env.Config().Quorum() {
-		return
-	}
-	p.sentNewView[v] = true
-
+// sendNewView runs at the new leader once 2f+1 view-changes are in.
+func (p *PBFT) sendNewView(v types.View, vcs []*ViewChangeMsg) {
 	// Compute min-s (highest stable checkpoint) and collect, per slot,
 	// the prepared proof with the highest view.
 	var minS, maxS, maxExec types.SeqNum
 	chosen := make(map[types.SeqNum]*PreparedProof)
-	var vcList []*ViewChangeMsg
-	for _, vc := range set {
-		vcList = append(vcList, vc)
+	for _, vc := range vcs {
 		if vc.LastStable > minS {
 			minS = vc.LastStable
 		}
@@ -152,6 +83,9 @@ func (p *PBFT) maybeSendNewView(v types.View) {
 		}
 		for i := range vc.Prepared {
 			pp := &vc.Prepared[i]
+			if !p.validProof(pp) {
+				continue
+			}
 			if cur := chosen[pp.Seq]; cur == nil || pp.View > cur.View {
 				chosen[pp.Seq] = pp
 			}
@@ -161,7 +95,7 @@ func (p *PBFT) maybeSendNewView(v types.View) {
 		}
 	}
 
-	nv := &NewViewMsg{View: v, Base: maxExec, ViewChanges: vcList}
+	nv := &NewViewMsg{View: v, Base: maxExec, ViewChanges: vcs}
 	for s := minS + 1; s <= maxS; s++ {
 		var batch *types.Batch
 		var digest types.Digest
@@ -180,28 +114,8 @@ func (p *PBFT) maybeSendNewView(v types.View) {
 }
 
 func (p *PBFT) onNewView(from types.NodeID, m *NewViewMsg) {
-	if m.View < p.view || (m.View == p.view && !p.inViewChange) {
+	if !p.vc.Justified(from, m.View, m.SigDigest(), m.Sig, m.ViewChanges) {
 		return
-	}
-	if from != p.env.Config().LeaderOf(m.View) {
-		return
-	}
-	if !p.env.Verifier().VerifySig(from, m.SigDigest(), m.Sig) {
-		return
-	}
-	// The new-view must be justified by 2f+1 signed view-changes.
-	if len(m.ViewChanges) < p.env.Config().Quorum() {
-		return
-	}
-	seen := make(map[types.NodeID]bool)
-	for _, vc := range m.ViewChanges {
-		if vc.NewView != m.View || seen[vc.Replica] {
-			return
-		}
-		if !p.env.Verifier().VerifySig(vc.Replica, vc.SigDigest(), vc.Sig) {
-			return
-		}
-		seen[vc.Replica] = true
 	}
 	var maxS types.SeqNum
 	for _, pp := range m.PrePrepares {
@@ -213,7 +127,14 @@ func (p *PBFT) onNewView(from types.NodeID, m *NewViewMsg) {
 }
 
 func (p *PBFT) installNewView(m *NewViewMsg, maxS types.SeqNum) {
-	p.view = m.View
+	p.vc.Install(m.View, func() { p.adoptNewView(m, maxS) })
+	// A new leader resumes proposing its own backlog.
+	p.maybePropose()
+}
+
+// adoptNewView takes over what the new-view message carries; the kit
+// holds proposing until it returns.
+func (p *PBFT) adoptNewView(m *NewViewMsg, maxS types.SeqNum) {
 	if p.nextSeq < m.Base {
 		p.nextSeq = m.Base
 	}
@@ -222,20 +143,8 @@ func (p *PBFT) installNewView(m *NewViewMsg, maxS types.SeqNum) {
 		// committed slots we missed during the view churn.
 		p.requestCatchup()
 	}
-	p.inViewChange = false
-	// Proposals of older views are void; anything still pending gets
-	// re-proposed (runtime-level dedup makes re-execution impossible).
-	p.inFlight = make(map[types.RequestKey]bool)
-	p.vcTimeout = p.env.Config().ViewChangeTimeout
-	p.env.StopTimer(core.TimerID{Name: timerViewChange, View: m.View})
-	p.env.ViewChanged(m.View)
 	if p.nextSeq < maxS {
 		p.nextSeq = maxS
-	}
-	for v := range p.vcs {
-		if v <= m.View {
-			delete(p.vcs, v)
-		}
 	}
 	// Adopt the re-issued pre-prepares: they flow through the normal
 	// acceptance path, so backups prepare and commit them again in the
@@ -245,10 +154,4 @@ func (p *PBFT) installNewView(m *NewViewMsg, maxS types.SeqNum) {
 			p.acceptPrePrepare(pp)
 		}
 	}
-	for key := range p.watch {
-		p.armProgress(key)
-		break
-	}
-	// A new leader resumes proposing its own backlog.
-	p.maybePropose()
 }

@@ -168,6 +168,9 @@ type CertifiedSlot struct {
 // Kind implements types.Message.
 func (*ViewChangeMsg) Kind() string { return "POE-VIEW-CHANGE" }
 
+// Vote implements core.ViewChangeVote.
+func (m *ViewChangeMsg) Vote() (types.View, types.NodeID, []byte) { return m.NewView, m.Replica, m.Sig }
+
 // SigDigest is the signed content.
 func (m *ViewChangeMsg) SigDigest() types.Digest {
 	var h types.Hasher
@@ -230,26 +233,19 @@ type PoE struct {
 	env  core.Env
 	opts Options
 
-	view    types.View
+	// backlog is the request intake and τ2 timer; vc the view-change
+	// skeleton, which owns the current view (both from the core kit).
+	backlog *core.Backlog
+	vc      *core.ViewChange[*ViewChangeMsg]
+
 	nextSeq types.SeqNum
 	slots   map[types.SeqNum]*slot
 	// ready buffers certified slots awaiting contiguous speculative
 	// execution.
 	ready map[types.SeqNum]*CertifyMsg
 
-	pending       []*types.Request
-	pendingSet    map[types.RequestKey]bool
-	inFlight      map[types.RequestKey]bool
-	watch         map[types.RequestKey]bool
-	done          map[types.RequestKey]bool
-	progressArmed bool
-
-	cpVotes map[types.SeqNum]map[types.NodeID]types.Digest
-
-	inViewChange bool
-	targetView   types.View
-	vcs          map[types.View]map[types.NodeID]*ViewChangeMsg
-	sentNewView  map[types.View]bool
+	// cpVotes tallies history digests per checkpoint window.
+	cpVotes core.Tally[types.SeqNum, types.Digest]
 }
 
 // New returns a PoE replica.
@@ -271,33 +267,13 @@ func (p *PoE) Init(env core.Env) {
 	p.env = env
 	p.slots = make(map[types.SeqNum]*slot)
 	p.ready = make(map[types.SeqNum]*CertifyMsg)
-	p.pendingSet = make(map[types.RequestKey]bool)
-	p.inFlight = make(map[types.RequestKey]bool)
-	p.watch = make(map[types.RequestKey]bool)
-	p.done = make(map[types.RequestKey]bool)
-	p.cpVotes = make(map[types.SeqNum]map[types.NodeID]types.Digest)
-	p.vcs = make(map[types.View]map[types.NodeID]*ViewChangeMsg)
-	p.sentNewView = make(map[types.View]bool)
+	p.backlog = core.NewBacklog(env, timerProgress)
+	p.vc = core.NewViewChange(env, p.backlog, timerVCRetry, env.Config().Quorum(),
+		core.ViewChangeHooks[*ViewChangeMsg]{Build: p.buildViewChange, NewView: p.sendNewView})
 }
 
 // View returns the current view.
-func (p *PoE) View() types.View { return p.view }
-
-func (p *PoE) leader() types.NodeID { return p.env.Config().LeaderOf(p.view) }
-func (p *PoE) isLeader() bool       { return p.leader() == p.env.ID() }
-
-func (p *PoE) armProgress() {
-	if p.progressArmed || p.inViewChange {
-		return
-	}
-	p.progressArmed = true
-	p.env.SetTimer(core.TimerID{Name: timerProgress, View: p.view}, p.env.Config().ViewChangeTimeout)
-}
-
-func (p *PoE) disarmProgress() {
-	p.progressArmed = false
-	p.env.StopTimer(core.TimerID{Name: timerProgress, View: p.view})
-}
+func (p *PoE) View() types.View { return p.vc.View() }
 
 func (p *PoE) slot(seq types.SeqNum) *slot {
 	sl := p.slots[seq]
@@ -310,71 +286,31 @@ func (p *PoE) slot(seq types.SeqNum) *slot {
 
 // OnRequest implements core.Protocol.
 func (p *PoE) OnRequest(req *types.Request) {
-	if p.done[req.Key()] {
-		return
+	if p.backlog.Submit(req, p.vc.Leader()) && !p.opts.SilentLeader {
+		p.maybePropose()
 	}
-	if !p.env.Verifier().VerifySig(req.Client, req.Digest(), req.Sig) {
-		return
-	}
-	key := req.Key()
-	p.watch[key] = true
-	p.armProgress()
-	if p.pendingSet[key] {
-		if !p.isLeader() {
-			p.env.Send(p.leader(), &core.ForwardMsg{Req: req})
-		}
-		return
-	}
-	p.pendingSet[key] = true
-	p.pending = append(p.pending, req)
-	if !p.isLeader() {
-		p.env.Send(p.leader(), &core.ForwardMsg{Req: req})
-		return
-	}
-	if p.opts.SilentLeader {
-		return
-	}
-	p.maybePropose()
 }
 
 func (p *PoE) maybePropose() {
-	if !p.isLeader() || p.inViewChange {
+	if !p.vc.MayPropose() {
 		return
 	}
 	for {
-		reqs := p.takePending(p.env.Config().BatchSize)
+		reqs := p.backlog.Take(p.env.Config().BatchSize)
 		if len(reqs) == 0 {
 			return
 		}
 		batch := types.NewBatch(reqs...)
 		p.nextSeq++
-		pm := &ProposeMsg{View: p.view, Seq: p.nextSeq, Digest: batch.Digest(), Batch: batch}
+		pm := &ProposeMsg{View: p.View(), Seq: p.nextSeq, Digest: batch.Digest(), Batch: batch}
 		pm.Sig = p.env.Signer().Sign(pm.SigDigest())
 		p.env.Broadcast(pm)
 		p.acceptPropose(pm)
 	}
 }
 
-func (p *PoE) takePending(k int) []*types.Request {
-	var out []*types.Request
-	live := p.pending[:0]
-	for _, req := range p.pending {
-		key := req.Key()
-		if !p.pendingSet[key] || p.done[req.Key()] {
-			continue
-		}
-		live = append(live, req)
-		if len(out) < k && !p.inFlight[key] {
-			p.inFlight[key] = true
-			out = append(out, req)
-		}
-	}
-	p.pending = live
-	return out
-}
-
 func (p *PoE) acceptPropose(m *ProposeMsg) {
-	if m.View != p.view || p.inViewChange {
+	if m.View != p.View() || p.vc.Active() {
 		return
 	}
 	if m.Batch.Digest() != m.Digest {
@@ -382,26 +318,22 @@ func (p *PoE) acceptPropose(m *ProposeMsg) {
 	}
 	sl := p.slot(m.Seq)
 	if sl.proposed && sl.digest != m.Digest {
-		p.startViewChange(p.view + 1)
+		p.vc.Start(p.View() + 1)
 		return
 	}
 	sl.proposed = true
 	sl.digest = m.Digest
 	sl.batch = m.Batch
-	for _, r := range m.Batch.Requests {
-		p.watch[r.Key()] = true
-		p.inFlight[r.Key()] = true
-	}
-	p.armProgress()
+	p.backlog.Proposed(m.Batch)
 	if !sl.signed {
 		sl.signed = true
 		sd := shareDigest(m.View, m.Seq, m.Digest)
 		share := &ShareMsg{View: m.View, Seq: m.Seq, Digest: m.Digest,
 			Replica: p.env.ID(), Sig: p.env.Signer().Sign(sd)}
-		if p.isLeader() {
+		if p.vc.Leading() {
 			p.onShare(p.env.ID(), share)
 		} else {
-			p.env.Send(p.leader(), share)
+			p.env.Send(p.vc.Leader(), share)
 		}
 	}
 }
@@ -444,14 +376,14 @@ func (p *PoE) OnMessage(from types.NodeID, m types.Message) {
 		}
 		p.recordCheckpoint(from, mm)
 	case *ViewChangeMsg:
-		p.onViewChange(from, mm)
+		p.vc.OnViewChange(from, mm)
 	case *NewViewMsg:
 		p.onNewView(from, mm)
 	}
 }
 
 func (p *PoE) onShare(from types.NodeID, m *ShareMsg) {
-	if !p.isLeader() || m.View != p.view || p.inViewChange {
+	if !p.vc.Leading() || m.View != p.View() || p.vc.Active() {
 		return
 	}
 	sl := p.slot(m.Seq)
@@ -477,7 +409,7 @@ func (p *PoE) onShare(from types.NodeID, m *ShareMsg) {
 
 // onCertify speculatively executes certified slots in sequence order.
 func (p *PoE) onCertify(m *CertifyMsg) {
-	if m.View != p.view || p.inViewChange {
+	if m.View != p.View() || p.vc.Active() {
 		return
 	}
 	want := shareDigest(m.View, m.Seq, m.Digest)
@@ -514,7 +446,6 @@ func (p *PoE) drainReady() {
 			continue
 		}
 		sl.executed = true
-		p.disarmProgress()
 		for i, req := range sl.batch.Requests {
 			p.env.Reply(&types.Reply{
 				Client:      req.Client,
@@ -526,9 +457,7 @@ func (p *PoE) drainReady() {
 				History:     p.env.HistoryDigest(),
 			})
 		}
-		if len(p.watch) > 0 {
-			p.armProgress()
-		}
+		p.backlog.Progress()
 		iv := p.env.Config().CheckpointInterval
 		if iv > 0 && uint64(next)%iv == 0 {
 			cp := &CheckpointMsg{Seq: next, History: p.env.HistoryDigest(), Replica: p.env.ID()}
@@ -550,76 +479,51 @@ func (p *PoE) specTip() types.SeqNum {
 }
 
 func (p *PoE) recordCheckpoint(from types.NodeID, m *CheckpointMsg) {
-	set := p.cpVotes[m.Seq]
-	if set == nil {
-		set = make(map[types.NodeID]types.Digest)
-		p.cpVotes[m.Seq] = set
-	}
-	set[from] = m.History
-	counts := make(map[types.Digest][]types.NodeID)
-	for id, h := range set {
-		counts[h] = append(counts[h], id)
-	}
-	for h, voters := range counts {
-		if len(voters) < p.env.Config().Quorum() {
-			continue
-		}
-		if p.specTip() < m.Seq || h != p.env.HistoryDigest() {
-			continue
-		}
-		// Durably commit the prefix.
-		for s := p.env.Ledger().LastExecuted() + 1; s <= m.Seq; s++ {
-			sl := p.slots[s]
-			if sl == nil || !sl.executed {
-				break
-			}
-			proof := &types.CommitProof{View: p.view, Seq: s, Digest: sl.digest,
-				Voters: append([]types.NodeID(nil), voters...)}
-			p.env.Commit(p.view, s, sl.batch, proof)
-		}
-		delete(p.cpVotes, m.Seq)
+	p.cpVotes.Add(m.Seq, from, m.History)
+	// Only a quorum on our own history commits anything here, so that is
+	// the one value worth counting — on every vote, since our speculative
+	// tip may reach m.Seq after the quorum formed.
+	if p.specTip() < m.Seq {
 		return
 	}
+	voters := core.Backers(&p.cpVotes, m.Seq, p.env.HistoryDigest())
+	if len(voters) < p.env.Config().Quorum() {
+		return
+	}
+	// Durably commit the prefix.
+	for s := p.env.Ledger().LastExecuted() + 1; s <= m.Seq; s++ {
+		sl := p.slots[s]
+		if sl == nil || !sl.executed {
+			break
+		}
+		proof := &types.CommitProof{View: p.View(), Seq: s, Digest: sl.digest,
+			Voters: append([]types.NodeID(nil), voters...)}
+		p.env.Commit(p.View(), s, sl.batch, proof)
+	}
+	p.cpVotes.Delete(m.Seq)
 }
 
 // OnTimer implements core.Protocol.
 func (p *PoE) OnTimer(id core.TimerID) {
 	switch id.Name {
 	case timerProgress:
-		p.progressArmed = false
-		if id.View == p.view && len(p.watch) > 0 {
-			p.startViewChange(p.view + 1)
+		if p.backlog.Expired(id) {
+			p.vc.Start(p.View() + 1)
 		}
 	case timerVCRetry:
-		if p.inViewChange && id.View == p.targetView {
-			p.startViewChange(p.targetView + 1)
-		}
+		p.vc.Retry(id)
 	}
 }
 
 // OnExecuted implements core.Protocol (commit-path execution).
 func (p *PoE) OnExecuted(seq types.SeqNum, batch *types.Batch, results [][]byte) {
-	for i, req := range batch.Requests {
-		delete(p.watch, req.Key())
-		delete(p.pendingSet, req.Key())
-		delete(p.inFlight, req.Key())
-		p.done[req.Key()] = true
-		p.env.Reply(&types.Reply{
-			Client:    req.Client,
-			ClientSeq: req.ClientSeq,
-			View:      p.view,
-			Seq:       seq,
-			Result:    results[i],
-		})
-	}
+	p.backlog.Executed(batch)
+	core.ReplyExecuted(p.env, p.View(), seq, batch, results)
 	delete(p.slots, seq)
 	delete(p.ready, seq)
 	if p.nextSeq < seq {
 		p.nextSeq = seq
 	}
-	p.disarmProgress()
-	if len(p.watch) > 0 {
-		p.armProgress()
-	}
+	p.backlog.Progress()
 	p.maybePropose()
 }

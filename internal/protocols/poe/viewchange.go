@@ -10,104 +10,47 @@ import (
 // least f+1 honest replicas, so the new leader (which collects 2f+1
 // view-changes) always sees at least one certified copy and re-proposes
 // it; speculation that certified under a Byzantine-assisted quorum but
-// lost the view change is rolled back — the DC7 trade-off.
+// lost the view change is rolled back — the DC7 trade-off. The frame is
+// core.ViewChange; this file holds what a PoE view-change carries, how
+// its certificates are checked, and how the new view's order is chosen
+// and installed.
 
-func (p *PoE) startViewChange(v types.View) {
-	if v <= p.view {
-		v = p.view + 1
-	}
-	if p.inViewChange && v <= p.targetView {
-		return
-	}
-	p.inViewChange = true
-	p.targetView = v
-	p.disarmProgress()
-
+func (p *PoE) buildViewChange(v types.View) *ViewChangeMsg {
 	vc := &ViewChangeMsg{
 		NewView: v,
 		Base:    p.env.Ledger().LastExecuted(),
 		Replica: p.env.ID(),
 	}
-	for _, e := range p.env.Ledger().CommittedAbove(p.env.Ledger().LowWater()) {
-		cs := CommittedSlot{View: e.View, Seq: e.Seq, Batch: e.Batch}
-		if e.Proof != nil {
-			cs.Voters = e.Proof.Voters
-		}
-		vc.Committed = append(vc.Committed, cs)
-	}
+	core.RetainedCommitted(p.env, func(view types.View, seq types.SeqNum, b *types.Batch, voters []types.NodeID) {
+		vc.Committed = append(vc.Committed, CommittedSlot{View: view, Seq: seq, Batch: b, Voters: voters})
+	})
 	for seq, sl := range p.slots {
 		if seq > vc.Base && sl.cert != nil && sl.batch != nil {
 			vc.Slots = append(vc.Slots, CertifiedSlot{
-				View: p.view, Seq: seq, Digest: sl.digest, Batch: sl.batch, Cert: sl.cert,
+				View: p.View(), Seq: seq, Digest: sl.digest, Batch: sl.batch, Cert: sl.cert,
 			})
 		}
 	}
 	vc.Sig = p.env.Signer().Sign(vc.SigDigest())
-	p.recordVC(p.env.ID(), vc)
-	p.env.Broadcast(vc)
-	p.env.SetTimer(core.TimerID{Name: timerVCRetry, View: v}, p.env.Config().ViewChangeTimeout)
+	return vc
 }
 
-func (p *PoE) recordVC(from types.NodeID, m *ViewChangeMsg) {
-	set := p.vcs[m.NewView]
-	if set == nil {
-		set = make(map[types.NodeID]*ViewChangeMsg)
-		p.vcs[m.NewView] = set
+// validSlot reports whether a carried slot's 2f+1 share certificate
+// verifies; the new leader ignores the others. (Received messages are
+// never edited: the new-view message relays them, signatures intact.)
+func (p *PoE) validSlot(s *CertifiedSlot) bool {
+	if s.Batch == nil || s.Batch.Digest() != s.Digest || s.Cert == nil {
+		return false
 	}
-	set[from] = m
+	return s.Cert.Digest == shareDigest(s.View, s.Seq, s.Digest) &&
+		s.Cert.Verify(p.env.Verifier(), p.env.Config().Quorum()) == nil
 }
 
-func (p *PoE) onViewChange(from types.NodeID, m *ViewChangeMsg) {
-	if m.Replica != from || m.NewView <= p.view {
-		return
-	}
-	if !p.env.Verifier().VerifySig(from, m.SigDigest(), m.Sig) {
-		return
-	}
-	valid := m.Slots[:0]
-	for _, s := range m.Slots {
-		if s.Batch == nil || s.Batch.Digest() != s.Digest || s.Cert == nil {
-			continue
-		}
-		want := shareDigest(s.View, s.Seq, s.Digest)
-		if s.Cert.Digest != want || s.Cert.Verify(p.env.Verifier(), p.env.Config().Quorum()) != nil {
-			continue
-		}
-		valid = append(valid, s)
-	}
-	m.Slots = valid
-	p.recordVC(from, m)
-
-	if !p.inViewChange || m.NewView > p.targetView {
-		ahead := 0
-		for v, set := range p.vcs {
-			if v > p.view {
-				ahead += len(set)
-			}
-		}
-		if ahead >= p.env.F()+1 {
-			p.startViewChange(m.NewView)
-		}
-	}
-	p.maybeNewView(m.NewView)
-}
-
-func (p *PoE) maybeNewView(v types.View) {
-	if p.env.Config().LeaderOf(v) != p.env.ID() || p.sentNewView[v] {
-		return
-	}
-	set := p.vcs[v]
-	if len(set) < p.env.Config().Quorum() {
-		return
-	}
-	p.sentNewView[v] = true
-
+func (p *PoE) sendNewView(v types.View, vcs []*ViewChangeMsg) {
 	var base, maxS types.SeqNum
 	committed := make(map[types.SeqNum]*CommittedSlot)
 	chosen := make(map[types.SeqNum]*CertifiedSlot)
-	var vcList []*ViewChangeMsg
-	for _, vc := range set {
-		vcList = append(vcList, vc)
+	for _, vc := range vcs {
 		if vc.Base > base {
 			base = vc.Base
 		}
@@ -119,6 +62,9 @@ func (p *PoE) maybeNewView(v types.View) {
 		}
 		for i := range vc.Slots {
 			s := &vc.Slots[i]
+			if !p.validSlot(s) {
+				continue
+			}
 			if cur := chosen[s.Seq]; cur == nil || s.View > cur.View {
 				chosen[s.Seq] = s
 			}
@@ -127,7 +73,7 @@ func (p *PoE) maybeNewView(v types.View) {
 			}
 		}
 	}
-	nv := &NewViewMsg{View: v, Base: base, ViewChanges: vcList}
+	nv := &NewViewMsg{View: v, Base: base, ViewChanges: vcs}
 	for seq := types.SeqNum(1); seq <= base; seq++ {
 		if s := committed[seq]; s != nil {
 			nv.Committed = append(nv.Committed, *s)
@@ -151,38 +97,19 @@ func (p *PoE) maybeNewView(v types.View) {
 }
 
 func (p *PoE) onNewView(from types.NodeID, m *NewViewMsg) {
-	if m.View < p.view || (m.View == p.view && !p.inViewChange) {
-		return
+	if p.vc.Justified(from, m.View, m.SigDigest(), m.Sig, m.ViewChanges) {
+		p.installNewView(m)
 	}
-	if from != p.env.Config().LeaderOf(m.View) {
-		return
-	}
-	if !p.env.Verifier().VerifySig(from, m.SigDigest(), m.Sig) {
-		return
-	}
-	if len(m.ViewChanges) < p.env.Config().Quorum() {
-		return
-	}
-	seen := make(map[types.NodeID]bool)
-	for _, vc := range m.ViewChanges {
-		if vc.NewView != m.View || seen[vc.Replica] {
-			return
-		}
-		if !p.env.Verifier().VerifySig(vc.Replica, vc.SigDigest(), vc.Sig) {
-			return
-		}
-		seen[vc.Replica] = true
-	}
-	p.installNewView(m)
 }
 
 func (p *PoE) installNewView(m *NewViewMsg) {
-	p.view = m.View
-	p.inViewChange = false
-	p.inFlight = make(map[types.RequestKey]bool)
-	p.env.StopTimer(core.TimerID{Name: timerVCRetry, View: m.View})
-	p.env.ViewChanged(m.View)
+	p.vc.Install(m.View, func() { p.adoptNewView(m) })
+	p.maybePropose()
+}
 
+// adoptNewView takes over what the new-view message carries; the kit
+// holds proposing until it returns.
+func (p *PoE) adoptNewView(m *NewViewMsg) {
 	// Roll back uncommitted speculation; the decided order replaces it.
 	lastExec := p.env.Ledger().LastExecuted()
 	p.env.RollbackSpecAbove(lastExec)
@@ -194,11 +121,7 @@ func (p *PoE) installNewView(m *NewViewMsg) {
 	}
 	for i := range m.Committed {
 		s := &m.Committed[i]
-		if s.Seq > p.env.Ledger().LastExecuted() {
-			proof := &types.CommitProof{View: s.View, Seq: s.Seq, Digest: s.Batch.Digest(),
-				Voters: append([]types.NodeID(nil), s.Voters...)}
-			p.env.Commit(s.View, s.Seq, s.Batch, proof)
-		}
+		core.AdoptCommitted(p.env, s.View, s.Seq, s.Batch, s.Voters)
 	}
 
 	for _, pm := range m.Proposals {
@@ -209,13 +132,4 @@ func (p *PoE) installNewView(m *NewViewMsg) {
 			p.acceptPropose(pm)
 		}
 	}
-	for v := range p.vcs {
-		if v <= m.View {
-			delete(p.vcs, v)
-		}
-	}
-	if len(p.watch) > 0 {
-		p.armProgress()
-	}
-	p.maybePropose()
 }

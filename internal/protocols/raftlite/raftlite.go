@@ -114,7 +114,7 @@ type Raft struct {
 
 	pending    []*types.Request
 	pendingSet map[types.RequestKey]bool
-	done   map[types.RequestKey]bool
+	done       map[types.RequestKey]bool
 }
 
 // New returns a raftlite replica.
@@ -422,17 +422,11 @@ func (r *Raft) OnTimer(id core.TimerID) {
 
 // OnExecuted implements core.Protocol.
 func (r *Raft) OnExecuted(seq types.SeqNum, batch *types.Batch, results [][]byte) {
-	for i, req := range batch.Requests {
+	for _, req := range batch.Requests {
 		delete(r.pendingSet, req.Key())
 		r.done[req.Key()] = true
-		r.env.Reply(&types.Reply{
-			Client:    req.Client,
-			ClientSeq: req.ClientSeq,
-			View:      types.View(r.term),
-			Seq:       seq,
-			Result:    results[i],
-		})
 	}
+	core.ReplyExecuted(r.env, types.View(r.term), seq, batch, results)
 }
 
 func min(a, b types.SeqNum) types.SeqNum {

@@ -169,6 +169,9 @@ type PreparedSlot struct {
 // Kind implements types.Message.
 func (*ViewChangeMsg) Kind() string { return "SBFT-VIEW-CHANGE" }
 
+// Vote implements core.ViewChangeVote.
+func (m *ViewChangeMsg) Vote() (types.View, types.NodeID, []byte) { return m.NewView, m.Replica, m.Sig }
+
 // SigDigest is the signed content.
 func (m *ViewChangeMsg) SigDigest() types.Digest {
 	var h types.Hasher
@@ -242,26 +245,17 @@ type SBFT struct {
 	opts Options
 	cm   *core.CheckpointManager
 
-	view    types.View
+	// backlog is the request intake and τ2 timer; vc the view-change
+	// skeleton, which owns the current view (both from the core kit).
+	backlog *core.Backlog
+	vc      *core.ViewChange[*ViewChangeMsg]
+
 	nextSeq types.SeqNum
 	slots   map[types.SeqNum]*slot
 	// preparedProof and commitCerts persist across view changes; the
 	// per-view slots map does not.
 	preparedProof map[types.SeqNum]*PreparedSlot
 	commitCerts   map[types.SeqNum]*CommittedSlot
-
-	pending    []*types.Request
-	pendingSet map[types.RequestKey]bool
-	inFlight   map[types.RequestKey]bool
-	watch      map[types.RequestKey]bool
-	done       map[types.RequestKey]bool
-
-	progressArmed bool
-
-	inViewChange bool
-	targetView   types.View
-	vcs          map[types.View]map[types.NodeID]*ViewChangeMsg
-	sentNewView  map[types.View]bool
 
 	// FastCommits / SlowCommits count per-path decisions (experiments
 	// X6 reads them).
@@ -292,23 +286,16 @@ func (s *SBFT) Init(env core.Env) {
 	s.slots = make(map[types.SeqNum]*slot)
 	s.preparedProof = make(map[types.SeqNum]*PreparedSlot)
 	s.commitCerts = make(map[types.SeqNum]*CommittedSlot)
-	s.pendingSet = make(map[types.RequestKey]bool)
-	s.inFlight = make(map[types.RequestKey]bool)
-	s.watch = make(map[types.RequestKey]bool)
-	s.done = make(map[types.RequestKey]bool)
-	s.vcs = make(map[types.View]map[types.NodeID]*ViewChangeMsg)
-	s.sentNewView = make(map[types.View]bool)
+	s.backlog = core.NewBacklog(env, timerProgress)
+	s.vc = core.NewViewChange(env, s.backlog, timerVCRetry, env.Config().Quorum(),
+		core.ViewChangeHooks[*ViewChangeMsg]{Build: s.buildViewChange, NewView: s.sendNewView})
 	if s.opts.FastPathWait == 0 {
 		s.opts.FastPathWait = 4 * env.Config().BatchTimeout
 	}
 }
 
 // View returns the current view.
-func (s *SBFT) View() types.View { return s.view }
-
-func (s *SBFT) leader() types.NodeID { return s.env.Config().LeaderOf(s.view) }
-
-func (s *SBFT) isLeader() bool { return s.leader() == s.env.ID() }
+func (s *SBFT) View() types.View { return s.vc.View() }
 
 func (s *SBFT) slot(seq types.SeqNum) *slot {
 	sl := s.slots[seq]
@@ -324,85 +311,34 @@ func (s *SBFT) slot(seq types.SeqNum) *slot {
 
 // OnRequest implements core.Protocol.
 func (s *SBFT) OnRequest(req *types.Request) {
-	if s.done[req.Key()] {
-		return
+	if s.backlog.Submit(req, s.vc.Leader()) {
+		s.maybePropose()
 	}
-	if !s.env.Verifier().VerifySig(req.Client, req.Digest(), req.Sig) {
-		return
-	}
-	key := req.Key()
-	s.watch[key] = true
-	s.armProgress()
-	if s.pendingSet[key] {
-		if !s.isLeader() {
-			s.env.Send(s.leader(), &core.ForwardMsg{Req: req})
-		}
-		return
-	}
-	s.pendingSet[key] = true
-	s.pending = append(s.pending, req)
-	if !s.isLeader() {
-		s.env.Send(s.leader(), &core.ForwardMsg{Req: req})
-		return
-	}
-	s.maybePropose()
-}
-
-// armProgress is level-triggered (see pbft.armProgress).
-func (s *SBFT) armProgress() {
-	if s.progressArmed || s.inViewChange {
-		return
-	}
-	s.progressArmed = true
-	s.env.SetTimer(core.TimerID{Name: timerProgress, View: s.view}, s.env.Config().ViewChangeTimeout)
-}
-
-func (s *SBFT) disarmProgress() {
-	s.progressArmed = false
-	s.env.StopTimer(core.TimerID{Name: timerProgress, View: s.view})
 }
 
 func (s *SBFT) maybePropose() {
-	if !s.isLeader() || s.inViewChange {
+	if !s.vc.MayPropose() {
 		return
 	}
 	for {
-		reqs := s.takePending(s.env.Config().BatchSize)
+		reqs := s.backlog.Take(s.env.Config().BatchSize)
 		if len(reqs) == 0 {
 			return
 		}
 		batch := types.NewBatch(reqs...)
 		s.nextSeq++
 		seq := s.nextSeq
-		pp := &PrePrepareMsg{View: s.view, Seq: seq, Digest: batch.Digest(), Batch: batch}
+		pp := &PrePrepareMsg{View: s.View(), Seq: seq, Digest: batch.Digest(), Batch: batch}
 		pp.Sig = s.env.Signer().Sign(pp.SigDigest())
 		s.env.Broadcast(pp)
 		s.acceptPrePrepare(s.env.ID(), pp)
 		// Arm τ3: if not all shares arrive in time, fall back.
-		s.env.SetTimer(core.TimerID{Name: timerFastPath, Seq: seq, View: s.view}, s.opts.FastPathWait)
+		s.env.SetTimer(core.TimerID{Name: timerFastPath, Seq: seq, View: s.View()}, s.opts.FastPathWait)
 	}
-}
-
-func (s *SBFT) takePending(k int) []*types.Request {
-	var out []*types.Request
-	live := s.pending[:0]
-	for _, req := range s.pending {
-		key := req.Key()
-		if !s.pendingSet[key] || s.done[req.Key()] {
-			continue
-		}
-		live = append(live, req)
-		if len(out) < k && !s.inFlight[key] {
-			s.inFlight[key] = true
-			out = append(out, req)
-		}
-	}
-	s.pending = live
-	return out
 }
 
 func (s *SBFT) acceptPrePrepare(from types.NodeID, pp *PrePrepareMsg) {
-	if pp.View != s.view || s.inViewChange {
+	if pp.View != s.View() || s.vc.Active() {
 		return
 	}
 	if pp.Seq <= s.env.Ledger().LastExecuted() {
@@ -413,26 +349,22 @@ func (s *SBFT) acceptPrePrepare(from types.NodeID, pp *PrePrepareMsg) {
 	}
 	sl := s.slot(pp.Seq)
 	if sl.proposed && sl.digest != pp.Digest {
-		s.startViewChange(s.view + 1)
+		s.vc.Start(s.View() + 1)
 		return
 	}
 	sl.proposed = true
 	sl.digest = pp.Digest
 	sl.batch = pp.Batch
-	for _, r := range pp.Batch.Requests {
-		s.watch[r.Key()] = true
-		s.inFlight[r.Key()] = true
-	}
-	s.armProgress()
+	s.backlog.Proposed(pp.Batch)
 	if !sl.signed && !s.opts.SilentBackup {
 		sl.signed = true
 		sd := shareDigest("sign", pp.View, pp.Seq, pp.Digest)
 		share := &ShareMsg{Stage: "sign", View: pp.View, Seq: pp.Seq, Digest: pp.Digest,
 			Replica: s.env.ID(), Sig: s.env.Signer().Sign(sd)}
-		if s.isLeader() {
+		if s.vc.Leading() {
 			s.onShare(s.env.ID(), share)
 		} else {
-			s.env.Send(s.leader(), share)
+			s.env.Send(s.vc.Leader(), share)
 		}
 	}
 }
@@ -471,14 +403,14 @@ func (s *SBFT) OnMessage(from types.NodeID, m types.Message) {
 		}
 		s.onProof(mm)
 	case *ViewChangeMsg:
-		s.onViewChange(from, mm)
+		s.vc.OnViewChange(from, mm)
 	case *NewViewMsg:
 		s.onNewView(from, mm)
 	}
 }
 
 func (s *SBFT) onShare(from types.NodeID, m *ShareMsg) {
-	if !s.isLeader() || m.View != s.view || s.inViewChange {
+	if !s.vc.Leading() || m.View != s.View() || s.vc.Active() {
 		return
 	}
 	sl := s.slot(m.Seq)
@@ -505,20 +437,20 @@ func (s *SBFT) onShare(from types.NodeID, m *ShareMsg) {
 
 func (s *SBFT) sendProof(stage string, seq types.SeqNum, sl *slot, shares map[types.NodeID][]byte, shareStage string) {
 	cert := &crypto.Certificate{
-		Digest:    shareDigest(shareStage, s.view, seq, sl.digest),
+		Digest:    shareDigest(shareStage, s.View(), seq, sl.digest),
 		Threshold: s.env.Scheme() == crypto.SchemeThreshold,
 	}
 	for id, sig := range shares {
 		cert.Add(id, sig)
 	}
-	proof := &ProofMsg{Stage: stage, View: s.view, Seq: seq, Digest: sl.digest, Cert: cert}
+	proof := &ProofMsg{Stage: stage, View: s.View(), Seq: seq, Digest: sl.digest, Cert: cert}
 	proof.Sig = s.env.Signer().Sign(proof.SigDigest())
 	s.env.Broadcast(proof)
 	s.onProof(proof)
 }
 
 func (s *SBFT) onProof(m *ProofMsg) {
-	if m.View != s.view || s.inViewChange {
+	if m.View != s.View() || s.vc.Active() {
 		return
 	}
 	sl := s.slot(m.Seq)
@@ -579,10 +511,10 @@ func (s *SBFT) onProof(m *ProofMsg) {
 		cd := shareDigest("commit", m.View, m.Seq, m.Digest)
 		share := &ShareMsg{Stage: "commit", View: m.View, Seq: m.Seq, Digest: m.Digest,
 			Replica: s.env.ID(), Sig: s.env.Signer().Sign(cd)}
-		if s.isLeader() {
+		if s.vc.Leading() {
 			s.onShare(s.env.ID(), share)
 		} else {
-			s.env.Send(s.leader(), share)
+			s.env.Send(s.vc.Leader(), share)
 		}
 	}
 }
@@ -593,7 +525,7 @@ func (s *SBFT) OnTimer(id core.TimerID) {
 	case timerFastPath:
 		// τ3 fired: some backup is slow or silent; take the slow path
 		// with whatever quorum arrived.
-		if !s.isLeader() || id.View != s.view {
+		if !s.vc.Leading() || id.View != s.View() {
 			return
 		}
 		sl := s.slots[id.Seq]
@@ -609,32 +541,18 @@ func (s *SBFT) OnTimer(id core.TimerID) {
 			s.env.SetTimer(core.TimerID{Name: timerFastPath, Seq: id.Seq, View: id.View}, s.opts.FastPathWait)
 		}
 	case timerProgress:
-		s.progressArmed = false
-		if id.View == s.view && len(s.watch) > 0 {
-			s.startViewChange(s.view + 1)
+		if s.backlog.Expired(id) {
+			s.vc.Start(s.View() + 1)
 		}
 	case timerVCRetry:
-		if s.inViewChange && id.View == s.targetView {
-			s.startViewChange(s.targetView + 1)
-		}
+		s.vc.Retry(id)
 	}
 }
 
 // OnExecuted implements core.Protocol.
 func (s *SBFT) OnExecuted(seq types.SeqNum, batch *types.Batch, results [][]byte) {
-	for i, req := range batch.Requests {
-		delete(s.watch, req.Key())
-		delete(s.pendingSet, req.Key())
-		delete(s.inFlight, req.Key())
-		s.done[req.Key()] = true
-		s.env.Reply(&types.Reply{
-			Client:    req.Client,
-			ClientSeq: req.ClientSeq,
-			View:      s.view,
-			Seq:       seq,
-			Result:    results[i],
-		})
-	}
+	s.backlog.Executed(batch)
+	core.ReplyExecuted(s.env, s.View(), seq, batch, results)
 	delete(s.slots, seq)
 	delete(s.preparedProof, seq)
 	for cs := range s.commitCerts {
@@ -646,9 +564,6 @@ func (s *SBFT) OnExecuted(seq types.SeqNum, batch *types.Batch, results [][]byte
 		s.nextSeq = seq
 	}
 	s.cm.OnExecuted(seq)
-	s.disarmProgress()
-	if len(s.watch) > 0 {
-		s.armProgress()
-	}
+	s.backlog.Progress()
 	s.maybePropose()
 }

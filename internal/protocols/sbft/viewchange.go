@@ -11,19 +11,12 @@ import (
 // certificate; the new leader collects 2f+1 of them and re-issues the
 // surviving slots. A slot that fast-committed somewhere necessarily has a
 // 2f+1 certificate in at least f+1 honest view-change senders, so decided
-// batches survive (the SBFT paper's argument, compressed).
+// batches survive (the SBFT paper's argument, compressed). The frame is
+// core.ViewChange; this file holds what an SBFT view-change carries, how
+// its certificates are checked, and how the new view is chosen and
+// installed.
 
-func (s *SBFT) startViewChange(v types.View) {
-	if v <= s.view {
-		v = s.view + 1
-	}
-	if s.inViewChange && v <= s.targetView {
-		return
-	}
-	s.inViewChange = true
-	s.targetView = v
-	s.disarmProgress()
-
+func (s *SBFT) buildViewChange(v types.View) *ViewChangeMsg {
 	vc := &ViewChangeMsg{
 		NewView:  v,
 		LastExec: s.env.Ledger().LastExecuted(),
@@ -46,117 +39,64 @@ func (s *SBFT) startViewChange(v types.View) {
 			continue
 		}
 		if len(sl.signShares) >= s.env.Config().Quorum() {
-			c := &crypto.Certificate{Digest: shareDigest("sign", s.view, seq, sl.digest)}
+			c := &crypto.Certificate{Digest: shareDigest("sign", s.View(), seq, sl.digest)}
 			for id, sig := range sl.signShares {
 				c.Add(id, sig)
 			}
 			vc.Prepared = append(vc.Prepared, PreparedSlot{
-				View: s.view, Seq: seq, Digest: sl.digest, Batch: sl.batch, Cert: c,
+				View: s.View(), Seq: seq, Digest: sl.digest, Batch: sl.batch, Cert: c,
 			})
 		}
 	}
 	vc.Sig = s.env.Signer().Sign(vc.SigDigest())
-	s.recordVC(s.env.ID(), vc)
-	s.env.Broadcast(vc)
-	s.env.SetTimer(core.TimerID{Name: timerVCRetry, View: v}, s.env.Config().ViewChangeTimeout)
+	return vc
 }
 
-func (s *SBFT) recordVC(from types.NodeID, m *ViewChangeMsg) {
-	set := s.vcs[m.NewView]
-	if set == nil {
-		set = make(map[types.NodeID]*ViewChangeMsg)
-		s.vcs[m.NewView] = set
+// validPrepared reports whether a carried prepared slot's certificate
+// verifies; it may cover the "sign" or the "commit" stage depending on
+// which proof the sender held. The new leader ignores slots that fail.
+// (Received messages are never edited: the new-view message relays them,
+// signatures intact.)
+func (s *SBFT) validPrepared(p *PreparedSlot) bool {
+	if p.Batch == nil || p.Batch.Digest() != p.Digest || p.Cert == nil {
+		return false
 	}
-	set[from] = m
-}
-
-func (s *SBFT) onViewChange(from types.NodeID, m *ViewChangeMsg) {
-	if m.Replica != from || m.NewView <= s.view {
-		return
-	}
-	if !s.env.Verifier().VerifySig(from, m.SigDigest(), m.Sig) {
-		return
-	}
-	// Keep only slots whose certificates verify. Prepared certificates
-	// may cover the "sign" or "commit" stage depending on which proof
-	// the sender held.
-	valid := m.Prepared[:0]
-	for _, p := range m.Prepared {
-		if p.Batch == nil || p.Batch.Digest() != p.Digest || p.Cert == nil {
-			continue
-		}
-		if !s.verifyStageCert(p.View, p.Seq, p.Digest, p.Cert, s.env.Config().Quorum()) {
-			continue
-		}
-		valid = append(valid, p)
-	}
-	m.Prepared = valid
-	validC := m.Committed[:0]
-	for _, cs := range m.Committed {
-		if cs.Batch == nil || cs.Cert == nil {
-			continue
-		}
-		need := s.env.Config().Quorum()
-		stage := "commit"
-		if cs.Fast {
-			need = s.env.N()
-			stage = "sign"
-		}
-		want := shareDigest(stage, cs.View, cs.Seq, cs.Batch.Digest())
-		if cs.Cert.Digest != want || cs.Cert.Verify(s.env.Verifier(), need) != nil {
-			continue
-		}
-		validC = append(validC, cs)
-	}
-	m.Committed = validC
-	s.recordVC(from, m)
-
-	// Join rule for liveness.
-	if !s.inViewChange || m.NewView > s.targetView {
-		ahead := 0
-		for v, set := range s.vcs {
-			if v > s.view {
-				ahead += len(set)
-			}
-		}
-		if ahead >= s.env.F()+1 {
-			s.startViewChange(m.NewView)
-		}
-	}
-	s.maybeNewView(m.NewView)
-}
-
-// verifyStageCert accepts a certificate over either share stage.
-func (s *SBFT) verifyStageCert(v types.View, seq types.SeqNum, d types.Digest, cert *crypto.Certificate, quorum int) bool {
 	for _, stage := range []string{"sign", "commit"} {
-		if cert.Digest == shareDigest(stage, v, seq, d) {
-			return cert.Verify(s.env.Verifier(), quorum) == nil
+		if p.Cert.Digest == shareDigest(stage, p.View, p.Seq, p.Digest) {
+			return p.Cert.Verify(s.env.Verifier(), s.env.Config().Quorum()) == nil
 		}
 	}
 	return false
 }
 
-func (s *SBFT) maybeNewView(v types.View) {
-	if s.env.Config().LeaderOf(v) != s.env.ID() || s.sentNewView[v] {
-		return
+// validCommitted reports whether a carried committed slot's certificate
+// verifies: all n sign shares for a fast commit, 2f+1 commit shares
+// otherwise.
+func (s *SBFT) validCommitted(cs *CommittedSlot) bool {
+	if cs.Batch == nil || cs.Cert == nil {
+		return false
 	}
-	set := s.vcs[v]
-	if len(set) < s.env.Config().Quorum() {
-		return
+	need, stage := s.env.Config().Quorum(), "commit"
+	if cs.Fast {
+		need, stage = s.env.N(), "sign"
 	}
-	s.sentNewView[v] = true
+	return cs.Cert.Digest == shareDigest(stage, cs.View, cs.Seq, cs.Batch.Digest()) &&
+		cs.Cert.Verify(s.env.Verifier(), need) == nil
+}
 
+func (s *SBFT) sendNewView(v types.View, vcs []*ViewChangeMsg) {
 	var base, maxS types.SeqNum
 	committed := make(map[types.SeqNum]*CommittedSlot)
 	chosen := make(map[types.SeqNum]*PreparedSlot)
-	var vcList []*ViewChangeMsg
-	for _, vc := range set {
-		vcList = append(vcList, vc)
+	for _, vc := range vcs {
 		if vc.LastExec > base {
 			base = vc.LastExec
 		}
 		for i := range vc.Committed {
 			cs := &vc.Committed[i]
+			if !s.validCommitted(cs) {
+				continue
+			}
 			if committed[cs.Seq] == nil {
 				committed[cs.Seq] = cs
 			}
@@ -166,6 +106,9 @@ func (s *SBFT) maybeNewView(v types.View) {
 		}
 		for i := range vc.Prepared {
 			p := &vc.Prepared[i]
+			if !s.validPrepared(p) {
+				continue
+			}
 			if cur := chosen[p.Seq]; cur == nil || p.View > cur.View {
 				chosen[p.Seq] = p
 			}
@@ -174,7 +117,7 @@ func (s *SBFT) maybeNewView(v types.View) {
 			}
 		}
 	}
-	nv := &NewViewMsg{View: v, Base: base, ViewChanges: vcList}
+	nv := &NewViewMsg{View: v, Base: base, ViewChanges: vcs}
 	for seq := types.SeqNum(1); seq <= maxS; seq++ {
 		if cs := committed[seq]; cs != nil {
 			nv.Committed = append(nv.Committed, *cs)
@@ -201,27 +144,8 @@ func (s *SBFT) maybeNewView(v types.View) {
 }
 
 func (s *SBFT) onNewView(from types.NodeID, m *NewViewMsg) {
-	if m.View < s.view || (m.View == s.view && !s.inViewChange) {
+	if !s.vc.Justified(from, m.View, m.SigDigest(), m.Sig, m.ViewChanges) {
 		return
-	}
-	if from != s.env.Config().LeaderOf(m.View) {
-		return
-	}
-	if !s.env.Verifier().VerifySig(from, m.SigDigest(), m.Sig) {
-		return
-	}
-	if len(m.ViewChanges) < s.env.Config().Quorum() {
-		return
-	}
-	seen := make(map[types.NodeID]bool)
-	for _, vc := range m.ViewChanges {
-		if vc.NewView != m.View || seen[vc.Replica] {
-			return
-		}
-		if !s.env.Verifier().VerifySig(vc.Replica, vc.SigDigest(), vc.Sig) {
-			return
-		}
-		seen[vc.Replica] = true
 	}
 	var maxS types.SeqNum
 	for _, pp := range m.PrePrepares {
@@ -233,12 +157,16 @@ func (s *SBFT) onNewView(from types.NodeID, m *NewViewMsg) {
 }
 
 func (s *SBFT) installNewView(m *NewViewMsg, maxS types.SeqNum) {
-	s.view = m.View
+	s.vc.Install(m.View, func() { s.adoptNewView(m, maxS) })
+	s.maybePropose()
+}
+
+// adoptNewView takes over what the new-view message carries; the kit
+// holds proposing until it returns.
+func (s *SBFT) adoptNewView(m *NewViewMsg, maxS types.SeqNum) {
 	if s.nextSeq < m.Base {
 		s.nextSeq = m.Base
 	}
-	s.inViewChange = false
-	s.inFlight = make(map[types.RequestKey]bool)
 	s.slots = make(map[types.SeqNum]*slot)
 	for i := range m.Committed {
 		cs := &m.Committed[i]
@@ -246,45 +174,25 @@ func (s *SBFT) installNewView(m *NewViewMsg, maxS types.SeqNum) {
 			continue
 		}
 		if cs.Seq > s.env.Ledger().LastExecuted() {
-			need := s.env.Config().Quorum()
-			stage := "commit"
-			if cs.Fast {
-				need = s.env.N()
-				stage = "sign"
-			}
-			want := shareDigest(stage, cs.View, cs.Seq, cs.Batch.Digest())
-			if cs.Cert.Digest != want || cs.Cert.Verify(s.env.Verifier(), need) != nil {
+			if !s.validCommitted(cs) {
 				continue
 			}
 			s.commitCerts[cs.Seq] = cs
-			proof := &types.CommitProof{View: cs.View, Seq: cs.Seq, Digest: cs.Batch.Digest(),
-				Voters: append([]types.NodeID(nil), cs.Voters...)}
-			s.env.Commit(cs.View, cs.Seq, cs.Batch, proof)
+			core.AdoptCommitted(s.env, cs.View, cs.Seq, cs.Batch, cs.Voters)
 		}
 		if cs.Seq > s.nextSeq {
 			s.nextSeq = cs.Seq
 		}
 	}
-	s.env.StopTimer(core.TimerID{Name: timerVCRetry, View: m.View})
-	s.env.ViewChanged(m.View)
 	if s.nextSeq < maxS {
 		s.nextSeq = maxS
-	}
-	for v := range s.vcs {
-		if v <= m.View {
-			delete(s.vcs, v)
-		}
 	}
 	for _, pp := range m.PrePrepares {
 		if pp.Seq > s.env.Ledger().LastExecuted() {
 			s.acceptPrePrepare(s.env.Config().LeaderOf(m.View), pp)
-			if s.isLeader() {
+			if s.vc.Leading() {
 				s.env.SetTimer(core.TimerID{Name: timerFastPath, Seq: pp.Seq, View: m.View}, s.opts.FastPathWait)
 			}
 		}
 	}
-	if len(s.watch) > 0 {
-		s.armProgress()
-	}
-	s.maybePropose()
 }

@@ -142,14 +142,15 @@ type hrKey struct {
 }
 
 type roundState struct {
-	batch    *types.Batch
-	digest   types.Digest
-	hasProp  bool
-	prevotes map[types.Digest]map[types.NodeID]bool
+	batch   *types.Batch
+	digest  types.Digest
+	hasProp bool
+	// Votes are tallied per voted digest (the zero digest is a nil vote).
+	prevotes core.Tally[types.Digest, struct{}]
 	// precommits keep the vote signatures, not just membership: the
 	// 2f+1 precommits for the decided digest double as the transferable
 	// decision certificate for height catch-up.
-	precommits map[types.Digest]map[types.NodeID][]byte
+	precommits core.Tally[types.Digest, []byte]
 	sentPV     bool
 	sentPC     bool
 }
@@ -269,10 +270,7 @@ func (t *Tendermint) state(h types.SeqNum, r uint32) *roundState {
 	k := hrKey{h, r}
 	st := t.states[k]
 	if st == nil {
-		st = &roundState{
-			prevotes:   make(map[types.Digest]map[types.NodeID]bool),
-			precommits: make(map[types.Digest]map[types.NodeID][]byte),
-		}
+		st = &roundState{}
 		t.states[k] = st
 	}
 	return st
@@ -611,19 +609,9 @@ func (t *Tendermint) recordVote(from types.NodeID, v *VoteMsg) {
 	}
 	st := t.state(v.Height, v.Round)
 	if v.Type == votePrevote {
-		voters := st.prevotes[v.Digest]
-		if voters == nil {
-			voters = make(map[types.NodeID]bool)
-			st.prevotes[v.Digest] = voters
-		}
-		voters[from] = true
+		st.prevotes.Add(v.Digest, from, struct{}{})
 	} else {
-		voters := st.precommits[v.Digest]
-		if voters == nil {
-			voters = make(map[types.NodeID][]byte)
-			st.precommits[v.Digest] = voters
-		}
-		voters[from] = v.Sig
+		st.precommits.Add(v.Digest, from, v.Sig)
 	}
 	if v.Height == t.height && v.Round == t.round {
 		t.advanceStep(st)
@@ -637,7 +625,7 @@ func (t *Tendermint) recordVote(from types.NodeID, v *VoteMsg) {
 // round once quorums form.
 func (t *Tendermint) advanceStep(st *roundState) {
 	quorum := t.env.Config().Quorum()
-	for digest, voters := range st.prevotes {
+	for digest, voters := range st.prevotes.All() {
 		if digest.IsZero() || len(voters) < quorum || st.sentPC {
 			continue
 		}
@@ -654,7 +642,7 @@ func (t *Tendermint) advanceStep(st *roundState) {
 			t.env.Config().ViewChangeTimeout)
 	}
 	// 2f+1 nil precommits: the round is dead, advance.
-	if voters := st.precommits[types.ZeroDigest]; len(voters) >= quorum {
+	if st.precommits.Count(types.ZeroDigest) >= quorum {
 		t.nextRound()
 	}
 }
@@ -670,7 +658,7 @@ func (t *Tendermint) maybeCommit(h types.SeqNum, r uint32) {
 		return
 	}
 	quorum := t.env.Config().Quorum()
-	for digest, voters := range st.precommits {
+	for digest, voters := range st.precommits.All() {
 		if digest.IsZero() || len(voters) < quorum {
 			continue
 		}
@@ -679,7 +667,7 @@ func (t *Tendermint) maybeCommit(h types.SeqNum, r uint32) {
 			// lowest-ID precommitter (fixed choice — map order must not
 			// leak into the message stream), then recheck on arrival.
 			target := types.NodeID(-1)
-			for id := range voters {
+			for _, id := range core.Senders(voters) {
 				if id != t.env.ID() && (target < 0 || id < target) {
 					target = id
 				}
@@ -692,15 +680,12 @@ func (t *Tendermint) maybeCommit(h types.SeqNum, r uint32) {
 		if h != t.height {
 			return // commit strictly in height order; earlier height pending
 		}
-		proof := &types.CommitProof{View: types.View(r), Seq: h, Digest: digest}
-		for id := range voters {
-			proof.Voters = append(proof.Voters, id)
-		}
+		proof := &types.CommitProof{View: types.View(r), Seq: h, Digest: digest, Voters: core.Senders(voters)}
 		// Retain the signed quorum: it is the transferable certificate
 		// that lets stranded replicas adopt this decision later.
 		sigs := make(map[types.NodeID][]byte, len(voters))
-		for id, sig := range voters {
-			sigs[id] = sig
+		for _, vote := range voters {
+			sigs[vote.From] = vote.Val
 		}
 		t.decisions[h] = &decision{round: r, batch: st.batch, sigs: sigs}
 		t.sawQuorumPrev = true
@@ -845,16 +830,10 @@ func (t *Tendermint) OnExecuted(seq types.SeqNum, batch *types.Batch, results []
 	if seq >= t.height {
 		t.enterHeight(seq + 1)
 	}
-	for i, req := range batch.Requests {
+	for _, req := range batch.Requests {
 		delete(t.memSet, req.Key())
 		t.done[req.Key()] = true
-		t.env.Reply(&types.Reply{
-			Client:    req.Client,
-			ClientSeq: req.ClientSeq,
-			View:      types.View(seq),
-			Seq:       seq,
-			Result:    results[i],
-		})
 	}
+	core.ReplyExecuted(t.env, types.View(seq), seq, batch, results)
 	t.cm.OnExecuted(seq)
 }

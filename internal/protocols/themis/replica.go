@@ -22,7 +22,12 @@ type Themis struct {
 	env core.Env
 	cm  *core.CheckpointManager
 
-	view    types.View
+	// backlog holds the watch/done sets and the τ2 timer (Themis orders
+	// from reports, not from the backlog's queue); vc is the view-change
+	// skeleton, which owns the current view. Both come from the core kit.
+	backlog *core.Backlog
+	vc      *core.ViewChange[*ViewChangeMsg]
+
 	nextSeq types.SeqNum
 	slots   map[types.SeqNum]*slot
 	// preparedProof persists prepared slots across view changes (the
@@ -38,15 +43,7 @@ type Themis struct {
 	seenReq map[types.RequestKey]*types.Request
 	ordered map[types.RequestKey]bool // fed into a proposal already (leader)
 
-	done      map[types.RequestKey]bool
-	watch         map[types.RequestKey]bool
-	progressArmed bool
-	roundArmed    bool
-
-	inViewChange bool
-	targetView   types.View
-	vcs          map[types.View]map[types.NodeID]*ViewChangeMsg
-	sentNewView  map[types.View]bool
+	roundArmed bool
 }
 
 // New returns a Themis replica.
@@ -73,33 +70,16 @@ func (t *Themis) Init(env core.Env) {
 	t.seen = make(map[types.RequestKey]bool)
 	t.seenReq = make(map[types.RequestKey]*types.Request)
 	t.ordered = make(map[types.RequestKey]bool)
-	t.done = make(map[types.RequestKey]bool)
-	t.watch = make(map[types.RequestKey]bool)
-	t.vcs = make(map[types.View]map[types.NodeID]*ViewChangeMsg)
-	t.sentNewView = make(map[types.View]bool)
+	t.backlog = core.NewBacklog(env, timerProgress)
+	t.vc = core.NewViewChange(env, t.backlog, timerVCRetry, t.quorum(),
+		core.ViewChangeHooks[*ViewChangeMsg]{Build: t.buildViewChange, NewView: t.sendNewView})
 }
 
 // View returns the current view.
-func (t *Themis) View() types.View { return t.view }
+func (t *Themis) View() types.View { return t.vc.View() }
 
 // quorum is 3f+1 (required by n = 4f+1).
 func (t *Themis) quorum() int { return 3*t.env.F() + 1 }
-
-func (t *Themis) leader() types.NodeID { return t.env.Config().LeaderOf(t.view) }
-func (t *Themis) isLeader() bool       { return t.leader() == t.env.ID() }
-
-func (t *Themis) armProgress() {
-	if t.progressArmed || t.inViewChange {
-		return
-	}
-	t.progressArmed = true
-	t.env.SetTimer(core.TimerID{Name: timerProgress, View: t.view}, t.env.Config().ViewChangeTimeout)
-}
-
-func (t *Themis) disarmProgress() {
-	t.progressArmed = false
-	t.env.StopTimer(core.TimerID{Name: timerProgress, View: t.view})
-}
 
 func (t *Themis) slot(seq types.SeqNum) *slot {
 	sl := t.slots[seq]
@@ -113,11 +93,8 @@ func (t *Themis) slot(seq types.SeqNum) *slot {
 // OnRequest implements core.Protocol: record the local receive order and
 // schedule the next report flush (τ6).
 func (t *Themis) OnRequest(req *types.Request) {
-	if t.done[req.Key()] {
-		return
-	}
 	key := req.Key()
-	if t.seen[key] {
+	if t.backlog.Done(key) || t.seen[key] {
 		return
 	}
 	if !t.env.Verifier().VerifySig(req.Client, req.Digest(), req.Sig) {
@@ -126,8 +103,7 @@ func (t *Themis) OnRequest(req *types.Request) {
 	t.seen[key] = true
 	t.seenReq[key] = req
 	t.local = append(t.local, req)
-	t.watch[key] = true
-	t.armProgress()
+	t.backlog.Watch(key)
 	if !t.roundArmed {
 		t.roundArmed = true
 		t.env.SetTimer(core.TimerID{Name: timerRound}, 2*t.env.Config().BatchTimeout)
@@ -144,15 +120,15 @@ func (t *Themis) flushReport() {
 	rep := &ReportMsg{Origin: t.env.ID(), RSeq: t.rseq, Reqs: t.local}
 	rep.Sig = t.env.Signer().Sign(rep.SigDigest())
 	t.local = nil
-	if t.isLeader() {
+	if t.vc.Leading() {
 		t.onReport(t.env.ID(), rep)
 	} else {
-		t.env.Send(t.leader(), rep)
+		t.env.Send(t.vc.Leader(), rep)
 	}
 }
 
 func (t *Themis) onReport(from types.NodeID, m *ReportMsg) {
-	if !t.isLeader() || t.inViewChange {
+	if !t.vc.MayPropose() {
 		return
 	}
 	// Keep the newest report per origin; merge older unconsumed ones by
@@ -167,7 +143,7 @@ func (t *Themis) onReport(from types.NodeID, m *ReportMsg) {
 // maybePropose fires once reports from n−f distinct origins cover at
 // least one unordered request.
 func (t *Themis) maybePropose() {
-	if !t.isLeader() || t.inViewChange {
+	if !t.vc.MayPropose() {
 		return
 	}
 	if len(t.reports) < t.env.N()-t.env.F() {
@@ -183,7 +159,7 @@ func (t *Themis) maybePropose() {
 	ordered := FairOrder(reports, skip)
 	fresh := ordered[:0]
 	for _, req := range ordered {
-		if !t.done[req.Key()] {
+		if !t.backlog.Done(req.Key()) {
 			fresh = append(fresh, req)
 		}
 	}
@@ -196,7 +172,7 @@ func (t *Themis) maybePropose() {
 	t.reports = make(map[types.NodeID]*ReportMsg)
 	batch := types.NewBatch(fresh...)
 	t.nextSeq++
-	prop := &ProposalMsg{View: t.view, Seq: t.nextSeq, Reports: reports, Batch: batch}
+	prop := &ProposalMsg{View: t.View(), Seq: t.nextSeq, Reports: reports, Batch: batch}
 	prop.Sig = t.env.Signer().Sign(prop.SigDigest())
 	t.env.Broadcast(prop)
 	t.acceptProposal(t.env.ID(), prop, false)
@@ -205,12 +181,12 @@ func (t *Themis) maybePropose() {
 // acceptProposal validates the fair order (unless reVerified, for
 // new-view re-proposals whose reports were already checked) and votes.
 func (t *Themis) acceptProposal(from types.NodeID, m *ProposalMsg, fromNewView bool) {
-	if m.View != t.view || t.inViewChange {
+	if m.View != t.View() || t.vc.Active() {
 		return
 	}
 	sl := t.slot(m.Seq)
 	if sl.proposed && sl.digest != m.Batch.Digest() {
-		t.startViewChange(t.view + 1)
+		t.vc.Start(t.View() + 1)
 		return
 	}
 	if !fromNewView && from != t.env.ID() {
@@ -246,10 +222,7 @@ func (t *Themis) acceptProposal(from types.NodeID, m *ProposalMsg, fromNewView b
 	sl.proposed = true
 	sl.digest = m.Batch.Digest()
 	sl.batch = m.Batch
-	for _, r := range m.Batch.Requests {
-		t.watch[r.Key()] = true
-	}
-	t.armProgress()
+	t.backlog.Proposed(m.Batch)
 	if !sl.votedP {
 		sl.votedP = true
 		t.vote("prepare", m.Seq, sl)
@@ -258,7 +231,7 @@ func (t *Themis) acceptProposal(from types.NodeID, m *ProposalMsg, fromNewView b
 }
 
 func (t *Themis) vote(stage string, seq types.SeqNum, sl *slot) {
-	v := &VoteMsg{Stage: stage, View: t.view, Seq: seq, Digest: sl.digest, Replica: t.env.ID()}
+	v := &VoteMsg{Stage: stage, View: t.View(), Seq: seq, Digest: sl.digest, Replica: t.env.ID()}
 	v.Sig = t.env.Signer().Sign(v.SigDigest())
 	t.env.Broadcast(v)
 	if stage == "prepare" {
@@ -293,7 +266,7 @@ func (t *Themis) OnMessage(from types.NodeID, m types.Message) {
 		}
 		t.acceptProposal(from, mm, false)
 	case *VoteMsg:
-		if mm.Replica != from || mm.View != t.view || t.inViewChange {
+		if mm.Replica != from || mm.View != t.View() || t.vc.Active() {
 			return
 		}
 		if !t.env.Verifier().VerifySig(from, mm.SigDigest(), mm.Sig) {
@@ -311,7 +284,7 @@ func (t *Themis) OnMessage(from types.NodeID, m types.Message) {
 			t.checkCommitted(mm.Seq, sl)
 		}
 	case *ViewChangeMsg:
-		t.onViewChange(from, mm)
+		t.vc.OnViewChange(from, mm)
 	case *NewViewMsg:
 		t.onNewView(from, mm)
 	}
@@ -322,8 +295,8 @@ func (t *Themis) checkPrepared(seq types.SeqNum, sl *slot) {
 		return
 	}
 	sl.prepared = true
-	if prev := t.preparedProof[seq]; prev == nil || prev.View < t.view {
-		t.preparedProof[seq] = &PreparedSlot{View: t.view, Seq: seq, Digest: sl.digest, Batch: sl.batch}
+	if prev := t.preparedProof[seq]; prev == nil || prev.View < t.View() {
+		t.preparedProof[seq] = &PreparedSlot{View: t.View(), Seq: seq, Digest: sl.digest, Batch: sl.batch}
 	}
 	if !sl.votedC {
 		sl.votedC = true
@@ -337,11 +310,11 @@ func (t *Themis) checkCommitted(seq types.SeqNum, sl *slot) {
 		return
 	}
 	sl.done = true
-	proof := &types.CommitProof{View: t.view, Seq: seq, Digest: sl.digest}
+	proof := &types.CommitProof{View: t.View(), Seq: seq, Digest: sl.digest}
 	for id := range sl.commits {
 		proof.Voters = append(proof.Voters, id)
 	}
-	t.env.Commit(t.view, seq, sl.batch, proof)
+	t.env.Commit(t.View(), seq, sl.batch, proof)
 }
 
 // OnTimer implements core.Protocol.
@@ -350,42 +323,29 @@ func (t *Themis) OnTimer(id core.TimerID) {
 	case timerRound:
 		t.flushReport()
 	case timerProgress:
-		t.progressArmed = false
-		if id.View == t.view && len(t.watch) > 0 {
-			t.startViewChange(t.view + 1)
+		if t.backlog.Expired(id) {
+			t.vc.Start(t.View() + 1)
 		}
 	case timerVCRetry:
-		if t.inViewChange && id.View == t.targetView {
-			t.startViewChange(t.targetView + 1)
-		}
+		t.vc.Retry(id)
 	}
 }
 
 // OnExecuted implements core.Protocol.
 func (t *Themis) OnExecuted(seq types.SeqNum, batch *types.Batch, results [][]byte) {
-	for i, req := range batch.Requests {
-		delete(t.watch, req.Key())
+	t.backlog.Executed(batch)
+	for _, req := range batch.Requests {
 		delete(t.seen, req.Key())
 		delete(t.seenReq, req.Key())
 		delete(t.ordered, req.Key())
-		t.done[req.Key()] = true
-		t.env.Reply(&types.Reply{
-			Client:    req.Client,
-			ClientSeq: req.ClientSeq,
-			View:      t.view,
-			Seq:       seq,
-			Result:    results[i],
-		})
 	}
+	core.ReplyExecuted(t.env, t.View(), seq, batch, results)
 	delete(t.slots, seq)
 	delete(t.preparedProof, seq)
 	if t.nextSeq < seq {
 		t.nextSeq = seq
 	}
 	t.cm.OnExecuted(seq)
-	t.disarmProgress()
-	if len(t.watch) > 0 {
-		t.armProgress()
-	}
+	t.backlog.Progress()
 	t.maybePropose()
 }

@@ -129,6 +129,9 @@ type PreparedSlot struct {
 // Kind implements types.Message.
 func (*ViewChangeMsg) Kind() string { return "THEMIS-VIEW-CHANGE" }
 
+// Vote implements core.ViewChangeVote.
+func (m *ViewChangeMsg) Vote() (types.View, types.NodeID, []byte) { return m.NewView, m.Replica, m.Sig }
+
 // SigDigest is the signed content.
 func (m *ViewChangeMsg) SigDigest() types.Digest {
 	var h types.Hasher

@@ -8,8 +8,8 @@ import (
 	"bftkit/internal/core"
 	"bftkit/internal/harness"
 	"bftkit/internal/kvstore"
-	_ "bftkit/internal/protocols/pbft"
 	"bftkit/internal/protocols/pbft"
+	_ "bftkit/internal/protocols/pbft"
 	"bftkit/internal/protocols/themis"
 	"bftkit/internal/types"
 )

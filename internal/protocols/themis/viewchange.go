@@ -14,89 +14,33 @@ import (
 // strict plurality over anything f Byzantine replicas can fabricate.
 // Re-proposed slots skip fair-order re-validation (their reports were
 // checked when first proposed and the prepared certificate pins them).
+// The frame is core.ViewChange with Themis's 3f+1 quorum; this file holds
+// what a Themis view-change carries and how the new view is chosen,
+// installed and re-fed with reports.
 
-func (t *Themis) startViewChange(v types.View) {
-	if v <= t.view {
-		v = t.view + 1
-	}
-	if t.inViewChange && v <= t.targetView {
-		return
-	}
-	t.inViewChange = true
-	t.targetView = v
-	t.disarmProgress()
-
+func (t *Themis) buildViewChange(v types.View) *ViewChangeMsg {
 	vc := &ViewChangeMsg{
 		NewView: v,
 		Base:    t.env.Ledger().LastExecuted(),
 		Replica: t.env.ID(),
 	}
-	for _, e := range t.env.Ledger().CommittedAbove(t.env.Ledger().LowWater()) {
-		cs := CommittedSlot{View: e.View, Seq: e.Seq, Batch: e.Batch}
-		if e.Proof != nil {
-			cs.Voters = e.Proof.Voters
-		}
-		vc.Committed = append(vc.Committed, cs)
-	}
+	core.RetainedCommitted(t.env, func(view types.View, seq types.SeqNum, b *types.Batch, voters []types.NodeID) {
+		vc.Committed = append(vc.Committed, CommittedSlot{View: view, Seq: seq, Batch: b, Voters: voters})
+	})
 	for seq, proof := range t.preparedProof {
 		if seq > vc.Base {
 			vc.Prepared = append(vc.Prepared, *proof)
 		}
 	}
 	vc.Sig = t.env.Signer().Sign(vc.SigDigest())
-	t.recordVC(t.env.ID(), vc)
-	t.env.Broadcast(vc)
-	t.env.SetTimer(core.TimerID{Name: timerVCRetry, View: v}, t.env.Config().ViewChangeTimeout)
+	return vc
 }
 
-func (t *Themis) recordVC(from types.NodeID, m *ViewChangeMsg) {
-	set := t.vcs[m.NewView]
-	if set == nil {
-		set = make(map[types.NodeID]*ViewChangeMsg)
-		t.vcs[m.NewView] = set
-	}
-	set[from] = m
-}
-
-func (t *Themis) onViewChange(from types.NodeID, m *ViewChangeMsg) {
-	if m.Replica != from || m.NewView <= t.view {
-		return
-	}
-	if !t.env.Verifier().VerifySig(from, m.SigDigest(), m.Sig) {
-		return
-	}
-	t.recordVC(from, m)
-	if !t.inViewChange || m.NewView > t.targetView {
-		ahead := 0
-		for v, set := range t.vcs {
-			if v > t.view {
-				ahead += len(set)
-			}
-		}
-		if ahead >= t.env.F()+1 {
-			t.startViewChange(m.NewView)
-		}
-	}
-	t.maybeNewView(m.NewView)
-}
-
-func (t *Themis) maybeNewView(v types.View) {
-	if t.env.Config().LeaderOf(v) != t.env.ID() || t.sentNewView[v] {
-		return
-	}
-	set := t.vcs[v]
-	if len(set) < t.quorum() {
-		return
-	}
-	t.sentNewView[v] = true
-
-	var base, maxS types.SeqNum
+func (t *Themis) sendNewView(v types.View, vcs []*ViewChangeMsg) {
+	var base types.SeqNum
 	committed := make(map[types.SeqNum]*CommittedSlot)
-	votes := make(map[types.SeqNum]map[types.Digest]int)
-	batches := make(map[types.SeqNum]map[types.Digest]*types.Batch)
-	var vcList []*ViewChangeMsg
-	for _, vc := range set {
-		vcList = append(vcList, vc)
+	var prepared core.SlotClaims
+	for _, vc := range vcs {
 		if vc.Base > base {
 			base = vc.Base
 		}
@@ -107,41 +51,20 @@ func (t *Themis) maybeNewView(v types.View) {
 			}
 		}
 		for _, s := range vc.Prepared {
-			if s.Batch == nil || s.Batch.Digest() != s.Digest {
-				continue
-			}
-			if votes[s.Seq] == nil {
-				votes[s.Seq] = make(map[types.Digest]int)
-				batches[s.Seq] = make(map[types.Digest]*types.Batch)
-			}
-			votes[s.Seq][s.Digest]++
-			batches[s.Seq][s.Digest] = s.Batch
-			if s.Seq > maxS {
-				maxS = s.Seq
-			}
+			prepared.Add(vc.Replica, s.Seq, s.Digest, s.Batch)
 		}
 	}
 	// A slot committed anywhere has 3f+1 prepared witnesses, at least
 	// 2f+1 of them honest — always a strict majority of any view-change
 	// quorum. Prefer the plurality; committed carries override.
-	nv := &NewViewMsg{View: v, Base: base, ViewChanges: vcList}
+	nv := &NewViewMsg{View: v, Base: base, ViewChanges: vcs}
 	for seq := types.SeqNum(1); seq <= base; seq++ {
 		if s := committed[seq]; s != nil {
 			nv.Committed = append(nv.Committed, *s)
 		}
 	}
-	for seq := base + 1; seq <= maxS; seq++ {
-		var batch *types.Batch
-		best := 0
-		for d, n := range votes[seq] {
-			if n > best {
-				best, batch = n, batches[seq][d]
-			}
-		}
-		if batch == nil {
-			batch = types.NewBatch()
-		}
-		prop := &ProposalMsg{View: v, Seq: seq, Batch: batch}
+	for seq := base + 1; seq <= prepared.Max; seq++ {
+		prop := &ProposalMsg{View: v, Seq: seq, Batch: prepared.Best(seq)}
 		prop.Sig = t.env.Signer().Sign(prop.SigDigest())
 		nv.Proposals = append(nv.Proposals, prop)
 	}
@@ -151,49 +74,27 @@ func (t *Themis) maybeNewView(v types.View) {
 }
 
 func (t *Themis) onNewView(from types.NodeID, m *NewViewMsg) {
-	if m.View < t.view || (m.View == t.view && !t.inViewChange) {
-		return
+	if t.vc.Justified(from, m.View, m.SigDigest(), m.Sig, m.ViewChanges) {
+		t.installNewView(m)
 	}
-	if from != t.env.Config().LeaderOf(m.View) {
-		return
-	}
-	if !t.env.Verifier().VerifySig(from, m.SigDigest(), m.Sig) {
-		return
-	}
-	if len(m.ViewChanges) < t.quorum() {
-		return
-	}
-	seen := make(map[types.NodeID]bool)
-	for _, vc := range m.ViewChanges {
-		if vc.NewView != m.View || seen[vc.Replica] {
-			return
-		}
-		if !t.env.Verifier().VerifySig(vc.Replica, vc.SigDigest(), vc.Sig) {
-			return
-		}
-		seen[vc.Replica] = true
-	}
-	t.installNewView(m)
 }
 
 func (t *Themis) installNewView(m *NewViewMsg) {
-	t.view = m.View
-	t.inViewChange = false
+	t.vc.Install(m.View, func() { t.adoptNewView(m) })
+}
+
+// adoptNewView takes over what the new-view message carries; the kit
+// holds proposing until it returns.
+func (t *Themis) adoptNewView(m *NewViewMsg) {
 	t.slots = make(map[types.SeqNum]*slot)
 	t.reports = make(map[types.NodeID]*ReportMsg)
-	t.env.StopTimer(core.TimerID{Name: timerVCRetry, View: m.View})
-	t.env.ViewChanged(m.View)
 
 	if t.nextSeq < m.Base {
 		t.nextSeq = m.Base
 	}
 	for i := range m.Committed {
 		s := &m.Committed[i]
-		if s.Seq > t.env.Ledger().LastExecuted() {
-			proof := &types.CommitProof{View: s.View, Seq: s.Seq, Digest: s.Batch.Digest(),
-				Voters: append([]types.NodeID(nil), s.Voters...)}
-			t.env.Commit(s.View, s.Seq, s.Batch, proof)
-		}
+		core.AdoptCommitted(t.env, s.View, s.Seq, s.Batch, s.Voters)
 	}
 	for _, prop := range m.Proposals {
 		if prop.Seq > t.nextSeq {
@@ -203,18 +104,13 @@ func (t *Themis) installNewView(m *NewViewMsg) {
 			t.acceptProposal(t.env.Config().LeaderOf(m.View), prop, true)
 		}
 	}
-	for v := range t.vcs {
-		if v <= m.View {
-			delete(t.vcs, v)
-		}
-	}
 	// Requests that were pinned to lost proposals become orderable
 	// again, and everything unexecuted is re-reported to the new leader
 	// (the old leader may have swallowed the original reports).
 	t.ordered = make(map[types.RequestKey]bool)
 	t.local = t.local[:0]
 	for key, req := range t.seenReq {
-		if !t.done[key] {
+		if !t.backlog.Done(key) {
 			t.local = append(t.local, req)
 		} else {
 			delete(t.seenReq, key)
@@ -224,8 +120,5 @@ func (t *Themis) installNewView(m *NewViewMsg) {
 	if len(t.local) > 0 {
 		t.roundArmed = true
 		t.env.SetTimer(core.TimerID{Name: timerRound}, t.env.Config().BatchTimeout)
-	}
-	if len(t.watch) > 0 {
-		t.armProgress()
 	}
 }

@@ -34,9 +34,9 @@ type specVote struct {
 type pendingReq struct {
 	req *types.Request
 	// spec groups speculative replies by matching content.
-	spec map[matchKey]map[types.NodeID]specVote
+	spec core.Tally[matchKey, specVote]
 	// committed groups non-speculative replies by result.
-	committed map[string]map[types.NodeID]bool
+	committed core.Tally[string, struct{}]
 	// commitAcks counts local-commit acknowledgements after the client
 	// turned repairer.
 	commitAcks map[types.NodeID]bool
@@ -61,8 +61,6 @@ func (c *Client) timerID(clientSeq uint64) core.TimerID {
 func (c *Client) Submit(req *types.Request) {
 	p := &pendingReq{
 		req:        req,
-		spec:       make(map[matchKey]map[types.NodeID]specVote),
-		committed:  make(map[string]map[types.NodeID]bool),
 		commitAcks: make(map[types.NodeID]bool),
 	}
 	c.pending[req.ClientSeq] = p
@@ -126,25 +124,15 @@ func (c *Client) onReply(rep *types.Reply) {
 	}
 	if !rep.Speculative {
 		key := string(rep.Result)
-		set := p.committed[key]
-		if set == nil {
-			set = make(map[types.NodeID]bool)
-			p.committed[key] = set
-		}
-		set[rep.Replica] = true
-		if len(set) >= c.env.F()+1 {
+		p.committed.Add(key, rep.Replica, struct{}{})
+		if p.committed.Count(key) >= c.env.F()+1 {
 			c.finish(p, rep.Result)
 		}
 		return
 	}
 	key := matchKey{Seq: rep.Seq, View: rep.View, History: rep.History, Result: string(rep.Result)}
-	set := p.spec[key]
-	if set == nil {
-		set = make(map[types.NodeID]specVote)
-		p.spec[key] = set
-	}
-	set[rep.Replica] = specVote{sig: rep.Sig, digest: rep.Digest()}
-	if len(set) >= c.fastNeed {
+	p.spec.Add(key, rep.Replica, specVote{sig: rep.Sig, digest: rep.Digest()})
+	if p.spec.Count(key) >= c.fastNeed {
 		// Fast path: all (or n−f for Zyzzyva5) replicas agree.
 		c.finish(p, rep.Result)
 	}
@@ -162,16 +150,13 @@ func (c *Client) OnTimer(id core.TimerID) {
 	if !p.certSent {
 		// Repairer role: with certNeed matching speculative replies,
 		// assemble a commit certificate and drive local commits.
-		for key, set := range p.spec {
-			if len(set) < c.certNeed {
+		for key, votes := range p.spec.All() {
+			if len(votes) < c.certNeed {
 				continue
 			}
-			cert := &crypto.Certificate{}
-			for id, v := range set {
-				if cert.Digest.IsZero() {
-					cert.Digest = v.digest
-				}
-				cert.Add(id, v.sig)
+			cert := &crypto.Certificate{Digest: votes[0].Val.digest}
+			for _, v := range votes {
+				cert.Add(v.From, v.Val.sig)
 			}
 			cm := &CommitMsg{
 				Client:    c.env.ID(),

@@ -11,31 +11,19 @@ import (
 // 3f+1 or certificate 2f+1 — always has f+1 honest witnesses), fills the
 // rest with no-ops, and re-issues order-requests in the new view.
 // Replicas roll back conflicting speculation through the runtime's undo
-// log — exactly the rollback cost design choice 8 warns about.
+// log — exactly the rollback cost design choice 8 warns about. The frame
+// is core.ViewChange; this file holds what a Zyzzyva view-change carries,
+// how it is checked, and how the new view's order is chosen and installed.
 
-func (z *Zyzzyva) startViewChange(v types.View) {
-	if v <= z.view {
-		v = z.view + 1
-	}
-	if z.inViewChange && v <= z.targetView {
-		return
-	}
-	z.inViewChange = true
-	z.targetView = v
-	z.disarmProgress()
-
+func (z *Zyzzyva) buildViewChange(v types.View) *ViewChangeMsg {
 	vc := &ViewChangeMsg{
 		NewView: v,
 		Base:    z.env.Ledger().LastExecuted(),
 		Replica: z.env.ID(),
 	}
-	for _, e := range z.env.Ledger().CommittedAbove(z.env.Ledger().LowWater()) {
-		cs := CommittedSlot{View: e.View, Seq: e.Seq, Batch: e.Batch}
-		if e.Proof != nil {
-			cs.Voters = e.Proof.Voters
-		}
-		vc.Committed = append(vc.Committed, cs)
-	}
+	core.RetainedCommitted(z.env, func(view types.View, seq types.SeqNum, b *types.Batch, voters []types.NodeID) {
+		vc.Committed = append(vc.Committed, CommittedSlot{View: view, Seq: seq, Batch: b, Voters: voters})
+	})
 	for seq, slot := range z.specs {
 		if seq > vc.Base {
 			vc.Slots = append(vc.Slots, *slot)
@@ -47,75 +35,15 @@ func (z *Zyzzyva) startViewChange(v types.View) {
 		}
 	}
 	vc.Sig = z.env.Signer().Sign(vc.SigDigest())
-	z.recordVC(z.env.ID(), vc)
-	z.env.Broadcast(vc)
-	z.env.SetTimer(core.TimerID{Name: timerVCRetry, View: v}, z.env.Config().ViewChangeTimeout)
+	return vc
 }
 
-func (z *Zyzzyva) recordVC(from types.NodeID, m *ViewChangeMsg) {
-	set := z.vcs[m.NewView]
-	if set == nil {
-		set = make(map[types.NodeID]*ViewChangeMsg)
-		z.vcs[m.NewView] = set
-	}
-	set[from] = m
-}
-
-func (z *Zyzzyva) onViewChange(from types.NodeID, m *ViewChangeMsg) {
-	if m.Replica != from || m.NewView <= z.view {
-		return
-	}
-	if !z.env.Verifier().VerifySig(from, m.SigDigest(), m.Sig) {
-		return
-	}
-	valid := m.Slots[:0]
-	for _, s := range m.Slots {
-		if s.Batch != nil && s.Batch.Digest() == s.Digest {
-			valid = append(valid, s)
-		}
-	}
-	m.Slots = valid
-	certs := m.Certs[:0]
-	for _, cert := range m.Certs {
-		if z.verifyClientCert(cert) {
-			certs = append(certs, cert)
-		}
-	}
-	m.Certs = certs
-	z.recordVC(from, m)
-
-	if !z.inViewChange || m.NewView > z.targetView {
-		ahead := 0
-		for v, set := range z.vcs {
-			if v > z.view {
-				ahead += len(set)
-			}
-		}
-		if ahead >= z.env.F()+1 {
-			z.startViewChange(m.NewView)
-		}
-	}
-	z.maybeNewView(m.NewView)
-}
-
-func (z *Zyzzyva) maybeNewView(v types.View) {
-	if z.env.Config().LeaderOf(v) != z.env.ID() || z.sentNewView[v] {
-		return
-	}
-	set := z.vcs[v]
-	if len(set) < z.quorum() {
-		return
-	}
-	z.sentNewView[v] = true
-
+func (z *Zyzzyva) sendNewView(v types.View, vcs []*ViewChangeMsg) {
 	var base, maxS types.SeqNum
 	committed := make(map[types.SeqNum]*CommittedSlot)
 	certified := make(map[types.SeqNum]*CommitMsg)
-	votes := make(map[types.SeqNum]map[types.Digest]int)
-	batches := make(map[types.SeqNum]map[types.Digest]*types.Batch)
-	var vcList []*ViewChangeMsg
-	for _, vc := range set {
-		vcList = append(vcList, vc)
+	var specs core.SlotClaims
+	for _, vc := range vcs {
 		if vc.Base > base {
 			base = vc.Base
 		}
@@ -126,6 +54,9 @@ func (z *Zyzzyva) maybeNewView(v types.View) {
 			}
 		}
 		for _, cert := range vc.Certs {
+			if !z.verifyClientCert(cert) {
+				continue // forged: ignore (the message itself is relayed unedited)
+			}
 			if cur := certified[cert.Seq]; cur == nil || cert.View > cur.View {
 				certified[cert.Seq] = cert
 			}
@@ -134,18 +65,13 @@ func (z *Zyzzyva) maybeNewView(v types.View) {
 			}
 		}
 		for _, s := range vc.Slots {
-			if votes[s.Seq] == nil {
-				votes[s.Seq] = make(map[types.Digest]int)
-				batches[s.Seq] = make(map[types.Digest]*types.Batch)
-			}
-			votes[s.Seq][s.Digest]++
-			batches[s.Seq][s.Digest] = s.Batch
-			if s.Seq > maxS {
-				maxS = s.Seq
-			}
+			specs.Add(vc.Replica, s.Seq, s.Digest, s.Batch)
 		}
 	}
-	nv := &NewViewMsg{View: v, Base: base, ViewChanges: vcList}
+	if specs.Max > maxS {
+		maxS = specs.Max
+	}
+	nv := &NewViewMsg{View: v, Base: base, ViewChanges: vcs}
 	for seq := types.SeqNum(1); seq <= base; seq++ {
 		if s := committed[seq]; s != nil {
 			nv.Committed = append(nv.Committed, *s)
@@ -153,34 +79,24 @@ func (z *Zyzzyva) maybeNewView(v types.View) {
 	}
 	for seq := base + 1; seq <= maxS; seq++ {
 		var batch *types.Batch
-		digest := types.ZeroDigest
 		// A client commit certificate pins the slot's content: the
 		// client proved 2f+1 replicas speculated this exact history,
 		// so at least f+1 honest spec slots carry its batch.
 		if cert := certified[seq]; cert != nil {
-			for d, b := range batches[seq] {
+			for _, b := range specs.Claimed(seq) {
 				if z.batchMatchesCert(b, cert) {
-					digest, batch = d, b
+					batch = b
 					break
 				}
 			}
 		}
 		if batch == nil {
-			best := 0
-			for d, n := range votes[seq] {
-				// f+1 witnesses pin a possibly-completed slot; below
-				// that keep the most-witnessed digest (it can only
-				// help liveness).
-				if n > best {
-					best, digest, batch = n, d, batches[seq][d]
-				}
-			}
+			// f+1 witnesses pin a possibly-completed slot; below that
+			// keep the most-witnessed digest (it can only help
+			// liveness).
+			batch = specs.Best(seq)
 		}
-		if batch == nil {
-			batch = types.NewBatch()
-			digest = types.ZeroDigest
-		}
-		or := &OrderReqMsg{View: v, Seq: seq, Digest: digest, Batch: batch}
+		or := &OrderReqMsg{View: v, Seq: seq, Digest: batch.Digest(), Batch: batch}
 		or.Sig = z.env.Signer().Sign(or.SigDigest())
 		nv.OrderReqs = append(nv.OrderReqs, or)
 	}
@@ -204,38 +120,19 @@ func (z *Zyzzyva) batchMatchesCert(b *types.Batch, cert *CommitMsg) bool {
 }
 
 func (z *Zyzzyva) onNewView(from types.NodeID, m *NewViewMsg) {
-	if m.View < z.view || (m.View == z.view && !z.inViewChange) {
-		return
+	if z.vc.Justified(from, m.View, m.SigDigest(), m.Sig, m.ViewChanges) {
+		z.installNewView(m)
 	}
-	if from != z.env.Config().LeaderOf(m.View) {
-		return
-	}
-	if !z.env.Verifier().VerifySig(from, m.SigDigest(), m.Sig) {
-		return
-	}
-	if len(m.ViewChanges) < z.quorum() {
-		return
-	}
-	seen := make(map[types.NodeID]bool)
-	for _, vc := range m.ViewChanges {
-		if vc.NewView != m.View || seen[vc.Replica] {
-			return
-		}
-		if !z.env.Verifier().VerifySig(vc.Replica, vc.SigDigest(), vc.Sig) {
-			return
-		}
-		seen[vc.Replica] = true
-	}
-	z.installNewView(m)
 }
 
 func (z *Zyzzyva) installNewView(m *NewViewMsg) {
-	z.view = m.View
-	z.inViewChange = false
-	z.inFlight = make(map[types.RequestKey]bool)
-	z.env.StopTimer(core.TimerID{Name: timerVCRetry, View: m.View})
-	z.env.ViewChanged(m.View)
+	z.vc.Install(m.View, func() { z.adoptNewView(m) })
+	z.maybePropose()
+}
 
+// adoptNewView takes over what the new-view message carries; the kit
+// holds proposing until it returns.
+func (z *Zyzzyva) adoptNewView(m *NewViewMsg) {
 	// Roll back all uncommitted speculation; the new view's order
 	// replaces it (the runtime restores state and history digests).
 	committed := z.env.Ledger().LastExecuted()
@@ -248,11 +145,7 @@ func (z *Zyzzyva) installNewView(m *NewViewMsg) {
 	}
 	for i := range m.Committed {
 		s := &m.Committed[i]
-		if s.Seq > z.env.Ledger().LastExecuted() {
-			proof := &types.CommitProof{View: s.View, Seq: s.Seq, Digest: s.Batch.Digest(),
-				Voters: append([]types.NodeID(nil), s.Voters...)}
-			z.env.Commit(s.View, s.Seq, s.Batch, proof)
-		}
+		core.AdoptCommitted(z.env, s.View, s.Seq, s.Batch, s.Voters)
 	}
 	committed = z.env.Ledger().LastExecuted()
 
@@ -268,13 +161,4 @@ func (z *Zyzzyva) installNewView(m *NewViewMsg) {
 	if z.nextSeq < maxS {
 		z.nextSeq = maxS
 	}
-	for v := range z.vcs {
-		if v <= m.View {
-			delete(z.vcs, v)
-		}
-	}
-	if len(z.watch) > 0 {
-		z.armProgress()
-	}
-	z.maybePropose()
 }

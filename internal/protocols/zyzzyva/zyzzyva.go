@@ -19,8 +19,6 @@
 package zyzzyva
 
 import (
-	"fmt"
-
 	"bftkit/internal/core"
 	"bftkit/internal/crypto"
 	"bftkit/internal/types"
@@ -149,6 +147,9 @@ type SpecSlot struct {
 // Kind implements types.Message.
 func (*ViewChangeMsg) Kind() string { return "ZYZ-VIEW-CHANGE" }
 
+// Vote implements core.ViewChangeVote.
+func (m *ViewChangeMsg) Vote() (types.View, types.NodeID, []byte) { return m.NewView, m.Replica, m.Sig }
+
 // SigDigest is the signed content.
 func (m *ViewChangeMsg) SigDigest() types.Digest {
 	var h types.Hasher
@@ -216,7 +217,11 @@ type Zyzzyva struct {
 	env  core.Env
 	opts Options
 
-	view    types.View
+	// backlog is the request intake and τ2 timer; vc the view-change
+	// skeleton, which owns the current view (both from the core kit).
+	backlog *core.Backlog
+	vc      *core.ViewChange[*ViewChangeMsg]
+
 	nextSeq types.SeqNum // leader's assignment counter
 	// clientCerts retains verified client commit certificates per slot
 	// until the slot executes well below the spec horizon.
@@ -226,20 +231,8 @@ type Zyzzyva struct {
 	// buffered out-of-order order-requests.
 	buffer map[types.SeqNum]*OrderReqMsg
 
-	pending    []*types.Request
-	pendingSet map[types.RequestKey]bool
-	inFlight   map[types.RequestKey]bool
-	watch      map[types.RequestKey]bool
-	done       map[types.RequestKey]bool
-
-	cpVotes map[types.SeqNum]map[types.NodeID]types.Digest
-
-	progressArmed bool
-
-	inViewChange bool
-	targetView   types.View
-	vcs          map[types.View]map[types.NodeID]*ViewChangeMsg
-	sentNewView  map[types.View]bool
+	// cpVotes tallies history digests per checkpoint window.
+	cpVotes core.Tally[types.SeqNum, types.Digest]
 }
 
 // New returns a Zyzzyva replica.
@@ -277,43 +270,13 @@ func (z *Zyzzyva) Init(env core.Env) {
 	z.specs = make(map[types.SeqNum]*SpecSlot)
 	z.clientCerts = make(map[types.SeqNum]*CommitMsg)
 	z.buffer = make(map[types.SeqNum]*OrderReqMsg)
-	z.pendingSet = make(map[types.RequestKey]bool)
-	z.inFlight = make(map[types.RequestKey]bool)
-	z.watch = make(map[types.RequestKey]bool)
-	z.done = make(map[types.RequestKey]bool)
-	z.cpVotes = make(map[types.SeqNum]map[types.NodeID]types.Digest)
-	z.vcs = make(map[types.View]map[types.NodeID]*ViewChangeMsg)
-	z.sentNewView = make(map[types.View]bool)
+	z.backlog = core.NewBacklog(env, timerProgress)
+	z.vc = core.NewViewChange(env, z.backlog, timerVCRetry, z.quorum(),
+		core.ViewChangeHooks[*ViewChangeMsg]{Build: z.buildViewChange, NewView: z.sendNewView})
 }
 
 // View returns the current view.
-func (z *Zyzzyva) View() types.View { return z.view }
-
-// DebugState summarizes internal state for tests.
-func (z *Zyzzyva) DebugState() string {
-	return fmt.Sprintf("view=%d target=%d invc=%v specTip=%d specs=%d buffer=%d pending=%d watch=%d",
-		z.view, z.targetView, z.inViewChange, z.specTip(), len(z.specs), len(z.buffer), len(z.pending), len(z.watch))
-}
-
-func (z *Zyzzyva) leader() types.NodeID { return z.env.Config().LeaderOf(z.view) }
-func (z *Zyzzyva) isLeader() bool       { return z.leader() == z.env.ID() }
-
-// armProgress starts the τ2 progress timer if it is not already running.
-// Arming is level-triggered, not edge-triggered: fresh requests must not
-// keep pushing the deadline out, or a faulty leader would never be
-// suspected under continuous load.
-func (z *Zyzzyva) armProgress() {
-	if z.progressArmed || z.inViewChange {
-		return
-	}
-	z.progressArmed = true
-	z.env.SetTimer(core.TimerID{Name: timerProgress, View: z.view}, z.env.Config().ViewChangeTimeout)
-}
-
-func (z *Zyzzyva) disarmProgress() {
-	z.progressArmed = false
-	z.env.StopTimer(core.TimerID{Name: timerProgress, View: z.view})
-}
+func (z *Zyzzyva) View() types.View { return z.vc.View() }
 
 // quorum returns the commit quorum (2f+1, or 3f+1 for Zyzzyva5).
 func (z *Zyzzyva) quorum() int {
@@ -325,73 +288,33 @@ func (z *Zyzzyva) quorum() int {
 
 // OnRequest implements core.Protocol.
 func (z *Zyzzyva) OnRequest(req *types.Request) {
-	if z.done[req.Key()] {
-		return
+	if z.backlog.Submit(req, z.vc.Leader()) && !z.opts.SilentLeader {
+		z.maybePropose()
 	}
-	if !z.env.Verifier().VerifySig(req.Client, req.Digest(), req.Sig) {
-		return
-	}
-	key := req.Key()
-	z.watch[key] = true
-	z.armProgress()
-	if z.pendingSet[key] {
-		if !z.isLeader() {
-			z.env.Send(z.leader(), &core.ForwardMsg{Req: req})
-		}
-		return
-	}
-	z.pendingSet[key] = true
-	z.pending = append(z.pending, req)
-	if !z.isLeader() {
-		z.env.Send(z.leader(), &core.ForwardMsg{Req: req})
-		return
-	}
-	if z.opts.SilentLeader {
-		return
-	}
-	z.maybePropose()
 }
 
 func (z *Zyzzyva) maybePropose() {
-	if !z.isLeader() || z.inViewChange {
+	if !z.vc.MayPropose() {
 		return
 	}
 	for {
-		reqs := z.takePending(z.env.Config().BatchSize)
+		reqs := z.backlog.Take(z.env.Config().BatchSize)
 		if len(reqs) == 0 {
 			return
 		}
 		batch := types.NewBatch(reqs...)
 		z.nextSeq++
-		or := &OrderReqMsg{View: z.view, Seq: z.nextSeq, Digest: batch.Digest(), Batch: batch}
+		or := &OrderReqMsg{View: z.View(), Seq: z.nextSeq, Digest: batch.Digest(), Batch: batch}
 		or.Sig = z.env.Signer().Sign(or.SigDigest())
 		z.env.Broadcast(or)
 		z.acceptOrderReq(or)
 	}
 }
 
-func (z *Zyzzyva) takePending(k int) []*types.Request {
-	var out []*types.Request
-	live := z.pending[:0]
-	for _, req := range z.pending {
-		key := req.Key()
-		if !z.pendingSet[key] || z.done[req.Key()] {
-			continue
-		}
-		live = append(live, req)
-		if len(out) < k && !z.inFlight[key] {
-			z.inFlight[key] = true
-			out = append(out, req)
-		}
-	}
-	z.pending = live
-	return out
-}
-
 // acceptOrderReq speculatively executes contiguous assignments and
 // answers clients directly (Figure "spec response" path).
 func (z *Zyzzyva) acceptOrderReq(or *OrderReqMsg) {
-	if or.View != z.view || z.inViewChange {
+	if or.View != z.View() || z.vc.Active() {
 		return
 	}
 	if or.Batch.Digest() != or.Digest {
@@ -428,10 +351,8 @@ func (z *Zyzzyva) execSpeculative(or *OrderReqMsg) {
 		return
 	}
 	z.specs[or.Seq] = &SpecSlot{Seq: or.Seq, Digest: or.Digest, Batch: or.Batch}
-	z.disarmProgress() // the leader is making progress
+	z.backlog.Proposed(or.Batch)
 	for i, req := range or.Batch.Requests {
-		z.watch[req.Key()] = true
-		z.inFlight[req.Key()] = true
 		res := results[i]
 		if z.opts.CorruptBackup {
 			res = []byte("corrupt")
@@ -446,9 +367,7 @@ func (z *Zyzzyva) execSpeculative(or *OrderReqMsg) {
 			History:     z.env.HistoryDigest(),
 		})
 	}
-	if len(z.watch) > 0 {
-		z.armProgress()
-	}
+	z.backlog.Progress() // the leader is making progress
 	// Lazy commitment: exchange history digests at checkpoint windows.
 	iv := z.env.Config().CheckpointInterval
 	if iv > 0 && uint64(or.Seq)%iv == 0 {
@@ -466,30 +385,21 @@ func (z *Zyzzyva) commitPrefix(seq types.SeqNum, voters []types.NodeID) {
 		if slot == nil {
 			return
 		}
-		proof := &types.CommitProof{View: z.view, Seq: s, Digest: slot.Digest,
+		proof := &types.CommitProof{View: z.View(), Seq: s, Digest: slot.Digest,
 			Voters: append([]types.NodeID(nil), voters...)}
-		z.env.Commit(z.view, s, slot.Batch, proof)
+		z.env.Commit(z.View(), s, slot.Batch, proof)
 		delete(z.specs, s)
 	}
 }
 
 func (z *Zyzzyva) recordCheckpoint(from types.NodeID, m *CheckpointMsg) {
-	set := z.cpVotes[m.Seq]
-	if set == nil {
-		set = make(map[types.NodeID]types.Digest)
-		z.cpVotes[m.Seq] = set
-	}
-	set[from] = m.History
-	counts := make(map[types.Digest][]types.NodeID)
-	for id, h := range set {
-		counts[h] = append(counts[h], id)
-	}
-	for h, voters := range counts {
-		if len(voters) >= z.quorum() && h == z.historyAt(m.Seq) {
-			z.commitPrefix(m.Seq, voters)
-			delete(z.cpVotes, m.Seq)
-			return
-		}
+	z.cpVotes.Add(m.Seq, from, m.History)
+	// Only a quorum on our own history commits anything, so that is the
+	// one value worth counting — on every vote, since our speculative tip
+	// may reach m.Seq after the quorum formed.
+	if voters := core.Backers(&z.cpVotes, m.Seq, z.historyAt(m.Seq)); len(voters) >= z.quorum() {
+		z.commitPrefix(m.Seq, voters)
+		z.cpVotes.Delete(m.Seq)
 	}
 }
 
@@ -526,7 +436,7 @@ func (z *Zyzzyva) OnMessage(from types.NodeID, m types.Message) {
 		}
 		z.recordCheckpoint(from, mm)
 	case *ViewChangeMsg:
-		z.onViewChange(from, mm)
+		z.vc.OnViewChange(from, mm)
 	case *NewViewMsg:
 		z.onNewView(from, mm)
 	}
@@ -576,36 +486,22 @@ func (z *Zyzzyva) verifyClientCert(m *CommitMsg) bool {
 func (z *Zyzzyva) OnTimer(id core.TimerID) {
 	switch id.Name {
 	case timerProgress:
-		z.progressArmed = false
-		if id.View == z.view && len(z.watch) > 0 {
-			z.startViewChange(z.view + 1)
+		if z.backlog.Expired(id) {
+			z.vc.Start(z.View() + 1)
 		}
 	case timerVCRetry:
-		if z.inViewChange && id.View == z.targetView {
-			z.startViewChange(z.targetView + 1)
-		}
+		z.vc.Retry(id)
 	}
 }
 
 // OnExecuted implements core.Protocol: commit-path execution (promoted
 // speculative slots or re-executed decided batches).
 func (z *Zyzzyva) OnExecuted(seq types.SeqNum, batch *types.Batch, results [][]byte) {
-	for i, req := range batch.Requests {
-		delete(z.watch, req.Key())
-		delete(z.pendingSet, req.Key())
-		delete(z.inFlight, req.Key())
-		z.done[req.Key()] = true
-		// A committed (non-speculative) reply: lets clients finish with
-		// f+1 matches when the fast path fell apart (e.g. after a view
-		// change re-executed the slot).
-		z.env.Reply(&types.Reply{
-			Client:    req.Client,
-			ClientSeq: req.ClientSeq,
-			View:      z.view,
-			Seq:       seq,
-			Result:    results[i],
-		})
-	}
+	z.backlog.Executed(batch)
+	// Committed (non-speculative) replies: they let clients finish with
+	// f+1 matches when the fast path fell apart (e.g. after a view change
+	// re-executed the slot).
+	core.ReplyExecuted(z.env, z.View(), seq, batch, results)
 	delete(z.specs, seq)
 	for cs := range z.clientCerts {
 		if cs+64 < seq {
@@ -615,9 +511,6 @@ func (z *Zyzzyva) OnExecuted(seq types.SeqNum, batch *types.Batch, results [][]b
 	if z.nextSeq < seq {
 		z.nextSeq = seq
 	}
-	z.disarmProgress()
-	if len(z.watch) > 0 {
-		z.armProgress()
-	}
+	z.backlog.Progress()
 	z.maybePropose()
 }

@@ -1,8 +1,16 @@
 #!/bin/sh
-# Full pre-merge gate: vet, build, then the whole test suite with the
-# race detector on (the transport and obsv layers are concurrent; a
+# Full pre-merge gate: gofmt, vet, build, then the whole test suite with
+# the race detector on (the transport and obsv layers are concurrent; a
 # non-race run can pass while a data race hides).
 set -eux
+
+# gofmt -l prints the files it would rewrite; any output fails the gate.
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+	echo "gofmt: these files are not formatted (run gofmt -w):" >&2
+	echo "$unformatted" >&2
+	exit 1
+fi
 
 go vet ./...
 go build ./...
