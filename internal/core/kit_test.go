@@ -441,3 +441,180 @@ func TestViewChangeInstallHoldsProposingAndResets(t *testing.T) {
 		t.Fatalf("timers fired after install: %v, want %v", r.rec.timers, want)
 	}
 }
+
+// --- Slots -----------------------------------------------------------------
+
+type slotsRig struct {
+	*vcRig
+	slots *Slots[struct{}]
+	x, y  *types.Batch
+}
+
+func newSlotsRig(id types.NodeID) *slotsRig {
+	r := &slotsRig{vcRig: newVCRig(id)}
+	r.slots = NewSlots[struct{}](r.rep, PBFTProfile(), r.backlog, r.vc, nil, "prepare", "commit")
+	r.x = types.NewBatch(r.signedReq(1))
+	r.y = types.NewBatch(r.signedReq(2))
+	return r
+}
+
+func sig(b byte) []byte { return []byte{b} }
+
+func TestSlotsQuorumComesFromTheProfile(t *testing.T) {
+	r := newSlotsRig(1)
+	if r.slots.Quorum != 3 {
+		t.Fatalf("Quorum = %d at f=1 under PBFT's 2f+1 profile", r.slots.Quorum)
+	}
+	fab := NewSlots[struct{}](r.rep, FaBProfile(), r.backlog, r.vc, nil)
+	if fab.Quorum != 5 {
+		t.Fatalf("Quorum = %d at f=1 under FaB's 4f+1 profile", fab.Quorum)
+	}
+}
+
+func TestSlotsOneVotePerSenderPerStage(t *testing.T) {
+	r := newSlotsRig(1)
+	dx := r.x.Digest()
+	sl := r.slots.Accept(0, 1, dx, r.x)
+	if sl == nil {
+		t.Fatal("a valid proposal was refused")
+	}
+	if r.slots.Vote("prepare", 0, 1, 2, dx, sig(2)) != sl {
+		t.Fatal("first vote not recorded")
+	}
+	if r.slots.Vote("prepare", 0, 1, 2, dx, sig(9)) != nil || r.slots.Vote("prepare", 0, 1, 2, r.y.Digest(), sig(9)) != nil {
+		t.Fatal("a sender voted twice at one stage")
+	}
+	if r.slots.Vote("commit", 0, 1, 2, dx, sig(2)) != sl {
+		t.Fatal("a vote at another stage is a separate vote")
+	}
+	if r.slots.Vote("elect", 0, 1, 3, dx, nil) != nil || r.slots.Vote("prepare", 1, 1, 3, dx, nil) != nil {
+		t.Fatal("votes for an undeclared stage or another view must be refused")
+	}
+	if got := sl.Count("prepare"); got != 1 {
+		t.Fatalf("prepare count = %d, want 1", got)
+	}
+	if !sl.Voted("prepare", 2) || sl.Voted("prepare", 3) {
+		t.Fatal("Voted does not reflect who is on record")
+	}
+}
+
+func TestSlotsVoteCountsOnlyTowardItsDigest(t *testing.T) {
+	r := newSlotsRig(1)
+	dx, dy := r.x.Digest(), r.y.Digest()
+	// One vote for y and one for x overtake the proposal; the leader
+	// assigns x; then one more vote each way.
+	r.slots.Vote("prepare", 0, 1, 0, dy, sig(0))
+	early := r.slots.Vote("prepare", 0, 1, 2, dx, sig(2))
+	if early == nil || early.Count("prepare") != 0 || early.Reached("prepare", 1) {
+		t.Fatal("votes counted at a slot with no assigned digest")
+	}
+	sl := r.slots.Accept(0, 1, dx, r.x)
+	r.slots.Vote("prepare", 0, 1, 3, dy, sig(3))
+	r.slots.Vote("prepare", 0, 1, 1, dx, sig(1))
+	if sl != early || sl.Count("prepare") != 2 {
+		t.Fatalf("count for the assigned digest = %d, want 2", sl.Count("prepare"))
+	}
+	cert := sl.Certificate("prepare", dx)
+	if !reflect.DeepEqual(cert.Signers, []types.NodeID{2, 1}) || !reflect.DeepEqual(cert.Sigs, [][]byte{sig(2), sig(1)}) {
+		t.Fatalf("certificate holds %v %v: votes for another digest leaked in, or arrival order was lost", cert.Signers, cert.Sigs)
+	}
+	if got := sl.Voters("prepare"); !reflect.DeepEqual(got, []types.NodeID{2, 1}) {
+		t.Fatalf("voters = %v, want arrival order [2 1]", got)
+	}
+}
+
+func TestSlotsReachedFiresOnce(t *testing.T) {
+	r := newSlotsRig(1)
+	dx := r.x.Digest()
+	sl := r.slots.Accept(0, 1, dx, r.x)
+	fired := 0
+	for from := types.NodeID(0); from < 4; from++ {
+		r.slots.Vote("commit", 0, 1, from, dx, nil) // presence-only votes
+		if sl.Reached("commit", 3) {
+			fired++
+		}
+	}
+	if fired != 1 || !sl.Past("commit") || sl.Past("prepare") {
+		t.Fatalf("Reached fired %d times (Past commit %v, prepare %v)", fired, sl.Past("commit"), sl.Past("prepare"))
+	}
+	if got := sl.Voters("commit"); len(got) != 4 {
+		t.Fatalf("voters = %v, want all four", got)
+	}
+	if cert := sl.Certificate("commit", dx); cert.Size() != 0 {
+		t.Fatal("unsigned votes entered a certificate")
+	}
+}
+
+func TestSlotsConflictingProposalIsEquivocation(t *testing.T) {
+	r := newSlotsRig(1)
+	dx := r.x.Digest()
+	if r.slots.Accept(0, 1, types.Digest{0xba}, r.x) != nil {
+		t.Fatal("accepted a batch that does not hash to its digest")
+	}
+	sl := r.slots.Accept(0, 1, dx, r.x)
+	if r.slots.Accept(0, 1, dx, r.x) != nil || r.vc.Active() {
+		t.Fatal("a duplicate proposal must be a no-op")
+	}
+	if r.slots.Accept(0, 1, r.y.Digest(), r.y) != nil {
+		t.Fatal("a conflicting proposal was accepted")
+	}
+	if !r.vc.Active() || !reflect.DeepEqual(r.built, []types.View{1}) {
+		t.Fatalf("equivocation did not start a view change (built %v)", r.built)
+	}
+	if sl.Digest != dx || sl.Batch != r.x {
+		t.Fatal("the conflicting proposal changed the slot")
+	}
+	if r.slots.Accept(0, 2, r.y.Digest(), r.y) != nil {
+		t.Fatal("accepted a proposal while the view change runs")
+	}
+}
+
+func TestSlotsWindowRefusal(t *testing.T) {
+	r := newSlotsRig(1)
+	dx := r.x.Digest()
+	window := types.SeqNum(r.rep.Config().HighWaterWindow)
+	if r.slots.Vote("prepare", 0, window+1, 2, dx, nil) != nil || r.slots.Accept(0, window+1, dx, r.x) != nil {
+		t.Fatal("state created above the window")
+	}
+	if r.slots.Vote("prepare", 0, window, 2, dx, nil) == nil {
+		t.Fatal("the window's last slot was refused")
+	}
+	r.rep.Commit(0, 1, r.x, nil) // executes slot 1: the window slides
+	if r.slots.Vote("prepare", 0, 1, 2, dx, nil) != nil || r.slots.Accept(0, 1, dx, r.x) != nil {
+		t.Fatal("state created for an executed slot")
+	}
+	if r.slots.Vote("prepare", 0, window+1, 2, dx, nil) == nil {
+		t.Fatal("the window did not follow execution")
+	}
+	if r.slots.Len() != 2 {
+		t.Fatalf("Len = %d, want the two in-window slots", r.slots.Len())
+	}
+}
+
+func TestSlotsViewEntryDropsVotesNotExecution(t *testing.T) {
+	r := newSlotsRig(1)
+	dx, dy := r.x.Digest(), r.y.Digest()
+	r.slots.Accept(0, 1, dx, r.x)
+	r.rep.Commit(0, 1, r.x, nil)
+	r.slots.Executed(1, r.x, [][]byte{nil}, false)
+	r.slots.Accept(0, 2, dy, r.y)
+	r.slots.Vote("prepare", 0, 2, 3, dy, sig(3))
+	if r.slots.Get(1) != nil || r.slots.Len() != 1 || r.slots.NextSeq() != 1 {
+		t.Fatalf("after executing slot 1: Len %d, NextSeq %d", r.slots.Len(), r.slots.NextSeq())
+	}
+
+	r.vc.Enter(1)
+	if r.slots.Len() != 0 {
+		t.Fatal("entering a view kept the old view's slots")
+	}
+	sl := r.slots.Accept(1, 2, dy, r.y)
+	if sl == nil || sl.Count("prepare") != 0 || sl.Voted("prepare", 3) {
+		t.Fatal("a vote of the old view survived into the new one")
+	}
+	if r.slots.Accept(1, 1, dx, r.x) != nil || !r.backlog.Done(r.x.Requests[0].Key()) || r.slots.NextSeq() != 1 {
+		t.Fatal("entering a view forgot what was executed")
+	}
+	if seq := r.slots.Next(); seq != 2 {
+		t.Fatalf("next assignment = %d, want 2", seq)
+	}
+}

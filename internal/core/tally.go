@@ -48,8 +48,15 @@ func (t *Tally[K, V]) Add(k K, from types.NodeID, v V) int {
 	if t.slots == nil {
 		t.slots = make(map[K][]Vote[V])
 	}
-	t.slots[k] = append(t.slots[k], Vote[V]{From: from, Val: v})
-	return len(t.slots[k])
+	votes := t.slots[k]
+	if votes == nil {
+		// The smallest quorum worth counting is f+1 = 2 of n = 4: start
+		// with room for n, not with append's 1-2-4 growth.
+		votes = make([]Vote[V], 0, 4)
+	}
+	votes = append(votes, Vote[V]{From: from, Val: v})
+	t.slots[k] = votes
+	return len(votes)
 }
 
 // Replace is Add for payloads a sender may legitimately reissue (a

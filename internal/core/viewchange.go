@@ -54,6 +54,7 @@ type ViewChange[VC ViewChangeVote] struct {
 	adopting bool
 	votes    Tally[types.View, VC]
 	sent     map[types.View]bool
+	onEnter  func() // the ordering stage's reset, see OnEnter
 
 	// RetryAfter is how long a started view change may stall before the
 	// replica moves on to the next view. It is reset to the configured
@@ -94,6 +95,10 @@ func (vc *ViewChange[VC]) Leading() bool { return vc.Leader() == vc.env.ID() }
 // it is not in the middle of adopting a new view's carried slots.
 func (vc *ViewChange[VC]) MayPropose() bool { return vc.Leading() && !vc.active && !vc.adopting }
 
+// OnEnter registers fn to run whenever the replica enters a view: Slots
+// drops the old view's ordering state there.
+func (vc *ViewChange[VC]) OnEnter(fn func()) { vc.onEnter = fn }
+
 // Start begins (or escalates) a view change toward view v, or the next
 // view if v is not ahead. A running view change only ever moves to a
 // higher target.
@@ -124,6 +129,22 @@ func (vc *ViewChange[VC]) RetryDue(id TimerID) bool {
 func (vc *ViewChange[VC]) Retry(id TimerID) {
 	if vc.RetryDue(id) {
 		vc.Start(vc.target + 1)
+	}
+}
+
+// OnTimer handles the two τ2 timers every stable-leader protocol runs the
+// same way: the backlog's progress timer, whose expiry with a client still
+// waiting is evidence against the leader and starts a view change, and the
+// retry timer of a stalled view change. Timers of any other name are the
+// protocol's own and are ignored.
+func (vc *ViewChange[VC]) OnTimer(id TimerID) {
+	switch id.Name {
+	case vc.backlog.timer:
+		if vc.backlog.Expired(id) {
+			vc.Start(vc.view + 1)
+		}
+	case vc.timer:
+		vc.Retry(id)
 	}
 }
 
@@ -211,6 +232,9 @@ func (vc *ViewChange[VC]) Enter(v types.View) {
 		if k <= v {
 			delete(vc.sent, k)
 		}
+	}
+	if vc.onEnter != nil {
+		vc.onEnter()
 	}
 	vc.backlog.EnterView(v)
 }

@@ -3,6 +3,8 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -343,6 +345,55 @@ func TestByzantineRunsAreDeterministic(t *testing.T) {
 	a, b := take(), take()
 	if a != b {
 		t.Fatalf("same seed, different byz run:\n  first:  %+v\n  second: %+v", a, b)
+	}
+}
+
+// TestProofsAndCertificatesAreDeterministic is the fault-free sibling of
+// TestByzantineRunsAreDeterministic: two runs of the same seed must agree
+// not only on counts but on who is named in every commit proof a replica's
+// ledger keeps and, in order, in every certificate or signature aggregate
+// put on the wire. Certificates used to be assembled by ranging over a
+// per-slot map, so their signer order differed from run to run; core.Slots
+// assembles them in vote-arrival order. (Commit proofs' voter lists are
+// sorted by the runtime, so they only differ if the voter set does.)
+func TestProofsAndCertificatesAreDeterministic(t *testing.T) {
+	transcript := func(proto string) string {
+		var out strings.Builder
+		c := harness.NewCluster(harness.Options{Protocol: proto, F: 1, Clients: 2, Seed: 7})
+		c.Net.SetTap(func(_ time.Duration, from, to types.NodeID, m types.Message) {
+			fields := reflect.ValueOf(m).Elem()
+			signers := fields.FieldByName("Signers") // kauri's aggregates
+			if cert := fields.FieldByName("Cert"); cert.IsValid() && !cert.IsNil() {
+				signers = cert.Elem().FieldByName("Signers")
+			}
+			if signers.IsValid() {
+				fmt.Fprintf(&out, "%v->%v %s %v\n", from, to, m.Kind(), signers)
+			}
+		})
+		c.Start()
+		c.ClosedLoop(10, func(cl, k int) []byte {
+			return kvstore.Put(fmt.Sprintf("c%d-k%d", cl, k), []byte("v"))
+		})
+		c.RunUntilIdle(30 * time.Second)
+		if c.Metrics.Completed != 20 {
+			failf(t, c, "%s completed %d/20 requests", proto, c.Metrics.Completed)
+		}
+		for _, r := range c.Replicas {
+			for _, e := range r.Ledger().CommittedAbove(0) {
+				fmt.Fprintf(&out, "%v seq %d voters %v\n", r.ID(), e.Seq, e.Proof.Voters)
+			}
+		}
+		return out.String()
+	}
+	for _, proto := range []string{"pbft", "fab", "sbft", "kauri"} {
+		a, b := strings.Split(transcript(proto), "\n"), strings.Split(transcript(proto), "\n")
+		i := 0
+		for i < len(a) && i < len(b) && a[i] == b[i] {
+			i++
+		}
+		if i < len(a) || i < len(b) {
+			t.Errorf("%s: same seed, different proofs or certificates from line %d on: %q vs %q", proto, i, a[i:min(i+1, len(a))], b[i:min(i+1, len(b))])
+		}
 	}
 }
 

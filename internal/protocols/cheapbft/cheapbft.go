@@ -194,14 +194,8 @@ type Options struct {
 	SilentActive bool
 }
 
-type slot struct {
-	digest   types.Digest
-	batch    *types.Batch
-	proposed bool
-	votes    map[types.NodeID][]byte
-	voted    bool
-	done     bool
-}
+// stageVote is CheapBFT's one voting stage, among the active replicas.
+const stageVote = "vote"
 
 // CheapBFT is the protocol state machine for one replica.
 type CheapBFT struct {
@@ -210,12 +204,11 @@ type CheapBFT struct {
 	cm   *core.CheckpointManager
 
 	// backlog is the request intake and τ2 timer; vc the view-change
-	// skeleton, which owns the current view (both from the core kit).
+	// skeleton, which owns the current view; Slots the ordering stage's
+	// per-sequence state (all from the core kit).
 	backlog *core.Backlog
 	vc      *core.ViewChange[*ViewChangeMsg]
-
-	nextSeq types.SeqNum
-	slots   map[types.SeqNum]*slot
+	Slots   *core.Slots[struct{}]
 }
 
 // New returns a CheapBFT replica.
@@ -236,10 +229,10 @@ func init() {
 func (c *CheapBFT) Init(env core.Env) {
 	c.env = env
 	c.cm = core.NewCheckpointManager(env)
-	c.slots = make(map[types.SeqNum]*slot)
 	c.backlog = core.NewBacklog(env, timerProgress)
 	c.vc = core.NewViewChange(env, c.backlog, timerVCRetry, env.Config().Quorum(),
 		core.ViewChangeHooks[*ViewChangeMsg]{Build: c.buildViewChange, NewView: c.sendNewView})
+	c.Slots = core.NewSlots[struct{}](env, core.CheapBFTProfile(), c.backlog, c.vc, c.cm, stageVote)
 }
 
 // View returns the current view.
@@ -277,15 +270,6 @@ func (c *CheapBFT) broadcastActive(v types.View, m types.Message) {
 	}
 }
 
-func (c *CheapBFT) slot(seq types.SeqNum) *slot {
-	sl := c.slots[seq]
-	if sl == nil {
-		sl = &slot{votes: make(map[types.NodeID][]byte)}
-		c.slots[seq] = sl
-	}
-	return sl
-}
-
 // OnRequest implements core.Protocol.
 func (c *CheapBFT) OnRequest(req *types.Request) {
 	if c.backlog.Submit(req, c.vc.Leader()) {
@@ -294,47 +278,29 @@ func (c *CheapBFT) OnRequest(req *types.Request) {
 }
 
 func (c *CheapBFT) maybePropose() {
-	if !c.vc.MayPropose() {
-		return
-	}
-	for {
-		reqs := c.backlog.Take(c.env.Config().BatchSize)
-		if len(reqs) == 0 {
-			return
-		}
-		batch := types.NewBatch(reqs...)
-		c.nextSeq++
-		pm := &ProposeMsg{View: c.View(), Seq: c.nextSeq, Digest: batch.Digest(), Batch: batch}
+	c.Slots.Propose(func(seq types.SeqNum, batch *types.Batch) {
+		pm := &ProposeMsg{View: c.View(), Seq: seq, Digest: batch.Digest(), Batch: batch}
 		pm.Sig = c.env.Signer().Sign(pm.SigDigest())
 		c.broadcastActive(c.View(), pm)
 		c.acceptPropose(pm)
-	}
+	})
 }
 
 func (c *CheapBFT) acceptPropose(m *ProposeMsg) {
-	if m.View != c.View() || c.vc.Active() || !c.IsActive(c.View(), c.env.ID()) {
+	if !c.IsActive(m.View, c.env.ID()) {
 		return
 	}
-	if m.Batch.Digest() != m.Digest {
+	sl := c.Slots.Accept(m.View, m.Seq, m.Digest, m.Batch)
+	if sl == nil {
 		return
 	}
-	sl := c.slot(m.Seq)
-	if sl.proposed && sl.digest != m.Digest {
-		c.vc.Start(c.View() + 1)
-		return
-	}
-	sl.proposed = true
-	sl.digest = m.Digest
-	sl.batch = m.Batch
-	c.backlog.Proposed(m.Batch)
-	if !sl.voted && !c.opts.SilentActive {
-		sl.voted = true
+	if !c.opts.SilentActive {
 		vm := &VoteMsg{View: m.View, Seq: m.Seq, Digest: m.Digest, Replica: c.env.ID()}
 		vm.Sig = c.env.Signer().Sign(vm.SigDigest())
 		c.broadcastActive(c.View(), vm)
-		sl.votes[c.env.ID()] = vm.Sig
+		c.Slots.Vote(stageVote, m.View, m.Seq, c.env.ID(), m.Digest, vm.Sig)
 	}
-	c.checkCommit(m.Seq, sl)
+	c.checkCommit(sl)
 }
 
 // OnMessage implements core.Protocol.
@@ -363,12 +329,9 @@ func (c *CheapBFT) OnMessage(from types.NodeID, m types.Message) {
 		if !c.env.Verifier().VerifySig(from, mm.SigDigest(), mm.Sig) {
 			return
 		}
-		sl := c.slot(mm.Seq)
-		if sl.proposed && sl.digest != mm.Digest {
-			return
+		if sl := c.Slots.Vote(stageVote, mm.View, mm.Seq, from, mm.Digest, mm.Sig); sl != nil {
+			c.checkCommit(sl)
 		}
-		sl.votes[from] = mm.Sig
-		c.checkCommit(mm.Seq, sl)
 	case *UpdateMsg:
 		c.onUpdate(from, mm)
 	case *ViewChangeMsg:
@@ -380,22 +343,15 @@ func (c *CheapBFT) OnMessage(from types.NodeID, m types.Message) {
 
 // checkCommit fires when ALL 2f+1 active replicas voted — the whole
 // point of DC5: the quorum is the entire active set.
-func (c *CheapBFT) checkCommit(seq types.SeqNum, sl *slot) {
-	if sl.done || !sl.proposed {
+func (c *CheapBFT) checkCommit(sl *core.Slot[struct{}]) {
+	if !sl.Reached(stageVote, c.Slots.Quorum) {
 		return
 	}
-	if len(sl.votes) < 2*c.env.F()+1 {
-		return
-	}
-	sl.done = true
-	proof := &types.CommitProof{View: c.View(), Seq: seq, Digest: sl.digest}
-	for id := range sl.votes {
-		proof.Voters = append(proof.Voters, id)
-	}
-	c.env.Commit(c.View(), seq, sl.batch, proof)
+	proof := &types.CommitProof{View: c.View(), Seq: sl.Seq, Digest: sl.Digest, Voters: sl.Voters(stageVote)}
+	c.env.Commit(c.View(), sl.Seq, sl.Batch, proof)
 	// The leader informs the passive replicas.
 	if c.vc.Leading() {
-		up := &UpdateMsg{View: c.View(), Seq: seq, Batch: sl.batch, Voters: proof.Voters}
+		up := &UpdateMsg{View: c.View(), Seq: sl.Seq, Batch: sl.Batch, Voters: proof.Voters}
 		up.Sig = c.env.Signer().Sign(up.SigDigest())
 		for _, id := range c.env.Replicas() {
 			if !c.IsActive(c.View(), id) {
@@ -420,28 +376,12 @@ func (c *CheapBFT) onUpdate(from types.NodeID, m *UpdateMsg) {
 
 // OnTimer implements core.Protocol.
 func (c *CheapBFT) OnTimer(id core.TimerID) {
-	switch id.Name {
-	case timerProgress:
-		if c.backlog.Expired(id) {
-			c.vc.Start(c.View() + 1)
-		}
-	case timerVCRetry:
-		c.vc.Retry(id)
-	}
+	c.vc.OnTimer(id)
 }
 
 // OnExecuted implements core.Protocol.
 func (c *CheapBFT) OnExecuted(seq types.SeqNum, batch *types.Batch, results [][]byte) {
-	c.backlog.Executed(batch)
 	// Only active replicas answer clients in CheapBFT.
-	if c.IsActive(c.View(), c.env.ID()) {
-		core.ReplyExecuted(c.env, c.View(), seq, batch, results)
-	}
-	delete(c.slots, seq)
-	if c.nextSeq < seq {
-		c.nextSeq = seq
-	}
-	c.cm.OnExecuted(seq)
-	c.backlog.Progress()
+	c.Slots.Executed(seq, batch, results, c.IsActive(c.View(), c.env.ID()))
 	c.maybePropose()
 }

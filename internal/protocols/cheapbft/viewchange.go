@@ -24,10 +24,10 @@ func (c *CheapBFT) buildViewChange(v types.View) *ViewChangeMsg {
 	core.RetainedCommitted(c.env, func(view types.View, seq types.SeqNum, b *types.Batch, voters []types.NodeID) {
 		vc.Committed = append(vc.Committed, CommittedSlot{View: view, Seq: seq, Batch: b, Voters: voters})
 	})
-	for seq, sl := range c.slots {
-		if seq > vc.Base && sl.proposed && !sl.done {
+	for _, sl := range c.Slots.Assigned() {
+		if sl.Seq > vc.Base && !sl.Past(stageVote) {
 			vc.Prepared = append(vc.Prepared, PreparedSlot{
-				View: c.View(), Seq: seq, Digest: sl.digest, Batch: sl.batch,
+				View: c.View(), Seq: sl.Seq, Digest: sl.Digest, Batch: sl.Batch,
 			})
 		}
 	}
@@ -92,22 +92,14 @@ func (c *CheapBFT) installNewView(m *NewViewMsg) {
 // adoptNewView takes over what the new-view message carries; the kit
 // holds proposing until it returns.
 func (c *CheapBFT) adoptNewView(m *NewViewMsg) {
-	c.slots = make(map[types.SeqNum]*slot)
-
-	if c.nextSeq < m.Base {
-		c.nextSeq = m.Base
-	}
+	c.Slots.Advance(m.Base)
 	for i := range m.Committed {
 		s := &m.Committed[i]
 		core.AdoptCommitted(c.env, s.View, s.Seq, s.Batch, s.Voters)
-		if s.Seq > c.nextSeq {
-			c.nextSeq = s.Seq
-		}
+		c.Slots.Advance(s.Seq)
 	}
 	for _, pm := range m.Proposals {
-		if pm.Seq > c.nextSeq {
-			c.nextSeq = pm.Seq
-		}
+		c.Slots.Advance(pm.Seq)
 		if pm.Seq > c.env.Ledger().LastExecuted() {
 			c.acceptPropose(pm)
 		}

@@ -150,14 +150,8 @@ func (m *NewViewMsg) SigDigest() types.Digest {
 	return h.Sum()
 }
 
-type slot struct {
-	digest   types.Digest
-	batch    *types.Batch
-	proposed bool
-	accepted bool
-	accepts  map[types.NodeID]bool
-	done     bool
-}
+// stageAccept is FaB's one voting stage: the all-to-all accept round.
+const stageAccept = "accept"
 
 // FaB is the protocol state machine for one replica.
 type FaB struct {
@@ -165,12 +159,12 @@ type FaB struct {
 	cm  *core.CheckpointManager
 
 	// backlog is the request intake and τ2 timer; vc the view-change
-	// skeleton, which owns the current view (both from the core kit).
+	// skeleton, which owns the current view; Slots the ordering stage's
+	// per-sequence state, with the profile's 4f+1 quorum — the price of
+	// losing a phase (all from the core kit).
 	backlog *core.Backlog
 	vc      *core.ViewChange[*ViewChangeMsg]
-
-	nextSeq types.SeqNum
-	slots   map[types.SeqNum]*slot
+	Slots   *core.Slots[struct{}]
 }
 
 // New returns a FaB replica.
@@ -188,27 +182,15 @@ func init() {
 func (f *FaB) Init(env core.Env) {
 	f.env = env
 	f.cm = core.NewCheckpointManager(env)
-	f.slots = make(map[types.SeqNum]*slot)
 	f.backlog = core.NewBacklog(env, timerProgress)
 	// FaB's view-change quorum is n−f messages.
 	f.vc = core.NewViewChange(env, f.backlog, timerVCRetry, env.N()-env.F(),
 		core.ViewChangeHooks[*ViewChangeMsg]{Build: f.buildViewChange, NewView: f.sendNewView})
+	f.Slots = core.NewSlots[struct{}](env, core.FaBProfile(), f.backlog, f.vc, f.cm, stageAccept)
 }
 
 // View returns the current view.
 func (f *FaB) View() types.View { return f.vc.View() }
-
-// commitQuorum is FaB's 4f+1 (the price of losing a phase).
-func (f *FaB) commitQuorum() int { return 4*f.env.F() + 1 }
-
-func (f *FaB) slot(seq types.SeqNum) *slot {
-	sl := f.slots[seq]
-	if sl == nil {
-		sl = &slot{accepts: make(map[types.NodeID]bool)}
-		f.slots[seq] = sl
-	}
-	return sl
-}
 
 // OnRequest implements core.Protocol.
 func (f *FaB) OnRequest(req *types.Request) {
@@ -218,47 +200,24 @@ func (f *FaB) OnRequest(req *types.Request) {
 }
 
 func (f *FaB) maybePropose() {
-	if !f.vc.MayPropose() {
-		return
-	}
-	for {
-		reqs := f.backlog.Take(f.env.Config().BatchSize)
-		if len(reqs) == 0 {
-			return
-		}
-		batch := types.NewBatch(reqs...)
-		f.nextSeq++
-		pm := &ProposeMsg{View: f.View(), Seq: f.nextSeq, Digest: batch.Digest(), Batch: batch}
+	f.Slots.Propose(func(seq types.SeqNum, batch *types.Batch) {
+		pm := &ProposeMsg{View: f.View(), Seq: seq, Digest: batch.Digest(), Batch: batch}
 		pm.Sig = f.env.Signer().Sign(pm.SigDigest())
 		f.env.Broadcast(pm)
 		f.acceptPropose(pm)
-	}
+	})
 }
 
 func (f *FaB) acceptPropose(m *ProposeMsg) {
-	if m.View != f.View() || f.vc.Active() {
+	sl := f.Slots.Accept(m.View, m.Seq, m.Digest, m.Batch)
+	if sl == nil {
 		return
 	}
-	if m.Batch.Digest() != m.Digest {
-		return
-	}
-	sl := f.slot(m.Seq)
-	if sl.proposed && sl.digest != m.Digest {
-		f.vc.Start(f.View() + 1)
-		return
-	}
-	sl.proposed = true
-	sl.digest = m.Digest
-	sl.batch = m.Batch
-	f.backlog.Proposed(m.Batch)
-	if !sl.accepted {
-		sl.accepted = true
-		am := &AcceptMsg{View: m.View, Seq: m.Seq, Digest: m.Digest, Replica: f.env.ID()}
-		am.Sig = f.env.Signer().Sign(am.SigDigest())
-		f.env.Broadcast(am)
-		sl.accepts[f.env.ID()] = true
-	}
-	f.checkCommit(m.Seq, sl)
+	am := &AcceptMsg{View: m.View, Seq: m.Seq, Digest: m.Digest, Replica: f.env.ID()}
+	am.Sig = f.env.Signer().Sign(am.SigDigest())
+	f.env.Broadcast(am)
+	f.Slots.Vote(stageAccept, m.View, m.Seq, f.env.ID(), m.Digest, nil)
+	f.checkCommit(sl)
 }
 
 // OnMessage implements core.Protocol.
@@ -284,12 +243,9 @@ func (f *FaB) OnMessage(from types.NodeID, m types.Message) {
 		if !f.env.Verifier().VerifySig(from, mm.SigDigest(), mm.Sig) {
 			return
 		}
-		sl := f.slot(mm.Seq)
-		if sl.proposed && sl.digest != mm.Digest {
-			return
+		if sl := f.Slots.Vote(stageAccept, mm.View, mm.Seq, from, mm.Digest, nil); sl != nil {
+			f.checkCommit(sl)
 		}
-		sl.accepts[from] = true
-		f.checkCommit(mm.Seq, sl)
 	case *ViewChangeMsg:
 		f.vc.OnViewChange(from, mm)
 	case *NewViewMsg:
@@ -298,42 +254,21 @@ func (f *FaB) OnMessage(from types.NodeID, m types.Message) {
 }
 
 // checkCommit fires on 4f+1 matching accepts: two phases total.
-func (f *FaB) checkCommit(seq types.SeqNum, sl *slot) {
-	if sl.done || !sl.proposed {
+func (f *FaB) checkCommit(sl *core.Slot[struct{}]) {
+	if !sl.Reached(stageAccept, f.Slots.Quorum) {
 		return
 	}
-	if len(sl.accepts) < f.commitQuorum() {
-		return
-	}
-	sl.done = true
-	proof := &types.CommitProof{View: f.View(), Seq: seq, Digest: sl.digest}
-	for id := range sl.accepts {
-		proof.Voters = append(proof.Voters, id)
-	}
-	f.env.Commit(f.View(), seq, sl.batch, proof)
+	proof := &types.CommitProof{View: f.View(), Seq: sl.Seq, Digest: sl.Digest, Voters: sl.Voters(stageAccept)}
+	f.env.Commit(f.View(), sl.Seq, sl.Batch, proof)
 }
 
 // OnTimer implements core.Protocol.
 func (f *FaB) OnTimer(id core.TimerID) {
-	switch id.Name {
-	case timerProgress:
-		if f.backlog.Expired(id) {
-			f.vc.Start(f.View() + 1)
-		}
-	case timerVCRetry:
-		f.vc.Retry(id)
-	}
+	f.vc.OnTimer(id)
 }
 
 // OnExecuted implements core.Protocol.
 func (f *FaB) OnExecuted(seq types.SeqNum, batch *types.Batch, results [][]byte) {
-	f.backlog.Executed(batch)
-	core.ReplyExecuted(f.env, f.View(), seq, batch, results)
-	delete(f.slots, seq)
-	if f.nextSeq < seq {
-		f.nextSeq = seq
-	}
-	f.cm.OnExecuted(seq)
-	f.backlog.Progress()
+	f.Slots.Executed(seq, batch, results, true)
 	f.maybePropose()
 }

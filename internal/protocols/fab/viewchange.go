@@ -24,10 +24,10 @@ func (f *FaB) buildViewChange(v types.View) *ViewChangeMsg {
 	core.RetainedCommitted(f.env, func(view types.View, seq types.SeqNum, b *types.Batch, voters []types.NodeID) {
 		vc.Committed = append(vc.Committed, CommittedSlot{View: view, Seq: seq, Batch: b, Voters: voters})
 	})
-	for seq, sl := range f.slots {
-		if seq > vc.Base && sl.proposed {
+	for _, sl := range f.Slots.Assigned() {
+		if sl.Seq > vc.Base {
 			vc.Accepted = append(vc.Accepted, AcceptedSlot{
-				View: f.View(), Seq: seq, Digest: sl.digest, Batch: sl.batch,
+				View: f.View(), Seq: sl.Seq, Digest: sl.Digest, Batch: sl.Batch,
 			})
 		}
 	}
@@ -84,19 +84,13 @@ func (f *FaB) installNewView(m *NewViewMsg) {
 // adoptNewView takes over what the new-view message carries; the kit
 // holds proposing until it returns.
 func (f *FaB) adoptNewView(m *NewViewMsg) {
-	f.slots = make(map[types.SeqNum]*slot)
-
-	if f.nextSeq < m.Base {
-		f.nextSeq = m.Base
-	}
+	f.Slots.Advance(m.Base)
 	for i := range m.Committed {
 		s := &m.Committed[i]
 		core.AdoptCommitted(f.env, s.View, s.Seq, s.Batch, s.Voters)
 	}
 	for _, pm := range m.Proposals {
-		if pm.Seq > f.nextSeq {
-			f.nextSeq = pm.Seq
-		}
+		f.Slots.Advance(pm.Seq)
 		if pm.Seq > f.env.Ledger().LastExecuted() {
 			f.acceptPropose(pm)
 		}

@@ -16,6 +16,8 @@
 package kauri
 
 import (
+	"strings"
+
 	"bftkit/internal/core"
 	"bftkit/internal/crypto"
 	"bftkit/internal/types"
@@ -179,25 +181,29 @@ func (m *NewViewMsg) SigDigest() types.Digest {
 	return h.Sum()
 }
 
-type stageState struct {
-	own     []byte
-	signers map[types.NodeID][]byte
-	sent    bool // root only: certificate built
-	// lastSent is how many signatures the last upward aggregate held;
-	// late subtree votes trigger an incremental re-send so a slow leaf
-	// cannot starve the root of its quorum.
-	lastSent int
+// The two aggregation rounds (AggrMsg.Stage and CertMsg.Stage on the wire).
+const (
+	stagePrepare = "prepare"
+	stageCommit  = "commit"
+)
+
+// slotExt is what a Kauri slot keeps beside the kit's state: per stage,
+// how many signatures the last upward aggregate held. Late subtree votes
+// trigger an incremental re-send so a slow leaf cannot starve the root of
+// its quorum.
+type slotExt struct {
+	prepareSent, commitSent int
+	done                    bool
 }
 
-type slot struct {
-	digest   types.Digest
-	batch    *types.Batch
-	proposed bool
-	prepare  stageState
-	commit   stageState
-	prepCert *crypto.Certificate
-	done     bool
+func (x *slotExt) lastSent(stage string) *int {
+	if stage == stagePrepare {
+		return &x.prepareSent
+	}
+	return &x.commitSent
 }
+
+type slot = core.Slot[slotExt]
 
 // Kauri is the protocol state machine for one replica.
 type Kauri struct {
@@ -205,14 +211,14 @@ type Kauri struct {
 	cm  *core.CheckpointManager
 
 	// backlog is the request intake and τ2 timer; vc the view-change
-	// skeleton, which owns the current view (both from the core kit).
+	// skeleton, which owns the current view; Slots the ordering stage's
+	// per-sequence state (all from the core kit).
 	backlog *core.Backlog
 	vc      *core.ViewChange[*ViewChangeMsg]
+	Slots   *core.Slots[slotExt]
 
-	nextSeq types.SeqNum
-	slots   map[types.SeqNum]*slot
 	// preparedProof persists prepare certificates across tree
-	// reconfigurations (the per-view slots map is reset on install).
+	// reconfigurations (the per-view slots are dropped on install).
 	preparedProof map[types.SeqNum]*PreparedSlot
 }
 
@@ -231,11 +237,11 @@ func init() {
 func (k *Kauri) Init(env core.Env) {
 	k.env = env
 	k.cm = core.NewCheckpointManager(env)
-	k.slots = make(map[types.SeqNum]*slot)
 	k.preparedProof = make(map[types.SeqNum]*PreparedSlot)
 	k.backlog = core.NewBacklog(env, timerProgress)
 	k.vc = core.NewViewChange(env, k.backlog, timerVCRetry, env.Config().Quorum(),
 		core.ViewChangeHooks[*ViewChangeMsg]{Build: k.buildViewChange, NewView: k.sendNewView})
+	k.Slots = core.NewSlots[slotExt](env, core.KauriProfile(), k.backlog, k.vc, k.cm, stagePrepare, stageCommit)
 }
 
 // View returns the current view.
@@ -298,60 +304,30 @@ func (k *Kauri) OnRequest(req *types.Request) {
 }
 
 func (k *Kauri) maybePropose() {
-	if !k.vc.MayPropose() {
-		return
-	}
-	for {
-		reqs := k.backlog.Take(k.env.Config().BatchSize)
-		if len(reqs) == 0 {
-			return
-		}
-		batch := types.NewBatch(reqs...)
-		k.nextSeq++
-		prop := &ProposalMsg{View: k.View(), Seq: k.nextSeq, Digest: batch.Digest(), Batch: batch}
+	k.Slots.Propose(func(seq types.SeqNum, batch *types.Batch) {
+		prop := &ProposalMsg{View: k.View(), Seq: seq, Digest: batch.Digest(), Batch: batch}
 		prop.Sig = k.env.Signer().Sign(prop.SigDigest())
 		k.down(prop)
 		k.acceptProposal(prop)
-	}
-}
-
-func (k *Kauri) slot(seq types.SeqNum) *slot {
-	sl := k.slots[seq]
-	if sl == nil {
-		sl = &slot{
-			prepare: stageState{signers: make(map[types.NodeID][]byte)},
-			commit:  stageState{signers: make(map[types.NodeID][]byte)},
-		}
-		k.slots[seq] = sl
-	}
-	return sl
+	})
 }
 
 // acceptProposal relays down the tree and starts the prepare aggregation.
 func (k *Kauri) acceptProposal(m *ProposalMsg) {
-	if m.View != k.View() || k.vc.Active() {
+	sl := k.Slots.Accept(m.View, m.Seq, m.Digest, m.Batch)
+	if sl == nil {
 		return
 	}
-	if m.Batch.Digest() != m.Digest {
-		return
-	}
-	sl := k.slot(m.Seq)
-	if sl.proposed && sl.digest != m.Digest {
-		k.vc.Start(k.View() + 1)
-		return
-	}
-	if sl.proposed {
-		return
-	}
-	sl.proposed = true
-	sl.digest = m.Digest
-	sl.batch = m.Batch
-	k.backlog.Proposed(m.Batch)
 	k.down(m) // relay to the subtree
-	// Vote prepare: sign and start aggregating the subtree.
-	sl.prepare.own = k.env.Signer().Sign(shareDigest("prepare", m.View, m.Seq, m.Digest))
-	sl.prepare.signers[k.env.ID()] = sl.prepare.own
-	k.maybeForwardAggr("prepare", m.Seq, sl, &sl.prepare)
+	k.vote(stagePrepare, sl)
+}
+
+// vote signs this replica's share for a stage and starts aggregating the
+// subtree's.
+func (k *Kauri) vote(stage string, sl *slot) {
+	sig := k.env.Signer().Sign(shareDigest(stage, k.View(), sl.Seq, sl.Digest))
+	k.Slots.Vote(stage, k.View(), sl.Seq, k.env.ID(), sl.Digest, sig)
+	k.maybeForwardAggr(stage, sl)
 }
 
 // subtreeSize returns how many replicas (including self) sit in this
@@ -377,52 +353,40 @@ func (k *Kauri) subtreeSize() int {
 // maybeForwardAggr sends the aggregate to the parent once the whole
 // subtree has voted (or immediately at a leaf); the root instead tries to
 // finish the certificate.
-func (k *Kauri) maybeForwardAggr(stage string, seq types.SeqNum, sl *slot, st *stageState) {
+func (k *Kauri) maybeForwardAggr(stage string, sl *slot) {
 	if k.isRoot() {
-		k.maybeFinishStage(stage, seq, sl, st)
+		k.maybeFinishStage(stage, sl)
 		return
 	}
-	if len(st.signers) < k.subtreeSize() {
-		if st.lastSent == 0 {
-			// Wait briefly for the subtree; forward a partial aggregate
-			// on timeout so a silent descendant cannot block the slot.
-			k.env.SetTimer(core.TimerID{Name: timerAggr + "-" + stage, Seq: seq, View: k.View()},
-				2*k.env.Config().BatchTimeout)
-		} else if len(st.signers) > st.lastSent {
-			k.forwardAggr(stage, seq, sl, st) // incremental late votes
-		}
+	if sl.Count(stage) < k.subtreeSize() && *sl.X.lastSent(stage) == 0 {
+		// Wait briefly for the subtree; forward a partial aggregate
+		// on timeout so a silent descendant cannot block the slot.
+		k.env.SetTimer(core.TimerID{Name: timerAggr + "-" + stage, Seq: sl.Seq, View: k.View()},
+			2*k.env.Config().BatchTimeout)
 		return
 	}
-	k.forwardAggr(stage, seq, sl, st)
+	k.forwardAggr(stage, sl) // the whole subtree, or incremental late votes
 }
 
-func (k *Kauri) forwardAggr(stage string, seq types.SeqNum, sl *slot, st *stageState) {
-	if len(st.signers) <= st.lastSent {
-		return
+// forwardAggr sends the parent every signature held for the slot's digest,
+// if there are more than the last aggregate carried.
+func (k *Kauri) forwardAggr(stage string, sl *slot) {
+	cert := sl.Certificate(stage, sl.Digest)
+	if last := sl.X.lastSent(stage); cert.Size() > *last {
+		*last = cert.Size()
+		k.env.Send(k.Parent(k.View()), &AggrMsg{Stage: stage, View: k.View(), Seq: sl.Seq,
+			Digest: sl.Digest, Signers: cert.Signers, Sigs: cert.Sigs})
 	}
-	st.lastSent = len(st.signers)
-	agg := &AggrMsg{Stage: stage, View: k.View(), Seq: seq, Digest: sl.digest}
-	for id, sig := range st.signers {
-		agg.Signers = append(agg.Signers, id)
-		agg.Sigs = append(agg.Sigs, sig)
-	}
-	k.env.Send(k.Parent(k.View()), agg)
 }
 
 // maybeFinishStage (root only) builds the certificate at quorum.
-func (k *Kauri) maybeFinishStage(stage string, seq types.SeqNum, sl *slot, st *stageState) {
-	if st.sent || len(st.signers) < k.env.Config().Quorum() {
+func (k *Kauri) maybeFinishStage(stage string, sl *slot) {
+	if !sl.Reached(stage, k.Slots.Quorum) {
 		return
 	}
-	st.sent = true
-	cert := &crypto.Certificate{
-		Digest:    shareDigest(stage, k.View(), seq, sl.digest),
-		Threshold: k.env.Scheme() == crypto.SchemeThreshold,
-	}
-	for id, sig := range st.signers {
-		cert.Add(id, sig)
-	}
-	cm := &CertMsg{Stage: stage, View: k.View(), Seq: seq, Digest: sl.digest, Cert: cert}
+	cert := sl.Certificate(stage, shareDigest(stage, k.View(), sl.Seq, sl.Digest))
+	cert.Threshold = k.env.Scheme() == crypto.SchemeThreshold
+	cm := &CertMsg{Stage: stage, View: k.View(), Seq: sl.Seq, Digest: sl.Digest, Cert: cert}
 	cm.Sig = k.env.Signer().Sign(cm.SigDigest())
 	k.down(cm)
 	k.onCert(cm)
@@ -459,27 +423,20 @@ func (k *Kauri) onAggr(m *AggrMsg) {
 	if m.View != k.View() || k.vc.Active() || len(m.Signers) != len(m.Sigs) {
 		return
 	}
-	sl := k.slot(m.Seq)
-	if sl.proposed && sl.digest != m.Digest {
-		return
-	}
-	var st *stageState
-	if m.Stage == "prepare" {
-		st = &sl.prepare
-	} else {
-		st = &sl.commit
-	}
+	// Each signature is one signer's vote for the digest the aggregate
+	// names; a signer already on record is not verified again.
 	want := shareDigest(m.Stage, m.View, m.Seq, m.Digest)
 	for i, id := range m.Signers {
-		if st.signers[id] != nil {
+		if sl := k.Slots.Get(m.Seq); sl != nil && sl.Voted(m.Stage, id) {
 			continue
 		}
-		if !k.env.Verifier().VerifySig(id, want, m.Sigs[i]) {
-			continue
+		if k.env.Verifier().VerifySig(id, want, m.Sigs[i]) {
+			k.Slots.Vote(m.Stage, m.View, m.Seq, id, m.Digest, m.Sigs[i])
 		}
-		st.signers[id] = m.Sigs[i]
 	}
-	k.maybeForwardAggr(m.Stage, m.Seq, sl, st)
+	if sl := k.Slots.Get(m.Seq); sl != nil && sl.Batch != nil {
+		k.maybeForwardAggr(m.Stage, sl)
+	}
 }
 
 // onCert handles a certificate flowing down: a prepare certificate starts
@@ -488,71 +445,49 @@ func (k *Kauri) onCert(m *CertMsg) {
 	if m.View != k.View() || k.vc.Active() {
 		return
 	}
-	sl := k.slot(m.Seq)
-	if !sl.proposed || sl.digest != m.Digest || sl.done {
+	sl := k.Slots.Get(m.Seq)
+	if sl == nil || sl.Batch == nil || sl.Digest != m.Digest || sl.X.done {
 		return
 	}
 	want := shareDigest(m.Stage, m.View, m.Seq, m.Digest)
 	if m.Cert == nil || m.Cert.Digest != want ||
-		m.Cert.Verify(k.env.Verifier(), k.env.Config().Quorum()) != nil {
+		m.Cert.Verify(k.env.Verifier(), k.Slots.Quorum) != nil {
 		return
 	}
 	k.down(m) // relay down the tree
-	if m.Stage == "prepare" {
-		sl.prepCert = m.Cert
+	if m.Stage == stagePrepare {
 		if prev := k.preparedProof[m.Seq]; prev == nil || prev.View < m.View {
 			k.preparedProof[m.Seq] = &PreparedSlot{
-				View: m.View, Seq: m.Seq, Digest: m.Digest, Batch: sl.batch, Cert: m.Cert,
+				View: m.View, Seq: m.Seq, Digest: m.Digest, Batch: sl.Batch, Cert: m.Cert,
 			}
 		}
-		if sl.commit.own == nil {
-			sl.commit.own = k.env.Signer().Sign(shareDigest("commit", m.View, m.Seq, m.Digest))
-			sl.commit.signers[k.env.ID()] = sl.commit.own
-			k.maybeForwardAggr("commit", m.Seq, sl, &sl.commit)
+		if !sl.Voted(stageCommit, k.env.ID()) {
+			k.vote(stageCommit, sl)
 		}
 		return
 	}
 	// Commit certificate: the slot is decided.
-	sl.done = true
+	sl.X.done = true
 	proof := &types.CommitProof{View: m.View, Seq: m.Seq, Digest: m.Digest,
 		Voters: append([]types.NodeID(nil), m.Cert.Signers...)}
-	k.env.Commit(m.View, m.Seq, sl.batch, proof)
+	k.env.Commit(m.View, m.Seq, sl.Batch, proof)
 }
 
 // OnTimer implements core.Protocol.
 func (k *Kauri) OnTimer(id core.TimerID) {
-	switch id.Name {
-	case timerAggr + "-prepare":
-		if id.View == k.View() {
-			if sl := k.slots[id.Seq]; sl != nil {
-				k.forwardAggr("prepare", id.Seq, sl, &sl.prepare)
-			}
+	if stage, ok := strings.CutPrefix(id.Name, timerAggr+"-"); ok {
+		// The subtree did not answer in time: forward what is there.
+		if sl := k.Slots.Get(id.Seq); sl != nil && id.View == k.View() {
+			k.forwardAggr(stage, sl)
 		}
-	case timerAggr + "-commit":
-		if id.View == k.View() {
-			if sl := k.slots[id.Seq]; sl != nil {
-				k.forwardAggr("commit", id.Seq, sl, &sl.commit)
-			}
-		}
-	case timerProgress:
-		if k.backlog.Expired(id) {
-			k.vc.Start(k.View() + 1)
-		}
-	case timerVCRetry:
-		k.vc.Retry(id)
+		return
 	}
+	k.vc.OnTimer(id)
 }
 
 // OnExecuted implements core.Protocol.
 func (k *Kauri) OnExecuted(seq types.SeqNum, batch *types.Batch, results [][]byte) {
-	k.backlog.Executed(batch)
-	core.ReplyExecuted(k.env, k.View(), seq, batch, results)
-	delete(k.slots, seq)
 	delete(k.preparedProof, seq)
-	if k.nextSeq < seq {
-		k.nextSeq = seq
-	}
-	k.cm.OnExecuted(seq)
-	k.backlog.Progress()
+	k.Slots.Executed(seq, batch, results, true)
 	k.maybePropose()
 }

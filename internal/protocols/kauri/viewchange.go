@@ -39,8 +39,8 @@ func (k *Kauri) validPrepared(s *PreparedSlot) bool {
 	if s.Batch == nil || s.Batch.Digest() != s.Digest || s.Cert == nil {
 		return false
 	}
-	return s.Cert.Digest == shareDigest("prepare", s.View, s.Seq, s.Digest) &&
-		s.Cert.Verify(k.env.Verifier(), k.env.Config().Quorum()) == nil
+	return s.Cert.Digest == shareDigest(stagePrepare, s.View, s.Seq, s.Digest) &&
+		s.Cert.Verify(k.env.Verifier(), k.Slots.Quorum) == nil
 }
 
 func (k *Kauri) sendNewView(v types.View, vcs []*ViewChangeMsg) {
@@ -107,19 +107,13 @@ func (k *Kauri) installNewView(m *NewViewMsg) {
 // adoptNewView takes over what the new-view message carries; the kit
 // holds proposing until it returns.
 func (k *Kauri) adoptNewView(m *NewViewMsg) {
-	k.slots = make(map[types.SeqNum]*slot)
-
-	if k.nextSeq < m.Base {
-		k.nextSeq = m.Base
-	}
+	k.Slots.Advance(m.Base)
 	for i := range m.Committed {
 		s := &m.Committed[i]
 		core.AdoptCommitted(k.env, s.View, s.Seq, s.Batch, s.Voters)
 	}
 	for _, prop := range m.Proposals {
-		if prop.Seq > k.nextSeq {
-			k.nextSeq = prop.Seq
-		}
+		k.Slots.Advance(prop.Seq)
 		if prop.Seq > k.env.Ledger().LastExecuted() {
 			k.acceptProposal(prop)
 		}

@@ -40,27 +40,19 @@ type Options struct {
 	FrontRun bool
 }
 
-type instKey struct {
-	View types.View
-	Seq  types.SeqNum
-}
+// The two voting stages of the ordering stage. Prepare and commit votes
+// carry signatures in signature mode and only their presence in MAC mode.
+const (
+	stagePrepare = "prepare"
+	stageCommit  = "commit"
+)
 
-type instance struct {
-	digest      types.Digest
-	batch       *types.Batch
-	prePrepared bool
-	// ppSig is the leader's signature on the pre-prepare; it stands in
-	// for the leader's prepare vote in view-change proofs.
-	ppSig []byte
-	// prepares holds prepare signatures matching digest (sig-mode) or
-	// just vote presence (MAC mode), keyed by voter.
-	prepares  map[types.NodeID][]byte
-	commits   map[types.NodeID][]byte
-	sentPrep  bool
-	sentComm  bool
-	prepared  bool
-	committed bool
-}
+// slotExt is what a PBFT slot keeps beside the kit's state: the leader's
+// signature on the pre-prepare, which stands in for the leader's prepare
+// vote in view-change proofs.
+type slotExt struct{ ppSig []byte }
+
+type slot = core.Slot[slotExt]
 
 // PBFT is the protocol state machine for one replica.
 type PBFT struct {
@@ -69,12 +61,14 @@ type PBFT struct {
 	cm   *core.CheckpointManager
 
 	// backlog is the request intake and τ2 timer; vc the view-change
-	// skeleton, which owns the current view (both from the core kit).
+	// skeleton, which owns the current view; Slots the ordering stage's
+	// per-sequence state (all from the core kit).
 	backlog *core.Backlog
 	vc      *core.ViewChange[*ViewChangeMsg]
+	Slots   *core.Slots[slotExt]
 
-	nextSeq types.SeqNum
-	insts   map[instKey]*instance
+	// delayed holds proposals the DelayAttack adversary is sitting on.
+	delayed map[types.SeqNum]*PrePrepareMsg
 	// preparedProof remembers, per sequence number, the
 	// highest-view prepared certificate for view changes.
 	preparedProof map[types.SeqNum]*PreparedProof
@@ -126,12 +120,12 @@ func init() {
 func (p *PBFT) Init(env core.Env) {
 	p.env = env
 	p.cm = core.NewCheckpointManager(env)
-	p.insts = make(map[instKey]*instance)
 	p.preparedProof = make(map[types.SeqNum]*PreparedProof)
 	p.commitCerts = make(map[types.SeqNum]*crypto.Certificate)
 	p.backlog = core.NewBacklog(env, timerProgress)
 	p.vc = core.NewViewChange(env, p.backlog, timerViewChange, env.Config().Quorum(),
 		core.ViewChangeHooks[*ViewChangeMsg]{Build: p.buildViewChange, NewView: p.sendNewView})
+	p.Slots = core.NewSlots[slotExt](env, core.PBFTProfile(), p.backlog, p.vc, p.cm, stagePrepare, stageCommit)
 	p.viewEvidence = make(map[types.NodeID]types.View)
 	if p.opts.RejuvenationInterval > 0 {
 		stagger := time.Duration(int(env.ID())+1) * p.opts.RejuvenationInterval / time.Duration(env.N())
@@ -144,18 +138,6 @@ func (p *PBFT) Leader() types.NodeID { return p.vc.Leader() }
 
 // View returns the current view (tests observe it).
 func (p *PBFT) View() types.View { return p.vc.View() }
-
-func (p *PBFT) inst(k instKey) *instance {
-	in := p.insts[k]
-	if in == nil {
-		in = &instance{
-			prepares: make(map[types.NodeID][]byte),
-			commits:  make(map[types.NodeID][]byte),
-		}
-		p.insts[k] = in
-	}
-	return in
-}
 
 // OnRequest implements core.Protocol.
 func (p *PBFT) OnRequest(req *types.Request) {
@@ -195,15 +177,14 @@ func (p *PBFT) proposeBatch() {
 		take = p.takeNewest
 	}
 	for {
-		if uint64(p.nextSeq) >= uint64(p.env.Ledger().LowWater())+cfg.HighWaterWindow {
+		if uint64(p.Slots.NextSeq()) >= uint64(p.env.Ledger().LowWater())+cfg.HighWaterWindow {
 			return // out of window; resume as checkpoints advance
 		}
 		reqs := take(cfg.BatchSize)
 		if len(reqs) == 0 {
 			return
 		}
-		p.nextSeq++
-		p.sendPrePrepare(p.nextSeq, types.NewBatch(reqs...))
+		p.sendPrePrepare(p.Slots.Next(), types.NewBatch(reqs...))
 	}
 }
 
@@ -224,23 +205,19 @@ func (p *PBFT) sendPrePrepare(seq types.SeqNum, batch *types.Batch) {
 	pp := &PrePrepareMsg{View: p.View(), Seq: seq, Digest: batch.Digest(), Batch: batch}
 	pp.Sig, pp.Auth = core.Authenticate(p.env, pp.SigDigest())
 	if p.opts.DelayAttack > 0 {
-		p.delayedBroadcast(pp, seq)
+		// Hold the proposal back by the attack delay before letting the
+		// backups see it.
+		if p.delayed == nil {
+			p.delayed = make(map[types.SeqNum]*PrePrepareMsg)
+		}
+		p.delayed[seq] = pp
+		p.env.SetTimer(core.TimerID{Name: timerDelay, Seq: seq}, p.opts.DelayAttack)
 	} else if p.opts.EquivocateAsLeader {
 		p.equivocate(pp)
 	} else {
 		p.env.Broadcast(pp)
 	}
 	p.acceptPrePrepare(pp)
-}
-
-// delayedBroadcast holds a proposal back by the attack delay before
-// letting the backups see it.
-func (p *PBFT) delayedBroadcast(pp *PrePrepareMsg, seq types.SeqNum) {
-	p.env.SetTimer(core.TimerID{Name: timerDelay, Seq: seq}, p.opts.DelayAttack)
-	// Remember the proposal so the timer callback can send it.
-	in := p.inst(instKey{p.View(), seq})
-	in.batch = pp.Batch
-	in.digest = pp.Digest
 }
 
 func (p *PBFT) equivocate(pp *PrePrepareMsg) {
@@ -290,45 +267,32 @@ func (p *PBFT) acceptPrePrepare(pp *PrePrepareMsg) {
 		}
 		return
 	}
-	if pp.Batch.Digest() != pp.Digest {
+	sl := p.Slots.Accept(pp.View, pp.Seq, pp.Digest, pp.Batch)
+	if sl == nil {
 		return
 	}
-	k := instKey{pp.View, pp.Seq}
-	in := p.inst(k)
-	if in.prePrepared && in.digest != pp.Digest {
-		// Equivocation detected: refuse and push toward a view change.
-		p.vc.Start(p.View() + 1)
-		return
-	}
-	if in.digest != pp.Digest {
-		// Prepares that overtook the pre-prepare were buffered under the
-		// digest they named. The leader assigned a different one, so they
-		// are not votes for this proposal — and their signatures would
-		// make the slot's prepared certificate unverifiable.
-		clear(in.prepares)
-	}
-	in.prePrepared = true
-	in.digest = pp.Digest
-	in.batch = pp.Batch
-	in.ppSig = pp.Sig
-	p.backlog.Proposed(pp.Batch)
-	if !in.sentPrep && p.env.ID() != p.env.Config().LeaderOf(pp.View) {
+	sl.X.ppSig = pp.Sig
+	if !p.vc.Leading() {
 		// Only backups send prepares; the leader's pre-prepare is its
 		// vote (Figure 2). Each backup also counts its own prepare,
 		// backed by a real signature so prepared certificates stay
 		// verifiable in view changes.
-		in.sentPrep = true
 		pm := &PrepareMsg{View: pp.View, Seq: pp.Seq, Digest: pp.Digest, Replica: p.env.ID()}
 		pm.Sig, pm.Auth = core.Authenticate(p.env, pm.SigDigest())
 		p.env.Broadcast(pm)
-		sig := pm.Sig
-		if sig == nil {
-			sig = p.env.Signer().Sign(pm.SigDigest())
-		}
-		in.prepares[p.env.ID()] = sig
+		p.voteSelf(stagePrepare, sl, pm.Sig, pm.SigDigest())
 	}
-	p.checkPrepared(k, in)
-	p.checkCommitted(k, in)
+	p.checkPrepared(sl)
+	p.checkCommitted(sl)
+}
+
+// voteSelf counts this replica's own vote, signing it if the broadcast
+// copy was only MAC-authenticated.
+func (p *PBFT) voteSelf(stage string, sl *slot, sig []byte, digest types.Digest) {
+	if sig == nil {
+		sig = p.env.Signer().Sign(digest)
+	}
+	p.Slots.Vote(stage, p.View(), sl.Seq, p.env.ID(), sl.Digest, sig)
 }
 
 // OnMessage implements core.Protocol.
@@ -379,13 +343,12 @@ func (p *PBFT) verifyCommitCert(v types.View, seq types.SeqNum, d types.Digest, 
 	if cert.Size() < p.env.Config().Quorum() {
 		return false
 	}
-	seen := make(map[types.NodeID]bool, cert.Size())
+	var seen core.Tally[types.SeqNum, struct{}]
 	probe := &CommitMsg{View: v, Seq: seq, Digest: d}
 	for i, signer := range cert.Signers {
-		if seen[signer] {
+		if seen.Add(seq, signer, struct{}{}) == 0 {
 			return false
 		}
-		seen[signer] = true
 		probe.Replica = signer
 		if !p.env.Verifier().VerifySig(signer, probe.SigDigest(), cert.Sigs[i]) {
 			return false
@@ -470,59 +433,31 @@ func (p *PBFT) onPrepare(from types.NodeID, m *PrepareMsg) {
 	if !core.VerifyAuth(p.env, from, m.SigDigest(), m.Sig, m.Auth) {
 		return
 	}
-	k := instKey{m.View, m.Seq}
-	in := p.inst(k)
-	if in.prePrepared && in.digest != m.Digest {
-		return
+	if sl := p.Slots.Vote(stagePrepare, m.View, m.Seq, from, m.Digest, m.Sig); sl != nil {
+		p.checkPrepared(sl)
 	}
-	if !in.prePrepared {
-		// Buffer only votes for a single digest per slot; a mismatch
-		// before pre-prepare is resolved when the pre-prepare arrives.
-		if len(in.prepares) > 0 && in.digest != m.Digest {
-			return
-		}
-		in.digest = m.Digest
-	}
-	in.prepares[from] = m.Sig
-	p.checkPrepared(k, in)
 }
 
 // checkPrepared fires when the slot holds a pre-prepare (the leader's
 // vote) plus prepares from 2f replicas including this one — 2f+1
 // distinct replicas in total, the paper's prepared predicate.
-func (p *PBFT) checkPrepared(k instKey, in *instance) {
-	if in.prepared || !in.prePrepared {
+func (p *PBFT) checkPrepared(sl *slot) {
+	if !sl.Reached(stagePrepare, p.Slots.Quorum-1) {
 		return
 	}
-	if len(in.prepares) < 2*p.env.F() {
-		return
-	}
-	in.prepared = true
 	// Record the prepared certificate for view changes: the backups'
 	// prepare signatures plus the leader's pre-prepare signature.
-	cert := &crypto.Certificate{Digest: in.digest, Threshold: false}
-	for id, sig := range in.prepares {
-		cert.Add(id, sig)
-	}
-	prev := p.preparedProof[k.Seq]
-	if prev == nil || prev.View < k.View {
-		p.preparedProof[k.Seq] = &PreparedProof{
-			View: k.View, Seq: k.Seq, Digest: in.digest, Batch: in.batch,
-			LeaderSig: in.ppSig, Cert: cert,
+	if prev := p.preparedProof[sl.Seq]; prev == nil || prev.View < p.View() {
+		p.preparedProof[sl.Seq] = &PreparedProof{
+			View: p.View(), Seq: sl.Seq, Digest: sl.Digest, Batch: sl.Batch,
+			LeaderSig: sl.X.ppSig, Cert: sl.Certificate(stagePrepare, sl.Digest),
 		}
 	}
-	if !in.sentComm {
-		in.sentComm = true
-		cm := &CommitMsg{View: k.View, Seq: k.Seq, Digest: in.digest, Replica: p.env.ID()}
-		cm.Sig, cm.Auth = core.Authenticate(p.env, cm.SigDigest())
-		p.env.Broadcast(cm)
-		sig := cm.Sig
-		if sig == nil {
-			sig = p.env.Signer().Sign(cm.SigDigest())
-		}
-		in.commits[p.env.ID()] = sig
-	}
-	p.checkCommitted(k, in)
+	cm := &CommitMsg{View: p.View(), Seq: sl.Seq, Digest: sl.Digest, Replica: p.env.ID()}
+	cm.Sig, cm.Auth = core.Authenticate(p.env, cm.SigDigest())
+	p.env.Broadcast(cm)
+	p.voteSelf(stageCommit, sl, cm.Sig, cm.SigDigest())
+	p.checkCommitted(sl)
 }
 
 func (p *PBFT) onCommit(from types.NodeID, m *CommitMsg) {
@@ -541,13 +476,9 @@ func (p *PBFT) onCommit(from types.NodeID, m *CommitMsg) {
 	if !core.VerifyAuth(p.env, from, m.SigDigest(), m.Sig, m.Auth) {
 		return
 	}
-	k := instKey{m.View, m.Seq}
-	in := p.inst(k)
-	if in.digest != m.Digest && (in.prePrepared || len(in.prepares) > 0) {
-		return
+	if sl := p.Slots.Vote(stageCommit, m.View, m.Seq, from, m.Digest, m.Sig); sl != nil {
+		p.checkCommitted(sl)
 	}
-	in.commits[from] = m.Sig
-	p.checkCommitted(k, in)
 }
 
 // noteHigherView records signature-verified evidence that a peer
@@ -600,41 +531,25 @@ func (p *PBFT) keepCert(seq types.SeqNum, cert *crypto.Certificate) {
 	}
 }
 
-func (p *PBFT) checkCommitted(k instKey, in *instance) {
-	if in.committed || !in.prepared {
+func (p *PBFT) checkCommitted(sl *slot) {
+	if !sl.Past(stagePrepare) || !sl.Reached(stageCommit, p.Slots.Quorum) {
 		return
 	}
-	if len(in.commits) < p.env.Config().Quorum() {
-		return
+	// MAC-mode commit votes carry no signature, so no certificate forms.
+	if cert := sl.Certificate(stageCommit, sl.Digest); cert.Size() >= p.Slots.Quorum {
+		p.keepCert(sl.Seq, cert)
 	}
-	in.committed = true
-	proof := &types.CommitProof{View: k.View, Seq: k.Seq, Digest: in.digest}
-	cert := &crypto.Certificate{Digest: in.digest}
-	for id, sig := range in.commits {
-		proof.Voters = append(proof.Voters, id)
-		if sig != nil {
-			cert.Add(id, sig)
-		}
-	}
-	if cert.Size() >= p.env.Config().Quorum() {
-		p.keepCert(k.Seq, cert)
-	}
-	p.env.Commit(k.View, k.Seq, in.batch, proof)
+	proof := &types.CommitProof{View: p.View(), Seq: sl.Seq, Digest: sl.Digest, Voters: sl.Voters(stageCommit)}
+	p.env.Commit(p.View(), sl.Seq, sl.Batch, proof)
 }
 
 // OnExecuted implements core.Protocol: reply to clients (the runtime
 // caches the signed reply for retransmissions), service the checkpoint
 // manager, and keep the progress timer honest.
 func (p *PBFT) OnExecuted(seq types.SeqNum, batch *types.Batch, results [][]byte) {
-	p.backlog.Executed(batch)
-	core.ReplyExecuted(p.env, p.View(), seq, batch, results)
 	delete(p.preparedProof, seq)
 	p.dropCatchup(seq)
-	if p.nextSeq < seq {
-		p.nextSeq = seq
-	}
-	p.cm.OnExecuted(seq)
-	p.backlog.Progress()
+	p.Slots.Executed(seq, batch, results, true)
 	p.maybePropose()
 }
 
@@ -670,13 +585,10 @@ func (p *PBFT) OnTimer(id core.TimerID) {
 		}
 	case timerDelay:
 		// Attack injection: release the withheld proposal.
-		in := p.insts[instKey{p.View(), id.Seq}]
-		if in != nil && in.batch != nil {
-			pp := &PrePrepareMsg{View: p.View(), Seq: id.Seq, Digest: in.digest, Batch: in.batch}
-			pp.Sig, pp.Auth = core.Authenticate(p.env, pp.SigDigest())
+		if pp := p.delayed[id.Seq]; pp != nil && pp.View == p.View() {
 			p.env.Broadcast(pp)
-			p.acceptPrePrepare(pp)
 		}
+		delete(p.delayed, id.Seq)
 	case timerRejuvenate:
 		p.rejuvenate()
 	}
@@ -686,7 +598,7 @@ func (p *PBFT) OnTimer(id core.TimerID) {
 // ordering state and continue from the durable log. In-flight slots are
 // re-proposed by the leader or recovered through the next view change.
 func (p *PBFT) rejuvenate() {
-	p.insts = make(map[instKey]*instance)
+	p.Slots.Reset()
 	p.vc.Forget()
 	p.backlog.Progress()
 	p.env.SetTimer(core.TimerID{Name: timerRejuvenate}, p.opts.RejuvenationInterval)

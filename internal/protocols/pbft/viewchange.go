@@ -135,16 +135,11 @@ func (p *PBFT) installNewView(m *NewViewMsg, maxS types.SeqNum) {
 // adoptNewView takes over what the new-view message carries; the kit
 // holds proposing until it returns.
 func (p *PBFT) adoptNewView(m *NewViewMsg, maxS types.SeqNum) {
-	if p.nextSeq < m.Base {
-		p.nextSeq = m.Base
-	}
+	p.Slots.Advance(max(m.Base, maxS))
 	if m.Base > p.env.Ledger().LastExecuted() {
 		// We are behind the quorum's execution point: fetch the
 		// committed slots we missed during the view churn.
 		p.requestCatchup()
-	}
-	if p.nextSeq < maxS {
-		p.nextSeq = maxS
 	}
 	// Adopt the re-issued pre-prepares: they flow through the normal
 	// acceptance path, so backups prepare and commit them again in the

@@ -218,14 +218,13 @@ type Options struct {
 	SilentLeader bool
 }
 
-type slot struct {
-	digest   types.Digest
-	batch    *types.Batch
-	proposed bool
-	signed   bool
-	shares   map[types.NodeID][]byte
-	cert     *crypto.Certificate
-	executed bool
+// stageShare is PoE's one voting stage: signed shares to the collector.
+const stageShare = "share"
+
+// slotExt is what a PoE slot keeps beside the kit's state.
+type slotExt struct {
+	cert     *crypto.Certificate // the 2f+1 share certificate, once known
+	executed bool                // speculatively executed
 }
 
 // PoE is the protocol state machine for one replica.
@@ -234,12 +233,12 @@ type PoE struct {
 	opts Options
 
 	// backlog is the request intake and τ2 timer; vc the view-change
-	// skeleton, which owns the current view (both from the core kit).
+	// skeleton, which owns the current view; Slots the ordering stage's
+	// per-sequence state (all from the core kit).
 	backlog *core.Backlog
 	vc      *core.ViewChange[*ViewChangeMsg]
+	Slots   *core.Slots[slotExt]
 
-	nextSeq types.SeqNum
-	slots   map[types.SeqNum]*slot
 	// ready buffers certified slots awaiting contiguous speculative
 	// execution.
 	ready map[types.SeqNum]*CertifyMsg
@@ -265,24 +264,15 @@ func init() {
 // Init implements core.Protocol.
 func (p *PoE) Init(env core.Env) {
 	p.env = env
-	p.slots = make(map[types.SeqNum]*slot)
 	p.ready = make(map[types.SeqNum]*CertifyMsg)
 	p.backlog = core.NewBacklog(env, timerProgress)
 	p.vc = core.NewViewChange(env, p.backlog, timerVCRetry, env.Config().Quorum(),
 		core.ViewChangeHooks[*ViewChangeMsg]{Build: p.buildViewChange, NewView: p.sendNewView})
+	p.Slots = core.NewSlots[slotExt](env, core.PoEProfile(), p.backlog, p.vc, nil, stageShare)
 }
 
 // View returns the current view.
 func (p *PoE) View() types.View { return p.vc.View() }
-
-func (p *PoE) slot(seq types.SeqNum) *slot {
-	sl := p.slots[seq]
-	if sl == nil {
-		sl = &slot{shares: make(map[types.NodeID][]byte)}
-		p.slots[seq] = sl
-	}
-	return sl
-}
 
 // OnRequest implements core.Protocol.
 func (p *PoE) OnRequest(req *types.Request) {
@@ -292,49 +282,25 @@ func (p *PoE) OnRequest(req *types.Request) {
 }
 
 func (p *PoE) maybePropose() {
-	if !p.vc.MayPropose() {
-		return
-	}
-	for {
-		reqs := p.backlog.Take(p.env.Config().BatchSize)
-		if len(reqs) == 0 {
-			return
-		}
-		batch := types.NewBatch(reqs...)
-		p.nextSeq++
-		pm := &ProposeMsg{View: p.View(), Seq: p.nextSeq, Digest: batch.Digest(), Batch: batch}
+	p.Slots.Propose(func(seq types.SeqNum, batch *types.Batch) {
+		pm := &ProposeMsg{View: p.View(), Seq: seq, Digest: batch.Digest(), Batch: batch}
 		pm.Sig = p.env.Signer().Sign(pm.SigDigest())
 		p.env.Broadcast(pm)
 		p.acceptPropose(pm)
-	}
+	})
 }
 
 func (p *PoE) acceptPropose(m *ProposeMsg) {
-	if m.View != p.View() || p.vc.Active() {
+	if p.Slots.Accept(m.View, m.Seq, m.Digest, m.Batch) == nil {
 		return
 	}
-	if m.Batch.Digest() != m.Digest {
-		return
-	}
-	sl := p.slot(m.Seq)
-	if sl.proposed && sl.digest != m.Digest {
-		p.vc.Start(p.View() + 1)
-		return
-	}
-	sl.proposed = true
-	sl.digest = m.Digest
-	sl.batch = m.Batch
-	p.backlog.Proposed(m.Batch)
-	if !sl.signed {
-		sl.signed = true
-		sd := shareDigest(m.View, m.Seq, m.Digest)
-		share := &ShareMsg{View: m.View, Seq: m.Seq, Digest: m.Digest,
-			Replica: p.env.ID(), Sig: p.env.Signer().Sign(sd)}
-		if p.vc.Leading() {
-			p.onShare(p.env.ID(), share)
-		} else {
-			p.env.Send(p.vc.Leader(), share)
-		}
+	sd := shareDigest(m.View, m.Seq, m.Digest)
+	share := &ShareMsg{View: m.View, Seq: m.Seq, Digest: m.Digest,
+		Replica: p.env.ID(), Sig: p.env.Signer().Sign(sd)}
+	if p.vc.Leading() {
+		p.onShare(p.env.ID(), share)
+	} else {
+		p.env.Send(p.vc.Leader(), share)
 	}
 }
 
@@ -383,28 +349,19 @@ func (p *PoE) OnMessage(from types.NodeID, m types.Message) {
 }
 
 func (p *PoE) onShare(from types.NodeID, m *ShareMsg) {
-	if !p.vc.Leading() || m.View != p.View() || p.vc.Active() {
+	if !p.vc.Leading() {
 		return
 	}
-	sl := p.slot(m.Seq)
-	if sl.proposed && sl.digest != m.Digest {
+	sl := p.Slots.Vote(stageShare, m.View, m.Seq, from, m.Digest, m.Sig)
+	if sl == nil || !sl.Reached(stageShare, p.Slots.Quorum) {
 		return
 	}
-	sl.shares[from] = m.Sig
-	if len(sl.shares) >= p.env.Config().Quorum() && sl.cert == nil {
-		cert := &crypto.Certificate{
-			Digest:    shareDigest(m.View, m.Seq, m.Digest),
-			Threshold: p.env.Scheme() == crypto.SchemeThreshold,
-		}
-		for id, sig := range sl.shares {
-			cert.Add(id, sig)
-		}
-		sl.cert = cert
-		cm := &CertifyMsg{View: m.View, Seq: m.Seq, Digest: m.Digest, Cert: cert}
-		cm.Sig = p.env.Signer().Sign(cm.SigDigest())
-		p.env.Broadcast(cm)
-		p.onCertify(cm)
-	}
+	cert := sl.Certificate(stageShare, shareDigest(m.View, m.Seq, sl.Digest))
+	cert.Threshold = p.env.Scheme() == crypto.SchemeThreshold
+	cm := &CertifyMsg{View: m.View, Seq: m.Seq, Digest: sl.Digest, Cert: cert}
+	cm.Sig = p.env.Signer().Sign(cm.SigDigest())
+	p.env.Broadcast(cm)
+	p.onCertify(cm)
 }
 
 // onCertify speculatively executes certified slots in sequence order.
@@ -414,17 +371,20 @@ func (p *PoE) onCertify(m *CertifyMsg) {
 	}
 	want := shareDigest(m.View, m.Seq, m.Digest)
 	if m.Cert == nil || m.Cert.Digest != want ||
-		m.Cert.Verify(p.env.Verifier(), p.env.Config().Quorum()) != nil {
+		m.Cert.Verify(p.env.Verifier(), p.Slots.Quorum) != nil {
 		return
 	}
-	sl := p.slot(m.Seq)
-	if !sl.proposed || sl.digest != m.Digest || sl.executed {
-		if !sl.proposed {
+	sl := p.Slots.Get(m.Seq)
+	if sl == nil || sl.Batch == nil {
+		if m.Seq > p.env.Ledger().LastExecuted() {
 			p.ready[m.Seq] = m // batch not here yet
 		}
 		return
 	}
-	sl.cert = m.Cert
+	if sl.Digest != m.Digest || sl.X.executed {
+		return
+	}
+	sl.X.cert = m.Cert
 	p.ready[m.Seq] = m
 	p.drainReady()
 }
@@ -436,17 +396,17 @@ func (p *PoE) drainReady() {
 		if !ok {
 			return
 		}
-		sl := p.slot(next)
-		if !sl.proposed || sl.digest != m.Digest {
+		sl := p.Slots.Get(next)
+		if sl == nil || sl.Batch == nil || sl.Digest != m.Digest {
 			return
 		}
 		delete(p.ready, next)
-		results := p.env.SpecExecute(next, sl.batch)
+		results := p.env.SpecExecute(next, sl.Batch)
 		if results == nil {
 			continue
 		}
-		sl.executed = true
-		for i, req := range sl.batch.Requests {
+		sl.X.executed = true
+		for i, req := range sl.Batch.Requests {
 			p.env.Reply(&types.Reply{
 				Client:      req.Client,
 				ClientSeq:   req.ClientSeq,
@@ -470,9 +430,9 @@ func (p *PoE) drainReady() {
 
 func (p *PoE) specTip() types.SeqNum {
 	tip := p.env.Ledger().LastExecuted()
-	for seq, sl := range p.slots {
-		if sl.executed && seq > tip {
-			tip = seq
+	for sl := range p.Slots.All() {
+		if sl.X.executed && sl.Seq > tip {
+			tip = sl.Seq
 		}
 	}
 	return tip
@@ -487,43 +447,30 @@ func (p *PoE) recordCheckpoint(from types.NodeID, m *CheckpointMsg) {
 		return
 	}
 	voters := core.Backers(&p.cpVotes, m.Seq, p.env.HistoryDigest())
-	if len(voters) < p.env.Config().Quorum() {
+	if len(voters) < p.Slots.Quorum {
 		return
 	}
 	// Durably commit the prefix.
 	for s := p.env.Ledger().LastExecuted() + 1; s <= m.Seq; s++ {
-		sl := p.slots[s]
-		if sl == nil || !sl.executed {
+		sl := p.Slots.Get(s)
+		if sl == nil || !sl.X.executed {
 			break
 		}
-		proof := &types.CommitProof{View: p.View(), Seq: s, Digest: sl.digest,
+		proof := &types.CommitProof{View: p.View(), Seq: s, Digest: sl.Digest,
 			Voters: append([]types.NodeID(nil), voters...)}
-		p.env.Commit(p.View(), s, sl.batch, proof)
+		p.env.Commit(p.View(), s, sl.Batch, proof)
 	}
 	p.cpVotes.Delete(m.Seq)
 }
 
 // OnTimer implements core.Protocol.
 func (p *PoE) OnTimer(id core.TimerID) {
-	switch id.Name {
-	case timerProgress:
-		if p.backlog.Expired(id) {
-			p.vc.Start(p.View() + 1)
-		}
-	case timerVCRetry:
-		p.vc.Retry(id)
-	}
+	p.vc.OnTimer(id)
 }
 
 // OnExecuted implements core.Protocol (commit-path execution).
 func (p *PoE) OnExecuted(seq types.SeqNum, batch *types.Batch, results [][]byte) {
-	p.backlog.Executed(batch)
-	core.ReplyExecuted(p.env, p.View(), seq, batch, results)
-	delete(p.slots, seq)
 	delete(p.ready, seq)
-	if p.nextSeq < seq {
-		p.nextSeq = seq
-	}
-	p.backlog.Progress()
+	p.Slots.Executed(seq, batch, results, true)
 	p.maybePropose()
 }

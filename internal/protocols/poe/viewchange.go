@@ -24,10 +24,10 @@ func (p *PoE) buildViewChange(v types.View) *ViewChangeMsg {
 	core.RetainedCommitted(p.env, func(view types.View, seq types.SeqNum, b *types.Batch, voters []types.NodeID) {
 		vc.Committed = append(vc.Committed, CommittedSlot{View: view, Seq: seq, Batch: b, Voters: voters})
 	})
-	for seq, sl := range p.slots {
-		if seq > vc.Base && sl.cert != nil && sl.batch != nil {
+	for _, sl := range p.Slots.Assigned() {
+		if sl.Seq > vc.Base && sl.X.cert != nil {
 			vc.Slots = append(vc.Slots, CertifiedSlot{
-				View: p.View(), Seq: seq, Digest: sl.digest, Batch: sl.batch, Cert: sl.cert,
+				View: p.View(), Seq: sl.Seq, Digest: sl.Digest, Batch: sl.Batch, Cert: sl.X.cert,
 			})
 		}
 	}
@@ -43,7 +43,7 @@ func (p *PoE) validSlot(s *CertifiedSlot) bool {
 		return false
 	}
 	return s.Cert.Digest == shareDigest(s.View, s.Seq, s.Digest) &&
-		s.Cert.Verify(p.env.Verifier(), p.env.Config().Quorum()) == nil
+		s.Cert.Verify(p.env.Verifier(), p.Slots.Quorum) == nil
 }
 
 func (p *PoE) sendNewView(v types.View, vcs []*ViewChangeMsg) {
@@ -111,23 +111,17 @@ func (p *PoE) installNewView(m *NewViewMsg) {
 // holds proposing until it returns.
 func (p *PoE) adoptNewView(m *NewViewMsg) {
 	// Roll back uncommitted speculation; the decided order replaces it.
-	lastExec := p.env.Ledger().LastExecuted()
-	p.env.RollbackSpecAbove(lastExec)
-	p.slots = make(map[types.SeqNum]*slot)
+	p.env.RollbackSpecAbove(p.env.Ledger().LastExecuted())
 	p.ready = make(map[types.SeqNum]*CertifyMsg)
-	p.nextSeq = lastExec
-	if p.nextSeq < m.Base {
-		p.nextSeq = m.Base
-	}
+	p.Slots.Rewind()
+	p.Slots.Advance(m.Base)
 	for i := range m.Committed {
 		s := &m.Committed[i]
 		core.AdoptCommitted(p.env, s.View, s.Seq, s.Batch, s.Voters)
 	}
 
 	for _, pm := range m.Proposals {
-		if pm.Seq > p.nextSeq {
-			p.nextSeq = pm.Seq
-		}
+		p.Slots.Advance(pm.Seq)
 		if pm.Seq > p.env.Ledger().LastExecuted() {
 			p.acceptPropose(pm)
 		}

@@ -223,21 +223,20 @@ type Options struct {
 	FastPathWait time.Duration
 }
 
-type slot struct {
-	digest   types.Digest
-	batch    *types.Batch
-	proposed bool
-	// collector state (leader only)
-	signShares   map[types.NodeID][]byte
-	commitShares map[types.NodeID][]byte
-	prepareSent  bool
-	commitSent   bool
-	fastTimer    bool
-	// replica state
-	signed      bool
+// The two share stages the collector tallies (ShareMsg.Stage on the wire).
+const (
+	stageSign   = "sign"
+	stageCommit = "commit"
+)
+
+// slotExt is what an SBFT slot keeps beside the kit's state.
+type slotExt struct {
+	prepareSent bool // collector: slow-path prepare proof sent
+	commitSent  bool // collector: fast-commit or commit proof sent
 	committed   bool
-	prepareCert *crypto.Certificate
 }
+
+type slot = core.Slot[slotExt]
 
 // SBFT is the protocol state machine for one replica.
 type SBFT struct {
@@ -246,14 +245,14 @@ type SBFT struct {
 	cm   *core.CheckpointManager
 
 	// backlog is the request intake and τ2 timer; vc the view-change
-	// skeleton, which owns the current view (both from the core kit).
+	// skeleton, which owns the current view; Slots the ordering stage's
+	// per-sequence state (all from the core kit).
 	backlog *core.Backlog
 	vc      *core.ViewChange[*ViewChangeMsg]
+	Slots   *core.Slots[slotExt]
 
-	nextSeq types.SeqNum
-	slots   map[types.SeqNum]*slot
 	// preparedProof and commitCerts persist across view changes; the
-	// per-view slots map does not.
+	// per-view slots do not.
 	preparedProof map[types.SeqNum]*PreparedSlot
 	commitCerts   map[types.SeqNum]*CommittedSlot
 
@@ -283,12 +282,12 @@ func init() {
 func (s *SBFT) Init(env core.Env) {
 	s.env = env
 	s.cm = core.NewCheckpointManager(env)
-	s.slots = make(map[types.SeqNum]*slot)
 	s.preparedProof = make(map[types.SeqNum]*PreparedSlot)
 	s.commitCerts = make(map[types.SeqNum]*CommittedSlot)
 	s.backlog = core.NewBacklog(env, timerProgress)
 	s.vc = core.NewViewChange(env, s.backlog, timerVCRetry, env.Config().Quorum(),
 		core.ViewChangeHooks[*ViewChangeMsg]{Build: s.buildViewChange, NewView: s.sendNewView})
+	s.Slots = core.NewSlots[slotExt](env, core.SBFTProfile(), s.backlog, s.vc, s.cm, stageSign, stageCommit)
 	if s.opts.FastPathWait == 0 {
 		s.opts.FastPathWait = 4 * env.Config().BatchTimeout
 	}
@@ -296,18 +295,6 @@ func (s *SBFT) Init(env core.Env) {
 
 // View returns the current view.
 func (s *SBFT) View() types.View { return s.vc.View() }
-
-func (s *SBFT) slot(seq types.SeqNum) *slot {
-	sl := s.slots[seq]
-	if sl == nil {
-		sl = &slot{
-			signShares:   make(map[types.NodeID][]byte),
-			commitShares: make(map[types.NodeID][]byte),
-		}
-		s.slots[seq] = sl
-	}
-	return sl
-}
 
 // OnRequest implements core.Protocol.
 func (s *SBFT) OnRequest(req *types.Request) {
@@ -317,55 +304,31 @@ func (s *SBFT) OnRequest(req *types.Request) {
 }
 
 func (s *SBFT) maybePropose() {
-	if !s.vc.MayPropose() {
-		return
-	}
-	for {
-		reqs := s.backlog.Take(s.env.Config().BatchSize)
-		if len(reqs) == 0 {
-			return
-		}
-		batch := types.NewBatch(reqs...)
-		s.nextSeq++
-		seq := s.nextSeq
+	s.Slots.Propose(func(seq types.SeqNum, batch *types.Batch) {
 		pp := &PrePrepareMsg{View: s.View(), Seq: seq, Digest: batch.Digest(), Batch: batch}
 		pp.Sig = s.env.Signer().Sign(pp.SigDigest())
 		s.env.Broadcast(pp)
-		s.acceptPrePrepare(s.env.ID(), pp)
+		s.acceptPrePrepare(pp)
 		// Arm τ3: if not all shares arrive in time, fall back.
 		s.env.SetTimer(core.TimerID{Name: timerFastPath, Seq: seq, View: s.View()}, s.opts.FastPathWait)
+	})
+}
+
+func (s *SBFT) acceptPrePrepare(pp *PrePrepareMsg) {
+	if s.Slots.Accept(pp.View, pp.Seq, pp.Digest, pp.Batch) != nil && !s.opts.SilentBackup {
+		s.sendShare(stageSign, pp.View, pp.Seq, pp.Digest)
 	}
 }
 
-func (s *SBFT) acceptPrePrepare(from types.NodeID, pp *PrePrepareMsg) {
-	if pp.View != s.View() || s.vc.Active() {
-		return
-	}
-	if pp.Seq <= s.env.Ledger().LastExecuted() {
-		return
-	}
-	if pp.Batch.Digest() != pp.Digest {
-		return
-	}
-	sl := s.slot(pp.Seq)
-	if sl.proposed && sl.digest != pp.Digest {
-		s.vc.Start(s.View() + 1)
-		return
-	}
-	sl.proposed = true
-	sl.digest = pp.Digest
-	sl.batch = pp.Batch
-	s.backlog.Proposed(pp.Batch)
-	if !sl.signed && !s.opts.SilentBackup {
-		sl.signed = true
-		sd := shareDigest("sign", pp.View, pp.Seq, pp.Digest)
-		share := &ShareMsg{Stage: "sign", View: pp.View, Seq: pp.Seq, Digest: pp.Digest,
-			Replica: s.env.ID(), Sig: s.env.Signer().Sign(sd)}
-		if s.vc.Leading() {
-			s.onShare(s.env.ID(), share)
-		} else {
-			s.env.Send(s.vc.Leader(), share)
-		}
+// sendShare signs this replica's share for a stage and hands it to the
+// collector.
+func (s *SBFT) sendShare(stage string, v types.View, seq types.SeqNum, d types.Digest) {
+	share := &ShareMsg{Stage: stage, View: v, Seq: seq, Digest: d,
+		Replica: s.env.ID(), Sig: s.env.Signer().Sign(shareDigest(stage, v, seq, d))}
+	if s.vc.Leading() {
+		s.onShare(s.env.ID(), share)
+	} else {
+		s.env.Send(s.vc.Leader(), share)
 	}
 }
 
@@ -384,7 +347,7 @@ func (s *SBFT) OnMessage(from types.NodeID, m types.Message) {
 		if !s.env.Verifier().VerifySig(from, mm.SigDigest(), mm.Sig) {
 			return
 		}
-		s.acceptPrePrepare(from, mm)
+		s.acceptPrePrepare(mm)
 	case *ShareMsg:
 		if mm.Replica != from {
 			return
@@ -410,40 +373,31 @@ func (s *SBFT) OnMessage(from types.NodeID, m types.Message) {
 }
 
 func (s *SBFT) onShare(from types.NodeID, m *ShareMsg) {
-	if !s.vc.Leading() || m.View != s.View() || s.vc.Active() {
+	if !s.vc.Leading() {
 		return
 	}
-	sl := s.slot(m.Seq)
-	if sl.proposed && sl.digest != m.Digest {
+	sl := s.Slots.Vote(m.Stage, m.View, m.Seq, from, m.Digest, m.Sig)
+	if sl == nil || sl.X.commitSent {
 		return
 	}
-	switch m.Stage {
-	case "sign":
-		sl.signShares[from] = m.Sig
-		if len(sl.signShares) == s.env.N() && !sl.commitSent {
-			// Fast path: everyone answered before τ3.
-			s.env.StopTimer(core.TimerID{Name: timerFastPath, Seq: m.Seq, View: m.View})
-			sl.commitSent = true
-			s.sendProof("fast-commit", m.Seq, sl, sl.signShares, "sign")
-		}
-	case "commit":
-		sl.commitShares[from] = m.Sig
-		if len(sl.commitShares) >= s.env.Config().Quorum() && !sl.commitSent {
-			sl.commitSent = true
-			s.sendProof("commit", m.Seq, sl, sl.commitShares, "commit")
-		}
+	switch {
+	case m.Stage == stageSign && sl.Reached(stageSign, s.env.N()):
+		// Fast path: everyone answered before τ3.
+		s.env.StopTimer(core.TimerID{Name: timerFastPath, Seq: m.Seq, View: m.View})
+		sl.X.commitSent = true
+		s.sendProof("fast-commit", sl, stageSign)
+	case m.Stage == stageCommit && sl.Reached(stageCommit, s.Slots.Quorum):
+		sl.X.commitSent = true
+		s.sendProof("commit", sl, stageCommit)
 	}
 }
 
-func (s *SBFT) sendProof(stage string, seq types.SeqNum, sl *slot, shares map[types.NodeID][]byte, shareStage string) {
-	cert := &crypto.Certificate{
-		Digest:    shareDigest(shareStage, s.View(), seq, sl.digest),
-		Threshold: s.env.Scheme() == crypto.SchemeThreshold,
-	}
-	for id, sig := range shares {
-		cert.Add(id, sig)
-	}
-	proof := &ProofMsg{Stage: stage, View: s.View(), Seq: seq, Digest: sl.digest, Cert: cert}
+// sendProof broadcasts the certificate over every share of shareStage the
+// collector holds for the slot's digest.
+func (s *SBFT) sendProof(stage string, sl *slot, shareStage string) {
+	cert := sl.Certificate(shareStage, shareDigest(shareStage, s.View(), sl.Seq, sl.Digest))
+	cert.Threshold = s.env.Scheme() == crypto.SchemeThreshold
+	proof := &ProofMsg{Stage: stage, View: s.View(), Seq: sl.Seq, Digest: sl.Digest, Cert: cert}
 	proof.Sig = s.env.Signer().Sign(proof.SigDigest())
 	s.env.Broadcast(proof)
 	s.onProof(proof)
@@ -453,18 +407,20 @@ func (s *SBFT) onProof(m *ProofMsg) {
 	if m.View != s.View() || s.vc.Active() {
 		return
 	}
-	sl := s.slot(m.Seq)
-	if sl.committed {
+	// Without the batch a proof cannot be acted on; the batch arrives
+	// through the new view or checkpoint catch-up.
+	sl := s.Slots.Get(m.Seq)
+	if sl == nil || sl.Batch == nil || sl.Digest != m.Digest || sl.X.committed {
 		return
 	}
-	need := s.env.Config().Quorum()
-	shareStage := "commit"
+	need := s.Slots.Quorum
+	shareStage := stageCommit
 	switch m.Stage {
 	case "fast-commit":
 		need = s.env.N()
-		shareStage = "sign"
+		shareStage = stageSign
 	case "prepare":
-		shareStage = "sign"
+		shareStage = stageSign
 	}
 	want := shareDigest(shareStage, m.View, m.Seq, m.Digest)
 	if m.Cert == nil || m.Cert.Digest != want || m.Cert.Verify(s.env.Verifier(), need) != nil {
@@ -472,13 +428,7 @@ func (s *SBFT) onProof(m *ProofMsg) {
 	}
 	switch m.Stage {
 	case "fast-commit", "commit":
-		if !sl.proposed {
-			return // need the batch; it will arrive (leader retransmits via new view or checkpoint catch-up)
-		}
-		if sl.digest != m.Digest {
-			return
-		}
-		sl.committed = true
+		sl.X.committed = true
 		if m.Stage == "fast-commit" {
 			s.FastCommits++
 		} else {
@@ -487,34 +437,22 @@ func (s *SBFT) onProof(m *ProofMsg) {
 		// The proof certificate is transferable: retain it so view
 		// changes can carry this decision to lagging replicas.
 		s.commitCerts[m.Seq] = &CommittedSlot{
-			View: m.View, Seq: m.Seq, Batch: sl.batch,
+			View: m.View, Seq: m.Seq, Batch: sl.Batch,
 			Fast: m.Stage == "fast-commit", Cert: m.Cert,
 			Voters: append([]types.NodeID(nil), m.Cert.Signers...),
 		}
 		proof := &types.CommitProof{View: m.View, Seq: m.Seq, Digest: m.Digest,
 			Voters: append([]types.NodeID(nil), m.Cert.Signers...)}
-		s.env.Commit(m.View, m.Seq, sl.batch, proof)
+		s.env.Commit(m.View, m.Seq, sl.Batch, proof)
 	case "prepare":
 		// Slow path round two: return a commit share.
-		if !sl.proposed || sl.digest != m.Digest {
-			return
-		}
-		sl.prepareCert = m.Cert
 		if prev := s.preparedProof[m.Seq]; prev == nil || prev.View < m.View {
 			s.preparedProof[m.Seq] = &PreparedSlot{
-				View: m.View, Seq: m.Seq, Digest: m.Digest, Batch: sl.batch, Cert: m.Cert,
+				View: m.View, Seq: m.Seq, Digest: m.Digest, Batch: sl.Batch, Cert: m.Cert,
 			}
 		}
-		if s.opts.SilentBackup {
-			return
-		}
-		cd := shareDigest("commit", m.View, m.Seq, m.Digest)
-		share := &ShareMsg{Stage: "commit", View: m.View, Seq: m.Seq, Digest: m.Digest,
-			Replica: s.env.ID(), Sig: s.env.Signer().Sign(cd)}
-		if s.vc.Leading() {
-			s.onShare(s.env.ID(), share)
-		} else {
-			s.env.Send(s.vc.Leader(), share)
+		if !s.opts.SilentBackup {
+			s.sendShare(stageCommit, m.View, m.Seq, m.Digest)
 		}
 	}
 }
@@ -528,42 +466,31 @@ func (s *SBFT) OnTimer(id core.TimerID) {
 		if !s.vc.Leading() || id.View != s.View() {
 			return
 		}
-		sl := s.slots[id.Seq]
-		if sl == nil || sl.committed || sl.commitSent || sl.prepareSent {
+		sl := s.Slots.Get(id.Seq)
+		if sl == nil || sl.X.committed || sl.X.commitSent || sl.X.prepareSent {
 			return
 		}
-		if len(sl.signShares) >= s.env.Config().Quorum() {
-			sl.prepareSent = true
-			s.sendProof("prepare", id.Seq, sl, sl.signShares, "sign")
+		if sl.Count(stageSign) >= s.Slots.Quorum {
+			sl.X.prepareSent = true
+			s.sendProof("prepare", sl, stageSign)
 		} else {
 			// Not even a quorum: re-arm and hope the network delivers;
 			// the backups' progress timers bound this wait.
 			s.env.SetTimer(core.TimerID{Name: timerFastPath, Seq: id.Seq, View: id.View}, s.opts.FastPathWait)
 		}
-	case timerProgress:
-		if s.backlog.Expired(id) {
-			s.vc.Start(s.View() + 1)
-		}
-	case timerVCRetry:
-		s.vc.Retry(id)
+	default:
+		s.vc.OnTimer(id)
 	}
 }
 
 // OnExecuted implements core.Protocol.
 func (s *SBFT) OnExecuted(seq types.SeqNum, batch *types.Batch, results [][]byte) {
-	s.backlog.Executed(batch)
-	core.ReplyExecuted(s.env, s.View(), seq, batch, results)
-	delete(s.slots, seq)
 	delete(s.preparedProof, seq)
 	for cs := range s.commitCerts {
 		if cs <= s.env.Ledger().LowWater() {
 			delete(s.commitCerts, cs)
 		}
 	}
-	if s.nextSeq < seq {
-		s.nextSeq = seq
-	}
-	s.cm.OnExecuted(seq)
-	s.backlog.Progress()
+	s.Slots.Executed(seq, batch, results, true)
 	s.maybePropose()
 }

@@ -2,7 +2,6 @@ package sbft
 
 import (
 	"bftkit/internal/core"
-	"bftkit/internal/crypto"
 	"bftkit/internal/types"
 )
 
@@ -34,17 +33,11 @@ func (s *SBFT) buildViewChange(v types.View) *ViewChangeMsg {
 	}
 	// The collector can also assemble fresh certificates from the sign
 	// shares it holds for the current view.
-	for seq, sl := range s.slots {
-		if seq <= vc.LastExec || sl.batch == nil || s.preparedProof[seq] != nil {
-			continue
-		}
-		if len(sl.signShares) >= s.env.Config().Quorum() {
-			c := &crypto.Certificate{Digest: shareDigest("sign", s.View(), seq, sl.digest)}
-			for id, sig := range sl.signShares {
-				c.Add(id, sig)
-			}
+	for _, sl := range s.Slots.Assigned() {
+		if sl.Seq > vc.LastExec && s.preparedProof[sl.Seq] == nil && sl.Count(stageSign) >= s.Slots.Quorum {
 			vc.Prepared = append(vc.Prepared, PreparedSlot{
-				View: s.View(), Seq: seq, Digest: sl.digest, Batch: sl.batch, Cert: c,
+				View: s.View(), Seq: sl.Seq, Digest: sl.Digest, Batch: sl.Batch,
+				Cert: sl.Certificate(stageSign, shareDigest(stageSign, s.View(), sl.Seq, sl.Digest)),
 			})
 		}
 	}
@@ -61,9 +54,9 @@ func (s *SBFT) validPrepared(p *PreparedSlot) bool {
 	if p.Batch == nil || p.Batch.Digest() != p.Digest || p.Cert == nil {
 		return false
 	}
-	for _, stage := range []string{"sign", "commit"} {
+	for _, stage := range []string{stageSign, stageCommit} {
 		if p.Cert.Digest == shareDigest(stage, p.View, p.Seq, p.Digest) {
-			return p.Cert.Verify(s.env.Verifier(), s.env.Config().Quorum()) == nil
+			return p.Cert.Verify(s.env.Verifier(), s.Slots.Quorum) == nil
 		}
 	}
 	return false
@@ -76,9 +69,9 @@ func (s *SBFT) validCommitted(cs *CommittedSlot) bool {
 	if cs.Batch == nil || cs.Cert == nil {
 		return false
 	}
-	need, stage := s.env.Config().Quorum(), "commit"
+	need, stage := s.Slots.Quorum, stageCommit
 	if cs.Fast {
-		need, stage = s.env.N(), "sign"
+		need, stage = s.env.N(), stageSign
 	}
 	return cs.Cert.Digest == shareDigest(stage, cs.View, cs.Seq, cs.Batch.Digest()) &&
 		cs.Cert.Verify(s.env.Verifier(), need) == nil
@@ -164,10 +157,7 @@ func (s *SBFT) installNewView(m *NewViewMsg, maxS types.SeqNum) {
 // adoptNewView takes over what the new-view message carries; the kit
 // holds proposing until it returns.
 func (s *SBFT) adoptNewView(m *NewViewMsg, maxS types.SeqNum) {
-	if s.nextSeq < m.Base {
-		s.nextSeq = m.Base
-	}
-	s.slots = make(map[types.SeqNum]*slot)
+	s.Slots.Advance(max(m.Base, maxS))
 	for i := range m.Committed {
 		cs := &m.Committed[i]
 		if cs.Batch == nil || cs.Cert == nil {
@@ -180,16 +170,11 @@ func (s *SBFT) adoptNewView(m *NewViewMsg, maxS types.SeqNum) {
 			s.commitCerts[cs.Seq] = cs
 			core.AdoptCommitted(s.env, cs.View, cs.Seq, cs.Batch, cs.Voters)
 		}
-		if cs.Seq > s.nextSeq {
-			s.nextSeq = cs.Seq
-		}
-	}
-	if s.nextSeq < maxS {
-		s.nextSeq = maxS
+		s.Slots.Advance(cs.Seq)
 	}
 	for _, pp := range m.PrePrepares {
 		if pp.Seq > s.env.Ledger().LastExecuted() {
-			s.acceptPrePrepare(s.env.Config().LeaderOf(m.View), pp)
+			s.acceptPrePrepare(pp)
 			if s.vc.Leading() {
 				s.env.SetTimer(core.TimerID{Name: timerFastPath, Seq: pp.Seq, View: m.View}, s.opts.FastPathWait)
 			}

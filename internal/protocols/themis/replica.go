@@ -5,17 +5,13 @@ import (
 	"bftkit/internal/types"
 )
 
-type slot struct {
-	digest   types.Digest
-	batch    *types.Batch
-	proposed bool
-	prepares map[types.NodeID]bool
-	commits  map[types.NodeID]bool
-	votedP   bool
-	votedC   bool
-	prepared bool
-	done     bool
-}
+// The two all-to-all voting stages (VoteMsg.Stage on the wire).
+const (
+	stagePrepare = "prepare"
+	stageCommit  = "commit"
+)
+
+type slot = core.Slot[struct{}]
 
 // Themis is the protocol state machine for one replica.
 type Themis struct {
@@ -24,14 +20,15 @@ type Themis struct {
 
 	// backlog holds the watch/done sets and the τ2 timer (Themis orders
 	// from reports, not from the backlog's queue); vc is the view-change
-	// skeleton, which owns the current view. Both come from the core kit.
+	// skeleton, which owns the current view; Slots the ordering stage's
+	// per-sequence state, with the profile's 3f+1 quorum that n = 4f+1
+	// requires. All come from the core kit.
 	backlog *core.Backlog
 	vc      *core.ViewChange[*ViewChangeMsg]
+	Slots   *core.Slots[struct{}]
 
-	nextSeq types.SeqNum
-	slots   map[types.SeqNum]*slot
 	// preparedProof persists prepared slots across view changes (the
-	// per-view slots map is reset on every install; losing prepared
+	// per-view slots are dropped on every install; losing prepared
 	// state there allowed a committed slot to be overwritten).
 	preparedProof map[types.SeqNum]*PreparedSlot
 
@@ -64,31 +61,20 @@ func init() {
 func (t *Themis) Init(env core.Env) {
 	t.env = env
 	t.cm = core.NewCheckpointManager(env)
-	t.slots = make(map[types.SeqNum]*slot)
 	t.preparedProof = make(map[types.SeqNum]*PreparedSlot)
 	t.reports = make(map[types.NodeID]*ReportMsg)
 	t.seen = make(map[types.RequestKey]bool)
 	t.seenReq = make(map[types.RequestKey]*types.Request)
 	t.ordered = make(map[types.RequestKey]bool)
 	t.backlog = core.NewBacklog(env, timerProgress)
-	t.vc = core.NewViewChange(env, t.backlog, timerVCRetry, t.quorum(),
+	profile := core.ThemisProfile()
+	t.vc = core.NewViewChange(env, t.backlog, timerVCRetry, profile.QuorumSize(env.F()),
 		core.ViewChangeHooks[*ViewChangeMsg]{Build: t.buildViewChange, NewView: t.sendNewView})
+	t.Slots = core.NewSlots[struct{}](env, profile, t.backlog, t.vc, t.cm, stagePrepare, stageCommit)
 }
 
 // View returns the current view.
 func (t *Themis) View() types.View { return t.vc.View() }
-
-// quorum is 3f+1 (required by n = 4f+1).
-func (t *Themis) quorum() int { return 3*t.env.F() + 1 }
-
-func (t *Themis) slot(seq types.SeqNum) *slot {
-	sl := t.slots[seq]
-	if sl == nil {
-		sl = &slot{prepares: make(map[types.NodeID]bool), commits: make(map[types.NodeID]bool)}
-		t.slots[seq] = sl
-	}
-	return sl
-}
 
 // OnRequest implements core.Protocol: record the local receive order and
 // schedule the next report flush (τ6).
@@ -171,8 +157,7 @@ func (t *Themis) maybePropose() {
 	}
 	t.reports = make(map[types.NodeID]*ReportMsg)
 	batch := types.NewBatch(fresh...)
-	t.nextSeq++
-	prop := &ProposalMsg{View: t.View(), Seq: t.nextSeq, Reports: reports, Batch: batch}
+	prop := &ProposalMsg{View: t.View(), Seq: t.Slots.Next(), Reports: reports, Batch: batch}
 	prop.Sig = t.env.Signer().Sign(prop.SigDigest())
 	t.env.Broadcast(prop)
 	t.acceptProposal(t.env.ID(), prop, false)
@@ -184,61 +169,53 @@ func (t *Themis) acceptProposal(from types.NodeID, m *ProposalMsg, fromNewView b
 	if m.View != t.View() || t.vc.Active() {
 		return
 	}
-	sl := t.slot(m.Seq)
-	if sl.proposed && sl.digest != m.Batch.Digest() {
-		t.vc.Start(t.View() + 1)
+	if !fromNewView && from != t.env.ID() && !t.fairlyOrdered(m) {
 		return
 	}
-	if !fromNewView && from != t.env.ID() {
-		// Verify the report signatures and recompute the fair order:
-		// the leader cannot reorder beyond its choice of reports.
-		if len(m.Reports) < t.env.N()-t.env.F() {
-			return
-		}
-		seenOrigin := make(map[types.NodeID]bool)
-		for _, rep := range m.Reports {
-			if seenOrigin[rep.Origin] {
-				return
-			}
-			seenOrigin[rep.Origin] = true
-			if !t.env.Verifier().VerifySig(rep.Origin, rep.SigDigest(), rep.Sig) {
-				return
-			}
-		}
-		proposed := make(map[types.RequestKey]bool, m.Batch.Len())
-		for _, req := range m.Batch.Requests {
-			proposed[req.Key()] = true
-		}
-		want := FairOrder(m.Reports, func(k types.RequestKey) bool { return !proposed[k] })
-		if len(want) != m.Batch.Len() {
-			return
-		}
-		for i, req := range want {
-			if req.Key() != m.Batch.Requests[i].Key() {
-				return // the leader manipulated the order: reject
-			}
-		}
+	sl := t.Slots.Accept(m.View, m.Seq, m.Batch.Digest(), m.Batch)
+	if sl == nil {
+		return
 	}
-	sl.proposed = true
-	sl.digest = m.Batch.Digest()
-	sl.batch = m.Batch
-	t.backlog.Proposed(m.Batch)
-	if !sl.votedP {
-		sl.votedP = true
-		t.vote("prepare", m.Seq, sl)
-	}
-	t.checkPrepared(m.Seq, sl)
+	t.vote(stagePrepare, sl)
+	t.checkPrepared(sl)
 }
 
-func (t *Themis) vote(stage string, seq types.SeqNum, sl *slot) {
-	v := &VoteMsg{Stage: stage, View: t.View(), Seq: seq, Digest: sl.digest, Replica: t.env.ID()}
+// fairlyOrdered verifies a proposal's report signatures and recomputes the
+// fair order: the leader cannot reorder beyond its choice of reports.
+func (t *Themis) fairlyOrdered(m *ProposalMsg) bool {
+	if len(m.Reports) < t.env.N()-t.env.F() {
+		return false
+	}
+	var origins core.Tally[types.SeqNum, struct{}] // one report per origin
+	for _, rep := range m.Reports {
+		if origins.Add(m.Seq, rep.Origin, struct{}{}) == 0 {
+			return false
+		}
+		if !t.env.Verifier().VerifySig(rep.Origin, rep.SigDigest(), rep.Sig) {
+			return false
+		}
+	}
+	proposed := make(map[types.RequestKey]bool, m.Batch.Len())
+	for _, req := range m.Batch.Requests {
+		proposed[req.Key()] = true
+	}
+	want := FairOrder(m.Reports, func(k types.RequestKey) bool { return !proposed[k] })
+	if len(want) != m.Batch.Len() {
+		return false
+	}
+	for i, req := range want {
+		if req.Key() != m.Batch.Requests[i].Key() {
+			return false // the leader manipulated the order: reject
+		}
+	}
+	return true
+}
+
+func (t *Themis) vote(stage string, sl *slot) {
+	v := &VoteMsg{Stage: stage, View: t.View(), Seq: sl.Seq, Digest: sl.Digest, Replica: t.env.ID()}
 	v.Sig = t.env.Signer().Sign(v.SigDigest())
 	t.env.Broadcast(v)
-	if stage == "prepare" {
-		sl.prepares[t.env.ID()] = true
-	} else {
-		sl.commits[t.env.ID()] = true
-	}
+	t.Slots.Vote(stage, v.View, v.Seq, t.env.ID(), v.Digest, nil)
 }
 
 // OnMessage implements core.Protocol.
@@ -272,16 +249,9 @@ func (t *Themis) OnMessage(from types.NodeID, m types.Message) {
 		if !t.env.Verifier().VerifySig(from, mm.SigDigest(), mm.Sig) {
 			return
 		}
-		sl := t.slot(mm.Seq)
-		if sl.proposed && sl.digest != mm.Digest {
-			return
-		}
-		if mm.Stage == "prepare" {
-			sl.prepares[from] = true
-			t.checkPrepared(mm.Seq, sl)
-		} else {
-			sl.commits[from] = true
-			t.checkCommitted(mm.Seq, sl)
+		if sl := t.Slots.Vote(mm.Stage, mm.View, mm.Seq, from, mm.Digest, nil); sl != nil {
+			t.checkPrepared(sl)
+			t.checkCommitted(sl)
 		}
 	case *ViewChangeMsg:
 		t.vc.OnViewChange(from, mm)
@@ -290,62 +260,42 @@ func (t *Themis) OnMessage(from types.NodeID, m types.Message) {
 	}
 }
 
-func (t *Themis) checkPrepared(seq types.SeqNum, sl *slot) {
-	if sl.prepared || !sl.proposed || len(sl.prepares) < t.quorum() {
+func (t *Themis) checkPrepared(sl *slot) {
+	if !sl.Reached(stagePrepare, t.Slots.Quorum) {
 		return
 	}
-	sl.prepared = true
-	if prev := t.preparedProof[seq]; prev == nil || prev.View < t.View() {
-		t.preparedProof[seq] = &PreparedSlot{View: t.View(), Seq: seq, Digest: sl.digest, Batch: sl.batch}
+	if prev := t.preparedProof[sl.Seq]; prev == nil || prev.View < t.View() {
+		t.preparedProof[sl.Seq] = &PreparedSlot{View: t.View(), Seq: sl.Seq, Digest: sl.Digest, Batch: sl.Batch}
 	}
-	if !sl.votedC {
-		sl.votedC = true
-		t.vote("commit", seq, sl)
-	}
-	t.checkCommitted(seq, sl)
+	t.vote(stageCommit, sl)
+	t.checkCommitted(sl)
 }
 
-func (t *Themis) checkCommitted(seq types.SeqNum, sl *slot) {
-	if sl.done || !sl.prepared || len(sl.commits) < t.quorum() {
+func (t *Themis) checkCommitted(sl *slot) {
+	if !sl.Past(stagePrepare) || !sl.Reached(stageCommit, t.Slots.Quorum) {
 		return
 	}
-	sl.done = true
-	proof := &types.CommitProof{View: t.View(), Seq: seq, Digest: sl.digest}
-	for id := range sl.commits {
-		proof.Voters = append(proof.Voters, id)
-	}
-	t.env.Commit(t.View(), seq, sl.batch, proof)
+	proof := &types.CommitProof{View: t.View(), Seq: sl.Seq, Digest: sl.Digest, Voters: sl.Voters(stageCommit)}
+	t.env.Commit(t.View(), sl.Seq, sl.Batch, proof)
 }
 
 // OnTimer implements core.Protocol.
 func (t *Themis) OnTimer(id core.TimerID) {
-	switch id.Name {
-	case timerRound:
+	if id.Name == timerRound {
 		t.flushReport()
-	case timerProgress:
-		if t.backlog.Expired(id) {
-			t.vc.Start(t.View() + 1)
-		}
-	case timerVCRetry:
-		t.vc.Retry(id)
+	} else {
+		t.vc.OnTimer(id)
 	}
 }
 
 // OnExecuted implements core.Protocol.
 func (t *Themis) OnExecuted(seq types.SeqNum, batch *types.Batch, results [][]byte) {
-	t.backlog.Executed(batch)
 	for _, req := range batch.Requests {
 		delete(t.seen, req.Key())
 		delete(t.seenReq, req.Key())
 		delete(t.ordered, req.Key())
 	}
-	core.ReplyExecuted(t.env, t.View(), seq, batch, results)
-	delete(t.slots, seq)
 	delete(t.preparedProof, seq)
-	if t.nextSeq < seq {
-		t.nextSeq = seq
-	}
-	t.cm.OnExecuted(seq)
-	t.backlog.Progress()
+	t.Slots.Executed(seq, batch, results, true)
 	t.maybePropose()
 }

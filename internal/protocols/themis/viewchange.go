@@ -86,20 +86,14 @@ func (t *Themis) installNewView(m *NewViewMsg) {
 // adoptNewView takes over what the new-view message carries; the kit
 // holds proposing until it returns.
 func (t *Themis) adoptNewView(m *NewViewMsg) {
-	t.slots = make(map[types.SeqNum]*slot)
 	t.reports = make(map[types.NodeID]*ReportMsg)
-
-	if t.nextSeq < m.Base {
-		t.nextSeq = m.Base
-	}
+	t.Slots.Advance(m.Base)
 	for i := range m.Committed {
 		s := &m.Committed[i]
 		core.AdoptCommitted(t.env, s.View, s.Seq, s.Batch, s.Voters)
 	}
 	for _, prop := range m.Proposals {
-		if prop.Seq > t.nextSeq {
-			t.nextSeq = prop.Seq
-		}
+		t.Slots.Advance(prop.Seq)
 		if prop.Seq > t.env.Ledger().LastExecuted() {
 			t.acceptProposal(t.env.Config().LeaderOf(m.View), prop, true)
 		}

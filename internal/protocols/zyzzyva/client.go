@@ -39,7 +39,7 @@ type pendingReq struct {
 	committed core.Tally[string, struct{}]
 	// commitAcks counts local-commit acknowledgements after the client
 	// turned repairer.
-	commitAcks map[types.NodeID]bool
+	commitAcks core.Tally[struct{}, struct{}]
 	certSent   bool
 	certResult []byte
 	done       bool
@@ -59,10 +59,7 @@ func (c *Client) timerID(clientSeq uint64) core.TimerID {
 
 // Submit implements core.ClientProtocol.
 func (c *Client) Submit(req *types.Request) {
-	p := &pendingReq{
-		req:        req,
-		commitAcks: make(map[types.NodeID]bool),
-	}
+	p := &pendingReq{req: req}
 	c.pending[req.ClientSeq] = p
 	c.env.Send(c.env.Config().LeaderOf(c.viewHint), &core.RequestMsg{Req: req})
 	// τ1: waiting for replies (the paper's timer taxonomy).
@@ -89,8 +86,7 @@ func (c *Client) OnMessage(from types.NodeID, m types.Message) {
 		if p == nil || !p.certSent {
 			return
 		}
-		p.commitAcks[mm.Replica] = true
-		if len(p.commitAcks) >= c.certNeed {
+		if p.commitAcks.Add(struct{}{}, from, struct{}{}) >= c.certNeed {
 			c.finish(p, p.certResult)
 		}
 	}

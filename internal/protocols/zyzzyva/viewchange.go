@@ -24,9 +24,9 @@ func (z *Zyzzyva) buildViewChange(v types.View) *ViewChangeMsg {
 	core.RetainedCommitted(z.env, func(view types.View, seq types.SeqNum, b *types.Batch, voters []types.NodeID) {
 		vc.Committed = append(vc.Committed, CommittedSlot{View: view, Seq: seq, Batch: b, Voters: voters})
 	})
-	for seq, slot := range z.specs {
-		if seq > vc.Base {
-			vc.Slots = append(vc.Slots, *slot)
+	for _, sl := range z.Slots.Assigned() {
+		if sl.X.executed && sl.Seq > vc.Base {
+			vc.Slots = append(vc.Slots, SpecSlot{Seq: sl.Seq, Digest: sl.Digest, Batch: sl.Batch})
 		}
 	}
 	for seq, cert := range z.clientCerts {
@@ -135,30 +135,16 @@ func (z *Zyzzyva) installNewView(m *NewViewMsg) {
 func (z *Zyzzyva) adoptNewView(m *NewViewMsg) {
 	// Roll back all uncommitted speculation; the new view's order
 	// replaces it (the runtime restores state and history digests).
-	committed := z.env.Ledger().LastExecuted()
-	z.env.RollbackSpecAbove(committed)
-	z.specs = make(map[types.SeqNum]*SpecSlot)
-	z.buffer = make(map[types.SeqNum]*OrderReqMsg)
-
-	if z.nextSeq < m.Base {
-		z.nextSeq = m.Base
-	}
+	z.env.RollbackSpecAbove(z.env.Ledger().LastExecuted())
+	z.Slots.Advance(m.Base)
 	for i := range m.Committed {
 		s := &m.Committed[i]
 		core.AdoptCommitted(z.env, s.View, s.Seq, s.Batch, s.Voters)
 	}
-	committed = z.env.Ledger().LastExecuted()
-
-	var maxS types.SeqNum
 	for _, or := range m.OrderReqs {
-		if or.Seq > maxS {
-			maxS = or.Seq
-		}
-		if or.Seq > committed {
+		z.Slots.Advance(or.Seq)
+		if or.Seq > z.env.Ledger().LastExecuted() {
 			z.acceptOrderReq(or)
 		}
-	}
-	if z.nextSeq < maxS {
-		z.nextSeq = maxS
 	}
 }

@@ -212,24 +212,27 @@ type Options struct {
 	CorruptBackup bool
 }
 
+// slotExt marks a slot as speculatively executed; assigned slots without
+// the mark wait for the order-requests before them.
+type slotExt struct{ executed bool }
+
 // Zyzzyva is the replica state machine.
 type Zyzzyva struct {
 	env  core.Env
 	opts Options
 
 	// backlog is the request intake and τ2 timer; vc the view-change
-	// skeleton, which owns the current view (both from the core kit).
+	// skeleton, which owns the current view; Slots holds the assigned
+	// order-requests above the commit point — Zyzzyva has no voting stage,
+	// the client counts — and whether each was speculatively executed
+	// (all from the core kit).
 	backlog *core.Backlog
 	vc      *core.ViewChange[*ViewChangeMsg]
+	Slots   *core.Slots[slotExt]
 
-	nextSeq types.SeqNum // leader's assignment counter
 	// clientCerts retains verified client commit certificates per slot
 	// until the slot executes well below the spec horizon.
 	clientCerts map[types.SeqNum]*CommitMsg
-	// specs holds speculatively executed slots above the commit point.
-	specs map[types.SeqNum]*SpecSlot
-	// buffered out-of-order order-requests.
-	buffer map[types.SeqNum]*OrderReqMsg
 
 	// cpVotes tallies history digests per checkpoint window.
 	cpVotes core.Tally[types.SeqNum, types.Digest]
@@ -267,24 +270,20 @@ func init() {
 // Init implements core.Protocol.
 func (z *Zyzzyva) Init(env core.Env) {
 	z.env = env
-	z.specs = make(map[types.SeqNum]*SpecSlot)
 	z.clientCerts = make(map[types.SeqNum]*CommitMsg)
-	z.buffer = make(map[types.SeqNum]*OrderReqMsg)
 	z.backlog = core.NewBacklog(env, timerProgress)
-	z.vc = core.NewViewChange(env, z.backlog, timerVCRetry, z.quorum(),
+	// The commit quorum is the profile's: 2f+1, or 3f+1 for Zyzzyva5.
+	profile := core.ZyzzyvaProfile()
+	if z.opts.Five {
+		profile = core.Zyzzyva5Profile()
+	}
+	z.vc = core.NewViewChange(env, z.backlog, timerVCRetry, profile.QuorumSize(env.F()),
 		core.ViewChangeHooks[*ViewChangeMsg]{Build: z.buildViewChange, NewView: z.sendNewView})
+	z.Slots = core.NewSlots[slotExt](env, profile, z.backlog, z.vc, nil)
 }
 
 // View returns the current view.
 func (z *Zyzzyva) View() types.View { return z.vc.View() }
-
-// quorum returns the commit quorum (2f+1, or 3f+1 for Zyzzyva5).
-func (z *Zyzzyva) quorum() int {
-	if z.opts.Five {
-		return 3*z.env.F() + 1
-	}
-	return z.env.Config().Quorum()
-}
 
 // OnRequest implements core.Protocol.
 func (z *Zyzzyva) OnRequest(req *types.Request) {
@@ -294,65 +293,45 @@ func (z *Zyzzyva) OnRequest(req *types.Request) {
 }
 
 func (z *Zyzzyva) maybePropose() {
-	if !z.vc.MayPropose() {
-		return
-	}
-	for {
-		reqs := z.backlog.Take(z.env.Config().BatchSize)
-		if len(reqs) == 0 {
-			return
-		}
-		batch := types.NewBatch(reqs...)
-		z.nextSeq++
-		or := &OrderReqMsg{View: z.View(), Seq: z.nextSeq, Digest: batch.Digest(), Batch: batch}
+	z.Slots.Propose(func(seq types.SeqNum, batch *types.Batch) {
+		or := &OrderReqMsg{View: z.View(), Seq: seq, Digest: batch.Digest(), Batch: batch}
 		or.Sig = z.env.Signer().Sign(or.SigDigest())
 		z.env.Broadcast(or)
 		z.acceptOrderReq(or)
-	}
+	})
 }
 
 // acceptOrderReq speculatively executes contiguous assignments and
 // answers clients directly (Figure "spec response" path).
 func (z *Zyzzyva) acceptOrderReq(or *OrderReqMsg) {
-	if or.View != z.View() || z.vc.Active() {
+	if z.Slots.Accept(or.View, or.Seq, or.Digest, or.Batch) == nil {
 		return
 	}
-	if or.Batch.Digest() != or.Digest {
-		return
-	}
-	tip := z.specTip()
-	if or.Seq <= tip {
-		return // already speculated or executed
-	}
-	z.buffer[or.Seq] = or
 	for {
-		next, ok := z.buffer[z.specTip()+1]
-		if !ok {
+		next := z.Slots.Get(z.specTip() + 1)
+		if next == nil || next.Batch == nil || !z.execSpeculative(next) {
 			return
 		}
-		delete(z.buffer, next.Seq)
-		z.execSpeculative(next)
 	}
 }
 
 func (z *Zyzzyva) specTip() types.SeqNum {
 	tip := z.env.Ledger().LastExecuted()
-	for seq := range z.specs {
-		if seq > tip {
-			tip = seq
+	for sl := range z.Slots.All() {
+		if sl.X.executed && sl.Seq > tip {
+			tip = sl.Seq
 		}
 	}
 	return tip
 }
 
-func (z *Zyzzyva) execSpeculative(or *OrderReqMsg) {
-	results := z.env.SpecExecute(or.Seq, or.Batch)
+func (z *Zyzzyva) execSpeculative(sl *core.Slot[slotExt]) bool {
+	results := z.env.SpecExecute(sl.Seq, sl.Batch)
 	if results == nil {
-		return
+		return false
 	}
-	z.specs[or.Seq] = &SpecSlot{Seq: or.Seq, Digest: or.Digest, Batch: or.Batch}
-	z.backlog.Proposed(or.Batch)
-	for i, req := range or.Batch.Requests {
+	sl.X.executed = true
+	for i, req := range sl.Batch.Requests {
 		res := results[i]
 		if z.opts.CorruptBackup {
 			res = []byte("corrupt")
@@ -360,8 +339,8 @@ func (z *Zyzzyva) execSpeculative(or *OrderReqMsg) {
 		z.env.Reply(&types.Reply{
 			Client:      req.Client,
 			ClientSeq:   req.ClientSeq,
-			View:        or.View,
-			Seq:         or.Seq,
+			View:        z.View(),
+			Seq:         sl.Seq,
 			Result:      res,
 			Speculative: true,
 			History:     z.env.HistoryDigest(),
@@ -370,25 +349,25 @@ func (z *Zyzzyva) execSpeculative(or *OrderReqMsg) {
 	z.backlog.Progress() // the leader is making progress
 	// Lazy commitment: exchange history digests at checkpoint windows.
 	iv := z.env.Config().CheckpointInterval
-	if iv > 0 && uint64(or.Seq)%iv == 0 {
-		cp := &CheckpointMsg{Seq: or.Seq, History: z.env.HistoryDigest(), Replica: z.env.ID()}
+	if iv > 0 && uint64(sl.Seq)%iv == 0 {
+		cp := &CheckpointMsg{Seq: sl.Seq, History: z.env.HistoryDigest(), Replica: z.env.ID()}
 		cp.Sig = z.env.Signer().Sign(cp.SigDigest())
 		z.env.Broadcast(cp)
 		z.recordCheckpoint(z.env.ID(), cp)
 	}
+	return true
 }
 
 // commitPrefix durably commits every speculative slot up to seq.
 func (z *Zyzzyva) commitPrefix(seq types.SeqNum, voters []types.NodeID) {
 	for s := z.env.Ledger().LastExecuted() + 1; s <= seq; s++ {
-		slot := z.specs[s]
-		if slot == nil {
+		sl := z.Slots.Get(s)
+		if sl == nil || !sl.X.executed {
 			return
 		}
-		proof := &types.CommitProof{View: z.View(), Seq: s, Digest: slot.Digest,
+		proof := &types.CommitProof{View: z.View(), Seq: s, Digest: sl.Digest,
 			Voters: append([]types.NodeID(nil), voters...)}
-		z.env.Commit(z.View(), s, slot.Batch, proof)
-		delete(z.specs, s)
+		z.env.Commit(z.View(), s, sl.Batch, proof)
 	}
 }
 
@@ -397,7 +376,7 @@ func (z *Zyzzyva) recordCheckpoint(from types.NodeID, m *CheckpointMsg) {
 	// Only a quorum on our own history commits anything, so that is the
 	// one value worth counting — on every vote, since our speculative tip
 	// may reach m.Seq after the quorum formed.
-	if voters := core.Backers(&z.cpVotes, m.Seq, z.historyAt(m.Seq)); len(voters) >= z.quorum() {
+	if voters := core.Backers(&z.cpVotes, m.Seq, z.historyAt(m.Seq)); len(voters) >= z.Slots.Quorum {
 		z.commitPrefix(m.Seq, voters)
 		z.cpVotes.Delete(m.Seq)
 	}
@@ -459,58 +438,32 @@ func (z *Zyzzyva) onCommitCert(from types.NodeID, m *CommitMsg) {
 // verifyClientCert checks a client commit certificate: 2f+1 distinct
 // valid signatures over exactly the matching reply digest.
 func (z *Zyzzyva) verifyClientCert(m *CommitMsg) bool {
-	if m == nil || m.Cert == nil || m.Cert.Size() < z.quorum() {
+	if m == nil || m.Cert == nil {
 		return false
 	}
 	probe := &types.Reply{
 		Client: m.Client, ClientSeq: m.ClientSeq, Seq: m.Seq, View: m.View,
 		Result: m.Result, Speculative: true, History: m.History,
 	}
-	if m.Cert.Digest != probe.Digest() {
-		return false
-	}
-	seen := make(map[types.NodeID]bool)
-	for i, signer := range m.Cert.Signers {
-		if seen[signer] {
-			return false
-		}
-		seen[signer] = true
-		if !z.env.Verifier().VerifySig(signer, m.Cert.Digest, m.Cert.Sigs[i]) {
-			return false
-		}
-	}
-	return true
+	return m.Cert.Digest == probe.Digest() && m.Cert.Verify(z.env.Verifier(), z.Slots.Quorum) == nil
 }
 
 // OnTimer implements core.Protocol.
 func (z *Zyzzyva) OnTimer(id core.TimerID) {
-	switch id.Name {
-	case timerProgress:
-		if z.backlog.Expired(id) {
-			z.vc.Start(z.View() + 1)
-		}
-	case timerVCRetry:
-		z.vc.Retry(id)
-	}
+	z.vc.OnTimer(id)
 }
 
 // OnExecuted implements core.Protocol: commit-path execution (promoted
 // speculative slots or re-executed decided batches).
 func (z *Zyzzyva) OnExecuted(seq types.SeqNum, batch *types.Batch, results [][]byte) {
-	z.backlog.Executed(batch)
-	// Committed (non-speculative) replies: they let clients finish with
-	// f+1 matches when the fast path fell apart (e.g. after a view change
-	// re-executed the slot).
-	core.ReplyExecuted(z.env, z.View(), seq, batch, results)
-	delete(z.specs, seq)
 	for cs := range z.clientCerts {
 		if cs+64 < seq {
 			delete(z.clientCerts, cs)
 		}
 	}
-	if z.nextSeq < seq {
-		z.nextSeq = seq
-	}
-	z.backlog.Progress()
+	// Committed (non-speculative) replies: they let clients finish with
+	// f+1 matches when the fast path fell apart (e.g. after a view change
+	// re-executed the slot).
+	z.Slots.Executed(seq, batch, results, true)
 	z.maybePropose()
 }

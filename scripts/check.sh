@@ -12,6 +12,20 @@ if [ -n "$unformatted" ]; then
 	exit 1
 fi
 
+# One vote table: nested per-sender vote maps anywhere in the protocols or
+# the kit, and flat per-slot vote maps in the eight packages whose ordering
+# stage runs on core.Slots, must not come back.
+nested=$(grep -rnE 'map\[[^]]+\]map\[types\.NodeID\]' internal/protocols internal/core || true)
+flat=$(grep -nE 'map\[types\.NodeID\](\[\]byte|bool)' \
+	$(ls internal/protocols/pbft/*.go internal/protocols/poe/*.go internal/protocols/sbft/*.go \
+		internal/protocols/zyzzyva/*.go internal/protocols/fab/*.go internal/protocols/cheapbft/*.go \
+		internal/protocols/kauri/*.go internal/protocols/themis/*.go | grep -v _test.go) || true)
+if [ -n "$nested$flat" ]; then
+	echo "hand-rolled vote maps (count votes with core.Tally / core.Slots):" >&2
+	echo "$nested$flat" >&2
+	exit 1
+fi
+
 go vet ./...
 go build ./...
 # The experiment smoke suite replays every table of EXPERIMENTS.md; under
