@@ -185,7 +185,7 @@ func BenchmarkTraceEventsRing(b *testing.B) {
 func BenchmarkTraceNilCall(b *testing.B) {
 	var tr *obsv.Tracer
 	for i := 0; i < b.N; i++ {
-		tr.CryptoOp(0, obsv.CryptoSign)
+		tr.CryptoOp(0, crypto.OpSign)
 	}
 }
 

@@ -95,7 +95,6 @@ func main() {
 	flag.StringVar(&pf.allowFile, "perf-allow-file", defaultAllowFile, "allowlist file (one pattern per line, #-comments)")
 	flag.Float64Var(&pf.tolerance, "perf-tolerance", 0.30, "fractional tolerance for host metrics (wall time, allocations)")
 	flag.IntVar(&pf.verifyCache, "verify-cache", 0, "verification-engine cache bound for -snapshot cells (0 = harness default, negative = engine off)")
-	flag.IntVar(&pf.verifyWorkers, "verify-workers", 0, "verification-pool size for -snapshot cells (simulator runs verify inline; pool only matters on real TCP)")
 	flag.BoolVar(&pf.gateWall, "perf-gate-wall", false, "fail -compare on out-of-tolerance host regressions too")
 	flag.StringVar(&pf.profDir, "profile-dir", "", "capture per-cell pprof CPU/heap profiles for regressed cells into this dir")
 	flag.Parse()

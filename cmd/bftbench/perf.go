@@ -28,15 +28,14 @@ import (
 
 // perfFlags carries the parsed -perf-* / -snapshot-* options.
 type perfFlags struct {
-	repeats       int
-	slow          string
-	allow         string
-	allowFile     string
-	tolerance     float64
-	gateWall      bool
-	profDir       string
-	verifyCache   int
-	verifyWorkers int
+	repeats     int
+	slow        string
+	allow       string
+	allowFile   string
+	tolerance   float64
+	gateWall    bool
+	profDir     string
+	verifyCache int
 }
 
 func perfLogf(format string, args ...any) {
@@ -50,11 +49,10 @@ func perfSnapshot(out string, pf perfFlags) int {
 		fmt.Printf("perf: SELF-TEST — %s cells run with a delay replica; do not commit this snapshot\n", pf.slow)
 		opts.Wrap = perf.SlowWrap(pf.slow, 2*time.Millisecond)
 	}
-	if pf.verifyCache != 0 || pf.verifyWorkers != 0 {
+	if pf.verifyCache != 0 {
 		prev := opts.Wrap
 		opts.Wrap = func(cell perf.Cell, h *harness.Options) {
 			h.VerifyCache = pf.verifyCache
-			h.VerifyWorkers = pf.verifyWorkers
 			if prev != nil {
 				prev(cell, h)
 			}

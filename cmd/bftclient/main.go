@@ -15,8 +15,7 @@ import (
 	"sort"
 	"time"
 
-	"bftkit/internal/core"
-	"bftkit/internal/crypto"
+	"bftkit/internal/harness"
 	"bftkit/internal/kvstore"
 	"bftkit/internal/transport"
 	"bftkit/internal/types"
@@ -36,47 +35,27 @@ func main() {
 	if err != nil {
 		log.Fatalf("bad -peers: %v", err)
 	}
-	reg, ok := core.Lookup(*proto)
-	if !ok {
-		log.Fatalf("unknown protocol %q; registered: %v", *proto, core.Names())
-	}
-	n := len(peers)
-	cfg := core.DefaultConfig(n)
-	if *f > 0 {
-		cfg.F = *f
-	} else {
-		cfg.F = 0
-		for ff := 1; reg.Profile.MinReplicas(ff) <= n; ff++ {
-			cfg.F = ff
-		}
-	}
-	cfg.Scheme = reg.Profile.AuthOrdering
-
-	clientID := types.ClientIDBase
-	peers[clientID] = *listen
-	node := transport.NewNode(clientID, peers, *seed)
-	node.SetMaxFrame(*maxFrame)
-	auth := crypto.NewAuthority(*seed)
-
-	done := make(chan struct{}, 1)
-	hooks := core.ClientHooks{
-		OnDone: func(_ types.NodeID, _ *types.Request, _ []byte, _ time.Duration) {
-			done <- struct{}{}
-		},
-	}
-	client := core.NewClient(clientID, cfg, node, reg.ClientFor(cfg), auth, hooks)
-	node.SetHandler(client)
-	if err := node.Start(); err != nil {
+	reg, cfg, err := harness.Resolve(*proto, len(peers), *f, nil)
+	if err != nil {
 		log.Fatal(err)
 	}
-	node.Do(client.Start)
+	peers[types.ClientIDBase] = *listen
+	done := make(chan struct{}, 1)
+	client, err := harness.StartClient(harness.NodeSpec{
+		ID: types.ClientIDBase, Reg: reg, Cfg: cfg, Peers: peers, Seed: *seed, MaxFrame: *maxFrame,
+		VerifyCache: -1, // the client verifies replies inline and runs no engine
+	}, func(*types.Request) { done <- struct{}{} })
+	if err != nil {
+		log.Fatal(err)
+	}
+	node := client.Node
 
 	var latencies []time.Duration
 	for i := 1; i <= *requests; i++ {
 		op := kvstore.Put(fmt.Sprintf("key-%d", i), []byte(fmt.Sprintf("value-%d", i)))
 		req := &types.Request{ClientSeq: uint64(i), Op: op, ArrivalHint: int64(node.Now())}
 		start := time.Now()
-		node.Do(func() { client.Submit(req) })
+		node.Do(func() { client.Client.Submit(req) })
 		select {
 		case <-done:
 			latencies = append(latencies, time.Since(start))
@@ -84,14 +63,14 @@ func main() {
 			log.Fatalf("request %d timed out after 10s", i)
 		}
 	}
-	node.Stop()
+	client.Stop()
 
 	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
 	var sum time.Duration
 	for _, l := range latencies {
 		sum += l
 	}
-	fmt.Printf("%d requests against %s (n=%d, f=%d)\n", len(latencies), *proto, n, cfg.F)
+	fmt.Printf("%d requests against %s (n=%d, f=%d)\n", len(latencies), *proto, cfg.N, cfg.F)
 	fmt.Printf("latency mean=%v p50=%v p99=%v\n",
 		(sum / time.Duration(len(latencies))).Round(time.Microsecond),
 		latencies[len(latencies)/2].Round(time.Microsecond),

@@ -16,20 +16,15 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	"os"
 	"os/signal"
 	"runtime"
-	"sync/atomic"
 	"time"
 
-	"bftkit/internal/core"
 	"bftkit/internal/crypto"
 	"bftkit/internal/crypto/vpool"
 	"bftkit/internal/forensics"
-	"bftkit/internal/kvstore"
-	"bftkit/internal/obsv"
-	"bftkit/internal/ops"
+	"bftkit/internal/harness"
 	"bftkit/internal/transport"
 	"bftkit/internal/types"
 )
@@ -53,146 +48,66 @@ func main() {
 	if err != nil {
 		log.Fatalf("bad -peers: %v", err)
 	}
-	reg, ok := core.Lookup(*proto)
-	if !ok {
-		log.Fatalf("unknown protocol %q; registered: %v", *proto, core.Names())
-	}
-	n := len(peers)
-	cfg := core.DefaultConfig(n)
-	if *f > 0 {
-		cfg.F = *f
-	} else {
-		cfg.F = 0
-		for ff := 1; reg.Profile.MinReplicas(ff) <= n; ff++ {
-			cfg.F = ff
-		}
-		if cfg.F == 0 {
-			log.Fatalf("%d replicas cannot tolerate any fault under n=%s", n, reg.Profile.Replicas)
-		}
-	}
-	cfg.Scheme = reg.Profile.AuthOrdering
-
-	startAt := time.Now()
-	node := transport.NewNode(types.NodeID(*id), peers, *seed)
-	node.SetMaxFrame(*maxFrame)
-	auth := crypto.NewAuthority(*seed)
-	var tracer *obsv.Tracer
-	var engine *vpool.Engine
-	if *stats || *metricsAddr != "" {
-		tracer = obsv.New(obsv.Options{Label: fmt.Sprintf("%s/r%d", *proto, *id)})
-		tracer.SetNodeInfo(obsv.NodeInfo{Node: types.NodeID(*id), Protocol: *proto,
-			N: n, F: cfg.F, Start: startAt})
-		node.SetTracer(tracer)
-		auth.SetObserver(func(nid types.NodeID, op crypto.Op) {
-			switch op {
-			case crypto.OpSign:
-				tracer.CryptoOp(nid, obsv.CryptoSign)
-			case crypto.OpVerify:
-				tracer.CryptoOp(nid, obsv.CryptoVerify)
-			case crypto.OpMAC:
-				tracer.CryptoOp(nid, obsv.CryptoMAC)
-			case crypto.OpMACVerify:
-				tracer.CryptoOp(nid, obsv.CryptoMACVerify)
-			}
-		})
-	}
-	if *verifyCache > 0 {
-		engine = vpool.New(auth, vpool.Options{Workers: *verifyWorkers, Cache: *verifyCache, Tracer: tracer})
-		auth.SetEngine(engine)
-		if *verifyWorkers > 0 {
-			node.SetInboundPrepare(engine.Prepare())
-		}
-	}
-	var lastSeq atomic.Uint64
-	hooks := core.Hooks{
-		Trace: tracer,
-		OnCommit: func(_ types.NodeID, v types.View, seq types.SeqNum, b *types.Batch, _ *types.CommitProof, _ time.Duration) {
-			if s := uint64(seq); s > lastSeq.Load() {
-				lastSeq.Store(s)
-			}
-			log.Printf("commit view=%d seq=%d (%d requests)", v, seq, b.Len())
-		},
-		OnViolation: func(_ types.NodeID, err error) {
-			log.Printf("SAFETY VIOLATION: %v", err)
-		},
-	}
-	if *verbose {
-		hooks.Logf = log.Printf
-	}
-	replica := core.NewReplica(types.NodeID(*id), cfg, node, reg.NewReplica(cfg), kvstore.New(), auth, hooks)
-	var auditor *forensics.Auditor
-	if *forensic {
-		self := types.NodeID(*id)
-		fo := forensics.Options{N: n, F: cfg.F, Tracer: tracer,
-			// Only the public half of the deployment's shared key material.
-			Keys: crypto.NewAuthority(*seed).KeyRing(n),
-			// This auditor taps only our own inbound stream; our own
-			// sends never traverse it, so we must not score ourselves.
-			LocalNode: &self}
-		// Same role-asymmetry gate as the harness: benched or starved
-		// replicas must not be accusable of withholding.
-		if !reg.Profile.ActiveReplicas.IsZero() ||
-			reg.Profile.Topology == core.Tree || reg.Profile.Topology == core.Chain {
-			fo.AsymmetricRoles = true
-		}
-		auditor = forensics.New(fo)
-		node.SetHandler(&auditTap{aud: auditor, id: types.NodeID(*id), start: startAt, inner: replica})
-	} else {
-		node.SetHandler(replica)
-	}
-	if err := node.Start(); err != nil {
+	reg, cfg, err := harness.Resolve(*proto, len(peers), *f, nil)
+	if err != nil {
 		log.Fatal(err)
 	}
-	node.Do(replica.Start)
-	fmt.Printf("bftnode %d (%s, n=%d, f=%d) listening on %s\n", *id, *proto, n, cfg.F, peers[types.NodeID(*id)])
-
-	var opsSrv *http.Server
-	if *metricsAddr != "" {
-		var report func() *forensics.Report
-		if auditor != nil {
-			report = func() *forensics.Report { return auditor.Report(time.Since(startAt)) }
-		}
-		srv, addr, err := ops.Serve(*metricsAddr, opsMux(*proto, *id, n, cfg.F, startAt, &lastSeq, tracer, report))
-		if err != nil {
-			log.Fatalf("ops endpoints: %v", err)
-		}
-		opsSrv = srv
+	self := types.NodeID(*id)
+	spec := harness.NodeSpec{
+		ID: self, Reg: reg, Cfg: cfg, Peers: peers, Seed: *seed, MaxFrame: *maxFrame,
+		VerifyWorkers: *verifyWorkers, VerifyCache: *verifyCache,
+		Observers: []harness.Observer{commitLog{}},
+		OpsAddr:   *metricsAddr,
+	}
+	if *verifyCache <= 0 {
+		// -verify-cache 0 turns the engine off, pool included.
+		spec.VerifyWorkers, spec.VerifyCache = 0, -1
+	}
+	if *stats || *metricsAddr != "" {
+		spec.Tracer = harness.NodeTracer(reg, cfg, self)
+	}
+	if *verbose {
+		spec.Logf = log.Printf
+	}
+	if *forensic {
+		// This auditor taps only our own inbound stream; our own sends
+		// never traverse it, so we must not score ourselves.
+		spec.Auditor = harness.NewAuditor(reg, cfg, crypto.NewAuthority(*seed),
+			forensics.Options{LocalNode: &self}, spec.Tracer)
+	}
+	node, err := harness.StartReplica(spec)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("bftnode %d (%s, n=%d, f=%d) listening on %s\n", *id, *proto, cfg.N, cfg.F, peers[self])
+	if node.OpsAddr != nil {
 		surface := "/metrics, /healthz, /debug/pprof"
-		if auditor != nil {
+		if spec.Auditor != nil {
 			surface += ", /forensics"
 		}
-		fmt.Printf("bftnode %d ops endpoints on http://%s (%s)\n", *id, addr, surface)
+		fmt.Printf("bftnode %d ops endpoints on http://%s (%s)\n", *id, node.OpsAddr, surface)
 	}
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt)
 	<-sig
-	if opsSrv != nil {
-		opsSrv.Close()
-	}
 	node.Stop()
-	if engine != nil {
-		engine.Stop()
-	}
 	if *stats {
-		tracer.WriteSummary(os.Stdout)
+		spec.Tracer.WriteSummary(os.Stdout)
 	}
-	if auditor != nil {
-		auditor.Report(time.Since(startAt)).WriteTable(os.Stdout)
+	if spec.Auditor != nil {
+		spec.Auditor.Report(node.Node.Now()).WriteTable(os.Stdout)
 	}
 }
 
-// auditTap interposes the accountability auditor on this node's inbound
-// deliveries: the auditor sees exactly what the replica sees, stamped
-// with node-local wall time, then the message proceeds unchanged.
-type auditTap struct {
-	aud   *forensics.Auditor
-	id    types.NodeID
-	start time.Time
-	inner transport.Handler
-}
+// commitLog is the one observer bftnode adds to the shared assembly: it
+// logs every commit and every safety violation.
+type commitLog struct{}
 
-func (t *auditTap) Deliver(from types.NodeID, m types.Message) {
-	t.aud.Observe(time.Since(t.start), from, t.id, m)
-	t.inner.Deliver(from, m)
+func (commitLog) OnCommit(_ types.NodeID, v types.View, seq types.SeqNum, b *types.Batch, _ *types.CommitProof, _ time.Duration) {
+	log.Printf("commit view=%d seq=%d (%d requests)", v, seq, b.Len())
 }
+func (commitLog) OnExecute(types.NodeID, types.SeqNum, *types.Batch, [][]byte, time.Duration) {}
+func (commitLog) OnViewChange(types.NodeID, types.View, time.Duration)                        {}
+func (commitLog) OnViolation(_ types.NodeID, err error)                                       { log.Printf("SAFETY VIOLATION: %v", err) }
+func (commitLog) OnDone(types.NodeID, *types.Request, []byte, time.Duration)                  {}

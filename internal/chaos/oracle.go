@@ -70,10 +70,11 @@ type keyRecord struct {
 }
 
 // Oracle checks the run's invariants continuously. It implements
-// harness.Observer for protocol-level events; the runner additionally
-// feeds it every network delivery (through handler probes) and mirrors
-// the fault state it injects, so the oracle knows which deliveries are
-// legal. All state is single-threaded under the simulator.
+// harness.Observer for protocol-level events plus OnDeliver, so the
+// cluster's delivery tap feeds it every network delivery; the runner
+// mirrors the fault state it injects, so the oracle knows which
+// deliveries are legal. All state is single-threaded under the
+// simulator.
 type Oracle struct {
 	f   int
 	byz map[types.NodeID]bool
@@ -230,7 +231,7 @@ func (o *Oracle) OnDone(client types.NodeID, req *types.Request, result []byte, 
 	}
 }
 
-// --- fault-state mirror + delivery probe (fed by the runner) ---
+// --- fault-state mirror (fed by the runner) + delivery check ---
 
 // Crash mirrors a network-level crash injection.
 func (o *Oracle) Crash(id types.NodeID) { o.crashed[id] = true }
@@ -256,10 +257,10 @@ func (o *Oracle) Heal() {
 // OnDeliver checks one network delivery against the mirrored fault
 // state: a crashed replica receives nothing, and no message crosses an
 // active partition. This invariant pins the simulator's fault model —
-// a regression in internal/sim's delivery path (e.g. duplicates that
-// ignore partitions) trips it even when no protocol-level invariant
-// breaks.
-func (o *Oracle) OnDeliver(from, to types.NodeID) {
+// the tap sits after internal/sim's own crash/partition filter, so a
+// regression in that delivery path (e.g. duplicates that ignore
+// partitions) trips it even when no protocol-level invariant breaks.
+func (o *Oracle) OnDeliver(_ time.Duration, from, to types.NodeID, _ types.Message) {
 	if o.crashed[to] {
 		o.flag(InvZombie, "delivery from %v to crashed replica %v", from, to)
 		return

@@ -133,22 +133,22 @@ func TestOracleFlagsPostGSTStall(t *testing.T) {
 func TestOracleFlagsZombieDeliveries(t *testing.T) {
 	o := testOracle(t, "pbft")
 	o.Crash(2)
-	o.OnDeliver(0, 2) // delivery to a crashed replica
+	o.OnDeliver(0, 0, 2, nil) // delivery to a crashed replica
 	wantInvariant(t, o, InvZombie)
 
 	o = testOracle(t, "pbft")
 	o.Partition([]types.NodeID{0, 1})
-	o.OnDeliver(0, 2) // delivery across the partition
+	o.OnDeliver(0, 0, 2, nil) // delivery across the partition
 	wantInvariant(t, o, InvZombie)
 
 	// After restart/heal the same deliveries are legal again.
 	o = testOracle(t, "pbft")
 	o.Crash(2)
 	o.Restart(2)
-	o.OnDeliver(0, 2)
+	o.OnDeliver(0, 0, 2, nil)
 	o.Partition([]types.NodeID{0, 1})
 	o.Heal()
-	o.OnDeliver(0, 2)
+	o.OnDeliver(0, 0, 2, nil)
 	wantClean(t, o)
 }
 

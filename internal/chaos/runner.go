@@ -10,7 +10,6 @@ import (
 	"bftkit/internal/harness"
 	"bftkit/internal/kvstore"
 	"bftkit/internal/obsv"
-	"bftkit/internal/sim"
 	"bftkit/internal/types"
 )
 
@@ -97,7 +96,10 @@ func RunRecorded(s Schedule) (*Report, *obsv.Tracer) {
 		byzm[a.Node] = b
 	}
 
-	var oracle *Oracle
+	// The oracle reads the cluster's clock, and the cluster wants its
+	// observers at construction: close the clock over the variable.
+	var c *harness.Cluster
+	oracle := NewOracle(cfg, func() time.Duration { return c.Sched.Now() })
 	tracer := obsv.New(obsv.Options{
 		Label: cfg.Protocol,
 		// Flight-recorder capture: keep the most recent events in a ring
@@ -106,7 +108,7 @@ func RunRecorded(s Schedule) (*Report, *obsv.Tracer) {
 		Ring:      true,
 		MaxEvents: 1 << 15,
 	})
-	c := harness.NewCluster(harness.Options{
+	c = harness.NewCluster(harness.Options{
 		Protocol:  cfg.Protocol,
 		N:         cfg.N,
 		F:         cfg.F,
@@ -120,17 +122,10 @@ func RunRecorded(s Schedule) (*Report, *obsv.Tracer) {
 		// tails open for a whole checkpoint window, which would make
 		// acked-durability unobservable on short chaos workloads.
 		Tune: func(cc *core.Config) { cc.CheckpointInterval = 1 },
-		Observers: []harness.Observer{
-			// The oracle is built after the cluster (it needs the
-			// scheduler's clock), so indirect through a forwarder.
-			observerFunc(func(f func(*Oracle)) {
-				if oracle != nil {
-					f(oracle)
-				}
-			}),
-		},
+		// The oracle also sees every network delivery with its endpoints
+		// (OnDeliver, on the cluster's delivery tap).
+		Observers: []harness.Observer{oracle},
 	})
-	oracle = NewOracle(cfg, c.Sched.Now)
 
 	// The schedule's crash timeline is administratively known downtime:
 	// the auditor must not read an injected crash as withholding. Pair
@@ -152,20 +147,6 @@ func RunRecorded(s Schedule) (*Report, *obsv.Tracer) {
 	}
 	for node, from := range crashAt {
 		c.Forensics.ExcuseDowntime(node, from, s.Quiet()+Grace+drainTime)
-	}
-
-	// Re-register every replica behind a delivery probe so the oracle
-	// sees each network delivery with its endpoints. This deliberately
-	// sits outside internal/sim: a regression in the simulator's own
-	// delivery path (duplicates ignoring partitions or crashes) is
-	// caught here, not trusted there.
-	for i, rep := range c.Replicas {
-		id := types.NodeID(i)
-		target := rep
-		c.Net.Register(id, sim.HandlerFunc(func(from types.NodeID, m types.Message) {
-			oracle.OnDeliver(from, id)
-			target.Deliver(from, m)
-		}))
 	}
 
 	// Closed-loop workload with pause/resume churn, driven manually so
@@ -290,29 +271,4 @@ func RunRecorded(s Schedule) (*Report, *obsv.Tracer) {
 		Violations: violations,
 		Forensics:  frep,
 	}, tracer
-}
-
-// observerFunc adapts a late-bound *Oracle to harness.Observer: the
-// cluster needs its observers at construction time, but the oracle
-// needs the cluster's clock.
-type observerFunc func(func(*Oracle))
-
-func (o observerFunc) OnCommit(id types.NodeID, v types.View, seq types.SeqNum, b *types.Batch, proof *types.CommitProof, at time.Duration) {
-	o(func(or *Oracle) { or.OnCommit(id, v, seq, b, proof, at) })
-}
-
-func (o observerFunc) OnExecute(id types.NodeID, seq types.SeqNum, b *types.Batch, results [][]byte, at time.Duration) {
-	o(func(or *Oracle) { or.OnExecute(id, seq, b, results, at) })
-}
-
-func (o observerFunc) OnViewChange(id types.NodeID, v types.View, at time.Duration) {
-	o(func(or *Oracle) { or.OnViewChange(id, v, at) })
-}
-
-func (o observerFunc) OnViolation(id types.NodeID, err error) {
-	o(func(or *Oracle) { or.OnViolation(id, err) })
-}
-
-func (o observerFunc) OnDone(client types.NodeID, req *types.Request, result []byte, at time.Duration) {
-	o(func(or *Oracle) { or.OnDone(client, req, result, at) })
 }

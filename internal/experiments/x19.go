@@ -115,7 +115,7 @@ func x19Run(f x19Fault) (res x19Result) {
 	nn := chaos.NewNetemNet(7)
 	defer nn.Close()
 
-	clu, err := x19NewCluster(harness.TCPOptions{
+	clu, err := harness.NewTCPCluster(harness.TCPOptions{
 		Protocol: "pbft", N: 4, F: 1, Seed: 42,
 		Tune: func(cfg *core.Config) {
 			cfg.Delta = 20 * time.Millisecond
@@ -239,20 +239,6 @@ func x19Run(f x19Fault) (res x19Result) {
 		}
 	}
 	return res
-}
-
-// x19NewCluster builds the deployment, absorbing the harness's
-// reserve-then-rebind port race: addresses are reserved by listening
-// and closing, so a concurrently starting cluster can steal one in the
-// gap. A colliding boot is retried on fresh reservations.
-func x19NewCluster(opts harness.TCPOptions) (clu *harness.TCPCluster, err error) {
-	for attempt := 0; attempt < 3; attempt++ {
-		clu, err = harness.NewTCPCluster(opts)
-		if err == nil || !strings.Contains(err.Error(), "address already in use") {
-			return clu, err
-		}
-	}
-	return clu, err
 }
 
 // x19Measure runs one scenario, rebooting it on a fresh deployment when

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 	"time"
 
 	"bftkit/internal/byz"
@@ -67,21 +68,19 @@ type Options struct {
 	// host-CPU savings; the charged (deterministic) crypto counters are
 	// identical either way.
 	VerifyCache int
-	// VerifyWorkers sizes the engine's worker pool. On the simulator
-	// every verification is an inline synchronous call and nothing
-	// submits batches, so workers only idle here; the field exists so
-	// bftbench can plumb one flag set to both substrates. Leave 0.
-	VerifyWorkers int
 	// Forensics, when set, runs the accountability auditor on the
 	// deployment's delivery stream (sim.Network.SetTap). N, F, and Keys
-	// are filled in from the cluster; Tracer defaults to Trace. The
-	// built auditor is exposed as Cluster.Forensics.
+	// are filled in from the cluster (NewAuditor); Tracer defaults to
+	// Trace. The built auditor is exposed as Cluster.Forensics.
 	Forensics *forensics.Options
 }
 
 // Observer watches a running cluster's protocol-level events. All
 // callbacks fire on the simulator's single thread, after the built-in
-// metrics collector has recorded the same event.
+// metrics collector (the first Observer of every simulated deployment)
+// has recorded the same event. An Observer that also has
+// OnDeliver(at, from, to, m) additionally sees every message delivery,
+// on the simulator and on TCP alike.
 type Observer interface {
 	OnCommit(id types.NodeID, v types.View, seq types.SeqNum, b *types.Batch, proof *types.CommitProof, at time.Duration)
 	OnExecute(id types.NodeID, seq types.SeqNum, b *types.Batch, results [][]byte, at time.Duration)
@@ -134,10 +133,6 @@ func (d nodeDriver) After(t time.Duration, fn func()) func() {
 // invalid sizing — harness misuse is a programming error in a test or
 // bench, not a runtime condition.
 func NewCluster(opts Options) *Cluster {
-	reg, ok := core.Lookup(opts.Protocol)
-	if !ok {
-		panic(fmt.Sprintf("harness: unknown protocol %q (missing import?)", opts.Protocol))
-	}
 	if opts.Seed == 0 {
 		opts.Seed = 1
 	}
@@ -147,34 +142,9 @@ func NewCluster(opts Options) *Cluster {
 	if opts.Net == (sim.NetConfig{}) {
 		opts.Net = sim.DefaultLAN()
 	}
-
-	f := opts.F
-	n := opts.N
-	switch {
-	case n == 0 && f == 0:
-		f = 1
-		n = reg.Profile.MinReplicas(f)
-	case n == 0:
-		n = reg.Profile.MinReplicas(f)
-	case f == 0:
-		// Largest f the profile tolerates at this n.
-		for ff := 1; reg.Profile.MinReplicas(ff) <= n; ff++ {
-			f = ff
-		}
-		if f == 0 {
-			panic(fmt.Sprintf("harness: %d replicas cannot tolerate any fault under %s", n, reg.Profile.Replicas))
-		}
-	}
-	if n < reg.Profile.MinReplicas(f) {
-		panic(fmt.Sprintf("harness: %s needs n >= %d for f=%d, got %d",
-			opts.Protocol, reg.Profile.MinReplicas(f), f, n))
-	}
-
-	cfg := core.DefaultConfig(n)
-	cfg.F = f
-	cfg.Scheme = reg.Profile.AuthOrdering
-	if opts.Tune != nil {
-		opts.Tune(&cfg)
+	reg, cfg, err := Resolve(opts.Protocol, opts.N, opts.F, opts.Tune)
+	if err != nil {
+		panic("harness: " + err.Error())
 	}
 
 	c := &Cluster{
@@ -186,6 +156,8 @@ func NewCluster(opts Options) *Cluster {
 		Metrics: NewMetrics(),
 	}
 	c.Net = sim.NewNetwork(c.Sched, opts.Net)
+	c.Metrics.Trace = opts.Trace
+	attachTracer(opts.Trace, c.Net, c.Auth)
 	// The verification engine rides the shared authority: all replicas
 	// and clients derive keys from one Authority, so the positive-only
 	// memo deduplicates the n-fold re-verification of every broadcast
@@ -193,114 +165,33 @@ func NewCluster(opts Options) *Cluster {
 	// determinism rule: verify inline, no pool goroutines); the memo is
 	// deterministic too — it changes which verifications run Ed25519
 	// math, never their results or the charged counters.
-	if opts.VerifyCache >= 0 {
-		size := opts.VerifyCache
-		if size == 0 {
-			size = vpool.DefaultCache
-		}
-		c.Engine = vpool.New(c.Auth, vpool.Options{Workers: 0, Cache: size, Tracer: opts.Trace})
-		c.Auth.SetEngine(c.Engine)
-	}
-	if tr := opts.Trace; tr != nil {
-		c.Metrics.Trace = tr
-		c.Net.SetTracer(tr)
-		c.Auth.SetObserver(func(node types.NodeID, op crypto.Op) {
-			switch op {
-			case crypto.OpSign:
-				tr.CryptoOp(node, obsv.CryptoSign)
-			case crypto.OpVerify:
-				tr.CryptoOp(node, obsv.CryptoVerify)
-			case crypto.OpMAC:
-				tr.CryptoOp(node, obsv.CryptoMAC)
-			case crypto.OpMACVerify:
-				tr.CryptoOp(node, obsv.CryptoMACVerify)
-			}
-		})
-	}
-
+	c.Engine = newEngine(c.Auth, 0, opts.VerifyCache, opts.Trace)
 	if opts.Forensics != nil {
-		fo := *opts.Forensics
-		fo.N, fo.F = n, f
-		fo.Keys = c.Auth.KeyRing(n)
-		if fo.Tracer == nil {
-			fo.Tracer = opts.Trace
-		}
-		// Profiles with E1 active-replica reduction legitimately bench
-		// replicas, and tree/chain topologies give interior nodes and
-		// hops structurally unequal traffic, so silence under those
-		// profiles must not convict (see Options).
-		if !reg.Profile.ActiveReplicas.IsZero() ||
-			reg.Profile.Topology == core.Tree || reg.Profile.Topology == core.Chain {
-			fo.AsymmetricRoles = true
-		}
-		c.Forensics = forensics.New(fo)
-		c.Net.SetTap(c.Forensics.Observe)
+		c.Forensics = NewAuditor(reg, cfg, c.Auth, *opts.Forensics, opts.Trace)
 	}
 
-	hooks := core.Hooks{
-		OnCommit:     c.Metrics.onCommit,
-		OnExecute:    c.Metrics.onExecute,
-		OnViewChange: c.Metrics.onViewChange,
-		OnViolation:  c.Metrics.onViolation,
-		Logf:         opts.Verbose,
-		Trace:        opts.Trace,
+	// Metrics is simply the first observer. Everything is one thread, so
+	// the mutex is never contended, and the clock is the one the runtime
+	// stamps events with anyway.
+	fan := &fanout{obs: append([]Observer{c.Metrics}, opts.Observers...), mu: new(sync.Mutex), now: c.Sched.Now}
+	if tap := fan.tap(c.Forensics); tap != nil {
+		c.Net.SetTap(tap)
 	}
-	if obs := opts.Observers; len(obs) > 0 {
-		hooks.OnCommit = func(id types.NodeID, v types.View, seq types.SeqNum, b *types.Batch, proof *types.CommitProof, at time.Duration) {
-			c.Metrics.onCommit(id, v, seq, b, proof, at)
-			for _, o := range obs {
-				o.OnCommit(id, v, seq, b, proof, at)
-			}
-		}
-		hooks.OnExecute = func(id types.NodeID, seq types.SeqNum, b *types.Batch, results [][]byte, at time.Duration) {
-			c.Metrics.onExecute(id, seq, b, results, at)
-			for _, o := range obs {
-				o.OnExecute(id, seq, b, results, at)
-			}
-		}
-		hooks.OnViewChange = func(id types.NodeID, v types.View, at time.Duration) {
-			c.Metrics.onViewChange(id, v, at)
-			for _, o := range obs {
-				o.OnViewChange(id, v, at)
-			}
-		}
-		hooks.OnViolation = func(id types.NodeID, err error) {
-			c.Metrics.onViolation(id, err)
-			for _, o := range obs {
-				o.OnViolation(id, err)
-			}
-		}
-	}
-	for i := 0; i < n; i++ {
+	hooks := fan.hooks(opts.Verbose, opts.Trace)
+	for i := 0; i < cfg.N; i++ {
 		id := types.NodeID(i)
 		app := kvstore.New()
-		var proto core.Protocol
-		if opts.MakeReplica != nil {
-			proto = opts.MakeReplica(id, cfg)
-		}
-		if proto == nil {
-			proto = reg.NewReplica(cfg)
-		}
-		if b := opts.Byzantine[id]; b != nil {
-			proto = byz.Wrap(proto, b)
-		}
+		proto := newProtocol(reg, cfg, id, opts.MakeReplica, opts.Byzantine[id])
 		rep := core.NewReplica(id, cfg, nodeDriver{id, c}, proto, app, c.Auth, hooks)
 		c.Apps = append(c.Apps, app)
 		c.Replicas = append(c.Replicas, rep)
 		c.Net.Register(id, rep)
 	}
-	chooks := core.ClientHooks{
-		OnDone: func(id types.NodeID, req *types.Request, result []byte, at time.Duration) {
-			c.Metrics.onDone(id, req, result, at)
-			for _, o := range opts.Observers {
-				o.OnDone(id, req, result, at)
-			}
-			if c.DoneHook != nil {
-				c.DoneHook(id, req, result, at)
-			}
-		},
-		Logf: opts.Verbose,
-	}
+	chooks := fan.clientHooks(opts.Verbose, func(id types.NodeID, req *types.Request, result []byte, at time.Duration) {
+		if c.DoneHook != nil {
+			c.DoneHook(id, req, result, at)
+		}
+	})
 	for i := 0; i < opts.Clients; i++ {
 		id := types.ClientIDBase + types.NodeID(i)
 		cl := core.NewClient(id, cfg, nodeDriver{id, c}, reg.ClientFor(cfg), c.Auth, chooks)

@@ -43,7 +43,7 @@ func TestAuditAcceptsPrefixes(t *testing.T) {
 
 func TestAuditSurfacesViolations(t *testing.T) {
 	m := NewMetrics()
-	m.onViolation(1, errTest)
+	m.OnViolation(1, errTest)
 	if err := m.AuditSafety(func(types.NodeID) bool { return true }); err == nil {
 		t.Fatal("runtime violation not surfaced by the audit")
 	}
@@ -106,10 +106,10 @@ func TestThroughputWindow(t *testing.T) {
 	}
 	// One warmup completion before MeasureFrom, three measured after.
 	m.onSubmit(k(1), 0)
-	m.onDone(0, k(1), nil, 500*time.Millisecond)
+	m.OnDone(0, k(1), nil, 500*time.Millisecond)
 	for i := uint64(2); i <= 4; i++ {
 		m.onSubmit(k(i), time.Second)
-		m.onDone(0, k(i), nil, time.Second+time.Duration(i)*time.Millisecond)
+		m.OnDone(0, k(i), nil, time.Second+time.Duration(i)*time.Millisecond)
 	}
 	if tput := m.Throughput(2 * time.Second); tput != 3 {
 		t.Fatalf("throughput = %v, want 3 req/s over a 1s window", tput)

@@ -17,8 +17,10 @@ type ExecRecord struct {
 	Digest types.Digest
 }
 
-// Metrics collects everything the experiments report. It is driven by
-// runtime hooks; on the simulator all callbacks are single-threaded.
+// Metrics collects everything the experiments report. It is an Observer
+// — the first one of every simulated deployment — plus onSubmit, which
+// Cluster.Submit calls; on the simulator all callbacks are
+// single-threaded.
 type Metrics struct {
 	// Client-side. Completed counts every finished request including
 	// warmup; Measured counts only those inside the measured window
@@ -79,7 +81,7 @@ func (m *Metrics) onSubmit(req *types.Request, at time.Duration) {
 	m.Trace.Submit(at, req.Client, req.Key())
 }
 
-func (m *Metrics) onDone(id types.NodeID, req *types.Request, result []byte, at time.Duration) {
+func (m *Metrics) OnDone(id types.NodeID, req *types.Request, result []byte, at time.Duration) {
 	m.Completed++
 	m.DoneOrder = append(m.DoneOrder, req.Key())
 	m.Trace.Done(at, id, req.Key())
@@ -94,14 +96,14 @@ func (m *Metrics) onDone(id types.NodeID, req *types.Request, result []byte, at 
 	}
 }
 
-func (m *Metrics) onCommit(id types.NodeID, v types.View, seq types.SeqNum, b *types.Batch, proof *types.CommitProof, at time.Duration) {
+func (m *Metrics) OnCommit(id types.NodeID, v types.View, seq types.SeqNum, b *types.Batch, proof *types.CommitProof, at time.Duration) {
 	m.CommitCount[id]++
 	if _, ok := m.FirstCommit[seq]; !ok {
 		m.FirstCommit[seq] = at
 	}
 }
 
-func (m *Metrics) onExecute(id types.NodeID, seq types.SeqNum, b *types.Batch, results [][]byte, at time.Duration) {
+func (m *Metrics) OnExecute(id types.NodeID, seq types.SeqNum, b *types.Batch, results [][]byte, at time.Duration) {
 	m.ExecCount[id]++
 	m.execOrder[id] = append(m.execOrder[id], ExecRecord{Seq: seq, Digest: b.Digest()})
 	if id == 0 {
@@ -111,11 +113,11 @@ func (m *Metrics) onExecute(id types.NodeID, seq types.SeqNum, b *types.Batch, r
 	}
 }
 
-func (m *Metrics) onViewChange(id types.NodeID, v types.View, at time.Duration) {
+func (m *Metrics) OnViewChange(id types.NodeID, v types.View, at time.Duration) {
 	m.ViewChanges[id] = append(m.ViewChanges[id], v)
 }
 
-func (m *Metrics) onViolation(id types.NodeID, err error) {
+func (m *Metrics) OnViolation(id types.NodeID, err error) {
 	m.Violations = append(m.Violations, fmt.Errorf("replica %v: %w", id, err))
 }
 

@@ -15,7 +15,7 @@ import (
 func doneAt(m *Metrics, key types.RequestKey, submit, done time.Duration) {
 	req := &types.Request{Client: key.Client, ClientSeq: key.ClientSeq}
 	m.onSubmit(req, submit)
-	m.onDone(key.Client, req, nil, done)
+	m.OnDone(key.Client, req, nil, done)
 }
 
 func key(i uint64) types.RequestKey {
@@ -107,7 +107,7 @@ func TestLatencyPercentileSingleSample(t *testing.T) {
 func TestLatencyExcludesUnknownSubmit(t *testing.T) {
 	m := NewMetrics()
 	req := &types.Request{Client: types.ClientIDBase, ClientSeq: 42}
-	m.onDone(req.Client, req, nil, 7*time.Millisecond)
+	m.OnDone(req.Client, req, nil, 7*time.Millisecond)
 	if len(m.Latencies) != 0 {
 		t.Fatalf("latency recorded for unknown submit: %v", m.Latencies)
 	}

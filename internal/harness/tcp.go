@@ -10,22 +10,18 @@ package harness
 // invariants checked against them must hold on every schedule.
 
 import (
+	"errors"
 	"fmt"
 	"net"
-	"net/http"
 	"sync"
-	"sync/atomic"
+	"syscall"
 	"time"
 
 	"bftkit/internal/byz"
 	"bftkit/internal/core"
 	"bftkit/internal/crypto"
-	"bftkit/internal/crypto/vpool"
 	"bftkit/internal/forensics"
-	"bftkit/internal/kvstore"
 	"bftkit/internal/obsv"
-	"bftkit/internal/ops"
-	"bftkit/internal/transport"
 	"bftkit/internal/types"
 )
 
@@ -43,18 +39,22 @@ type TCPOptions struct {
 	Seed int64
 	// Tune adjusts the derived config before replicas are built.
 	Tune func(*core.Config)
-	// Observers receive protocol-level events. Unlike the simulator,
-	// callbacks originate on many event-loop goroutines; TCPCluster
-	// serializes them under one mutex, so observers written for the
-	// single-threaded simulator (the chaos oracle) work unchanged.
+	// Observers receive protocol-level events (and inbound deliveries,
+	// if they have OnDeliver). Unlike the simulator, callbacks originate
+	// on many event-loop goroutines; TCPCluster serializes them under one
+	// mutex, so observers written for the single-threaded simulator (the
+	// chaos oracle) work unchanged.
 	Observers []Observer
 	// PeerView, when set, rewrites each replica's peer table before its
 	// transport node is built — the hook a fault-injecting proxy fabric
 	// (chaos.NetemNet.View) uses to interpose on every inter-replica
 	// link. The client always dials real addresses.
 	PeerView func(self types.NodeID, peers map[types.NodeID]string) (map[types.NodeID]string, error)
-	// Trace, when set, is installed on every transport node, aggregating
-	// dial/reconnect/frame-reject counters across the deployment.
+	// Trace, when set, observes the whole deployment exactly as
+	// Options.Trace does on the simulator: every node's transport
+	// (messages, wire bytes, dial/reconnect/frame-reject counters),
+	// authority (crypto ops) and runtime (commit/execute/view-change/
+	// timer events) report to it.
 	Trace *obsv.Tracer
 	// VerifyWorkers sizes each node's signature-verification pool and,
 	// when positive, enables the async inbound-verify stage: signature
@@ -119,112 +119,58 @@ type TCPCluster struct {
 	obsMu sync.Mutex
 
 	mu       sync.Mutex
-	replicas map[types.NodeID]*tcpReplica
+	replicas map[types.NodeID]*TCPNode
 
-	clientNode *transport.Node
-	clientEng  *vpool.Engine
-	client     *core.Client
-	clientSeq  uint64
-	doneCh     chan *types.Request
+	client    *TCPNode
+	clientSeq uint64
+	doneCh    chan *types.Request
 }
 
-type tcpReplica struct {
-	node   *transport.Node
-	rep    *core.Replica
-	app    *kvstore.Store
-	eng    *vpool.Engine
-	tracer *obsv.Tracer
-	opsSrv *http.Server
-}
-
-// newEngine builds one node's verification engine per the options, or
-// nil when disabled. Each TCP node has its own authority (a real process
-// would), so caches are per-node; the pool is what async verify rides.
-func (c *TCPCluster) newEngine(auth *crypto.Authority) *vpool.Engine {
-	if c.Opts.VerifyCache < 0 && c.Opts.VerifyWorkers <= 0 {
-		return nil
-	}
-	size := c.Opts.VerifyCache
-	if size == 0 {
-		size = vpool.DefaultCache
-	}
-	if size < 0 {
-		size = 0
-	}
-	eng := vpool.New(auth, vpool.Options{Workers: c.Opts.VerifyWorkers, Cache: size, Tracer: c.Opts.Trace})
-	auth.SetEngine(eng)
-	return eng
-}
+// bindAttempts bounds how often NewTCPCluster re-reserves ports after
+// losing the race described at reserveAddrs.
+const bindAttempts = 3
 
 // NewTCPCluster builds and starts a deployment: n replicas plus one
 // client, each on its own 127.0.0.1 port. It panics on unknown
 // protocols or invalid sizing, mirroring NewCluster.
 func NewTCPCluster(opts TCPOptions) (*TCPCluster, error) {
-	reg, ok := core.Lookup(opts.Protocol)
-	if !ok {
-		panic(fmt.Sprintf("harness: unknown protocol %q (missing import?)", opts.Protocol))
-	}
 	if opts.Seed == 0 {
 		opts.Seed = 1
 	}
-	f, n := opts.F, opts.N
-	switch {
-	case n == 0 && f == 0:
-		f = 1
-		n = reg.Profile.MinReplicas(f)
-	case n == 0:
-		n = reg.Profile.MinReplicas(f)
-	case f == 0:
-		for ff := 1; reg.Profile.MinReplicas(ff) <= n; ff++ {
-			f = ff
+	reg, cfg, err := Resolve(opts.Protocol, opts.N, opts.F, opts.Tune)
+	if err != nil {
+		panic("harness: " + err.Error())
+	}
+	var c *TCPCluster
+	for attempt := 0; attempt < bindAttempts; attempt++ {
+		c = &TCPCluster{
+			Opts:     opts,
+			Reg:      reg,
+			Cfg:      cfg,
+			Addrs:    make(map[types.NodeID]string, cfg.N),
+			start:    time.Now(),
+			replicas: make(map[types.NodeID]*TCPNode, cfg.N),
+			doneCh:   make(chan *types.Request, 64),
 		}
-		if f == 0 {
-			panic(fmt.Sprintf("harness: %d replicas cannot tolerate any fault under %s", n, reg.Profile.Replicas))
+		if err = c.boot(); err == nil {
+			return c, nil
+		}
+		c.Stop()
+		if !errors.Is(err, syscall.EADDRINUSE) {
+			break
 		}
 	}
-	if n < reg.Profile.MinReplicas(f) {
-		panic(fmt.Sprintf("harness: %s needs n >= %d for f=%d, got %d",
-			opts.Protocol, reg.Profile.MinReplicas(f), f, n))
-	}
+	return nil, err
+}
 
-	cfg := core.DefaultConfig(n)
-	cfg.F = f
-	cfg.Scheme = reg.Profile.AuthOrdering
-	if opts.Tune != nil {
-		opts.Tune(&cfg)
-	}
-
-	c := &TCPCluster{
-		Opts:     opts,
-		Reg:      reg,
-		Cfg:      cfg,
-		Addrs:    make(map[types.NodeID]string, n),
-		start:    time.Now(),
-		replicas: make(map[types.NodeID]*tcpReplica, n),
-		doneCh:   make(chan *types.Request, 64),
-	}
+// boot reserves the deployment's ports and starts every process on them.
+func (c *TCPCluster) boot() error {
+	n, opts := c.Cfg.N, c.Opts
 	if opts.Forensics != nil {
-		fo := *opts.Forensics
-		fo.N, fo.F = n, f
-		// Every node derives the same key material from the shared seed;
-		// the auditor only needs the public half.
-		fo.Keys = crypto.NewAuthority(opts.Seed).KeyRing(n)
-		if fo.Tracer == nil {
-			fo.Tracer = opts.Trace
-		}
-		// Same role-asymmetry gate as the sim cluster: benched or
-		// starved replicas must not be accusable of withholding.
-		if !reg.Profile.ActiveReplicas.IsZero() ||
-			reg.Profile.Topology == core.Tree || reg.Profile.Topology == core.Chain {
-			fo.AsymmetricRoles = true
-		}
-		c.Forensics = forensics.New(fo)
+		c.Forensics = NewAuditor(c.Reg, c.Cfg, crypto.NewAuthority(opts.Seed), *opts.Forensics, opts.Trace)
 	}
-
-	// Reserve a port per node by listening and closing; transport nodes
-	// re-bind the same addresses. The tiny reuse window is acceptable for
-	// a localhost test harness. Ops mode reserves one extra port per
-	// replica so the scrape surface survives restarts at a fixed address.
+	// Ops mode reserves one extra port per replica so the scrape surface
+	// survives restarts at a fixed address.
 	extra := 0
 	if opts.Ops {
 		extra = n
@@ -232,7 +178,7 @@ func NewTCPCluster(opts TCPOptions) (*TCPCluster, error) {
 	}
 	addrs, err := reserveAddrs(n + 1 + extra)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	for i := 0; i < n; i++ {
 		c.Addrs[types.NodeID(i)] = addrs[i]
@@ -244,83 +190,45 @@ func NewTCPCluster(opts TCPOptions) (*TCPCluster, error) {
 
 	for i := 0; i < n; i++ {
 		if err := c.startReplica(types.NodeID(i)); err != nil {
-			c.Stop()
-			return nil, err
+			return err
 		}
 	}
-	clientAddr := c.clientAddr
-
 	// The client dials real replica addresses (PeerView interposes on
 	// replica-originated dials only) and listens for replies on its own
 	// port.
-	clientID := types.ClientIDBase
-	cpeers := make(map[types.NodeID]string, n+1)
-	for id, addr := range c.Addrs {
-		cpeers[id] = addr
-	}
-	cpeers[clientID] = clientAddr
-	c.clientNode = transport.NewNode(clientID, cpeers, opts.Seed)
-	if opts.Trace != nil {
-		c.clientNode.SetTracer(opts.Trace)
-	}
-	cauth := crypto.NewAuthority(opts.Seed)
-	c.clientEng = c.newEngine(cauth)
-	if c.clientEng != nil && opts.VerifyWorkers > 0 {
-		c.clientNode.SetInboundPrepare(c.clientEng.Prepare())
-	}
-	chooks := core.ClientHooks{
-		OnDone: func(id types.NodeID, req *types.Request, result []byte, _ time.Duration) {
-			at := c.Now()
-			c.obsMu.Lock()
-			for _, o := range c.Opts.Observers {
-				o.OnDone(id, req, result, at)
-			}
-			c.obsMu.Unlock()
-			c.doneCh <- req
-		},
-	}
-	c.client = core.NewClient(clientID, cfg, c.clientNode, reg.ClientFor(cfg), cauth, chooks)
-	c.clientNode.SetHandler(c.tapHandler(clientID, c.client))
-	if err := c.clientNode.Start(); err != nil {
-		c.Stop()
-		return nil, err
-	}
-	c.clientNode.Do(c.client.Start)
-	return c, nil
+	spec := c.spec(types.ClientIDBase, c.peers(), opts.Trace)
+	c.client, err = StartClient(spec, func(req *types.Request) { c.doneCh <- req })
+	return err
 }
 
 // Now returns wall-clock time since the cluster started — the time base
 // every Observer callback reports.
 func (c *TCPCluster) Now() time.Duration { return time.Since(c.start) }
 
-// tapHandler interposes the forensics auditor on one node's inbound
-// deliveries; without an auditor the handler passes through untouched.
-func (c *TCPCluster) tapHandler(id types.NodeID, h transport.Handler) transport.Handler {
-	if c.Forensics == nil {
-		return h
+// peers returns the deployment's real address table, client included.
+func (c *TCPCluster) peers() map[types.NodeID]string {
+	peers := make(map[types.NodeID]string, len(c.Addrs)+1)
+	for id, addr := range c.Addrs {
+		peers[id] = addr
 	}
-	return &tcpTap{c: c, id: id, inner: h}
+	peers[types.ClientIDBase] = c.clientAddr
+	return peers
 }
 
-type tcpTap struct {
-	c     *TCPCluster
-	id    types.NodeID
-	inner transport.Handler
-}
-
-func (t *tcpTap) Deliver(from types.NodeID, m types.Message) {
-	t.c.Forensics.Observe(t.c.Now(), from, t.id, m)
-	t.inner.Deliver(from, m)
+// spec is what every process of this deployment has in common.
+func (c *TCPCluster) spec(id types.NodeID, peers map[types.NodeID]string, tr *obsv.Tracer) NodeSpec {
+	return NodeSpec{
+		ID: id, Reg: c.Reg, Cfg: c.Cfg, Peers: peers, Seed: c.Opts.Seed,
+		VerifyWorkers: c.Opts.VerifyWorkers, VerifyCache: c.Opts.VerifyCache,
+		Tracer: tr, Observers: c.Opts.Observers, Mu: &c.obsMu, Now: c.Now,
+		Auditor: c.Forensics,
+	}
 }
 
 // startReplica builds one replica process: transport node (through the
 // PeerView rewrite), protocol instance, fresh application state.
 func (c *TCPCluster) startReplica(id types.NodeID) error {
-	peers := make(map[types.NodeID]string, len(c.Addrs)+1)
-	for pid, addr := range c.Addrs {
-		peers[pid] = addr
-	}
-	peers[types.ClientIDBase] = c.clientAddr
+	peers := c.peers()
 	if c.Opts.PeerView != nil {
 		view, err := c.Opts.PeerView(id, peers)
 		if err != nil {
@@ -330,113 +238,27 @@ func (c *TCPCluster) startReplica(id types.NodeID) error {
 		view[id] = c.Addrs[id]
 		peers = view
 	}
-
-	node := transport.NewNode(id, peers, c.Opts.Seed)
 	// Ops mode gives the replica its own tracer (so its /metrics reflect
 	// only itself, like a real process); otherwise the shared deployment
 	// tracer, when present, aggregates across nodes.
-	var tracer *obsv.Tracer
+	tracer := c.Opts.Trace
 	if c.Opts.Ops {
-		tracer = obsv.New(obsv.Options{Label: fmt.Sprintf("%s/r%d", c.Opts.Protocol, id)})
-		tracer.SetNodeInfo(obsv.NodeInfo{Node: id, Protocol: c.Opts.Protocol,
-			N: c.Cfg.N, F: c.Cfg.F, Start: time.Now()})
-		node.SetTracer(tracer)
-	} else if c.Opts.Trace != nil {
-		node.SetTracer(c.Opts.Trace)
+		tracer = NodeTracer(c.Reg, c.Cfg, id)
 	}
-	auth := crypto.NewAuthority(c.Opts.Seed)
-	eng := c.newEngine(auth)
-	if eng != nil && c.Opts.VerifyWorkers > 0 {
-		node.SetInboundPrepare(eng.Prepare())
-	}
-	app := kvstore.New()
-	var lastSeq atomic.Uint64
-	hooks := core.Hooks{
-		Trace: tracer,
-		OnCommit: func(id types.NodeID, v types.View, seq types.SeqNum, b *types.Batch, proof *types.CommitProof, _ time.Duration) {
-			if s := uint64(seq); s > lastSeq.Load() {
-				lastSeq.Store(s)
-			}
-			at := c.Now()
-			c.obsMu.Lock()
-			defer c.obsMu.Unlock()
-			for _, o := range c.Opts.Observers {
-				o.OnCommit(id, v, seq, b, proof, at)
-			}
-		},
-		OnExecute: func(id types.NodeID, seq types.SeqNum, b *types.Batch, results [][]byte, _ time.Duration) {
-			at := c.Now()
-			c.obsMu.Lock()
-			defer c.obsMu.Unlock()
-			for _, o := range c.Opts.Observers {
-				o.OnExecute(id, seq, b, results, at)
-			}
-		},
-		OnViewChange: func(id types.NodeID, v types.View, _ time.Duration) {
-			at := c.Now()
-			c.obsMu.Lock()
-			defer c.obsMu.Unlock()
-			for _, o := range c.Opts.Observers {
-				o.OnViewChange(id, v, at)
-			}
-		},
-		OnViolation: func(id types.NodeID, err error) {
-			c.obsMu.Lock()
-			defer c.obsMu.Unlock()
-			for _, o := range c.Opts.Observers {
-				o.OnViolation(id, err)
-			}
-		},
-	}
-	var proto core.Protocol
-	if c.Opts.MakeReplica != nil {
-		proto = c.Opts.MakeReplica(id, c.Cfg)
-	}
-	if proto == nil {
-		proto = c.Reg.NewReplica(c.Cfg)
-	}
+	spec := c.spec(id, peers, tracer)
+	spec.MakeReplica = c.Opts.MakeReplica
+	spec.OpsAddr = c.OpsAddrs[id]
 	// Byzantine assignments are read under the cluster mutex so
 	// SetByzantine can arm a behavior between a kill and a restart.
 	c.mu.Lock()
-	b := c.Opts.Byzantine[id]
+	spec.Byzantine = c.Opts.Byzantine[id]
 	c.mu.Unlock()
-	if b != nil {
-		proto = byz.Wrap(proto, b)
-	}
-	rep := core.NewReplica(id, c.Cfg, node, proto, app, auth, hooks)
-	node.SetHandler(c.tapHandler(id, rep))
-	if err := node.Start(); err != nil {
-		if eng != nil {
-			eng.Stop()
-		}
+	node, err := StartReplica(spec)
+	if err != nil {
 		return err
 	}
-	node.Do(rep.Start)
-
-	var opsSrv *http.Server
-	if c.Opts.Ops {
-		health := func() ops.Health {
-			return ops.Health{Protocol: c.Opts.Protocol, Node: int(id),
-				N: c.Cfg.N, F: c.Cfg.F, LastCommitSeq: lastSeq.Load()}
-		}
-		var report func() *forensics.Report
-		if c.Forensics != nil {
-			report = func() *forensics.Report { return c.Forensics.Report(c.Now()) }
-		}
-		srv, _, err := ops.Serve(c.OpsAddrs[id], ops.Mux(health, time.Now(), tracer, report))
-		if err != nil {
-			node.Stop()
-			if eng != nil {
-				eng.Stop()
-			}
-			return fmt.Errorf("harness: ops server for %v: %w", id, err)
-		}
-		opsSrv = srv
-	}
-
 	c.mu.Lock()
-	c.replicas[id] = &tcpReplica{node: node, rep: rep, app: app, eng: eng,
-		tracer: tracer, opsSrv: opsSrv}
+	c.replicas[id] = node
 	c.mu.Unlock()
 	return nil
 }
@@ -467,13 +289,7 @@ func (c *TCPCluster) KillReplica(id types.NodeID) {
 	delete(c.replicas, id)
 	c.mu.Unlock()
 	if r != nil {
-		if r.opsSrv != nil {
-			r.opsSrv.Close()
-		}
-		r.node.Stop()
-		if r.eng != nil {
-			r.eng.Stop()
-		}
+		r.Stop()
 	}
 }
 
@@ -491,8 +307,8 @@ func (c *TCPCluster) RestartReplica(id types.NodeID) error {
 	return c.startReplica(id)
 }
 
-// Submit issues one Put through the client and returns the request. The
-// caller collects completion via AwaitDone.
+// Submit issues one operation through the client and returns the
+// request. The caller collects completion via AwaitDone.
 func (c *TCPCluster) Submit(op []byte) *types.Request {
 	c.clientSeq++
 	req := &types.Request{
@@ -501,7 +317,7 @@ func (c *TCPCluster) Submit(op []byte) *types.Request {
 		Op:          op,
 		ArrivalHint: int64(c.Now()),
 	}
-	c.clientNode.Do(func() { c.client.Submit(req) })
+	c.client.Node.Do(func() { c.client.Client.Submit(req) })
 	return req
 }
 
@@ -518,31 +334,22 @@ func (c *TCPCluster) AwaitDone(timeout time.Duration) (*types.Request, error) {
 
 // Stop shuts down the client and every live replica.
 func (c *TCPCluster) Stop() {
-	if c.clientNode != nil {
-		c.clientNode.Stop()
-	}
-	if c.clientEng != nil {
-		c.clientEng.Stop()
+	if c.client != nil {
+		c.client.Stop()
 	}
 	c.mu.Lock()
-	reps := make([]*tcpReplica, 0, len(c.replicas))
-	for _, r := range c.replicas {
-		reps = append(reps, r)
-	}
-	c.replicas = make(map[types.NodeID]*tcpReplica)
+	reps := c.replicas
+	c.replicas = make(map[types.NodeID]*TCPNode)
 	c.mu.Unlock()
 	for _, r := range reps {
-		if r.opsSrv != nil {
-			r.opsSrv.Close()
-		}
-		r.node.Stop()
-		if r.eng != nil {
-			r.eng.Stop()
-		}
+		r.Stop()
 	}
 }
 
-// reserveAddrs picks k distinct loopback ports.
+// reserveAddrs picks k distinct loopback ports by listening and closing;
+// the transport nodes re-bind the same addresses. Another process can
+// take a port in the gap, so a boot that fails to bind is retried on
+// fresh reservations (NewTCPCluster).
 func reserveAddrs(k int) ([]string, error) {
 	addrs := make([]string, k)
 	for i := range addrs {

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"bftkit/internal/crypto"
 	"bftkit/internal/types"
 )
 
@@ -31,9 +32,9 @@ func goldenTracer() *Tracer {
 	tr.MsgDelivered(time.Millisecond, client, 0, req, 64)
 	tr.MsgSent(time.Millisecond, 0, 1, pp, 128)
 	tr.MsgDelivered(2*time.Millisecond, 0, 1, pp, 128)
-	tr.CryptoOp(1, CryptoVerify)
+	tr.CryptoOp(1, crypto.OpVerify)
 	tr.MsgSent(2*time.Millisecond, 1, 0, prep, 96)
-	tr.CryptoOp(1, CryptoSign)
+	tr.CryptoOp(1, crypto.OpSign)
 	tr.MsgDelivered(3*time.Millisecond, 1, 0, prep, 96)
 	tr.Commit(3*time.Millisecond, 0, 0, 1)
 	tr.Execute(3*time.Millisecond, 0, 1)

@@ -24,6 +24,7 @@ import (
 	"sync"
 	"time"
 
+	"bftkit/internal/crypto"
 	"bftkit/internal/types"
 )
 
@@ -210,17 +211,6 @@ func (s *VerifyPoolStats) add(o VerifyPoolStats) {
 func (s VerifyPoolStats) Total() int64 {
 	return s.Performed + s.MemoHits + s.MemoMisses + s.CertHits + s.CertMisses + s.Rejected
 }
-
-// CryptoKind enumerates the accounted cryptographic operations.
-type CryptoKind uint8
-
-// Cryptographic operation kinds (dimension E3).
-const (
-	CryptoSign CryptoKind = iota
-	CryptoVerify
-	CryptoMAC
-	CryptoMACVerify
-)
 
 // PhaseStat aggregates one (node, phase) cell of the accounting table.
 type PhaseStat struct {
@@ -570,10 +560,10 @@ func (t *Tracer) Done(at time.Duration, client types.NodeID, key types.RequestKe
 	t.mu.Unlock()
 }
 
-// CryptoOp attributes one cryptographic operation to the node's current
-// phase. The crypto substrate reports through an observer the harness
-// installs (crypto.Authority.SetObserver).
-func (t *Tracer) CryptoOp(node types.NodeID, op CryptoKind) {
+// CryptoOp attributes one cryptographic operation (dimension E3) to the
+// node's current phase. It has crypto.Observer's signature, so a
+// deployment attaches it with auth.SetObserver(tr.CryptoOp).
+func (t *Tracer) CryptoOp(node types.NodeID, op crypto.Op) {
 	if t == nil {
 		return
 	}
@@ -581,13 +571,13 @@ func (t *Tracer) CryptoOp(node types.NodeID, op CryptoKind) {
 	ns := t.node(node)
 	st := ns.phase(ns.cur)
 	switch op {
-	case CryptoSign:
+	case crypto.OpSign:
 		st.Sign++
-	case CryptoVerify:
+	case crypto.OpVerify:
 		st.Verify++
-	case CryptoMAC:
+	case crypto.OpMAC:
 		st.MACSign++
-	case CryptoMACVerify:
+	case crypto.OpMACVerify:
 		st.MACVerify++
 	}
 	t.mu.Unlock()

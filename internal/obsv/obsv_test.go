@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"bftkit/internal/crypto"
 	"bftkit/internal/types"
 )
 
@@ -81,7 +82,7 @@ func TestNilTracerIsSafe(t *testing.T) {
 	tr.Execute(0, 0, 2)
 	tr.ViewChange(0, 0, 1)
 	tr.TimerFired(0, 0, "x", 0, 0)
-	tr.CryptoOp(0, CryptoSign)
+	tr.CryptoOp(0, crypto.OpSign)
 	tr.ObserveCommitLatency(time.Millisecond)
 	tr.ObserveQueueDepth(3)
 	tr.Submit(0, 10001, types.RequestKey{Client: 10001, ClientSeq: 1})
@@ -109,8 +110,8 @@ func TestCountersAndEvents(t *testing.T) {
 	tr.MsgSent(time.Millisecond, 0, 1, pp, 100)
 	tr.MsgDelivered(2*time.Millisecond, 0, 1, pp, 100)
 	tr.MsgSent(3*time.Millisecond, 1, 0, prep, 50)
-	tr.CryptoOp(1, CryptoSign)
-	tr.CryptoOp(1, CryptoVerify)
+	tr.CryptoOp(1, crypto.OpSign)
+	tr.CryptoOp(1, crypto.OpVerify)
 	tr.Commit(4*time.Millisecond, 1, 1, 7)
 
 	per := tr.PerPhase()

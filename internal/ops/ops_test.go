@@ -1,4 +1,4 @@
-package main
+package ops
 
 import (
 	"encoding/json"
@@ -7,14 +7,12 @@ import (
 	"net/http/httptest"
 	"regexp"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"bftkit/internal/crypto"
 	"bftkit/internal/forensics"
 	"bftkit/internal/obsv"
-	"bftkit/internal/ops"
 	"bftkit/internal/types"
 )
 
@@ -26,7 +24,7 @@ func liveTracer() *obsv.Tracer {
 	tr.MsgSent(1*time.Millisecond, 0, 1, slottedTestMsg{kind: "PRE-PREPARE", seq: 1}, 100)
 	tr.MsgDelivered(2*time.Millisecond, 0, 1, slottedTestMsg{kind: "PRE-PREPARE", seq: 1}, 100)
 	tr.Commit(5*time.Millisecond, 1, 0, 1)
-	tr.CryptoOp(0, obsv.CryptoSign)
+	tr.CryptoOp(0, crypto.OpSign)
 	return tr
 }
 
@@ -42,10 +40,18 @@ func (m slottedTestMsg) Slot() (types.View, types.SeqNum) { return 0, m.seq }
 // "name{labels} value" samples — the grammar a Prometheus scraper needs
 // to hold. (The obsv package's strict parser test enforces the full
 // family rules; this endpoint test just guards the serving path.)
+// identity is the health callback a node passes: who it is and how far
+// it has committed.
+func identity(protocol string, id int, lastSeq uint64) func() Health {
+	return func() Health {
+		return Health{Protocol: protocol, Node: id, N: 4, F: 1, LastCommitSeq: lastSeq}
+	}
+}
+
 var promLine = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? -?[0-9]+(\.[0-9]+)?$`)
 
 func TestMetricsEndpointServesParseableProm(t *testing.T) {
-	srv := httptest.NewServer(opsMux("pbft", 0, 4, 1, time.Now(), nil, liveTracer(), nil))
+	srv := httptest.NewServer(Mux(identity("pbft", 0, 0), time.Now(), liveTracer(), nil))
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/metrics")
@@ -90,9 +96,7 @@ func TestMetricsEndpointServesParseableProm(t *testing.T) {
 
 func TestHealthzReportsNodeIdentity(t *testing.T) {
 	start := time.Now().Add(-3 * time.Second)
-	var lastSeq atomic.Uint64
-	lastSeq.Store(17)
-	srv := httptest.NewServer(opsMux("hotstuff", 2, 4, 1, start, &lastSeq, nil, nil))
+	srv := httptest.NewServer(Mux(identity("hotstuff", 2, 17), start, nil, nil))
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/healthz")
@@ -100,7 +104,7 @@ func TestHealthzReportsNodeIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var h ops.Health
+	var h Health
 	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
 		t.Fatalf("healthz is not JSON: %v", err)
 	}
@@ -129,7 +133,7 @@ func TestForensicsEndpointServesVerdict(t *testing.T) {
 	aud := forensics.New(forensics.Options{N: 4, F: 1,
 		Keys: crypto.NewAuthority(1).KeyRing(4)})
 	report := func() *forensics.Report { return aud.Report(time.Second) }
-	srv := httptest.NewServer(opsMux("pbft", 0, 4, 1, time.Now(), nil, nil, report))
+	srv := httptest.NewServer(Mux(identity("pbft", 0, 0), time.Now(), nil, report))
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/forensics")
@@ -150,7 +154,7 @@ func TestForensicsEndpointServesVerdict(t *testing.T) {
 
 	// ...and without one, the route explains itself rather than 200-ing
 	// an empty verdict a dashboard would mistake for a clean bill.
-	bare := httptest.NewServer(opsMux("pbft", 0, 4, 1, time.Now(), nil, nil, nil))
+	bare := httptest.NewServer(Mux(identity("pbft", 0, 0), time.Now(), nil, nil))
 	defer bare.Close()
 	resp2, err := http.Get(bare.URL + "/forensics")
 	if err != nil {
@@ -163,7 +167,7 @@ func TestForensicsEndpointServesVerdict(t *testing.T) {
 }
 
 func TestPprofIndexIsMounted(t *testing.T) {
-	srv := httptest.NewServer(opsMux("pbft", 0, 4, 1, time.Now(), nil, nil, nil))
+	srv := httptest.NewServer(Mux(identity("pbft", 0, 0), time.Now(), nil, nil))
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/debug/pprof/")

@@ -26,6 +26,26 @@ if [ -n "$nested$flat" ]; then
 	exit 1
 fi
 
+# One deployment assembly (internal/harness/node.go): the sizing loop, the
+# forensics role-asymmetry gate, the verification-engine constructor and
+# the inbound-lane call each live in one file, and there is one tap type.
+# benchmark/ measures from outside and is not part of the program.
+sources=$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*')
+for pattern in 'MinReplicas(ff) <= n' 'AsymmetricRoles = true' 'vpool\.New(' '[a-z]\.SetInboundPrepare('; do
+	files=$(grep -l -- "$pattern" $sources || true)
+	if [ "$(printf '%s\n' "$files" | grep -c .)" -gt 1 ]; then
+		echo "second copy of '$pattern' (assemble deployments through internal/harness/node.go):" >&2
+		echo "$files" >&2
+		exit 1
+	fi
+done
+taps=$(grep -nE 'type [a-zA-Z]*Tap struct' $sources || true)
+if [ "$(printf '%s\n' "$taps" | grep -c .)" -gt 1 ]; then
+	echo "more than one delivery-tap type (feed listeners through harness's fanout.tap):" >&2
+	echo "$taps" >&2
+	exit 1
+fi
+
 go vet ./...
 go build ./...
 # The experiment smoke suite replays every table of EXPERIMENTS.md; under
