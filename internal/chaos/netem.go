@@ -12,11 +12,15 @@ package chaos
 //
 // Topology: a NetemNet owns one NetemLink per (dialer → target) pair.
 // Node i's peer table maps peer j to the i→j link's listen address, so
-// every connection i dials to j flows through that link — both
-// directions of the socket, since replies ride the same connection.
-// Severing the i→j link therefore cuts the *socket* i dialed; the
-// transport's reconnect machinery (backoff, duplicate tie-break) is
-// exactly what gets exercised.
+// every connection i dials to j flows through that link. Between
+// replicas the transport writes only on the socket it dialed, so the
+// i→j link carries exactly i's traffic to j and a fault on it is the
+// directed link fault the simulator's networks inject: j still reaches
+// i over the j→i link. A client's link to a replica carries both its
+// requests and the replies, since replicas cannot dial a client.
+// Severing a link drops the socket and refuses every redial, which is
+// what exercises the transport's reconnect machinery (backoff,
+// generation-tagged drops).
 
 import (
 	"math/rand"
@@ -30,10 +34,10 @@ import (
 // NetemLink proxies one directed link with injectable faults. All
 // controls are safe to flip while traffic flows.
 type NetemLink struct {
-	ln      net.Listener
-	forward string
+	ln net.Listener
 
 	mu       sync.Mutex
+	forward  string // where new connections are proxied to
 	rng      *rand.Rand
 	delay    time.Duration // added before each downstream write
 	dropProb float64       // probability a copied chunk is discarded (stream corruption)
@@ -137,13 +141,13 @@ func (l *NetemLink) acceptLoop() {
 			}
 		}
 		l.mu.Lock()
-		severed := l.severed
+		severed, forward := l.severed, l.forward
 		l.mu.Unlock()
 		if severed {
 			up.Close()
 			continue
 		}
-		down, err := net.DialTimeout("tcp", l.forward, 2*time.Second)
+		down, err := net.DialTimeout("tcp", forward, 2*time.Second)
 		if err != nil {
 			up.Close()
 			continue
@@ -264,6 +268,13 @@ func (nn *NetemNet) link(from, to types.NodeID, forward string) (*NetemLink, err
 	defer nn.mu.Unlock()
 	key := [2]types.NodeID{from, to}
 	if l, ok := nn.links[key]; ok {
+		// The pair keeps its link (and the faults set on it) across
+		// restarts, but the table handed in says where the target
+		// listens now: a deployment re-booted on fresh ports calls View
+		// again with them.
+		l.mu.Lock()
+		l.forward = forward
+		l.mu.Unlock()
 		return l, nil
 	}
 	l, err := NewNetemLink(forward, nn.seed^int64(from)<<16^int64(to))

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -114,6 +115,55 @@ func TestNetemLinkFaults(t *testing.T) {
 	}
 }
 
+// TestNetemLinksFollowThePeerTable: a pair keeps its link across
+// View calls, but the link forwards to wherever the latest table says
+// the target listens — NewTCPCluster re-boots on fresh ports when a
+// reserved one is taken, and links still aimed at the first attempt's
+// ports would cut every replica off from every other.
+func TestNetemLinksFollowThePeerTable(t *testing.T) {
+	greeter := func(name string) string {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ln.Close() })
+		go func() {
+			for {
+				c, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				c.Write([]byte(name))
+				c.Close()
+			}
+		}()
+		return ln.Addr().String()
+	}
+	nn := NewNetemNet(3)
+	defer nn.Close()
+	var via string
+	for _, name := range []string{"old", "new"} {
+		view, err := nn.View(0, map[types.NodeID]string{0: "self", 1: greeter(name)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if via != "" && view[1] != via {
+			t.Fatalf("the 0→1 link moved from %s to %s", via, view[1])
+		}
+		via = view[1]
+		c, err := net.DialTimeout("tcp", via, 2*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.SetReadDeadline(time.Now().Add(2 * time.Second))
+		got, _ := io.ReadAll(c)
+		c.Close()
+		if string(got) != name {
+			t.Fatalf("link forwarded to %q, the table names %q", got, name)
+		}
+	}
+}
+
 // TestTCPClusterKillRestartUnderChaos is the tentpole acceptance run: a
 // real-TCP pbft cluster (n=4, f=1) serves a closed-loop workload while
 // one backup replica is killed and later restarted with empty state,
@@ -203,29 +253,22 @@ func TestTCPClusterKillRestartUnderChaos(t *testing.T) {
 		submit(i)
 	}
 
-	// Phase 4: corrupt a live stream between the leader and backup 1.
-	// After the sever/heal the pair may have converged on either side's
-	// dial, so poison both directed links — whichever carries the live
-	// socket corrupts it. The garbage must cost exactly a connection
-	// (frame reject + reconnect), nothing more. Keep the workload
-	// running until the rejection is observed.
-	if l01, l10 := nn.Link(0, 1), nn.Link(1, 0); l01 != nil || l10 != nil {
-		if l01 != nil {
-			l01.InjectGarbage(64)
-		}
-		if l10 != nil {
-			l10.InjectGarbage(64)
-		}
+	// Phase 4: corrupt the leader's stream to backup 1. The garbage must
+	// cost exactly a connection (frame reject + reconnect), nothing
+	// more. Keep the workload running until the rejection is observed.
+	if l := nn.Link(0, 1); l != nil {
+		l.InjectGarbage(64)
 		extra := 0
 		for tracer.TransportStats().FrameRejects == 0 && extra < 20 {
 			extra++
 			submit(requests + extra)
 		}
 		if tracer.TransportStats().FrameRejects == 0 {
-			t.Fatalf("injected garbage between replicas 0 and 1 never produced a frame rejection (stats %+v)", tracer.TransportStats())
+			t.Fatalf("garbage injected on the 0→1 link never produced a frame rejection (stats %+v)", tracer.TransportStats())
 		}
 	}
 
+	clu.Stop() // a trailing replica still feeds the oracle until then
 	oracle.Finalize(completed, completed, true, clu.Now())
 	if v := oracle.Violations(); len(v) != 0 {
 		t.Fatalf("invariant violations on real TCP:\n%v", v)
@@ -235,6 +278,87 @@ func TestTCPClusterKillRestartUnderChaos(t *testing.T) {
 	ts := tracer.TransportStats()
 	if ts.Reconnects == 0 && ts.DialFails == 0 {
 		t.Fatalf("kill/restart produced no reconnect activity (stats %+v)", ts)
+	}
+}
+
+// linkWatch counts deliveries per directed (from, to) pair.
+type linkWatch struct {
+	mu sync.Mutex
+	n  map[[2]types.NodeID]int
+}
+
+func (w *linkWatch) OnCommit(types.NodeID, types.View, types.SeqNum, *types.Batch, *types.CommitProof, time.Duration) {
+}
+func (w *linkWatch) OnExecute(types.NodeID, types.SeqNum, *types.Batch, [][]byte, time.Duration) {}
+func (w *linkWatch) OnViewChange(types.NodeID, types.View, time.Duration)                        {}
+func (w *linkWatch) OnViolation(types.NodeID, error)                                             {}
+func (w *linkWatch) OnDone(types.NodeID, *types.Request, []byte, time.Duration)                  {}
+
+func (w *linkWatch) OnDeliver(_ time.Duration, from, to types.NodeID, _ types.Message) {
+	w.mu.Lock()
+	w.n[[2]types.NodeID{from, to}]++
+	w.mu.Unlock()
+}
+
+func (w *linkWatch) count(from, to types.NodeID) int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.n[[2]types.NodeID{from, to}]
+}
+
+// TestNetemLinkIsDirected: a fault on the 2→1 link cuts what replica 2
+// sends to replica 1 and nothing else — 1 still reaches 2 over its own
+// link, as a directed link fault does on the simulator — and the
+// remaining quorum keeps serving.
+func TestNetemLinkIsDirected(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-network run")
+	}
+	nn := NewNetemNet(11)
+	defer nn.Close()
+	watch := &linkWatch{n: make(map[[2]types.NodeID]int)}
+	clu, err := harness.NewTCPCluster(harness.TCPOptions{
+		Protocol: "pbft", N: 4, F: 1, Seed: 7,
+		Observers: []harness.Observer{watch},
+		PeerView:  nn.View,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer clu.Stop()
+
+	next := 0
+	submit := func(k int) {
+		for i := 0; i < k; i++ {
+			next++
+			clu.Submit(kvstore.Put(fmt.Sprintf("key-%d", next), []byte("v")))
+			if _, err := clu.AwaitDone(30 * time.Second); err != nil {
+				t.Fatalf("request %d: %v", next, err)
+			}
+		}
+	}
+	submit(5)
+	if watch.count(2, 1) == 0 || watch.count(1, 2) == 0 {
+		t.Fatalf("healthy cluster: %d deliveries 2→1, %d deliveries 1→2", watch.count(2, 1), watch.count(1, 2))
+	}
+
+	nn.Link(2, 1).Sever()
+	time.Sleep(100 * time.Millisecond) // what the proxy had already forwarded lands
+	cut21, cut12 := watch.count(2, 1), watch.count(1, 2)
+	submit(10)
+	if got := watch.count(2, 1); got != cut21 {
+		t.Fatalf("%d deliveries 2→1 over the severed link", got-cut21)
+	}
+	if watch.count(1, 2) == cut12 {
+		t.Fatal("severing 2→1 also stopped 1→2")
+	}
+
+	nn.Link(2, 1).Heal()
+	for extra := 0; watch.count(2, 1) == cut21; extra++ {
+		if extra == 20 {
+			t.Fatal("2→1 deliveries did not resume after the link healed")
+		}
+		submit(1)
 	}
 }
 

@@ -58,13 +58,10 @@ var x19Faults = []x19Fault{
 		allowed: []string{"partition_suspected", "view_change_storm",
 			"replica_straggler"},
 		inject: func(_ *harness.TCPCluster, nn *chaos.NetemNet) {
-			// The replica pair may have converged on either side's
-			// dial, so cut both directed proxies — whichever carries
-			// the live socket drops it, and every redial is refused.
-			for _, dir := range [][2]types.NodeID{{0, 1}, {1, 0}} {
-				if l := nn.Link(dir[0], dir[1]); l != nil {
-					l.Sever()
-				}
+			// The leader loses its way to backup 1: the socket it
+			// writes on drops and every redial is refused. 1→0 stays up.
+			if l := nn.Link(0, 1); l != nil {
+				l.Sever()
 			}
 		},
 	},

@@ -180,14 +180,6 @@ func parityOp(k int) []byte {
 	return kvstore.Put(fmt.Sprintf("parity-%d", k), []byte("v"))
 }
 
-// parityProtocols are the registrations that show an observer the same
-// run on both drivers. The other four are findings for ROADMAP item 5
-// (CHANGES.md, PR 14): qu has no ordered execution, so no OnExecute on
-// either driver; fab, cheapbft and hotstuff leave one replica stalled on
-// loopback TCP in about 50 %, 7 % and 3 % of boots.
-var parityProtocols = []string{"pbft", "pbft-mac", "chain", "hotstuff2", "kauri", "poe", "prime",
-	"raftlite", "sbft", "tendermint", "themis", "zyzzyva", "zyzzyva5"}
-
 // parityTune commits every slot on speculative protocols, as the chaos
 // runner does: their fast path otherwise leaves the whole 20-request run
 // acknowledged but uncommitted until the first checkpoint at slot 128.
@@ -204,8 +196,10 @@ func parityTune(proto string) func(*core.Config) {
 // depend on the driver.
 func TestDriverParity(t *testing.T) {
 	const requests = 20
-	for _, proto := range parityProtocols {
-		proto := proto
+	for _, proto := range core.Names() {
+		if proto == "qu" {
+			continue // no ordered execution, so no OnExecute on either driver (ROADMAP item 5)
+		}
 		t.Run(proto+"/sim", func(t *testing.T) {
 			rec := newParityRec()
 			tr := obsv.New(obsv.Options{Events: true})
@@ -227,19 +221,9 @@ func TestDriverParity(t *testing.T) {
 			if testing.Short() {
 				t.Skip("real sockets")
 			}
-			// The transport can lose a message when two nodes dial each
-			// other at the same instant, and a replica that missed a slot
-			// this way catches up only at the next checkpoint (ROADMAP
-			// item 5). That is not the seam under test, so a boot that
-			// leaves a replica behind is retried on a fresh deployment.
-			var why string
-			for boot := 0; boot < 3; boot++ {
-				if why = parityOnTCP(t, proto, requests); why == "" {
-					return
-				}
-				t.Logf("boot %d: %s", boot, why)
+			if why := parityOnTCP(t, proto, requests); why != "" {
+				t.Fatal(why)
 			}
-			t.Fatal(why)
 		})
 	}
 }

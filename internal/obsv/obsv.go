@@ -127,8 +127,9 @@ const (
 	// TransportReconnect: an outbound dial succeeded for a peer whose
 	// previous connection had been lost.
 	TransportReconnect
-	// TransportConnDrop: a peer's live connection was torn down (error,
-	// EOF, or superseded by the duplicate tie-break).
+	// TransportConnDrop: the connection a node was writing to a peer on
+	// was torn down (write error, EOF, or a rejected frame). A
+	// connection the node only read from ends without one.
 	TransportConnDrop
 	// TransportSendDrop: an envelope was dropped instead of sent — no
 	// route to the peer, outbound queue overflow, or a write that died.

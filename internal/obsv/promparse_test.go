@@ -1,14 +1,30 @@
 package obsv
 
 import (
+	"bytes"
 	"math"
 	"strings"
 	"testing"
 )
 
-// Parser-level unit tests for the public ParseProm API: the format
-// violations a scraper must reject, label handling, and histogram
-// reconstruction — independent of what WriteProm happens to emit.
+// Two suites over the public ParseProm API, the parser bftmon ingests
+// live scrapes with. Parser-level: the format violations a scraper must
+// reject, label handling, and histogram reconstruction — independent of
+// what WriteProm happens to emit. Exporter-level: WriteProm output must
+// survive that strict parser and the per-type rules a collector
+// enforces on top, so exporter drift (a missing HELP, interleaved
+// families, a broken bucket ladder) fails here rather than at the first
+// real scrape.
+
+// parsePromStrict parses a full exposition document or fails the test.
+func parsePromStrict(t *testing.T, text string) []*PromFamily {
+	t.Helper()
+	families, err := ParseProm(strings.NewReader(text))
+	if err != nil {
+		t.Fatalf("exposition document rejected: %v", err)
+	}
+	return families
+}
 
 func TestParsePromDocument(t *testing.T) {
 	doc := strings.Join([]string{
@@ -28,10 +44,7 @@ func TestParsePromDocument(t *testing.T) {
 		`demo_us_count 5`,
 	}, "\n") + "\n"
 
-	families, err := ParseProm(strings.NewReader(doc))
-	if err != nil {
-		t.Fatal(err)
-	}
+	families := parsePromStrict(t, doc)
 	if len(families) != 3 {
 		t.Fatalf("parsed %d families, want 3", len(families))
 	}
@@ -102,12 +115,7 @@ func TestParsePromRejectsMalformedDocuments(t *testing.T) {
 
 func TestHistogramsRejectBrokenLadders(t *testing.T) {
 	mk := func(body string) *PromFamily {
-		doc := "# HELP h_us x\n# TYPE h_us histogram\n" + body
-		fams, err := ParseProm(strings.NewReader(doc))
-		if err != nil {
-			t.Fatalf("parse: %v", err)
-		}
-		return fams[0]
+		return parsePromStrict(t, "# HELP h_us x\n# TYPE h_us histogram\n"+body)[0]
 	}
 	for _, tc := range []struct{ name, body, want string }{
 		{"non-increasing bounds", "h_us_bucket{le=\"3\"} 1\nh_us_bucket{le=\"1\"} 2\nh_us_bucket{le=\"+Inf\"} 2\nh_us_sum 4\nh_us_count 2\n", "not increasing"},
@@ -194,12 +202,8 @@ func TestQuantileMatchesSourceHistogram(t *testing.T) {
 	if err := tr.WriteProm(&buf); err != nil {
 		t.Fatal(err)
 	}
-	fams, err := ParseProm(strings.NewReader(buf.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
 	var parsed *PromHistogram
-	for _, f := range fams {
+	for _, f := range parsePromStrict(t, buf.String()) {
 		if f.Name == "bftkit_slot_latency_microseconds" {
 			hs, err := f.Histograms()
 			if err != nil {
@@ -219,6 +223,106 @@ func TestQuantileMatchesSourceHistogram(t *testing.T) {
 		}
 		if got != src {
 			t.Errorf("q=%v: parsed %v, source %v", q, got, src)
+		}
+	}
+}
+
+// TestPromStrictConformance parses the complete WriteProm output — both
+// a single tracer and a multi-tracer merge — under the strict parser and
+// checks per-type invariants.
+func TestPromStrictConformance(t *testing.T) {
+	single := goldenTracer()
+	other := goldenTracer()
+	for name, tracers := range map[string][]*Tracer{
+		"single": {single},
+		"merged": {single, other, nil},
+	} {
+		t.Run(name, func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := WriteProm(&buf, tracers...); err != nil {
+				t.Fatal(err)
+			}
+			families := parsePromStrict(t, buf.String())
+			if len(families) == 0 {
+				t.Fatal("no families parsed")
+			}
+			seenFamily := make(map[string]bool)
+			for _, f := range families {
+				if seenFamily[f.Name] {
+					t.Fatalf("family %s declared twice", f.Name)
+				}
+				seenFamily[f.Name] = true
+				if !strings.HasPrefix(f.Name, "bftkit_") {
+					t.Errorf("family %s outside the bftkit_ namespace", f.Name)
+				}
+				seen := make(map[string]bool)
+				for _, s := range f.Samples {
+					if key := s.SeriesKey(); seen[key] {
+						t.Errorf("duplicate series %s", key)
+					} else {
+						seen[key] = true
+					}
+					if s.Value < 0 {
+						t.Errorf("negative value on %s: %v", s.Name, s.Value)
+					}
+				}
+				switch f.Type {
+				case "counter":
+					for _, s := range f.Samples {
+						if !strings.HasSuffix(f.Name, "_total") {
+							t.Errorf("counter %s not *_total", f.Name)
+						}
+						if s.Name != f.Name {
+							t.Errorf("counter sample %s under family %s", s.Name, f.Name)
+						}
+					}
+				case "gauge":
+					for _, s := range f.Samples {
+						if strings.HasSuffix(f.Name, "_total") {
+							t.Errorf("gauge %s must not be *_total", f.Name)
+						}
+						if s.Name != f.Name {
+							t.Errorf("gauge sample %s under family %s", s.Name, f.Name)
+						}
+					}
+				case "histogram":
+					checkHistogramFamily(t, f)
+				default:
+					t.Errorf("unexpected family type %s for %s", f.Type, f.Name)
+				}
+			}
+			// The full metric surface must be present even when empty.
+			for _, want := range []string{
+				"bftkit_build_info", "bftkit_node_start_time_seconds",
+				"bftkit_phase_msgs_sent_total", "bftkit_phase_msgs_recv_total",
+				"bftkit_phase_bytes_sent_total", "bftkit_phase_bytes_recv_total",
+				"bftkit_phase_sign_total", "bftkit_phase_verify_total",
+				"bftkit_phase_mac_total", "bftkit_phase_mac_verify_total",
+				"bftkit_commit_latency_microseconds", "bftkit_slot_latency_microseconds",
+				"bftkit_queue_depth_msgs", "bftkit_events_dropped_total",
+				"bftkit_forensics_proofs_total", "bftkit_forensics_suspicion",
+			} {
+				if !seenFamily[want] {
+					t.Errorf("family %s missing from exposition", want)
+				}
+			}
+		})
+	}
+}
+
+func checkHistogramFamily(t *testing.T, f *PromFamily) {
+	t.Helper()
+	hists, err := f.Histograms()
+	if err != nil {
+		t.Fatalf("%s: %v", f.Name, err)
+	}
+	for _, h := range hists {
+		if h.Count == 0 && h.Sum != 0 {
+			t.Fatalf("%s: empty histogram with nonzero sum %v", f.Name, h.Sum)
+		}
+		last := h.Buckets[len(h.Buckets)-1]
+		if !math.IsInf(last.Upper, 1) {
+			t.Fatalf("%s: last bucket is %v, not +Inf", f.Name, last.Upper)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package obsv
 
 import (
 	"encoding/gob"
-	"io"
 	"reflect"
 	"sync"
 
@@ -73,49 +72,4 @@ func SizeOf(m types.Message) int {
 		return fallbackSize
 	}
 	return te.cw.n - start
-}
-
-// WriteCounted wraps w so written byte counts can be sampled; the TCP
-// transport uses it to account real wire bytes per message.
-func WriteCounted(w io.Writer) (io.Writer, func() int64) {
-	cw := &streamCounter{w: w}
-	return cw, cw.total
-}
-
-// ReadCounted wraps r so read byte counts can be sampled.
-func ReadCounted(r io.Reader) (io.Reader, func() int64) {
-	cr := &streamCounter{r: r}
-	return cr, cr.total
-}
-
-// streamCounter counts bytes through a reader or writer. The counter is
-// read with total(), typically as a before/after delta around one
-// encode/decode on a single-goroutine stream.
-type streamCounter struct {
-	w  io.Writer
-	r  io.Reader
-	n  int64
-	mu sync.Mutex
-}
-
-func (c *streamCounter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.mu.Lock()
-	c.n += int64(n)
-	c.mu.Unlock()
-	return n, err
-}
-
-func (c *streamCounter) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.mu.Lock()
-	c.n += int64(n)
-	c.mu.Unlock()
-	return n, err
-}
-
-func (c *streamCounter) total() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.n
 }

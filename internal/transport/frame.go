@@ -99,6 +99,10 @@ func (f *frameReader) next() error {
 // remaining reports how many bytes of the current frame are unread.
 func (f *frameReader) remaining() int { return len(f.buf) - f.off }
 
+// size is the current frame's wire size, header included — what the
+// writer's writeEnvelope returned for the same frame.
+func (f *frameReader) size() int { return frameHeaderLen + len(f.buf) }
+
 // Read serves the gob decoder from the current frame only.
 func (f *frameReader) Read(p []byte) (int, error) {
 	if f.off >= len(f.buf) {

@@ -2,10 +2,14 @@ package transport
 
 // White-box tests for the connection manager: dial isolation (no
 // head-of-line blocking), generation-checked drops racing reconnects,
-// and the simultaneous-dial tie-break. They run in-package so they can
-// swap the dial function and poke peer lanes directly.
+// lossless first contact, wire-size accounting and the accept loop's
+// pause. They run in-package so they can swap the dial function and the
+// listener and poke peer lanes directly.
 
 import (
+	"bytes"
+	"encoding/gob"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -14,15 +18,18 @@ import (
 	"time"
 
 	"bftkit/internal/core"
+	"bftkit/internal/obsv"
 	"bftkit/internal/types"
 )
 
 func newTestRand() *rand.Rand { return rand.New(rand.NewSource(7)) }
 
-// collectHandler records deliveries and signals each one.
+// collectHandler records deliveries with their senders and signals each
+// one.
 type collectHandler struct {
 	mu   sync.Mutex
 	msgs []types.Message
+	from []types.NodeID
 	ch   chan struct{}
 }
 
@@ -33,6 +40,7 @@ func newCollectHandler() *collectHandler {
 func (h *collectHandler) Deliver(from types.NodeID, m types.Message) {
 	h.mu.Lock()
 	h.msgs = append(h.msgs, m)
+	h.from = append(h.from, from)
 	h.mu.Unlock()
 	h.ch <- struct{}{}
 }
@@ -43,6 +51,22 @@ func (h *collectHandler) count() int {
 	return len(h.msgs)
 }
 
+// seqsFrom lists, in arrival order, the ClientSeq of every testMsg that
+// arrived from one sender.
+func (h *collectHandler) seqsFrom(from types.NodeID) []uint64 {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	var seqs []uint64
+	for i, m := range h.msgs {
+		if h.from[i] == from {
+			seqs = append(seqs, m.(*core.RequestMsg).Req.ClientSeq)
+		}
+	}
+	return seqs
+}
+
+// testAddrs reserves n distinct loopback addresses; the listeners stay
+// open until all are taken so the kernel cannot hand one out twice.
 func testAddrs(t *testing.T, n int) []string {
 	t.Helper()
 	addrs := make([]string, n)
@@ -51,8 +75,8 @@ func testAddrs(t *testing.T, n int) []string {
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer ln.Close()
 		addrs[i] = ln.Addr().String()
-		ln.Close()
 	}
 	return addrs
 }
@@ -120,7 +144,7 @@ func TestNoHeadOfLineBlockingThroughDial(t *testing.T) {
 
 // pipeWireConn builds a wireConn over an in-memory pipe, draining the
 // far end so writes never block.
-func pipeWireConn(n *Node, inbound bool) *wireConn {
+func pipeWireConn(n *Node) *wireConn {
 	c1, c2 := net.Pipe()
 	go func() {
 		buf := make([]byte, 4096)
@@ -130,8 +154,7 @@ func pipeWireConn(n *Node, inbound bool) *wireConn {
 			}
 		}
 	}()
-	wc := n.newWireConn(c1, inbound)
-	return wc
+	return n.newWireConn(c1)
 }
 
 // TestDropConnStaleGeneration pins satellite fix (3): a failing send's
@@ -147,14 +170,14 @@ func TestDropConnStaleGeneration(t *testing.T) {
 	defer n.Stop()
 
 	p := n.ensurePeer(1)
-	wc1 := pipeWireConn(n, false)
+	wc1 := pipeWireConn(n)
 	p.mu.Lock()
 	p.cur = wc1
 	p.mu.Unlock()
 
 	// Reconnect installs a replacement before the old conn's failure is
 	// processed.
-	wc2 := pipeWireConn(n, false)
+	wc2 := pipeWireConn(n)
 	p.mu.Lock()
 	p.cur = wc2
 	p.mu.Unlock()
@@ -214,7 +237,7 @@ func TestDropConnReconnectRace(t *testing.T) {
 	// Reconnector: installs ever-newer conns.
 	var last *wireConn
 	for i := 0; i < 200; i++ {
-		wc := pipeWireConn(n, false)
+		wc := pipeWireConn(n)
 		p.mu.Lock()
 		p.cur = wc
 		p.mu.Unlock()
@@ -230,69 +253,193 @@ func TestDropConnReconnectRace(t *testing.T) {
 	}
 }
 
-// TestSimultaneousDialTieBreak pins satellite fix: when both sides of a
-// pair dial at the same time, both converge on the connection dialed by
-// the lower node ID, and traffic keeps flowing afterwards.
-func TestSimultaneousDialTieBreak(t *testing.T) {
-	addrs := testAddrs(t, 2)
-	peers := map[types.NodeID]string{0: addrs[0], 1: addrs[1]}
-
-	nodes := make([]*Node, 2)
-	handlers := make([]*collectHandler, 2)
-	for i := range nodes {
-		nodes[i] = NewNode(types.NodeID(i), peers, int64(i+1))
-		handlers[i] = newCollectHandler()
-		nodes[i].SetHandler(handlers[i])
-		// Delay every dial so both sides are mid-dial before either hello
-		// lands — the guaranteed-duplicate interleaving.
-		real := nodes[i].dial
-		nodes[i].dial = func(addr string, timeout time.Duration) (net.Conn, error) {
-			time.Sleep(100 * time.Millisecond)
-			return real(addr, timeout)
-		}
-		if err := nodes[i].Start(); err != nil {
+// TestFirstContactLosesNothing: four nodes with no connection between
+// them each send a numbered burst to every other node in the same
+// instant, so every pair dials both ways at once. Every message must
+// arrive, in order per sender, and no connection may be given up to get
+// there. Then a node is replaced by a fresh one on the same address and
+// traffic must resume both ways.
+func TestFirstContactLosesNothing(t *testing.T) {
+	const nodes, burst = 4, 20
+	addrs := testAddrs(t, nodes)
+	peers := make(map[types.NodeID]string)
+	for i, a := range addrs {
+		peers[types.NodeID(i)] = a
+	}
+	tracer := obsv.New(obsv.Options{})
+	ns := make([]*Node, nodes)
+	hs := make([]*collectHandler, nodes)
+	boot := func(i int) {
+		ns[i] = NewNode(types.NodeID(i), peers, int64(i+1))
+		hs[i] = newCollectHandler()
+		ns[i].SetHandler(hs[i])
+		ns[i].SetTracer(tracer)
+		if err := ns[i].Start(); err != nil {
 			t.Fatal(err)
 		}
-		defer nodes[i].Stop()
+	}
+	for i := range ns {
+		boot(i)
+		defer func(i int) { ns[i].Stop() }(i)
 	}
 
-	// Trigger both dials in the same instant.
-	nodes[0].Send(0, 1, testMsg(1))
-	nodes[1].Send(1, 0, testMsg(2))
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for i := range ns {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			for seq := uint64(1); seq <= burst; seq++ {
+				for j := range ns {
+					if j != i {
+						ns[i].Send(types.NodeID(i), types.NodeID(j), testMsg(seq))
+					}
+				}
+			}
+		}(i)
+	}
+	close(start)
+	wg.Wait()
 
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		st0, ok0 := nodes[0].PeerStatus(1)
-		st1, ok1 := nodes[1].PeerStatus(0)
-		if ok0 && ok1 && st0.Connected && st1.Connected &&
-			st0.DialedBy == 0 && st1.DialedBy == 0 {
+	const want = (nodes - 1) * burst
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		got := 0
+		for _, h := range hs {
+			got += h.count()
+		}
+		if got == nodes*want {
+			break
+		}
+	}
+	for j, h := range hs {
+		if got := h.count(); got != want {
+			t.Errorf("node %d got %d of %d messages", j, got, want)
+		}
+		for i := range ns {
+			if i == j {
+				continue
+			}
+			for k, seq := range h.seqsFrom(types.NodeID(i)) {
+				if seq != uint64(k+1) {
+					t.Errorf("node %d: message %d from node %d carries seq %d", j, k+1, i, seq)
+					break
+				}
+			}
+		}
+	}
+	if ts := tracer.TransportStats(); ts.ConnDrops != 0 || ts.SendDrops != 0 {
+		t.Errorf("first contact cost %d connections and %d sends (stats %+v)", ts.ConnDrops, ts.SendDrops, ts)
+	}
+	if t.Failed() {
+		return
+	}
+
+	// A fresh node 3 has no connection and no memory of one; its peers
+	// still hold sockets to the old one. Delivery is lossy across the
+	// switch, so both directions resend until a message gets through.
+	ns[3].Stop()
+	boot(3)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+		ns[0].Send(0, 3, testMsg(burst+1))
+		ns[3].Send(3, 0, testMsg(burst+1))
+		if hs[3].count() > 0 && hs[0].count() > want {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("no convergence on node 0's dial: node0=%+v node1=%+v", st0, st1)
+			t.Fatalf("after node 3 was replaced: 0→3 delivered %d, 3→0 delivered %d",
+				hs[3].count(), hs[0].count()-want)
 		}
-		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestTracedBytesAreFrameSizes: the size a tracer is told for a message
+// is the frame's header plus its gob payload, the same number on the
+// sending and on the receiving end — the first frame of a type carries
+// gob's descriptors, the second is the steady state.
+func TestTracedBytesAreFrameSizes(t *testing.T) {
+	addrs := testAddrs(t, 2)
+	peers := map[types.NodeID]string{0: addrs[0], 1: addrs[1]}
+	tracers := make([]*obsv.Tracer, 2)
+	ns := make([]*Node, 2)
+	bh := newCollectHandler()
+	for i := range ns {
+		tracers[i] = obsv.New(obsv.Options{Events: true})
+		ns[i] = NewNode(types.NodeID(i), peers, 1)
+		ns[i].SetHandler(bh)
+		ns[i].SetTracer(tracers[i])
+		if err := ns[i].Start(); err != nil {
+			t.Fatal(err)
+		}
+		defer ns[i].Stop()
 	}
 
-	// The surviving connection carries traffic both ways.
-	before0, before1 := handlers[0].count(), handlers[1].count()
-	nodes[0].Send(0, 1, testMsg(3))
-	nodes[1].Send(1, 0, testMsg(4))
-	deadline = time.Now().Add(3 * time.Second)
-	for handlers[0].count() <= before0 || handlers[1].count() <= before1 {
+	var payload bytes.Buffer
+	enc := gob.NewEncoder(&payload)
+	var want []int
+	for seq := uint64(1); seq <= 2; seq++ {
+		payload.Reset()
+		if err := enc.Encode(&Envelope{From: 0, Msg: testMsg(seq)}); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, frameHeaderLen+payload.Len())
+		ns[0].Send(0, 1, testMsg(seq))
+	}
+	for deadline := time.Now().Add(5 * time.Second); bh.count() < len(want); time.Sleep(5 * time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatalf("traffic stalled after tie-break (node0 got %d→%d, node1 %d→%d)",
-				before0, handlers[0].count(), before1, handlers[1].count())
+			t.Fatalf("%d of %d messages delivered", bh.count(), len(want))
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
+	for end, typ := range []obsv.EventType{obsv.EvSend, obsv.EvDeliver} {
+		var got []int
+		for _, e := range tracers[end].Events() {
+			if e.Type == typ {
+				got = append(got, e.Bytes)
+			}
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("node %d traced %v bytes for %v events, want %v", end, got, typ, want)
+		}
+	}
+}
 
-	// Generations are stable: no connection churn after convergence.
-	st0a, _ := nodes[0].PeerStatus(1)
-	time.Sleep(150 * time.Millisecond)
-	st0b, _ := nodes[0].PeerStatus(1)
-	if !st0b.Connected || st0a.Gen != st0b.Gen {
-		t.Fatalf("connection churned after convergence: %+v then %+v", st0a, st0b)
+// failingListener fails every Accept at once, as a listener does once
+// the process is out of descriptors.
+type failingListener struct {
+	mu    sync.Mutex
+	calls int
+}
+
+func (l *failingListener) Accept() (net.Conn, error) {
+	l.mu.Lock()
+	l.calls++
+	l.mu.Unlock()
+	return nil, errors.New("accept: too many open files")
+}
+func (l *failingListener) Close() error   { return nil }
+func (l *failingListener) Addr() net.Addr { return &net.TCPAddr{} }
+
+// TestAcceptLoopPausesOnPersistentError: an Accept that keeps failing
+// while the node runs is retried at backoffBase, not in a spin, and
+// does not keep Stop from returning.
+func TestAcceptLoopPausesOnPersistentError(t *testing.T) {
+	n := NewNode(0, map[types.NodeID]string{0: "unused"}, 1)
+	ln := &failingListener{}
+	n.listener = ln
+	n.goTracked(n.acceptLoop)
+	time.Sleep(200 * time.Millisecond)
+	ln.mu.Lock()
+	calls := ln.calls
+	ln.mu.Unlock()
+	if calls > 10 {
+		t.Errorf("%d Accept calls in 200ms", calls)
+	}
+	stopped := make(chan struct{})
+	go func() { n.Stop(); close(stopped) }()
+	select {
+	case <-stopped:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Stop did not return while Accept kept failing")
 	}
 }
 

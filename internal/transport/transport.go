@@ -26,9 +26,9 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"fmt"
-	"io"
 	"math/rand"
 	"net"
+	"strings"
 	"sync"
 	"time"
 
@@ -36,12 +36,11 @@ import (
 	"bftkit/internal/types"
 )
 
-// Envelope frames one message on the wire. An envelope with a nil Msg is
-// a hello: the dialer sends it immediately after connecting so the
-// acceptor can adopt the connection as the return path to From before
-// any protocol traffic flows. From is not authenticated at this layer —
-// the crypto authority authenticates message *contents*; the untrusted
-// network is assumed to spoof, drop, and replay at will.
+// Envelope frames one message on the wire. From is not authenticated at
+// this layer — the crypto authority authenticates message *contents*;
+// the untrusted network is assumed to spoof, drop, and replay at will.
+// This node never sends a nil Msg, and one arriving from the network is
+// skipped: nothing acts on it.
 type Envelope struct {
 	From types.NodeID
 	Msg  types.Message
@@ -70,8 +69,16 @@ const (
 )
 
 // Node is one TCP participant: it listens for peers, keeps one outbound
-// queue and at most one live connection per peer, and serializes all
-// protocol activity through its event loop.
+// queue per peer, and serializes all protocol activity through its event
+// loop.
+//
+// One socket per direction: a node writes to a peer whose address is in
+// its table only on the connection it dialed, and reads every connection
+// it holds. Two replicas therefore share two sockets, each written by
+// its dialer alone, so neither side ever has to pick between duplicates
+// and no socket with unread frames is closed to settle one. A peer with
+// no address in the table (a client) cannot be dialed; the connection it
+// dialed is adopted as the way back to it and carries both directions.
 type Node struct {
 	id    types.NodeID
 	peers map[types.NodeID]string
@@ -108,35 +115,30 @@ type Node struct {
 	wg       sync.WaitGroup
 }
 
-// wireConn is one live socket: a framed gob stream, its byte counter,
-// and the identity bookkeeping the connection manager needs. gen rises
-// monotonically per node, so a stale failure can never evict the
-// replacement connection that superseded it.
+// wireConn is one live socket: a framed gob stream and the identity
+// bookkeeping the connection manager needs. gen rises monotonically per
+// node, so a stale failure can never evict the replacement connection
+// that superseded it.
 type wireConn struct {
-	c       net.Conn
-	gen     uint64
-	inbound bool // accepted (true) vs dialed by this node (false)
+	c   net.Conn
+	gen uint64
 
-	// dialer is the node that initiated the connection: this node for
-	// dialed conns, the claimed Envelope.From for adopted inbound ones.
-	// The duplicate-connection tie-break keys on it.
-	dialer types.NodeID
-
-	// peer/hasPeer bind the conn to a peer slot once known. Written only
-	// by the goroutine that installs the conn, before it is published.
+	// peer/hasPeer bind the conn to the peer lane that writes on it: set
+	// for a dialed conn and for an adopted client conn, never for a conn
+	// accepted from a peer this node dials itself. Written only by the
+	// goroutine that installs the conn, before it is published.
 	peer    types.NodeID
 	hasPeer bool
 
-	mu      sync.Mutex // serializes writes (sender vs hello vs tie-break)
+	mu      sync.Mutex // serializes writes: enc, buf and scratch are per-socket state
 	enc     *gob.Encoder
 	buf     bytes.Buffer
 	scratch []byte
-	w       io.Writer
-	total   func() int64
 }
 
-// peer is one outbound lane: the queue Send appends to, the current
-// connection (nil while disconnected), and the sender bookkeeping.
+// peer is one outbound lane: the queue Send appends to, the connection
+// the sender writes on (nil while disconnected), and the sender
+// bookkeeping.
 type peer struct {
 	id   types.NodeID
 	addr string // "" for adopted-only peers (clients are not in the table)
@@ -330,14 +332,14 @@ func (n *Node) acceptLoop() {
 	for {
 		conn, err := n.listener.Accept()
 		if err != nil {
-			select {
-			case <-n.done:
+			// A failure that outlives one call (EMFILE, a listener closed
+			// under the node) must not spin; sleep returns false on Stop.
+			if !n.sleep(backoffBase) {
 				return
-			default:
-				continue
 			}
+			continue
 		}
-		wc := n.newWireConn(conn, true)
+		wc := n.newWireConn(conn)
 		if wc == nil || !n.goTracked(func() { n.readLoop(wc) }) {
 			conn.Close()
 			return
@@ -345,24 +347,14 @@ func (n *Node) acceptLoop() {
 	}
 }
 
-// newWireConn wraps a socket in a counted, framed gob stream and tracks
-// it for Stop. Returns nil when the node is already stopping.
-func (n *Node) newWireConn(c net.Conn, inbound bool) *wireConn {
-	w, total := obsv.WriteCounted(c)
+// newWireConn wraps a socket in a framed gob stream and tracks it for
+// Stop. Returns nil when the node is already stopping.
+func (n *Node) newWireConn(c net.Conn) *wireConn {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.nextGen++
-	wc := &wireConn{
-		c:       c,
-		gen:     n.nextGen,
-		inbound: inbound,
-		w:       w,
-		total:   total,
-	}
+	wc := &wireConn{c: c, gen: n.nextGen}
 	wc.enc = gob.NewEncoder(&wc.buf)
-	if !inbound {
-		wc.dialer = n.id
-	}
 	if n.stoppedLocked() {
 		return nil
 	}
@@ -390,7 +382,7 @@ func (n *Node) removeOpen(wc *wireConn) {
 }
 
 // writeEnvelope encodes env into one length-prefixed frame and writes it
-// out, returning the wire bytes that crossed the socket. An envelope
+// out, returning the frame's wire size (header + payload). An envelope
 // that encodes past max poisons the stream (the encoder's descriptor
 // state now references types the peer never saw), so the caller must
 // recycle the connection on any error.
@@ -412,9 +404,8 @@ func (wc *wireConn) writeEnvelope(env *Envelope, max int) (int, error) {
 	frame := wc.scratch[:need]
 	binary.BigEndian.PutUint32(frame[:frameHeaderLen], uint32(len(payload)))
 	copy(frame[frameHeaderLen:], payload)
-	before := wc.total()
-	_, err := wc.w.Write(frame)
-	return int(wc.total() - before), err
+	_, err := wc.c.Write(frame)
+	return need, err
 }
 
 // readLoop drains one connection: framed envelopes are decoded under the
@@ -423,10 +414,9 @@ func (wc *wireConn) writeEnvelope(env *Envelope, max int) (int, error) {
 // node itself never dies with it.
 func (n *Node) readLoop(wc *wireConn) {
 	defer n.detachConn(wc)
-	cr, rtotal := obsv.ReadCounted(wc.c)
-	fr := newFrameReader(cr, n.maxFrame)
+	fr := newFrameReader(wc.c, n.maxFrame)
 	dec := gob.NewDecoder(fr)
-	adopted := !wc.inbound
+	identified := wc.hasPeer // a dialed conn is bound before it is read
 	var lane chan laneItem
 	if n.prepare != nil {
 		lane = make(chan laneItem, laneCap)
@@ -439,7 +429,6 @@ func (n *Node) readLoop(wc *wireConn) {
 		defer close(lane)
 	}
 	for {
-		before := rtotal()
 		if err := fr.next(); err != nil {
 			if isFrameViolation(err) {
 				n.tracer.TransportEvent(obsv.TransportFrameReject)
@@ -457,20 +446,19 @@ func (n *Node) readLoop(wc *wireConn) {
 			n.tracer.TransportEvent(obsv.TransportFrameReject)
 			return
 		}
-		size := int(rtotal() - before)
-		if !adopted {
-			// Adopt the inbound connection as the return path to the
-			// sender — clients are not in the static peer table, so
-			// replies must flow back over the connection the request
-			// arrived on.
-			adopted = true
-			n.adopt(env.From, wc)
-		}
 		if env.Msg == nil {
-			continue // hello/keepalive: adoption was its whole job
+			continue // empty envelope: ignored, see Envelope
 		}
 		from, msg := env.From, env.Msg
-		n.tracer.MsgDelivered(n.Now(), from, n.id, msg, size)
+		if !identified {
+			identified = true
+			if _, dialable := n.peers[from]; !dialable {
+				// A client is not in the peer table, so replies must flow
+				// back over the connection its request arrived on.
+				n.adopt(from, wc)
+			}
+		}
+		n.tracer.MsgDelivered(n.Now(), from, n.id, msg, fr.size())
 		if lane != nil {
 			// Async path: the lane goroutine prepares (pre-verifies) and
 			// forwards, keeping this connection's FIFO; a full lane blocks
@@ -492,55 +480,28 @@ func (n *Node) readLoop(wc *wireConn) {
 	}
 }
 
-// preferNew decides a duplicate-connection tie for peer p: of two live
-// connections for the same pair, the one dialed by the lower node ID
-// wins — both ends compute the same winner independently, so a
-// simultaneous dial converges on one socket instead of ping-ponging.
-// When both conns were initiated by the same side, the newer replaces
-// the older (that side discarded its previous socket).
-func (n *Node) preferNew(old, neu *wireConn, p types.NodeID) bool {
-	if old.dialer == neu.dialer {
-		return true
-	}
-	low := n.id
-	if p < low {
-		low = p
-	}
-	return neu.dialer == low
-}
-
-// adopt installs an inbound connection as peer id's return path,
-// resolving duplicates by the tie-break. Called by the conn's own read
-// loop on the first envelope.
+// adopt installs an accepted connection as the write path to peer id,
+// which this node cannot dial. A newer connection replaces an older one:
+// the peer dialed it because it had given up on the old socket. Called
+// by the conn's own read loop on its first message.
 func (n *Node) adopt(id types.NodeID, wc *wireConn) {
-	wc.dialer = id
 	wc.peer = id
 	wc.hasPeer = true
 	p := n.ensurePeer(id)
 	p.mu.Lock()
-	keep := true
-	if old := p.cur; old != nil && old != wc {
-		keep = n.preferNew(old, wc, id)
-		if keep {
-			old.c.Close() // its read loop detaches it; p.cur already moved on
-		}
+	if old := p.cur; old != nil {
+		old.c.Close() // its read loop detaches it; p.cur already moved on
 	}
-	if keep {
-		p.cur = wc
-		p.dialFails = 0
-		p.connected = true
-		n.startSenderLocked(p)
-	}
+	p.cur = wc
+	n.startSenderLocked(p)
 	p.mu.Unlock()
-	if !keep {
-		wc.c.Close()
-	}
 }
 
 // detachConn runs when a read loop exits: the socket closes, and if the
-// conn was the peer's current one it is unlinked — generation identity,
-// not peer ID, decides, so a replacement installed in the meantime is
-// never evicted by its predecessor's death.
+// conn was a peer's write path it is unlinked — generation identity, not
+// peer ID, decides, so a replacement installed in the meantime is never
+// evicted by its predecessor's death. A conn accepted from a peer this
+// node dials itself was only ever read, so nothing else changes.
 func (n *Node) detachConn(wc *wireConn) {
 	wc.c.Close()
 	n.removeOpen(wc)
@@ -644,16 +605,13 @@ func (n *Node) runSender(p *peer) {
 			}
 			continue
 		}
-		if env.Msg != nil {
-			n.tracer.MsgSent(n.Now(), env.From, p.id, env.Msg, size)
-		}
+		n.tracer.MsgSent(n.Now(), env.From, p.id, env.Msg, size)
 	}
 }
 
 // dialPeer attempts one connection to p off the hot path, sleeping the
-// jittered backoff on failure. On success the conn is installed under
-// the same tie-break adoption uses, so a dial racing an inbound adopt
-// converges instead of fighting.
+// jittered backoff on failure. Only p's sender calls it, and only while
+// p has no connection, so a successful dial installs unconditionally.
 func (n *Node) dialPeer(p *peer) {
 	c, err := n.dial(p.addr, dialTimeout)
 	if err != nil {
@@ -665,51 +623,27 @@ func (n *Node) dialPeer(p *peer) {
 		n.sleep(d)
 		return
 	}
-	wc := n.newWireConn(c, false)
+	wc := n.newWireConn(c)
 	if wc == nil {
 		c.Close()
 		return
 	}
 	wc.peer = p.id
 	wc.hasPeer = true
-	// Identify ourselves before any protocol traffic so the acceptor can
-	// adopt this socket as its return path to us.
-	if _, err := wc.writeEnvelope(&Envelope{From: n.id}, n.maxFrame); err != nil {
-		n.removeOpen(wc)
-		wc.c.Close()
-		p.mu.Lock()
-		p.dialFails++
-		d := backoffDelay(p.rng, p.dialFails)
-		p.mu.Unlock()
-		n.sleep(d)
-		return
-	}
 	p.mu.Lock()
-	keep := true
-	if old := p.cur; old != nil {
-		keep = n.preferNew(old, wc, p.id)
-		if keep {
-			old.c.Close()
-		}
-	}
-	var reconnect bool
-	if keep {
-		p.cur = wc
-		p.dialFails = 0
-		reconnect = p.connected
-		p.connected = true
-	}
+	p.cur = wc
+	p.dialFails = 0
+	reconnect := p.connected
+	p.connected = true
 	p.mu.Unlock()
-	if !keep {
-		n.removeOpen(wc)
-		wc.c.Close()
-		return
-	}
 	if reconnect {
 		n.tracer.TransportEvent(obsv.TransportReconnect)
 	} else {
 		n.tracer.TransportEvent(obsv.TransportDial)
 	}
+	// Only a replica answering a client writes back on this socket (a
+	// replica peer answers on its own dial), but reading is also how a
+	// dead socket is noticed.
 	if !n.goTracked(func() { n.readLoop(wc) }) {
 		wc.c.Close()
 	}
@@ -826,85 +760,30 @@ func (n *Node) Send(from, to types.NodeID, m types.Message) {
 	p.mu.Unlock()
 }
 
-// PeerStatus is one peer lane's live state, for ops surfaces and tests.
-type PeerStatus struct {
-	Peer      types.NodeID
-	Addr      string
-	Connected bool
-	Gen       uint64       // current connection's generation (when connected)
-	DialedBy  types.NodeID // which side dialed the current connection
-	QueueLen  int
-}
-
-// PeerStatuses snapshots every peer lane, sorted by peer ID.
-func (n *Node) PeerStatuses() []PeerStatus {
-	n.mu.Lock()
-	ps := make([]*peer, 0, len(n.peerSt))
-	for _, p := range n.peerSt {
-		ps = append(ps, p)
-	}
-	n.mu.Unlock()
-	out := make([]PeerStatus, 0, len(ps))
-	for _, p := range ps {
-		p.mu.Lock()
-		st := PeerStatus{Peer: p.id, Addr: p.addr, QueueLen: len(p.queue)}
-		if p.cur != nil {
-			st.Connected = true
-			st.Gen = p.cur.gen
-			st.DialedBy = p.cur.dialer
-		}
-		p.mu.Unlock()
-		out = append(out, st)
-	}
-	sortPeerStatuses(out)
-	return out
-}
-
-// PeerStatus returns one peer's lane state and whether the lane exists.
-func (n *Node) PeerStatus(id types.NodeID) (PeerStatus, bool) {
-	for _, st := range n.PeerStatuses() {
-		if st.Peer == id {
-			return st, true
-		}
-	}
-	return PeerStatus{}, false
-}
-
-func sortPeerStatuses(s []PeerStatus) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j].Peer < s[j-1].Peer; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
-
 // ParsePeers parses "0=host:port,1=host:port,..." into a peer table.
+// Empty entries are skipped; an id may appear once and must not be
+// negative.
 func ParsePeers(s string) (map[types.NodeID]string, error) {
 	peers := make(map[types.NodeID]string)
-	if s == "" {
-		return nil, fmt.Errorf("empty peer table")
-	}
-	for _, part := range splitNonEmpty(s, ',') {
+	for _, part := range strings.Split(s, ",") {
+		if part == "" {
+			continue
+		}
 		var id int
 		var addr string
 		if _, err := fmt.Sscanf(part, "%d=%s", &id, &addr); err != nil {
 			return nil, fmt.Errorf("bad peer entry %q (want id=host:port)", part)
 		}
+		if id < 0 {
+			return nil, fmt.Errorf("bad peer entry %q (negative id)", part)
+		}
+		if _, dup := peers[types.NodeID(id)]; dup {
+			return nil, fmt.Errorf("bad peer entry %q (id %d appears twice)", part, id)
+		}
 		peers[types.NodeID(id)] = addr
 	}
-	return peers, nil
-}
-
-func splitNonEmpty(s string, sep byte) []string {
-	var out []string
-	start := 0
-	for i := 0; i <= len(s); i++ {
-		if i == len(s) || s[i] == sep {
-			if i > start {
-				out = append(out, s[start:i])
-			}
-			start = i + 1
-		}
+	if len(peers) == 0 {
+		return nil, fmt.Errorf("empty peer table")
 	}
-	return out
+	return peers, nil
 }
