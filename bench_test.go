@@ -128,6 +128,45 @@ func BenchmarkRequestDigest(b *testing.B) {
 	}
 }
 
+// BenchmarkRequestDigest16 is the digest of the benchmark's 16-byte Put:
+// the preimage fits the hasher's own buffer, so allocs/op is 0.
+func BenchmarkRequestDigest16(b *testing.B) {
+	req := &types.Request{Client: types.ClientIDBase, ClientSeq: 1, Op: kvstore.Put("k0001", make([]byte, 16))}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchDigest = req.Digest()
+	}
+}
+
+var benchDigest types.Digest
+
+// BenchmarkCheckpoint4MiB is one checkpoint window of the bulk workload as
+// the store sees it: 64 Puts of 4 KiB into 1 024 keys (the other half of
+// the 128 slots are Gets), then what CheckpointManager.OnExecuted does —
+// hash and freeze. B/op is dominated by the 64 stored values (256 KiB);
+// the checkpoint itself adds the key list and the frozen pairs.
+func BenchmarkCheckpoint4MiB(b *testing.B) {
+	s := kvstore.New()
+	ops := make([][]byte, 1024)
+	for i := range ops {
+		ops[i] = kvstore.Put(fmt.Sprintf("key-%04d", i), make([]byte, 4096))
+		s.Apply(ops[i])
+	}
+	s.Hash()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for w := 0; w < 64; w++ {
+			s.Apply(ops[(i*64+w)%len(ops)])
+		}
+		benchDigest = s.Hash()
+		benchFrozen = s.Freeze()
+	}
+}
+
+var benchFrozen func() []byte
+
 // BenchmarkPerfSnapshotCell measures one benchmark-matrix cell end to
 // end through the perf runner — the unit of work `bftbench -snapshot`
 // repeats over the whole matrix, so ns/op here forecasts snapshot wall

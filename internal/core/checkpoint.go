@@ -60,7 +60,8 @@ func NewCheckpointManager(env Env) *CheckpointManager {
 func (cm *CheckpointManager) Interval() uint64 { return cm.env.Config().CheckpointInterval }
 
 // OnExecuted must be called after every executed slot. At each window
-// boundary it snapshots the application and broadcasts a checkpoint.
+// boundary it hashes and freezes the application and broadcasts a
+// checkpoint; the frozen state is serialised only if a peer fetches it.
 func (cm *CheckpointManager) OnExecuted(seq types.SeqNum) {
 	iv := cm.Interval()
 	if iv == 0 || uint64(seq)%iv != 0 {
@@ -70,7 +71,7 @@ func (cm *CheckpointManager) OnExecuted(seq types.SeqNum) {
 	cm.env.Ledger().AddOwnCheckpoint(&ledger.Checkpoint{
 		Seq:       seq,
 		StateHash: hash,
-		Snapshot:  cm.env.App().Snapshot(),
+		Snapshot:  cm.env.App().Freeze(),
 	})
 	msg := &CheckpointMsg{Seq: seq, StateHash: hash, Replica: cm.env.ID()}
 	msg.Sig = cm.env.Signer().Sign(msg.Digest())
@@ -171,7 +172,7 @@ func (cm *CheckpointManager) onFetch(from types.NodeID, m *FetchStateMsg) {
 	cm.env.Send(from, &StateMsg{
 		Seq:       cp.Seq,
 		StateHash: cp.StateHash,
-		Snapshot:  cp.Snapshot,
+		Snapshot:  cp.Snapshot(),
 		Entries:   led.CommittedAbove(cp.Seq),
 	})
 }
@@ -185,9 +186,6 @@ func (cm *CheckpointManager) onState(from types.NodeID, m *StateMsg) {
 	// Only install snapshots whose hash was certified by a quorum.
 	want, ok := cm.expected[m.Seq]
 	if !ok || want != m.StateHash {
-		return
-	}
-	if types.DigestBytes(m.Snapshot).IsZero() { // defensive; never true
 		return
 	}
 	cm.env.RollbackSpecAbove(led.LastExecuted())

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 
 	"bftkit/internal/crypto"
@@ -58,22 +59,28 @@ func newCPCluster(t *testing.T, n int, interval uint64) *cpCluster {
 
 // pump delivers every captured send to its destination until quiescent.
 func (c *cpCluster) pump() {
-	for {
-		moved := false
-		for i, d := range c.drivers {
-			sent := d.sent
-			d.sent = nil
-			for _, s := range sent {
-				if int(s.To) < len(c.reps) {
-					c.reps[s.To].Deliver(types.NodeID(i), s.M)
-					moved = true
-				}
+	for c.step() {
+	}
+}
+
+// step delivers what each replica had sent when it was called — one
+// network hop; what the deliveries send in turn waits for the next step —
+// and reports whether anything moved.
+func (c *cpCluster) step() bool {
+	inFlight := make([][]sentMsg, len(c.drivers))
+	for i, d := range c.drivers {
+		inFlight[i], d.sent = d.sent, nil
+	}
+	moved := false
+	for i, sent := range inFlight {
+		for _, s := range sent {
+			if int(s.To) < len(c.reps) {
+				c.reps[s.To].Deliver(types.NodeID(i), s.M)
+				moved = true
 			}
 		}
-		if !moved {
-			return
-		}
 	}
+	return moved
 }
 
 func (c *cpCluster) commitEverywhere(seq types.SeqNum) {
@@ -116,6 +123,52 @@ func TestCheckpointStateTransferForLaggard(t *testing.T) {
 	}
 	if c.reps[3].App().Hash() != c.reps[0].App().Hash() {
 		t.Fatal("laggard state diverges after transfer")
+	}
+}
+
+// TestStateTransferServesTheStateAtTheCheckpoint: a checkpoint keeps a
+// frozen view, not bytes, and the view is serialised only when a fetch
+// arrives — by which time the server has executed further writes to the
+// same keys. The laggard must install the state as of the checkpoint (its
+// hash is the certified one) and then replay the suffix on top.
+func TestStateTransferServesTheStateAtTheCheckpoint(t *testing.T) {
+	c := newCPCluster(t, 4, 5)
+	long := func(b byte) []byte { return bytes.Repeat([]byte{b}, 100) } // enters the hash by leaf
+	commit := func(s types.SeqNum, op []byte) {
+		b := types.NewBatch(req(uint64(s), op))
+		for i := 0; i < 3; i++ {
+			c.reps[i].Commit(0, s, b, nil)
+		}
+	}
+	keys := []string{"a", "b", "c", "d", "e"}
+	for s := types.SeqNum(1); s <= 5; s++ {
+		commit(s, kvstore.Put(keys[s-1], long(byte(s))))
+	}
+	atCheckpoint := c.reps[0].App().Hash()
+	var installed types.Digest
+	c.protos[3].cm.Fastforwarded = func(types.SeqNum) { installed = c.reps[3].App().Hash() }
+
+	// One hop: the checkpoint votes reach the laggard, whose fetch is now
+	// in flight. Before it lands the servers overwrite, delete and
+	// re-create the keys the checkpoint covers.
+	c.step()
+	commit(6, kvstore.Put("a", long(60)))
+	commit(7, kvstore.Delete("b"))
+	commit(8, kvstore.Put("c", []byte("short")))
+	commit(9, kvstore.Add("e", 3))
+	if c.reps[0].App().Hash() == atCheckpoint {
+		t.Fatal("setup: the servers' state should have moved past the checkpoint")
+	}
+	c.pump()
+
+	if installed != atCheckpoint {
+		t.Fatalf("laggard installed state %v, the checkpoint certified %v", installed, atCheckpoint)
+	}
+	if got := c.reps[3].Ledger().LastExecuted(); got != 9 {
+		t.Fatalf("laggard reached seq %d, want 9 after replaying the suffix", got)
+	}
+	if c.reps[3].App().Hash() != c.reps[0].App().Hash() {
+		t.Fatal("laggard state diverges after transfer and replay")
 	}
 }
 

@@ -50,7 +50,10 @@ type Application interface {
 	Rollback(targetDepth int)
 	Promote(oldest int)
 	SpecDepth() int
-	Snapshot() []byte
+	// Freeze captures the state as of now and returns its serialiser;
+	// what that returns, whenever it is called, is what Restore reads.
+	// A checkpoint freezes and only a served state transfer serialises.
+	Freeze() func() []byte
 	Restore(snap []byte) error
 	Hash() types.Digest
 }

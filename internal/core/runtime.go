@@ -292,10 +292,11 @@ func (r *Replica) resolveCommitted(e *ledger.Entry) [][]byte {
 		// A speculative slot was skipped by the decided order.
 		r.rollbackSpecFrom(0)
 	}
-	return r.applyBatch(e.Batch)
+	return r.applyBatch(e.Batch, digest)
 }
 
-func (r *Replica) applyBatch(b *types.Batch) [][]byte {
+// applyBatch executes b, whose digest the caller has already computed.
+func (r *Replica) applyBatch(b *types.Batch, digest types.Digest) [][]byte {
 	results := make([][]byte, b.Len())
 	for i, req := range b.Requests {
 		key := req.Key()
@@ -306,7 +307,7 @@ func (r *Replica) applyBatch(b *types.Batch) [][]byte {
 		r.executed[key] = true
 		results[i] = r.app.Apply(req.Op)
 	}
-	r.history = chainHistory(r.history, b.Digest())
+	r.history = chainHistory(r.history, digest)
 	return results
 }
 

@@ -7,7 +7,8 @@
 //     speculative protocols (Zyzzyva DC8, PoE DC7),
 //   - read/write-set extraction for conflict detection, required by the
 //     optimistic conflict-free protocols (Q/U, DC9),
-//   - snapshots and a deterministic state hash, required by
+//   - snapshots, frozen views and a deterministic state hash that costs
+//     what was written since it was last taken, required by
 //     checkpointing and state transfer (P4) and by the harness's safety
 //     auditor, which asserts all honest replicas converge to the same
 //     hash.
@@ -18,9 +19,11 @@
 package kvstore
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"bftkit/internal/types"
@@ -61,7 +64,7 @@ type Op struct {
 // Encode serializes the operation into the compact wire form.
 func (o *Op) Encode() []byte {
 	buf := []byte{byte(o.Code)}
-	buf = appendBytes(buf, []byte(o.Key))
+	buf = appendBytes(buf, o.Key)
 	switch o.Code {
 	case OpPut:
 		buf = appendBytes(buf, o.Value)
@@ -76,10 +79,8 @@ func (o *Op) Encode() []byte {
 	return buf
 }
 
-func appendBytes(buf, b []byte) []byte {
-	var tmp [4]byte
-	binary.BigEndian.PutUint32(tmp[:], uint32(len(b)))
-	buf = append(buf, tmp[:]...)
+func appendBytes[T string | []byte](buf []byte, b T) []byte {
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(b)))
 	return append(buf, b...)
 }
 
@@ -212,8 +213,17 @@ type undoRecord struct {
 
 // Store is the deterministic key-value state machine. It is not
 // goroutine-safe; the replica runtime serializes access.
+//
+// A stored value is never modified in place: every write installs a fresh
+// slice through set. Undo records, frozen views (Freeze) and the leaf
+// cache all rest on that — they keep the slice, not a copy of it.
 type Store struct {
 	data map[string][]byte
+	// leaves caches the digest of each value longer than a digest, which
+	// is how such a value enters Hash. set drops a key's entry; Hash
+	// fills in the missing ones, so hashing costs what was written since
+	// the last call. Nil until a long value is hashed.
+	leaves map[string]types.Digest
 	// undo holds reverse records for speculatively applied operations,
 	// newest last. Committed operations leave no undo records.
 	undo    []undoRecord
@@ -229,10 +239,25 @@ func (s *Store) Len() int { return len(s.data) }
 // AppliedOps returns the total number of operations applied.
 func (s *Store) AppliedOps() uint64 { return s.applied }
 
-// GetValue reads a key directly (examples and tests).
+// GetValue reads a key directly (examples and tests). The slice is the
+// store's own and must not be modified: undo records, frozen views and
+// cached leaf digests share it.
 func (s *Store) GetValue(key string) ([]byte, bool) {
 	v, ok := s.data[key]
 	return v, ok
+}
+
+// set is the one place a key's value changes: v becomes the value, or the
+// key is removed when present is false. Every write path — Put, Delete,
+// Add, CAS and Rollback — goes through it, which is what keeps the leaf
+// cache honest. v must be a slice nobody else will write to.
+func (s *Store) set(key string, v []byte, present bool) {
+	if present {
+		s.data[key] = v
+	} else {
+		delete(s.data, key)
+	}
+	delete(s.leaves, key)
 }
 
 func (s *Store) apply(raw []byte, recordUndo bool) []byte {
@@ -253,13 +278,13 @@ func (s *Store) apply(raw []byte, recordUndo bool) []byte {
 		if recordUndo {
 			s.pushUndo(o.Key)
 		}
-		s.data[o.Key] = append([]byte(nil), o.Value...)
+		s.set(o.Key, append([]byte(nil), o.Value...), true)
 		return ResultOK
 	case OpDelete:
 		if recordUndo {
 			s.pushUndo(o.Key)
 		}
-		delete(s.data, o.Key)
+		s.set(o.Key, nil, false)
 		return ResultOK
 	case OpAdd:
 		if recordUndo {
@@ -272,7 +297,7 @@ func (s *Store) apply(raw []byte, recordUndo bool) []byte {
 		cur += o.Delta
 		var tmp [8]byte
 		binary.BigEndian.PutUint64(tmp[:], uint64(cur))
-		s.data[o.Key] = tmp[:]
+		s.set(o.Key, tmp[:], true)
 		return append([]byte(nil), tmp[:]...)
 	case OpCAS:
 		cur, ok := s.data[o.Key]
@@ -283,7 +308,7 @@ func (s *Store) apply(raw []byte, recordUndo bool) []byte {
 		if recordUndo {
 			s.pushUndo(o.Key)
 		}
-		s.data[o.Key] = append([]byte(nil), o.Value...)
+		s.set(o.Key, append([]byte(nil), o.Value...), true)
 		return ResultOK
 	}
 	return ResultNotFound
@@ -291,11 +316,7 @@ func (s *Store) apply(raw []byte, recordUndo bool) []byte {
 
 func (s *Store) pushUndo(key string) {
 	prior, existed := s.data[key]
-	rec := undoRecord{key: key, existed: existed}
-	if existed {
-		rec.prior = append([]byte(nil), prior...)
-	}
-	s.undo = append(s.undo, rec)
+	s.undo = append(s.undo, undoRecord{key: key, existed: existed, prior: prior})
 }
 
 // Apply executes one committed operation and returns its result.
@@ -313,12 +334,16 @@ func (s *Store) SpecApply(raw []byte) ([]byte, int) {
 func (s *Store) SpecDepth() int { return len(s.undo) }
 
 // Promote discards the oldest k undo records, making those speculative
-// operations permanent (the protocol learned they committed).
+// operations permanent (the protocol learned they committed). The rest
+// shift down in place; the vacated tail is cleared so the priors it held
+// can be collected.
 func (s *Store) Promote(k int) {
 	if k > len(s.undo) {
 		k = len(s.undo)
 	}
-	s.undo = append([]undoRecord(nil), s.undo[k:]...)
+	n := copy(s.undo, s.undo[k:])
+	clear(s.undo[n:])
+	s.undo = s.undo[:n]
 }
 
 // Rollback reverts speculative operations until the undo stack has depth
@@ -329,18 +354,27 @@ func (s *Store) Rollback(target int) {
 	}
 	for len(s.undo) > target {
 		rec := s.undo[len(s.undo)-1]
+		s.undo[len(s.undo)-1] = undoRecord{} // let the prior be collected
 		s.undo = s.undo[:len(s.undo)-1]
-		if rec.existed {
-			s.data[rec.key] = rec.prior
-		} else {
-			delete(s.data, rec.key)
-		}
+		s.set(rec.key, rec.prior, rec.existed)
 		s.applied--
 	}
 }
 
-// Hash returns the deterministic digest of the full state. Keys are
-// hashed in sorted order so replica hashes are comparable.
+// How a value enters the state hash.
+const (
+	hashValue = iota // the value itself, when no longer than a digest
+	hashLeaf         // the SHA-256 of the value
+)
+
+// Hash returns the deterministic digest of the full state: the number of
+// keys, then per key in sorted order the key and its value — the value
+// itself under the hashValue tag when it is no longer than a digest, its
+// SHA-256 under the hashLeaf tag otherwise. The tag keeps a 32-byte value
+// apart from a long value that hashes to it. Leaf digests are cached per
+// key, so only values written since the previous call are read again;
+// short values need no cache because the leaf would be no smaller than
+// the value.
 func (s *Store) Hash() types.Digest {
 	keys := make([]string, 0, len(s.data))
 	for k := range s.data {
@@ -351,28 +385,61 @@ func (s *Store) Hash() types.Digest {
 	h.U64(uint64(len(keys)))
 	for _, k := range keys {
 		h.Str(k)
-		h.Bytes(s.data[k])
+		v := s.data[k]
+		if len(v) <= len(types.Digest{}) {
+			h.U64(hashValue).Bytes(v)
+			continue
+		}
+		leaf, ok := s.leaves[k]
+		if !ok {
+			leaf = types.DigestBytes(v)
+			if s.leaves == nil {
+				s.leaves = make(map[string]types.Digest)
+			}
+			s.leaves[k] = leaf
+		}
+		h.U64(hashLeaf).Digest(leaf)
 	}
 	return h.Sum()
 }
 
-// Snapshot serializes the full state (sorted, deterministic).
-func (s *Store) Snapshot() []byte {
-	keys := make([]string, 0, len(s.data))
-	for k := range s.data {
-		keys = append(keys, k)
+// frozenPair is one key of a frozen view; the value slice is the store's.
+type frozenPair struct {
+	key   string
+	value []byte
+}
+
+// Freeze captures the current state without serialising it and returns
+// the serialiser: called any time later, it yields the Snapshot of the
+// state as it was at the freeze. Holding it costs a string header and a
+// slice header per key, whatever the values weigh; later writes do not
+// show through because they replace value slices and never write into
+// them.
+func (s *Store) Freeze() func() []byte {
+	pairs := make([]frozenPair, 0, len(s.data))
+	for k, v := range s.data {
+		pairs = append(pairs, frozenPair{k, v})
 	}
-	sort.Strings(keys)
-	var buf []byte
-	var tmp [4]byte
-	binary.BigEndian.PutUint32(tmp[:], uint32(len(keys)))
-	buf = append(buf, tmp[:]...)
-	for _, k := range keys {
-		buf = appendBytes(buf, []byte(k))
-		buf = appendBytes(buf, s.data[k])
+	return func() []byte { return serialize(pairs) }
+}
+
+// serialize sorts pairs by key and writes them in the form Restore reads.
+func serialize(pairs []frozenPair) []byte {
+	slices.SortFunc(pairs, func(a, b frozenPair) int { return cmp.Compare(a.key, b.key) })
+	size := 4
+	for _, p := range pairs {
+		size += 8 + len(p.key) + len(p.value)
+	}
+	buf := binary.BigEndian.AppendUint32(make([]byte, 0, size), uint32(len(pairs)))
+	for _, p := range pairs {
+		buf = appendBytes(buf, p.key)
+		buf = appendBytes(buf, p.value)
 	}
 	return buf
 }
+
+// Snapshot serializes the full state (sorted, deterministic).
+func (s *Store) Snapshot() []byte { return s.Freeze()() }
 
 // Restore replaces the state with a snapshot produced by Snapshot. Any
 // speculative undo records are discarded.
@@ -394,7 +461,6 @@ func (s *Store) Restore(snap []byte) error {
 		}
 		data[string(k)] = append([]byte(nil), v...)
 	}
-	s.data = data
-	s.undo = nil
+	s.data, s.leaves, s.undo = data, nil, nil
 	return nil
 }

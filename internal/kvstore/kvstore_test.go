@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"bftkit/internal/types"
 )
 
 func TestOpCodecRoundTrip(t *testing.T) {
@@ -133,6 +135,43 @@ func TestPromoteMakesSpeculationPermanent(t *testing.T) {
 	}
 	if _, ok := s.GetValue("y"); ok {
 		t.Fatal("unpromoted write survived rollback")
+	}
+
+	// Property: promoting slot by slot (the undo log shifts in place each
+	// time) and then rolling back leaves exactly the promoted prefix —
+	// the state a store reaches by committing those operations alone.
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		s, want := New(), New()
+		for i := 0; i < 10; i++ {
+			op := Put(key(rng), val(rng))
+			s.Apply(op)
+			want.Apply(op)
+		}
+		ops := make([][]byte, 1+rng.Intn(24))
+		depths := make([]int, len(ops)) // undo depth after each operation
+		for i := range ops {
+			ops[i] = randomOp(rng)
+			_, depths[i] = s.SpecApply(ops[i])
+		}
+		promoted, kept := 0, rng.Intn(len(ops)+1)
+		for i := 0; i < kept; {
+			step := 1 + rng.Intn(kept-i)
+			s.Promote(depths[i+step-1] - promoted)
+			promoted = depths[i+step-1]
+			i += step
+		}
+		for _, op := range ops[:kept] {
+			want.Apply(op)
+		}
+		if s.SpecDepth() != depths[len(ops)-1]-promoted {
+			return false
+		}
+		s.Rollback(0)
+		return s.SpecDepth() == 0 && s.Hash() == want.Hash() && bytes.Equal(s.Snapshot(), want.Snapshot())
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -265,5 +304,185 @@ func TestGoldenModelEquivalence(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// longOrShort draws a value on either side of the digest length, where
+// the state hash switches from the value itself to its leaf digest.
+func longOrShort(rng *rand.Rand) []byte {
+	sizes := []int{0, 1, 8, 31, 32, 33, 64, 300}
+	v := make([]byte, sizes[rng.Intn(len(sizes))])
+	rng.Read(v)
+	return v
+}
+
+// TestHashFollowsEveryWritePath: whatever mix of committed and
+// speculative writes, rollbacks, promotions and restores a store has been
+// through, and however often it was hashed on the way (each call leaves
+// leaf digests cached for the next), Hash equals the hash of a fresh
+// store restored from Snapshot, which has no cache to be stale. And a
+// different history reaching the same state hashes the same.
+func TestHashFollowsEveryWritePath(t *testing.T) {
+	for seed := int64(1); seed <= 30; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s := New()
+		var snaps [][]byte
+		check := func(step int) {
+			fresh := New()
+			if err := fresh.Restore(s.Snapshot()); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := s.Hash(), fresh.Hash(); got != want {
+				t.Fatalf("seed %d step %d: hash %v, a fresh store with the same state has %v", seed, step, got, want)
+			}
+		}
+		write := func() []byte {
+			k := key(rng)
+			switch rng.Intn(4) {
+			case 0:
+				return Delete(k)
+			case 1:
+				return Add(k, int64(rng.Intn(9)-4))
+			case 2:
+				cur, _ := s.GetValue(k) // matches, so the swap happens
+				return CAS(k, cur, longOrShort(rng))
+			default:
+				return Put(k, longOrShort(rng))
+			}
+		}
+		for step := 0; step < 400; step++ {
+			switch r := rng.Intn(20); {
+			case r < 8:
+				s.Apply(write())
+			case r < 14:
+				s.SpecApply(write())
+			case r < 16:
+				s.Rollback(rng.Intn(s.SpecDepth() + 1))
+			case r < 18:
+				s.Promote(rng.Intn(s.SpecDepth() + 1))
+			case r < 19:
+				snaps = append(snaps, s.Snapshot())
+			default:
+				if len(snaps) > 0 {
+					if err := s.Restore(snaps[rng.Intn(len(snaps))]); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if rng.Intn(3) == 0 {
+				check(step)
+			}
+		}
+		check(400)
+
+		// Another road to the same state: junk first, then the final
+		// pairs one Put at a time in map order.
+		other := New()
+		for i := 0; i < 20; i++ {
+			other.Apply(Put(key(rng)+"-junk", longOrShort(rng)))
+		}
+		other.Hash()
+		for k := range other.data {
+			other.Apply(Delete(k))
+		}
+		for k, v := range s.data {
+			other.Apply(Put(k, v))
+		}
+		if s.Hash() != other.Hash() {
+			t.Fatalf("seed %d: two histories reaching the same state hash differently", seed)
+		}
+	}
+}
+
+// TestHashTagsKeepValueAndLeafApart: a 32-byte value that happens to be
+// the SHA-256 of a long value must not hash like that long value.
+func TestHashTagsKeepValueAndLeafApart(t *testing.T) {
+	long := bytes.Repeat([]byte("v"), 100)
+	leaf := types.DigestBytes(long)
+	a, b := New(), New()
+	a.Apply(Put("k", long))
+	b.Apply(Put("k", leaf[:]))
+	if a.Hash() == b.Hash() {
+		t.Fatal("a long value and a short value equal to its digest hash the same")
+	}
+}
+
+// TestHashReadsOnlyWhatWasWritten: a checkpoint must cost what was
+// written since the last one. The test breaks the store's own rule —
+// it scribbles into a stored value in place, behind the store's back —
+// so that reading that value again would change the hash. It does not:
+// Hash only re-reads a key that went through a write.
+func TestHashReadsOnlyWhatWasWritten(t *testing.T) {
+	s := New()
+	for i := 0; i < 64; i++ {
+		s.Apply(Put(string(rune('a'+i)), bytes.Repeat([]byte{byte(i)}, 4096)))
+	}
+	before := s.Hash()
+	untouched, _ := s.GetValue("a")
+	untouched[0] ^= 0xff
+	if s.Hash() != before {
+		t.Fatal("Hash re-read a value that was not written since the previous call")
+	}
+	s.Apply(Put("b", []byte("written")))
+	afterWrite := s.Hash()
+	if afterWrite == before {
+		t.Fatal("Hash missed a write")
+	}
+	untouched[0] ^= 0xff
+	fresh := New()
+	if err := fresh.Restore(s.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	if fresh.Hash() != afterWrite {
+		t.Fatal("incremental hash differs from a from-scratch hash of the same state")
+	}
+}
+
+// TestFrozenViewIsolation: a frozen view serialises the state as of the
+// freeze whatever happens to the store afterwards, because writes replace
+// value slices and never write into them.
+func TestFrozenViewIsolation(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	s := New()
+	for i := 0; i < 40; i++ {
+		s.Apply(Put(key(rng)+string(rune('a'+i%4)), longOrShort(rng)))
+	}
+	s.Apply(Add("counter", 5))
+	s.SpecApply(Put("speculative", []byte("pending")))
+	wantBytes, wantHash := s.Snapshot(), s.Hash()
+	frozen := s.Freeze()
+
+	s.Rollback(0)
+	for k := range s.data {
+		switch rng.Intn(3) {
+		case 0:
+			s.Apply(Put(k, longOrShort(rng)))
+		case 1:
+			s.Apply(Delete(k))
+		}
+	}
+	s.Apply(Add("counter", 1))
+	s.Apply(Put("new", bytes.Repeat([]byte("n"), 100)))
+	depth := s.SpecDepth()
+	s.SpecApply(Put("new", []byte("x")))
+	s.SpecApply(Delete("counter"))
+	s.Rollback(depth)
+	if s.Hash() == wantHash {
+		t.Fatal("the store did not move; the test proves nothing")
+	}
+
+	got := frozen()
+	if !bytes.Equal(got, wantBytes) {
+		t.Fatal("frozen view serialised something other than the state at the freeze")
+	}
+	if !bytes.Equal(frozen(), got) {
+		t.Fatal("serialising a frozen view twice gave different bytes")
+	}
+	r := New()
+	if err := r.Restore(got); err != nil {
+		t.Fatal(err)
+	}
+	if r.Hash() != wantHash {
+		t.Fatal("frozen view does not restore to the hash taken at the freeze")
 	}
 }

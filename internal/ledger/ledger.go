@@ -24,9 +24,10 @@ type Entry struct {
 type Checkpoint struct {
 	Seq       types.SeqNum
 	StateHash types.Digest
-	// Snapshot is the serialized application state; kept only on the
-	// replica's own checkpoints so it can serve state transfer.
-	Snapshot []byte
+	// Snapshot serialises the application state frozen at Seq; set only
+	// on the replica's own checkpoints, and called only when one of them
+	// is served to a state transfer.
+	Snapshot func() []byte
 	// Voters are the replicas whose matching checkpoint messages made
 	// this checkpoint stable (2f+1 for the classic protocols).
 	Voters []types.NodeID

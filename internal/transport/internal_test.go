@@ -463,3 +463,81 @@ func TestBackoffDelayShape(t *testing.T) {
 		}
 	}
 }
+
+// TestVerifyLanesAreLazy: an inbound-verify lane (a 1024-slot channel and
+// a goroutine) belongs to a connection that has received something. After
+// four replicas exchange one message per direction every node holds three
+// sockets it dialed, which it only writes, and three it accepted, which
+// it only reads: the lanes are on the accepted three. Stop still joins
+// them.
+func TestVerifyLanesAreLazy(t *testing.T) {
+	const nodes = 4
+	addrs := testAddrs(t, nodes)
+	peers := make(map[types.NodeID]string)
+	for i, a := range addrs {
+		peers[types.NodeID(i)] = a
+	}
+	ns := make([]*Node, nodes)
+	hs := make([]*collectHandler, nodes)
+	for i := range ns {
+		ns[i] = NewNode(types.NodeID(i), peers, int64(i+1))
+		hs[i] = newCollectHandler()
+		ns[i].SetHandler(hs[i])
+		ns[i].SetInboundPrepare(func(types.NodeID, types.Message) {})
+		if err := ns[i].Start(); err != nil {
+			t.Fatal(err)
+		}
+		defer ns[i].Stop()
+	}
+	for i := range ns {
+		for j := range ns {
+			if j != i {
+				ns[i].Send(types.NodeID(i), types.NodeID(j), testMsg(1))
+			}
+		}
+	}
+	deadline := time.After(10 * time.Second)
+	for _, h := range hs {
+		for got := 0; got < nodes-1; got++ {
+			select {
+			case <-h.ch:
+			case <-deadline:
+				t.Fatal("timed out waiting for the exchange")
+			}
+		}
+	}
+	for i, n := range ns {
+		n.mu.Lock()
+		dialed, accepted := 0, 0
+		for wc := range n.open {
+			switch {
+			case wc.hasPeer:
+				dialed++
+				if wc.lane != nil {
+					t.Errorf("node %d: the socket dialed to %v has a lane though nothing arrives on it", i, wc.peer)
+				}
+			default:
+				accepted++
+				if wc.lane == nil {
+					t.Errorf("node %d: an accepted socket delivered a message without a lane", i)
+				}
+			}
+		}
+		n.mu.Unlock()
+		if dialed != nodes-1 || accepted != nodes-1 {
+			t.Errorf("node %d holds %d dialed and %d accepted sockets, want %d of each", i, dialed, accepted, nodes-1)
+		}
+	}
+	stopped := make(chan struct{})
+	go func() {
+		for _, n := range ns {
+			n.Stop()
+		}
+		close(stopped)
+	}()
+	select {
+	case <-stopped:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Stop did not return with lazy lanes in place")
+	}
+}

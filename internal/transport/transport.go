@@ -130,6 +130,11 @@ type wireConn struct {
 	peer    types.NodeID
 	hasPeer bool
 
+	// lane is the conn's inbound-verify lane, made by its read loop on
+	// the first envelope that arrives: a dialed replica socket is only
+	// ever written, so it never gets one. Guarded by Node.mu.
+	lane chan laneItem
+
 	mu      sync.Mutex // serializes writes: enc, buf and scratch are per-socket state
 	enc     *gob.Encoder
 	buf     bytes.Buffer
@@ -202,6 +207,19 @@ const laneCap = 1024
 type laneItem struct {
 	from types.NodeID
 	msg  types.Message
+}
+
+// startLane makes wc's inbound lane and starts the goroutine draining it.
+// Returns nil when the node is already stopping.
+func (n *Node) startLane(wc *wireConn) chan laneItem {
+	lane := make(chan laneItem, laneCap)
+	if !n.goTracked(func() { n.runLane(lane) }) {
+		return nil
+	}
+	n.mu.Lock()
+	wc.lane = lane
+	n.mu.Unlock()
+	return lane
 }
 
 // runLane drains one connection's inbound lane: prepare, then hand to
@@ -418,16 +436,14 @@ func (n *Node) readLoop(wc *wireConn) {
 	dec := gob.NewDecoder(fr)
 	identified := wc.hasPeer // a dialed conn is bound before it is read
 	var lane chan laneItem
-	if n.prepare != nil {
-		lane = make(chan laneItem, laneCap)
-		if !n.goTracked(func() { n.runLane(lane) }) {
-			return
+	// Closing the lane when this read loop exits lets the lane drain what
+	// it already accepted, then stop — no goroutine leak, no dropped
+	// prepared messages.
+	defer func() {
+		if lane != nil {
+			close(lane)
 		}
-		// Closing the lane when this read loop exits lets the lane drain
-		// what it already accepted, then stop — no goroutine leak, no
-		// dropped prepared messages.
-		defer close(lane)
-	}
+	}()
 	for {
 		if err := fr.next(); err != nil {
 			if isFrameViolation(err) {
@@ -459,10 +475,15 @@ func (n *Node) readLoop(wc *wireConn) {
 			}
 		}
 		n.tracer.MsgDelivered(n.Now(), from, n.id, msg, fr.size())
-		if lane != nil {
+		if n.prepare != nil {
 			// Async path: the lane goroutine prepares (pre-verifies) and
 			// forwards, keeping this connection's FIFO; a full lane blocks
 			// only this read loop.
+			if lane == nil {
+				if lane = n.startLane(wc); lane == nil {
+					return
+				}
+			}
 			select {
 			case lane <- laneItem{from: from, msg: msg}:
 				n.tracer.ObserveVerifyQueueDepth(len(lane))

@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"hash"
 	"sort"
 )
 
@@ -71,30 +72,106 @@ func (h *Hasher) Bytes(b []byte) *Hasher { h.h.bytes(b); return h }
 func (h *Hasher) Str(s string) *Hasher { h.h.str(s); return h }
 
 // Digest appends another digest as a field.
-func (h *Hasher) Digest(d Digest) *Hasher { h.h.bytes(d[:]); return h }
+func (h *Hasher) Digest(d Digest) *Hasher { h.h.digest(d); return h }
 
 // Sum finalizes the hash.
 func (h *Hasher) Sum() Digest { return h.h.sum() }
 
-// hasher incrementally builds a digest from typed fields. All protocol
-// digests in the repository go through it so the byte layout is uniform
-// and deterministic.
-type hasher struct{ buf []byte }
+// stageLen is how much preimage a hasher holds before it starts
+// streaming: every request, reply and protocol-message digest with a
+// 16-byte operation fits, so the common digest is one sha256.Sum256 over
+// a buffer that never leaves the caller's stack.
+const stageLen = 160
 
-func (h *hasher) u64(v uint64) {
-	var tmp [8]byte
-	binary.BigEndian.PutUint64(tmp[:], v)
-	h.buf = append(h.buf, tmp[:]...)
+// hasher computes SHA-256 over the concatenation of its fields — u64s as
+// 8 big-endian bytes, byte and string fields behind a u64 length — without
+// ever holding that concatenation: fields are staged in buf, a preimage
+// that outgrows buf moves to a heap-allocated spill that feeds a
+// hash.Hash, and a byte field longer than the staging buffer is written
+// through uncopied. The bytes hashed are the same whichever way they go.
+type hasher struct {
+	n     int
+	buf   [stageLen]byte
+	spill *spill
 }
+
+// spill is the streaming half of a hasher. It has its own staging buffer
+// and output array because whatever is handed to the hash.Hash interface
+// escapes: handing it hasher.buf would put every hasher on the heap.
+type spill struct {
+	h   hash.Hash
+	n   int
+	buf [stageLen]byte
+	out Digest
+}
+
+func (s *spill) flush() {
+	s.h.Write(s.buf[:s.n])
+	s.n = 0
+}
+
+// spilled switches the hasher to streaming, carrying over what is staged.
+func (h *hasher) spilled() *spill {
+	if h.spill == nil {
+		s := &spill{h: sha256.New()}
+		s.n = copy(s.buf[:], h.buf[:h.n])
+		h.spill = s
+	}
+	return h.spill
+}
+
+// stage returns the next k <= stageLen bytes of the preimage for the
+// caller to fill in.
+func (h *hasher) stage(k int) []byte {
+	if h.spill == nil && h.n+k <= len(h.buf) {
+		h.n += k
+		return h.buf[h.n-k : h.n]
+	}
+	s := h.spilled()
+	if s.n+k > len(s.buf) {
+		s.flush()
+	}
+	s.n += k
+	return s.buf[s.n-k : s.n]
+}
+
+func (h *hasher) u64(v uint64) { binary.BigEndian.PutUint64(h.stage(8), v) }
 
 func (h *hasher) bytes(b []byte) {
 	h.u64(uint64(len(b)))
-	h.buf = append(h.buf, b...)
+	if len(b) <= stageLen {
+		copy(h.stage(len(b)), b)
+		return
+	}
+	s := h.spilled()
+	s.flush()
+	s.h.Write(b)
 }
 
-func (h *hasher) str(s string) { h.bytes([]byte(s)) }
+func (h *hasher) str(s string) {
+	h.u64(uint64(len(s)))
+	for len(s) > 0 {
+		s = s[copy(h.stage(min(len(s), stageLen)), s):]
+	}
+}
 
-func (h *hasher) sum() Digest { return sha256.Sum256(h.buf) }
+// digest is bytes(d[:]) for a value the caller holds on its stack: b in
+// bytes can reach the hash.Hash interface, so a local sliced into it
+// would be moved to the heap.
+func (h *hasher) digest(d Digest) {
+	h.u64(uint64(len(d)))
+	copy(h.stage(len(d)), d[:])
+}
+
+func (h *hasher) sum() Digest {
+	s := h.spill
+	if s == nil {
+		return sha256.Sum256(h.buf[:h.n])
+	}
+	s.flush()
+	s.h.Sum(s.out[:0])
+	return s.out
+}
 
 // Request is a signed client transaction: an opaque operation to be
 // applied to the replicated state machine, plus the metadata replicas use
@@ -146,8 +223,7 @@ func (b *Batch) Digest() Digest {
 	}
 	var h hasher
 	for _, r := range b.Requests {
-		d := r.Digest()
-		h.bytes(d[:])
+		h.digest(r.Digest())
 	}
 	return h.sum()
 }
@@ -193,7 +269,7 @@ func (rp *Reply) Digest() Digest {
 	} else {
 		h.u64(0)
 	}
-	h.bytes(rp.History[:])
+	h.digest(rp.History)
 	return h.sum()
 }
 

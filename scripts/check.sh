@@ -46,6 +46,16 @@ if [ "$(printf '%s\n' "$taps" | grep -c .)" -gt 1 ]; then
 	exit 1
 fi
 
+# One setter in the store: the leaf-digest cache behind Store.Hash is only
+# right if every change to a key goes through Store.set, so a second
+# assignment into (or delete from) s.data must not come back.
+writes=$(grep -nE 's\.data\[.*\] *=|delete\(s\.data' internal/kvstore/kvstore.go || true)
+if [ "$(printf '%s\n' "$writes" | grep -c .)" -ne 2 ]; then
+	echo "kvstore: s.data is written outside Store.set (want one assignment and one delete, both in set):" >&2
+	echo "$writes" >&2
+	exit 1
+fi
+
 go vet ./...
 go build ./...
 # The experiment smoke suite replays every table of EXPERIMENTS.md; under
