@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -279,48 +280,75 @@ func TestBacklogExpiryAndSuspension(t *testing.T) {
 
 // --- ViewChange ------------------------------------------------------------
 
-type testVC struct {
-	NewView types.View
-	Replica types.NodeID
-	Payload int
-	Sig     []byte
-}
-
-func (*testVC) Kind() string { return "TEST-VIEW-CHANGE" }
-func (m *testVC) Vote() (types.View, types.NodeID, []byte) {
-	return m.NewView, m.Replica, m.Sig
-}
-func (m *testVC) SigDigest() types.Digest {
-	var h types.Hasher
-	h.Str("test-vc").U64(uint64(m.NewView)).U64(uint64(m.Replica))
-	return h.Sum()
-}
-
+// vcRig is one replica's view-change stage on an ordering stage, with hooks
+// that carry whatever the test puts in carried/retained, treat every
+// carried slot as valid, and record what the kit asks of them.
 type vcRig struct {
 	*kitRig
 	backlog  *Backlog
-	vc       *ViewChange[*testVC]
-	built    []types.View
-	newViews map[types.View][]*testVC
+	vc       *ViewChange
+	slots    *Slots[struct{}]
+	carried  []CarriedSlot
+	retained []CommittedSlot
+	built    []types.View   // views a view-change message was built for
+	accepted []types.SeqNum // re-issued slots handed to Accept
+	proposed bool           // MayPropose was true inside Accept
+	resumed  int
+	x, y     *types.Batch
 }
 
-func newVCRig(id types.NodeID) *vcRig {
-	r := &vcRig{kitRig: newKitRig(id), newViews: make(map[types.View][]*testVC)}
+func newVCRig(id types.NodeID, tune ...func(*ViewChangeHooks)) *vcRig {
+	r := &vcRig{kitRig: newKitRig(id)}
 	r.backlog = NewBacklog(r.rep, testProgress)
-	r.vc = NewViewChange(r.rep, r.backlog, testRetry, r.rep.Config().Quorum(), ViewChangeHooks[*testVC]{
-		Build: func(v types.View) *testVC {
-			r.built = append(r.built, v)
-			return r.signed(v, id)
+	hooks := ViewChangeHooks{
+		Vouch: func(m *ViewChangeMsg) {
+			r.built = append(r.built, m.NewView)
+			m.Carried = append(m.Carried, r.carried...)
+			m.Committed = append(m.Committed, r.retained...)
 		},
-		NewView: func(v types.View, vcs []*testVC) { r.newViews[v] = vcs },
-	})
+		Pick:      HighestView(func(*CarriedSlot) bool { return true }),
+		Keep:      UpToBase,
+		SigDigest: func(s *CarriedSlot) types.Digest { return types.Digest{byte(s.Seq)} },
+		Accept: func(s *CarriedSlot) {
+			r.accepted = append(r.accepted, s.Seq)
+			r.proposed = r.proposed || r.vc.MayPropose()
+		},
+		Resume: func() { r.resumed++ },
+	}
+	for _, fn := range tune {
+		fn(&hooks)
+	}
+	r.vc = NewViewChange(r.rep, r.backlog, testRetry, r.rep.Config().Quorum(), hooks)
+	r.slots = NewSlots[struct{}](r.rep, PBFTProfile(), r.backlog, r.vc, nil, "prepare", "commit")
+	r.x = types.NewBatch(r.signedReq(1))
+	r.y = types.NewBatch(r.signedReq(2))
 	return r
 }
 
-func (r *vcRig) signed(v types.View, from types.NodeID) *testVC {
-	m := &testVC{NewView: v, Replica: from}
+// signed returns from's signed view-change message for v; fill adds what
+// it carries before it is signed.
+func (r *vcRig) signed(v types.View, from types.NodeID, fill ...func(*ViewChangeMsg)) *ViewChangeMsg {
+	m := &ViewChangeMsg{NewView: v, Replica: from}
+	for _, fn := range fill {
+		fn(m)
+	}
 	m.Sig = r.auth.Signer(from).Sign(m.SigDigest())
 	return m
+}
+
+// newViews returns the distinct new-view messages this replica sent.
+func (r *vcRig) newViews() []*NewViewMsg {
+	var out []*NewViewMsg
+	for _, s := range r.d.sent {
+		if nv, ok := s.M.(*NewViewMsg); ok && (len(out) == 0 || out[len(out)-1] != nv) {
+			out = append(out, nv)
+		}
+	}
+	return out
+}
+
+func carry(view types.View, seq types.SeqNum, b *types.Batch) CarriedSlot {
+	return CarriedSlot{View: view, Seq: seq, Digest: b.Digest(), Batch: b}
 }
 
 func TestViewChangeStartGate(t *testing.T) {
@@ -341,6 +369,24 @@ func TestViewChangeStartGate(t *testing.T) {
 	r.vc.Retry(TimerID{Name: testRetry, View: 3})
 	if !reflect.DeepEqual(r.built, []types.View{1, 3, 4}) {
 		t.Fatalf("after retries built %v, want [1 3 4]", r.built)
+	}
+}
+
+func TestViewChangeMessageIsBuiltInSequenceOrder(t *testing.T) {
+	r := newVCRig(3)
+	r.rep.Commit(0, 1, r.x, nil)
+	r.carried = []CarriedSlot{carry(0, 5, r.y), carry(0, 3, r.x), carry(0, 4, r.y)}
+	r.retained = []CommittedSlot{{Seq: 2, Batch: r.y}, {Seq: 1, Batch: r.x}}
+	r.vc.Start(1)
+	m := r.d.sent[0].M.(*ViewChangeMsg)
+	if m.NewView != 1 || m.Replica != 3 || m.Base != 1 || m.Stable != 0 {
+		t.Fatalf("header %+v: want view 1 from replica 3 at base 1, stable 0", m)
+	}
+	if m.Carried[0].Seq != 3 || m.Carried[1].Seq != 4 || m.Carried[2].Seq != 5 || m.Committed[0].Seq != 1 {
+		t.Fatalf("carried %v, committed %v: not in sequence order", m.Carried, m.Committed)
+	}
+	if !r.rep.Verifier().VerifySig(3, m.SigDigest(), m.Sig) {
+		t.Fatal("the message is signed before it is sorted")
 	}
 }
 
@@ -375,29 +421,36 @@ func TestViewChangeRecordsOnlyAuthenticatedSenders(t *testing.T) {
 	r.vc.OnViewChange(0, r.signed(0, 0)) // not ahead of the current view
 	r.vc.OnViewChange(2, r.signed(1, 2))
 	r.vc.OnViewChange(2, r.signed(1, 2)) // a resend is still one sender
-	if r.vc.Active() || len(r.newViews) != 0 {
+	if r.vc.Active() || len(r.newViews()) != 0 {
 		t.Fatal("unauthenticated or repeated view-changes were counted")
 	}
 	// A second distinct sender: f+1 are ahead, so we join, and our own
 	// message completes the leader's 2f+1.
 	r.vc.OnViewChange(3, r.signed(1, 3))
-	if got := len(r.newViews[1]); got != 3 {
-		t.Fatalf("leader of view 1 got %d view-changes at quorum, want 3", got)
+	nvs := r.newViews()
+	if len(nvs) != 1 || len(nvs[0].ViewChanges) != 3 {
+		t.Fatalf("leader of view 1 sent %d new-views at quorum, want one relaying 3 view-changes", len(nvs))
 	}
 	r.vc.OnViewChange(0, r.signed(1, 0))
-	if len(r.newViews) != 1 || len(r.newViews[1]) != 3 {
+	if len(r.newViews()) != 1 {
 		t.Fatal("the new-view must be sent exactly once")
 	}
 }
 
+// signedNewView returns a new-view message for v relaying vcs, signed by
+// from.
+func (r *vcRig) signedNewView(v types.View, from types.NodeID, vcs ...*ViewChangeMsg) *NewViewMsg {
+	nv := &NewViewMsg{View: v, ViewChanges: vcs}
+	nv.Sig = r.auth.Signer(from).Sign(nv.SigDigest())
+	return nv
+}
+
 func TestViewChangeJustified(t *testing.T) {
 	r := newVCRig(3)
-	nv := func(v types.View, from types.NodeID, vcs ...*testVC) bool {
-		var h types.Hasher
-		d := h.Str("test-nv").U64(uint64(v)).Sum()
-		return r.vc.Justified(from, v, d, r.auth.Signer(from).Sign(d), vcs)
+	nv := func(v types.View, from types.NodeID, vcs ...*ViewChangeMsg) bool {
+		return r.vc.Justified(from, r.signedNewView(v, from, vcs...))
 	}
-	quorum := []*testVC{r.signed(1, 0), r.signed(1, 1), r.signed(1, 2)}
+	quorum := []*ViewChangeMsg{r.signed(1, 0), r.signed(1, 1), r.signed(1, 2)}
 	if !nv(1, 1, quorum...) {
 		t.Fatal("a new-view from the right leader with 2f+1 distinct signed view-changes was rejected")
 	}
@@ -418,20 +471,258 @@ func TestViewChangeJustified(t *testing.T) {
 	}
 }
 
+// testEvidence stands in for Zyzzyva's client commit certificate.
+type testEvidence struct{ N uint64 }
+
+func (*testEvidence) Kind() string { return "TEST-EVIDENCE" }
+func (e *testEvidence) SigDigest() types.Digest {
+	var h types.Hasher
+	return h.Str("test-evidence").U64(e.N).Sum()
+}
+
+// eachFieldMutated walks v through structs, slices and pointers and, for
+// every leaf field in turn, changes it, calls check with the field's path,
+// and restores it. A slice is also tried one element short.
+func eachFieldMutated(v reflect.Value, path string, other *types.Batch, check func(path string)) {
+	switch v.Kind() {
+	case reflect.Ptr:
+		if b, ok := v.Interface().(*types.Batch); ok {
+			v.Set(reflect.ValueOf(other))
+			check(path)
+			v.Set(reflect.ValueOf(b))
+		} else if !v.IsNil() {
+			eachFieldMutated(v.Elem(), path, other, check)
+		}
+	case reflect.Interface:
+		old := v.Elem()
+		v.Set(reflect.ValueOf(&testEvidence{N: 99}))
+		check(path)
+		v.Set(old)
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			eachFieldMutated(v.Field(i), path+"."+v.Type().Field(i).Name, other, check)
+		}
+	case reflect.Slice:
+		if old, ok := v.Interface().([]byte); ok {
+			v.SetBytes(append([]byte{^old[0]}, old[1:]...))
+			check(path)
+			v.SetBytes(old)
+			return
+		}
+		for i := 0; i < v.Len(); i++ {
+			eachFieldMutated(v.Index(i), fmt.Sprintf("%s[%d]", path, i), other, check)
+		}
+		old := reflect.ValueOf(v.Interface())
+		v.Set(old.Slice(0, old.Len()-1))
+		check(path + "[:len-1]")
+		v.Set(old)
+	case reflect.Array: // a types.Digest
+		old := v.Index(0).Uint()
+		v.Index(0).SetUint(old ^ 0xff)
+		check(path)
+		v.Index(0).SetUint(old)
+	case reflect.Int, reflect.Int64:
+		v.SetInt(v.Int() + 1)
+		check(path)
+		v.SetInt(v.Int() - 1)
+	case reflect.Uint64:
+		v.SetUint(v.Uint() + 1)
+		check(path)
+		v.SetUint(v.Uint() - 1)
+	case reflect.Bool:
+		v.SetBool(!v.Bool())
+		check(path)
+		v.SetBool(!v.Bool())
+	default:
+		panic("eachFieldMutated: unhandled kind " + v.Kind().String() + " at " + path)
+	}
+}
+
+// TestViewChangeSignaturesCoverEveryField: a receiver acts on the base, the
+// committed slots (view, batch, voters, certificate), the carried slots
+// (view — the highest-view picker compares it — digest, batch, evidence)
+// and the re-issued slots of these messages, so the sender's signature
+// must bind all of them. The per-protocol digests this replaces left out
+// the carried slot's view in seven packages, hashed committed slots by
+// sequence number only in most, and left them out of two new-view digests
+// altogether.
+func TestViewChangeSignaturesCoverEveryField(t *testing.T) {
+	r := newVCRig(3)
+	cert := func(b byte) *crypto.Certificate {
+		return &crypto.Certificate{Digest: types.Digest{b}, Signers: []types.NodeID{0, 1}, Sigs: [][]byte{{b, 1}, {b, 2}}}
+	}
+	fill := func(m *ViewChangeMsg) {
+		m.Base, m.Stable = 7, 4
+		m.Committed = []CommittedSlot{
+			{View: 0, Seq: 5, Batch: r.x, Voters: []types.NodeID{0, 1, 2}, Cert: cert(1)},
+			{View: 0, Seq: 6, Batch: r.x, Voters: []types.NodeID{0, 1, 3}, Cert: cert(2)},
+		}
+		m.Carried = []CarriedSlot{
+			{View: 0, Seq: 8, Digest: r.x.Digest(), Batch: r.x, Cert: cert(3), LeaderSig: []byte{8}},
+			{View: 0, Seq: 9, Digest: r.x.Digest(), Batch: r.x, Cert: cert(4), LeaderSig: []byte{9}},
+		}
+		m.Evidence = []Evidence{&testEvidence{N: 1}, &testEvidence{N: 2}}
+	}
+
+	vc := r.signed(1, 2, fill)
+	recorded := func() bool {
+		r.vc.Forget()
+		r.vc.OnViewChange(2, vc)
+		return r.vc.votes.Count(1) == 1
+	}
+	if !recorded() {
+		t.Fatal("the unmodified view-change message was refused")
+	}
+	fields := 0
+	eachFieldMutated(reflect.ValueOf(vc), "ViewChangeMsg", r.y, func(path string) {
+		fields++
+		if recorded() {
+			t.Errorf("view-change accepted with %s changed under the sender's signature", path)
+		}
+	})
+
+	nv := r.signedNewView(1, 1, r.signed(1, 0, fill), r.signed(1, 1, fill), vc)
+	nv.Base = 7
+	nv.Committed = vc.Committed
+	nv.Reissued = []CarriedSlot{
+		{View: 1, Seq: 8, Digest: r.x.Digest(), Batch: r.x, Cert: cert(5), LeaderSig: []byte{8}},
+		{View: 1, Seq: 9, Digest: r.x.Digest(), Batch: r.x, Cert: cert(6), LeaderSig: []byte{9}},
+	}
+	nv.Sig = r.auth.Signer(1).Sign(nv.SigDigest())
+	if !r.vc.Justified(1, nv) {
+		t.Fatal("the unmodified new-view message was refused")
+	}
+	eachFieldMutated(reflect.ValueOf(nv), "NewViewMsg", r.y, func(path string) {
+		fields++
+		if r.vc.Justified(1, nv) {
+			t.Errorf("new-view justified with %s changed under the leader's signature", path)
+		}
+	})
+	if fields < 300 {
+		t.Fatalf("only %d fields were mutated: the walk stopped short", fields)
+	}
+}
+
+// TestNewViewBuilder drives the one new-view builder at the leader of view
+// 1 with a quorum whose members disagree, under both rules for where
+// re-issuing starts.
+func TestNewViewBuilder(t *testing.T) {
+	z := types.NewBatch(req(3, []byte("z")))
+	quorum := func(r *vcRig) {
+		r.rep.Commit(0, 1, r.x, nil)
+		// Replica 2 executed up to 3 and names slots 2 and 3 committed
+		// (and 6, above everyone's execution point); replica 3 carries
+		// slot 4 from view 0 and — twice, in two views — slot 7.
+		r.vc.OnViewChange(2, r.signed(1, 2, func(m *ViewChangeMsg) {
+			m.Base, m.Stable = 3, 2
+			m.Committed = []CommittedSlot{{Seq: 2, Batch: r.y}, {Seq: 3, Batch: z}, {Seq: 6, Batch: z}}
+			m.Carried = []CarriedSlot{carry(0, 7, r.x)}
+		}))
+		r.vc.OnViewChange(3, r.signed(1, 3, func(m *ViewChangeMsg) {
+			m.Base = 1
+			m.Committed = []CommittedSlot{{Seq: 2, Batch: z}} // second to name slot 2: ignored
+			m.Carried = []CarriedSlot{carry(0, 4, r.y), carry(1, 7, r.y), {View: 2, Seq: 7, Digest: r.x.Digest(), Batch: r.y}}
+		}))
+	}
+	reissued := func(r *vcRig, nv *NewViewMsg) (seqs []types.SeqNum, batches []*types.Batch) {
+		for _, s := range nv.Reissued {
+			if s.View != 1 || s.Digest != s.Batch.Digest() || !r.rep.Verifier().VerifySig(1, types.Digest{byte(s.Seq)}, s.LeaderSig) {
+				t.Errorf("re-issued slot %+v: want view 1, the batch's digest, the leader's signature over the hook's digest", s)
+			}
+			seqs, batches = append(seqs, s.Seq), append(batches, s.Batch)
+		}
+		return
+	}
+
+	// Committed slots are carried up to the quorum's execution point and
+	// re-issuing starts above it.
+	r := newVCRig(1)
+	quorum(r)
+	nv := r.newViews()[0]
+	if nv.Base != 3 || len(nv.Committed) != 2 || nv.Committed[0].Batch != r.y || nv.Committed[1].Seq != 3 {
+		t.Fatalf("base %d, committed %v: want base 3 and slots 2 (first named) and 3", nv.Base, nv.Committed)
+	}
+	seqs, batches := reissued(r, nv)
+	if !reflect.DeepEqual(seqs, []types.SeqNum{4, 5, 6, 7}) || batches[0] != r.y || batches[1].Len() != 0 || batches[3] != r.y {
+		t.Fatalf("re-issued %v: want 4 (carried), 5 and 6 (no-ops), 7 (the highest valid view's batch)", seqs)
+	}
+	if !reflect.DeepEqual(r.rec.executed, []types.SeqNum{1, 2, 3}) || !reflect.DeepEqual(r.accepted, seqs) || r.proposed || r.resumed != 1 {
+		t.Fatalf("the leader adopted: executed %v, accepted %v, proposing during adoption %v, resumed %d",
+			r.rec.executed, r.accepted, r.proposed, r.resumed)
+	}
+	if r.slots.NextSeq() != 7 {
+		t.Fatalf("fresh assignments start after %d, want 7", r.slots.NextSeq())
+	}
+
+	// Keep everything: a committed slot above the execution point is
+	// carried as decided and not re-issued.
+	r = newVCRig(1, func(h *ViewChangeHooks) {
+		h.Keep = func(*CommittedSlot, types.SeqNum) bool { return true }
+	})
+	quorum(r)
+	nv = r.newViews()[0]
+	if seqs, _ := reissued(r, nv); len(nv.Committed) != 3 || !reflect.DeepEqual(seqs, []types.SeqNum{4, 5, 7}) {
+		t.Fatalf("keep-all: committed %v, re-issued %v", nv.Committed, seqs)
+	}
+
+	// No committed slots: re-issue from the highest stable checkpoint.
+	r = newVCRig(1, func(h *ViewChangeHooks) { h.Keep = nil })
+	quorum(r)
+	nv = r.newViews()[0]
+	if seqs, _ := reissued(r, nv); len(nv.Committed) != 0 || !reflect.DeepEqual(seqs, []types.SeqNum{3, 4, 5, 6, 7}) {
+		t.Fatalf("keep-none: committed %v, re-issued %v", nv.Committed, seqs)
+	}
+	if !reflect.DeepEqual(r.accepted, []types.SeqNum{3, 4, 5, 6, 7}) {
+		t.Fatalf("keep-none: accepted %v, want every re-issued slot above the execution point", r.accepted)
+	}
+}
+
+// TestNewViewBuilderSurvivesOneHostileSender: a signed view-change message
+// can name any sequence number and, off the wire, hold a nil evidence
+// value. Neither may cost the new leader more than the window.
+func TestNewViewBuilderSurvivesOneHostileSender(t *testing.T) {
+	r := newVCRig(1, func(h *ViewChangeHooks) { h.Pick = MostClaimed })
+	r.vc.OnViewChange(2, r.signed(1, 2, func(m *ViewChangeMsg) {
+		m.Carried = []CarriedSlot{carry(0, 1, r.x), carry(0, 1<<60, r.y)}
+		m.Evidence = []Evidence{nil}
+	}))
+	r.vc.OnViewChange(3, r.signed(1, 3))
+	nv := r.newViews()[0]
+	if got, window := len(nv.Reissued), int(r.rep.Config().HighWaterWindow); got != window || nv.Reissued[0].Batch != r.x {
+		t.Fatalf("re-issued %d slots, want the %d of the window, the first one the claimed batch", got, window)
+	}
+}
+
+func TestMostClaimedPicksThePlurality(t *testing.T) {
+	r := newVCRig(1)
+	claim := func(from types.NodeID, slots ...CarriedSlot) *ViewChangeMsg {
+		return &ViewChangeMsg{Replica: from, Carried: slots}
+	}
+	top, pick := MostClaimed([]*ViewChangeMsg{
+		claim(0, carry(0, 2, r.x)),
+		claim(2, carry(0, 2, r.y), carry(0, 4, r.y)),
+		claim(3, carry(0, 2, r.y), carry(5, 2, r.x)), // a second claim for slot 2 is ignored
+	})
+	if top != 4 || pick(2) != r.y || pick(3).Len() != 0 || pick(4) != r.y {
+		t.Fatalf("top %d, slot 2 %v, slot 3 %v", top, pick(2), pick(3))
+	}
+}
+
 func TestViewChangeInstallHoldsProposingAndResets(t *testing.T) {
 	r := newVCRig(1) // leader of view 1
 	r.backlog.Submit(r.signedReq(1), 0)
+	r.carried = []CarriedSlot{carry(0, 1, r.x)}
 	r.vc.Start(1)
 	if got := r.liveTimers(); len(got) != 1 {
 		t.Fatalf("timers during the view change: %v, want the retry timer only", got)
 	}
-	during := true
-	r.vc.Install(1, func() { during = r.vc.MayPropose() })
-	if during {
-		t.Fatal("proposing was allowed while the new view's slots were being adopted")
+	r.vc.OnViewChange(2, r.signed(1, 2))
+	r.vc.OnViewChange(3, r.signed(1, 3)) // quorum: build, broadcast, install
+	if !reflect.DeepEqual(r.accepted, []types.SeqNum{1}) || r.proposed {
+		t.Fatalf("accepted %v (proposing allowed meanwhile: %v), want slot 1 adopted with proposing held", r.accepted, r.proposed)
 	}
-	if r.vc.View() != 1 || r.vc.Active() || !r.vc.MayPropose() {
-		t.Fatalf("after install: view %d active %v mayPropose %v", r.vc.View(), r.vc.Active(), r.vc.MayPropose())
+	if r.vc.View() != 1 || r.vc.Active() || !r.vc.MayPropose() || r.resumed != 1 {
+		t.Fatalf("after install: view %d active %v mayPropose %v resumed %d", r.vc.View(), r.vc.Active(), r.vc.MayPropose(), r.resumed)
 	}
 	// Entering the view drops the retry timer and re-arms τ2 under the
 	// new view, because a client still waits.
@@ -444,24 +735,10 @@ func TestViewChangeInstallHoldsProposingAndResets(t *testing.T) {
 
 // --- Slots -----------------------------------------------------------------
 
-type slotsRig struct {
-	*vcRig
-	slots *Slots[struct{}]
-	x, y  *types.Batch
-}
-
-func newSlotsRig(id types.NodeID) *slotsRig {
-	r := &slotsRig{vcRig: newVCRig(id)}
-	r.slots = NewSlots[struct{}](r.rep, PBFTProfile(), r.backlog, r.vc, nil, "prepare", "commit")
-	r.x = types.NewBatch(r.signedReq(1))
-	r.y = types.NewBatch(r.signedReq(2))
-	return r
-}
-
 func sig(b byte) []byte { return []byte{b} }
 
 func TestSlotsQuorumComesFromTheProfile(t *testing.T) {
-	r := newSlotsRig(1)
+	r := newVCRig(1)
 	if r.slots.Quorum != 3 {
 		t.Fatalf("Quorum = %d at f=1 under PBFT's 2f+1 profile", r.slots.Quorum)
 	}
@@ -472,7 +749,7 @@ func TestSlotsQuorumComesFromTheProfile(t *testing.T) {
 }
 
 func TestSlotsOneVotePerSenderPerStage(t *testing.T) {
-	r := newSlotsRig(1)
+	r := newVCRig(1)
 	dx := r.x.Digest()
 	sl := r.slots.Accept(0, 1, dx, r.x)
 	if sl == nil {
@@ -499,7 +776,7 @@ func TestSlotsOneVotePerSenderPerStage(t *testing.T) {
 }
 
 func TestSlotsVoteCountsOnlyTowardItsDigest(t *testing.T) {
-	r := newSlotsRig(1)
+	r := newVCRig(1)
 	dx, dy := r.x.Digest(), r.y.Digest()
 	// One vote for y and one for x overtake the proposal; the leader
 	// assigns x; then one more vote each way.
@@ -524,7 +801,7 @@ func TestSlotsVoteCountsOnlyTowardItsDigest(t *testing.T) {
 }
 
 func TestSlotsReachedFiresOnce(t *testing.T) {
-	r := newSlotsRig(1)
+	r := newVCRig(1)
 	dx := r.x.Digest()
 	sl := r.slots.Accept(0, 1, dx, r.x)
 	fired := 0
@@ -546,7 +823,7 @@ func TestSlotsReachedFiresOnce(t *testing.T) {
 }
 
 func TestSlotsConflictingProposalIsEquivocation(t *testing.T) {
-	r := newSlotsRig(1)
+	r := newVCRig(1)
 	dx := r.x.Digest()
 	if r.slots.Accept(0, 1, types.Digest{0xba}, r.x) != nil {
 		t.Fatal("accepted a batch that does not hash to its digest")
@@ -570,7 +847,7 @@ func TestSlotsConflictingProposalIsEquivocation(t *testing.T) {
 }
 
 func TestSlotsWindowRefusal(t *testing.T) {
-	r := newSlotsRig(1)
+	r := newVCRig(1)
 	dx := r.x.Digest()
 	window := types.SeqNum(r.rep.Config().HighWaterWindow)
 	if r.slots.Vote("prepare", 0, window+1, 2, dx, nil) != nil || r.slots.Accept(0, window+1, dx, r.x) != nil {
@@ -592,7 +869,7 @@ func TestSlotsWindowRefusal(t *testing.T) {
 }
 
 func TestSlotsViewEntryDropsVotesNotExecution(t *testing.T) {
-	r := newSlotsRig(1)
+	r := newVCRig(1)
 	dx, dy := r.x.Digest(), r.y.Digest()
 	r.slots.Accept(0, 1, dx, r.x)
 	r.rep.Commit(0, 1, r.x, nil)

@@ -8,16 +8,6 @@ import (
 	"bftkit/internal/types"
 )
 
-// viewState is what Slots needs of the view-change skeleton: any
-// ViewChange[VC] provides it.
-type viewState interface {
-	View() types.View
-	Active() bool
-	MayPropose() bool
-	Start(v types.View)
-	OnEnter(fn func())
-}
-
 // stageKey names one voting round of one sequence number.
 type stageKey struct {
 	seq   types.SeqNum
@@ -59,7 +49,7 @@ type Slot[X any] struct {
 type Slots[X any] struct {
 	env     Env
 	backlog *Backlog
-	vc      viewState
+	vc      *ViewChange
 	cm      *CheckpointManager // nil for protocols that checkpoint on their own
 	stages  []string
 
@@ -75,13 +65,13 @@ type Slots[X any] struct {
 // NewSlots returns the empty ordering state of one replica. stages names
 // the protocol's voting rounds (at most eight); votes for any other stage
 // are refused.
-func NewSlots[X any](env Env, profile Profile, backlog *Backlog, vc viewState, cm *CheckpointManager, stages ...string) *Slots[X] {
+func NewSlots[X any](env Env, profile Profile, backlog *Backlog, vc *ViewChange, cm *CheckpointManager, stages ...string) *Slots[X] {
 	s := &Slots[X]{
 		env: env, backlog: backlog, vc: vc, cm: cm, stages: stages,
 		Quorum: profile.QuorumSize(env.F()),
 		slots:  make(map[types.SeqNum]*Slot[X]),
 	}
-	vc.OnEnter(s.Reset)
+	vc.slots = s
 	return s
 }
 

@@ -1,60 +1,261 @@
 package core
 
 import (
+	"cmp"
+	"maps"
+	"slices"
 	"time"
 
+	"bftkit/internal/crypto"
 	"bftkit/internal/types"
 )
 
-// ViewChangeVote is what the view-change skeleton needs to see of a
-// protocol's signed view-change message. What else the message carries —
-// prepared certificates, speculative histories, accepted slots — is the
-// protocol's business.
-type ViewChangeVote interface {
+// CommittedSlot is a committed slot carried by a view-change or new-view
+// message (and by PBFT's catch-up), so that replicas that were passive or
+// dark learn it. Cert is the transferable commit certificate where the
+// protocol has one.
+type CommittedSlot struct {
+	View   types.View
+	Seq    types.SeqNum
+	Batch  *types.Batch
+	Voters []types.NodeID
+	Cert   *crypto.Certificate
+}
+
+// CarriedSlot is an uncommitted slot crossing a view change. In a
+// view-change message it is one the sender vouches for in View, with
+// whatever evidence its protocol has: a quorum certificate (SBFT, PoE,
+// Kauri), the certificate plus the leader's proposal signature (PBFT), or
+// the sender's word alone (FaB, CheapBFT, Themis, Zyzzyva). In a new-view
+// message it is the new leader's proposal for View, signed in LeaderSig.
+type CarriedSlot struct {
+	View      types.View
+	Seq       types.SeqNum
+	Digest    types.Digest
+	Batch     *types.Batch
+	Cert      *crypto.Certificate
+	LeaderSig []byte
+}
+
+// Evidence is transferable proof other than a carried slot that a
+// view-change message relays: Zyzzyva's client commit certificates. It
+// proves itself to whoever knows its type; SigDigest binds it into the
+// relaying sender's signature.
+type Evidence interface {
 	types.Message
-	// Vote returns the view the sender wants to enter, the sender, and
-	// its signature over SigDigest.
-	Vote() (newView types.View, replica types.NodeID, sig []byte)
 	SigDigest() types.Digest
 }
 
-// ViewChangeHooks are the two places a stable-leader protocol differs
-// inside the common view-change frame.
-type ViewChangeHooks[VC ViewChangeVote] struct {
-	// Build returns this replica's signed view-change message for view
-	// v: what it carries is the protocol's recovery state.
-	Build func(v types.View) VC
-	// NewView runs at the leader of v once a quorum of messages for v is
-	// in: validate the proofs they carry, choose the new view's slots
-	// from the valid ones, broadcast the new-view message and install
-	// it. The messages are relayed inside the new-view message, so they
-	// must not be modified — a stripped proof breaks the sender's
-	// signature at every backup.
-	NewView func(v types.View, vcs []VC)
+// ViewChangeMsg asks to enter NewView and carries the sender's recovery
+// state: Base is its last executed sequence number, Stable its stable
+// checkpoint, Committed what it retains committed above Stable, Carried
+// the uncommitted slots it vouches for — both in sequence order.
+type ViewChangeMsg struct {
+	NewView   types.View
+	Base      types.SeqNum
+	Stable    types.SeqNum
+	Committed []CommittedSlot
+	Carried   []CarriedSlot
+	Evidence  []Evidence
+	Replica   types.NodeID
+	Sig       []byte
 }
 
-// ViewChange is the view-change skeleton of the stable-leader protocols
+// Kind implements types.Message.
+func (*ViewChangeMsg) Kind() string { return "VIEW-CHANGE" }
+
+// SigDigest is the signed content: every field.
+func (m *ViewChangeMsg) SigDigest() types.Digest {
+	var h types.Hasher
+	h.Str("view-change").U64(uint64(m.NewView)).U64(uint64(m.Base)).U64(uint64(m.Stable)).U64(uint64(m.Replica))
+	hashCommitted(&h, m.Committed)
+	hashCarried(&h, m.Carried)
+	h.U64(uint64(len(m.Evidence)))
+	for _, e := range m.Evidence {
+		if e != nil { // the wire can carry a nil interface value
+			h.Digest(e.SigDigest())
+		}
+	}
+	return h.Sum()
+}
+
+// NewViewMsg installs View: the quorum of view-change messages that
+// justifies it, the committed slots the quorum's senders hold (for
+// replicas behind Base, the quorum's highest execution point), and the
+// uncommitted slots the new leader re-issues, gaps filled with no-ops.
+type NewViewMsg struct {
+	View        types.View
+	Base        types.SeqNum
+	ViewChanges []*ViewChangeMsg
+	Committed   []CommittedSlot
+	Reissued    []CarriedSlot
+	Sig         []byte
+}
+
+// Kind implements types.Message.
+func (*NewViewMsg) Kind() string { return "NEW-VIEW" }
+
+// SigDigest is the signed content: every field, the relayed view-change
+// messages by sender and signature.
+func (m *NewViewMsg) SigDigest() types.Digest {
+	var h types.Hasher
+	h.Str("new-view").U64(uint64(m.View)).U64(uint64(m.Base)).U64(uint64(len(m.ViewChanges)))
+	for _, vc := range m.ViewChanges {
+		h.U64(uint64(vc.Replica)).Bytes(vc.Sig)
+	}
+	hashCommitted(&h, m.Committed)
+	hashCarried(&h, m.Reissued)
+	return h.Sum()
+}
+
+func hashCommitted(h *types.Hasher, slots []CommittedSlot) {
+	h.U64(uint64(len(slots)))
+	for i := range slots {
+		s := &slots[i]
+		h.U64(uint64(s.View)).U64(uint64(s.Seq)).Digest(s.Batch.Digest()).U64(uint64(len(s.Voters)))
+		for _, id := range s.Voters {
+			h.U64(uint64(id))
+		}
+		s.Cert.HashInto(h)
+	}
+}
+
+func hashCarried(h *types.Hasher, slots []CarriedSlot) {
+	h.U64(uint64(len(slots)))
+	for i := range slots {
+		s := &slots[i]
+		h.U64(uint64(s.View)).U64(uint64(s.Seq)).Digest(s.Digest).Digest(s.Batch.Digest()).Bytes(s.LeaderSig)
+		s.Cert.HashInto(h)
+	}
+}
+
+// A Picker chooses what the new view re-issues from a quorum of
+// view-change messages: top is the highest sequence number the quorum
+// backs, and pick returns the batch for a sequence number — the empty
+// no-op batch where the quorum backs none.
+type Picker func(vcs []*ViewChangeMsg) (top types.SeqNum, pick func(types.SeqNum) *types.Batch)
+
+// HighestView picks, per sequence number, the carried slot of the highest
+// view among those whose batch hashes to its digest and whose evidence
+// valid accepts (PBFT, SBFT, PoE, Kauri: a slot some replica committed
+// left a certificate at f+1 honest senders of any quorum). Slots that fail
+// are ignored; the message that carries them is relayed as it was signed.
+func HighestView(valid func(*CarriedSlot) bool) Picker {
+	return func(vcs []*ViewChangeMsg) (types.SeqNum, func(types.SeqNum) *types.Batch) {
+		var top types.SeqNum
+		chosen := make(map[types.SeqNum]*CarriedSlot)
+		for _, m := range vcs {
+			for i := range m.Carried {
+				s := &m.Carried[i]
+				if s.Batch == nil || s.Batch.Digest() != s.Digest || !valid(s) {
+					continue
+				}
+				if cur := chosen[s.Seq]; cur == nil || s.View > cur.View {
+					chosen[s.Seq] = s
+				}
+				top = max(top, s.Seq)
+			}
+		}
+		return top, func(seq types.SeqNum) *types.Batch {
+			if s := chosen[seq]; s != nil {
+				return s.Batch
+			}
+			return types.NewBatch()
+		}
+	}
+}
+
+// MostClaimed picks, per sequence number, the batch most senders carry
+// (FaB, CheapBFT, Themis, and under Zyzzyva's client-certificate pin):
+// see SlotClaims.
+func MostClaimed(vcs []*ViewChangeMsg) (types.SeqNum, func(types.SeqNum) *types.Batch) {
+	c := Claims(vcs)
+	return c.Max, c.Best
+}
+
+// Claims tallies the carried slots of a quorum, one claim per sender and
+// sequence number.
+func Claims(vcs []*ViewChangeMsg) *SlotClaims {
+	var c SlotClaims
+	for _, m := range vcs {
+		for i := range m.Carried {
+			s := &m.Carried[i]
+			c.Add(m.Replica, s.Seq, s.Digest, s.Batch)
+		}
+	}
+	return &c
+}
+
+// UpToBase is the ViewChangeHooks.Keep of the protocols that carry
+// committed slots only for replicas behind the quorum's execution point.
+func UpToBase(cs *CommittedSlot, base types.SeqNum) bool { return cs.Seq <= base }
+
+// ViewChangeHooks are what a stable-leader protocol contributes to the
+// view change; everything else — the messages, the recovery loop, the
+// frame around it — is ViewChange's.
+type ViewChangeHooks struct {
+	// Vouch adds to this replica's view-change message, whose header the
+	// kit has filled, what the protocol carries: retained committed slots,
+	// the uncommitted slots it vouches for, evidence. Any order; the kit
+	// sorts the slots by sequence number.
+	Vouch func(m *ViewChangeMsg)
+	// Pick chooses the re-issued batches at the new leader: HighestView
+	// with the protocol's evidence check, or MostClaimed.
+	Pick Picker
+	// Keep reports whether the new leader carries a committed slot some
+	// quorum member named, given the quorum's highest execution point; the
+	// first kept per sequence number is carried and not re-issued. Nil
+	// carries none, and the new view then re-issues from the quorum's
+	// highest stable checkpoint instead of from base (PBFT).
+	Keep func(cs *CommittedSlot, base types.SeqNum) bool
+	// SigDigest returns what the new leader signs on a slot it re-issues:
+	// the signed content of the protocol's own proposal message for it.
+	SigDigest func(s *CarriedSlot) types.Digest
+	// Accept passes one re-issued slot of an installed new view through the
+	// protocol's normal acceptance path, as its own proposal message.
+	Accept func(s *CarriedSlot)
+	// Adopt commits one committed slot of an installed new view that this
+	// replica has not executed. Nil means AdoptCommitted, on the new
+	// leader's word.
+	Adopt func(cs *CommittedSlot)
+	// Reset, when set, runs on entering the new view before anything it
+	// carries is adopted (roll back speculation, ask for catch-up).
+	Reset func(nv *NewViewMsg)
+	// Resume runs once the new view is adopted and proposing is allowed
+	// again.
+	Resume func()
+}
+
+// ordering is what ViewChange needs of the ordering stage: Slots, whatever
+// the protocol keeps per slot.
+type ordering interface {
+	Reset()
+	Advance(seq types.SeqNum)
+}
+
+// ViewChange is the view-change stage of the stable-leader protocols
 // (dimension P3). It owns the current view, the "view change running"
 // flag and its target, the table of received view-change messages and the
 // sent-new-view marks, and with them every rule that is the same in all
-// of them: when a view change may start, how a received message is
-// authenticated and recorded, when to join others' view change, when the
-// next leader has its quorum, whether a new-view message is justified,
-// and what is reset on entering a view.
-type ViewChange[VC ViewChangeVote] struct {
+// of them: when a view change may start, what a view-change message is
+// and how a received one is authenticated and recorded, when to join
+// others' view change, when the next leader has its quorum, how it builds
+// the new view from it, whether a new-view message is justified, how it is
+// installed and adopted, and what is reset on entering a view.
+type ViewChange struct {
 	env     Env
 	backlog *Backlog
 	timer   string // retry timer name (τ2 for consecutive view changes)
 	quorum  int
-	hooks   ViewChangeHooks[VC]
+	hooks   ViewChangeHooks
+	slots   ordering // set by NewSlots
 
 	view     types.View
 	active   bool
 	target   types.View
 	adopting bool
-	votes    Tally[types.View, VC]
+	votes    Tally[types.View, *ViewChangeMsg]
 	sent     map[types.View]bool
-	onEnter  func() // the ordering stage's reset, see OnEnter
 
 	// RetryAfter is how long a started view change may stall before the
 	// replica moves on to the next view. It is reset to the configured
@@ -63,10 +264,11 @@ type ViewChange[VC ViewChangeVote] struct {
 	RetryAfter time.Duration
 }
 
-// NewViewChange returns the skeleton for one replica. quorum is how many
-// view-change messages justify a new view (2f+1 for most protocols).
-func NewViewChange[VC ViewChangeVote](env Env, backlog *Backlog, retryTimer string, quorum int, hooks ViewChangeHooks[VC]) *ViewChange[VC] {
-	return &ViewChange[VC]{
+// NewViewChange returns the view-change stage of one replica. quorum is
+// how many view-change messages justify a new view (2f+1 for most
+// protocols). NewSlots attaches the ordering stage.
+func NewViewChange(env Env, backlog *Backlog, retryTimer string, quorum int, hooks ViewChangeHooks) *ViewChange {
+	return &ViewChange{
 		env:        env,
 		backlog:    backlog,
 		timer:      retryTimer,
@@ -78,31 +280,27 @@ func NewViewChange[VC ViewChangeVote](env Env, backlog *Backlog, retryTimer stri
 }
 
 // View returns the view this replica is in.
-func (vc *ViewChange[VC]) View() types.View { return vc.view }
+func (vc *ViewChange) View() types.View { return vc.view }
 
 // Active reports whether a view change is running; ordering messages are
 // not processed while it is.
-func (vc *ViewChange[VC]) Active() bool { return vc.active }
+func (vc *ViewChange) Active() bool { return vc.active }
 
 // Leader returns the current view's leader.
-func (vc *ViewChange[VC]) Leader() types.NodeID { return vc.env.Config().LeaderOf(vc.view) }
+func (vc *ViewChange) Leader() types.NodeID { return vc.env.Config().LeaderOf(vc.view) }
 
 // Leading reports whether this replica leads the current view.
-func (vc *ViewChange[VC]) Leading() bool { return vc.Leader() == vc.env.ID() }
+func (vc *ViewChange) Leading() bool { return vc.Leader() == vc.env.ID() }
 
 // MayPropose reports whether this replica may assign a fresh sequence
 // number now: it leads the current view, no view change is running, and
 // it is not in the middle of adopting a new view's carried slots.
-func (vc *ViewChange[VC]) MayPropose() bool { return vc.Leading() && !vc.active && !vc.adopting }
-
-// OnEnter registers fn to run whenever the replica enters a view: Slots
-// drops the old view's ordering state there.
-func (vc *ViewChange[VC]) OnEnter(fn func()) { vc.onEnter = fn }
+func (vc *ViewChange) MayPropose() bool { return vc.Leading() && !vc.active && !vc.adopting }
 
 // Start begins (or escalates) a view change toward view v, or the next
 // view if v is not ahead. A running view change only ever moves to a
 // higher target.
-func (vc *ViewChange[VC]) Start(v types.View) {
+func (vc *ViewChange) Start(v types.View) {
 	if v <= vc.view {
 		v = vc.view + 1
 	}
@@ -112,21 +310,32 @@ func (vc *ViewChange[VC]) Start(v types.View) {
 	vc.active = true
 	vc.target = v
 	vc.backlog.Suspend()
-	m := vc.hooks.Build(v)
+	m := vc.build(v)
 	vc.votes.Replace(v, vc.env.ID(), m)
 	vc.env.Broadcast(m)
 	vc.env.SetTimer(TimerID{Name: vc.timer, View: v}, vc.RetryAfter)
 }
 
+// build returns this replica's signed view-change message for view v.
+func (vc *ViewChange) build(v types.View) *ViewChangeMsg {
+	led := vc.env.Ledger()
+	m := &ViewChangeMsg{NewView: v, Base: led.LastExecuted(), Stable: led.LowWater(), Replica: vc.env.ID()}
+	vc.hooks.Vouch(m)
+	slices.SortStableFunc(m.Committed, func(a, b CommittedSlot) int { return cmp.Compare(a.Seq, b.Seq) })
+	slices.SortStableFunc(m.Carried, func(a, b CarriedSlot) int { return cmp.Compare(a.Seq, b.Seq) })
+	m.Sig = vc.env.Signer().Sign(m.SigDigest())
+	return m
+}
+
 // RetryDue reports whether a fired retry timer belongs to the view
 // change still running.
-func (vc *ViewChange[VC]) RetryDue(id TimerID) bool {
+func (vc *ViewChange) RetryDue(id TimerID) bool {
 	return vc.active && id.View == vc.target
 }
 
 // Retry handles the retry timer: the view change toward the target
 // stalled (its leader may be faulty too), so try the view after it.
-func (vc *ViewChange[VC]) Retry(id TimerID) {
+func (vc *ViewChange) Retry(id TimerID) {
 	if vc.RetryDue(id) {
 		vc.Start(vc.target + 1)
 	}
@@ -137,7 +346,7 @@ func (vc *ViewChange[VC]) Retry(id TimerID) {
 // waiting is evidence against the leader and starts a view change, and the
 // retry timer of a stalled view change. Timers of any other name are the
 // protocol's own and are ignored.
-func (vc *ViewChange[VC]) OnTimer(id TimerID) {
+func (vc *ViewChange) OnTimer(id TimerID) {
 	switch id.Name {
 	case vc.backlog.timer:
 		if vc.backlog.Expired(id) {
@@ -148,13 +357,29 @@ func (vc *ViewChange[VC]) OnTimer(id TimerID) {
 	}
 }
 
+// OnMessage handles the two messages of the view-change stage and reports
+// whether m was one of them.
+func (vc *ViewChange) OnMessage(from types.NodeID, m types.Message) bool {
+	switch mm := m.(type) {
+	case *ViewChangeMsg:
+		vc.OnViewChange(from, mm)
+	case *NewViewMsg:
+		if vc.Justified(from, mm) {
+			vc.install(mm)
+		}
+	default:
+		return false
+	}
+	return true
+}
+
 // OnViewChange handles a view-change message from a peer.
-func (vc *ViewChange[VC]) OnViewChange(from types.NodeID, m VC) {
-	v, replica, sig := m.Vote()
-	if replica != from || v <= vc.view {
+func (vc *ViewChange) OnViewChange(from types.NodeID, m *ViewChangeMsg) {
+	v := m.NewView
+	if m.Replica != from || v <= vc.view {
 		return
 	}
-	if !vc.env.Verifier().VerifySig(from, m.SigDigest(), sig) {
+	if !vc.env.Verifier().VerifySig(from, m.SigDigest(), m.Sig) {
 		return
 	}
 	vc.votes.Replace(v, from, m)
@@ -173,7 +398,7 @@ func (vc *ViewChange[VC]) OnViewChange(from types.NodeID, m VC) {
 	vc.maybeNewView(v)
 }
 
-func (vc *ViewChange[VC]) maybeNewView(v types.View) {
+func (vc *ViewChange) maybeNewView(v types.View) {
 	if vc.env.Config().LeaderOf(v) != vc.env.ID() || vc.sent[v] {
 		return
 	}
@@ -182,38 +407,124 @@ func (vc *ViewChange[VC]) maybeNewView(v types.View) {
 		return
 	}
 	vc.sent[v] = true
-	vcs := make([]VC, len(votes))
+	vcs := make([]*ViewChangeMsg, len(votes))
 	for i, vote := range votes {
 		vcs[i] = vote.Val
 	}
-	vc.hooks.NewView(v, vcs)
+	vc.sendNewView(v, vcs)
 }
 
-// Justified reports whether a new-view message for view v, signed by
-// from over digest, may be installed: it is not stale, it comes from v's
-// leader, and it carries a quorum of validly signed view-change messages
-// for exactly v from distinct replicas.
-func (vc *ViewChange[VC]) Justified(from types.NodeID, v types.View, digest types.Digest, sig []byte, vcs []VC) bool {
+// sendNewView runs at the leader of v once a quorum of view-change
+// messages for v is in: merge their execution points and committed slots,
+// pick each uncommitted slot up to the highest one backed, sign, broadcast
+// and install. The messages are relayed as received — a stripped slot
+// would break the sender's signature at every backup.
+func (vc *ViewChange) sendNewView(v types.View, vcs []*ViewChangeMsg) {
+	var base, stable types.SeqNum
+	for _, m := range vcs {
+		base, stable = max(base, m.Base), max(stable, m.Stable)
+	}
+	top, pick := vc.hooks.Pick(vcs)
+	from := stable
+	committed := make(map[types.SeqNum]*CommittedSlot)
+	if vc.hooks.Keep != nil {
+		from = base
+		for _, m := range vcs {
+			for i := range m.Committed {
+				cs := &m.Committed[i]
+				if committed[cs.Seq] == nil && cs.Batch != nil && vc.hooks.Keep(cs, base) {
+					committed[cs.Seq] = cs
+					top = max(top, cs.Seq)
+				}
+			}
+		}
+	}
+	// One sender can name any sequence number; nobody accepts a slot
+	// beyond the window above the execution point, so none is re-issued.
+	top = min(top, base+types.SeqNum(vc.env.Config().HighWaterWindow))
+	nv := &NewViewMsg{View: v, Base: base, ViewChanges: vcs}
+	for _, seq := range slices.Sorted(maps.Keys(committed)) {
+		nv.Committed = append(nv.Committed, *committed[seq])
+	}
+	for seq := from + 1; seq <= top; seq++ {
+		if committed[seq] != nil {
+			continue // carried as decided
+		}
+		batch := pick(seq)
+		s := CarriedSlot{View: v, Seq: seq, Digest: batch.Digest(), Batch: batch}
+		s.LeaderSig = vc.env.Signer().Sign(vc.hooks.SigDigest(&s))
+		nv.Reissued = append(nv.Reissued, s)
+	}
+	nv.Sig = vc.env.Signer().Sign(nv.SigDigest())
+	vc.env.Broadcast(nv)
+	vc.install(nv)
+}
+
+// Justified reports whether a new-view message may be installed: it is
+// not stale, it comes from its view's leader, who signed it, and it
+// carries a quorum of validly signed view-change messages for exactly
+// that view from distinct replicas.
+func (vc *ViewChange) Justified(from types.NodeID, m *NewViewMsg) bool {
+	v := m.View
 	if v < vc.view || (v == vc.view && !vc.active) {
 		return false
 	}
-	if from != vc.env.Config().LeaderOf(v) || !vc.env.Verifier().VerifySig(from, digest, sig) {
+	if from != vc.env.Config().LeaderOf(v) || !vc.env.Verifier().VerifySig(from, m.SigDigest(), m.Sig) {
 		return false
 	}
-	if len(vcs) < vc.quorum {
+	if len(m.ViewChanges) < vc.quorum {
 		return false
 	}
 	var signers Tally[types.View, struct{}]
-	for _, m := range vcs {
-		mv, replica, msig := m.Vote()
-		if mv != v || signers.Add(v, replica, struct{}{}) == 0 {
+	for _, c := range m.ViewChanges {
+		if c.NewView != v || signers.Add(v, c.Replica, struct{}{}) == 0 {
 			return false
 		}
-		if !vc.env.Verifier().VerifySig(replica, m.SigDigest(), msig) {
+		if !vc.env.Verifier().VerifySig(c.Replica, c.SigDigest(), c.Sig) {
 			return false
 		}
 	}
 	return true
+}
+
+// install enters the new view and adopts what its message carries —
+// committed slots this replica has not executed, then the re-issued
+// slots through the protocol's own acceptance path — with proposing held
+// until that is done. Committing a carried slot executes it and
+// re-enters the protocol's OnExecuted; a new leader that proposed from
+// there would hand out sequence numbers the new-view message has already
+// assigned, equivocating against itself.
+func (vc *ViewChange) install(nv *NewViewMsg) {
+	vc.Enter(nv.View)
+	vc.adopting = true
+	if vc.hooks.Reset != nil {
+		vc.hooks.Reset(nv)
+	}
+	led := vc.env.Ledger()
+	vc.slots.Advance(nv.Base)
+	for i := range nv.Committed {
+		cs := &nv.Committed[i]
+		if cs.Batch == nil {
+			continue
+		}
+		if cs.Seq > led.LastExecuted() {
+			if vc.hooks.Adopt != nil {
+				vc.hooks.Adopt(cs)
+			} else {
+				AdoptCommitted(vc.env, cs)
+			}
+		}
+		vc.slots.Advance(cs.Seq)
+	}
+	for i := range nv.Reissued {
+		s := &nv.Reissued[i]
+		vc.slots.Advance(s.Seq)
+		if s.Seq > led.LastExecuted() {
+			vc.hooks.Accept(s)
+		}
+	}
+	vc.adopting = false
+	vc.hooks.Resume()
 }
 
 // Enter moves the replica into view v — on installing a new-view message
@@ -221,7 +532,7 @@ func (vc *ViewChange[VC]) Justified(from types.NodeID, v types.View, digest type
 // view change (if any) is over, the retry timer and its back-off are
 // reset, view-change messages for views up to v are garbage-collected,
 // and the backlog re-opens under v.
-func (vc *ViewChange[VC]) Enter(v types.View) {
+func (vc *ViewChange) Enter(v types.View) {
 	vc.view = v
 	vc.active = false
 	vc.RetryAfter = vc.env.Config().ViewChangeTimeout
@@ -233,28 +544,13 @@ func (vc *ViewChange[VC]) Enter(v types.View) {
 			delete(vc.sent, k)
 		}
 	}
-	if vc.onEnter != nil {
-		vc.onEnter()
-	}
+	vc.slots.Reset()
 	vc.backlog.EnterView(v)
-}
-
-// Install enters view v and runs adopt — the protocol's adoption of what
-// the new-view message carries (committed slots, re-issued proposals) —
-// with proposing held until adopt returns. Committing a carried slot
-// executes it and re-enters the protocol's OnExecuted; a new leader that
-// proposed from there would hand out sequence numbers the new-view
-// message has already assigned, equivocating against itself.
-func (vc *ViewChange[VC]) Install(v types.View, adopt func()) {
-	vc.Enter(v)
-	vc.adopting = true
-	adopt()
-	vc.adopting = false
 }
 
 // Forget discards the received view-change messages (proactive recovery
 // drops volatile state and rebuilds from what peers resend).
-func (vc *ViewChange[VC]) Forget() { vc.votes = Tally[types.View, VC]{} }
+func (vc *ViewChange) Forget() { vc.votes = Tally[types.View, *ViewChangeMsg]{} }
 
 // SlotClaims is how a new leader without transferable certificates picks
 // the new view's slots (FaB, CheapBFT, Themis, Zyzzyva): every
@@ -313,27 +609,29 @@ func (c *SlotClaims) Best(seq types.SeqNum) *types.Batch {
 	return best
 }
 
-// RetainedCommitted calls yield for every committed slot this replica
-// still retains above its stable checkpoint, with its commit proof's
-// voters: what a view-change message carries so that replicas that were
-// passive or dark catch up from the new-view message.
-func RetainedCommitted(env Env, yield func(view types.View, seq types.SeqNum, batch *types.Batch, voters []types.NodeID)) {
+// RetainedCommitted returns every committed slot this replica still
+// retains above its stable checkpoint, with its commit proof's voters: what
+// a view-change message carries so that replicas that were passive or dark
+// catch up from the new-view message.
+func RetainedCommitted(env Env) []CommittedSlot {
+	var out []CommittedSlot
 	for _, e := range env.Ledger().CommittedAbove(env.Ledger().LowWater()) {
-		var voters []types.NodeID
+		cs := CommittedSlot{View: e.View, Seq: e.Seq, Batch: e.Batch}
 		if e.Proof != nil {
-			voters = e.Proof.Voters
+			cs.Voters = e.Proof.Voters
 		}
-		yield(e.View, e.Seq, e.Batch, voters)
+		out = append(out, cs)
 	}
+	return out
 }
 
 // AdoptCommitted commits a slot carried by a new-view message unless
 // this replica already executed it.
-func AdoptCommitted(env Env, view types.View, seq types.SeqNum, batch *types.Batch, voters []types.NodeID) {
-	if seq <= env.Ledger().LastExecuted() {
+func AdoptCommitted(env Env, cs *CommittedSlot) {
+	if cs.Seq <= env.Ledger().LastExecuted() {
 		return
 	}
-	proof := &types.CommitProof{View: view, Seq: seq, Digest: batch.Digest(),
-		Voters: append([]types.NodeID(nil), voters...)}
-	env.Commit(view, seq, batch, proof)
+	proof := &types.CommitProof{View: cs.View, Seq: cs.Seq, Digest: cs.Batch.Digest(),
+		Voters: append([]types.NodeID(nil), cs.Voters...)}
+	env.Commit(cs.View, cs.Seq, cs.Batch, proof)
 }

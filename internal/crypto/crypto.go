@@ -381,6 +381,29 @@ func (c *Certificate) Add(id types.NodeID, sig []byte) {
 // Size returns the number of component signatures.
 func (c *Certificate) Size() int { return len(c.Signers) }
 
+// HashInto feeds every field of the certificate (or its absence, for nil)
+// to h: what a message that relays a certificate signs, so the relayed
+// copy cannot be swapped or stripped under the sender's signature.
+func (c *Certificate) HashInto(h *types.Hasher) {
+	if c == nil {
+		h.U64(0)
+		return
+	}
+	h.U64(1).Digest(c.Digest).U64(uint64(len(c.Signers)))
+	for _, id := range c.Signers {
+		h.U64(uint64(id))
+	}
+	h.U64(uint64(len(c.Sigs)))
+	for _, sig := range c.Sigs {
+		h.Bytes(sig)
+	}
+	var threshold uint64
+	if c.Threshold {
+		threshold = 1
+	}
+	h.U64(threshold)
+}
+
 // Verify checks the certificate contains at least quorum valid signatures
 // from distinct replicas over c.Digest.
 //

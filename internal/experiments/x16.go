@@ -69,7 +69,7 @@ func X16ByzantineFallback(w io.Writer) {
 	probes := map[string]probe{
 		"zyzzyva": {fast: "ORDER-REQ", slow: "ZYZ-COMMIT"},
 		"sbft":    {fast: "SBFT-PROOF-fast-commit", slow: "SBFT-PROOF-prepare"},
-		"poe":     {fast: "POE-CERTIFY", slow: "POE-VIEW-CHANGE"},
+		"poe":     {fast: "POE-CERTIFY", slow: "VIEW-CHANGE"},
 	}
 	for _, proto := range []string{"zyzzyva", "sbft", "poe"} {
 		for _, row := range []struct {

@@ -48,7 +48,7 @@ func TestPhaseClassification(t *testing.T) {
 		"CHECKPOINT":         PhaseCheckpoint,
 		"ZYZ-CHECKPOINT":     PhaseCheckpoint,
 		"VIEW-CHANGE":        PhaseViewChange,
-		"SBFT-NEW-VIEW":      PhaseViewChange,
+		"NEW-VIEW":           PhaseViewChange,
 		"HS-TIMEOUT":         PhaseViewChange,
 		"FETCH-STATE":        PhaseRecovery,
 		"SBFT-SHARE-sign":    "sign",

@@ -112,82 +112,6 @@ func (m *UpdateMsg) SigClaims(from types.NodeID) []crypto.SigClaim {
 	return []crypto.SigClaim{{Signer: from, Digest: m.SigDigest(), Sig: m.Sig}}
 }
 
-// ViewChangeMsg rotates the active set (and the leader).
-type ViewChangeMsg struct {
-	NewView types.View
-	Base    types.SeqNum
-	// Committed carries retained committed slots so lagging replicas
-	// catch up across the rotation.
-	Committed []CommittedSlot
-	// Prepared carries slots the sender voted for but did not commit.
-	Prepared []PreparedSlot
-	Replica  types.NodeID
-	Sig      []byte
-}
-
-// CommittedSlot is a slot with its commit proof.
-type CommittedSlot struct {
-	View   types.View
-	Seq    types.SeqNum
-	Batch  *types.Batch
-	Voters []types.NodeID
-}
-
-// PreparedSlot is a voted-but-uncommitted slot.
-type PreparedSlot struct {
-	View   types.View
-	Seq    types.SeqNum
-	Digest types.Digest
-	Batch  *types.Batch
-}
-
-// Kind implements types.Message.
-func (*ViewChangeMsg) Kind() string { return "CHEAP-VIEW-CHANGE" }
-
-// Vote implements core.ViewChangeVote.
-func (m *ViewChangeMsg) Vote() (types.View, types.NodeID, []byte) { return m.NewView, m.Replica, m.Sig }
-
-// SigDigest is the signed content.
-func (m *ViewChangeMsg) SigDigest() types.Digest {
-	var h types.Hasher
-	h.Str("cheap-vc").U64(uint64(m.NewView)).U64(uint64(m.Base)).U64(uint64(m.Replica))
-	for _, s := range m.Committed {
-		h.U64(uint64(s.Seq)).Digest(s.Batch.Digest())
-	}
-	for _, s := range m.Prepared {
-		h.U64(uint64(s.Seq)).Digest(s.Digest)
-	}
-	return h.Sum()
-}
-
-// NewViewMsg installs the rotated configuration.
-type NewViewMsg struct {
-	View types.View
-	// Base is the highest sequence number committed somewhere; fresh
-	// assignments start strictly above it.
-	Base        types.SeqNum
-	ViewChanges []*ViewChangeMsg
-	Committed   []CommittedSlot
-	Proposals   []*ProposeMsg
-	Sig         []byte
-}
-
-// Kind implements types.Message.
-func (*NewViewMsg) Kind() string { return "CHEAP-NEW-VIEW" }
-
-// SigDigest is the signed content.
-func (m *NewViewMsg) SigDigest() types.Digest {
-	var h types.Hasher
-	h.Str("cheap-nv").U64(uint64(m.View)).U64(uint64(m.Base))
-	for _, p := range m.Proposals {
-		h.U64(uint64(p.Seq)).Digest(p.Digest)
-	}
-	for _, s := range m.Committed {
-		h.U64(uint64(s.Seq))
-	}
-	return h.Sum()
-}
-
 // Options tunes a CheapBFT replica.
 type Options struct {
 	// SilentActive withholds votes while active (forces the fallback).
@@ -204,10 +128,10 @@ type CheapBFT struct {
 	cm   *core.CheckpointManager
 
 	// backlog is the request intake and τ2 timer; vc the view-change
-	// skeleton, which owns the current view; Slots the ordering stage's
+	// stage, which owns the current view; Slots the ordering stage's
 	// per-sequence state (all from the core kit).
 	backlog *core.Backlog
-	vc      *core.ViewChange[*ViewChangeMsg]
+	vc      *core.ViewChange
 	Slots   *core.Slots[struct{}]
 }
 
@@ -230,8 +154,7 @@ func (c *CheapBFT) Init(env core.Env) {
 	c.env = env
 	c.cm = core.NewCheckpointManager(env)
 	c.backlog = core.NewBacklog(env, timerProgress)
-	c.vc = core.NewViewChange(env, c.backlog, timerVCRetry, env.Config().Quorum(),
-		core.ViewChangeHooks[*ViewChangeMsg]{Build: c.buildViewChange, NewView: c.sendNewView})
+	c.vc = core.NewViewChange(env, c.backlog, timerVCRetry, env.Config().Quorum(), c.viewChangeHooks())
 	c.Slots = core.NewSlots[struct{}](env, core.CheapBFTProfile(), c.backlog, c.vc, c.cm, stageVote)
 }
 
@@ -305,7 +228,7 @@ func (c *CheapBFT) acceptPropose(m *ProposeMsg) {
 
 // OnMessage implements core.Protocol.
 func (c *CheapBFT) OnMessage(from types.NodeID, m types.Message) {
-	if c.cm.OnMessage(from, m) {
+	if c.cm.OnMessage(from, m) || c.vc.OnMessage(from, m) {
 		return
 	}
 	switch mm := m.(type) {
@@ -334,10 +257,6 @@ func (c *CheapBFT) OnMessage(from types.NodeID, m types.Message) {
 		}
 	case *UpdateMsg:
 		c.onUpdate(from, mm)
-	case *ViewChangeMsg:
-		c.vc.OnViewChange(from, mm)
-	case *NewViewMsg:
-		c.onNewView(from, mm)
 	}
 }
 

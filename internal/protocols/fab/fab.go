@@ -75,81 +75,6 @@ func (m *AcceptMsg) SigClaims(from types.NodeID) []crypto.SigClaim {
 	return []crypto.SigClaim{{Signer: from, Digest: m.SigDigest(), Sig: m.Sig}}
 }
 
-// ViewChangeMsg carries accepted slots into the next view.
-type ViewChangeMsg struct {
-	NewView types.View
-	Base    types.SeqNum
-	// Committed carries retained committed slots with their proofs so
-	// lagging replicas catch up across the view change.
-	Committed []CommittedSlot
-	Accepted  []AcceptedSlot
-	Replica   types.NodeID
-	Sig       []byte
-}
-
-// CommittedSlot is a slot with its commit proof.
-type CommittedSlot struct {
-	View   types.View
-	Seq    types.SeqNum
-	Batch  *types.Batch
-	Voters []types.NodeID
-}
-
-// AcceptedSlot is a slot this replica accepted.
-type AcceptedSlot struct {
-	View   types.View
-	Seq    types.SeqNum
-	Digest types.Digest
-	Batch  *types.Batch
-}
-
-// Kind implements types.Message.
-func (*ViewChangeMsg) Kind() string { return "FAB-VIEW-CHANGE" }
-
-// Vote implements core.ViewChangeVote.
-func (m *ViewChangeMsg) Vote() (types.View, types.NodeID, []byte) { return m.NewView, m.Replica, m.Sig }
-
-// SigDigest is the signed content.
-func (m *ViewChangeMsg) SigDigest() types.Digest {
-	var h types.Hasher
-	h.Str("fab-vc").U64(uint64(m.NewView)).U64(uint64(m.Base)).U64(uint64(m.Replica))
-	for _, s := range m.Committed {
-		h.U64(uint64(s.Seq)).Digest(s.Batch.Digest())
-	}
-	for _, s := range m.Accepted {
-		h.U64(uint64(s.Seq)).Digest(s.Digest)
-	}
-	return h.Sum()
-}
-
-// NewViewMsg installs a view.
-type NewViewMsg struct {
-	View types.View
-	// Base is the highest sequence number committed somewhere; the new
-	// leader assigns fresh numbers strictly above it.
-	Base        types.SeqNum
-	ViewChanges []*ViewChangeMsg
-	Committed   []CommittedSlot
-	Proposals   []*ProposeMsg
-	Sig         []byte
-}
-
-// Kind implements types.Message.
-func (*NewViewMsg) Kind() string { return "FAB-NEW-VIEW" }
-
-// SigDigest is the signed content.
-func (m *NewViewMsg) SigDigest() types.Digest {
-	var h types.Hasher
-	h.Str("fab-nv").U64(uint64(m.View)).U64(uint64(m.Base))
-	for _, s := range m.Committed {
-		h.U64(uint64(s.Seq))
-	}
-	for _, p := range m.Proposals {
-		h.U64(uint64(p.Seq)).Digest(p.Digest)
-	}
-	return h.Sum()
-}
-
 // stageAccept is FaB's one voting stage: the all-to-all accept round.
 const stageAccept = "accept"
 
@@ -159,11 +84,11 @@ type FaB struct {
 	cm  *core.CheckpointManager
 
 	// backlog is the request intake and τ2 timer; vc the view-change
-	// skeleton, which owns the current view; Slots the ordering stage's
+	// stage, which owns the current view; Slots the ordering stage's
 	// per-sequence state, with the profile's 4f+1 quorum — the price of
 	// losing a phase (all from the core kit).
 	backlog *core.Backlog
-	vc      *core.ViewChange[*ViewChangeMsg]
+	vc      *core.ViewChange
 	Slots   *core.Slots[struct{}]
 }
 
@@ -184,8 +109,7 @@ func (f *FaB) Init(env core.Env) {
 	f.cm = core.NewCheckpointManager(env)
 	f.backlog = core.NewBacklog(env, timerProgress)
 	// FaB's view-change quorum is n−f messages.
-	f.vc = core.NewViewChange(env, f.backlog, timerVCRetry, env.N()-env.F(),
-		core.ViewChangeHooks[*ViewChangeMsg]{Build: f.buildViewChange, NewView: f.sendNewView})
+	f.vc = core.NewViewChange(env, f.backlog, timerVCRetry, env.N()-env.F(), f.viewChangeHooks())
 	f.Slots = core.NewSlots[struct{}](env, core.FaBProfile(), f.backlog, f.vc, f.cm, stageAccept)
 }
 
@@ -222,7 +146,7 @@ func (f *FaB) acceptPropose(m *ProposeMsg) {
 
 // OnMessage implements core.Protocol.
 func (f *FaB) OnMessage(from types.NodeID, m types.Message) {
-	if f.cm.OnMessage(from, m) {
+	if f.cm.OnMessage(from, m) || f.vc.OnMessage(from, m) {
 		return
 	}
 	switch mm := m.(type) {
@@ -246,10 +170,6 @@ func (f *FaB) OnMessage(from types.NodeID, m types.Message) {
 		if sl := f.Slots.Vote(stageAccept, mm.View, mm.Seq, from, mm.Digest, nil); sl != nil {
 			f.checkCommit(sl)
 		}
-	case *ViewChangeMsg:
-		f.vc.OnViewChange(from, mm)
-	case *NewViewMsg:
-		f.onNewView(from, mm)
 	}
 }
 

@@ -111,76 +111,6 @@ func (m *CertMsg) SigDigest() types.Digest {
 	return h.Sum()
 }
 
-// ViewChangeMsg reconfigures the tree (star topology: straight to the
-// next root).
-type ViewChangeMsg struct {
-	NewView   types.View
-	Base      types.SeqNum
-	Committed []CommittedSlot
-	Prepared  []PreparedSlot
-	Replica   types.NodeID
-	Sig       []byte
-}
-
-// CommittedSlot carries a committed slot and its proof.
-type CommittedSlot struct {
-	View   types.View
-	Seq    types.SeqNum
-	Batch  *types.Batch
-	Voters []types.NodeID
-}
-
-// PreparedSlot carries a slot with a prepare certificate.
-type PreparedSlot struct {
-	View   types.View
-	Seq    types.SeqNum
-	Digest types.Digest
-	Batch  *types.Batch
-	Cert   *crypto.Certificate
-}
-
-// Kind implements types.Message.
-func (*ViewChangeMsg) Kind() string { return "KAURI-VIEW-CHANGE" }
-
-// Vote implements core.ViewChangeVote.
-func (m *ViewChangeMsg) Vote() (types.View, types.NodeID, []byte) { return m.NewView, m.Replica, m.Sig }
-
-// SigDigest is the signed content.
-func (m *ViewChangeMsg) SigDigest() types.Digest {
-	var h types.Hasher
-	h.Str("kauri-vc").U64(uint64(m.NewView)).U64(uint64(m.Base)).U64(uint64(m.Replica))
-	for _, s := range m.Committed {
-		h.U64(uint64(s.Seq))
-	}
-	for _, s := range m.Prepared {
-		h.U64(uint64(s.Seq)).Digest(s.Digest)
-	}
-	return h.Sum()
-}
-
-// NewViewMsg installs a view (broadcast; the tree is not trusted yet).
-type NewViewMsg struct {
-	View        types.View
-	Base        types.SeqNum
-	ViewChanges []*ViewChangeMsg
-	Committed   []CommittedSlot
-	Proposals   []*ProposalMsg
-	Sig         []byte
-}
-
-// Kind implements types.Message.
-func (*NewViewMsg) Kind() string { return "KAURI-NEW-VIEW" }
-
-// SigDigest is the signed content.
-func (m *NewViewMsg) SigDigest() types.Digest {
-	var h types.Hasher
-	h.Str("kauri-nv").U64(uint64(m.View)).U64(uint64(m.Base))
-	for _, p := range m.Proposals {
-		h.U64(uint64(p.Seq)).Digest(p.Digest)
-	}
-	return h.Sum()
-}
-
 // The two aggregation rounds (AggrMsg.Stage and CertMsg.Stage on the wire).
 const (
 	stagePrepare = "prepare"
@@ -211,15 +141,15 @@ type Kauri struct {
 	cm  *core.CheckpointManager
 
 	// backlog is the request intake and τ2 timer; vc the view-change
-	// skeleton, which owns the current view; Slots the ordering stage's
+	// stage, which owns the current view; Slots the ordering stage's
 	// per-sequence state (all from the core kit).
 	backlog *core.Backlog
-	vc      *core.ViewChange[*ViewChangeMsg]
+	vc      *core.ViewChange
 	Slots   *core.Slots[slotExt]
 
 	// preparedProof persists prepare certificates across tree
 	// reconfigurations (the per-view slots are dropped on install).
-	preparedProof map[types.SeqNum]*PreparedSlot
+	preparedProof map[types.SeqNum]*core.CarriedSlot
 }
 
 // New returns a Kauri replica.
@@ -237,10 +167,9 @@ func init() {
 func (k *Kauri) Init(env core.Env) {
 	k.env = env
 	k.cm = core.NewCheckpointManager(env)
-	k.preparedProof = make(map[types.SeqNum]*PreparedSlot)
+	k.preparedProof = make(map[types.SeqNum]*core.CarriedSlot)
 	k.backlog = core.NewBacklog(env, timerProgress)
-	k.vc = core.NewViewChange(env, k.backlog, timerVCRetry, env.Config().Quorum(),
-		core.ViewChangeHooks[*ViewChangeMsg]{Build: k.buildViewChange, NewView: k.sendNewView})
+	k.vc = core.NewViewChange(env, k.backlog, timerVCRetry, env.Config().Quorum(), k.viewChangeHooks())
 	k.Slots = core.NewSlots[slotExt](env, core.KauriProfile(), k.backlog, k.vc, k.cm, stagePrepare, stageCommit)
 }
 
@@ -394,7 +323,7 @@ func (k *Kauri) maybeFinishStage(stage string, sl *slot) {
 
 // OnMessage implements core.Protocol.
 func (k *Kauri) OnMessage(from types.NodeID, m types.Message) {
-	if k.cm.OnMessage(from, m) {
+	if k.cm.OnMessage(from, m) || k.vc.OnMessage(from, m) {
 		return
 	}
 	switch mm := m.(type) {
@@ -412,10 +341,6 @@ func (k *Kauri) OnMessage(from types.NodeID, m types.Message) {
 			return
 		}
 		k.onCert(mm)
-	case *ViewChangeMsg:
-		k.vc.OnViewChange(from, mm)
-	case *NewViewMsg:
-		k.onNewView(from, mm)
 	}
 }
 
@@ -457,7 +382,7 @@ func (k *Kauri) onCert(m *CertMsg) {
 	k.down(m) // relay down the tree
 	if m.Stage == stagePrepare {
 		if prev := k.preparedProof[m.Seq]; prev == nil || prev.View < m.View {
-			k.preparedProof[m.Seq] = &PreparedSlot{
+			k.preparedProof[m.Seq] = &core.CarriedSlot{
 				View: m.View, Seq: m.Seq, Digest: m.Digest, Batch: sl.Batch, Cert: m.Cert,
 			}
 		}

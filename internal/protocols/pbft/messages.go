@@ -14,6 +14,7 @@
 package pbft
 
 import (
+	"bftkit/internal/core"
 	"bftkit/internal/crypto"
 	"bftkit/internal/types"
 )
@@ -110,74 +111,6 @@ func (m *CommitMsg) SigClaims(from types.NodeID) []crypto.SigClaim {
 	return []crypto.SigClaim{{Signer: from, Digest: m.SigDigest(), Sig: m.Sig}}
 }
 
-// PreparedProof carries one prepared slot into a view change: the batch
-// plus the 2f+1-strong prepare certificate that proves it.
-type PreparedProof struct {
-	View   types.View
-	Seq    types.SeqNum
-	Digest types.Digest
-	Batch  *types.Batch
-	// LeaderSig is the leader's pre-prepare signature (its vote).
-	LeaderSig []byte
-	// Cert holds at least 2f backup prepare signatures.
-	Cert *crypto.Certificate
-}
-
-// ViewChangeMsg asks to install view NewView, carrying everything the
-// sender prepared above its last stable checkpoint.
-type ViewChangeMsg struct {
-	NewView    types.View
-	LastStable types.SeqNum
-	// LastExec is the sender's execution point; the new leader assigns
-	// fresh sequence numbers strictly above the maximum it sees, so a
-	// slot already executed somewhere is never reassigned.
-	LastExec types.SeqNum
-	Prepared []PreparedProof
-	Replica  types.NodeID
-	Sig      []byte
-}
-
-// Kind implements types.Message.
-func (*ViewChangeMsg) Kind() string { return "VIEW-CHANGE" }
-
-// Vote implements core.ViewChangeVote.
-func (m *ViewChangeMsg) Vote() (types.View, types.NodeID, []byte) { return m.NewView, m.Replica, m.Sig }
-
-// SigDigest is the signed content.
-func (m *ViewChangeMsg) SigDigest() types.Digest {
-	var h types.Hasher
-	h.Str("pbft-viewchange").U64(uint64(m.NewView)).U64(uint64(m.LastStable)).U64(uint64(m.LastExec)).U64(uint64(m.Replica))
-	for _, p := range m.Prepared {
-		h.U64(uint64(p.View)).U64(uint64(p.Seq)).Digest(p.Digest)
-	}
-	return h.Sum()
-}
-
-// NewViewMsg installs a view: the 2f+1 view-change messages justifying
-// it and the pre-prepares the new leader re-issues.
-type NewViewMsg struct {
-	View types.View
-	// Base is the highest execution point reported in the view-change
-	// quorum; fresh proposals start strictly above it.
-	Base        types.SeqNum
-	ViewChanges []*ViewChangeMsg
-	PrePrepares []*PrePrepareMsg
-	Sig         []byte
-}
-
-// Kind implements types.Message.
-func (*NewViewMsg) Kind() string { return "NEW-VIEW" }
-
-// SigDigest is the signed content.
-func (m *NewViewMsg) SigDigest() types.Digest {
-	var h types.Hasher
-	h.Str("pbft-newview").U64(uint64(m.View)).U64(uint64(m.Base))
-	for _, pp := range m.PrePrepares {
-		h.U64(uint64(pp.Seq)).Digest(pp.Digest)
-	}
-	return h.Sum()
-}
-
 // FetchCommittedMsg asks peers for committed slots above From — the
 // catch-up path for replicas that fell behind during view churn, before
 // the next checkpoint-based state transfer would rescue them.
@@ -188,23 +121,13 @@ type FetchCommittedMsg struct {
 // Kind implements types.Message.
 func (*FetchCommittedMsg) Kind() string { return "FETCH-COMMITTED" }
 
-// CommittedSlot is one committed slot shipped during catch-up.
-type CommittedSlot struct {
-	View   types.View
-	Seq    types.SeqNum
-	Batch  *types.Batch
-	Voters []types.NodeID
-	// Cert carries the 2f+1 commit signatures when available
-	// (signature mode): a single peer then suffices for adoption.
-	Cert *crypto.Certificate
-}
-
 // CommittedMsg answers a FetchCommittedMsg (and is also pushed to a new
 // leader that re-proposes an already-executed slot). A slot is adopted
 // either on a valid commit certificate or once f+1 distinct peers report
-// the same digest.
+// the same digest. An entry's Cert carries the 2f+1 commit signatures when
+// available (signature mode): a single peer then suffices for adoption.
 type CommittedMsg struct {
-	Entries []CommittedSlot
+	Entries []core.CommittedSlot
 	Replica types.NodeID
 }
 

@@ -61,17 +61,17 @@ type PBFT struct {
 	cm   *core.CheckpointManager
 
 	// backlog is the request intake and τ2 timer; vc the view-change
-	// skeleton, which owns the current view; Slots the ordering stage's
+	// stage, which owns the current view; Slots the ordering stage's
 	// per-sequence state (all from the core kit).
 	backlog *core.Backlog
-	vc      *core.ViewChange[*ViewChangeMsg]
+	vc      *core.ViewChange
 	Slots   *core.Slots[slotExt]
 
 	// delayed holds proposals the DelayAttack adversary is sitting on.
 	delayed map[types.SeqNum]*PrePrepareMsg
 	// preparedProof remembers, per sequence number, the
 	// highest-view prepared certificate for view changes.
-	preparedProof map[types.SeqNum]*PreparedProof
+	preparedProof map[types.SeqNum]*core.CarriedSlot
 	// commitCerts retains the 2f+1 commit signatures per executed slot
 	// (until the checkpoint low-water mark passes it) so catch-up can
 	// hand a single verifiable certificate to lagging replicas.
@@ -120,11 +120,10 @@ func init() {
 func (p *PBFT) Init(env core.Env) {
 	p.env = env
 	p.cm = core.NewCheckpointManager(env)
-	p.preparedProof = make(map[types.SeqNum]*PreparedProof)
+	p.preparedProof = make(map[types.SeqNum]*core.CarriedSlot)
 	p.commitCerts = make(map[types.SeqNum]*crypto.Certificate)
 	p.backlog = core.NewBacklog(env, timerProgress)
-	p.vc = core.NewViewChange(env, p.backlog, timerViewChange, env.Config().Quorum(),
-		core.ViewChangeHooks[*ViewChangeMsg]{Build: p.buildViewChange, NewView: p.sendNewView})
+	p.vc = core.NewViewChange(env, p.backlog, timerViewChange, env.Config().Quorum(), p.viewChangeHooks())
 	p.Slots = core.NewSlots[slotExt](env, core.PBFTProfile(), p.backlog, p.vc, p.cm, stagePrepare, stageCommit)
 	p.viewEvidence = make(map[types.NodeID]types.View)
 	if p.opts.RejuvenationInterval > 0 {
@@ -259,11 +258,11 @@ func (p *PBFT) acceptPrePrepare(pp *PrePrepareMsg) {
 		// slot (with its certificate) to the proposer so the rest of
 		// the cluster converges on what was decided.
 		if e := p.env.Ledger().Get(pp.Seq); e != nil {
-			cs := CommittedSlot{View: e.View, Seq: e.Seq, Batch: e.Batch, Cert: p.commitCerts[e.Seq]}
+			cs := core.CommittedSlot{View: e.View, Seq: e.Seq, Batch: e.Batch, Cert: p.commitCerts[e.Seq]}
 			if e.Proof != nil {
 				cs.Voters = e.Proof.Voters
 			}
-			p.env.Send(p.env.Config().LeaderOf(pp.View), &CommittedMsg{Replica: p.env.ID(), Entries: []CommittedSlot{cs}})
+			p.env.Send(p.env.Config().LeaderOf(pp.View), &CommittedMsg{Replica: p.env.ID(), Entries: []core.CommittedSlot{cs}})
 		}
 		return
 	}
@@ -297,7 +296,7 @@ func (p *PBFT) voteSelf(stage string, sl *slot, sig []byte, digest types.Digest)
 
 // OnMessage implements core.Protocol.
 func (p *PBFT) OnMessage(from types.NodeID, m types.Message) {
-	if p.cm.OnMessage(from, m) {
+	if p.cm.OnMessage(from, m) || p.vc.OnMessage(from, m) {
 		return
 	}
 	switch mm := m.(type) {
@@ -315,10 +314,6 @@ func (p *PBFT) OnMessage(from types.NodeID, m types.Message) {
 		p.onPrepare(from, mm)
 	case *CommitMsg:
 		p.onCommit(from, mm)
-	case *ViewChangeMsg:
-		p.vc.OnViewChange(from, mm)
-	case *NewViewMsg:
-		p.onNewView(from, mm)
 	case *FetchCommittedMsg:
 		p.onFetchCommitted(from, mm)
 	case *CommittedMsg:
@@ -367,7 +362,7 @@ func (p *PBFT) onFetchCommitted(from types.NodeID, m *FetchCommittedMsg) {
 		if e.Seq > m.From+64 {
 			break
 		}
-		cs := CommittedSlot{View: e.View, Seq: e.Seq, Batch: e.Batch, Cert: p.commitCerts[e.Seq]}
+		cs := core.CommittedSlot{View: e.View, Seq: e.Seq, Batch: e.Batch, Cert: p.commitCerts[e.Seq]}
 		if e.Proof != nil {
 			cs.Voters = e.Proof.Voters
 		}
@@ -448,7 +443,7 @@ func (p *PBFT) checkPrepared(sl *slot) {
 	// Record the prepared certificate for view changes: the backups'
 	// prepare signatures plus the leader's pre-prepare signature.
 	if prev := p.preparedProof[sl.Seq]; prev == nil || prev.View < p.View() {
-		p.preparedProof[sl.Seq] = &PreparedProof{
+		p.preparedProof[sl.Seq] = &core.CarriedSlot{
 			View: p.View(), Seq: sl.Seq, Digest: sl.Digest, Batch: sl.Batch,
 			LeaderSig: sl.X.ppSig, Cert: sl.Certificate(stagePrepare, sl.Digest),
 		}
@@ -510,7 +505,7 @@ func (p *PBFT) noteHigherView(from types.NodeID, v types.View) {
 }
 
 // jumpToView adopts view v without running our own view change — the
-// same entered-view reset installNewView gets from the kit — then pulls
+// same entered-view reset an installed new view gets from the kit — then pulls
 // the committed slots we missed while dark.
 func (p *PBFT) jumpToView(v types.View) {
 	p.env.Logf("view sync: jumping from view %d to %d on f+1 higher-view evidence", p.View(), v)

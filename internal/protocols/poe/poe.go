@@ -137,81 +137,6 @@ func (m *CheckpointMsg) SigDigest() types.Digest {
 	return h.Sum()
 }
 
-// ViewChangeMsg ships certified slots into the next view.
-type ViewChangeMsg struct {
-	NewView types.View
-	Base    types.SeqNum
-	// Committed carries retained committed slots with their proofs.
-	Committed []CommittedSlot
-	Slots     []CertifiedSlot
-	Replica   types.NodeID
-	Sig       []byte
-}
-
-// CommittedSlot is a slot with its commit proof.
-type CommittedSlot struct {
-	View   types.View
-	Seq    types.SeqNum
-	Batch  *types.Batch
-	Voters []types.NodeID
-}
-
-// CertifiedSlot is a slot with its 2f+1 certificate.
-type CertifiedSlot struct {
-	View   types.View
-	Seq    types.SeqNum
-	Digest types.Digest
-	Batch  *types.Batch
-	Cert   *crypto.Certificate
-}
-
-// Kind implements types.Message.
-func (*ViewChangeMsg) Kind() string { return "POE-VIEW-CHANGE" }
-
-// Vote implements core.ViewChangeVote.
-func (m *ViewChangeMsg) Vote() (types.View, types.NodeID, []byte) { return m.NewView, m.Replica, m.Sig }
-
-// SigDigest is the signed content.
-func (m *ViewChangeMsg) SigDigest() types.Digest {
-	var h types.Hasher
-	h.Str("poe-vc").U64(uint64(m.NewView)).U64(uint64(m.Base)).U64(uint64(m.Replica))
-	for _, s := range m.Committed {
-		h.U64(uint64(s.Seq))
-	}
-	for _, s := range m.Slots {
-		h.U64(uint64(s.Seq)).Digest(s.Digest)
-	}
-	return h.Sum()
-}
-
-// NewViewMsg installs a view.
-type NewViewMsg struct {
-	View types.View
-	// Base is the highest sequence number committed somewhere; fresh
-	// assignments start strictly above it.
-	Base        types.SeqNum
-	ViewChanges []*ViewChangeMsg
-	Committed   []CommittedSlot
-	Proposals   []*ProposeMsg
-	Sig         []byte
-}
-
-// Kind implements types.Message.
-func (*NewViewMsg) Kind() string { return "POE-NEW-VIEW" }
-
-// SigDigest is the signed content.
-func (m *NewViewMsg) SigDigest() types.Digest {
-	var h types.Hasher
-	h.Str("poe-nv").U64(uint64(m.View)).U64(uint64(m.Base))
-	for _, s := range m.Committed {
-		h.U64(uint64(s.Seq))
-	}
-	for _, p := range m.Proposals {
-		h.U64(uint64(p.Seq)).Digest(p.Digest)
-	}
-	return h.Sum()
-}
-
 // Options tunes a PoE replica.
 type Options struct {
 	// SilentLeader drops client requests (attack injection).
@@ -233,10 +158,10 @@ type PoE struct {
 	opts Options
 
 	// backlog is the request intake and τ2 timer; vc the view-change
-	// skeleton, which owns the current view; Slots the ordering stage's
+	// stage, which owns the current view; Slots the ordering stage's
 	// per-sequence state (all from the core kit).
 	backlog *core.Backlog
-	vc      *core.ViewChange[*ViewChangeMsg]
+	vc      *core.ViewChange
 	Slots   *core.Slots[slotExt]
 
 	// ready buffers certified slots awaiting contiguous speculative
@@ -266,8 +191,7 @@ func (p *PoE) Init(env core.Env) {
 	p.env = env
 	p.ready = make(map[types.SeqNum]*CertifyMsg)
 	p.backlog = core.NewBacklog(env, timerProgress)
-	p.vc = core.NewViewChange(env, p.backlog, timerVCRetry, env.Config().Quorum(),
-		core.ViewChangeHooks[*ViewChangeMsg]{Build: p.buildViewChange, NewView: p.sendNewView})
+	p.vc = core.NewViewChange(env, p.backlog, timerVCRetry, env.Config().Quorum(), p.viewChangeHooks())
 	p.Slots = core.NewSlots[slotExt](env, core.PoEProfile(), p.backlog, p.vc, nil, stageShare)
 }
 
@@ -306,6 +230,9 @@ func (p *PoE) acceptPropose(m *ProposeMsg) {
 
 // OnMessage implements core.Protocol.
 func (p *PoE) OnMessage(from types.NodeID, m types.Message) {
+	if p.vc.OnMessage(from, m) {
+		return
+	}
 	switch mm := m.(type) {
 	case *core.ForwardMsg:
 		p.OnRequest(mm.Req)
@@ -341,10 +268,6 @@ func (p *PoE) OnMessage(from types.NodeID, m types.Message) {
 			return
 		}
 		p.recordCheckpoint(from, mm)
-	case *ViewChangeMsg:
-		p.vc.OnViewChange(from, mm)
-	case *NewViewMsg:
-		p.onNewView(from, mm)
 	}
 }
 

@@ -131,88 +131,6 @@ func (m *ProofMsg) SigClaims(from types.NodeID) []crypto.SigClaim {
 	return []crypto.SigClaim{{Signer: from, Digest: m.SigDigest(), Sig: m.Sig}}
 }
 
-// ViewChangeMsg and NewViewMsg implement a compact PBFT-style view change
-// (the paper notes several linear protocols keep PBFT's quadratic
-// view-change stage; we keep it linear-ish: signed VC to everyone, the
-// new leader re-issues).
-type ViewChangeMsg struct {
-	NewView  types.View
-	LastExec types.SeqNum
-	// Committed carries executed slots with their transferable commit
-	// certificates (a fast-commit or commit proof), so decided slots
-	// survive even when the rest of the quorum lags.
-	Committed []CommittedSlot
-	Prepared  []PreparedSlot
-	Replica   types.NodeID
-	Sig       []byte
-}
-
-// CommittedSlot is a committed slot plus the proof that committed it.
-type CommittedSlot struct {
-	View   types.View
-	Seq    types.SeqNum
-	Batch  *types.Batch
-	Fast   bool // certificate stage: fast-commit ("sign") vs commit
-	Cert   *crypto.Certificate
-	Voters []types.NodeID
-}
-
-// PreparedSlot carries a slot that reached a 2f+1 certificate.
-type PreparedSlot struct {
-	View   types.View
-	Seq    types.SeqNum
-	Digest types.Digest
-	Batch  *types.Batch
-	Cert   *crypto.Certificate
-}
-
-// Kind implements types.Message.
-func (*ViewChangeMsg) Kind() string { return "SBFT-VIEW-CHANGE" }
-
-// Vote implements core.ViewChangeVote.
-func (m *ViewChangeMsg) Vote() (types.View, types.NodeID, []byte) { return m.NewView, m.Replica, m.Sig }
-
-// SigDigest is the signed content.
-func (m *ViewChangeMsg) SigDigest() types.Digest {
-	var h types.Hasher
-	h.Str("sbft-vc").U64(uint64(m.NewView)).U64(uint64(m.LastExec)).U64(uint64(m.Replica))
-	for _, s := range m.Committed {
-		h.U64(uint64(s.Seq)).Digest(s.Batch.Digest())
-	}
-	for _, p := range m.Prepared {
-		h.U64(uint64(p.Seq)).Digest(p.Digest)
-	}
-	return h.Sum()
-}
-
-// NewViewMsg installs a view.
-type NewViewMsg struct {
-	View types.View
-	// Base is the highest execution point in the view-change quorum;
-	// fresh proposals start strictly above it.
-	Base        types.SeqNum
-	ViewChanges []*ViewChangeMsg
-	Committed   []CommittedSlot
-	PrePrepares []*PrePrepareMsg
-	Sig         []byte
-}
-
-// Kind implements types.Message.
-func (*NewViewMsg) Kind() string { return "SBFT-NEW-VIEW" }
-
-// SigDigest is the signed content.
-func (m *NewViewMsg) SigDigest() types.Digest {
-	var h types.Hasher
-	h.Str("sbft-nv").U64(uint64(m.View)).U64(uint64(m.Base))
-	for _, s := range m.Committed {
-		h.U64(uint64(s.Seq))
-	}
-	for _, pp := range m.PrePrepares {
-		h.U64(uint64(pp.Seq)).Digest(pp.Digest)
-	}
-	return h.Sum()
-}
-
 // Options tunes an SBFT instance.
 type Options struct {
 	// SilentBackup makes this replica withhold its shares, forcing the
@@ -245,16 +163,16 @@ type SBFT struct {
 	cm   *core.CheckpointManager
 
 	// backlog is the request intake and τ2 timer; vc the view-change
-	// skeleton, which owns the current view; Slots the ordering stage's
+	// stage, which owns the current view; Slots the ordering stage's
 	// per-sequence state (all from the core kit).
 	backlog *core.Backlog
-	vc      *core.ViewChange[*ViewChangeMsg]
+	vc      *core.ViewChange
 	Slots   *core.Slots[slotExt]
 
 	// preparedProof and commitCerts persist across view changes; the
 	// per-view slots do not.
-	preparedProof map[types.SeqNum]*PreparedSlot
-	commitCerts   map[types.SeqNum]*CommittedSlot
+	preparedProof map[types.SeqNum]*core.CarriedSlot
+	commitCerts   map[types.SeqNum]*core.CommittedSlot
 
 	// FastCommits / SlowCommits count per-path decisions (experiments
 	// X6 reads them).
@@ -282,11 +200,10 @@ func init() {
 func (s *SBFT) Init(env core.Env) {
 	s.env = env
 	s.cm = core.NewCheckpointManager(env)
-	s.preparedProof = make(map[types.SeqNum]*PreparedSlot)
-	s.commitCerts = make(map[types.SeqNum]*CommittedSlot)
+	s.preparedProof = make(map[types.SeqNum]*core.CarriedSlot)
+	s.commitCerts = make(map[types.SeqNum]*core.CommittedSlot)
 	s.backlog = core.NewBacklog(env, timerProgress)
-	s.vc = core.NewViewChange(env, s.backlog, timerVCRetry, env.Config().Quorum(),
-		core.ViewChangeHooks[*ViewChangeMsg]{Build: s.buildViewChange, NewView: s.sendNewView})
+	s.vc = core.NewViewChange(env, s.backlog, timerVCRetry, env.Config().Quorum(), s.viewChangeHooks())
 	s.Slots = core.NewSlots[slotExt](env, core.SBFTProfile(), s.backlog, s.vc, s.cm, stageSign, stageCommit)
 	if s.opts.FastPathWait == 0 {
 		s.opts.FastPathWait = 4 * env.Config().BatchTimeout
@@ -334,7 +251,7 @@ func (s *SBFT) sendShare(stage string, v types.View, seq types.SeqNum, d types.D
 
 // OnMessage implements core.Protocol.
 func (s *SBFT) OnMessage(from types.NodeID, m types.Message) {
-	if s.cm.OnMessage(from, m) {
+	if s.cm.OnMessage(from, m) || s.vc.OnMessage(from, m) {
 		return
 	}
 	switch mm := m.(type) {
@@ -365,10 +282,6 @@ func (s *SBFT) OnMessage(from types.NodeID, m types.Message) {
 			return
 		}
 		s.onProof(mm)
-	case *ViewChangeMsg:
-		s.vc.OnViewChange(from, mm)
-	case *NewViewMsg:
-		s.onNewView(from, mm)
 	}
 }
 
@@ -436,9 +349,8 @@ func (s *SBFT) onProof(m *ProofMsg) {
 		}
 		// The proof certificate is transferable: retain it so view
 		// changes can carry this decision to lagging replicas.
-		s.commitCerts[m.Seq] = &CommittedSlot{
-			View: m.View, Seq: m.Seq, Batch: sl.Batch,
-			Fast: m.Stage == "fast-commit", Cert: m.Cert,
+		s.commitCerts[m.Seq] = &core.CommittedSlot{
+			View: m.View, Seq: m.Seq, Batch: sl.Batch, Cert: m.Cert,
 			Voters: append([]types.NodeID(nil), m.Cert.Signers...),
 		}
 		proof := &types.CommitProof{View: m.View, Seq: m.Seq, Digest: m.Digest,
@@ -447,7 +359,7 @@ func (s *SBFT) onProof(m *ProofMsg) {
 	case "prepare":
 		// Slow path round two: return a commit share.
 		if prev := s.preparedProof[m.Seq]; prev == nil || prev.View < m.View {
-			s.preparedProof[m.Seq] = &PreparedSlot{
+			s.preparedProof[m.Seq] = &core.CarriedSlot{
 				View: m.View, Seq: m.Seq, Digest: m.Digest, Batch: sl.Batch, Cert: m.Cert,
 			}
 		}

@@ -20,17 +20,17 @@ type Themis struct {
 
 	// backlog holds the watch/done sets and the τ2 timer (Themis orders
 	// from reports, not from the backlog's queue); vc is the view-change
-	// skeleton, which owns the current view; Slots the ordering stage's
+	// stage, which owns the current view; Slots the ordering stage's
 	// per-sequence state, with the profile's 3f+1 quorum that n = 4f+1
 	// requires. All come from the core kit.
 	backlog *core.Backlog
-	vc      *core.ViewChange[*ViewChangeMsg]
+	vc      *core.ViewChange
 	Slots   *core.Slots[struct{}]
 
 	// preparedProof persists prepared slots across view changes (the
 	// per-view slots are dropped on every install; losing prepared
 	// state there allowed a committed slot to be overwritten).
-	preparedProof map[types.SeqNum]*PreparedSlot
+	preparedProof map[types.SeqNum]*core.CarriedSlot
 
 	// Preorder state.
 	local   []*types.Request // local receive order, not yet reported
@@ -61,15 +61,14 @@ func init() {
 func (t *Themis) Init(env core.Env) {
 	t.env = env
 	t.cm = core.NewCheckpointManager(env)
-	t.preparedProof = make(map[types.SeqNum]*PreparedSlot)
+	t.preparedProof = make(map[types.SeqNum]*core.CarriedSlot)
 	t.reports = make(map[types.NodeID]*ReportMsg)
 	t.seen = make(map[types.RequestKey]bool)
 	t.seenReq = make(map[types.RequestKey]*types.Request)
 	t.ordered = make(map[types.RequestKey]bool)
 	t.backlog = core.NewBacklog(env, timerProgress)
 	profile := core.ThemisProfile()
-	t.vc = core.NewViewChange(env, t.backlog, timerVCRetry, profile.QuorumSize(env.F()),
-		core.ViewChangeHooks[*ViewChangeMsg]{Build: t.buildViewChange, NewView: t.sendNewView})
+	t.vc = core.NewViewChange(env, t.backlog, timerVCRetry, profile.QuorumSize(env.F()), t.viewChangeHooks())
 	t.Slots = core.NewSlots[struct{}](env, profile, t.backlog, t.vc, t.cm, stagePrepare, stageCommit)
 }
 
@@ -220,7 +219,7 @@ func (t *Themis) vote(stage string, sl *slot) {
 
 // OnMessage implements core.Protocol.
 func (t *Themis) OnMessage(from types.NodeID, m types.Message) {
-	if t.cm.OnMessage(from, m) {
+	if t.cm.OnMessage(from, m) || t.vc.OnMessage(from, m) {
 		return
 	}
 	switch mm := m.(type) {
@@ -253,10 +252,6 @@ func (t *Themis) OnMessage(from types.NodeID, m types.Message) {
 			t.checkPrepared(sl)
 			t.checkCommitted(sl)
 		}
-	case *ViewChangeMsg:
-		t.vc.OnViewChange(from, mm)
-	case *NewViewMsg:
-		t.onNewView(from, mm)
 	}
 }
 
@@ -265,7 +260,7 @@ func (t *Themis) checkPrepared(sl *slot) {
 		return
 	}
 	if prev := t.preparedProof[sl.Seq]; prev == nil || prev.View < t.View() {
-		t.preparedProof[sl.Seq] = &PreparedSlot{View: t.View(), Seq: sl.Seq, Digest: sl.Digest, Batch: sl.Batch}
+		t.preparedProof[sl.Seq] = &core.CarriedSlot{View: t.View(), Seq: sl.Seq, Digest: sl.Digest, Batch: sl.Batch}
 	}
 	t.vote(stageCommit, sl)
 	t.checkCommitted(sl)

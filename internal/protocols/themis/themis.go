@@ -99,75 +99,6 @@ func (m *VoteMsg) SigDigest() types.Digest {
 	return h.Sum()
 }
 
-// ViewChangeMsg / NewViewMsg follow the plurality-pick pattern shared by
-// the other stable-leader protocols in this repository.
-type ViewChangeMsg struct {
-	NewView   types.View
-	Base      types.SeqNum
-	Committed []CommittedSlot
-	Prepared  []PreparedSlot
-	Replica   types.NodeID
-	Sig       []byte
-}
-
-// CommittedSlot is a committed slot with its proof.
-type CommittedSlot struct {
-	View   types.View
-	Seq    types.SeqNum
-	Batch  *types.Batch
-	Voters []types.NodeID
-}
-
-// PreparedSlot is a prepared-but-uncommitted slot.
-type PreparedSlot struct {
-	View   types.View
-	Seq    types.SeqNum
-	Digest types.Digest
-	Batch  *types.Batch
-}
-
-// Kind implements types.Message.
-func (*ViewChangeMsg) Kind() string { return "THEMIS-VIEW-CHANGE" }
-
-// Vote implements core.ViewChangeVote.
-func (m *ViewChangeMsg) Vote() (types.View, types.NodeID, []byte) { return m.NewView, m.Replica, m.Sig }
-
-// SigDigest is the signed content.
-func (m *ViewChangeMsg) SigDigest() types.Digest {
-	var h types.Hasher
-	h.Str("themis-vc").U64(uint64(m.NewView)).U64(uint64(m.Base)).U64(uint64(m.Replica))
-	for _, s := range m.Committed {
-		h.U64(uint64(s.Seq))
-	}
-	for _, s := range m.Prepared {
-		h.U64(uint64(s.Seq)).Digest(s.Digest)
-	}
-	return h.Sum()
-}
-
-// NewViewMsg installs a view.
-type NewViewMsg struct {
-	View        types.View
-	Base        types.SeqNum
-	ViewChanges []*ViewChangeMsg
-	Committed   []CommittedSlot
-	Proposals   []*ProposalMsg
-	Sig         []byte
-}
-
-// Kind implements types.Message.
-func (*NewViewMsg) Kind() string { return "THEMIS-NEW-VIEW" }
-
-// SigDigest is the signed content.
-func (m *NewViewMsg) SigDigest() types.Digest {
-	var h types.Hasher
-	h.Str("themis-nv").U64(uint64(m.View)).U64(uint64(m.Base))
-	for _, p := range m.Proposals {
-		h.U64(uint64(p.Seq)).Digest(p.Batch.Digest())
-	}
-	return h.Sum()
-}
-
 // FairOrder computes the deterministic order of the union of reported
 // requests: by median position across reports (requests absent from a
 // report count as "last"), ties broken by (client, clientSeq). Exported

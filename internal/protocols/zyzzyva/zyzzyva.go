@@ -83,6 +83,16 @@ func (m *CommitMsg) RequestRef() types.RequestKey {
 	return types.RequestKey{Client: m.Client, ClientSeq: m.ClientSeq}
 }
 
+// SigDigest implements core.Evidence: what a view-change sender signs when
+// it relays the certificate.
+func (m *CommitMsg) SigDigest() types.Digest {
+	var h types.Hasher
+	h.Str("zyz-commit").U64(uint64(m.Client)).U64(m.ClientSeq).U64(uint64(m.Seq)).U64(uint64(m.View)).
+		Digest(m.History).Bytes(m.Result)
+	m.Cert.HashInto(&h)
+	return h.Sum()
+}
+
 // LocalCommitMsg acknowledges a commit certificate.
 type LocalCommitMsg struct {
 	Seq       types.SeqNum
@@ -121,86 +131,6 @@ func (m *CheckpointMsg) SigDigest() types.Digest {
 	return h.Sum()
 }
 
-// ViewChangeMsg carries a replica's speculative history above its commit
-// point into the next view.
-type ViewChangeMsg struct {
-	NewView types.View
-	Base    types.SeqNum // last committed (executed) slot at the sender
-	// Committed carries retained committed slots with their proofs.
-	Committed []CommittedSlot
-	// Certs carries client commit certificates this replica received:
-	// transferable 2f+1-signed evidence that pins a slot's content
-	// regardless of how many view-change senders speculated on it.
-	Certs   []*CommitMsg
-	Slots   []SpecSlot
-	Replica types.NodeID
-	Sig     []byte
-}
-
-// SpecSlot is one speculatively ordered slot.
-type SpecSlot struct {
-	Seq    types.SeqNum
-	Digest types.Digest
-	Batch  *types.Batch
-}
-
-// Kind implements types.Message.
-func (*ViewChangeMsg) Kind() string { return "ZYZ-VIEW-CHANGE" }
-
-// Vote implements core.ViewChangeVote.
-func (m *ViewChangeMsg) Vote() (types.View, types.NodeID, []byte) { return m.NewView, m.Replica, m.Sig }
-
-// SigDigest is the signed content.
-func (m *ViewChangeMsg) SigDigest() types.Digest {
-	var h types.Hasher
-	h.Str("zyz-vc").U64(uint64(m.NewView)).U64(uint64(m.Base)).U64(uint64(m.Replica))
-	for _, s := range m.Committed {
-		h.U64(uint64(s.Seq))
-	}
-	for _, s := range m.Slots {
-		h.U64(uint64(s.Seq)).Digest(s.Digest)
-	}
-	return h.Sum()
-}
-
-// NewViewMsg installs a view with the surviving order.
-type NewViewMsg struct {
-	View types.View
-	// Base is the highest sequence number committed somewhere; fresh
-	// assignments start strictly above it.
-	Base        types.SeqNum
-	ViewChanges []*ViewChangeMsg
-	// Committed carries durably committed slots for replicas that are
-	// behind the base.
-	Committed []CommittedSlot
-	OrderReqs []*OrderReqMsg
-	Sig       []byte
-}
-
-// CommittedSlot is a slot with its commit proof.
-type CommittedSlot struct {
-	View   types.View
-	Seq    types.SeqNum
-	Batch  *types.Batch
-	Voters []types.NodeID
-}
-
-// Kind implements types.Message.
-func (*NewViewMsg) Kind() string { return "ZYZ-NEW-VIEW" }
-
-// SigDigest is the signed content.
-func (m *NewViewMsg) SigDigest() types.Digest {
-	var h types.Hasher
-	h.Str("zyz-nv").U64(uint64(m.View)).U64(uint64(m.Base))
-	for _, s := range m.Committed {
-		h.U64(uint64(s.Seq))
-	}
-	for _, o := range m.OrderReqs {
-		h.U64(uint64(o.Seq)).Digest(o.Digest)
-	}
-	return h.Sum()
-}
-
 // Options tunes a Zyzzyva replica.
 type Options struct {
 	// Five selects the Zyzzyva5 thresholds (n−f fast path).
@@ -222,12 +152,12 @@ type Zyzzyva struct {
 	opts Options
 
 	// backlog is the request intake and τ2 timer; vc the view-change
-	// skeleton, which owns the current view; Slots holds the assigned
+	// stage, which owns the current view; Slots holds the assigned
 	// order-requests above the commit point — Zyzzyva has no voting stage,
 	// the client counts — and whether each was speculatively executed
 	// (all from the core kit).
 	backlog *core.Backlog
-	vc      *core.ViewChange[*ViewChangeMsg]
+	vc      *core.ViewChange
 	Slots   *core.Slots[slotExt]
 
 	// clientCerts retains verified client commit certificates per slot
@@ -277,8 +207,7 @@ func (z *Zyzzyva) Init(env core.Env) {
 	if z.opts.Five {
 		profile = core.Zyzzyva5Profile()
 	}
-	z.vc = core.NewViewChange(env, z.backlog, timerVCRetry, profile.QuorumSize(env.F()),
-		core.ViewChangeHooks[*ViewChangeMsg]{Build: z.buildViewChange, NewView: z.sendNewView})
+	z.vc = core.NewViewChange(env, z.backlog, timerVCRetry, profile.QuorumSize(env.F()), z.viewChangeHooks())
 	z.Slots = core.NewSlots[slotExt](env, profile, z.backlog, z.vc, nil)
 }
 
@@ -393,6 +322,9 @@ func (z *Zyzzyva) historyAt(seq types.SeqNum) types.Digest {
 
 // OnMessage implements core.Protocol.
 func (z *Zyzzyva) OnMessage(from types.NodeID, m types.Message) {
+	if z.vc.OnMessage(from, m) {
+		return
+	}
 	switch mm := m.(type) {
 	case *core.ForwardMsg:
 		z.OnRequest(mm.Req)
@@ -414,10 +346,6 @@ func (z *Zyzzyva) OnMessage(from types.NodeID, m types.Message) {
 			return
 		}
 		z.recordCheckpoint(from, mm)
-	case *ViewChangeMsg:
-		z.vc.OnViewChange(from, mm)
-	case *NewViewMsg:
-		z.onNewView(from, mm)
 	}
 }
 

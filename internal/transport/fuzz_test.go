@@ -23,6 +23,15 @@ func FuzzWireDecode(f *testing.F) {
 		}
 		f.Add(buf.Bytes())
 	}
+	for _, fx := range viewChangeFixtures() {
+		for _, m := range []types.Message{fx.vc, fx.nv} {
+			var buf bytes.Buffer
+			if err := gob.NewEncoder(&buf).Encode(&Envelope{From: 1, Msg: m}); err != nil {
+				f.Fatalf("seed encode %T: %v", m, err)
+			}
+			f.Add(buf.Bytes())
+		}
+	}
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
 
@@ -57,6 +66,17 @@ func FuzzWireRoundTrip(f *testing.F) {
 			f.Fatalf("seed encode %T: %v", m, err)
 		}
 		f.Add(buf.Bytes())
+	}
+	// The shared view-change messages nest slices of slots, certificates
+	// and an interface-typed evidence list: seed them populated too.
+	for _, fx := range viewChangeFixtures() {
+		for _, m := range []types.Message{fx.vc, fx.nv} {
+			var buf bytes.Buffer
+			if err := gob.NewEncoder(&buf).Encode(&Envelope{From: 2, Msg: m}); err != nil {
+				f.Fatalf("seed encode %T: %v", m, err)
+			}
+			f.Add(buf.Bytes())
+		}
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {

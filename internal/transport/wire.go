@@ -29,9 +29,9 @@ var wireMessages = []types.Message{
 	// core
 	&core.RequestMsg{}, &core.ReplyMsg{}, &core.ForwardMsg{},
 	&core.CheckpointMsg{}, &core.FetchStateMsg{}, &core.StateMsg{},
+	&core.ViewChangeMsg{}, &core.NewViewMsg{}, // the eight stable-leader protocols share them
 	// pbft
 	&pbft.PrePrepareMsg{}, &pbft.PrepareMsg{}, &pbft.CommitMsg{},
-	&pbft.ViewChangeMsg{}, &pbft.NewViewMsg{},
 	&pbft.FetchCommittedMsg{}, &pbft.CommittedMsg{},
 	// tendermint
 	&tendermint.ProposalMsg{}, &tendermint.VoteMsg{}, &tendermint.FetchProposalMsg{},
@@ -41,28 +41,24 @@ var wireMessages = []types.Message{
 	&hotstuff.QCMsg{}, &hotstuff.FetchBlockMsg{}, &hotstuff.BlockMsg{},
 	// sbft
 	&sbft.PrePrepareMsg{}, &sbft.ShareMsg{}, &sbft.ProofMsg{},
-	&sbft.ViewChangeMsg{}, &sbft.NewViewMsg{},
 	// zyzzyva
 	&zyzzyva.OrderReqMsg{}, &zyzzyva.CommitMsg{}, &zyzzyva.LocalCommitMsg{},
-	&zyzzyva.CheckpointMsg{}, &zyzzyva.ViewChangeMsg{}, &zyzzyva.NewViewMsg{},
+	&zyzzyva.CheckpointMsg{},
 	// poe
 	&poe.ProposeMsg{}, &poe.ShareMsg{}, &poe.CertifyMsg{},
-	&poe.CheckpointMsg{}, &poe.ViewChangeMsg{}, &poe.NewViewMsg{},
+	&poe.CheckpointMsg{},
 	// cheapbft
 	&cheapbft.ProposeMsg{}, &cheapbft.VoteMsg{}, &cheapbft.UpdateMsg{},
-	&cheapbft.ViewChangeMsg{}, &cheapbft.NewViewMsg{},
 	// fab
-	&fab.ProposeMsg{}, &fab.AcceptMsg{}, &fab.ViewChangeMsg{}, &fab.NewViewMsg{},
+	&fab.ProposeMsg{}, &fab.AcceptMsg{},
 	// qu
 	&qu.QueryMsg{}, &qu.QueryRespMsg{}, &qu.WriteMsg{}, &qu.WriteRespMsg{}, &qu.ResolveMsg{},
 	// prime
 	&prime.PORequestMsg{}, &prime.POAckMsg{},
 	// themis
 	&themis.ReportMsg{}, &themis.ProposalMsg{}, &themis.VoteMsg{},
-	&themis.ViewChangeMsg{}, &themis.NewViewMsg{},
 	// kauri
 	&kauri.ProposalMsg{}, &kauri.AggrMsg{}, &kauri.CertMsg{},
-	&kauri.ViewChangeMsg{}, &kauri.NewViewMsg{},
 	// chain
 	&chainrepl.ChainMsg{}, &chainrepl.CommitNoticeMsg{}, &chainrepl.PanicMsg{},
 	&chainrepl.ReconfigMsg{}, &chainrepl.FetchChainMsg{}, &chainrepl.ChainEntriesMsg{},

@@ -26,6 +26,16 @@ if [ -n "$nested$flat" ]; then
 	exit 1
 fi
 
+# One view-change wire format: the eight stable-leader protocols share
+# core.ViewChangeMsg / NewViewMsg / CommittedSlot and core.ViewChange's
+# recovery loop; a private copy in a protocol package must not come back.
+private=$(grep -rnE 'type (ViewChangeMsg|NewViewMsg|CommittedSlot) ' --include='*.go' --exclude='*_test.go' internal/protocols || true)
+if [ -n "$private" ]; then
+	echo "per-protocol view-change wire types (use the shared ones in internal/core/viewchange.go):" >&2
+	echo "$private" >&2
+	exit 1
+fi
+
 # One deployment assembly (internal/harness/node.go): the sizing loop, the
 # forensics role-asymmetry gate, the verification-engine constructor and
 # the inbound-lane call each live in one file, and there is one tap type.
