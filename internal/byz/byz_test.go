@@ -6,9 +6,9 @@ import (
 	"time"
 
 	"bftkit/internal/byz"
+	"bftkit/internal/core"
 	"bftkit/internal/crypto"
 	"bftkit/internal/protocols/hotstuff"
-	"bftkit/internal/protocols/zyzzyva"
 	"bftkit/internal/types"
 )
 
@@ -48,14 +48,14 @@ func TestReplaceBatchTopLevel(t *testing.T) {
 	auth := crypto.NewAuthority(7)
 	signer := auth.Signer(0)
 	b := types.NewBatch(req(1), req(2))
-	orig := &zyzzyva.OrderReqMsg{View: 3, Seq: 9, Digest: b.Digest(), Batch: b, Sig: []byte("x")}
+	orig := &core.ProposeMsg{View: 3, Seq: 9, Digest: b.Digest(), Batch: b, Sig: []byte("x")}
 	orig.Sig = signer.Sign(orig.SigDigest())
 
 	mm, ok := byz.ReplaceBatch(orig, byz.ForkBatch, signer.Sign)
 	if !ok {
 		t.Fatal("ReplaceBatch did not find the batch")
 	}
-	alt := mm.(*zyzzyva.OrderReqMsg)
+	alt := mm.(*core.ProposeMsg)
 	if alt == orig || alt.Batch == orig.Batch {
 		t.Fatal("ReplaceBatch mutated the original message")
 	}
@@ -105,7 +105,7 @@ func TestReplaceBatchNested(t *testing.T) {
 }
 
 func TestReplaceBatchPassesThroughBatchlessMessages(t *testing.T) {
-	if _, ok := byz.ReplaceBatch(&zyzzyva.OrderReqMsg{Batch: types.NewBatch()}, byz.ForkBatch, nil); ok {
+	if _, ok := byz.ReplaceBatch(&core.ProposeMsg{Batch: types.NewBatch()}, byz.ForkBatch, nil); ok {
 		t.Fatal("empty batch should pass through")
 	}
 	if _, ok := byz.ReplaceBatch(&hotstuff.ProposalMsg{Block: &hotstuff.Block{}}, byz.ForkBatch, nil); ok {

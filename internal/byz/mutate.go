@@ -16,8 +16,8 @@ type sigDigester interface {
 // by mut(batch). It understands the repository's message conventions by
 // reflection, so one mutator serves every protocol:
 //
-//   - a `Batch *types.Batch` field at the top level (PBFT/SBFT
-//     PrePrepareMsg, Zyzzyva OrderReqMsg, PoE ProposeMsg, Tendermint
+//   - a `Batch *types.Batch` field at the top level (core.ProposeMsg,
+//     the proposal of the eight stable-leader protocols, Tendermint's
 //     ProposalMsg, …) or one pointer-to-struct level down (HotStuff's
 //     ProposalMsg.Block);
 //   - an optional `Digest types.Digest` field that equals the old

@@ -18,7 +18,6 @@ import (
 	"bftkit/internal/harness"
 	"bftkit/internal/kvstore"
 	"bftkit/internal/obsv"
-	"bftkit/internal/protocols/pbft"
 	"bftkit/internal/types"
 )
 
@@ -45,11 +44,7 @@ func garble(sig []byte) []byte {
 
 func (garbageSigActor) Outgoing(_ types.NodeID, m types.Message) byz.Verdict {
 	switch msg := m.(type) {
-	case *pbft.PrepareMsg:
-		cp := *msg
-		cp.Sig = garble(cp.Sig)
-		return byz.Verdict{Replace: &cp}
-	case *pbft.CommitMsg:
+	case *core.VoteMsg:
 		cp := *msg
 		cp.Sig = garble(cp.Sig)
 		return byz.Verdict{Replace: &cp}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -306,11 +307,10 @@ func newVCRig(id types.NodeID, tune ...func(*ViewChangeHooks)) *vcRig {
 			m.Carried = append(m.Carried, r.carried...)
 			m.Committed = append(m.Committed, r.retained...)
 		},
-		Pick:      HighestView(func(*CarriedSlot) bool { return true }),
-		Keep:      UpToBase,
-		SigDigest: func(s *CarriedSlot) types.Digest { return types.Digest{byte(s.Seq)} },
-		Accept: func(s *CarriedSlot) {
-			r.accepted = append(r.accepted, s.Seq)
+		Pick: HighestView(func(*CarriedSlot) bool { return true }),
+		Keep: UpToBase,
+		Accept: func(m *ProposeMsg) {
+			r.accepted = append(r.accepted, m.Seq)
 			r.proposed = r.proposed || r.vc.MayPropose()
 		},
 		Resume: func() { r.resumed++ },
@@ -319,7 +319,7 @@ func newVCRig(id types.NodeID, tune ...func(*ViewChangeHooks)) *vcRig {
 		fn(&hooks)
 	}
 	r.vc = NewViewChange(r.rep, r.backlog, testRetry, r.rep.Config().Quorum(), hooks)
-	r.slots = NewSlots[struct{}](r.rep, PBFTProfile(), r.backlog, r.vc, nil, "prepare", "commit")
+	r.slots = NewSlots[struct{}](r.rep, PBFTProfile(), r.backlog, r.vc, nil, StagePrepare, StageCommit)
 	r.x = types.NewBatch(r.signedReq(1))
 	r.y = types.NewBatch(r.signedReq(2))
 	return r
@@ -525,7 +525,7 @@ func eachFieldMutated(v reflect.Value, path string, other *types.Batch, check fu
 		v.SetInt(v.Int() + 1)
 		check(path)
 		v.SetInt(v.Int() - 1)
-	case reflect.Uint64:
+	case reflect.Uint8, reflect.Uint64:
 		v.SetUint(v.Uint() + 1)
 		check(path)
 		v.SetUint(v.Uint() - 1)
@@ -603,6 +603,55 @@ func TestViewChangeSignaturesCoverEveryField(t *testing.T) {
 	}
 }
 
+// TestOrderingSignaturesCoverEveryField: a receiver acts on every field of
+// the three ordering messages, so each one is either under the signer's
+// signature or checked before it — a proposal's batch against its digest,
+// a proposal's or certificate's leader against the view's, a vote's voter
+// against its sender. Only the authentication itself (Sig, Auth) is left.
+func TestOrderingSignaturesCoverEveryField(t *testing.T) {
+	r := newVCRig(3)
+	const from = 1 // the leader of view 1, and the voter
+	sign := r.auth.Signer(from).Sign
+	auth := [][]byte{{1}, {2}} // ignored under signatures, present so it is walked
+	propose := &ProposeMsg{View: 1, Seq: 4, Digest: r.x.Digest(), Batch: r.x,
+		Evidence: []Evidence{&testEvidence{N: 1}, &testEvidence{N: 2}}, Leader: from, Auth: auth}
+	propose.Sig = sign(propose.SigDigest())
+	vote := &VoteMsg{Stage: StageCommit, View: 1, Seq: 4, Digest: r.x.Digest(), Replica: from, Auth: auth}
+	vote.Sig = sign(vote.SigDigest())
+	cert := &CertMsg{Stage: StageCommit, View: 1, Seq: 4, Digest: r.x.Digest(), Leader: from,
+		Cert: &crypto.Certificate{Digest: types.Digest{1}, Signers: []types.NodeID{0, 2}, Sigs: [][]byte{{1, 1}, {1, 2}}}}
+	cert.Sig = sign(cert.SigDigest())
+
+	fields := 0
+	for _, c := range []struct {
+		m      Evidence
+		verify func() bool
+	}{
+		{propose, func() bool { return propose.Verify(r.rep) }},
+		{vote, func() bool { return vote.Verify(r.rep, from) }},
+		{cert, func() bool { return cert.Verify(r.rep) }},
+	} {
+		kind, signed := c.m.Kind(), c.m.SigDigest()
+		if !c.verify() {
+			t.Fatalf("%s: the unmodified message was refused", kind)
+		}
+		eachFieldMutated(reflect.ValueOf(c.m), kind, r.y, func(path string) {
+			if path == kind+".Sig" || strings.HasPrefix(path, kind+".Auth") {
+				return
+			}
+			fields++
+			verifies := r.auth.Stats.VerifyOps.Load()
+			refused := !c.verify() && r.auth.Stats.VerifyOps.Load() == verifies
+			if c.m.SigDigest() == signed && !refused {
+				t.Errorf("%s changed neither the signed digest nor was it refused before verification", path)
+			}
+		})
+	}
+	if fields < 26 {
+		t.Fatalf("only %d fields were mutated: the walk stopped short", fields)
+	}
+}
+
 // TestNewViewBuilder drives the one new-view builder at the leader of view
 // 1 with a quorum whose members disagree, under both rules for where
 // re-issuing starts.
@@ -626,8 +675,8 @@ func TestNewViewBuilder(t *testing.T) {
 	}
 	reissued := func(r *vcRig, nv *NewViewMsg) (seqs []types.SeqNum, batches []*types.Batch) {
 		for _, s := range nv.Reissued {
-			if s.View != 1 || s.Digest != s.Batch.Digest() || !r.rep.Verifier().VerifySig(1, types.Digest{byte(s.Seq)}, s.LeaderSig) {
-				t.Errorf("re-issued slot %+v: want view 1, the batch's digest, the leader's signature over the hook's digest", s)
+			if s.View != 1 || s.Digest != s.Batch.Digest() || !s.Proposal(1).Verify(r.rep) {
+				t.Errorf("re-issued slot %+v: want view 1, the batch's digest, the leader's signature over its proposal", s)
 			}
 			seqs, batches = append(seqs, s.Seq), append(batches, s.Batch)
 		}
@@ -737,6 +786,11 @@ func TestViewChangeInstallHoldsProposingAndResets(t *testing.T) {
 
 func sig(b byte) []byte { return []byte{b} }
 
+// proposal is an unsigned proposal of b at (view, seq) naming digest d.
+func proposal(view types.View, seq types.SeqNum, d types.Digest, b *types.Batch) *ProposeMsg {
+	return &ProposeMsg{View: view, Seq: seq, Digest: d, Batch: b}
+}
+
 func TestSlotsQuorumComesFromTheProfile(t *testing.T) {
 	r := newVCRig(1)
 	if r.slots.Quorum != 3 {
@@ -751,26 +805,26 @@ func TestSlotsQuorumComesFromTheProfile(t *testing.T) {
 func TestSlotsOneVotePerSenderPerStage(t *testing.T) {
 	r := newVCRig(1)
 	dx := r.x.Digest()
-	sl := r.slots.Accept(0, 1, dx, r.x)
+	sl := r.slots.Accept(proposal(0, 1, dx, r.x))
 	if sl == nil {
 		t.Fatal("a valid proposal was refused")
 	}
-	if r.slots.Vote("prepare", 0, 1, 2, dx, sig(2)) != sl {
+	if r.slots.Vote(StagePrepare, 0, 1, 2, dx, sig(2)) != sl {
 		t.Fatal("first vote not recorded")
 	}
-	if r.slots.Vote("prepare", 0, 1, 2, dx, sig(9)) != nil || r.slots.Vote("prepare", 0, 1, 2, r.y.Digest(), sig(9)) != nil {
+	if r.slots.Vote(StagePrepare, 0, 1, 2, dx, sig(9)) != nil || r.slots.Vote(StagePrepare, 0, 1, 2, r.y.Digest(), sig(9)) != nil {
 		t.Fatal("a sender voted twice at one stage")
 	}
-	if r.slots.Vote("commit", 0, 1, 2, dx, sig(2)) != sl {
+	if r.slots.Vote(StageCommit, 0, 1, 2, dx, sig(2)) != sl {
 		t.Fatal("a vote at another stage is a separate vote")
 	}
-	if r.slots.Vote("elect", 0, 1, 3, dx, nil) != nil || r.slots.Vote("prepare", 1, 1, 3, dx, nil) != nil {
+	if r.slots.Vote(StageSign, 0, 1, 3, dx, nil) != nil || r.slots.Vote(StagePrepare, 1, 1, 3, dx, nil) != nil {
 		t.Fatal("votes for an undeclared stage or another view must be refused")
 	}
-	if got := sl.Count("prepare"); got != 1 {
+	if got := sl.Count(StagePrepare); got != 1 {
 		t.Fatalf("prepare count = %d, want 1", got)
 	}
-	if !sl.Voted("prepare", 2) || sl.Voted("prepare", 3) {
+	if !sl.Voted(StagePrepare, 2) || sl.Voted(StagePrepare, 3) {
 		t.Fatal("Voted does not reflect who is on record")
 	}
 }
@@ -780,22 +834,22 @@ func TestSlotsVoteCountsOnlyTowardItsDigest(t *testing.T) {
 	dx, dy := r.x.Digest(), r.y.Digest()
 	// One vote for y and one for x overtake the proposal; the leader
 	// assigns x; then one more vote each way.
-	r.slots.Vote("prepare", 0, 1, 0, dy, sig(0))
-	early := r.slots.Vote("prepare", 0, 1, 2, dx, sig(2))
-	if early == nil || early.Count("prepare") != 0 || early.Reached("prepare", 1) {
+	r.slots.Vote(StagePrepare, 0, 1, 0, dy, sig(0))
+	early := r.slots.Vote(StagePrepare, 0, 1, 2, dx, sig(2))
+	if early == nil || early.Count(StagePrepare) != 0 || early.Reached(StagePrepare, 1) {
 		t.Fatal("votes counted at a slot with no assigned digest")
 	}
-	sl := r.slots.Accept(0, 1, dx, r.x)
-	r.slots.Vote("prepare", 0, 1, 3, dy, sig(3))
-	r.slots.Vote("prepare", 0, 1, 1, dx, sig(1))
-	if sl != early || sl.Count("prepare") != 2 {
-		t.Fatalf("count for the assigned digest = %d, want 2", sl.Count("prepare"))
+	sl := r.slots.Accept(proposal(0, 1, dx, r.x))
+	r.slots.Vote(StagePrepare, 0, 1, 3, dy, sig(3))
+	r.slots.Vote(StagePrepare, 0, 1, 1, dx, sig(1))
+	if sl != early || sl.Count(StagePrepare) != 2 {
+		t.Fatalf("count for the assigned digest = %d, want 2", sl.Count(StagePrepare))
 	}
-	cert := sl.Certificate("prepare", dx)
+	cert := sl.Certificate(StagePrepare)
 	if !reflect.DeepEqual(cert.Signers, []types.NodeID{2, 1}) || !reflect.DeepEqual(cert.Sigs, [][]byte{sig(2), sig(1)}) {
 		t.Fatalf("certificate holds %v %v: votes for another digest leaked in, or arrival order was lost", cert.Signers, cert.Sigs)
 	}
-	if got := sl.Voters("prepare"); !reflect.DeepEqual(got, []types.NodeID{2, 1}) {
+	if got := sl.Voters(StagePrepare); !reflect.DeepEqual(got, []types.NodeID{2, 1}) {
 		t.Fatalf("voters = %v, want arrival order [2 1]", got)
 	}
 }
@@ -803,21 +857,21 @@ func TestSlotsVoteCountsOnlyTowardItsDigest(t *testing.T) {
 func TestSlotsReachedFiresOnce(t *testing.T) {
 	r := newVCRig(1)
 	dx := r.x.Digest()
-	sl := r.slots.Accept(0, 1, dx, r.x)
+	sl := r.slots.Accept(proposal(0, 1, dx, r.x))
 	fired := 0
 	for from := types.NodeID(0); from < 4; from++ {
-		r.slots.Vote("commit", 0, 1, from, dx, nil) // presence-only votes
-		if sl.Reached("commit", 3) {
+		r.slots.Vote(StageCommit, 0, 1, from, dx, nil) // presence-only votes
+		if sl.Reached(StageCommit, 3) {
 			fired++
 		}
 	}
-	if fired != 1 || !sl.Past("commit") || sl.Past("prepare") {
-		t.Fatalf("Reached fired %d times (Past commit %v, prepare %v)", fired, sl.Past("commit"), sl.Past("prepare"))
+	if fired != 1 || !sl.Past(StageCommit) || sl.Past(StagePrepare) {
+		t.Fatalf("Reached fired %d times (Past commit %v, prepare %v)", fired, sl.Past(StageCommit), sl.Past(StagePrepare))
 	}
-	if got := sl.Voters("commit"); len(got) != 4 {
+	if got := sl.Voters(StageCommit); len(got) != 4 {
 		t.Fatalf("voters = %v, want all four", got)
 	}
-	if cert := sl.Certificate("commit", dx); cert.Size() != 0 {
+	if cert := sl.Certificate(StageCommit); cert.Size() != 0 {
 		t.Fatal("unsigned votes entered a certificate")
 	}
 }
@@ -825,14 +879,14 @@ func TestSlotsReachedFiresOnce(t *testing.T) {
 func TestSlotsConflictingProposalIsEquivocation(t *testing.T) {
 	r := newVCRig(1)
 	dx := r.x.Digest()
-	if r.slots.Accept(0, 1, types.Digest{0xba}, r.x) != nil {
+	if r.slots.Accept(proposal(0, 1, types.Digest{0xba}, r.x)) != nil {
 		t.Fatal("accepted a batch that does not hash to its digest")
 	}
-	sl := r.slots.Accept(0, 1, dx, r.x)
-	if r.slots.Accept(0, 1, dx, r.x) != nil || r.vc.Active() {
+	sl := r.slots.Accept(proposal(0, 1, dx, r.x))
+	if r.slots.Accept(proposal(0, 1, dx, r.x)) != nil || r.vc.Active() {
 		t.Fatal("a duplicate proposal must be a no-op")
 	}
-	if r.slots.Accept(0, 1, r.y.Digest(), r.y) != nil {
+	if r.slots.Accept(proposal(0, 1, r.y.Digest(), r.y)) != nil {
 		t.Fatal("a conflicting proposal was accepted")
 	}
 	if !r.vc.Active() || !reflect.DeepEqual(r.built, []types.View{1}) {
@@ -841,7 +895,7 @@ func TestSlotsConflictingProposalIsEquivocation(t *testing.T) {
 	if sl.Digest != dx || sl.Batch != r.x {
 		t.Fatal("the conflicting proposal changed the slot")
 	}
-	if r.slots.Accept(0, 2, r.y.Digest(), r.y) != nil {
+	if r.slots.Accept(proposal(0, 2, r.y.Digest(), r.y)) != nil {
 		t.Fatal("accepted a proposal while the view change runs")
 	}
 }
@@ -850,17 +904,17 @@ func TestSlotsWindowRefusal(t *testing.T) {
 	r := newVCRig(1)
 	dx := r.x.Digest()
 	window := types.SeqNum(r.rep.Config().HighWaterWindow)
-	if r.slots.Vote("prepare", 0, window+1, 2, dx, nil) != nil || r.slots.Accept(0, window+1, dx, r.x) != nil {
+	if r.slots.Vote(StagePrepare, 0, window+1, 2, dx, nil) != nil || r.slots.Accept(proposal(0, window+1, dx, r.x)) != nil {
 		t.Fatal("state created above the window")
 	}
-	if r.slots.Vote("prepare", 0, window, 2, dx, nil) == nil {
+	if r.slots.Vote(StagePrepare, 0, window, 2, dx, nil) == nil {
 		t.Fatal("the window's last slot was refused")
 	}
 	r.rep.Commit(0, 1, r.x, nil) // executes slot 1: the window slides
-	if r.slots.Vote("prepare", 0, 1, 2, dx, nil) != nil || r.slots.Accept(0, 1, dx, r.x) != nil {
+	if r.slots.Vote(StagePrepare, 0, 1, 2, dx, nil) != nil || r.slots.Accept(proposal(0, 1, dx, r.x)) != nil {
 		t.Fatal("state created for an executed slot")
 	}
-	if r.slots.Vote("prepare", 0, window+1, 2, dx, nil) == nil {
+	if r.slots.Vote(StagePrepare, 0, window+1, 2, dx, nil) == nil {
 		t.Fatal("the window did not follow execution")
 	}
 	if r.slots.Len() != 2 {
@@ -871,11 +925,11 @@ func TestSlotsWindowRefusal(t *testing.T) {
 func TestSlotsViewEntryDropsVotesNotExecution(t *testing.T) {
 	r := newVCRig(1)
 	dx, dy := r.x.Digest(), r.y.Digest()
-	r.slots.Accept(0, 1, dx, r.x)
+	r.slots.Accept(proposal(0, 1, dx, r.x))
 	r.rep.Commit(0, 1, r.x, nil)
 	r.slots.Executed(1, r.x, [][]byte{nil}, false)
-	r.slots.Accept(0, 2, dy, r.y)
-	r.slots.Vote("prepare", 0, 2, 3, dy, sig(3))
+	r.slots.Accept(proposal(0, 2, dy, r.y))
+	r.slots.Vote(StagePrepare, 0, 2, 3, dy, sig(3))
 	if r.slots.Get(1) != nil || r.slots.Len() != 1 || r.slots.NextSeq() != 1 {
 		t.Fatalf("after executing slot 1: Len %d, NextSeq %d", r.slots.Len(), r.slots.NextSeq())
 	}
@@ -884,11 +938,11 @@ func TestSlotsViewEntryDropsVotesNotExecution(t *testing.T) {
 	if r.slots.Len() != 0 {
 		t.Fatal("entering a view kept the old view's slots")
 	}
-	sl := r.slots.Accept(1, 2, dy, r.y)
-	if sl == nil || sl.Count("prepare") != 0 || sl.Voted("prepare", 3) {
+	sl := r.slots.Accept(proposal(1, 2, dy, r.y))
+	if sl == nil || sl.Count(StagePrepare) != 0 || sl.Voted(StagePrepare, 3) {
 		t.Fatal("a vote of the old view survived into the new one")
 	}
-	if r.slots.Accept(1, 1, dx, r.x) != nil || !r.backlog.Done(r.x.Requests[0].Key()) || r.slots.NextSeq() != 1 {
+	if r.slots.Accept(proposal(1, 1, dx, r.x)) != nil || !r.backlog.Done(r.x.Requests[0].Key()) || r.slots.NextSeq() != 1 {
 		t.Fatal("entering a view forgot what was executed")
 	}
 	if seq := r.slots.Next(); seq != 2 {

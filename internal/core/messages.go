@@ -70,7 +70,8 @@ func (m *ForwardMsg) SigClaims(types.NodeID) []crypto.SigClaim {
 }
 
 // CheckpointMsg announces a replica's checkpoint at a sequence number
-// (dimension P4). Shared by every protocol that embeds CheckpointManager.
+// (dimension P4): every protocol that embeds CheckpointManager sends it,
+// and PoE and Zyzzyva send their speculative history digest in StateHash.
 type CheckpointMsg struct {
 	Seq       types.SeqNum
 	StateHash types.Digest

@@ -11,7 +11,7 @@ import (
 // stageKey names one voting round of one sequence number.
 type stageKey struct {
 	seq   types.SeqNum
-	stage string
+	stage Stage
 }
 
 // ballot is one vote of the ordering stage: the digest it names and, where
@@ -51,7 +51,7 @@ type Slots[X any] struct {
 	backlog *Backlog
 	vc      *ViewChange
 	cm      *CheckpointManager // nil for protocols that checkpoint on their own
-	stages  []string
+	stages  uint8              // bit s: Stage s is one of the protocol's
 
 	// Quorum is the ordering quorum at this deployment's f, taken from
 	// the protocol's registered Profile.
@@ -63,13 +63,15 @@ type Slots[X any] struct {
 }
 
 // NewSlots returns the empty ordering state of one replica. stages names
-// the protocol's voting rounds (at most eight); votes for any other stage
-// are refused.
-func NewSlots[X any](env Env, profile Profile, backlog *Backlog, vc *ViewChange, cm *CheckpointManager, stages ...string) *Slots[X] {
+// the protocol's voting rounds; votes for any other stage are refused.
+func NewSlots[X any](env Env, profile Profile, backlog *Backlog, vc *ViewChange, cm *CheckpointManager, stages ...Stage) *Slots[X] {
 	s := &Slots[X]{
-		env: env, backlog: backlog, vc: vc, cm: cm, stages: stages,
+		env: env, backlog: backlog, vc: vc, cm: cm,
 		Quorum: profile.QuorumSize(env.F()),
 		slots:  make(map[types.SeqNum]*Slot[X]),
+	}
+	for _, stage := range stages {
+		s.stages |= 1 << stage
 	}
 	vc.slots = s
 	return s
@@ -129,28 +131,29 @@ func (s *Slots[X]) slot(seq types.SeqNum) *Slot[X] {
 }
 
 // Accept runs the acceptance rules every protocol shares on a proposal
-// the caller has authenticated against view's leader: current view, no
-// view change running, the batch hashes to the digest, the slot is inside
-// the window. A second, conflicting assignment for the slot is leader
-// equivocation — the slot is left as it was and a view change starts. It
-// returns the slot when the proposal newly assigned it (its requests are
-// then watched and in flight), and nil otherwise, duplicates included.
-func (s *Slots[X]) Accept(view types.View, seq types.SeqNum, digest types.Digest, batch *types.Batch) *Slot[X] {
-	if view != s.vc.View() || s.vc.Active() || batch == nil || batch.Digest() != digest {
+// the caller has authenticated (ProposeMsg.Verify) or built: current view,
+// no view change running, the batch hashes to the digest, the slot is
+// inside the window. A second, conflicting assignment for the slot is
+// leader equivocation — the slot is left as it was and a view change
+// starts. It returns the slot when the proposal newly assigned it (its
+// requests are then watched and in flight), and nil otherwise, duplicates
+// included.
+func (s *Slots[X]) Accept(m *ProposeMsg) *Slot[X] {
+	if m.View != s.vc.View() || s.vc.Active() || m.Batch == nil || m.Batch.Digest() != m.Digest {
 		return nil
 	}
-	sl := s.slot(seq)
+	sl := s.slot(m.Seq)
 	if sl == nil {
 		return nil
 	}
 	if sl.Batch != nil {
-		if sl.Digest != digest {
-			s.vc.Start(view + 1)
+		if sl.Digest != m.Digest {
+			s.vc.Start(m.View + 1)
 		}
 		return nil
 	}
-	sl.Digest, sl.Batch = digest, batch
-	s.backlog.Proposed(batch)
+	sl.Digest, sl.Batch = m.Digest, m.Batch
+	s.backlog.Proposed(m.Batch)
 	return sl
 }
 
@@ -161,7 +164,7 @@ func (s *Slots[X]) Accept(view types.View, seq types.SeqNum, digest types.Digest
 // an unknown stage or a sequence number outside the window, or when from
 // has already voted at this stage: one sender, one vote, whatever digests
 // it names.
-func (s *Slots[X]) Vote(stage string, view types.View, seq types.SeqNum, from types.NodeID, digest types.Digest, sig []byte) *Slot[X] {
+func (s *Slots[X]) Vote(stage Stage, view types.View, seq types.SeqNum, from types.NodeID, digest types.Digest, sig []byte) *Slot[X] {
 	if view != s.vc.View() || s.vc.Active() || s.stageBit(stage) == 0 {
 		return nil
 	}
@@ -172,26 +175,25 @@ func (s *Slots[X]) Vote(stage string, view types.View, seq types.SeqNum, from ty
 	return sl
 }
 
-func (s *Slots[X]) stageBit(stage string) uint8 {
-	for i, name := range s.stages {
-		if name == stage {
-			return 1 << i
-		}
+// stageBit returns stage's bit if the protocol declared it, else 0.
+func (s *Slots[X]) stageBit(stage Stage) uint8 {
+	if stage >= numStages {
+		return 0
 	}
-	return 0
+	return s.stages & (1 << stage)
 }
 
 // Propose is the leader's assignment loop: while this replica may propose
 // and the backlog holds proposable requests, batch up to BatchSize of
-// them under the next sequence number and hand the batch to send, which
-// builds, broadcasts and accepts the protocol's proposal message.
-func (s *Slots[X]) Propose(send func(seq types.SeqNum, batch *types.Batch)) {
+// them under the next sequence number and hand the signed proposal to
+// send, which broadcasts and accepts it.
+func (s *Slots[X]) Propose(send func(*ProposeMsg)) {
 	for s.vc.MayPropose() {
 		reqs := s.backlog.Take(s.env.Config().BatchSize)
 		if len(reqs) == 0 {
 			return
 		}
-		send(s.Next(), types.NewBatch(reqs...))
+		send(NewProposal(s.env, s.vc.View(), s.Next(), types.NewBatch(reqs...)))
 	}
 }
 
@@ -226,8 +228,10 @@ func (s *Slots[X]) Executed(seq types.SeqNum, batch *types.Batch, results [][]by
 		ReplyExecuted(s.env, s.vc.View(), seq, batch, results)
 	}
 	delete(s.slots, seq)
-	for _, stage := range s.stages {
-		s.votes.Delete(stageKey{seq, stage})
+	for stage := range numStages {
+		if s.stageBit(stage) != 0 {
+			s.votes.Delete(stageKey{seq, stage})
+		}
 	}
 	s.Advance(seq)
 	if s.cm != nil {
@@ -238,7 +242,7 @@ func (s *Slots[X]) Executed(seq types.SeqNum, batch *types.Batch, results [][]by
 
 // votes returns every vote recorded at stage, in arrival order; nothing
 // is on record for an unassigned slot's (unknown) digest.
-func (sl *Slot[X]) votes(stage string) []Vote[ballot] {
+func (sl *Slot[X]) votes(stage Stage) []Vote[ballot] {
 	if sl.Batch == nil {
 		return nil
 	}
@@ -246,7 +250,7 @@ func (sl *Slot[X]) votes(stage string) []Vote[ballot] {
 }
 
 // Count returns how many senders voted for the assigned digest at stage.
-func (sl *Slot[X]) Count(stage string) int {
+func (sl *Slot[X]) Count(stage Stage) int {
 	n := 0
 	for _, v := range sl.votes(stage) {
 		if v.Val.digest == sl.Digest {
@@ -258,14 +262,14 @@ func (sl *Slot[X]) Count(stage string) int {
 
 // Voted reports whether id has a vote on record at stage (for any
 // digest).
-func (sl *Slot[X]) Voted(stage string, id types.NodeID) bool {
+func (sl *Slot[X]) Voted(stage Stage, id types.NodeID) bool {
 	return sl.s.votes.index(stageKey{sl.Seq, stage}, id) >= 0
 }
 
 // Reached reports, exactly once per slot and stage, that quorum senders
 // voted for the assigned digest. Call it after recording a vote and after
 // accepting the proposal — votes may have overtaken it.
-func (sl *Slot[X]) Reached(stage string, quorum int) bool {
+func (sl *Slot[X]) Reached(stage Stage, quorum int) bool {
 	bit := sl.s.stageBit(stage)
 	if sl.reached&bit != 0 || sl.Count(stage) < quorum {
 		return false
@@ -275,11 +279,11 @@ func (sl *Slot[X]) Reached(stage string, quorum int) bool {
 }
 
 // Past reports whether Reached has fired for stage.
-func (sl *Slot[X]) Past(stage string) bool { return sl.reached&sl.s.stageBit(stage) != 0 }
+func (sl *Slot[X]) Past(stage Stage) bool { return sl.reached&sl.s.stageBit(stage) != 0 }
 
 // Voters returns the senders that voted for the assigned digest at stage,
 // in arrival order (a CommitProof's voter list).
-func (sl *Slot[X]) Voters(stage string) []types.NodeID {
+func (sl *Slot[X]) Voters(stage Stage) []types.NodeID {
 	votes := sl.votes(stage)
 	ids := make([]types.NodeID, 0, len(votes))
 	for _, v := range votes {
@@ -291,17 +295,28 @@ func (sl *Slot[X]) Voters(stage string) []types.NodeID {
 }
 
 // Certificate assembles the signatures voted for the assigned digest at
-// stage, in arrival order, into a certificate over the digest the senders
-// signed. Votes recorded without a signature are not transferable and
-// stay out.
-func (sl *Slot[X]) Certificate(stage string, over types.Digest) *crypto.Certificate {
+// stage, in arrival order, into a certificate over the vote they signed
+// (VoteDigest), constant-size under the threshold scheme. Votes recorded
+// without a signature are not transferable and stay out.
+func (sl *Slot[X]) Certificate(stage Stage) *crypto.Certificate {
 	votes := sl.votes(stage)
-	cert := &crypto.Certificate{Digest: over,
-		Signers: make([]types.NodeID, 0, len(votes)), Sigs: make([][]byte, 0, len(votes))}
+	cert := &crypto.Certificate{Digest: VoteDigest(stage, sl.s.vc.View(), sl.Seq, sl.Digest),
+		Signers: make([]types.NodeID, 0, len(votes)), Sigs: make([][]byte, 0, len(votes)),
+		Threshold: sl.s.env.Scheme() == crypto.SchemeThreshold}
 	for _, v := range votes {
 		if v.Val.digest == sl.Digest && v.Val.sig != nil {
 			cert.Add(v.From, v.Val.sig)
 		}
 	}
 	return cert
+}
+
+// Certify returns this replica's signed broadcast, as the view's leader,
+// of the certificate that closes stage: the one of votes (Certificate).
+func (sl *Slot[X]) Certify(stage, votes Stage) *CertMsg {
+	env := sl.s.env
+	m := &CertMsg{Stage: stage, View: sl.s.vc.View(), Seq: sl.Seq, Digest: sl.Digest,
+		Cert: sl.Certificate(votes), Leader: env.ID()}
+	m.Sig = env.Signer().Sign(m.SigDigest())
+	return m
 }

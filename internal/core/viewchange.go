@@ -37,6 +37,13 @@ type CarriedSlot struct {
 	LeaderSig []byte
 }
 
+// Proposal returns the proposal a re-issued slot stands for: what the new
+// leader signed in LeaderSig, and what receivers pass through their
+// acceptance path.
+func (s *CarriedSlot) Proposal(leader types.NodeID) *ProposeMsg {
+	return &ProposeMsg{View: s.View, Seq: s.Seq, Digest: s.Digest, Batch: s.Batch, Leader: leader, Sig: s.LeaderSig}
+}
+
 // Evidence is transferable proof other than a carried slot that a
 // view-change message relays: Zyzzyva's client commit certificates. It
 // proves itself to whoever knows its type; SigDigest binds it into the
@@ -70,12 +77,7 @@ func (m *ViewChangeMsg) SigDigest() types.Digest {
 	h.Str("view-change").U64(uint64(m.NewView)).U64(uint64(m.Base)).U64(uint64(m.Stable)).U64(uint64(m.Replica))
 	hashCommitted(&h, m.Committed)
 	hashCarried(&h, m.Carried)
-	h.U64(uint64(len(m.Evidence)))
-	for _, e := range m.Evidence {
-		if e != nil { // the wire can carry a nil interface value
-			h.Digest(e.SigDigest())
-		}
-	}
+	hashEvidence(&h, m.Evidence)
 	return h.Sum()
 }
 
@@ -208,12 +210,9 @@ type ViewChangeHooks struct {
 	// carries none, and the new view then re-issues from the quorum's
 	// highest stable checkpoint instead of from base (PBFT).
 	Keep func(cs *CommittedSlot, base types.SeqNum) bool
-	// SigDigest returns what the new leader signs on a slot it re-issues:
-	// the signed content of the protocol's own proposal message for it.
-	SigDigest func(s *CarriedSlot) types.Digest
-	// Accept passes one re-issued slot of an installed new view through the
-	// protocol's normal acceptance path, as its own proposal message.
-	Accept func(s *CarriedSlot)
+	// Accept passes the proposal of one re-issued slot of an installed new
+	// view through the protocol's normal acceptance path.
+	Accept func(m *ProposeMsg)
 	// Adopt commits one committed slot of an installed new view that this
 	// replica has not executed. Nil means AdoptCommitted, on the new
 	// leader's word.
@@ -452,7 +451,7 @@ func (vc *ViewChange) sendNewView(v types.View, vcs []*ViewChangeMsg) {
 		}
 		batch := pick(seq)
 		s := CarriedSlot{View: v, Seq: seq, Digest: batch.Digest(), Batch: batch}
-		s.LeaderSig = vc.env.Signer().Sign(vc.hooks.SigDigest(&s))
+		s.LeaderSig = vc.env.Signer().Sign(s.Proposal(vc.env.ID()).SigDigest())
 		nv.Reissued = append(nv.Reissued, s)
 	}
 	nv.Sig = vc.env.Signer().Sign(nv.SigDigest())
@@ -516,11 +515,12 @@ func (vc *ViewChange) install(nv *NewViewMsg) {
 		}
 		vc.slots.Advance(cs.Seq)
 	}
+	leader := vc.env.Config().LeaderOf(nv.View)
 	for i := range nv.Reissued {
 		s := &nv.Reissued[i]
 		vc.slots.Advance(s.Seq)
 		if s.Seq > led.LastExecuted() {
-			vc.hooks.Accept(s)
+			vc.hooks.Accept(s.Proposal(leader))
 		}
 	}
 	vc.adopting = false

@@ -125,8 +125,9 @@ type SigClaim struct {
 
 // SigClaimer is implemented by messages that can expose their signature
 // claims for pre-verification. from is the transport-level sender, which
-// claims whose signer the message does not name (e.g. a PBFT pre-prepare
-// is implicitly signed by the view's leader — the sender, when honest).
+// claims whose signer the message does not name (e.g. a Tendermint
+// proposal is implicitly signed by the round's proposer — the sender, when
+// honest).
 type SigClaimer interface {
 	SigClaims(from types.NodeID) []SigClaim
 }
@@ -383,25 +384,33 @@ func (c *Certificate) Size() int { return len(c.Signers) }
 
 // HashInto feeds every field of the certificate (or its absence, for nil)
 // to h: what a message that relays a certificate signs, so the relayed
-// copy cannot be swapped or stripped under the sender's signature.
+// copy cannot be swapped or stripped under the sender's signature. The
+// fields are chained into one digest a signer at a time, so no preimage
+// outgrows a hasher's stack buffer: a certificate costs its signer a few
+// hashes and no allocation.
 func (c *Certificate) HashInto(h *types.Hasher) {
 	if c == nil {
 		h.U64(0)
 		return
 	}
-	h.U64(1).Digest(c.Digest).U64(uint64(len(c.Signers)))
-	for _, id := range c.Signers {
-		h.U64(uint64(id))
-	}
-	h.U64(uint64(len(c.Sigs)))
-	for _, sig := range c.Sigs {
-		h.Bytes(sig)
-	}
 	var threshold uint64
 	if c.Threshold {
 		threshold = 1
 	}
-	h.U64(threshold)
+	var head types.Hasher
+	d := head.Digest(c.Digest).U64(uint64(len(c.Signers))).U64(uint64(len(c.Sigs))).U64(threshold).Sum()
+	for i := range max(len(c.Signers), len(c.Sigs)) {
+		var link types.Hasher
+		link.Digest(d)
+		if i < len(c.Signers) {
+			link.U64(uint64(c.Signers[i]))
+		}
+		if i < len(c.Sigs) {
+			link.Bytes(c.Sigs[i])
+		}
+		d = link.Sum()
+	}
+	h.U64(1).Digest(d)
 }
 
 // Verify checks the certificate contains at least quorum valid signatures

@@ -28,11 +28,10 @@ import (
 //
 //   - equivocation proofs need the forked proposal to carry a signature
 //     claim, so MAC-authenticated ordering (pbft-mac — no
-//     non-repudiation), unsigned protocols (qu, themis, raftlite), and
-//     protocols whose receivers verify relayed content against someone
-//     other than the sender (kauri's root-signed aggregation, chain's
-//     hop chains where the forked message dies at the first honest hop)
-//     yield none;
+//     non-repudiation), unsigned protocols (qu, raftlite), and chain's
+//     hop chains (the forked message dies at the first honest hop) yield
+//     none; a shared ordering message names its signer, so a proposal
+//     Kauri's tree relays is still claimed by the root that signed it;
 //   - withholding and delaying are omissions — unprovable, so the
 //     expectation is a statistical accusation (or just the top score
 //     when the run is too short or the protocol's traffic too lopsided
@@ -84,8 +83,8 @@ var accountabilityTable = map[string]map[string]accountabilityExpect{
 	"fab":        {"equivocate": expectProof(forensics.ProofEquivocation), "withhold": accuse, "delay": none, "corrupt": expectProof(forensics.ProofDivergentResult), "stuff": expectProof(forensics.ProofDivergentResult, forensics.ProofForgedSig), "stale": expectProof(forensics.ProofReplay)},
 	"qu":         {"equivocate": none, "withhold": accuse, "delay": none, "corrupt": none, "stuff": none, "stale": none},
 	"prime":      {"equivocate": expectProof(forensics.ProofEquivocation), "withhold": none, "delay": accuse, "corrupt": expectProof(forensics.ProofDivergentResult), "stuff": expectProof(forensics.ProofDivergentResult, forensics.ProofForgedSig), "stale": expectProof(forensics.ProofReplay)},
-	"themis":     {"equivocate": none, "withhold": top, "delay": accuse, "corrupt": expectProof(forensics.ProofDivergentResult), "stuff": expectProof(forensics.ProofDivergentResult, forensics.ProofForgedSig), "stale": none},
-	"kauri":      {"equivocate": none, "withhold": top, "delay": none, "corrupt": expectProof(forensics.ProofDivergentResult), "stuff": expectProof(forensics.ProofDivergentResult, forensics.ProofForgedSig), "stale": none},
+	"themis":     {"equivocate": expectProof(forensics.ProofEquivocation), "withhold": top, "delay": accuse, "corrupt": expectProof(forensics.ProofDivergentResult), "stuff": expectProof(forensics.ProofDivergentResult, forensics.ProofForgedSig), "stale": expectProof(forensics.ProofReplay)},
+	"kauri":      {"equivocate": expectProof(forensics.ProofEquivocation), "withhold": top, "delay": none, "corrupt": expectProof(forensics.ProofDivergentResult), "stuff": expectProof(forensics.ProofDivergentResult, forensics.ProofForgedSig), "stale": expectProof(forensics.ProofReplay)},
 	"chain":      {"equivocate": none, "withhold": none, "delay": none, "corrupt": expectProof(forensics.ProofDivergentResult), "stuff": expectProof(forensics.ProofDivergentResult, forensics.ProofForgedSig), "stale": expectProof(forensics.ProofReplay)},
 	"raftlite":   {"withhold": top, "delay": none, "corrupt": expectProof(forensics.ProofDivergentResult), "stuff": expectProof(forensics.ProofDivergentResult, forensics.ProofForgedSig), "stale": none},
 }

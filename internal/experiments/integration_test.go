@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -12,6 +11,8 @@ import (
 	"bftkit/internal/core"
 	"bftkit/internal/harness"
 	"bftkit/internal/kvstore"
+	"bftkit/internal/protocols/kauri"
+	"bftkit/internal/protocols/themis"
 	"bftkit/internal/sim"
 	"bftkit/internal/types"
 )
@@ -351,24 +352,40 @@ func TestByzantineRunsAreDeterministic(t *testing.T) {
 // TestProofsAndCertificatesAreDeterministic is the fault-free sibling of
 // TestByzantineRunsAreDeterministic: two runs of the same seed must agree
 // not only on counts but on who is named in every commit proof a replica's
-// ledger keeps and, in order, in every certificate or signature aggregate
-// put on the wire. Certificates used to be assembled by ranging over a
-// per-slot map, so their signer order differed from run to run; core.Slots
-// assembles them in vote-arrival order. (Commit proofs' voter lists are
+// ledger keeps and on the bytes of every ordering message put on the wire.
+// Each shared ordering message is recorded by its signature, which covers
+// every field it carries (core's kit test) — a certificate's signers in
+// order, a proposal's evidence in order — and Kauri's unsigned aggregates
+// by their signers. Certificates used to be assembled by ranging over a
+// per-slot map, and Themis's leader ranged over a map of reports to fill
+// its proposals; core.Slots assembles certificates in vote-arrival order
+// and the reports go in origin order. (Commit proofs' voter lists are
 // sorted by the runtime, so they only differ if the voter set does.)
 func TestProofsAndCertificatesAreDeterministic(t *testing.T) {
 	transcript := func(proto string) string {
 		var out strings.Builder
 		c := harness.NewCluster(harness.Options{Protocol: proto, F: 1, Clients: 2, Seed: 7})
 		c.Net.SetTap(func(_ time.Duration, from, to types.NodeID, m types.Message) {
-			fields := reflect.ValueOf(m).Elem()
-			signers := fields.FieldByName("Signers") // kauri's aggregates
-			if cert := fields.FieldByName("Cert"); cert.IsValid() && !cert.IsNil() {
-				signers = cert.Elem().FieldByName("Signers")
+			var sig []byte
+			switch mm := m.(type) {
+			case *core.ProposeMsg:
+				sig = mm.Sig
+				for _, e := range mm.Evidence {
+					if rep, ok := e.(*themis.ReportMsg); ok {
+						fmt.Fprintf(&out, "%v->%v report from %v\n", from, to, rep.Origin)
+					}
+				}
+			case *core.VoteMsg:
+				sig = mm.Sig
+			case *core.CertMsg:
+				sig = mm.Sig
+			case *kauri.AggrMsg:
+				fmt.Fprintf(&out, "%v->%v %s %v\n", from, to, m.Kind(), mm.Signers)
+				return
+			default:
+				return
 			}
-			if signers.IsValid() {
-				fmt.Fprintf(&out, "%v->%v %s %v\n", from, to, m.Kind(), signers)
-			}
+			fmt.Fprintf(&out, "%v->%v %s %x\n", from, to, m.Kind(), sig)
 		})
 		c.Start()
 		c.ClosedLoop(10, func(cl, k int) []byte {
@@ -385,14 +402,14 @@ func TestProofsAndCertificatesAreDeterministic(t *testing.T) {
 		}
 		return out.String()
 	}
-	for _, proto := range []string{"pbft", "fab", "sbft", "kauri"} {
+	for _, proto := range stableLeaderProtocols {
 		a, b := strings.Split(transcript(proto), "\n"), strings.Split(transcript(proto), "\n")
 		i := 0
 		for i < len(a) && i < len(b) && a[i] == b[i] {
 			i++
 		}
 		if i < len(a) || i < len(b) {
-			t.Errorf("%s: same seed, different proofs or certificates from line %d on: %q vs %q", proto, i, a[i:min(i+1, len(a))], b[i:min(i+1, len(b))])
+			t.Errorf("%s: same seed, different proofs or ordering messages from line %d on: %q vs %q", proto, i, a[i:min(i+1, len(a))], b[i:min(i+1, len(b))])
 		}
 	}
 }
@@ -443,10 +460,10 @@ func TestX16FallbackShapes(t *testing.T) {
 	if r.Completed != 30 {
 		t.Fatalf("sbft/withhold completed %d of 30", r.Completed)
 	}
-	if kinds["SBFT-PROOF-fast-commit"] != 0 {
-		t.Errorf("sbft fast path survived a withholder: %d fast-commit proofs", kinds["SBFT-PROOF-fast-commit"])
+	if kinds["FAST-COMMIT-CERT"] != 0 {
+		t.Errorf("sbft fast path survived a withholder: %d fast-commit proofs", kinds["FAST-COMMIT-CERT"])
 	}
-	if kinds["SBFT-PROOF-prepare"] == 0 {
+	if kinds["PREPARE-CERT"] == 0 {
 		t.Error("sbft never took the τ3 slow path under a withholder")
 	}
 

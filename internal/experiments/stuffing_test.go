@@ -81,27 +81,22 @@ func TestViewChangeStuffingDoesNotMoveHonestReplicas(t *testing.T) {
 type voteMaker func(seq types.SeqNum, bogus types.Digest, from types.NodeID, sign func(types.Digest) []byte) types.Message
 
 var earlyVotes = map[string]voteMaker{
-	"pbft": func(seq types.SeqNum, bogus types.Digest, from types.NodeID, sign func(types.Digest) []byte) types.Message {
-		m := &pbft.PrepareMsg{Seq: seq, Digest: bogus, Replica: from}
+	"pbft": signedVote(core.StagePrepare),
+	"poe":  signedVote(core.StageShare),
+	"sbft": signedVote(core.StageSign),
+	"kauri": func(seq types.SeqNum, bogus types.Digest, from types.NodeID, sign func(types.Digest) []byte) types.Message {
+		return &kauri.AggrMsg{Stage: core.StagePrepare, Seq: seq, Digest: bogus,
+			Signers: []types.NodeID{from}, Sigs: [][]byte{sign(core.VoteDigest(core.StagePrepare, 0, seq, bogus))}}
+	},
+}
+
+// signedVote makes the shared vote message at stage.
+func signedVote(stage core.Stage) voteMaker {
+	return func(seq types.SeqNum, bogus types.Digest, from types.NodeID, sign func(types.Digest) []byte) types.Message {
+		m := &core.VoteMsg{Stage: stage, Seq: seq, Digest: bogus, Replica: from}
 		m.Sig = sign(m.SigDigest())
 		return m
-	},
-	"poe": func(seq types.SeqNum, bogus types.Digest, from types.NodeID, sign func(types.Digest) []byte) types.Message {
-		m := &poe.ShareMsg{Seq: seq, Digest: bogus, Replica: from}
-		m.Sig = sign(m.SigClaims(from)[0].Digest)
-		return m
-	},
-	"sbft": func(seq types.SeqNum, bogus types.Digest, from types.NodeID, sign func(types.Digest) []byte) types.Message {
-		m := &sbft.ShareMsg{Stage: "sign", Seq: seq, Digest: bogus, Replica: from}
-		m.Sig = sign(m.SigClaims(from)[0].Digest)
-		return m
-	},
-	"kauri": func(seq types.SeqNum, bogus types.Digest, from types.NodeID, sign func(types.Digest) []byte) types.Message {
-		var h types.Hasher // kauri's share digest
-		h.Str("kauri-share").Str("prepare").U64(0).U64(uint64(seq)).Digest(bogus)
-		return &kauri.AggrMsg{Stage: "prepare", Seq: seq, Digest: bogus,
-			Signers: []types.NodeID{from}, Sigs: [][]byte{sign(h.Sum())}}
-	},
+	}
 }
 
 // TestEarlyVotesForAnotherDigestDoNotPoisonCertificates is the regression

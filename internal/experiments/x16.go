@@ -67,9 +67,9 @@ func X16ByzantineFallback(w io.Writer) {
 		fast, slow string // message kinds distinguishing the paths
 	}
 	probes := map[string]probe{
-		"zyzzyva": {fast: "ORDER-REQ", slow: "ZYZ-COMMIT"},
-		"sbft":    {fast: "SBFT-PROOF-fast-commit", slow: "SBFT-PROOF-prepare"},
-		"poe":     {fast: "POE-CERTIFY", slow: "VIEW-CHANGE"},
+		"zyzzyva": {fast: "PROPOSE", slow: "ZYZ-COMMIT"},
+		"sbft":    {fast: "FAST-COMMIT-CERT", slow: "PREPARE-CERT"},
+		"poe":     {fast: "SHARE-CERT", slow: "VIEW-CHANGE"},
 	}
 	for _, proto := range []string{"zyzzyva", "sbft", "poe"} {
 		for _, row := range []struct {

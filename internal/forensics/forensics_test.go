@@ -42,7 +42,7 @@ func testRing(t *testing.T) crypto.KeyRing {
 func preprepare(auth *crypto.Authority, signer types.NodeID, view types.View, seq types.SeqNum, payload string) *pbft.PrePrepareMsg {
 	var h types.Hasher
 	h.Str(payload)
-	m := &pbft.PrePrepareMsg{View: view, Seq: seq, Digest: h.Sum()}
+	m := &pbft.PrePrepareMsg{View: view, Seq: seq, Digest: h.Sum(), Leader: signer}
 	m.Sig = auth.Signer(signer).Sign(m.SigDigest())
 	return m
 }

@@ -883,7 +883,7 @@ func (t *Tracer) OrderingTotals() (msgs, bytes int64) {
 
 // OrderingPhases returns the distinct protocol phases observed — the
 // measured counterpart of the profile's phase count (e.g. Zyzzyva's
-// single ORDER-REQ phase vs PBFT's three).
+// single propose phase vs PBFT's three).
 func (t *Tracer) OrderingPhases() []string {
 	var out []string
 	for phase, st := range t.PerPhase() {

@@ -37,24 +37,24 @@ func (m *keyedMsg) RequestRef() types.RequestKey {
 
 func TestPhaseClassification(t *testing.T) {
 	cases := map[string]string{
-		"PRE-PREPARE":        "pre-prepare",
+		"PROPOSE":            "propose",
 		"PREPARE":            "prepare",
 		"COMMIT":             "commit",
 		"HS-PROPOSAL":        "propose",
 		"HS-VOTE":            "vote",
-		"ORDER-REQ":          "order",
 		"REQUEST":            PhaseClient,
 		"REPLY":              PhaseClient,
 		"CHECKPOINT":         PhaseCheckpoint,
-		"ZYZ-CHECKPOINT":     PhaseCheckpoint,
 		"VIEW-CHANGE":        PhaseViewChange,
 		"NEW-VIEW":           PhaseViewChange,
 		"HS-TIMEOUT":         PhaseViewChange,
 		"FETCH-STATE":        PhaseRecovery,
-		"SBFT-SHARE-sign":    "sign",
-		"SBFT-PROOF-commit":  "commit",
+		"SIGN":               "sign",
+		"COMMIT-CERT":        "commit",
+		"FAST-COMMIT-CERT":   "fast-commit",
+		"SHARE":              "share",
+		"SHARE-CERT":         "certify",
 		"KAURI-AGGR-prepare": "prepare",
-		"THEMIS-prepare":     "prepare",
 		"PO-REQUEST":         "preorder",
 		"SOME-NEW-KIND":      "some-new-kind", // unknown kinds still group
 	}

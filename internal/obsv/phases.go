@@ -12,11 +12,9 @@ const (
 	PhaseRecovery   = "recovery"
 )
 
-// phaseByKind maps every static message kind in the repository to its
-// protocol phase. Kinds with dynamic suffixes (SBFT-SHARE-<stage>,
-// THEMIS-<stage>, KAURI-AGGR-<stage>…) are resolved by PhaseOf's prefix
-// rules. The table is best-effort labeling: an unknown kind falls back
-// to its lowercased name, which still groups consistently.
+// phaseByKind maps every message kind in the repository to its protocol
+// phase. The table is best-effort labeling: an unknown kind falls back to
+// its lowercased name, which still groups consistently.
 var phaseByKind = map[string]string{
 	// core (client interaction, checkpointing, state transfer)
 	"REQUEST":     PhaseClient,
@@ -26,10 +24,25 @@ var phaseByKind = map[string]string{
 	"FETCH-STATE": PhaseRecovery,
 	"STATE":       PhaseRecovery,
 
+	// the eight stable-leader protocols' ordering messages
+	// (core.ProposeMsg, core.VoteMsg and core.CertMsg per stage): PoE's
+	// share certificate is its certify phase, every other certificate
+	// belongs to the phase of its stage
+	"PROPOSE":          "propose",
+	"PREPARE":          "prepare",
+	"COMMIT":           "commit",
+	"SIGN":             "sign",
+	"FAST-COMMIT":      "fast-commit",
+	"SHARE":            "share",
+	"ACCEPT":           "accept",
+	"PREPARE-CERT":     "prepare",
+	"COMMIT-CERT":      "commit",
+	"SIGN-CERT":        "sign",
+	"FAST-COMMIT-CERT": "fast-commit",
+	"SHARE-CERT":       "certify",
+	"ACCEPT-CERT":      "accept",
+
 	// pbft
-	"PRE-PREPARE":     "pre-prepare",
-	"PREPARE":         "prepare",
-	"COMMIT":          "commit",
 	"FETCH-COMMITTED": PhaseRecovery,
 	"COMMITTED":       PhaseRecovery,
 
@@ -49,30 +62,13 @@ var phaseByKind = map[string]string{
 	"HS-FETCH":    PhaseRecovery,
 	"HS-BLOCK":    PhaseRecovery,
 
-	// sbft
-	"SBFT-PRE-PREPARE": "pre-prepare",
-
 	// zyzzyva (ZYZ-COMMIT/LOCAL-COMMIT are the client-driven repair
 	// path, outside the speculative good case)
-	"ORDER-REQ":      "order",
-	"ZYZ-COMMIT":     "repair",
-	"LOCAL-COMMIT":   "repair",
-	"ZYZ-CHECKPOINT": PhaseCheckpoint,
-
-	// poe
-	"POE-PROPOSE":    "propose",
-	"POE-SHARE":      "share",
-	"POE-CERTIFY":    "certify",
-	"POE-CHECKPOINT": PhaseCheckpoint,
+	"ZYZ-COMMIT":   "repair",
+	"LOCAL-COMMIT": "repair",
 
 	// cheapbft
-	"CHEAP-PROPOSE": "propose",
-	"CHEAP-VOTE":    "vote",
-	"CHEAP-UPDATE":  "update",
-
-	// fab
-	"FAB-PROPOSE": "propose",
-	"FAB-ACCEPT":  "accept",
+	"CHEAP-UPDATE": "update",
 
 	// qu
 	"QU-QUERY":      "query",
@@ -86,11 +82,11 @@ var phaseByKind = map[string]string{
 	"PO-ACK":     "preorder",
 
 	// themis
-	"THEMIS-REPORT":  "report",
-	"THEMIS-PROPOSE": "propose",
+	"THEMIS-REPORT": "report",
 
 	// kauri
-	"KAURI-PROPOSE": "propose",
+	"KAURI-AGGR-prepare": "prepare",
+	"KAURI-AGGR-commit":  "commit",
 
 	// chain replication
 	"CHAIN":          "chain",
@@ -107,14 +103,6 @@ var phaseByKind = map[string]string{
 	"VOTE":           PhaseViewChange,
 }
 
-// stagePrefixes are kinds carrying a dynamic stage suffix; the stage is
-// the phase ("SBFT-SHARE-commit" → "commit").
-var stagePrefixes = []string{
-	"SBFT-SHARE-", "SBFT-PROOF-",
-	"KAURI-AGGR-", "KAURI-CERT-",
-	"THEMIS-",
-}
-
 // PhaseOf classifies a message kind into a protocol phase. View-change
 // and new-view kinds of every protocol collapse into PhaseViewChange,
 // checkpoint kinds into PhaseCheckpoint, state transfer into
@@ -129,11 +117,6 @@ func PhaseOf(kind string) string {
 	}
 	if strings.Contains(kind, "CHECKPOINT") {
 		return PhaseCheckpoint
-	}
-	for _, pre := range stagePrefixes {
-		if strings.HasPrefix(kind, pre) {
-			return strings.ToLower(strings.TrimPrefix(kind, pre))
-		}
 	}
 	return strings.ToLower(kind)
 }

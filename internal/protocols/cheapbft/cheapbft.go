@@ -28,62 +28,6 @@ const (
 	timerVCRetry  = "vc-retry"
 )
 
-// ProposeMsg is the leader's assignment to the active set.
-type ProposeMsg struct {
-	View   types.View
-	Seq    types.SeqNum
-	Digest types.Digest
-	Batch  *types.Batch
-	Sig    []byte
-}
-
-// Kind implements types.Message.
-func (*ProposeMsg) Kind() string { return "CHEAP-PROPOSE" }
-
-// Slot implements obsv.Slotted.
-func (m *ProposeMsg) Slot() (types.View, types.SeqNum) { return m.View, m.Seq }
-
-// SigDigest is the signed content.
-func (m *ProposeMsg) SigDigest() types.Digest {
-	var h types.Hasher
-	h.Str("cheap-propose").U64(uint64(m.View)).U64(uint64(m.Seq)).Digest(m.Digest)
-	return h.Sum()
-}
-
-// SigClaims implements crypto.SigClaimer: the leader's signature, which
-// receivers verify against the sender.
-func (m *ProposeMsg) SigClaims(from types.NodeID) []crypto.SigClaim {
-	return []crypto.SigClaim{{Signer: from, Digest: m.SigDigest(), Sig: m.Sig}}
-}
-
-// VoteMsg is an active replica's accept, broadcast within the active set.
-type VoteMsg struct {
-	View    types.View
-	Seq     types.SeqNum
-	Digest  types.Digest
-	Replica types.NodeID
-	Sig     []byte
-}
-
-// Kind implements types.Message.
-func (*VoteMsg) Kind() string { return "CHEAP-VOTE" }
-
-// Slot implements obsv.Slotted.
-func (m *VoteMsg) Slot() (types.View, types.SeqNum) { return m.View, m.Seq }
-
-// SigDigest is the signed content.
-func (m *VoteMsg) SigDigest() types.Digest {
-	var h types.Hasher
-	h.Str("cheap-vote").U64(uint64(m.View)).U64(uint64(m.Seq)).Digest(m.Digest).U64(uint64(m.Replica))
-	return h.Sum()
-}
-
-// SigClaims implements crypto.SigClaimer: the voter's signature, which
-// receivers verify against the sender.
-func (m *VoteMsg) SigClaims(from types.NodeID) []crypto.SigClaim {
-	return []crypto.SigClaim{{Signer: from, Digest: m.SigDigest(), Sig: m.Sig}}
-}
-
 // UpdateMsg ships a committed batch to the passive replicas.
 type UpdateMsg struct {
 	View   types.View
@@ -117,9 +61,6 @@ type Options struct {
 	// SilentActive withholds votes while active (forces the fallback).
 	SilentActive bool
 }
-
-// stageVote is CheapBFT's one voting stage, among the active replicas.
-const stageVote = "vote"
 
 // CheapBFT is the protocol state machine for one replica.
 type CheapBFT struct {
@@ -155,7 +96,8 @@ func (c *CheapBFT) Init(env core.Env) {
 	c.cm = core.NewCheckpointManager(env)
 	c.backlog = core.NewBacklog(env, timerProgress)
 	c.vc = core.NewViewChange(env, c.backlog, timerVCRetry, env.Config().Quorum(), c.viewChangeHooks())
-	c.Slots = core.NewSlots[struct{}](env, core.CheapBFTProfile(), c.backlog, c.vc, c.cm, stageVote)
+	// CheapBFT's one voting stage: the active replicas' commits.
+	c.Slots = core.NewSlots[struct{}](env, core.CheapBFTProfile(), c.backlog, c.vc, c.cm, core.StageCommit)
 }
 
 // View returns the current view.
@@ -201,27 +143,24 @@ func (c *CheapBFT) OnRequest(req *types.Request) {
 }
 
 func (c *CheapBFT) maybePropose() {
-	c.Slots.Propose(func(seq types.SeqNum, batch *types.Batch) {
-		pm := &ProposeMsg{View: c.View(), Seq: seq, Digest: batch.Digest(), Batch: batch}
-		pm.Sig = c.env.Signer().Sign(pm.SigDigest())
+	c.Slots.Propose(func(pm *core.ProposeMsg) {
 		c.broadcastActive(c.View(), pm)
 		c.acceptPropose(pm)
 	})
 }
 
-func (c *CheapBFT) acceptPropose(m *ProposeMsg) {
+func (c *CheapBFT) acceptPropose(m *core.ProposeMsg) {
 	if !c.IsActive(m.View, c.env.ID()) {
 		return
 	}
-	sl := c.Slots.Accept(m.View, m.Seq, m.Digest, m.Batch)
+	sl := c.Slots.Accept(m)
 	if sl == nil {
 		return
 	}
 	if !c.opts.SilentActive {
-		vm := &VoteMsg{View: m.View, Seq: m.Seq, Digest: m.Digest, Replica: c.env.ID()}
-		vm.Sig = c.env.Signer().Sign(vm.SigDigest())
+		vm := core.NewVote(c.env, core.StageCommit, m.View, m.Seq, m.Digest)
 		c.broadcastActive(c.View(), vm)
-		c.Slots.Vote(stageVote, m.View, m.Seq, c.env.ID(), m.Digest, vm.Sig)
+		c.Slots.Vote(vm.Stage, vm.View, vm.Seq, c.env.ID(), vm.Digest, vm.Sig)
 	}
 	c.checkCommit(sl)
 }
@@ -234,25 +173,18 @@ func (c *CheapBFT) OnMessage(from types.NodeID, m types.Message) {
 	switch mm := m.(type) {
 	case *core.ForwardMsg:
 		c.OnRequest(mm.Req)
-	case *ProposeMsg:
-		if from != c.env.Config().LeaderOf(mm.View) {
+	case *core.ProposeMsg:
+		if mm.Verify(c.env) {
+			c.acceptPropose(mm)
+		}
+	case *core.VoteMsg:
+		if mm.View != c.View() || c.vc.Active() || !c.IsActive(mm.View, from) || !c.IsActive(mm.View, c.env.ID()) {
 			return
 		}
-		if !c.env.Verifier().VerifySig(from, mm.SigDigest(), mm.Sig) {
+		if !mm.Verify(c.env, from) {
 			return
 		}
-		c.acceptPropose(mm)
-	case *VoteMsg:
-		if mm.Replica != from || mm.View != c.View() || c.vc.Active() {
-			return
-		}
-		if !c.IsActive(mm.View, from) || !c.IsActive(mm.View, c.env.ID()) {
-			return
-		}
-		if !c.env.Verifier().VerifySig(from, mm.SigDigest(), mm.Sig) {
-			return
-		}
-		if sl := c.Slots.Vote(stageVote, mm.View, mm.Seq, from, mm.Digest, mm.Sig); sl != nil {
+		if sl := c.Slots.Vote(mm.Stage, mm.View, mm.Seq, from, mm.Digest, mm.Sig); sl != nil {
 			c.checkCommit(sl)
 		}
 	case *UpdateMsg:
@@ -263,10 +195,10 @@ func (c *CheapBFT) OnMessage(from types.NodeID, m types.Message) {
 // checkCommit fires when ALL 2f+1 active replicas voted — the whole
 // point of DC5: the quorum is the entire active set.
 func (c *CheapBFT) checkCommit(sl *core.Slot[struct{}]) {
-	if !sl.Reached(stageVote, c.Slots.Quorum) {
+	if !sl.Reached(core.StageCommit, c.Slots.Quorum) {
 		return
 	}
-	proof := &types.CommitProof{View: c.View(), Seq: sl.Seq, Digest: sl.Digest, Voters: sl.Voters(stageVote)}
+	proof := &types.CommitProof{View: c.View(), Seq: sl.Seq, Digest: sl.Digest, Voters: sl.Voters(core.StageCommit)}
 	c.env.Commit(c.View(), sl.Seq, sl.Batch, proof)
 	// The leader informs the passive replicas.
 	if c.vc.Leading() {

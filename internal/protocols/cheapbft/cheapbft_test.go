@@ -28,7 +28,7 @@ func TestFaultFreeActiveSetOnly(t *testing.T) {
 	// DC5's measurable effect: the passive replica (3, outside the view-0
 	// active set {0,1,2}) sends almost nothing — it never votes.
 	kinds, _ := c.Net.KindCounts()
-	if kinds["CHEAP-VOTE"] == 0 {
+	if kinds["COMMIT"] == 0 {
 		t.Fatal("no votes observed")
 	}
 	passive := c.Net.Stats(types.NodeID(3))

@@ -20,21 +20,16 @@ func (c *CheapBFT) viewChangeHooks() core.ViewChangeHooks {
 		Vouch: func(m *core.ViewChangeMsg) {
 			m.Committed = core.RetainedCommitted(c.env)
 			for _, sl := range c.Slots.Assigned() {
-				if sl.Seq > m.Base && !sl.Past(stageVote) {
+				if sl.Seq > m.Base && !sl.Past(core.StageCommit) {
 					m.Carried = append(m.Carried, core.CarriedSlot{
 						View: c.View(), Seq: sl.Seq, Digest: sl.Digest, Batch: sl.Batch,
 					})
 				}
 			}
 		},
-		Pick:      core.MostClaimed,
-		Keep:      func(*core.CommittedSlot, types.SeqNum) bool { return true },
-		SigDigest: func(s *core.CarriedSlot) types.Digest { return proposal(s).SigDigest() },
-		Accept:    func(s *core.CarriedSlot) { c.acceptPropose(proposal(s)) },
-		Resume:    c.maybePropose,
+		Pick:   core.MostClaimed,
+		Keep:   func(*core.CommittedSlot, types.SeqNum) bool { return true },
+		Accept: c.acceptPropose,
+		Resume: c.maybePropose,
 	}
-}
-
-func proposal(s *core.CarriedSlot) *ProposeMsg {
-	return &ProposeMsg{View: s.View, Seq: s.Seq, Digest: s.Digest, Batch: s.Batch, Sig: s.LeaderSig}
 }

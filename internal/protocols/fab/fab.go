@@ -8,7 +8,6 @@ package fab
 
 import (
 	"bftkit/internal/core"
-	"bftkit/internal/crypto"
 	"bftkit/internal/types"
 )
 
@@ -17,66 +16,6 @@ const (
 	timerProgress = "progress"
 	timerVCRetry  = "vc-retry"
 )
-
-// ProposeMsg is the leader's proposal (phase 1, linear).
-type ProposeMsg struct {
-	View   types.View
-	Seq    types.SeqNum
-	Digest types.Digest
-	Batch  *types.Batch
-	Sig    []byte
-}
-
-// Kind implements types.Message.
-func (*ProposeMsg) Kind() string { return "FAB-PROPOSE" }
-
-// Slot implements obsv.Slotted.
-func (m *ProposeMsg) Slot() (types.View, types.SeqNum) { return m.View, m.Seq }
-
-// SigDigest is the signed content.
-func (m *ProposeMsg) SigDigest() types.Digest {
-	var h types.Hasher
-	h.Str("fab-propose").U64(uint64(m.View)).U64(uint64(m.Seq)).Digest(m.Digest)
-	return h.Sum()
-}
-
-// SigClaims implements crypto.SigClaimer: the leader's signature, which
-// receivers verify against the sender.
-func (m *ProposeMsg) SigClaims(from types.NodeID) []crypto.SigClaim {
-	return []crypto.SigClaim{{Signer: from, Digest: m.SigDigest(), Sig: m.Sig}}
-}
-
-// AcceptMsg is a replica's accept, broadcast to everyone (phase 2,
-// quadratic — the phase FaB pays replicas to keep).
-type AcceptMsg struct {
-	View    types.View
-	Seq     types.SeqNum
-	Digest  types.Digest
-	Replica types.NodeID
-	Sig     []byte
-}
-
-// Kind implements types.Message.
-func (*AcceptMsg) Kind() string { return "FAB-ACCEPT" }
-
-// Slot implements obsv.Slotted.
-func (m *AcceptMsg) Slot() (types.View, types.SeqNum) { return m.View, m.Seq }
-
-// SigDigest is the signed content.
-func (m *AcceptMsg) SigDigest() types.Digest {
-	var h types.Hasher
-	h.Str("fab-accept").U64(uint64(m.View)).U64(uint64(m.Seq)).Digest(m.Digest).U64(uint64(m.Replica))
-	return h.Sum()
-}
-
-// SigClaims implements crypto.SigClaimer: the accepter's signature, which
-// receivers verify against the sender.
-func (m *AcceptMsg) SigClaims(from types.NodeID) []crypto.SigClaim {
-	return []crypto.SigClaim{{Signer: from, Digest: m.SigDigest(), Sig: m.Sig}}
-}
-
-// stageAccept is FaB's one voting stage: the all-to-all accept round.
-const stageAccept = "accept"
 
 // FaB is the protocol state machine for one replica.
 type FaB struct {
@@ -110,7 +49,8 @@ func (f *FaB) Init(env core.Env) {
 	f.backlog = core.NewBacklog(env, timerProgress)
 	// FaB's view-change quorum is n−f messages.
 	f.vc = core.NewViewChange(env, f.backlog, timerVCRetry, env.N()-env.F(), f.viewChangeHooks())
-	f.Slots = core.NewSlots[struct{}](env, core.FaBProfile(), f.backlog, f.vc, f.cm, stageAccept)
+	// FaB's one voting stage: the all-to-all accept round.
+	f.Slots = core.NewSlots[struct{}](env, core.FaBProfile(), f.backlog, f.vc, f.cm, core.StageAccept)
 }
 
 // View returns the current view.
@@ -124,23 +64,19 @@ func (f *FaB) OnRequest(req *types.Request) {
 }
 
 func (f *FaB) maybePropose() {
-	f.Slots.Propose(func(seq types.SeqNum, batch *types.Batch) {
-		pm := &ProposeMsg{View: f.View(), Seq: seq, Digest: batch.Digest(), Batch: batch}
-		pm.Sig = f.env.Signer().Sign(pm.SigDigest())
+	f.Slots.Propose(func(pm *core.ProposeMsg) {
 		f.env.Broadcast(pm)
 		f.acceptPropose(pm)
 	})
 }
 
-func (f *FaB) acceptPropose(m *ProposeMsg) {
-	sl := f.Slots.Accept(m.View, m.Seq, m.Digest, m.Batch)
+func (f *FaB) acceptPropose(m *core.ProposeMsg) {
+	sl := f.Slots.Accept(m)
 	if sl == nil {
 		return
 	}
-	am := &AcceptMsg{View: m.View, Seq: m.Seq, Digest: m.Digest, Replica: f.env.ID()}
-	am.Sig = f.env.Signer().Sign(am.SigDigest())
-	f.env.Broadcast(am)
-	f.Slots.Vote(stageAccept, m.View, m.Seq, f.env.ID(), m.Digest, nil)
+	f.env.Broadcast(core.NewVote(f.env, core.StageAccept, m.View, m.Seq, m.Digest))
+	f.Slots.Vote(core.StageAccept, m.View, m.Seq, f.env.ID(), m.Digest, nil)
 	f.checkCommit(sl)
 }
 
@@ -152,22 +88,15 @@ func (f *FaB) OnMessage(from types.NodeID, m types.Message) {
 	switch mm := m.(type) {
 	case *core.ForwardMsg:
 		f.OnRequest(mm.Req)
-	case *ProposeMsg:
-		if from != f.env.Config().LeaderOf(mm.View) {
+	case *core.ProposeMsg:
+		if mm.Verify(f.env) {
+			f.acceptPropose(mm)
+		}
+	case *core.VoteMsg:
+		if mm.View != f.View() || f.vc.Active() || !mm.Verify(f.env, from) {
 			return
 		}
-		if !f.env.Verifier().VerifySig(from, mm.SigDigest(), mm.Sig) {
-			return
-		}
-		f.acceptPropose(mm)
-	case *AcceptMsg:
-		if mm.Replica != from || mm.View != f.View() || f.vc.Active() {
-			return
-		}
-		if !f.env.Verifier().VerifySig(from, mm.SigDigest(), mm.Sig) {
-			return
-		}
-		if sl := f.Slots.Vote(stageAccept, mm.View, mm.Seq, from, mm.Digest, nil); sl != nil {
+		if sl := f.Slots.Vote(mm.Stage, mm.View, mm.Seq, from, mm.Digest, nil); sl != nil {
 			f.checkCommit(sl)
 		}
 	}
@@ -175,10 +104,10 @@ func (f *FaB) OnMessage(from types.NodeID, m types.Message) {
 
 // checkCommit fires on 4f+1 matching accepts: two phases total.
 func (f *FaB) checkCommit(sl *core.Slot[struct{}]) {
-	if !sl.Reached(stageAccept, f.Slots.Quorum) {
+	if !sl.Reached(core.StageAccept, f.Slots.Quorum) {
 		return
 	}
-	proof := &types.CommitProof{View: f.View(), Seq: sl.Seq, Digest: sl.Digest, Voters: sl.Voters(stageAccept)}
+	proof := &types.CommitProof{View: f.View(), Seq: sl.Seq, Digest: sl.Digest, Voters: sl.Voters(core.StageAccept)}
 	f.env.Commit(f.View(), sl.Seq, sl.Batch, proof)
 }
 

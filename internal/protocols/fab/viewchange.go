@@ -1,9 +1,6 @@
 package fab
 
-import (
-	"bftkit/internal/core"
-	"bftkit/internal/types"
-)
+import "bftkit/internal/core"
 
 // What is FaB's own in the view-change stage; the messages and the
 // recovery loop are core.ViewChange, with FaB's n−f quorum. Replicas carry
@@ -26,14 +23,9 @@ func (f *FaB) viewChangeHooks() core.ViewChangeHooks {
 				}
 			}
 		},
-		Pick:      core.MostClaimed,
-		Keep:      core.UpToBase,
-		SigDigest: func(s *core.CarriedSlot) types.Digest { return proposal(s).SigDigest() },
-		Accept:    func(s *core.CarriedSlot) { f.acceptPropose(proposal(s)) },
-		Resume:    f.maybePropose,
+		Pick:   core.MostClaimed,
+		Keep:   core.UpToBase,
+		Accept: f.acceptPropose,
+		Resume: f.maybePropose,
 	}
-}
-
-func proposal(s *core.CarriedSlot) *ProposeMsg {
-	return &ProposeMsg{View: s.View, Seq: s.Seq, Digest: s.Digest, Batch: s.Batch, Sig: s.LeaderSig}
 }

@@ -16,10 +16,7 @@
 package kauri
 
 import (
-	"strings"
-
 	"bftkit/internal/core"
-	"bftkit/internal/crypto"
 	"bftkit/internal/types"
 )
 
@@ -27,44 +24,19 @@ import (
 const (
 	timerProgress = "progress"
 	timerVCRetry  = "vc-retry"
-	timerAggr     = "aggregate" // bounded wait for subtree votes
 )
+
+// aggrTimers name, per tree round, the bounded wait for subtree votes.
+var aggrTimers = [...]string{core.StagePrepare: "aggregate-prepare", core.StageCommit: "aggregate-commit"}
 
 // Branching is the tree fan-out.
 const Branching = 2
 
-func shareDigest(stage string, v types.View, seq types.SeqNum, d types.Digest) types.Digest {
-	var h types.Hasher
-	h.Str("kauri-share").Str(stage).U64(uint64(v)).U64(uint64(seq)).Digest(d)
-	return h.Sum()
-}
-
-// ProposalMsg flows down the tree.
-type ProposalMsg struct {
-	View   types.View
-	Seq    types.SeqNum
-	Digest types.Digest
-	Batch  *types.Batch
-	Sig    []byte // root's signature
-}
-
-// Kind implements types.Message.
-func (*ProposalMsg) Kind() string { return "KAURI-PROPOSE" }
-
-// Slot implements obsv.Slotted.
-func (m *ProposalMsg) Slot() (types.View, types.SeqNum) { return m.View, m.Seq }
-
-// SigDigest is the signed content.
-func (m *ProposalMsg) SigDigest() types.Digest {
-	var h types.Hasher
-	h.Str("kauri-propose").U64(uint64(m.View)).U64(uint64(m.Seq)).Digest(m.Digest)
-	return h.Sum()
-}
-
-// AggrMsg carries aggregated vote signatures up the tree. Stage is
-// "prepare" or "commit".
+// AggrMsg carries a subtree's vote signatures at Stage (prepare or
+// commit) up the tree, each over core.VoteDigest. Unlike a core.CertMsg it
+// is partial and unsigned: every relay adds its own vote and its children's.
 type AggrMsg struct {
-	Stage   string
+	Stage   core.Stage
 	View    types.View
 	Seq     types.SeqNum
 	Digest  types.Digest
@@ -73,49 +45,15 @@ type AggrMsg struct {
 }
 
 // Kind implements types.Message.
-func (m *AggrMsg) Kind() string { return "KAURI-AGGR-" + m.Stage }
+func (m *AggrMsg) Kind() string {
+	if m.Stage == core.StageCommit {
+		return "KAURI-AGGR-commit"
+	}
+	return "KAURI-AGGR-prepare"
+}
 
 // Slot implements obsv.Slotted.
 func (m *AggrMsg) Slot() (types.View, types.SeqNum) { return m.View, m.Seq }
-
-// CertMsg flows a completed certificate down the tree. Stage "prepare"
-// starts the commit round; stage "commit" commits the slot.
-type CertMsg struct {
-	Stage  string
-	View   types.View
-	Seq    types.SeqNum
-	Digest types.Digest
-	Cert   *crypto.Certificate
-	Sig    []byte // root's signature
-}
-
-// Kind implements types.Message.
-func (m *CertMsg) Kind() string { return "KAURI-CERT-" + m.Stage }
-
-// Slot implements obsv.Slotted.
-func (m *CertMsg) Slot() (types.View, types.SeqNum) { return m.View, m.Seq }
-
-// EncodedSize implements sim.Sizer (threshold certificates are constant).
-func (m *CertMsg) EncodedSize() int {
-	size := 64 + crypto.SigSize
-	if m.Cert != nil {
-		size += m.Cert.EncodedSize()
-	}
-	return size
-}
-
-// SigDigest is the signed content.
-func (m *CertMsg) SigDigest() types.Digest {
-	var h types.Hasher
-	h.Str("kauri-cert").Str(m.Stage).U64(uint64(m.View)).U64(uint64(m.Seq)).Digest(m.Digest)
-	return h.Sum()
-}
-
-// The two aggregation rounds (AggrMsg.Stage and CertMsg.Stage on the wire).
-const (
-	stagePrepare = "prepare"
-	stageCommit  = "commit"
-)
 
 // slotExt is what a Kauri slot keeps beside the kit's state: per stage,
 // how many signatures the last upward aggregate held. Late subtree votes
@@ -126,8 +64,8 @@ type slotExt struct {
 	done                    bool
 }
 
-func (x *slotExt) lastSent(stage string) *int {
-	if stage == stagePrepare {
+func (x *slotExt) lastSent(stage core.Stage) *int {
+	if stage == core.StagePrepare {
 		return &x.prepareSent
 	}
 	return &x.commitSent
@@ -170,7 +108,7 @@ func (k *Kauri) Init(env core.Env) {
 	k.preparedProof = make(map[types.SeqNum]*core.CarriedSlot)
 	k.backlog = core.NewBacklog(env, timerProgress)
 	k.vc = core.NewViewChange(env, k.backlog, timerVCRetry, env.Config().Quorum(), k.viewChangeHooks())
-	k.Slots = core.NewSlots[slotExt](env, core.KauriProfile(), k.backlog, k.vc, k.cm, stagePrepare, stageCommit)
+	k.Slots = core.NewSlots[slotExt](env, core.KauriProfile(), k.backlog, k.vc, k.cm, core.StagePrepare, core.StageCommit)
 }
 
 // View returns the current view.
@@ -233,28 +171,26 @@ func (k *Kauri) OnRequest(req *types.Request) {
 }
 
 func (k *Kauri) maybePropose() {
-	k.Slots.Propose(func(seq types.SeqNum, batch *types.Batch) {
-		prop := &ProposalMsg{View: k.View(), Seq: seq, Digest: batch.Digest(), Batch: batch}
-		prop.Sig = k.env.Signer().Sign(prop.SigDigest())
+	k.Slots.Propose(func(prop *core.ProposeMsg) {
 		k.down(prop)
 		k.acceptProposal(prop)
 	})
 }
 
 // acceptProposal relays down the tree and starts the prepare aggregation.
-func (k *Kauri) acceptProposal(m *ProposalMsg) {
-	sl := k.Slots.Accept(m.View, m.Seq, m.Digest, m.Batch)
+func (k *Kauri) acceptProposal(m *core.ProposeMsg) {
+	sl := k.Slots.Accept(m)
 	if sl == nil {
 		return
 	}
 	k.down(m) // relay to the subtree
-	k.vote(stagePrepare, sl)
+	k.vote(core.StagePrepare, sl)
 }
 
 // vote signs this replica's share for a stage and starts aggregating the
 // subtree's.
-func (k *Kauri) vote(stage string, sl *slot) {
-	sig := k.env.Signer().Sign(shareDigest(stage, k.View(), sl.Seq, sl.Digest))
+func (k *Kauri) vote(stage core.Stage, sl *slot) {
+	sig := k.env.Signer().Sign(core.VoteDigest(stage, k.View(), sl.Seq, sl.Digest))
 	k.Slots.Vote(stage, k.View(), sl.Seq, k.env.ID(), sl.Digest, sig)
 	k.maybeForwardAggr(stage, sl)
 }
@@ -282,7 +218,7 @@ func (k *Kauri) subtreeSize() int {
 // maybeForwardAggr sends the aggregate to the parent once the whole
 // subtree has voted (or immediately at a leaf); the root instead tries to
 // finish the certificate.
-func (k *Kauri) maybeForwardAggr(stage string, sl *slot) {
+func (k *Kauri) maybeForwardAggr(stage core.Stage, sl *slot) {
 	if k.isRoot() {
 		k.maybeFinishStage(stage, sl)
 		return
@@ -290,7 +226,7 @@ func (k *Kauri) maybeForwardAggr(stage string, sl *slot) {
 	if sl.Count(stage) < k.subtreeSize() && *sl.X.lastSent(stage) == 0 {
 		// Wait briefly for the subtree; forward a partial aggregate
 		// on timeout so a silent descendant cannot block the slot.
-		k.env.SetTimer(core.TimerID{Name: timerAggr + "-" + stage, Seq: sl.Seq, View: k.View()},
+		k.env.SetTimer(core.TimerID{Name: aggrTimers[stage], Seq: sl.Seq, View: k.View()},
 			2*k.env.Config().BatchTimeout)
 		return
 	}
@@ -299,8 +235,8 @@ func (k *Kauri) maybeForwardAggr(stage string, sl *slot) {
 
 // forwardAggr sends the parent every signature held for the slot's digest,
 // if there are more than the last aggregate carried.
-func (k *Kauri) forwardAggr(stage string, sl *slot) {
-	cert := sl.Certificate(stage, sl.Digest)
+func (k *Kauri) forwardAggr(stage core.Stage, sl *slot) {
+	cert := sl.Certificate(stage)
 	if last := sl.X.lastSent(stage); cert.Size() > *last {
 		*last = cert.Size()
 		k.env.Send(k.Parent(k.View()), &AggrMsg{Stage: stage, View: k.View(), Seq: sl.Seq,
@@ -309,14 +245,11 @@ func (k *Kauri) forwardAggr(stage string, sl *slot) {
 }
 
 // maybeFinishStage (root only) builds the certificate at quorum.
-func (k *Kauri) maybeFinishStage(stage string, sl *slot) {
+func (k *Kauri) maybeFinishStage(stage core.Stage, sl *slot) {
 	if !sl.Reached(stage, k.Slots.Quorum) {
 		return
 	}
-	cert := sl.Certificate(stage, shareDigest(stage, k.View(), sl.Seq, sl.Digest))
-	cert.Threshold = k.env.Scheme() == crypto.SchemeThreshold
-	cm := &CertMsg{Stage: stage, View: k.View(), Seq: sl.Seq, Digest: sl.Digest, Cert: cert}
-	cm.Sig = k.env.Signer().Sign(cm.SigDigest())
+	cm := sl.Certify(stage, stage)
 	k.down(cm)
 	k.onCert(cm)
 }
@@ -329,28 +262,26 @@ func (k *Kauri) OnMessage(from types.NodeID, m types.Message) {
 	switch mm := m.(type) {
 	case *core.ForwardMsg:
 		k.OnRequest(mm.Req)
-	case *ProposalMsg:
-		if !k.env.Verifier().VerifySig(k.root(mm.View), mm.SigDigest(), mm.Sig) {
-			return
+	case *core.ProposeMsg: // the root's, relayed down the tree
+		if mm.Verify(k.env) {
+			k.acceptProposal(mm)
 		}
-		k.acceptProposal(mm)
 	case *AggrMsg:
 		k.onAggr(mm)
-	case *CertMsg:
-		if !k.env.Verifier().VerifySig(k.root(mm.View), mm.SigDigest(), mm.Sig) {
-			return
+	case *core.CertMsg: // likewise
+		if mm.Verify(k.env) {
+			k.onCert(mm)
 		}
-		k.onCert(mm)
 	}
 }
 
 func (k *Kauri) onAggr(m *AggrMsg) {
-	if m.View != k.View() || k.vc.Active() || len(m.Signers) != len(m.Sigs) {
+	if m.View != k.View() || k.vc.Active() || len(m.Signers) != len(m.Sigs) || int(m.Stage) >= len(aggrTimers) {
 		return
 	}
 	// Each signature is one signer's vote for the digest the aggregate
 	// names; a signer already on record is not verified again.
-	want := shareDigest(m.Stage, m.View, m.Seq, m.Digest)
+	want := core.VoteDigest(m.Stage, m.View, m.Seq, m.Digest)
 	for i, id := range m.Signers {
 		if sl := k.Slots.Get(m.Seq); sl != nil && sl.Voted(m.Stage, id) {
 			continue
@@ -366,7 +297,7 @@ func (k *Kauri) onAggr(m *AggrMsg) {
 
 // onCert handles a certificate flowing down: a prepare certificate starts
 // the commit round; a commit certificate commits.
-func (k *Kauri) onCert(m *CertMsg) {
+func (k *Kauri) onCert(m *core.CertMsg) {
 	if m.View != k.View() || k.vc.Active() {
 		return
 	}
@@ -374,20 +305,18 @@ func (k *Kauri) onCert(m *CertMsg) {
 	if sl == nil || sl.Batch == nil || sl.Digest != m.Digest || sl.X.done {
 		return
 	}
-	want := shareDigest(m.Stage, m.View, m.Seq, m.Digest)
-	if m.Cert == nil || m.Cert.Digest != want ||
-		m.Cert.Verify(k.env.Verifier(), k.Slots.Quorum) != nil {
+	if !core.VerifyCert(k.env, m.Cert, k.Slots.Quorum, m.Stage, m.View, m.Seq, m.Digest) {
 		return
 	}
 	k.down(m) // relay down the tree
-	if m.Stage == stagePrepare {
+	if m.Stage == core.StagePrepare {
 		if prev := k.preparedProof[m.Seq]; prev == nil || prev.View < m.View {
 			k.preparedProof[m.Seq] = &core.CarriedSlot{
 				View: m.View, Seq: m.Seq, Digest: m.Digest, Batch: sl.Batch, Cert: m.Cert,
 			}
 		}
-		if !sl.Voted(stageCommit, k.env.ID()) {
-			k.vote(stageCommit, sl)
+		if !sl.Voted(core.StageCommit, k.env.ID()) {
+			k.vote(core.StageCommit, sl)
 		}
 		return
 	}
@@ -400,12 +329,14 @@ func (k *Kauri) onCert(m *CertMsg) {
 
 // OnTimer implements core.Protocol.
 func (k *Kauri) OnTimer(id core.TimerID) {
-	if stage, ok := strings.CutPrefix(id.Name, timerAggr+"-"); ok {
-		// The subtree did not answer in time: forward what is there.
-		if sl := k.Slots.Get(id.Seq); sl != nil && id.View == k.View() {
-			k.forwardAggr(stage, sl)
+	for stage, name := range aggrTimers {
+		if id.Name == name {
+			// The subtree did not answer in time: forward what is there.
+			if sl := k.Slots.Get(id.Seq); sl != nil && id.View == k.View() {
+				k.forwardAggr(core.Stage(stage), sl)
+			}
+			return
 		}
-		return
 	}
 	k.vc.OnTimer(id)
 }

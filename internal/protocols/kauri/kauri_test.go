@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"bftkit/internal/core"
 	"bftkit/internal/harness"
 	"bftkit/internal/kvstore"
 	"bftkit/internal/protocols/kauri"
@@ -121,5 +122,25 @@ func TestRootCrash(t *testing.T) {
 	}
 	if err := c.Audit(0); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAggregateAtAnotherStageIsRefused: a child can name any stage in the
+// aggregate it sends up; Kauri has two tree rounds, and an aggregate at any
+// other stage must be dropped, not waited on.
+func TestAggregateAtAnotherStageIsRefused(t *testing.T) {
+	c := harness.NewCluster(harness.Options{Protocol: "kauri", N: 7, Clients: 1})
+	c.Start()
+	c.Submit(0, op(0, 1))
+	c.RunUntilIdle(5 * time.Second)
+	// r3 is a child of r1 in view 0.
+	seq := c.Replicas[1].Ledger().LastExecuted() + 1
+	c.Submit(0, op(0, 2))
+	c.Run(3 * time.Millisecond) // r1 holds the proposal, its subtree has not voted
+	c.Replicas[1].Deliver(3, &kauri.AggrMsg{Stage: core.StageShare, Seq: seq,
+		Signers: []types.NodeID{3}, Sigs: [][]byte{{1}}})
+	c.RunUntilIdle(5 * time.Second)
+	if c.Metrics.Completed != 2 {
+		t.Fatalf("completed %d of 2", c.Metrics.Completed)
 	}
 }

@@ -1,9 +1,6 @@
 package kauri
 
-import (
-	"bftkit/internal/core"
-	"bftkit/internal/types"
-)
+import "bftkit/internal/core"
 
 // What is Kauri's own in the view-change stage; the messages and the
 // recovery loop are core.ViewChange (the root of view v's tree is v's
@@ -26,16 +23,10 @@ func (k *Kauri) viewChangeHooks() core.ViewChangeHooks {
 		},
 		// A carried slot counts when its prepare certificate verifies.
 		Pick: core.HighestView(func(s *core.CarriedSlot) bool {
-			return s.Cert != nil && s.Cert.Digest == shareDigest(stagePrepare, s.View, s.Seq, s.Digest) &&
-				s.Cert.Verify(k.env.Verifier(), k.Slots.Quorum) == nil
+			return core.VerifyCert(k.env, s.Cert, k.Slots.Quorum, core.StagePrepare, s.View, s.Seq, s.Digest)
 		}),
-		Keep:      core.UpToBase,
-		SigDigest: func(s *core.CarriedSlot) types.Digest { return proposal(s).SigDigest() },
-		Accept:    func(s *core.CarriedSlot) { k.acceptProposal(proposal(s)) },
-		Resume:    k.maybePropose,
+		Keep:   core.UpToBase,
+		Accept: k.acceptProposal,
+		Resume: k.maybePropose,
 	}
-}
-
-func proposal(s *core.CarriedSlot) *ProposalMsg {
-	return &ProposalMsg{View: s.View, Seq: s.Seq, Digest: s.Digest, Batch: s.Batch, Sig: s.LeaderSig}
 }

@@ -5,7 +5,7 @@ package pbft_test
 import (
 	"testing"
 
-	"bftkit/internal/protocols/pbft"
+	"bftkit/internal/core"
 	"bftkit/internal/types"
 )
 
@@ -13,10 +13,10 @@ import (
 // vote is built in the hasher's own buffer; nothing reaches the heap. Not
 // under the race detector, which allocates on its own.
 func TestAllocsVoteDigest(t *testing.T) {
-	m := &pbft.CommitMsg{View: 1, Seq: 2, Digest: types.DigestBytes([]byte("batch")), Replica: 3}
+	m := &core.VoteMsg{Stage: core.StageCommit, View: 1, Seq: 2, Digest: types.DigestBytes([]byte("batch")), Replica: 3}
 	var sink types.Digest
 	if got := testing.AllocsPerRun(100, func() { sink = m.SigDigest() }); got != 0 {
-		t.Fatalf("CommitMsg.SigDigest allocates %v times per call, want 0", got)
+		t.Fatalf("VoteMsg.SigDigest allocates %v times per call, want 0", got)
 	}
 	_ = sink
 }

@@ -40,13 +40,6 @@ type Options struct {
 	FrontRun bool
 }
 
-// The two voting stages of the ordering stage. Prepare and commit votes
-// carry signatures in signature mode and only their presence in MAC mode.
-const (
-	stagePrepare = "prepare"
-	stageCommit  = "commit"
-)
-
 // slotExt is what a PBFT slot keeps beside the kit's state: the leader's
 // signature on the pre-prepare, which stands in for the leader's prepare
 // vote in view-change proofs.
@@ -68,7 +61,7 @@ type PBFT struct {
 	Slots   *core.Slots[slotExt]
 
 	// delayed holds proposals the DelayAttack adversary is sitting on.
-	delayed map[types.SeqNum]*PrePrepareMsg
+	delayed map[types.SeqNum]*core.ProposeMsg
 	// preparedProof remembers, per sequence number, the
 	// highest-view prepared certificate for view changes.
 	preparedProof map[types.SeqNum]*core.CarriedSlot
@@ -124,7 +117,9 @@ func (p *PBFT) Init(env core.Env) {
 	p.commitCerts = make(map[types.SeqNum]*crypto.Certificate)
 	p.backlog = core.NewBacklog(env, timerProgress)
 	p.vc = core.NewViewChange(env, p.backlog, timerViewChange, env.Config().Quorum(), p.viewChangeHooks())
-	p.Slots = core.NewSlots[slotExt](env, core.PBFTProfile(), p.backlog, p.vc, p.cm, stagePrepare, stageCommit)
+	// Prepare and commit votes carry signatures in signature mode and only
+	// their presence in MAC mode.
+	p.Slots = core.NewSlots[slotExt](env, core.PBFTProfile(), p.backlog, p.vc, p.cm, core.StagePrepare, core.StageCommit)
 	p.viewEvidence = make(map[types.NodeID]types.View)
 	if p.opts.RejuvenationInterval > 0 {
 		stagger := time.Duration(int(env.ID())+1) * p.opts.RejuvenationInterval / time.Duration(env.N())
@@ -201,13 +196,12 @@ func (p *PBFT) takeNewest(k int) []*types.Request {
 }
 
 func (p *PBFT) sendPrePrepare(seq types.SeqNum, batch *types.Batch) {
-	pp := &PrePrepareMsg{View: p.View(), Seq: seq, Digest: batch.Digest(), Batch: batch}
-	pp.Sig, pp.Auth = core.Authenticate(p.env, pp.SigDigest())
+	pp := core.NewProposal(p.env, p.View(), seq, batch)
 	if p.opts.DelayAttack > 0 {
 		// Hold the proposal back by the attack delay before letting the
 		// backups see it.
 		if p.delayed == nil {
-			p.delayed = make(map[types.SeqNum]*PrePrepareMsg)
+			p.delayed = make(map[types.SeqNum]*core.ProposeMsg)
 		}
 		p.delayed[seq] = pp
 		p.env.SetTimer(core.TimerID{Name: timerDelay, Seq: seq}, p.opts.DelayAttack)
@@ -219,11 +213,10 @@ func (p *PBFT) sendPrePrepare(seq types.SeqNum, batch *types.Batch) {
 	p.acceptPrePrepare(pp)
 }
 
-func (p *PBFT) equivocate(pp *PrePrepareMsg) {
+func (p *PBFT) equivocate(pp *core.ProposeMsg) {
 	// Conflicting assignment: the second half of the backups see an
 	// empty batch at the same sequence number.
-	alt := &PrePrepareMsg{View: pp.View, Seq: pp.Seq, Digest: types.ZeroDigest, Batch: types.NewBatch()}
-	alt.Sig, alt.Auth = core.Authenticate(p.env, alt.SigDigest())
+	alt := core.NewProposal(p.env, pp.View, pp.Seq, types.NewBatch())
 	for i, id := range p.env.Replicas() {
 		if id == p.env.ID() {
 			continue
@@ -238,13 +231,13 @@ func (p *PBFT) equivocate(pp *PrePrepareMsg) {
 
 // acceptPrePrepare runs the backup-side acceptance rules (also used by
 // the leader to record its own proposal).
-func (p *PBFT) acceptPrePrepare(pp *PrePrepareMsg) {
+func (p *PBFT) acceptPrePrepare(pp *core.ProposeMsg) {
 	if pp.View != p.View() || p.vc.Active() {
 		// Callers have already authenticated the pre-prepare against
 		// the leader of pp.View, so a future view counts as that
 		// leader's evidence toward a view jump.
 		if pp.View > p.View() {
-			p.noteHigherView(p.env.Config().LeaderOf(pp.View), pp.View)
+			p.noteHigherView(pp.Leader, pp.View)
 		}
 		return
 	}
@@ -266,32 +259,31 @@ func (p *PBFT) acceptPrePrepare(pp *PrePrepareMsg) {
 		}
 		return
 	}
-	sl := p.Slots.Accept(pp.View, pp.Seq, pp.Digest, pp.Batch)
+	sl := p.Slots.Accept(pp)
 	if sl == nil {
 		return
 	}
 	sl.X.ppSig = pp.Sig
 	if !p.vc.Leading() {
 		// Only backups send prepares; the leader's pre-prepare is its
-		// vote (Figure 2). Each backup also counts its own prepare,
-		// backed by a real signature so prepared certificates stay
-		// verifiable in view changes.
-		pm := &PrepareMsg{View: pp.View, Seq: pp.Seq, Digest: pp.Digest, Replica: p.env.ID()}
-		pm.Sig, pm.Auth = core.Authenticate(p.env, pm.SigDigest())
-		p.env.Broadcast(pm)
-		p.voteSelf(stagePrepare, sl, pm.Sig, pm.SigDigest())
+		// vote (Figure 2).
+		p.vote(core.StagePrepare, sl)
 	}
 	p.checkPrepared(sl)
 	p.checkCommitted(sl)
 }
 
-// voteSelf counts this replica's own vote, signing it if the broadcast
-// copy was only MAC-authenticated.
-func (p *PBFT) voteSelf(stage string, sl *slot, sig []byte, digest types.Digest) {
+// vote broadcasts this replica's vote at stage and counts it, backed by a
+// real signature even when the broadcast copy is only MAC-authenticated,
+// so prepared certificates stay verifiable in view changes.
+func (p *PBFT) vote(stage core.Stage, sl *slot) {
+	m := core.NewVote(p.env, stage, p.View(), sl.Seq, sl.Digest)
+	p.env.Broadcast(m)
+	sig := m.Sig
 	if sig == nil {
-		sig = p.env.Signer().Sign(digest)
+		sig = p.env.Signer().Sign(m.SigDigest())
 	}
-	p.Slots.Vote(stage, p.View(), sl.Seq, p.env.ID(), sl.Digest, sig)
+	p.Slots.Vote(stage, m.View, m.Seq, p.env.ID(), m.Digest, sig)
 }
 
 // OnMessage implements core.Protocol.
@@ -302,18 +294,12 @@ func (p *PBFT) OnMessage(from types.NodeID, m types.Message) {
 	switch mm := m.(type) {
 	case *core.ForwardMsg:
 		p.OnRequest(mm.Req)
-	case *PrePrepareMsg:
-		if from != p.env.Config().LeaderOf(mm.View) {
-			return
+	case *core.ProposeMsg:
+		if mm.Verify(p.env) {
+			p.acceptPrePrepare(mm)
 		}
-		if !core.VerifyAuth(p.env, from, mm.SigDigest(), mm.Sig, mm.Auth) {
-			return
-		}
-		p.acceptPrePrepare(mm)
-	case *PrepareMsg:
-		p.onPrepare(from, mm)
-	case *CommitMsg:
-		p.onCommit(from, mm)
+	case *core.VoteMsg:
+		p.onVote(from, mm)
 	case *FetchCommittedMsg:
 		p.onFetchCommitted(from, mm)
 	case *CommittedMsg:
@@ -329,27 +315,6 @@ type catchupKey struct {
 // requestCatchup asks all peers for committed slots we are missing.
 func (p *PBFT) requestCatchup() {
 	p.env.Broadcast(&FetchCommittedMsg{From: p.env.Ledger().LastExecuted()})
-}
-
-// verifyCommitCert checks 2f+1 distinct valid commit signatures for the
-// slot. MAC-mode deployments cannot transfer commit evidence, so their
-// certificates never verify here and the f+1-attestation path is used.
-func (p *PBFT) verifyCommitCert(v types.View, seq types.SeqNum, d types.Digest, cert *crypto.Certificate) bool {
-	if cert.Size() < p.env.Config().Quorum() {
-		return false
-	}
-	var seen core.Tally[types.SeqNum, struct{}]
-	probe := &CommitMsg{View: v, Seq: seq, Digest: d}
-	for i, signer := range cert.Signers {
-		if seen.Add(seq, signer, struct{}{}) == 0 {
-			return false
-		}
-		probe.Replica = signer
-		if !p.env.Verifier().VerifySig(signer, probe.SigDigest(), cert.Sigs[i]) {
-			return false
-		}
-	}
-	return true
 }
 
 func (p *PBFT) onFetchCommitted(from types.NodeID, m *FetchCommittedMsg) {
@@ -382,14 +347,15 @@ func (p *PBFT) onFetchCommitted(from types.NodeID, m *FetchCommittedMsg) {
 // onCommitted adopts reported slots either on a valid 2f+1 commit
 // certificate (one honest peer suffices) or once f+1 distinct peers agree
 // on a digest — at least one of them is honest, so the slot really
-// committed.
+// committed. MAC-mode deployments cannot transfer commit evidence, so
+// only the second path adopts there.
 func (p *PBFT) onCommitted(from types.NodeID, m *CommittedMsg) {
 	for _, e := range m.Entries {
 		if e.Batch == nil || e.Seq <= p.env.Ledger().LastExecuted() {
 			continue
 		}
 		d := e.Batch.Digest()
-		if e.Cert != nil && e.Cert.Digest == d && p.verifyCommitCert(e.View, e.Seq, d, e.Cert) {
+		if core.VerifyCert(p.env, e.Cert, p.Slots.Quorum, core.StageCommit, e.View, e.Seq, d) {
 			proof := &types.CommitProof{View: e.View, Seq: e.Seq, Digest: d, Special: "catch-up-cert",
 				Voters: append([]types.NodeID(nil), e.Cert.Signers...)}
 			p.keepCert(e.Seq, e.Cert)
@@ -412,24 +378,26 @@ func (p *PBFT) dropCatchup(seq types.SeqNum) {
 	p.catchup.Prune(func(k catchupKey) bool { return k.Seq == seq })
 }
 
-func (p *PBFT) onPrepare(from types.NodeID, m *PrepareMsg) {
+func (p *PBFT) onVote(from types.NodeID, m *core.VoteMsg) {
 	if m.Replica != from {
 		return
 	}
 	if m.View != p.View() || p.vc.Active() {
-		if m.View > p.View() && core.VerifyAuth(p.env, from, m.SigDigest(), m.Sig, m.Auth) {
+		if m.View > p.View() && m.Verify(p.env, from) {
 			p.noteHigherView(from, m.View)
 		}
 		return
 	}
-	if m.Seq <= p.env.Ledger().LowWater() {
+	if m.Seq <= p.env.Ledger().LowWater() || !m.Verify(p.env, from) {
 		return
 	}
-	if !core.VerifyAuth(p.env, from, m.SigDigest(), m.Sig, m.Auth) {
-		return
-	}
-	if sl := p.Slots.Vote(stagePrepare, m.View, m.Seq, from, m.Digest, m.Sig); sl != nil {
+	sl := p.Slots.Vote(m.Stage, m.View, m.Seq, from, m.Digest, m.Sig)
+	switch {
+	case sl == nil:
+	case m.Stage == core.StagePrepare:
 		p.checkPrepared(sl)
+	default:
+		p.checkCommitted(sl)
 	}
 }
 
@@ -437,7 +405,7 @@ func (p *PBFT) onPrepare(from types.NodeID, m *PrepareMsg) {
 // vote) plus prepares from 2f replicas including this one — 2f+1
 // distinct replicas in total, the paper's prepared predicate.
 func (p *PBFT) checkPrepared(sl *slot) {
-	if !sl.Reached(stagePrepare, p.Slots.Quorum-1) {
+	if !sl.Reached(core.StagePrepare, p.Slots.Quorum-1) {
 		return
 	}
 	// Record the prepared certificate for view changes: the backups'
@@ -445,35 +413,11 @@ func (p *PBFT) checkPrepared(sl *slot) {
 	if prev := p.preparedProof[sl.Seq]; prev == nil || prev.View < p.View() {
 		p.preparedProof[sl.Seq] = &core.CarriedSlot{
 			View: p.View(), Seq: sl.Seq, Digest: sl.Digest, Batch: sl.Batch,
-			LeaderSig: sl.X.ppSig, Cert: sl.Certificate(stagePrepare, sl.Digest),
+			LeaderSig: sl.X.ppSig, Cert: sl.Certificate(core.StagePrepare),
 		}
 	}
-	cm := &CommitMsg{View: p.View(), Seq: sl.Seq, Digest: sl.Digest, Replica: p.env.ID()}
-	cm.Sig, cm.Auth = core.Authenticate(p.env, cm.SigDigest())
-	p.env.Broadcast(cm)
-	p.voteSelf(stageCommit, sl, cm.Sig, cm.SigDigest())
+	p.vote(core.StageCommit, sl)
 	p.checkCommitted(sl)
-}
-
-func (p *PBFT) onCommit(from types.NodeID, m *CommitMsg) {
-	if m.Replica != from {
-		return
-	}
-	if m.View != p.View() || p.vc.Active() {
-		if m.View > p.View() && core.VerifyAuth(p.env, from, m.SigDigest(), m.Sig, m.Auth) {
-			p.noteHigherView(from, m.View)
-		}
-		return
-	}
-	if m.Seq <= p.env.Ledger().LowWater() {
-		return
-	}
-	if !core.VerifyAuth(p.env, from, m.SigDigest(), m.Sig, m.Auth) {
-		return
-	}
-	if sl := p.Slots.Vote(stageCommit, m.View, m.Seq, from, m.Digest, m.Sig); sl != nil {
-		p.checkCommitted(sl)
-	}
 }
 
 // noteHigherView records signature-verified evidence that a peer
@@ -527,14 +471,14 @@ func (p *PBFT) keepCert(seq types.SeqNum, cert *crypto.Certificate) {
 }
 
 func (p *PBFT) checkCommitted(sl *slot) {
-	if !sl.Past(stagePrepare) || !sl.Reached(stageCommit, p.Slots.Quorum) {
+	if !sl.Past(core.StagePrepare) || !sl.Reached(core.StageCommit, p.Slots.Quorum) {
 		return
 	}
 	// MAC-mode commit votes carry no signature, so no certificate forms.
-	if cert := sl.Certificate(stageCommit, sl.Digest); cert.Size() >= p.Slots.Quorum {
+	if cert := sl.Certificate(core.StageCommit); cert.Size() >= p.Slots.Quorum {
 		p.keepCert(sl.Seq, cert)
 	}
-	proof := &types.CommitProof{View: p.View(), Seq: sl.Seq, Digest: sl.Digest, Voters: sl.Voters(stageCommit)}
+	proof := &types.CommitProof{View: p.View(), Seq: sl.Seq, Digest: sl.Digest, Voters: sl.Voters(core.StageCommit)}
 	p.env.Commit(p.View(), sl.Seq, sl.Batch, proof)
 }
 

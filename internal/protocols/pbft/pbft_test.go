@@ -228,8 +228,8 @@ func TestPBFTMessagePattern(t *testing.T) {
 	c.Submit(0, op(0, 1))
 	c.RunUntilIdle(5 * time.Second)
 	kinds, _ := c.Net.KindCounts()
-	if kinds["PRE-PREPARE"] != 3 {
-		t.Fatalf("pre-prepares = %d, want 3", kinds["PRE-PREPARE"])
+	if kinds["PROPOSE"] != 3 {
+		t.Fatalf("pre-prepares = %d, want 3", kinds["PROPOSE"])
 	}
 	if kinds["PREPARE"] != 9 {
 		t.Fatalf("prepares = %d, want 9 (3 backups × 3 peers)", kinds["PREPARE"])

@@ -1,9 +1,10 @@
 package pbft
 
 import (
+	"slices"
+
 	"bftkit/internal/core"
 	"bftkit/internal/crypto"
-	"bftkit/internal/types"
 )
 
 // This file holds what is PBFT's own in the view-change stage (dimension
@@ -16,12 +17,11 @@ import (
 
 func (p *PBFT) viewChangeHooks() core.ViewChangeHooks {
 	return core.ViewChangeHooks{
-		Vouch:     p.vouch,
-		Pick:      core.HighestView(p.validProof),
-		SigDigest: func(s *core.CarriedSlot) types.Digest { return prePrepare(s).SigDigest() },
+		Vouch: p.vouch,
+		Pick:  core.HighestView(p.validProof),
 		// Re-issued pre-prepares flow through the normal acceptance
 		// path, so backups prepare and commit them again in the new view.
-		Accept: func(s *core.CarriedSlot) { p.acceptPrePrepare(prePrepare(s)) },
+		Accept: p.acceptPrePrepare,
 		Reset: func(nv *core.NewViewMsg) {
 			if nv.Base > p.env.Ledger().LastExecuted() {
 				// We are behind the quorum's execution point: fetch the
@@ -31,10 +31,6 @@ func (p *PBFT) viewChangeHooks() core.ViewChangeHooks {
 		},
 		Resume: p.maybePropose, // a new leader resumes proposing its own backlog
 	}
-}
-
-func prePrepare(s *core.CarriedSlot) *PrePrepareMsg {
-	return &PrePrepareMsg{View: s.View, Seq: s.Seq, Digest: s.Digest, Batch: s.Batch, Sig: s.LeaderSig}
 }
 
 // vouch carries everything prepared above the last stable checkpoint. A
@@ -55,23 +51,12 @@ func (p *PBFT) vouch(m *core.ViewChangeMsg) {
 // exactly DC 11's point); we then rely on the signature over the whole
 // view-change message, the simplification PBFT's view-change-ack
 // machinery papers over.
-func (p *PBFT) validProof(pp *core.CarriedSlot) bool {
+func (p *PBFT) validProof(s *core.CarriedSlot) bool {
 	if p.env.Scheme() == crypto.SchemeMAC {
 		return true
 	}
-	if pp.Cert == nil || pp.Cert.Size() < 2*p.env.F() || len(pp.Cert.Sigs) != pp.Cert.Size() {
-		return false
-	}
-	leader := p.env.Config().LeaderOf(pp.View)
-	if !p.env.Verifier().VerifySig(leader, prePrepare(pp).SigDigest(), pp.LeaderSig) {
-		return false
-	}
-	probe := &PrepareMsg{View: pp.View, Seq: pp.Seq, Digest: pp.Digest}
-	for i, signer := range pp.Cert.Signers {
-		probe.Replica = signer
-		if signer == leader || !p.env.Verifier().VerifySig(signer, probe.SigDigest(), pp.Cert.Sigs[i]) {
-			return false
-		}
-	}
-	return true
+	leader := p.env.Config().LeaderOf(s.View)
+	return s.Cert != nil && !slices.Contains(s.Cert.Signers, leader) &&
+		p.env.Verifier().VerifySig(leader, s.Proposal(leader).SigDigest(), s.LeaderSig) &&
+		core.VerifyCert(p.env, s.Cert, 2*p.env.F(), core.StagePrepare, s.View, s.Seq, s.Digest)
 }

@@ -26,125 +26,11 @@ const (
 	timerVCRetry  = "vc-retry"
 )
 
-// ProposeMsg is the leader's assignment (phase 1, linear).
-type ProposeMsg struct {
-	View   types.View
-	Seq    types.SeqNum
-	Digest types.Digest
-	Batch  *types.Batch
-	Sig    []byte
-}
-
-// Kind implements types.Message.
-func (*ProposeMsg) Kind() string { return "POE-PROPOSE" }
-
-// Slot implements obsv.Slotted.
-func (m *ProposeMsg) Slot() (types.View, types.SeqNum) { return m.View, m.Seq }
-
-// SigDigest is the signed content.
-func (m *ProposeMsg) SigDigest() types.Digest {
-	var h types.Hasher
-	h.Str("poe-propose").U64(uint64(m.View)).U64(uint64(m.Seq)).Digest(m.Digest)
-	return h.Sum()
-}
-
-// SigClaims implements crypto.SigClaimer: the leader's signature, which
-// receivers verify against the sender.
-func (m *ProposeMsg) SigClaims(from types.NodeID) []crypto.SigClaim {
-	return []crypto.SigClaim{{Signer: from, Digest: m.SigDigest(), Sig: m.Sig}}
-}
-
-func shareDigest(v types.View, seq types.SeqNum, d types.Digest) types.Digest {
-	var h types.Hasher
-	h.Str("poe-share").U64(uint64(v)).U64(uint64(seq)).Digest(d)
-	return h.Sum()
-}
-
-// ShareMsg is a replica's signed accept, sent to the collector.
-type ShareMsg struct {
-	View    types.View
-	Seq     types.SeqNum
-	Digest  types.Digest
-	Replica types.NodeID
-	Sig     []byte
-}
-
-// Kind implements types.Message.
-func (*ShareMsg) Kind() string { return "POE-SHARE" }
-
-// Slot implements obsv.Slotted.
-func (m *ShareMsg) Slot() (types.View, types.SeqNum) { return m.View, m.Seq }
-
-// SigClaims implements crypto.SigClaimer: the share signature, which
-// the collector verifies against the sender.
-func (m *ShareMsg) SigClaims(from types.NodeID) []crypto.SigClaim {
-	return []crypto.SigClaim{{Signer: from, Digest: shareDigest(m.View, m.Seq, m.Digest), Sig: m.Sig}}
-}
-
-// CertifyMsg broadcasts the 2f+1 certificate; replicas execute
-// speculatively on receipt (phase 3, linear).
-type CertifyMsg struct {
-	View   types.View
-	Seq    types.SeqNum
-	Digest types.Digest
-	Cert   *crypto.Certificate
-	Sig    []byte
-}
-
-// Kind implements types.Message.
-func (*CertifyMsg) Kind() string { return "POE-CERTIFY" }
-
-// Slot implements obsv.Slotted.
-func (m *CertifyMsg) Slot() (types.View, types.SeqNum) { return m.View, m.Seq }
-
-// EncodedSize implements sim.Sizer (threshold certificates stay constant).
-func (m *CertifyMsg) EncodedSize() int {
-	size := 64 + crypto.SigSize
-	if m.Cert != nil {
-		size += m.Cert.EncodedSize()
-	}
-	return size
-}
-
-// SigDigest is the signed content.
-func (m *CertifyMsg) SigDigest() types.Digest {
-	var h types.Hasher
-	h.Str("poe-certify").U64(uint64(m.View)).U64(uint64(m.Seq)).Digest(m.Digest)
-	return h.Sum()
-}
-
-// SigClaims implements crypto.SigClaimer: the collector's signature,
-// which receivers verify against the sender.
-func (m *CertifyMsg) SigClaims(from types.NodeID) []crypto.SigClaim {
-	return []crypto.SigClaim{{Signer: from, Digest: m.SigDigest(), Sig: m.Sig}}
-}
-
-// CheckpointMsg exchanges history digests for lazy durable commitment.
-type CheckpointMsg struct {
-	Seq     types.SeqNum
-	History types.Digest
-	Replica types.NodeID
-	Sig     []byte
-}
-
-// Kind implements types.Message.
-func (*CheckpointMsg) Kind() string { return "POE-CHECKPOINT" }
-
-// SigDigest is the signed content.
-func (m *CheckpointMsg) SigDigest() types.Digest {
-	var h types.Hasher
-	h.Str("poe-cp").U64(uint64(m.Seq)).Digest(m.History).U64(uint64(m.Replica))
-	return h.Sum()
-}
-
 // Options tunes a PoE replica.
 type Options struct {
 	// SilentLeader drops client requests (attack injection).
 	SilentLeader bool
 }
-
-// stageShare is PoE's one voting stage: signed shares to the collector.
-const stageShare = "share"
 
 // slotExt is what a PoE slot keeps beside the kit's state.
 type slotExt struct {
@@ -166,7 +52,7 @@ type PoE struct {
 
 	// ready buffers certified slots awaiting contiguous speculative
 	// execution.
-	ready map[types.SeqNum]*CertifyMsg
+	ready map[types.SeqNum]*core.CertMsg
 
 	// cpVotes tallies history digests per checkpoint window.
 	cpVotes core.Tally[types.SeqNum, types.Digest]
@@ -189,10 +75,11 @@ func init() {
 // Init implements core.Protocol.
 func (p *PoE) Init(env core.Env) {
 	p.env = env
-	p.ready = make(map[types.SeqNum]*CertifyMsg)
+	p.ready = make(map[types.SeqNum]*core.CertMsg)
 	p.backlog = core.NewBacklog(env, timerProgress)
 	p.vc = core.NewViewChange(env, p.backlog, timerVCRetry, env.Config().Quorum(), p.viewChangeHooks())
-	p.Slots = core.NewSlots[slotExt](env, core.PoEProfile(), p.backlog, p.vc, nil, stageShare)
+	// PoE's one voting stage: signed shares to the collector.
+	p.Slots = core.NewSlots[slotExt](env, core.PoEProfile(), p.backlog, p.vc, nil, core.StageShare)
 }
 
 // View returns the current view.
@@ -206,21 +93,17 @@ func (p *PoE) OnRequest(req *types.Request) {
 }
 
 func (p *PoE) maybePropose() {
-	p.Slots.Propose(func(seq types.SeqNum, batch *types.Batch) {
-		pm := &ProposeMsg{View: p.View(), Seq: seq, Digest: batch.Digest(), Batch: batch}
-		pm.Sig = p.env.Signer().Sign(pm.SigDigest())
-		p.env.Broadcast(pm)
-		p.acceptPropose(pm)
+	p.Slots.Propose(func(m *core.ProposeMsg) {
+		p.env.Broadcast(m)
+		p.acceptPropose(m)
 	})
 }
 
-func (p *PoE) acceptPropose(m *ProposeMsg) {
-	if p.Slots.Accept(m.View, m.Seq, m.Digest, m.Batch) == nil {
+func (p *PoE) acceptPropose(m *core.ProposeMsg) {
+	if p.Slots.Accept(m) == nil {
 		return
 	}
-	sd := shareDigest(m.View, m.Seq, m.Digest)
-	share := &ShareMsg{View: m.View, Seq: m.Seq, Digest: m.Digest,
-		Replica: p.env.ID(), Sig: p.env.Signer().Sign(sd)}
+	share := core.NewVote(p.env, core.StageShare, m.View, m.Seq, m.Digest)
 	if p.vc.Leading() {
 		p.onShare(p.env.ID(), share)
 	} else {
@@ -236,65 +119,42 @@ func (p *PoE) OnMessage(from types.NodeID, m types.Message) {
 	switch mm := m.(type) {
 	case *core.ForwardMsg:
 		p.OnRequest(mm.Req)
-	case *ProposeMsg:
-		if from != p.env.Config().LeaderOf(mm.View) {
-			return
+	case *core.ProposeMsg:
+		if mm.Verify(p.env) {
+			p.acceptPropose(mm)
 		}
-		if !p.env.Verifier().VerifySig(from, mm.SigDigest(), mm.Sig) {
-			return
+	case *core.VoteMsg:
+		if mm.Verify(p.env, from) {
+			p.onShare(from, mm)
 		}
-		p.acceptPropose(mm)
-	case *ShareMsg:
-		if mm.Replica != from {
-			return
+	case *core.CertMsg:
+		if mm.Verify(p.env) {
+			p.onCertify(mm)
 		}
-		if !p.env.Verifier().VerifySig(from, shareDigest(mm.View, mm.Seq, mm.Digest), mm.Sig) {
-			return
+	case *core.CheckpointMsg:
+		if mm.Replica == from && p.env.Verifier().VerifySig(from, mm.Digest(), mm.Sig) {
+			p.recordCheckpoint(from, mm)
 		}
-		p.onShare(from, mm)
-	case *CertifyMsg:
-		if from != p.env.Config().LeaderOf(mm.View) {
-			return
-		}
-		if !p.env.Verifier().VerifySig(from, mm.SigDigest(), mm.Sig) {
-			return
-		}
-		p.onCertify(mm)
-	case *CheckpointMsg:
-		if mm.Replica != from {
-			return
-		}
-		if !p.env.Verifier().VerifySig(from, mm.SigDigest(), mm.Sig) {
-			return
-		}
-		p.recordCheckpoint(from, mm)
 	}
 }
 
-func (p *PoE) onShare(from types.NodeID, m *ShareMsg) {
+func (p *PoE) onShare(from types.NodeID, m *core.VoteMsg) {
 	if !p.vc.Leading() {
 		return
 	}
-	sl := p.Slots.Vote(stageShare, m.View, m.Seq, from, m.Digest, m.Sig)
-	if sl == nil || !sl.Reached(stageShare, p.Slots.Quorum) {
+	sl := p.Slots.Vote(m.Stage, m.View, m.Seq, from, m.Digest, m.Sig)
+	if sl == nil || !sl.Reached(core.StageShare, p.Slots.Quorum) {
 		return
 	}
-	cert := sl.Certificate(stageShare, shareDigest(m.View, m.Seq, sl.Digest))
-	cert.Threshold = p.env.Scheme() == crypto.SchemeThreshold
-	cm := &CertifyMsg{View: m.View, Seq: m.Seq, Digest: sl.Digest, Cert: cert}
-	cm.Sig = p.env.Signer().Sign(cm.SigDigest())
+	cm := sl.Certify(core.StageShare, core.StageShare)
 	p.env.Broadcast(cm)
 	p.onCertify(cm)
 }
 
 // onCertify speculatively executes certified slots in sequence order.
-func (p *PoE) onCertify(m *CertifyMsg) {
-	if m.View != p.View() || p.vc.Active() {
-		return
-	}
-	want := shareDigest(m.View, m.Seq, m.Digest)
-	if m.Cert == nil || m.Cert.Digest != want ||
-		m.Cert.Verify(p.env.Verifier(), p.Slots.Quorum) != nil {
+func (p *PoE) onCertify(m *core.CertMsg) {
+	if m.View != p.View() || p.vc.Active() || m.Stage != core.StageShare ||
+		!core.VerifyCert(p.env, m.Cert, p.Slots.Quorum, core.StageShare, m.View, m.Seq, m.Digest) {
 		return
 	}
 	sl := p.Slots.Get(m.Seq)
@@ -343,8 +203,8 @@ func (p *PoE) drainReady() {
 		p.backlog.Progress()
 		iv := p.env.Config().CheckpointInterval
 		if iv > 0 && uint64(next)%iv == 0 {
-			cp := &CheckpointMsg{Seq: next, History: p.env.HistoryDigest(), Replica: p.env.ID()}
-			cp.Sig = p.env.Signer().Sign(cp.SigDigest())
+			cp := &core.CheckpointMsg{Seq: next, StateHash: p.env.HistoryDigest(), Replica: p.env.ID()}
+			cp.Sig = p.env.Signer().Sign(cp.Digest())
 			p.env.Broadcast(cp)
 			p.recordCheckpoint(p.env.ID(), cp)
 		}
@@ -361,8 +221,8 @@ func (p *PoE) specTip() types.SeqNum {
 	return tip
 }
 
-func (p *PoE) recordCheckpoint(from types.NodeID, m *CheckpointMsg) {
-	p.cpVotes.Add(m.Seq, from, m.History)
+func (p *PoE) recordCheckpoint(from types.NodeID, m *core.CheckpointMsg) {
+	p.cpVotes.Add(m.Seq, from, m.StateHash)
 	// Only a quorum on our own history commits anything here, so that is
 	// the one value worth counting — on every vote, since our speculative
 	// tip may reach m.Seq after the quorum formed.

@@ -28,22 +28,16 @@ func (p *PoE) viewChangeHooks() core.ViewChangeHooks {
 		},
 		// A carried slot counts when its 2f+1 share certificate verifies.
 		Pick: core.HighestView(func(s *core.CarriedSlot) bool {
-			return s.Cert != nil && s.Cert.Digest == shareDigest(s.View, s.Seq, s.Digest) &&
-				s.Cert.Verify(p.env.Verifier(), p.Slots.Quorum) == nil
+			return core.VerifyCert(p.env, s.Cert, p.Slots.Quorum, core.StageShare, s.View, s.Seq, s.Digest)
 		}),
-		Keep:      core.UpToBase,
-		SigDigest: func(s *core.CarriedSlot) types.Digest { return proposal(s).SigDigest() },
-		Accept:    func(s *core.CarriedSlot) { p.acceptPropose(proposal(s)) },
+		Keep:   core.UpToBase,
+		Accept: p.acceptPropose,
 		// Roll back uncommitted speculation; the decided order replaces it.
 		Reset: func(*core.NewViewMsg) {
 			p.env.RollbackSpecAbove(p.env.Ledger().LastExecuted())
-			p.ready = make(map[types.SeqNum]*CertifyMsg)
+			p.ready = make(map[types.SeqNum]*core.CertMsg)
 			p.Slots.Rewind()
 		},
 		Resume: p.maybePropose,
 	}
-}
-
-func proposal(s *core.CarriedSlot) *ProposeMsg {
-	return &ProposeMsg{View: s.View, Seq: s.Seq, Digest: s.Digest, Batch: s.Batch, Sig: s.LeaderSig}
 }

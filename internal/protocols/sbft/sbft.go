@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"bftkit/internal/core"
-	"bftkit/internal/crypto"
 	"bftkit/internal/types"
 )
 
@@ -33,104 +32,6 @@ const (
 	timerVCRetry  = "vc-retry"
 )
 
-// PrePrepareMsg is the leader's proposal (phase 1, linear).
-type PrePrepareMsg struct {
-	View   types.View
-	Seq    types.SeqNum
-	Digest types.Digest
-	Batch  *types.Batch
-	Sig    []byte
-}
-
-// Kind implements types.Message.
-func (*PrePrepareMsg) Kind() string { return "SBFT-PRE-PREPARE" }
-
-// Slot implements obsv.Slotted.
-func (m *PrePrepareMsg) Slot() (types.View, types.SeqNum) { return m.View, m.Seq }
-
-// SigDigest is the signed content.
-func (m *PrePrepareMsg) SigDigest() types.Digest {
-	var h types.Hasher
-	h.Str("sbft-preprepare").U64(uint64(m.View)).U64(uint64(m.Seq)).Digest(m.Digest)
-	return h.Sum()
-}
-
-// SigClaims implements crypto.SigClaimer: the leader's signature, which
-// receivers verify against the sender.
-func (m *PrePrepareMsg) SigClaims(from types.NodeID) []crypto.SigClaim {
-	return []crypto.SigClaim{{Signer: from, Digest: m.SigDigest(), Sig: m.Sig}}
-}
-
-// shareDigest is what replicas sign when accepting an assignment.
-func shareDigest(stage string, v types.View, seq types.SeqNum, d types.Digest) types.Digest {
-	var h types.Hasher
-	h.Str("sbft-share").Str(stage).U64(uint64(v)).U64(uint64(seq)).Digest(d)
-	return h.Sum()
-}
-
-// ShareMsg carries one replica's signed share to the collector (phase 2,
-// linear). Stage is "sign" (first round) or "commit" (slow path round).
-type ShareMsg struct {
-	Stage   string
-	View    types.View
-	Seq     types.SeqNum
-	Digest  types.Digest
-	Replica types.NodeID
-	Sig     []byte
-}
-
-// Kind implements types.Message.
-func (m *ShareMsg) Kind() string { return "SBFT-SHARE-" + m.Stage }
-
-// Slot implements obsv.Slotted.
-func (m *ShareMsg) Slot() (types.View, types.SeqNum) { return m.View, m.Seq }
-
-// SigClaims implements crypto.SigClaimer: the share signature, which
-// the collector verifies against the sender.
-func (m *ShareMsg) SigClaims(from types.NodeID) []crypto.SigClaim {
-	return []crypto.SigClaim{{Signer: from, Digest: shareDigest(m.Stage, m.View, m.Seq, m.Digest), Sig: m.Sig}}
-}
-
-// ProofMsg broadcasts a collector certificate. Stage is "prepare" (slow
-// path, 2f+1 sign shares), "commit" (slow path, 2f+1 commit shares) or
-// "fast-commit" (fast path, all 3f+1 sign shares).
-type ProofMsg struct {
-	Stage  string
-	View   types.View
-	Seq    types.SeqNum
-	Digest types.Digest
-	Cert   *crypto.Certificate
-	Sig    []byte
-}
-
-// Kind implements types.Message.
-func (m *ProofMsg) Kind() string { return "SBFT-PROOF-" + m.Stage }
-
-// Slot implements obsv.Slotted.
-func (m *ProofMsg) Slot() (types.View, types.SeqNum) { return m.View, m.Seq }
-
-// EncodedSize implements sim.Sizer so the threshold model holds.
-func (m *ProofMsg) EncodedSize() int {
-	size := 64 + crypto.SigSize
-	if m.Cert != nil {
-		size += m.Cert.EncodedSize()
-	}
-	return size
-}
-
-// SigDigest is the signed content.
-func (m *ProofMsg) SigDigest() types.Digest {
-	var h types.Hasher
-	h.Str("sbft-proof").Str(m.Stage).U64(uint64(m.View)).U64(uint64(m.Seq)).Digest(m.Digest)
-	return h.Sum()
-}
-
-// SigClaims implements crypto.SigClaimer: the collector's signature,
-// which receivers verify against the sender.
-func (m *ProofMsg) SigClaims(from types.NodeID) []crypto.SigClaim {
-	return []crypto.SigClaim{{Signer: from, Digest: m.SigDigest(), Sig: m.Sig}}
-}
-
 // Options tunes an SBFT instance.
 type Options struct {
 	// SilentBackup makes this replica withhold its shares, forcing the
@@ -140,12 +41,6 @@ type Options struct {
 	// timeout, a pragmatic default for the simulator).
 	FastPathWait time.Duration
 }
-
-// The two share stages the collector tallies (ShareMsg.Stage on the wire).
-const (
-	stageSign   = "sign"
-	stageCommit = "commit"
-)
 
 // slotExt is what an SBFT slot keeps beside the kit's state.
 type slotExt struct {
@@ -204,7 +99,8 @@ func (s *SBFT) Init(env core.Env) {
 	s.commitCerts = make(map[types.SeqNum]*core.CommittedSlot)
 	s.backlog = core.NewBacklog(env, timerProgress)
 	s.vc = core.NewViewChange(env, s.backlog, timerVCRetry, env.Config().Quorum(), s.viewChangeHooks())
-	s.Slots = core.NewSlots[slotExt](env, core.SBFTProfile(), s.backlog, s.vc, s.cm, stageSign, stageCommit)
+	// The two share stages the collector tallies.
+	s.Slots = core.NewSlots[slotExt](env, core.SBFTProfile(), s.backlog, s.vc, s.cm, core.StageSign, core.StageCommit)
 	if s.opts.FastPathWait == 0 {
 		s.opts.FastPathWait = 4 * env.Config().BatchTimeout
 	}
@@ -221,27 +117,24 @@ func (s *SBFT) OnRequest(req *types.Request) {
 }
 
 func (s *SBFT) maybePropose() {
-	s.Slots.Propose(func(seq types.SeqNum, batch *types.Batch) {
-		pp := &PrePrepareMsg{View: s.View(), Seq: seq, Digest: batch.Digest(), Batch: batch}
-		pp.Sig = s.env.Signer().Sign(pp.SigDigest())
+	s.Slots.Propose(func(pp *core.ProposeMsg) {
 		s.env.Broadcast(pp)
 		s.acceptPrePrepare(pp)
 		// Arm τ3: if not all shares arrive in time, fall back.
-		s.env.SetTimer(core.TimerID{Name: timerFastPath, Seq: seq, View: s.View()}, s.opts.FastPathWait)
+		s.env.SetTimer(core.TimerID{Name: timerFastPath, Seq: pp.Seq, View: s.View()}, s.opts.FastPathWait)
 	})
 }
 
-func (s *SBFT) acceptPrePrepare(pp *PrePrepareMsg) {
-	if s.Slots.Accept(pp.View, pp.Seq, pp.Digest, pp.Batch) != nil && !s.opts.SilentBackup {
-		s.sendShare(stageSign, pp.View, pp.Seq, pp.Digest)
+func (s *SBFT) acceptPrePrepare(pp *core.ProposeMsg) {
+	if s.Slots.Accept(pp) != nil && !s.opts.SilentBackup {
+		s.sendShare(core.StageSign, pp.View, pp.Seq, pp.Digest)
 	}
 }
 
 // sendShare signs this replica's share for a stage and hands it to the
 // collector.
-func (s *SBFT) sendShare(stage string, v types.View, seq types.SeqNum, d types.Digest) {
-	share := &ShareMsg{Stage: stage, View: v, Seq: seq, Digest: d,
-		Replica: s.env.ID(), Sig: s.env.Signer().Sign(shareDigest(stage, v, seq, d))}
+func (s *SBFT) sendShare(stage core.Stage, v types.View, seq types.SeqNum, d types.Digest) {
+	share := core.NewVote(s.env, stage, v, seq, d)
 	if s.vc.Leading() {
 		s.onShare(s.env.ID(), share)
 	} else {
@@ -257,35 +150,22 @@ func (s *SBFT) OnMessage(from types.NodeID, m types.Message) {
 	switch mm := m.(type) {
 	case *core.ForwardMsg:
 		s.OnRequest(mm.Req)
-	case *PrePrepareMsg:
-		if from != s.env.Config().LeaderOf(mm.View) {
-			return
+	case *core.ProposeMsg:
+		if mm.Verify(s.env) {
+			s.acceptPrePrepare(mm)
 		}
-		if !s.env.Verifier().VerifySig(from, mm.SigDigest(), mm.Sig) {
-			return
+	case *core.VoteMsg:
+		if mm.Verify(s.env, from) {
+			s.onShare(from, mm)
 		}
-		s.acceptPrePrepare(mm)
-	case *ShareMsg:
-		if mm.Replica != from {
-			return
+	case *core.CertMsg:
+		if mm.Verify(s.env) {
+			s.onProof(mm)
 		}
-		sd := shareDigest(mm.Stage, mm.View, mm.Seq, mm.Digest)
-		if !s.env.Verifier().VerifySig(from, sd, mm.Sig) {
-			return
-		}
-		s.onShare(from, mm)
-	case *ProofMsg:
-		if from != s.env.Config().LeaderOf(mm.View) {
-			return
-		}
-		if !s.env.Verifier().VerifySig(from, mm.SigDigest(), mm.Sig) {
-			return
-		}
-		s.onProof(mm)
 	}
 }
 
-func (s *SBFT) onShare(from types.NodeID, m *ShareMsg) {
+func (s *SBFT) onShare(from types.NodeID, m *core.VoteMsg) {
 	if !s.vc.Leading() {
 		return
 	}
@@ -294,29 +174,40 @@ func (s *SBFT) onShare(from types.NodeID, m *ShareMsg) {
 		return
 	}
 	switch {
-	case m.Stage == stageSign && sl.Reached(stageSign, s.env.N()):
+	case m.Stage == core.StageSign && sl.Reached(core.StageSign, s.env.N()):
 		// Fast path: everyone answered before τ3.
 		s.env.StopTimer(core.TimerID{Name: timerFastPath, Seq: m.Seq, View: m.View})
 		sl.X.commitSent = true
-		s.sendProof("fast-commit", sl, stageSign)
-	case m.Stage == stageCommit && sl.Reached(stageCommit, s.Slots.Quorum):
+		s.sendProof(core.StageFastCommit, sl)
+	case m.Stage == core.StageCommit && sl.Reached(core.StageCommit, s.Slots.Quorum):
 		sl.X.commitSent = true
-		s.sendProof("commit", sl, stageCommit)
+		s.sendProof(core.StageCommit, sl)
 	}
 }
 
-// sendProof broadcasts the certificate over every share of shareStage the
-// collector holds for the slot's digest.
-func (s *SBFT) sendProof(stage string, sl *slot, shareStage string) {
-	cert := sl.Certificate(shareStage, shareDigest(shareStage, s.View(), sl.Seq, sl.Digest))
-	cert.Threshold = s.env.Scheme() == crypto.SchemeThreshold
-	proof := &ProofMsg{Stage: stage, View: s.View(), Seq: sl.Seq, Digest: sl.Digest, Cert: cert}
-	proof.Sig = s.env.Signer().Sign(proof.SigDigest())
+// proofShares maps each of SBFT's proofs to the share stage its certificate
+// holds, and how many shares that takes: all n sign shares for a fast
+// commit, a quorum otherwise.
+func (s *SBFT) proofShares(proof core.Stage) (core.Stage, int) {
+	switch proof {
+	case core.StageFastCommit:
+		return core.StageSign, s.env.N()
+	case core.StagePrepare:
+		return core.StageSign, s.Slots.Quorum
+	}
+	return core.StageCommit, s.Slots.Quorum
+}
+
+// sendProof broadcasts the certificate over every share of the proof's
+// share stage the collector holds for the slot's digest.
+func (s *SBFT) sendProof(stage core.Stage, sl *slot) {
+	shares, _ := s.proofShares(stage)
+	proof := sl.Certify(stage, shares)
 	s.env.Broadcast(proof)
 	s.onProof(proof)
 }
 
-func (s *SBFT) onProof(m *ProofMsg) {
+func (s *SBFT) onProof(m *core.CertMsg) {
 	if m.View != s.View() || s.vc.Active() {
 		return
 	}
@@ -326,23 +217,14 @@ func (s *SBFT) onProof(m *ProofMsg) {
 	if sl == nil || sl.Batch == nil || sl.Digest != m.Digest || sl.X.committed {
 		return
 	}
-	need := s.Slots.Quorum
-	shareStage := stageCommit
-	switch m.Stage {
-	case "fast-commit":
-		need = s.env.N()
-		shareStage = stageSign
-	case "prepare":
-		shareStage = stageSign
-	}
-	want := shareDigest(shareStage, m.View, m.Seq, m.Digest)
-	if m.Cert == nil || m.Cert.Digest != want || m.Cert.Verify(s.env.Verifier(), need) != nil {
+	shares, need := s.proofShares(m.Stage)
+	if !core.VerifyCert(s.env, m.Cert, need, shares, m.View, m.Seq, m.Digest) {
 		return
 	}
 	switch m.Stage {
-	case "fast-commit", "commit":
+	case core.StageFastCommit, core.StageCommit:
 		sl.X.committed = true
-		if m.Stage == "fast-commit" {
+		if m.Stage == core.StageFastCommit {
 			s.FastCommits++
 		} else {
 			s.SlowCommits++
@@ -356,7 +238,7 @@ func (s *SBFT) onProof(m *ProofMsg) {
 		proof := &types.CommitProof{View: m.View, Seq: m.Seq, Digest: m.Digest,
 			Voters: append([]types.NodeID(nil), m.Cert.Signers...)}
 		s.env.Commit(m.View, m.Seq, sl.Batch, proof)
-	case "prepare":
+	case core.StagePrepare:
 		// Slow path round two: return a commit share.
 		if prev := s.preparedProof[m.Seq]; prev == nil || prev.View < m.View {
 			s.preparedProof[m.Seq] = &core.CarriedSlot{
@@ -364,7 +246,7 @@ func (s *SBFT) onProof(m *ProofMsg) {
 			}
 		}
 		if !s.opts.SilentBackup {
-			s.sendShare(stageCommit, m.View, m.Seq, m.Digest)
+			s.sendShare(core.StageCommit, m.View, m.Seq, m.Digest)
 		}
 	}
 }
@@ -382,9 +264,9 @@ func (s *SBFT) OnTimer(id core.TimerID) {
 		if sl == nil || sl.X.committed || sl.X.commitSent || sl.X.prepareSent {
 			return
 		}
-		if sl.Count(stageSign) >= s.Slots.Quorum {
+		if sl.Count(core.StageSign) >= s.Slots.Quorum {
 			sl.X.prepareSent = true
-			s.sendProof("prepare", sl, stageSign)
+			s.sendProof(core.StagePrepare, sl)
 		} else {
 			// Not even a quorum: re-arm and hope the network delivers;
 			// the backups' progress timers bound this wait.

@@ -27,11 +27,11 @@ func TestFaultFreeUsesFastPath(t *testing.T) {
 		t.Fatalf("completed %d, want %d", got, want)
 	}
 	kinds, _ := c.Net.KindCounts()
-	if kinds["SBFT-PROOF-fast-commit"] == 0 {
+	if kinds["FAST-COMMIT-CERT"] == 0 {
 		t.Fatal("fault-free run never used the fast path")
 	}
-	if kinds["SBFT-SHARE-commit"] != 0 {
-		t.Fatalf("fault-free run sent %d slow-path commit shares", kinds["SBFT-SHARE-commit"])
+	if kinds["COMMIT"] != 0 {
+		t.Fatalf("fault-free run sent %d slow-path commit shares", kinds["COMMIT"])
 	}
 	if err := c.Audit(); err != nil {
 		t.Fatal(err)
@@ -55,7 +55,7 @@ func TestSilentBackupFallsBackToSlowPath(t *testing.T) {
 		t.Fatalf("completed %d with silent backup, want %d", got, want)
 	}
 	kinds, _ := c.Net.KindCounts()
-	if kinds["SBFT-PROOF-prepare"] == 0 {
+	if kinds["PREPARE-CERT"] == 0 {
 		t.Fatal("slow path never engaged despite silent backup (τ3 fallback, DC6)")
 	}
 	if err := c.Audit(3); err != nil {
@@ -141,8 +141,8 @@ func TestFastCommitCountersExposed(t *testing.T) {
 }
 
 func TestForgedProofRejected(t *testing.T) {
-	// A Byzantine replica cannot fabricate commit proofs: a ProofMsg
-	// whose certificate lacks valid quorum signatures must be ignored.
+	// A Byzantine replica cannot fabricate commit proofs: a proof whose
+	// certificate lacks valid quorum signatures must be ignored.
 	c := harness.NewCluster(harness.Options{Protocol: "sbft", N: 4, Clients: 1})
 	c.Start()
 	c.Submit(0, op(0, 1))
@@ -150,8 +150,8 @@ func TestForgedProofRejected(t *testing.T) {
 	base := c.Replicas[2].Ledger().LastExecuted()
 
 	batch := types.NewBatch(&types.Request{Client: types.ClientIDBase, ClientSeq: 99, Op: op(0, 99)})
-	forged := &sbft.ProofMsg{
-		Stage: "fast-commit", View: 0, Seq: base + 1, Digest: batch.Digest(),
+	forged := &core.CertMsg{
+		Stage: core.StageFastCommit, View: 0, Seq: base + 1, Digest: batch.Digest(),
 		Cert: &crypto.Certificate{Digest: types.DigestBytes([]byte("junk"))},
 	}
 	// Even signed by the real leader's key, the inner certificate fails.
@@ -189,10 +189,10 @@ func TestByzWithholderFallsBackToSlowPath(t *testing.T) {
 		t.Fatalf("completed %d of %d with a withholding replica", got, want)
 	}
 	kinds, _ := c.Net.KindCounts()
-	if kinds["SBFT-PROOF-fast-commit"] != 0 {
-		t.Fatalf("fast path produced %d proofs despite a silent replica", kinds["SBFT-PROOF-fast-commit"])
+	if kinds["FAST-COMMIT-CERT"] != 0 {
+		t.Fatalf("fast path produced %d proofs despite a silent replica", kinds["FAST-COMMIT-CERT"])
 	}
-	if kinds["SBFT-PROOF-prepare"] == 0 {
+	if kinds["PREPARE-CERT"] == 0 {
 		t.Fatal("slow path never engaged")
 	}
 	if err := c.Audit(); err != nil {

@@ -16,14 +16,13 @@ import (
 
 func (s *SBFT) viewChangeHooks() core.ViewChangeHooks {
 	return core.ViewChangeHooks{
-		Vouch:     s.vouch,
-		Pick:      core.HighestView(s.validPrepared),
-		Keep:      func(cs *core.CommittedSlot, _ types.SeqNum) bool { return s.validCommitted(cs) },
-		SigDigest: func(c *core.CarriedSlot) types.Digest { return prePrepare(c).SigDigest() },
-		Accept: func(c *core.CarriedSlot) {
-			s.acceptPrePrepare(prePrepare(c))
+		Vouch: s.vouch,
+		Pick:  core.HighestView(s.validPrepared),
+		Keep:  func(cs *core.CommittedSlot, _ types.SeqNum) bool { return s.validCommitted(cs) },
+		Accept: func(pp *core.ProposeMsg) {
+			s.acceptPrePrepare(pp)
 			if s.vc.Leading() {
-				s.env.SetTimer(core.TimerID{Name: timerFastPath, Seq: c.Seq, View: c.View}, s.opts.FastPathWait)
+				s.env.SetTimer(core.TimerID{Name: timerFastPath, Seq: pp.Seq, View: pp.View}, s.opts.FastPathWait)
 			}
 		},
 		// The certificate is transferable: check it, and retain it for the
@@ -36,10 +35,6 @@ func (s *SBFT) viewChangeHooks() core.ViewChangeHooks {
 		},
 		Resume: s.maybePropose,
 	}
-}
-
-func prePrepare(c *core.CarriedSlot) *PrePrepareMsg {
-	return &PrePrepareMsg{View: c.View, Seq: c.Seq, Digest: c.Digest, Batch: c.Batch, Sig: c.LeaderSig}
 }
 
 func (s *SBFT) vouch(m *core.ViewChangeMsg) {
@@ -56,10 +51,10 @@ func (s *SBFT) vouch(m *core.ViewChangeMsg) {
 	// The collector can also assemble fresh certificates from the sign
 	// shares it holds for the current view.
 	for _, sl := range s.Slots.Assigned() {
-		if sl.Seq > m.Base && s.preparedProof[sl.Seq] == nil && sl.Count(stageSign) >= s.Slots.Quorum {
+		if sl.Seq > m.Base && s.preparedProof[sl.Seq] == nil && sl.Count(core.StageSign) >= s.Slots.Quorum {
 			m.Carried = append(m.Carried, core.CarriedSlot{
 				View: s.View(), Seq: sl.Seq, Digest: sl.Digest, Batch: sl.Batch,
-				Cert: sl.Certificate(stageSign, shareDigest(stageSign, s.View(), sl.Seq, sl.Digest)),
+				Cert: sl.Certificate(core.StageSign),
 			})
 		}
 	}
@@ -69,31 +64,18 @@ func (s *SBFT) vouch(m *core.ViewChangeMsg) {
 // may cover the "sign" or the "commit" stage depending on which proof the
 // sender held.
 func (s *SBFT) validPrepared(p *core.CarriedSlot) bool {
-	if p.Cert == nil {
-		return false
-	}
-	for _, stage := range []string{stageSign, stageCommit} {
-		if p.Cert.Digest == shareDigest(stage, p.View, p.Seq, p.Digest) {
-			return p.Cert.Verify(s.env.Verifier(), s.Slots.Quorum) == nil
-		}
-	}
-	return false
+	return core.VerifyCert(s.env, p.Cert, s.Slots.Quorum, core.StageSign, p.View, p.Seq, p.Digest) ||
+		core.VerifyCert(s.env, p.Cert, s.Slots.Quorum, core.StageCommit, p.View, p.Seq, p.Digest)
 }
 
 // validCommitted reports whether a carried committed slot's certificate
 // verifies: all n sign shares for a fast commit, 2f+1 commit shares
 // otherwise.
 func (s *SBFT) validCommitted(cs *core.CommittedSlot) bool {
-	if cs.Batch == nil || cs.Cert == nil {
+	if cs.Batch == nil {
 		return false
 	}
-	need := s.Slots.Quorum
-	switch d := cs.Batch.Digest(); cs.Cert.Digest {
-	case shareDigest(stageCommit, cs.View, cs.Seq, d):
-	case shareDigest(stageSign, cs.View, cs.Seq, d):
-		need = s.env.N()
-	default:
-		return false
-	}
-	return cs.Cert.Verify(s.env.Verifier(), need) == nil
+	d := cs.Batch.Digest()
+	return core.VerifyCert(s.env, cs.Cert, s.Slots.Quorum, core.StageCommit, cs.View, cs.Seq, d) ||
+		core.VerifyCert(s.env, cs.Cert, s.env.N(), core.StageSign, cs.View, cs.Seq, d)
 }

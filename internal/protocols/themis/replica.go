@@ -1,14 +1,11 @@
 package themis
 
 import (
+	"maps"
+	"slices"
+
 	"bftkit/internal/core"
 	"bftkit/internal/types"
-)
-
-// The two all-to-all voting stages (VoteMsg.Stage on the wire).
-const (
-	stagePrepare = "prepare"
-	stageCommit  = "commit"
 )
 
 type slot = core.Slot[struct{}]
@@ -69,7 +66,7 @@ func (t *Themis) Init(env core.Env) {
 	t.backlog = core.NewBacklog(env, timerProgress)
 	profile := core.ThemisProfile()
 	t.vc = core.NewViewChange(env, t.backlog, timerVCRetry, profile.QuorumSize(env.F()), t.viewChangeHooks())
-	t.Slots = core.NewSlots[struct{}](env, profile, t.backlog, t.vc, t.cm, stagePrepare, stageCommit)
+	t.Slots = core.NewSlots[struct{}](env, profile, t.backlog, t.vc, t.cm, core.StagePrepare, core.StageCommit)
 }
 
 // View returns the current view.
@@ -134,9 +131,12 @@ func (t *Themis) maybePropose() {
 	if len(t.reports) < t.env.N()-t.env.F() {
 		return
 	}
+	// In origin order, so that one seed sends one proposal.
 	var reports []*ReportMsg
-	for _, rep := range t.reports {
-		reports = append(reports, rep)
+	var evidence []core.Evidence
+	for _, origin := range slices.Sorted(maps.Keys(t.reports)) {
+		reports = append(reports, t.reports[origin])
+		evidence = append(evidence, t.reports[origin])
 	}
 	skip := func(k types.RequestKey) bool {
 		return t.ordered[k]
@@ -155,50 +155,53 @@ func (t *Themis) maybePropose() {
 		t.ordered[req.Key()] = true
 	}
 	t.reports = make(map[types.NodeID]*ReportMsg)
-	batch := types.NewBatch(fresh...)
-	prop := &ProposalMsg{View: t.View(), Seq: t.Slots.Next(), Reports: reports, Batch: batch}
-	prop.Sig = t.env.Signer().Sign(prop.SigDigest())
+	prop := core.NewProposal(t.env, t.View(), t.Slots.Next(), types.NewBatch(fresh...), evidence...)
 	t.env.Broadcast(prop)
-	t.acceptProposal(t.env.ID(), prop, false)
+	t.acceptProposal(prop, false)
 }
 
-// acceptProposal validates the fair order (unless reVerified, for
-// new-view re-proposals whose reports were already checked) and votes.
-func (t *Themis) acceptProposal(from types.NodeID, m *ProposalMsg, fromNewView bool) {
+// acceptProposal validates the fair order when asked (a backup's check of
+// the leader's proposal; not the leader's own, nor a new view's re-issue,
+// whose reports were checked when first proposed) and votes.
+func (t *Themis) acceptProposal(m *core.ProposeMsg, checkOrder bool) {
 	if m.View != t.View() || t.vc.Active() {
 		return
 	}
-	if !fromNewView && from != t.env.ID() && !t.fairlyOrdered(m) {
+	if checkOrder && !t.fairlyOrdered(m) {
 		return
 	}
-	sl := t.Slots.Accept(m.View, m.Seq, m.Batch.Digest(), m.Batch)
+	sl := t.Slots.Accept(m)
 	if sl == nil {
 		return
 	}
-	t.vote(stagePrepare, sl)
+	t.vote(core.StagePrepare, sl)
 	t.checkPrepared(sl)
 }
 
-// fairlyOrdered verifies a proposal's report signatures and recomputes the
-// fair order: the leader cannot reorder beyond its choice of reports.
-func (t *Themis) fairlyOrdered(m *ProposalMsg) bool {
-	if len(m.Reports) < t.env.N()-t.env.F() {
+// fairlyOrdered verifies the signatures of the reports a proposal carries
+// and recomputes the fair order: the leader cannot reorder beyond its
+// choice of reports.
+func (t *Themis) fairlyOrdered(m *core.ProposeMsg) bool {
+	if len(m.Evidence) < t.env.N()-t.env.F() {
 		return false
 	}
 	var origins core.Tally[types.SeqNum, struct{}] // one report per origin
-	for _, rep := range m.Reports {
-		if origins.Add(m.Seq, rep.Origin, struct{}{}) == 0 {
+	reports := make([]*ReportMsg, 0, len(m.Evidence))
+	for _, e := range m.Evidence {
+		rep, ok := e.(*ReportMsg)
+		if !ok || origins.Add(m.Seq, rep.Origin, struct{}{}) == 0 {
 			return false
 		}
 		if !t.env.Verifier().VerifySig(rep.Origin, rep.SigDigest(), rep.Sig) {
 			return false
 		}
+		reports = append(reports, rep)
 	}
 	proposed := make(map[types.RequestKey]bool, m.Batch.Len())
 	for _, req := range m.Batch.Requests {
 		proposed[req.Key()] = true
 	}
-	want := FairOrder(m.Reports, func(k types.RequestKey) bool { return !proposed[k] })
+	want := FairOrder(reports, func(k types.RequestKey) bool { return !proposed[k] })
 	if len(want) != m.Batch.Len() {
 		return false
 	}
@@ -210,11 +213,9 @@ func (t *Themis) fairlyOrdered(m *ProposalMsg) bool {
 	return true
 }
 
-func (t *Themis) vote(stage string, sl *slot) {
-	v := &VoteMsg{Stage: stage, View: t.View(), Seq: sl.Seq, Digest: sl.Digest, Replica: t.env.ID()}
-	v.Sig = t.env.Signer().Sign(v.SigDigest())
-	t.env.Broadcast(v)
-	t.Slots.Vote(stage, v.View, v.Seq, t.env.ID(), v.Digest, nil)
+func (t *Themis) vote(stage core.Stage, sl *slot) {
+	t.env.Broadcast(core.NewVote(t.env, stage, t.View(), sl.Seq, sl.Digest))
+	t.Slots.Vote(stage, t.View(), sl.Seq, t.env.ID(), sl.Digest, nil)
 }
 
 // OnMessage implements core.Protocol.
@@ -233,19 +234,12 @@ func (t *Themis) OnMessage(from types.NodeID, m types.Message) {
 			return
 		}
 		t.onReport(from, mm)
-	case *ProposalMsg:
-		if from != t.env.Config().LeaderOf(mm.View) {
-			return
+	case *core.ProposeMsg:
+		if mm.Verify(t.env) {
+			t.acceptProposal(mm, true)
 		}
-		if !t.env.Verifier().VerifySig(from, mm.SigDigest(), mm.Sig) {
-			return
-		}
-		t.acceptProposal(from, mm, false)
-	case *VoteMsg:
-		if mm.Replica != from || mm.View != t.View() || t.vc.Active() {
-			return
-		}
-		if !t.env.Verifier().VerifySig(from, mm.SigDigest(), mm.Sig) {
+	case *core.VoteMsg:
+		if mm.View != t.View() || t.vc.Active() || !mm.Verify(t.env, from) {
 			return
 		}
 		if sl := t.Slots.Vote(mm.Stage, mm.View, mm.Seq, from, mm.Digest, nil); sl != nil {
@@ -256,21 +250,21 @@ func (t *Themis) OnMessage(from types.NodeID, m types.Message) {
 }
 
 func (t *Themis) checkPrepared(sl *slot) {
-	if !sl.Reached(stagePrepare, t.Slots.Quorum) {
+	if !sl.Reached(core.StagePrepare, t.Slots.Quorum) {
 		return
 	}
 	if prev := t.preparedProof[sl.Seq]; prev == nil || prev.View < t.View() {
 		t.preparedProof[sl.Seq] = &core.CarriedSlot{View: t.View(), Seq: sl.Seq, Digest: sl.Digest, Batch: sl.Batch}
 	}
-	t.vote(stageCommit, sl)
+	t.vote(core.StageCommit, sl)
 	t.checkCommitted(sl)
 }
 
 func (t *Themis) checkCommitted(sl *slot) {
-	if !sl.Past(stagePrepare) || !sl.Reached(stageCommit, t.Slots.Quorum) {
+	if !sl.Past(core.StagePrepare) || !sl.Reached(core.StageCommit, t.Slots.Quorum) {
 		return
 	}
-	proof := &types.CommitProof{View: t.View(), Seq: sl.Seq, Digest: sl.Digest, Voters: sl.Voters(stageCommit)}
+	proof := &types.CommitProof{View: t.View(), Seq: sl.Seq, Digest: sl.Digest, Voters: sl.Voters(core.StageCommit)}
 	t.env.Commit(t.View(), sl.Seq, sl.Batch, proof)
 }
 

@@ -31,7 +31,8 @@ const (
 	timerVCRetry  = "vc-retry"
 )
 
-// ReportMsg is one replica's local receive order (the preorder phase).
+// ReportMsg is one replica's local receive order (the preorder phase). A
+// proposal carries the reports it was ordered from as its evidence.
 type ReportMsg struct {
 	Origin types.NodeID
 	RSeq   uint64 // report sequence number, per origin
@@ -49,53 +50,6 @@ func (m *ReportMsg) SigDigest() types.Digest {
 	for _, r := range m.Reqs {
 		h.Digest(r.Digest())
 	}
-	return h.Sum()
-}
-
-// ProposalMsg carries the fair-ordered batch plus the signed reports that
-// justify it, so backups can recompute the order.
-type ProposalMsg struct {
-	View    types.View
-	Seq     types.SeqNum
-	Reports []*ReportMsg
-	Batch   *types.Batch
-	Sig     []byte
-}
-
-// Kind implements types.Message.
-func (*ProposalMsg) Kind() string { return "THEMIS-PROPOSE" }
-
-// Slot implements obsv.Slotted.
-func (m *ProposalMsg) Slot() (types.View, types.SeqNum) { return m.View, m.Seq }
-
-// SigDigest is the signed content.
-func (m *ProposalMsg) SigDigest() types.Digest {
-	var h types.Hasher
-	h.Str("themis-propose").U64(uint64(m.View)).U64(uint64(m.Seq)).Digest(m.Batch.Digest())
-	return h.Sum()
-}
-
-// VoteMsg covers both prepare and commit rounds (Stage field).
-type VoteMsg struct {
-	Stage   string // "prepare" | "commit"
-	View    types.View
-	Seq     types.SeqNum
-	Digest  types.Digest
-	Replica types.NodeID
-	Sig     []byte
-}
-
-// Kind implements types.Message.
-func (m *VoteMsg) Kind() string { return "THEMIS-" + m.Stage }
-
-// Slot implements obsv.Slotted.
-func (m *VoteMsg) Slot() (types.View, types.SeqNum) { return m.View, m.Seq }
-
-// SigDigest is the signed content.
-func (m *VoteMsg) SigDigest() types.Digest {
-	var h types.Hasher
-	h.Str("themis-vote").Str(m.Stage).U64(uint64(m.View)).U64(uint64(m.Seq)).
-		Digest(m.Digest).U64(uint64(m.Replica))
 	return h.Sum()
 }
 

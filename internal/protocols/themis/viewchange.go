@@ -26,18 +26,11 @@ func (t *Themis) viewChangeHooks() core.ViewChangeHooks {
 				}
 			}
 		},
-		Pick:      core.MostClaimed,
-		Keep:      core.UpToBase,
-		SigDigest: func(s *core.CarriedSlot) types.Digest { return proposal(s).SigDigest() },
-		Accept: func(s *core.CarriedSlot) {
-			t.acceptProposal(t.env.Config().LeaderOf(s.View), proposal(s), true)
-		},
+		Pick:   core.MostClaimed,
+		Keep:   core.UpToBase,
+		Accept: func(m *core.ProposeMsg) { t.acceptProposal(m, false) },
 		Resume: t.refeed,
 	}
-}
-
-func proposal(s *core.CarriedSlot) *ProposalMsg {
-	return &ProposalMsg{View: s.View, Seq: s.Seq, Batch: s.Batch, Sig: s.LeaderSig}
 }
 
 // refeed runs once a new view is adopted: requests that were pinned to

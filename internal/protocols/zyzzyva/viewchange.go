@@ -36,10 +36,9 @@ func (z *Zyzzyva) viewChangeHooks() core.ViewChangeHooks {
 				}
 			}
 		},
-		Pick:      z.pick,
-		Keep:      core.UpToBase,
-		SigDigest: func(s *core.CarriedSlot) types.Digest { return orderReq(s).SigDigest() },
-		Accept:    func(s *core.CarriedSlot) { z.acceptOrderReq(orderReq(s)) },
+		Pick:   z.pick,
+		Keep:   core.UpToBase,
+		Accept: z.acceptOrderReq,
 		// Roll back all uncommitted speculation; the new view's order
 		// replaces it (the runtime restores state and history digests).
 		Reset: func(*core.NewViewMsg) {
@@ -47,10 +46,6 @@ func (z *Zyzzyva) viewChangeHooks() core.ViewChangeHooks {
 		},
 		Resume: z.maybePropose,
 	}
-}
-
-func orderReq(s *core.CarriedSlot) *OrderReqMsg {
-	return &OrderReqMsg{View: s.View, Seq: s.Seq, Digest: s.Digest, Batch: s.Batch, Sig: s.LeaderSig}
 }
 
 // pick is the most-claimed picker under the client-certificate pin: a

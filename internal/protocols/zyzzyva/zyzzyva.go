@@ -32,34 +32,6 @@ const (
 	timerClientWait = "client-wait" // τ1 on clients
 )
 
-// OrderReqMsg is the leader's speculative assignment (the single phase).
-type OrderReqMsg struct {
-	View   types.View
-	Seq    types.SeqNum
-	Digest types.Digest
-	Batch  *types.Batch
-	Sig    []byte
-}
-
-// Kind implements types.Message.
-func (*OrderReqMsg) Kind() string { return "ORDER-REQ" }
-
-// Slot implements obsv.Slotted.
-func (m *OrderReqMsg) Slot() (types.View, types.SeqNum) { return m.View, m.Seq }
-
-// SigDigest is the signed content.
-func (m *OrderReqMsg) SigDigest() types.Digest {
-	var h types.Hasher
-	h.Str("zyz-orderreq").U64(uint64(m.View)).U64(uint64(m.Seq)).Digest(m.Digest)
-	return h.Sum()
-}
-
-// SigClaims implements crypto.SigClaimer: the leader's signature, which
-// receivers verify against the sender.
-func (m *OrderReqMsg) SigClaims(from types.NodeID) []crypto.SigClaim {
-	return []crypto.SigClaim{{Signer: from, Digest: m.SigDigest(), Sig: m.Sig}}
-}
-
 // CommitMsg is the repairer client's commit certificate: 2f+1 matching
 // speculative replies prove the slot's position in the history.
 type CommitMsg struct {
@@ -110,25 +82,6 @@ func (m *LocalCommitMsg) Slot() (types.View, types.SeqNum) { return 0, m.Seq }
 // RequestRef implements obsv.Keyed.
 func (m *LocalCommitMsg) RequestRef() types.RequestKey {
 	return types.RequestKey{Client: m.Client, ClientSeq: m.ClientSeq}
-}
-
-// CheckpointMsg carries a replica's history digest at a sequence number;
-// 2f+1 matching digests commit the prefix (Zyzzyva's lazy commitment).
-type CheckpointMsg struct {
-	Seq     types.SeqNum
-	History types.Digest
-	Replica types.NodeID
-	Sig     []byte
-}
-
-// Kind implements types.Message.
-func (*CheckpointMsg) Kind() string { return "ZYZ-CHECKPOINT" }
-
-// SigDigest is the signed content.
-func (m *CheckpointMsg) SigDigest() types.Digest {
-	var h types.Hasher
-	h.Str("zyz-cp").U64(uint64(m.Seq)).Digest(m.History).U64(uint64(m.Replica))
-	return h.Sum()
 }
 
 // Options tunes a Zyzzyva replica.
@@ -222,9 +175,7 @@ func (z *Zyzzyva) OnRequest(req *types.Request) {
 }
 
 func (z *Zyzzyva) maybePropose() {
-	z.Slots.Propose(func(seq types.SeqNum, batch *types.Batch) {
-		or := &OrderReqMsg{View: z.View(), Seq: seq, Digest: batch.Digest(), Batch: batch}
-		or.Sig = z.env.Signer().Sign(or.SigDigest())
+	z.Slots.Propose(func(or *core.ProposeMsg) {
 		z.env.Broadcast(or)
 		z.acceptOrderReq(or)
 	})
@@ -232,8 +183,8 @@ func (z *Zyzzyva) maybePropose() {
 
 // acceptOrderReq speculatively executes contiguous assignments and
 // answers clients directly (Figure "spec response" path).
-func (z *Zyzzyva) acceptOrderReq(or *OrderReqMsg) {
-	if z.Slots.Accept(or.View, or.Seq, or.Digest, or.Batch) == nil {
+func (z *Zyzzyva) acceptOrderReq(or *core.ProposeMsg) {
+	if z.Slots.Accept(or) == nil {
 		return
 	}
 	for {
@@ -279,8 +230,8 @@ func (z *Zyzzyva) execSpeculative(sl *core.Slot[slotExt]) bool {
 	// Lazy commitment: exchange history digests at checkpoint windows.
 	iv := z.env.Config().CheckpointInterval
 	if iv > 0 && uint64(sl.Seq)%iv == 0 {
-		cp := &CheckpointMsg{Seq: sl.Seq, History: z.env.HistoryDigest(), Replica: z.env.ID()}
-		cp.Sig = z.env.Signer().Sign(cp.SigDigest())
+		cp := &core.CheckpointMsg{Seq: sl.Seq, StateHash: z.env.HistoryDigest(), Replica: z.env.ID()}
+		cp.Sig = z.env.Signer().Sign(cp.Digest())
 		z.env.Broadcast(cp)
 		z.recordCheckpoint(z.env.ID(), cp)
 	}
@@ -300,8 +251,8 @@ func (z *Zyzzyva) commitPrefix(seq types.SeqNum, voters []types.NodeID) {
 	}
 }
 
-func (z *Zyzzyva) recordCheckpoint(from types.NodeID, m *CheckpointMsg) {
-	z.cpVotes.Add(m.Seq, from, m.History)
+func (z *Zyzzyva) recordCheckpoint(from types.NodeID, m *core.CheckpointMsg) {
+	z.cpVotes.Add(m.Seq, from, m.StateHash)
 	// Only a quorum on our own history commits anything, so that is the
 	// one value worth counting — on every vote, since our speculative tip
 	// may reach m.Seq after the quorum formed.
@@ -328,24 +279,16 @@ func (z *Zyzzyva) OnMessage(from types.NodeID, m types.Message) {
 	switch mm := m.(type) {
 	case *core.ForwardMsg:
 		z.OnRequest(mm.Req)
-	case *OrderReqMsg:
-		if from != z.env.Config().LeaderOf(mm.View) {
-			return
+	case *core.ProposeMsg:
+		if mm.Verify(z.env) {
+			z.acceptOrderReq(mm)
 		}
-		if !z.env.Verifier().VerifySig(from, mm.SigDigest(), mm.Sig) {
-			return
-		}
-		z.acceptOrderReq(mm)
 	case *CommitMsg:
 		z.onCommitCert(from, mm)
-	case *CheckpointMsg:
-		if mm.Replica != from {
-			return
+	case *core.CheckpointMsg:
+		if mm.Replica == from && z.env.Verifier().VerifySig(from, mm.Digest(), mm.Sig) {
+			z.recordCheckpoint(from, mm)
 		}
-		if !z.env.Verifier().VerifySig(from, mm.SigDigest(), mm.Sig) {
-			return
-		}
-		z.recordCheckpoint(from, mm)
 	}
 }
 

@@ -35,7 +35,7 @@ func TestFaultFreeFastPath(t *testing.T) {
 		t.Fatalf("fault-free run used %d commit certificates; fast path broken", kinds["ZYZ-COMMIT"])
 	}
 	// Speculation means exactly one ordering phase: order-reqs only.
-	if kinds["ORDER-REQ"] == 0 {
+	if kinds["PROPOSE"] == 0 {
 		t.Fatal("no order requests observed")
 	}
 }

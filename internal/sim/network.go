@@ -39,14 +39,14 @@ type NetConfig struct {
 	PreGSTMaxDelay time.Duration
 	// PreGSTDropRate is the loss probability before GST.
 	PreGSTDropRate float64
-	// SendCostPerMsg and SendCostPerKB model each node's finite egress
-	// capacity: sends are serialized at the sender, each occupying the
-	// link for PerMsg + size×PerKB. Zero disables the model (infinite
-	// bandwidth). This is what makes the leader a bottleneck — the
-	// load-balancing and throughput claims of the paper (Q2, §1)
-	// depend on it.
+	// SendCostPerMsg models each node's finite egress capacity: sends are
+	// serialized at the sender, each occupying the link for this long.
+	// Zero disables the model (infinite capacity). This is what makes the
+	// leader a bottleneck — the load-balancing and throughput claims of
+	// the paper (Q2, §1) depend on it. The cost is per message, not per
+	// byte: a message's size is accounted (NodeStats) but never moves
+	// virtual time, so a change of wire format cannot change a latency.
 	SendCostPerMsg time.Duration
-	SendCostPerKB  time.Duration
 }
 
 // DefaultLAN is a 1ms datacenter-style network.
@@ -275,13 +275,12 @@ func (n *Network) deliver(from, to types.NodeID, m types.Message, extra time.Dur
 
 	// Egress serialization: the sender's link is busy until previous
 	// sends have drained.
-	if n.cfg.SendCostPerMsg > 0 || n.cfg.SendCostPerKB > 0 {
-		cost := n.cfg.SendCostPerMsg + n.cfg.SendCostPerKB*time.Duration(size)/1024
+	if n.cfg.SendCostPerMsg > 0 {
 		ready := n.egressFree[from]
 		if ready < now {
 			ready = now
 		}
-		ready += cost
+		ready += n.cfg.SendCostPerMsg
 		n.egressFree[from] = ready
 		delay += ready - now
 	}

@@ -23,6 +23,13 @@ func FuzzWireDecode(f *testing.F) {
 		}
 		f.Add(buf.Bytes())
 	}
+	for _, fx := range orderingFixtures() {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(&Envelope{From: 1, Msg: fx.msg}); err != nil {
+			f.Fatalf("seed encode %s: %v", fx.name, err)
+		}
+		f.Add(buf.Bytes())
+	}
 	for _, fx := range viewChangeFixtures() {
 		for _, m := range []types.Message{fx.vc, fx.nv} {
 			var buf bytes.Buffer
@@ -67,8 +74,16 @@ func FuzzWireRoundTrip(f *testing.F) {
 		}
 		f.Add(buf.Bytes())
 	}
-	// The shared view-change messages nest slices of slots, certificates
-	// and an interface-typed evidence list: seed them populated too.
+	// The shared ordering and view-change messages nest batches,
+	// certificates and interface-typed evidence lists: seed them populated
+	// too.
+	for _, fx := range orderingFixtures() {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(&Envelope{From: 2, Msg: fx.msg}); err != nil {
+			f.Fatalf("seed encode %s: %v", fx.name, err)
+		}
+		f.Add(buf.Bytes())
+	}
 	for _, fx := range viewChangeFixtures() {
 		for _, m := range []types.Message{fx.vc, fx.nv} {
 			var buf bytes.Buffer

@@ -6,19 +6,22 @@ import (
 	"bftkit/internal/core"
 	"bftkit/internal/protocols/chainrepl"
 	"bftkit/internal/protocols/cheapbft"
-	"bftkit/internal/protocols/fab"
 	"bftkit/internal/protocols/hotstuff"
 	"bftkit/internal/protocols/kauri"
 	"bftkit/internal/protocols/pbft"
-	"bftkit/internal/protocols/poe"
 	"bftkit/internal/protocols/prime"
 	"bftkit/internal/protocols/qu"
 	"bftkit/internal/protocols/raftlite"
-	"bftkit/internal/protocols/sbft"
 	"bftkit/internal/protocols/tendermint"
 	"bftkit/internal/protocols/themis"
 	"bftkit/internal/protocols/zyzzyva"
 	"bftkit/internal/types"
+
+	// Every registered protocol is linked wherever the transport is, so a
+	// node can run any of them; these three send only core's messages.
+	_ "bftkit/internal/protocols/fab"
+	_ "bftkit/internal/protocols/poe"
+	_ "bftkit/internal/protocols/sbft"
 )
 
 // wireMessages lists every concrete message type that may cross the
@@ -29,9 +32,10 @@ var wireMessages = []types.Message{
 	// core
 	&core.RequestMsg{}, &core.ReplyMsg{}, &core.ForwardMsg{},
 	&core.CheckpointMsg{}, &core.FetchStateMsg{}, &core.StateMsg{},
-	&core.ViewChangeMsg{}, &core.NewViewMsg{}, // the eight stable-leader protocols share them
+	// the ordering and view-change messages of the eight stable-leader protocols
+	&core.ProposeMsg{}, &core.VoteMsg{}, &core.CertMsg{},
+	&core.ViewChangeMsg{}, &core.NewViewMsg{},
 	// pbft
-	&pbft.PrePrepareMsg{}, &pbft.PrepareMsg{}, &pbft.CommitMsg{},
 	&pbft.FetchCommittedMsg{}, &pbft.CommittedMsg{},
 	// tendermint
 	&tendermint.ProposalMsg{}, &tendermint.VoteMsg{}, &tendermint.FetchProposalMsg{},
@@ -39,26 +43,18 @@ var wireMessages = []types.Message{
 	// hotstuff
 	&hotstuff.ProposalMsg{}, &hotstuff.VoteMsg{}, &hotstuff.TimeoutMsg{},
 	&hotstuff.QCMsg{}, &hotstuff.FetchBlockMsg{}, &hotstuff.BlockMsg{},
-	// sbft
-	&sbft.PrePrepareMsg{}, &sbft.ShareMsg{}, &sbft.ProofMsg{},
 	// zyzzyva
-	&zyzzyva.OrderReqMsg{}, &zyzzyva.CommitMsg{}, &zyzzyva.LocalCommitMsg{},
-	&zyzzyva.CheckpointMsg{},
-	// poe
-	&poe.ProposeMsg{}, &poe.ShareMsg{}, &poe.CertifyMsg{},
-	&poe.CheckpointMsg{},
+	&zyzzyva.CommitMsg{}, &zyzzyva.LocalCommitMsg{},
 	// cheapbft
-	&cheapbft.ProposeMsg{}, &cheapbft.VoteMsg{}, &cheapbft.UpdateMsg{},
-	// fab
-	&fab.ProposeMsg{}, &fab.AcceptMsg{},
+	&cheapbft.UpdateMsg{},
 	// qu
 	&qu.QueryMsg{}, &qu.QueryRespMsg{}, &qu.WriteMsg{}, &qu.WriteRespMsg{}, &qu.ResolveMsg{},
 	// prime
 	&prime.PORequestMsg{}, &prime.POAckMsg{},
 	// themis
-	&themis.ReportMsg{}, &themis.ProposalMsg{}, &themis.VoteMsg{},
+	&themis.ReportMsg{},
 	// kauri
-	&kauri.ProposalMsg{}, &kauri.AggrMsg{}, &kauri.CertMsg{},
+	&kauri.AggrMsg{},
 	// chain
 	&chainrepl.ChainMsg{}, &chainrepl.CommitNoticeMsg{}, &chainrepl.PanicMsg{},
 	&chainrepl.ReconfigMsg{}, &chainrepl.FetchChainMsg{}, &chainrepl.ChainEntriesMsg{},

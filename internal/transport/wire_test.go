@@ -9,6 +9,7 @@ import (
 
 	"bftkit/internal/core"
 	"bftkit/internal/crypto"
+	"bftkit/internal/protocols/themis"
 	"bftkit/internal/protocols/zyzzyva"
 	"bftkit/internal/types"
 )
@@ -83,11 +84,11 @@ func fill(v reflect.Value, seed *uint64, depth int) {
 // intact — the wire contract the TCP deployment path depends on. A
 // message type added to a protocol but not to wireMessages fails the
 // TCP path at runtime; keeping the list and this test in lockstep is
-// the point. The two view-change kinds the eight stable-leader protocols
-// share are also sent populated the way each of those protocols
-// populates them (viewChangeFixtures).
+// the point. The ordering and view-change messages the eight
+// stable-leader protocols share are also sent populated the way each of
+// those protocols populates them (orderingFixtures, viewChangeFixtures).
 func TestWireMessagesRoundTrip(t *testing.T) {
-	if len(wireMessages) < 60 {
+	if len(wireMessages) < 40 {
 		t.Fatalf("wireMessages lists %d types; the protocol suite defines more — list truncated?", len(wireMessages))
 	}
 	seen := make(map[string]bool)
@@ -103,9 +104,24 @@ func TestWireMessagesRoundTrip(t *testing.T) {
 		seen[kind] = true
 		t.Run(kind, func(t *testing.T) { roundTrip(t, msg) })
 	}
+	for _, fx := range orderingFixtures() {
+		t.Run(fx.name, func(t *testing.T) { roundTrip(t, fx.msg) })
+	}
 	for _, fx := range viewChangeFixtures() {
 		for _, msg := range []types.Message{fx.vc, fx.nv} {
 			t.Run(fx.protocol+"-"+msg.Kind(), func(t *testing.T) { roundTrip(t, msg) })
+		}
+	}
+}
+
+// TestTransportLinksEveryProtocol: node binaries reach the protocols
+// through this package, so every registration must be linked here, also
+// those whose packages declare no message of their own.
+func TestTransportLinksEveryProtocol(t *testing.T) {
+	for _, name := range []string{"pbft", "pbft-mac", "poe", "sbft", "zyzzyva", "zyzzyva5", "fab", "cheapbft",
+		"kauri", "themis", "hotstuff", "hotstuff2", "tendermint", "prime", "qu", "chain", "raftlite"} {
+		if _, ok := core.Lookup(name); !ok {
+			t.Errorf("protocol %q is not linked by the transport", name)
 		}
 	}
 }
@@ -135,6 +151,72 @@ func roundTrip(t *testing.T, msg types.Message) {
 	// What the sender signed is what the receiver verifies.
 	if signed, ok := msg.(core.Evidence); ok && signed.SigDigest() != got.Msg.(core.Evidence).SigDigest() {
 		t.Fatal("the signed digest changed in transit")
+	}
+}
+
+// orderingFixture is one shared ordering message as one protocol sends
+// it, named by what that protocol calls the message.
+type orderingFixture struct {
+	name string
+	msg  types.Message
+}
+
+// orderingFixtures covers every (type, stage) the eight stable-leader
+// protocols send: proposals signed (and, for PBFT in MAC mode, carrying an
+// authenticator vector with no entry for the sender), Themis's with its
+// signed reports as evidence; votes at each protocol's stages; certificate
+// broadcasts at each of SBFT's, PoE's and Kauri's; and the checkpoint
+// message PoE and Zyzzyva send their history digest in.
+func orderingFixtures() []orderingFixture {
+	req := &types.Request{Client: types.ClientIDBase, ClientSeq: 7, Op: []byte("put"), Sig: []byte{1}}
+	batch := types.NewBatch(req)
+	d := batch.Digest()
+	sig := []byte{7, 7}
+	propose := func(view types.View, leader types.NodeID, evidence ...core.Evidence) *core.ProposeMsg {
+		return &core.ProposeMsg{View: view, Seq: 5, Digest: d, Batch: batch, Evidence: evidence, Leader: leader, Sig: sig}
+	}
+	vote := func(stage core.Stage) *core.VoteMsg {
+		return &core.VoteMsg{Stage: stage, View: 1, Seq: 5, Digest: d, Replica: 2, Sig: sig}
+	}
+	cert := func(stage core.Stage, signers ...types.NodeID) *core.CertMsg {
+		c := &crypto.Certificate{Digest: types.Digest{9}, Threshold: true}
+		for _, id := range signers {
+			c.Add(id, []byte{byte(id), 1})
+		}
+		return &core.CertMsg{Stage: stage, View: 1, Seq: 5, Digest: d, Cert: c, Leader: 1, Sig: sig}
+	}
+	macVote := vote(core.StageCommit)
+	macVote.Sig, macVote.Auth = nil, [][]byte{{1}, {2}, nil, {3}}
+	checkpoint := &core.CheckpointMsg{Seq: 128, StateHash: types.Digest{4}, Replica: 2, Sig: sig}
+	report := func(origin types.NodeID) core.Evidence {
+		return &themis.ReportMsg{Origin: origin, RSeq: 3, Reqs: []*types.Request{req}, Sig: []byte{byte(origin)}}
+	}
+	return []orderingFixture{
+		{"PRE-PREPARE", propose(1, 1)},
+		{"PREPARE", vote(core.StagePrepare)},
+		{"COMMIT", macVote},
+		{"SBFT-PRE-PREPARE", propose(0, 0)},
+		{"SBFT-SHARE-sign", vote(core.StageSign)},
+		{"SBFT-SHARE-commit", vote(core.StageCommit)},
+		{"SBFT-PROOF-prepare", cert(core.StagePrepare, 0, 1, 3)},
+		{"SBFT-PROOF-commit", cert(core.StageCommit, 1, 2, 3)},
+		{"SBFT-PROOF-fast-commit", cert(core.StageFastCommit, 0, 1, 2, 3)},
+		{"ORDER-REQ", propose(1, 1)},
+		{"ZYZ-CHECKPOINT", checkpoint},
+		{"POE-PROPOSE", propose(1, 1)},
+		{"POE-SHARE", vote(core.StageShare)},
+		{"POE-CERTIFY", cert(core.StageShare, 0, 1, 2)},
+		{"POE-CHECKPOINT", checkpoint},
+		{"CHEAP-PROPOSE", propose(1, 1)},
+		{"CHEAP-VOTE", vote(core.StageCommit)},
+		{"FAB-PROPOSE", propose(1, 1)},
+		{"FAB-ACCEPT", vote(core.StageAccept)},
+		{"KAURI-PROPOSE", propose(1, 1)},
+		{"KAURI-CERT-prepare", cert(core.StagePrepare, 1, 3, 0)},
+		{"KAURI-CERT-commit", cert(core.StageCommit, 1, 2, 0)},
+		{"THEMIS-PROPOSE", propose(1, 1, report(0), report(2), report(3), report(4))},
+		{"THEMIS-prepare", vote(core.StagePrepare)},
+		{"THEMIS-commit", vote(core.StageCommit)},
 	}
 }
 

@@ -12,26 +12,32 @@ if [ -n "$unformatted" ]; then
 	exit 1
 fi
 
+# The non-test sources of the eight packages whose ordering stage runs on
+# core.Slots.
+slots_sources=$(ls internal/protocols/pbft/*.go internal/protocols/poe/*.go internal/protocols/sbft/*.go \
+	internal/protocols/zyzzyva/*.go internal/protocols/fab/*.go internal/protocols/cheapbft/*.go \
+	internal/protocols/kauri/*.go internal/protocols/themis/*.go | grep -v _test.go)
+
 # One vote table: nested per-sender vote maps anywhere in the protocols or
-# the kit, and flat per-slot vote maps in the eight packages whose ordering
-# stage runs on core.Slots, must not come back.
+# the kit, and flat per-slot vote maps in the eight Slots packages, must
+# not come back.
 nested=$(grep -rnE 'map\[[^]]+\]map\[types\.NodeID\]' internal/protocols internal/core || true)
-flat=$(grep -nE 'map\[types\.NodeID\](\[\]byte|bool)' \
-	$(ls internal/protocols/pbft/*.go internal/protocols/poe/*.go internal/protocols/sbft/*.go \
-		internal/protocols/zyzzyva/*.go internal/protocols/fab/*.go internal/protocols/cheapbft/*.go \
-		internal/protocols/kauri/*.go internal/protocols/themis/*.go | grep -v _test.go) || true)
+flat=$(grep -nE 'map\[types\.NodeID\](\[\]byte|bool)' $slots_sources || true)
 if [ -n "$nested$flat" ]; then
 	echo "hand-rolled vote maps (count votes with core.Tally / core.Slots):" >&2
 	echo "$nested$flat" >&2
 	exit 1
 fi
 
-# One view-change wire format: the eight stable-leader protocols share
-# core.ViewChangeMsg / NewViewMsg / CommittedSlot and core.ViewChange's
-# recovery loop; a private copy in a protocol package must not come back.
-private=$(grep -rnE 'type (ViewChangeMsg|NewViewMsg|CommittedSlot) ' --include='*.go' --exclude='*_test.go' internal/protocols || true)
+# One wire format: the eight Slots packages order with core.ProposeMsg /
+# VoteMsg / CertMsg and change views with core.ViewChangeMsg / NewViewMsg.
+# A message type of their own is one of those with no counterpart there:
+# Zyzzyva's client commit path, Themis's order reports, CheapBFT's updates
+# to passive replicas, Kauri's up-tree aggregates and PBFT's catch-up pair.
+keep='/zyzzyva/[a-z]+\.go:[0-9]+:type (CommitMsg|LocalCommitMsg) |/themis/[a-z]+\.go:[0-9]+:type ReportMsg |/cheapbft/[a-z]+\.go:[0-9]+:type UpdateMsg |/kauri/[a-z]+\.go:[0-9]+:type AggrMsg |/pbft/[a-z]+\.go:[0-9]+:type (FetchCommittedMsg|CommittedMsg) '
+private=$(grep -nE 'type [A-Za-z0-9_]*Msg struct' $slots_sources | grep -vE "$keep" || true)
 if [ -n "$private" ]; then
-	echo "per-protocol view-change wire types (use the shared ones in internal/core/viewchange.go):" >&2
+	echo "per-protocol ordering or view-change wire types (use the shared ones in internal/core):" >&2
 	echo "$private" >&2
 	exit 1
 fi
