@@ -200,17 +200,22 @@ func (b *Backlog) disarm() {
 	b.env.StopTimer(TimerID{Name: b.timer, View: b.view})
 }
 
-// ReplyExecuted answers every request of an executed batch with its
-// committed result — the OnExecuted reply loop of every protocol whose
-// replicas all answer clients directly.
-func ReplyExecuted(env Env, view types.View, seq types.SeqNum, batch *types.Batch, results [][]byte) {
+// ReplyExecuted answers every request of an executed batch with its result
+// — the OnExecuted reply loop of every protocol whose replicas all answer
+// clients directly. A speculative reply also carries the history digest.
+func ReplyExecuted(env Env, view types.View, seq types.SeqNum, batch *types.Batch, results [][]byte, speculative bool) {
 	for i, req := range batch.Requests {
-		env.Reply(&types.Reply{
-			Client:    req.Client,
-			ClientSeq: req.ClientSeq,
-			View:      view,
-			Seq:       seq,
-			Result:    results[i],
-		})
+		r := &types.Reply{
+			Client:      req.Client,
+			ClientSeq:   req.ClientSeq,
+			View:        view,
+			Seq:         seq,
+			Result:      results[i],
+			Speculative: speculative,
+		}
+		if speculative {
+			r.History = env.HistoryDigest()
+		}
+		env.Reply(r)
 	}
 }

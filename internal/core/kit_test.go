@@ -125,10 +125,7 @@ func TestSlotClaimsOneClaimPerSender(t *testing.T) {
 
 // --- Backlog ---------------------------------------------------------------
 
-const (
-	testProgress = "progress"
-	testRetry    = "vc-retry"
-)
+const testProgress = "progress"
 
 type kitRig struct {
 	rep  *Replica
@@ -281,6 +278,13 @@ func TestBacklogExpiryAndSuspension(t *testing.T) {
 
 // --- ViewChange ------------------------------------------------------------
 
+// pbftStages is PBFT's stage list: the backups' prepares, then everyone's
+// commits, all-to-all.
+var pbftStages = []StageSpec{
+	{Stage: StagePrepare, Voters: VotersBackups, Quorum: Term(2, 1)},
+	{Stage: StageCommit, Voters: VotersAll, Quorum: Term(2, 1)},
+}
+
 // vcRig is one replica's view-change stage on an ordering stage, with hooks
 // that carry whatever the test puts in carried/retained, treat every
 // carried slot as valid, and record what the kit asks of them.
@@ -318,8 +322,8 @@ func newVCRig(id types.NodeID, tune ...func(*ViewChangeHooks)) *vcRig {
 	for _, fn := range tune {
 		fn(&hooks)
 	}
-	r.vc = NewViewChange(r.rep, r.backlog, testRetry, r.rep.Config().Quorum(), hooks)
-	r.slots = NewSlots[struct{}](r.rep, PBFTProfile(), r.backlog, r.vc, nil, StagePrepare, StageCommit)
+	r.vc = NewViewChange(r.rep, r.backlog, r.rep.Config().Quorum(), hooks)
+	r.slots = NewSlots[struct{}](r.rep, PBFTProfile(), r.backlog, r.vc, nil, pbftStages...)
 	r.x = types.NewBatch(r.signedReq(1))
 	r.y = types.NewBatch(r.signedReq(2))
 	return r
@@ -365,8 +369,8 @@ func TestViewChangeStartGate(t *testing.T) {
 	}
 	// The stalled attempt escalates; a retry timer of an abandoned
 	// target does not.
-	r.vc.Retry(TimerID{Name: testRetry, View: 1})
-	r.vc.Retry(TimerID{Name: testRetry, View: 3})
+	r.vc.Retry(TimerID{Name: TimerRetry, View: 1})
+	r.vc.Retry(TimerID{Name: TimerRetry, View: 3})
 	if !reflect.DeepEqual(r.built, []types.View{1, 3, 4}) {
 		t.Fatalf("after retries built %v, want [1 3 4]", r.built)
 	}
@@ -927,7 +931,7 @@ func TestSlotsViewEntryDropsVotesNotExecution(t *testing.T) {
 	dx, dy := r.x.Digest(), r.y.Digest()
 	r.slots.Accept(proposal(0, 1, dx, r.x))
 	r.rep.Commit(0, 1, r.x, nil)
-	r.slots.Executed(1, r.x, [][]byte{nil}, false)
+	r.slots.Executed(1, r.x, [][]byte{nil})
 	r.slots.Accept(proposal(0, 2, dy, r.y))
 	r.slots.Vote(StagePrepare, 0, 2, 3, dy, sig(3))
 	if r.slots.Get(1) != nil || r.slots.Len() != 1 || r.slots.NextSeq() != 1 {
@@ -947,5 +951,45 @@ func TestSlotsViewEntryDropsVotesNotExecution(t *testing.T) {
 	}
 	if seq := r.slots.Next(); seq != 2 {
 		t.Fatalf("next assignment = %d, want 2", seq)
+	}
+}
+
+// TestSlotsProposeStopsAtTheWindow: the leader hands out exactly the
+// sequence numbers Accept takes — the window above the last executed slot
+// — and, once slot 1 executes, resumes at the next one, leaving no gap. A
+// counter that ran past the window left its last proposals in flight at
+// sequence numbers nobody, the leader included, would accept.
+func TestSlotsProposeStopsAtTheWindow(t *testing.T) {
+	r := &kitRig{d: newFakeDriver(), rec: &recorder{}, auth: crypto.NewAuthority(1)}
+	cfg := DefaultConfig(4)
+	cfg.HighWaterWindow = 4
+	r.rep = NewReplica(0, cfg, r.d, r.rec, kvstore.New(), r.auth, Hooks{})
+	r.rep.Start()
+	backlog := NewBacklog(r.rep, testProgress)
+	vc := NewViewChange(r.rep, backlog, cfg.Quorum(), ViewChangeHooks{})
+	slots := NewSlots[struct{}](r.rep, PBFTProfile(), backlog, vc, nil, pbftStages...)
+	for s := uint64(1); s <= 6; s++ {
+		backlog.Submit(r.signedReq(s), 0)
+	}
+	var proposed []types.SeqNum
+	propose := func() {
+		slots.Propose(func(m *ProposeMsg) {
+			proposed = append(proposed, m.Seq)
+			if slots.Accept(m) == nil {
+				t.Errorf("the leader refused its own proposal at %d", m.Seq)
+			}
+		})
+	}
+	propose()
+	if !reflect.DeepEqual(proposed, []types.SeqNum{1, 2, 3, 4}) {
+		t.Fatalf("proposed %v with a window of 4, want [1 2 3 4]", proposed)
+	}
+	first := slots.Get(1).Batch
+	r.rep.Commit(0, 1, first, nil)
+	slots.Executed(1, first, [][]byte{nil})
+	proposed = nil
+	propose()
+	if !reflect.DeepEqual(proposed, []types.SeqNum{5}) {
+		t.Fatalf("after slot 1 executed the leader proposed %v, want [5]", proposed)
 	}
 }

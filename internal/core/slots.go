@@ -1,7 +1,6 @@
 package core
 
 import (
-	"iter"
 	"sort"
 
 	"bftkit/internal/crypto"
@@ -32,13 +31,18 @@ type Slot[X any] struct {
 	Batch  *types.Batch
 	X      X
 
-	s       *Slots[X]
-	reached uint8 // bit i: stage i's quorum has been reported
+	s *Slots[X]
+	// cert is the certificate that closed the slot's last collector stage
+	// or, under a speculative profile, one that overtook the proposal.
+	cert    *CertMsg
+	reached uint8 // bit s: Stage s has closed
+	done    bool  // the last stage has closed
+	specd   bool  // speculatively executed
 }
 
 // Slots is the ordering stage of a stable-leader replica (dimension P1/P2
 // on top of P3's Backlog and ViewChange): per sequence number the assigned
-// digest and batch and, per named voting stage, one vote per authenticated
+// digest and batch and, per voting stage, one vote per authenticated
 // sender. A vote counts only toward the digest it names, so a vote for
 // anything but the assigned digest — sent before or after the proposal —
 // raises no count and enters no certificate. State exists only for
@@ -46,42 +50,77 @@ type Slot[X any] struct {
 // HighWaterWindow], is dropped when the slot executes, and is dropped
 // wholesale on entering a view: votes and proposals of older views are
 // void.
+//
+// Slots also runs the protocol's declared stage list (stages.go): it casts
+// this replica's votes, closes each stage at its quorum, and commits the
+// slot — or, under a speculative profile, executes it speculatively —
+// once the last stage closes. SBFT and Kauri declare their stages and
+// drive them by hand through Accept, Vote, Reached and Certify.
 type Slots[X any] struct {
 	env     Env
 	backlog *Backlog
 	vc      *ViewChange
 	cm      *CheckpointManager // nil for protocols that checkpoint on their own
-	stages  uint8              // bit s: Stage s is one of the protocol's
+	stages  []StageSpec
+	active  int  // the active set's size; 0 when every replica takes part
+	spec    bool // the profile executes speculatively
 
 	// Quorum is the ordering quorum at this deployment's f, taken from
 	// the protocol's registered Profile.
 	Quorum int
 
+	// Closed, when set, runs when a stage closes at a slot, before the
+	// next stage starts or the slot commits (PBFT's and Themis's prepared
+	// certificates, PBFT's commit certificate).
+	Closed func(sl *Slot[X], stage Stage)
+	// Committed, when set, runs after a slot whose last stage closed is
+	// committed (CheapBFT's updates to its passive replicas).
+	Committed func(sl *Slot[X], proof *types.CommitProof)
+	// Withhold makes this replica cast no vote (attack injection: a
+	// silent CheapBFT active replica).
+	Withhold bool
+
 	nextSeq types.SeqNum
 	slots   map[types.SeqNum]*Slot[X]
 	votes   Tally[stageKey, ballot]
+
+	// The speculative tail: the highest slot of the view executed
+	// speculatively, and the history digests replicas announce per
+	// checkpoint.
+	tip         types.SeqNum
+	checkpoints Tally[types.SeqNum, types.Digest]
 }
 
-// NewSlots returns the empty ordering state of one replica. stages names
-// the protocol's voting rounds; votes for any other stage are refused.
-func NewSlots[X any](env Env, profile Profile, backlog *Backlog, vc *ViewChange, cm *CheckpointManager, stages ...Stage) *Slots[X] {
+// NewSlots returns the empty ordering state of one replica. stages is the
+// protocol's stage list, run in order; votes at any other stage are
+// refused.
+func NewSlots[X any](env Env, profile Profile, backlog *Backlog, vc *ViewChange, cm *CheckpointManager, stages ...StageSpec) *Slots[X] {
 	s := &Slots[X]{
-		env: env, backlog: backlog, vc: vc, cm: cm,
+		env: env, backlog: backlog, vc: vc, cm: cm, stages: stages,
+		spec:   profile.Speculative,
 		Quorum: profile.QuorumSize(env.F()),
 		slots:  make(map[types.SeqNum]*Slot[X]),
 	}
-	for _, stage := range stages {
-		s.stages |= 1 << stage
+	for _, st := range stages {
+		if st.Voters == VotersActive {
+			s.active = profile.ActiveReplicas.Eval(env.F())
+		}
 	}
 	vc.slots = s
 	return s
 }
 
 // Reset drops every slot and vote: on entering a view, and on proactive
-// recovery.
+// recovery. Under a speculative profile it also rolls back all uncommitted
+// speculation, which the new view's order replaces (the runtime restores
+// state and history digests).
 func (s *Slots[X]) Reset() {
 	clear(s.slots)
 	s.votes = Tally[stageKey, ballot]{}
+	if s.spec {
+		s.env.RollbackSpecAbove(s.env.Ledger().LastExecuted())
+	}
+	s.tip = 0
 }
 
 // Len returns how many sequence numbers hold state.
@@ -89,17 +128,6 @@ func (s *Slots[X]) Len() int { return len(s.slots) }
 
 // Get returns seq's slot, or nil if nothing was accepted or voted there.
 func (s *Slots[X]) Get(seq types.SeqNum) *Slot[X] { return s.slots[seq] }
-
-// All iterates over every slot, in no particular order.
-func (s *Slots[X]) All() iter.Seq[*Slot[X]] {
-	return func(yield func(*Slot[X]) bool) {
-		for _, sl := range s.slots {
-			if !yield(sl) {
-				return
-			}
-		}
-	}
-}
 
 // Assigned returns the slots that hold an accepted proposal, in sequence
 // order (what a view-change message is built from).
@@ -132,14 +160,15 @@ func (s *Slots[X]) slot(seq types.SeqNum) *Slot[X] {
 
 // Accept runs the acceptance rules every protocol shares on a proposal
 // the caller has authenticated (ProposeMsg.Verify) or built: current view,
-// no view change running, the batch hashes to the digest, the slot is
-// inside the window. A second, conflicting assignment for the slot is
-// leader equivocation — the slot is left as it was and a view change
-// starts. It returns the slot when the proposal newly assigned it (its
+// no view change running, this replica takes part (InActiveSet), the batch
+// hashes to the digest, the slot is inside the window. A second,
+// conflicting assignment for the slot is leader equivocation — the slot is
+// left as it was and a view change starts. It returns the slot when the proposal newly assigned it (its
 // requests are then watched and in flight), and nil otherwise, duplicates
 // included.
 func (s *Slots[X]) Accept(m *ProposeMsg) *Slot[X] {
-	if m.View != s.vc.View() || s.vc.Active() || m.Batch == nil || m.Batch.Digest() != m.Digest {
+	if m.View != s.vc.View() || s.vc.Active() || !s.InActiveSet(m.View, s.env.ID()) ||
+		m.Batch == nil || m.Batch.Digest() != m.Digest {
 		return nil
 	}
 	sl := s.slot(m.Seq)
@@ -165,7 +194,7 @@ func (s *Slots[X]) Accept(m *ProposeMsg) *Slot[X] {
 // has already voted at this stage: one sender, one vote, whatever digests
 // it names.
 func (s *Slots[X]) Vote(stage Stage, view types.View, seq types.SeqNum, from types.NodeID, digest types.Digest, sig []byte) *Slot[X] {
-	if view != s.vc.View() || s.vc.Active() || s.stageBit(stage) == 0 {
+	if view != s.vc.View() || s.vc.Active() || s.index(stage) < 0 {
 		return nil
 	}
 	sl := s.slot(seq)
@@ -175,20 +204,14 @@ func (s *Slots[X]) Vote(stage Stage, view types.View, seq types.SeqNum, from typ
 	return sl
 }
 
-// stageBit returns stage's bit if the protocol declared it, else 0.
-func (s *Slots[X]) stageBit(stage Stage) uint8 {
-	if stage >= numStages {
-		return 0
-	}
-	return s.stages & (1 << stage)
-}
-
-// Propose is the leader's assignment loop: while this replica may propose
-// and the backlog holds proposable requests, batch up to BatchSize of
-// them under the next sequence number and hand the signed proposal to
-// send, which broadcasts and accepts it.
+// Propose is the leader's assignment loop: while this replica may propose,
+// the next sequence number lies inside the window Accept enforces and the
+// backlog holds proposable requests, batch up to BatchSize of them under
+// the next sequence number and hand the signed proposal to send, which
+// disseminates and accepts it (Issue, for a protocol that adds nothing).
+// Proposing resumes as execution slides the window.
 func (s *Slots[X]) Propose(send func(*ProposeMsg)) {
-	for s.vc.MayPropose() {
+	for s.vc.MayPropose() && uint64(s.nextSeq) < uint64(s.env.Ledger().LastExecuted())+s.env.Config().HighWaterWindow {
 		reqs := s.backlog.Take(s.env.Config().BatchSize)
 		if len(reqs) == 0 {
 			return
@@ -219,19 +242,17 @@ func (s *Slots[X]) Advance(seq types.SeqNum) {
 func (s *Slots[X]) Rewind() { s.nextSeq = s.env.Ledger().LastExecuted() }
 
 // Executed is the shared tail of OnExecuted: retire the batch's requests,
-// answer the clients (when reply is set), drop the slot, keep the
-// assignment counter above it, service the checkpoint manager and restart
-// τ2. The caller proposes next.
-func (s *Slots[X]) Executed(seq types.SeqNum, batch *types.Batch, results [][]byte, reply bool) {
+// answer the clients (a replica outside the active set does not), drop the
+// slot, keep the assignment counter above it, service the checkpoint
+// manager and restart τ2. The caller proposes next.
+func (s *Slots[X]) Executed(seq types.SeqNum, batch *types.Batch, results [][]byte) {
 	s.backlog.Executed(batch)
-	if reply {
-		ReplyExecuted(s.env, s.vc.View(), seq, batch, results)
+	if s.InActiveSet(s.vc.View(), s.env.ID()) {
+		ReplyExecuted(s.env, s.vc.View(), seq, batch, results, false)
 	}
 	delete(s.slots, seq)
-	for stage := range numStages {
-		if s.stageBit(stage) != 0 {
-			s.votes.Delete(stageKey{seq, stage})
-		}
+	for i := range s.stages {
+		s.votes.Delete(stageKey{seq, s.stages[i].Stage})
 	}
 	s.Advance(seq)
 	if s.cm != nil {
@@ -270,16 +291,16 @@ func (sl *Slot[X]) Voted(stage Stage, id types.NodeID) bool {
 // voted for the assigned digest. Call it after recording a vote and after
 // accepting the proposal — votes may have overtaken it.
 func (sl *Slot[X]) Reached(stage Stage, quorum int) bool {
-	bit := sl.s.stageBit(stage)
-	if sl.reached&bit != 0 || sl.Count(stage) < quorum {
+	if sl.Past(stage) || sl.Count(stage) < quorum {
 		return false
 	}
-	sl.reached |= bit
+	sl.reached |= 1 << stage
 	return true
 }
 
-// Past reports whether Reached has fired for stage.
-func (sl *Slot[X]) Past(stage Stage) bool { return sl.reached&sl.s.stageBit(stage) != 0 }
+// Past reports whether stage has closed: Reached has fired for it, or its
+// certificate arrived.
+func (sl *Slot[X]) Past(stage Stage) bool { return sl.reached&(1<<stage) != 0 }
 
 // Voters returns the senders that voted for the assigned digest at stage,
 // in arrival order (a CommitProof's voter list).

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"bftkit/internal/crypto"
+	"bftkit/internal/ledger"
 	"bftkit/internal/types"
 )
 
@@ -211,7 +212,7 @@ type ViewChangeHooks struct {
 	// highest stable checkpoint instead of from base (PBFT).
 	Keep func(cs *CommittedSlot, base types.SeqNum) bool
 	// Accept passes the proposal of one re-issued slot of an installed new
-	// view through the protocol's normal acceptance path.
+	// view through the protocol's acceptance path. Nil means Slots.Order.
 	Accept func(m *ProposeMsg)
 	// Adopt commits one committed slot of an installed new view that this
 	// replica has not executed. Nil means AdoptCommitted, on the new
@@ -230,7 +231,12 @@ type ViewChangeHooks struct {
 type ordering interface {
 	Reset()
 	Advance(seq types.SeqNum)
+	Order(m *ProposeMsg)
 }
+
+// TimerRetry names the retry timer of a stalled view change (τ2 for
+// consecutive view changes).
+const TimerRetry = "vc-retry"
 
 // ViewChange is the view-change stage of the stable-leader protocols
 // (dimension P3). It owns the current view, the "view change running"
@@ -244,7 +250,6 @@ type ordering interface {
 type ViewChange struct {
 	env     Env
 	backlog *Backlog
-	timer   string // retry timer name (τ2 for consecutive view changes)
 	quorum  int
 	hooks   ViewChangeHooks
 	slots   ordering // set by NewSlots
@@ -266,11 +271,10 @@ type ViewChange struct {
 // NewViewChange returns the view-change stage of one replica. quorum is
 // how many view-change messages justify a new view (2f+1 for most
 // protocols). NewSlots attaches the ordering stage.
-func NewViewChange(env Env, backlog *Backlog, retryTimer string, quorum int, hooks ViewChangeHooks) *ViewChange {
+func NewViewChange(env Env, backlog *Backlog, quorum int, hooks ViewChangeHooks) *ViewChange {
 	return &ViewChange{
 		env:        env,
 		backlog:    backlog,
-		timer:      retryTimer,
 		quorum:     quorum,
 		hooks:      hooks,
 		sent:       make(map[types.View]bool),
@@ -312,7 +316,7 @@ func (vc *ViewChange) Start(v types.View) {
 	m := vc.build(v)
 	vc.votes.Replace(v, vc.env.ID(), m)
 	vc.env.Broadcast(m)
-	vc.env.SetTimer(TimerID{Name: vc.timer, View: v}, vc.RetryAfter)
+	vc.env.SetTimer(TimerID{Name: TimerRetry, View: v}, vc.RetryAfter)
 }
 
 // build returns this replica's signed view-change message for view v.
@@ -351,7 +355,7 @@ func (vc *ViewChange) OnTimer(id TimerID) {
 		if vc.backlog.Expired(id) {
 			vc.Start(vc.view + 1)
 		}
-	case vc.timer:
+	case TimerRetry:
 		vc.Retry(id)
 	}
 }
@@ -516,11 +520,15 @@ func (vc *ViewChange) install(nv *NewViewMsg) {
 		vc.slots.Advance(cs.Seq)
 	}
 	leader := vc.env.Config().LeaderOf(nv.View)
+	accept := vc.hooks.Accept
+	if accept == nil {
+		accept = vc.slots.Order
+	}
 	for i := range nv.Reissued {
 		s := &nv.Reissued[i]
 		vc.slots.Advance(s.Seq)
 		if s.Seq > led.LastExecuted() {
-			vc.hooks.Accept(s.Proposal(leader))
+			accept(s.Proposal(leader))
 		}
 	}
 	vc.adopting = false
@@ -536,7 +544,7 @@ func (vc *ViewChange) Enter(v types.View) {
 	vc.view = v
 	vc.active = false
 	vc.RetryAfter = vc.env.Config().ViewChangeTimeout
-	vc.env.StopTimer(TimerID{Name: vc.timer, View: v})
+	vc.env.StopTimer(TimerID{Name: TimerRetry, View: v})
 	vc.env.ViewChanged(v)
 	vc.votes.Prune(func(k types.View) bool { return k <= v })
 	for k := range vc.sent {
@@ -616,13 +624,19 @@ func (c *SlotClaims) Best(seq types.SeqNum) *types.Batch {
 func RetainedCommitted(env Env) []CommittedSlot {
 	var out []CommittedSlot
 	for _, e := range env.Ledger().CommittedAbove(env.Ledger().LowWater()) {
-		cs := CommittedSlot{View: e.View, Seq: e.Seq, Batch: e.Batch}
-		if e.Proof != nil {
-			cs.Voters = e.Proof.Voters
-		}
-		out = append(out, cs)
+		out = append(out, CommittedEntry(e, nil))
 	}
 	return out
+}
+
+// CommittedEntry returns the committed slot a ledger entry records, with its
+// proof's voters and, where the protocol kept one, its certificate.
+func CommittedEntry(e *ledger.Entry, cert *crypto.Certificate) CommittedSlot {
+	cs := CommittedSlot{View: e.View, Seq: e.Seq, Batch: e.Batch, Cert: cert}
+	if e.Proof != nil {
+		cs.Voters = e.Proof.Voters
+	}
+	return cs
 }
 
 // AdoptCommitted commits a slot carried by a new-view message unless

@@ -25,7 +25,6 @@ import (
 // Timer names.
 const (
 	timerProgress = "progress"
-	timerVCRetry  = "vc-retry"
 )
 
 // UpdateMsg ships a committed batch to the passive replicas.
@@ -95,45 +94,18 @@ func (c *CheapBFT) Init(env core.Env) {
 	c.env = env
 	c.cm = core.NewCheckpointManager(env)
 	c.backlog = core.NewBacklog(env, timerProgress)
-	c.vc = core.NewViewChange(env, c.backlog, timerVCRetry, env.Config().Quorum(), c.viewChangeHooks())
-	// CheapBFT's one voting stage: the active replicas' commits.
-	c.Slots = core.NewSlots[struct{}](env, core.CheapBFTProfile(), c.backlog, c.vc, c.cm, core.StageCommit)
+	c.vc = core.NewViewChange(env, c.backlog, env.Config().Quorum(), c.viewChangeHooks())
+	// One voting stage among the 2f+1 active replicas, all of them the
+	// quorum — the point of DC5. Rotating the view rotates the set.
+	profile := core.CheapBFTProfile()
+	c.Slots = core.NewSlots[struct{}](env, profile, c.backlog, c.vc, c.cm,
+		core.StageSpec{Stage: core.StageCommit, Voters: core.VotersActive, Quorum: profile.Quorum})
+	c.Slots.Withhold = c.opts.SilentActive
+	c.Slots.Committed = c.update
 }
 
 // View returns the current view.
 func (c *CheapBFT) View() types.View { return c.vc.View() }
-
-// ActiveSet returns the 2f+1 active replicas of a view: the leader and
-// the next 2f replicas in ring order (rotating the view rotates the set,
-// which is how a faulty active replica eventually gets benched).
-func (c *CheapBFT) ActiveSet(v types.View) []types.NodeID {
-	n := c.env.N()
-	k := 2*c.env.F() + 1
-	out := make([]types.NodeID, 0, k)
-	lead := uint64(v) % uint64(n)
-	for i := 0; i < k; i++ {
-		out = append(out, types.NodeID((lead+uint64(i))%uint64(n)))
-	}
-	return out
-}
-
-// IsActive reports whether id is active in view v.
-func (c *CheapBFT) IsActive(v types.View, id types.NodeID) bool {
-	for _, a := range c.ActiveSet(v) {
-		if a == id {
-			return true
-		}
-	}
-	return false
-}
-
-func (c *CheapBFT) broadcastActive(v types.View, m types.Message) {
-	for _, id := range c.ActiveSet(v) {
-		if id != c.env.ID() {
-			c.env.Send(id, m)
-		}
-	}
-}
 
 // OnRequest implements core.Protocol.
 func (c *CheapBFT) OnRequest(req *types.Request) {
@@ -142,72 +114,31 @@ func (c *CheapBFT) OnRequest(req *types.Request) {
 	}
 }
 
-func (c *CheapBFT) maybePropose() {
-	c.Slots.Propose(func(pm *core.ProposeMsg) {
-		c.broadcastActive(c.View(), pm)
-		c.acceptPropose(pm)
-	})
-}
-
-func (c *CheapBFT) acceptPropose(m *core.ProposeMsg) {
-	if !c.IsActive(m.View, c.env.ID()) {
-		return
-	}
-	sl := c.Slots.Accept(m)
-	if sl == nil {
-		return
-	}
-	if !c.opts.SilentActive {
-		vm := core.NewVote(c.env, core.StageCommit, m.View, m.Seq, m.Digest)
-		c.broadcastActive(c.View(), vm)
-		c.Slots.Vote(vm.Stage, vm.View, vm.Seq, c.env.ID(), vm.Digest, vm.Sig)
-	}
-	c.checkCommit(sl)
-}
+func (c *CheapBFT) maybePropose() { c.Slots.Propose(c.Slots.Issue) }
 
 // OnMessage implements core.Protocol.
 func (c *CheapBFT) OnMessage(from types.NodeID, m types.Message) {
-	if c.cm.OnMessage(from, m) || c.vc.OnMessage(from, m) {
+	if c.cm.OnMessage(from, m) || c.vc.OnMessage(from, m) || c.Slots.OnMessage(from, m) {
 		return
 	}
 	switch mm := m.(type) {
 	case *core.ForwardMsg:
 		c.OnRequest(mm.Req)
-	case *core.ProposeMsg:
-		if mm.Verify(c.env) {
-			c.acceptPropose(mm)
-		}
-	case *core.VoteMsg:
-		if mm.View != c.View() || c.vc.Active() || !c.IsActive(mm.View, from) || !c.IsActive(mm.View, c.env.ID()) {
-			return
-		}
-		if !mm.Verify(c.env, from) {
-			return
-		}
-		if sl := c.Slots.Vote(mm.Stage, mm.View, mm.Seq, from, mm.Digest, mm.Sig); sl != nil {
-			c.checkCommit(sl)
-		}
 	case *UpdateMsg:
 		c.onUpdate(from, mm)
 	}
 }
 
-// checkCommit fires when ALL 2f+1 active replicas voted — the whole
-// point of DC5: the quorum is the entire active set.
-func (c *CheapBFT) checkCommit(sl *core.Slot[struct{}]) {
-	if !sl.Reached(core.StageCommit, c.Slots.Quorum) {
+// update is the leader's news of a commit for the passive replicas.
+func (c *CheapBFT) update(sl *core.Slot[struct{}], proof *types.CommitProof) {
+	if !c.vc.Leading() {
 		return
 	}
-	proof := &types.CommitProof{View: c.View(), Seq: sl.Seq, Digest: sl.Digest, Voters: sl.Voters(core.StageCommit)}
-	c.env.Commit(c.View(), sl.Seq, sl.Batch, proof)
-	// The leader informs the passive replicas.
-	if c.vc.Leading() {
-		up := &UpdateMsg{View: c.View(), Seq: sl.Seq, Batch: sl.Batch, Voters: proof.Voters}
-		up.Sig = c.env.Signer().Sign(up.SigDigest())
-		for _, id := range c.env.Replicas() {
-			if !c.IsActive(c.View(), id) {
-				c.env.Send(id, up)
-			}
+	up := &UpdateMsg{View: c.View(), Seq: sl.Seq, Batch: sl.Batch, Voters: proof.Voters}
+	up.Sig = c.env.Signer().Sign(up.SigDigest())
+	for _, id := range c.env.Replicas() {
+		if !c.Slots.InActiveSet(c.View(), id) {
+			c.env.Send(id, up)
 		}
 	}
 }
@@ -232,7 +163,6 @@ func (c *CheapBFT) OnTimer(id core.TimerID) {
 
 // OnExecuted implements core.Protocol.
 func (c *CheapBFT) OnExecuted(seq types.SeqNum, batch *types.Batch, results [][]byte) {
-	// Only active replicas answer clients in CheapBFT.
-	c.Slots.Executed(seq, batch, results, c.IsActive(c.View(), c.env.ID()))
+	c.Slots.Executed(seq, batch, results)
 	c.maybePropose()
 }

@@ -19,17 +19,10 @@ func (c *CheapBFT) viewChangeHooks() core.ViewChangeHooks {
 	return core.ViewChangeHooks{
 		Vouch: func(m *core.ViewChangeMsg) {
 			m.Committed = core.RetainedCommitted(c.env)
-			for _, sl := range c.Slots.Assigned() {
-				if sl.Seq > m.Base && !sl.Past(core.StageCommit) {
-					m.Carried = append(m.Carried, core.CarriedSlot{
-						View: c.View(), Seq: sl.Seq, Digest: sl.Digest, Batch: sl.Batch,
-					})
-				}
-			}
+			c.Slots.Carry(m, func(sl *core.Slot[struct{}]) bool { return !sl.Past(core.StageCommit) })
 		},
 		Pick:   core.MostClaimed,
 		Keep:   func(*core.CommittedSlot, types.SeqNum) bool { return true },
-		Accept: c.acceptPropose,
 		Resume: c.maybePropose,
 	}
 }

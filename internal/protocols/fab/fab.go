@@ -14,7 +14,6 @@ import (
 // Timer names.
 const (
 	timerProgress = "progress"
-	timerVCRetry  = "vc-retry"
 )
 
 // FaB is the protocol state machine for one replica.
@@ -48,9 +47,11 @@ func (f *FaB) Init(env core.Env) {
 	f.cm = core.NewCheckpointManager(env)
 	f.backlog = core.NewBacklog(env, timerProgress)
 	// FaB's view-change quorum is n−f messages.
-	f.vc = core.NewViewChange(env, f.backlog, timerVCRetry, env.N()-env.F(), f.viewChangeHooks())
+	f.vc = core.NewViewChange(env, f.backlog, env.N()-env.F(), f.viewChangeHooks())
 	// FaB's one voting stage: the all-to-all accept round.
-	f.Slots = core.NewSlots[struct{}](env, core.FaBProfile(), f.backlog, f.vc, f.cm, core.StageAccept)
+	profile := core.FaBProfile()
+	f.Slots = core.NewSlots[struct{}](env, profile, f.backlog, f.vc, f.cm,
+		core.StageSpec{Stage: core.StageAccept, Voters: core.VotersAll, Quorum: profile.Quorum})
 }
 
 // View returns the current view.
@@ -63,52 +64,16 @@ func (f *FaB) OnRequest(req *types.Request) {
 	}
 }
 
-func (f *FaB) maybePropose() {
-	f.Slots.Propose(func(pm *core.ProposeMsg) {
-		f.env.Broadcast(pm)
-		f.acceptPropose(pm)
-	})
-}
-
-func (f *FaB) acceptPropose(m *core.ProposeMsg) {
-	sl := f.Slots.Accept(m)
-	if sl == nil {
-		return
-	}
-	f.env.Broadcast(core.NewVote(f.env, core.StageAccept, m.View, m.Seq, m.Digest))
-	f.Slots.Vote(core.StageAccept, m.View, m.Seq, f.env.ID(), m.Digest, nil)
-	f.checkCommit(sl)
-}
+func (f *FaB) maybePropose() { f.Slots.Propose(f.Slots.Issue) }
 
 // OnMessage implements core.Protocol.
 func (f *FaB) OnMessage(from types.NodeID, m types.Message) {
-	if f.cm.OnMessage(from, m) || f.vc.OnMessage(from, m) {
+	if f.cm.OnMessage(from, m) || f.vc.OnMessage(from, m) || f.Slots.OnMessage(from, m) {
 		return
 	}
-	switch mm := m.(type) {
-	case *core.ForwardMsg:
+	if mm, ok := m.(*core.ForwardMsg); ok {
 		f.OnRequest(mm.Req)
-	case *core.ProposeMsg:
-		if mm.Verify(f.env) {
-			f.acceptPropose(mm)
-		}
-	case *core.VoteMsg:
-		if mm.View != f.View() || f.vc.Active() || !mm.Verify(f.env, from) {
-			return
-		}
-		if sl := f.Slots.Vote(mm.Stage, mm.View, mm.Seq, from, mm.Digest, nil); sl != nil {
-			f.checkCommit(sl)
-		}
 	}
-}
-
-// checkCommit fires on 4f+1 matching accepts: two phases total.
-func (f *FaB) checkCommit(sl *core.Slot[struct{}]) {
-	if !sl.Reached(core.StageAccept, f.Slots.Quorum) {
-		return
-	}
-	proof := &types.CommitProof{View: f.View(), Seq: sl.Seq, Digest: sl.Digest, Voters: sl.Voters(core.StageAccept)}
-	f.env.Commit(f.View(), sl.Seq, sl.Batch, proof)
 }
 
 // OnTimer implements core.Protocol.
@@ -118,6 +83,6 @@ func (f *FaB) OnTimer(id core.TimerID) {
 
 // OnExecuted implements core.Protocol.
 func (f *FaB) OnExecuted(seq types.SeqNum, batch *types.Batch, results [][]byte) {
-	f.Slots.Executed(seq, batch, results, true)
+	f.Slots.Executed(seq, batch, results)
 	f.maybePropose()
 }

@@ -15,17 +15,10 @@ func (f *FaB) viewChangeHooks() core.ViewChangeHooks {
 	return core.ViewChangeHooks{
 		Vouch: func(m *core.ViewChangeMsg) {
 			m.Committed = core.RetainedCommitted(f.env)
-			for _, sl := range f.Slots.Assigned() {
-				if sl.Seq > m.Base {
-					m.Carried = append(m.Carried, core.CarriedSlot{
-						View: f.View(), Seq: sl.Seq, Digest: sl.Digest, Batch: sl.Batch,
-					})
-				}
-			}
+			f.Slots.Carry(m, func(*core.Slot[struct{}]) bool { return true })
 		},
 		Pick:   core.MostClaimed,
 		Keep:   core.UpToBase,
-		Accept: f.acceptPropose,
 		Resume: f.maybePropose,
 	}
 }

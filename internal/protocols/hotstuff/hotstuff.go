@@ -806,7 +806,7 @@ func (hs *HotStuff) OnExecuted(seq types.SeqNum, batch *types.Batch, results [][
 		delete(hs.memSet, req.Key())
 		hs.done[req.Key()] = true
 	}
-	core.ReplyExecuted(hs.env, types.View(seq), seq, batch, results)
+	core.ReplyExecuted(hs.env, types.View(seq), seq, batch, results, false)
 	hs.cm.OnExecuted(seq)
 	// Garbage-collect old vote/timeout/view state.
 	for d, b := range hs.blocks {

@@ -23,7 +23,6 @@ import (
 // Timer names.
 const (
 	timerProgress = "progress"
-	timerVCRetry  = "vc-retry"
 )
 
 // aggrTimers name, per tree round, the bounded wait for subtree votes.
@@ -107,8 +106,12 @@ func (k *Kauri) Init(env core.Env) {
 	k.cm = core.NewCheckpointManager(env)
 	k.preparedProof = make(map[types.SeqNum]*core.CarriedSlot)
 	k.backlog = core.NewBacklog(env, timerProgress)
-	k.vc = core.NewViewChange(env, k.backlog, timerVCRetry, env.Config().Quorum(), k.viewChangeHooks())
-	k.Slots = core.NewSlots[slotExt](env, core.KauriProfile(), k.backlog, k.vc, k.cm, core.StagePrepare, core.StageCommit)
+	k.vc = core.NewViewChange(env, k.backlog, env.Config().Quorum(), k.viewChangeHooks())
+	// Two tree rounds the root certifies, aggregated up the tree by hand.
+	profile := core.KauriProfile()
+	k.Slots = core.NewSlots[slotExt](env, profile, k.backlog, k.vc, k.cm,
+		core.StageSpec{Stage: core.StagePrepare, Voters: core.VotersAll, Collect: true, Quorum: profile.Quorum},
+		core.StageSpec{Stage: core.StageCommit, Voters: core.VotersAll, Collect: true, Quorum: profile.Quorum})
 }
 
 // View returns the current view.
@@ -344,6 +347,6 @@ func (k *Kauri) OnTimer(id core.TimerID) {
 // OnExecuted implements core.Protocol.
 func (k *Kauri) OnExecuted(seq types.SeqNum, batch *types.Batch, results [][]byte) {
 	delete(k.preparedProof, seq)
-	k.Slots.Executed(seq, batch, results, true)
+	k.Slots.Executed(seq, batch, results)
 	k.maybePropose()
 }

@@ -13,7 +13,6 @@ import (
 const (
 	timerBatch      = "batch"      // leader batch formation
 	timerProgress   = "progress"   // τ2: trigger view change
-	timerViewChange = "vc-retry"   // τ2: consecutive view changes
 	timerRejuvenate = "rejuvenate" // τ8: proactive recovery watchdog
 	timerDelay      = "delay"      // attack injection only
 )
@@ -45,13 +44,20 @@ type Options struct {
 // vote in view-change proofs.
 type slotExt struct{ ppSig []byte }
 
-type slot = core.Slot[slotExt]
+// stages is PBFT's ordering stage (Figure 2): the backups' all-to-all
+// prepares, which the pre-prepare completes as the leader's vote, then
+// everyone's all-to-all commits, both at the profile's 2f+1.
+var stages = []core.StageSpec{
+	{Stage: core.StagePrepare, Voters: core.VotersBackups, Quorum: core.PBFTProfile().Quorum},
+	{Stage: core.StageCommit, Voters: core.VotersAll, Quorum: core.PBFTProfile().Quorum},
+}
 
 // PBFT is the protocol state machine for one replica.
 type PBFT struct {
-	env  core.Env
-	opts Options
-	cm   *core.CheckpointManager
+	env    core.Env
+	opts   Options
+	stages []core.StageSpec
+	cm     *core.CheckpointManager
 
 	// backlog is the request intake and τ2 timer; vc the view-change
 	// stage, which owns the current view; Slots the ordering stage's
@@ -93,7 +99,7 @@ func New(cfg core.Config) core.Protocol { return NewWithOptions(cfg, Options{}) 
 
 // NewWithOptions returns a PBFT replica protocol with explicit options.
 func NewWithOptions(_ core.Config, opts Options) core.Protocol {
-	return &PBFT{opts: opts}
+	return &PBFT{opts: opts, stages: stages}
 }
 
 func init() {
@@ -116,10 +122,9 @@ func (p *PBFT) Init(env core.Env) {
 	p.preparedProof = make(map[types.SeqNum]*core.CarriedSlot)
 	p.commitCerts = make(map[types.SeqNum]*crypto.Certificate)
 	p.backlog = core.NewBacklog(env, timerProgress)
-	p.vc = core.NewViewChange(env, p.backlog, timerViewChange, env.Config().Quorum(), p.viewChangeHooks())
-	// Prepare and commit votes carry signatures in signature mode and only
-	// their presence in MAC mode.
-	p.Slots = core.NewSlots[slotExt](env, core.PBFTProfile(), p.backlog, p.vc, p.cm, core.StagePrepare, core.StageCommit)
+	p.vc = core.NewViewChange(env, p.backlog, env.Config().Quorum(), p.viewChangeHooks())
+	p.Slots = core.NewSlots[slotExt](env, core.PBFTProfile(), p.backlog, p.vc, p.cm, p.stages...)
+	p.Slots.Closed = p.closed
 	p.viewEvidence = make(map[types.NodeID]types.View)
 	if p.opts.RejuvenationInterval > 0 {
 		stagger := time.Duration(int(env.ID())+1) * p.opts.RejuvenationInterval / time.Duration(env.N())
@@ -251,39 +256,15 @@ func (p *PBFT) acceptPrePrepare(pp *core.ProposeMsg) {
 		// slot (with its certificate) to the proposer so the rest of
 		// the cluster converges on what was decided.
 		if e := p.env.Ledger().Get(pp.Seq); e != nil {
-			cs := core.CommittedSlot{View: e.View, Seq: e.Seq, Batch: e.Batch, Cert: p.commitCerts[e.Seq]}
-			if e.Proof != nil {
-				cs.Voters = e.Proof.Voters
-			}
+			cs := core.CommittedEntry(e, p.commitCerts[e.Seq])
 			p.env.Send(p.env.Config().LeaderOf(pp.View), &CommittedMsg{Replica: p.env.ID(), Entries: []core.CommittedSlot{cs}})
 		}
 		return
 	}
-	sl := p.Slots.Accept(pp)
-	if sl == nil {
-		return
+	if sl := p.Slots.Accept(pp); sl != nil {
+		sl.X.ppSig = pp.Sig
+		p.Slots.Run(sl)
 	}
-	sl.X.ppSig = pp.Sig
-	if !p.vc.Leading() {
-		// Only backups send prepares; the leader's pre-prepare is its
-		// vote (Figure 2).
-		p.vote(core.StagePrepare, sl)
-	}
-	p.checkPrepared(sl)
-	p.checkCommitted(sl)
-}
-
-// vote broadcasts this replica's vote at stage and counts it, backed by a
-// real signature even when the broadcast copy is only MAC-authenticated,
-// so prepared certificates stay verifiable in view changes.
-func (p *PBFT) vote(stage core.Stage, sl *slot) {
-	m := core.NewVote(p.env, stage, p.View(), sl.Seq, sl.Digest)
-	p.env.Broadcast(m)
-	sig := m.Sig
-	if sig == nil {
-		sig = p.env.Signer().Sign(m.SigDigest())
-	}
-	p.Slots.Vote(stage, m.View, m.Seq, p.env.ID(), m.Digest, sig)
 }
 
 // OnMessage implements core.Protocol.
@@ -299,11 +280,17 @@ func (p *PBFT) OnMessage(from types.NodeID, m types.Message) {
 			p.acceptPrePrepare(mm)
 		}
 	case *core.VoteMsg:
-		p.onVote(from, mm)
+		if mm.View <= p.View() {
+			p.Slots.OnMessage(from, mm)
+		} else if mm.Verify(p.env, from) {
+			p.noteHigherView(from, mm.View)
+		}
 	case *FetchCommittedMsg:
 		p.onFetchCommitted(from, mm)
 	case *CommittedMsg:
 		p.onCommitted(from, mm)
+	default:
+		p.Slots.OnMessage(from, m)
 	}
 }
 
@@ -327,11 +314,7 @@ func (p *PBFT) onFetchCommitted(from types.NodeID, m *FetchCommittedMsg) {
 		if e.Seq > m.From+64 {
 			break
 		}
-		cs := core.CommittedSlot{View: e.View, Seq: e.Seq, Batch: e.Batch, Cert: p.commitCerts[e.Seq]}
-		if e.Proof != nil {
-			cs.Voters = e.Proof.Voters
-		}
-		resp.Entries = append(resp.Entries, cs)
+		resp.Entries = append(resp.Entries, core.CommittedEntry(e, p.commitCerts[e.Seq]))
 	}
 	// Prune certificates the stable checkpoint has made redundant.
 	for seq := range p.commitCerts {
@@ -378,46 +361,24 @@ func (p *PBFT) dropCatchup(seq types.SeqNum) {
 	p.catchup.Prune(func(k catchupKey) bool { return k.Seq == seq })
 }
 
-func (p *PBFT) onVote(from types.NodeID, m *core.VoteMsg) {
-	if m.Replica != from {
-		return
-	}
-	if m.View != p.View() || p.vc.Active() {
-		if m.View > p.View() && m.Verify(p.env, from) {
-			p.noteHigherView(from, m.View)
+// closed keeps what a closed stage leaves for view changes and catch-up.
+// A slot is prepared once the pre-prepare (the leader's vote) and prepares
+// from 2f replicas are in — 2f+1 distinct replicas, the paper's prepared
+// predicate — and its prepared certificate is the backups' prepare
+// signatures plus the leader's pre-prepare signature. A commit keeps its
+// commit certificate, which MAC-mode votes, carrying no signature, do not
+// form.
+func (p *PBFT) closed(sl *core.Slot[slotExt], stage core.Stage) {
+	if stage == core.StageCommit {
+		if cert := sl.Certificate(core.StageCommit); cert.Size() >= p.Slots.Quorum {
+			p.keepCert(sl.Seq, cert)
 		}
-		return
-	}
-	if m.Seq <= p.env.Ledger().LowWater() || !m.Verify(p.env, from) {
-		return
-	}
-	sl := p.Slots.Vote(m.Stage, m.View, m.Seq, from, m.Digest, m.Sig)
-	switch {
-	case sl == nil:
-	case m.Stage == core.StagePrepare:
-		p.checkPrepared(sl)
-	default:
-		p.checkCommitted(sl)
-	}
-}
-
-// checkPrepared fires when the slot holds a pre-prepare (the leader's
-// vote) plus prepares from 2f replicas including this one — 2f+1
-// distinct replicas in total, the paper's prepared predicate.
-func (p *PBFT) checkPrepared(sl *slot) {
-	if !sl.Reached(core.StagePrepare, p.Slots.Quorum-1) {
-		return
-	}
-	// Record the prepared certificate for view changes: the backups'
-	// prepare signatures plus the leader's pre-prepare signature.
-	if prev := p.preparedProof[sl.Seq]; prev == nil || prev.View < p.View() {
+	} else if prev := p.preparedProof[sl.Seq]; prev == nil || prev.View < p.View() {
 		p.preparedProof[sl.Seq] = &core.CarriedSlot{
 			View: p.View(), Seq: sl.Seq, Digest: sl.Digest, Batch: sl.Batch,
 			LeaderSig: sl.X.ppSig, Cert: sl.Certificate(core.StagePrepare),
 		}
 	}
-	p.vote(core.StageCommit, sl)
-	p.checkCommitted(sl)
 }
 
 // noteHigherView records signature-verified evidence that a peer
@@ -470,25 +431,13 @@ func (p *PBFT) keepCert(seq types.SeqNum, cert *crypto.Certificate) {
 	}
 }
 
-func (p *PBFT) checkCommitted(sl *slot) {
-	if !sl.Past(core.StagePrepare) || !sl.Reached(core.StageCommit, p.Slots.Quorum) {
-		return
-	}
-	// MAC-mode commit votes carry no signature, so no certificate forms.
-	if cert := sl.Certificate(core.StageCommit); cert.Size() >= p.Slots.Quorum {
-		p.keepCert(sl.Seq, cert)
-	}
-	proof := &types.CommitProof{View: p.View(), Seq: sl.Seq, Digest: sl.Digest, Voters: sl.Voters(core.StageCommit)}
-	p.env.Commit(p.View(), sl.Seq, sl.Batch, proof)
-}
-
 // OnExecuted implements core.Protocol: reply to clients (the runtime
 // caches the signed reply for retransmissions), service the checkpoint
 // manager, and keep the progress timer honest.
 func (p *PBFT) OnExecuted(seq types.SeqNum, batch *types.Batch, results [][]byte) {
 	delete(p.preparedProof, seq)
 	p.dropCatchup(seq)
-	p.Slots.Executed(seq, batch, results, true)
+	p.Slots.Executed(seq, batch, results)
 	p.maybePropose()
 }
 
@@ -512,7 +461,7 @@ func (p *PBFT) OnTimer(id core.TimerID) {
 			}
 			p.vc.Start(p.View() + 1)
 		}
-	case timerViewChange:
+	case core.TimerRetry: // τ2: consecutive view changes
 		if p.vc.RetryDue(id) {
 			// Exponential backoff, capped: with message loss a view
 			// change round may need several attempts, and an unbounded

@@ -8,6 +8,7 @@ import (
 	"bftkit/internal/core"
 	"bftkit/internal/harness"
 	"bftkit/internal/kvstore"
+	"bftkit/internal/obsv"
 	"bftkit/internal/protocols/pbft"
 	"bftkit/internal/sim"
 	"bftkit/internal/types"
@@ -37,6 +38,41 @@ func TestFaultFreeCommit(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestLinearizedPBFT makes design choice 1 (linearization) executable:
+// PBFT with both all-to-all stages collected by the leader still completes
+// every request with a clean audit, and its ordering messages per slot
+// grow linearly — 5(n−1): the proposal, the backups' prepares, the
+// prepare certificate, the backups' commits, the commit certificate —
+// against PBFT's 2n(n−1).
+func TestLinearizedPBFT(t *testing.T) {
+	for _, n := range []int{4, 7, 10} {
+		for _, linear := range []bool{false, true} {
+			tr := obsv.New(obsv.Options{})
+			opts := harness.Options{Protocol: "pbft", N: n, Trace: tr, Tune: func(cfg *core.Config) {
+				cfg.CheckpointInterval = 1024 // only ordering traffic in the protocol phases
+			}}
+			want := float64(2 * n * (n - 1))
+			if linear {
+				opts.MakeReplica = func(_ types.NodeID, cfg core.Config) core.Protocol { return pbft.NewLinearized(cfg) }
+				want = float64(5 * (n - 1))
+			}
+			c := harness.NewCluster(opts)
+			c.Start()
+			c.ClosedLoop(20, op)
+			c.RunUntilIdle(20 * time.Second)
+			if got := c.Metrics.Completed; got != 20 {
+				t.Fatalf("n=%d linear=%v: completed %d of 20 requests", n, linear, got)
+			}
+			if err := c.Audit(); err != nil {
+				t.Fatalf("n=%d linear=%v: %v", n, linear, err)
+			}
+			if row := tr.PerSlotRow("pbft", n, 20); row.Msgs != want {
+				t.Errorf("n=%d linear=%v: %.1f ordering messages per slot, want %.0f", n, linear, row.Msgs, want)
+			}
+		}
 	}
 }
 

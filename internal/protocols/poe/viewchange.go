@@ -1,9 +1,6 @@
 package poe
 
-import (
-	"bftkit/internal/core"
-	"bftkit/internal/types"
-)
+import "bftkit/internal/core"
 
 // What is PoE's own in the view-change stage; the messages and the
 // recovery loop are core.ViewChange. Replicas carry certified slots above
@@ -18,26 +15,15 @@ func (p *PoE) viewChangeHooks() core.ViewChangeHooks {
 	return core.ViewChangeHooks{
 		Vouch: func(m *core.ViewChangeMsg) {
 			m.Committed = core.RetainedCommitted(p.env)
-			for _, sl := range p.Slots.Assigned() {
-				if sl.Seq > m.Base && sl.X.cert != nil {
-					m.Carried = append(m.Carried, core.CarriedSlot{
-						View: p.View(), Seq: sl.Seq, Digest: sl.Digest, Batch: sl.Batch, Cert: sl.X.cert,
-					})
-				}
-			}
+			p.Slots.Carry(m, func(sl *core.Slot[struct{}]) bool { return sl.Cert() != nil })
 		},
 		// A carried slot counts when its 2f+1 share certificate verifies.
 		Pick: core.HighestView(func(s *core.CarriedSlot) bool {
 			return core.VerifyCert(p.env, s.Cert, p.Slots.Quorum, core.StageShare, s.View, s.Seq, s.Digest)
 		}),
-		Keep:   core.UpToBase,
-		Accept: p.acceptPropose,
-		// Roll back uncommitted speculation; the decided order replaces it.
-		Reset: func(*core.NewViewMsg) {
-			p.env.RollbackSpecAbove(p.env.Ledger().LastExecuted())
-			p.ready = make(map[types.SeqNum]*core.CertMsg)
-			p.Slots.Rewind()
-		},
+		Keep: core.UpToBase,
+		// The rolled-back speculation is re-assigned in the decided order.
+		Reset:  func(*core.NewViewMsg) { p.Slots.Rewind() },
 		Resume: p.maybePropose,
 	}
 }

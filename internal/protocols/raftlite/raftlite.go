@@ -426,7 +426,7 @@ func (r *Raft) OnExecuted(seq types.SeqNum, batch *types.Batch, results [][]byte
 		delete(r.pendingSet, req.Key())
 		r.done[req.Key()] = true
 	}
-	core.ReplyExecuted(r.env, types.View(r.term), seq, batch, results)
+	core.ReplyExecuted(r.env, types.View(r.term), seq, batch, results, false)
 }
 
 func min(a, b types.SeqNum) types.SeqNum {

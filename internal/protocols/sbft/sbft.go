@@ -29,7 +29,6 @@ const (
 	timerBatch    = "batch"
 	timerFastPath = "fastpath" // τ3: detecting backup failures
 	timerProgress = "progress" // τ2: trigger view change
-	timerVCRetry  = "vc-retry"
 )
 
 // Options tunes an SBFT instance.
@@ -98,9 +97,12 @@ func (s *SBFT) Init(env core.Env) {
 	s.preparedProof = make(map[types.SeqNum]*core.CarriedSlot)
 	s.commitCerts = make(map[types.SeqNum]*core.CommittedSlot)
 	s.backlog = core.NewBacklog(env, timerProgress)
-	s.vc = core.NewViewChange(env, s.backlog, timerVCRetry, env.Config().Quorum(), s.viewChangeHooks())
-	// The two share stages the collector tallies.
-	s.Slots = core.NewSlots[slotExt](env, core.SBFTProfile(), s.backlog, s.vc, s.cm, core.StageSign, core.StageCommit)
+	s.vc = core.NewViewChange(env, s.backlog, env.Config().Quorum(), s.viewChangeHooks())
+	// The two share stages the collector tallies, driven by hand (τ3's fork).
+	profile := core.SBFTProfile()
+	s.Slots = core.NewSlots[slotExt](env, profile, s.backlog, s.vc, s.cm,
+		core.StageSpec{Stage: core.StageSign, Voters: core.VotersAll, Collect: true, Quorum: profile.Quorum},
+		core.StageSpec{Stage: core.StageCommit, Voters: core.VotersAll, Collect: true, Quorum: profile.Quorum})
 	if s.opts.FastPathWait == 0 {
 		s.opts.FastPathWait = 4 * env.Config().BatchTimeout
 	}
@@ -285,6 +287,6 @@ func (s *SBFT) OnExecuted(seq types.SeqNum, batch *types.Batch, results [][]byte
 			delete(s.commitCerts, cs)
 		}
 	}
-	s.Slots.Executed(seq, batch, results, true)
+	s.Slots.Executed(seq, batch, results)
 	s.maybePropose()
 }

@@ -834,6 +834,6 @@ func (t *Tendermint) OnExecuted(seq types.SeqNum, batch *types.Batch, results []
 		delete(t.memSet, req.Key())
 		t.done[req.Key()] = true
 	}
-	core.ReplyExecuted(t.env, types.View(seq), seq, batch, results)
+	core.ReplyExecuted(t.env, types.View(seq), seq, batch, results, false)
 	t.cm.OnExecuted(seq)
 }

@@ -8,8 +8,6 @@ import (
 	"bftkit/internal/types"
 )
 
-type slot = core.Slot[struct{}]
-
 // Themis is the protocol state machine for one replica.
 type Themis struct {
 	env core.Env
@@ -65,8 +63,12 @@ func (t *Themis) Init(env core.Env) {
 	t.ordered = make(map[types.RequestKey]bool)
 	t.backlog = core.NewBacklog(env, timerProgress)
 	profile := core.ThemisProfile()
-	t.vc = core.NewViewChange(env, t.backlog, timerVCRetry, profile.QuorumSize(env.F()), t.viewChangeHooks())
-	t.Slots = core.NewSlots[struct{}](env, profile, t.backlog, t.vc, t.cm, core.StagePrepare, core.StageCommit)
+	t.vc = core.NewViewChange(env, t.backlog, profile.QuorumSize(env.F()), t.viewChangeHooks())
+	// PBFT-style all-to-all prepare and commit rounds at the 3f+1 quorum.
+	t.Slots = core.NewSlots[struct{}](env, profile, t.backlog, t.vc, t.cm,
+		core.StageSpec{Stage: core.StagePrepare, Voters: core.VotersAll, Quorum: profile.Quorum},
+		core.StageSpec{Stage: core.StageCommit, Voters: core.VotersAll, Quorum: profile.Quorum})
+	t.Slots.Closed = t.prepared
 }
 
 // View returns the current view.
@@ -155,27 +157,7 @@ func (t *Themis) maybePropose() {
 		t.ordered[req.Key()] = true
 	}
 	t.reports = make(map[types.NodeID]*ReportMsg)
-	prop := core.NewProposal(t.env, t.View(), t.Slots.Next(), types.NewBatch(fresh...), evidence...)
-	t.env.Broadcast(prop)
-	t.acceptProposal(prop, false)
-}
-
-// acceptProposal validates the fair order when asked (a backup's check of
-// the leader's proposal; not the leader's own, nor a new view's re-issue,
-// whose reports were checked when first proposed) and votes.
-func (t *Themis) acceptProposal(m *core.ProposeMsg, checkOrder bool) {
-	if m.View != t.View() || t.vc.Active() {
-		return
-	}
-	if checkOrder && !t.fairlyOrdered(m) {
-		return
-	}
-	sl := t.Slots.Accept(m)
-	if sl == nil {
-		return
-	}
-	t.vote(core.StagePrepare, sl)
-	t.checkPrepared(sl)
+	t.Slots.Issue(core.NewProposal(t.env, t.View(), t.Slots.Next(), types.NewBatch(fresh...), evidence...))
 }
 
 // fairlyOrdered verifies the signatures of the reports a proposal carries
@@ -213,11 +195,6 @@ func (t *Themis) fairlyOrdered(m *core.ProposeMsg) bool {
 	return true
 }
 
-func (t *Themis) vote(stage core.Stage, sl *slot) {
-	t.env.Broadcast(core.NewVote(t.env, stage, t.View(), sl.Seq, sl.Digest))
-	t.Slots.Vote(stage, t.View(), sl.Seq, t.env.ID(), sl.Digest, nil)
-}
-
 // OnMessage implements core.Protocol.
 func (t *Themis) OnMessage(from types.NodeID, m types.Message) {
 	if t.cm.OnMessage(from, m) || t.vc.OnMessage(from, m) {
@@ -235,37 +212,23 @@ func (t *Themis) OnMessage(from types.NodeID, m types.Message) {
 		}
 		t.onReport(from, mm)
 	case *core.ProposeMsg:
-		if mm.Verify(t.env) {
-			t.acceptProposal(mm, true)
+		// A backup accepts the leader's proposal only in its fair order.
+		if mm.Verify(t.env) && mm.View == t.View() && !t.vc.Active() && t.fairlyOrdered(mm) {
+			t.Slots.Order(mm)
 		}
-	case *core.VoteMsg:
-		if mm.View != t.View() || t.vc.Active() || !mm.Verify(t.env, from) {
-			return
-		}
-		if sl := t.Slots.Vote(mm.Stage, mm.View, mm.Seq, from, mm.Digest, nil); sl != nil {
-			t.checkPrepared(sl)
-			t.checkCommitted(sl)
-		}
+	default:
+		t.Slots.OnMessage(from, m)
 	}
 }
 
-func (t *Themis) checkPrepared(sl *slot) {
-	if !sl.Reached(core.StagePrepare, t.Slots.Quorum) {
+// prepared keeps a prepared slot for view changes.
+func (t *Themis) prepared(sl *core.Slot[struct{}], stage core.Stage) {
+	if stage != core.StagePrepare {
 		return
 	}
 	if prev := t.preparedProof[sl.Seq]; prev == nil || prev.View < t.View() {
 		t.preparedProof[sl.Seq] = &core.CarriedSlot{View: t.View(), Seq: sl.Seq, Digest: sl.Digest, Batch: sl.Batch}
 	}
-	t.vote(core.StageCommit, sl)
-	t.checkCommitted(sl)
-}
-
-func (t *Themis) checkCommitted(sl *slot) {
-	if !sl.Past(core.StagePrepare) || !sl.Reached(core.StageCommit, t.Slots.Quorum) {
-		return
-	}
-	proof := &types.CommitProof{View: t.View(), Seq: sl.Seq, Digest: sl.Digest, Voters: sl.Voters(core.StageCommit)}
-	t.env.Commit(t.View(), sl.Seq, sl.Batch, proof)
 }
 
 // OnTimer implements core.Protocol.
@@ -285,6 +248,6 @@ func (t *Themis) OnExecuted(seq types.SeqNum, batch *types.Batch, results [][]by
 		delete(t.ordered, req.Key())
 	}
 	delete(t.preparedProof, seq)
-	t.Slots.Executed(seq, batch, results, true)
+	t.Slots.Executed(seq, batch, results)
 	t.maybePropose()
 }

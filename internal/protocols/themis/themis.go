@@ -28,7 +28,6 @@ import (
 const (
 	timerRound    = "round" // τ6: flush the local order report
 	timerProgress = "progress"
-	timerVCRetry  = "vc-retry"
 )
 
 // ReportMsg is one replica's local receive order (the preorder phase). A

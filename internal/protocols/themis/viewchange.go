@@ -28,7 +28,6 @@ func (t *Themis) viewChangeHooks() core.ViewChangeHooks {
 		},
 		Pick:   core.MostClaimed,
 		Keep:   core.UpToBase,
-		Accept: func(m *core.ProposeMsg) { t.acceptProposal(m, false) },
 		Resume: t.refeed,
 	}
 }

@@ -23,13 +23,7 @@ func (z *Zyzzyva) viewChangeHooks() core.ViewChangeHooks {
 	return core.ViewChangeHooks{
 		Vouch: func(m *core.ViewChangeMsg) {
 			m.Committed = core.RetainedCommitted(z.env)
-			for _, sl := range z.Slots.Assigned() {
-				if sl.X.executed && sl.Seq > m.Base {
-					m.Carried = append(m.Carried, core.CarriedSlot{
-						View: z.View(), Seq: sl.Seq, Digest: sl.Digest, Batch: sl.Batch,
-					})
-				}
-			}
+			z.Slots.Carry(m, (*core.Slot[struct{}]).Speculated)
 			for _, seq := range slices.Sorted(maps.Keys(z.clientCerts)) {
 				if seq > m.Base {
 					m.Evidence = append(m.Evidence, z.clientCerts[seq])
@@ -38,12 +32,6 @@ func (z *Zyzzyva) viewChangeHooks() core.ViewChangeHooks {
 		},
 		Pick:   z.pick,
 		Keep:   core.UpToBase,
-		Accept: z.acceptOrderReq,
-		// Roll back all uncommitted speculation; the new view's order
-		// replaces it (the runtime restores state and history digests).
-		Reset: func(*core.NewViewMsg) {
-			z.env.RollbackSpecAbove(z.env.Ledger().LastExecuted())
-		},
 		Resume: z.maybePropose,
 	}
 }

@@ -26,9 +26,7 @@ import (
 
 // Timer names.
 const (
-	timerBatch      = "batch"
-	timerProgress   = "progress" // τ2 on replicas
-	timerVCRetry    = "vc-retry"
+	timerProgress   = "progress"    // τ2 on replicas
 	timerClientWait = "client-wait" // τ1 on clients
 )
 
@@ -95,10 +93,6 @@ type Options struct {
 	CorruptBackup bool
 }
 
-// slotExt marks a slot as speculatively executed; assigned slots without
-// the mark wait for the order-requests before them.
-type slotExt struct{ executed bool }
-
 // Zyzzyva is the replica state machine.
 type Zyzzyva struct {
 	env  core.Env
@@ -107,18 +101,15 @@ type Zyzzyva struct {
 	// backlog is the request intake and τ2 timer; vc the view-change
 	// stage, which owns the current view; Slots holds the assigned
 	// order-requests above the commit point — Zyzzyva has no voting stage,
-	// the client counts — and whether each was speculatively executed
-	// (all from the core kit).
+	// the client counts — and executes them speculatively (all from the
+	// core kit).
 	backlog *core.Backlog
 	vc      *core.ViewChange
-	Slots   *core.Slots[slotExt]
+	Slots   *core.Slots[struct{}]
 
 	// clientCerts retains verified client commit certificates per slot
 	// until the slot executes well below the spec horizon.
 	clientCerts map[types.SeqNum]*CommitMsg
-
-	// cpVotes tallies history digests per checkpoint window.
-	cpVotes core.Tally[types.SeqNum, types.Digest]
 }
 
 // New returns a Zyzzyva replica.
@@ -150,8 +141,22 @@ func init() {
 	})
 }
 
+// corruptReplies is a CorruptBackup replica's environment: its speculative
+// replies carry a wrong result.
+type corruptReplies struct{ core.Env }
+
+func (e corruptReplies) Reply(r *types.Reply) {
+	if r.Speculative {
+		r.Result = []byte("corrupt")
+	}
+	e.Env.Reply(r)
+}
+
 // Init implements core.Protocol.
 func (z *Zyzzyva) Init(env core.Env) {
+	if z.opts.CorruptBackup {
+		env = corruptReplies{env}
+	}
 	z.env = env
 	z.clientCerts = make(map[types.SeqNum]*CommitMsg)
 	z.backlog = core.NewBacklog(env, timerProgress)
@@ -160,8 +165,8 @@ func (z *Zyzzyva) Init(env core.Env) {
 	if z.opts.Five {
 		profile = core.Zyzzyva5Profile()
 	}
-	z.vc = core.NewViewChange(env, z.backlog, timerVCRetry, profile.QuorumSize(env.F()), z.viewChangeHooks())
-	z.Slots = core.NewSlots[slotExt](env, profile, z.backlog, z.vc, nil)
+	z.vc = core.NewViewChange(env, z.backlog, profile.QuorumSize(env.F()), z.viewChangeHooks())
+	z.Slots = core.NewSlots[struct{}](env, profile, z.backlog, z.vc, nil)
 }
 
 // View returns the current view.
@@ -174,121 +179,18 @@ func (z *Zyzzyva) OnRequest(req *types.Request) {
 	}
 }
 
-func (z *Zyzzyva) maybePropose() {
-	z.Slots.Propose(func(or *core.ProposeMsg) {
-		z.env.Broadcast(or)
-		z.acceptOrderReq(or)
-	})
-}
-
-// acceptOrderReq speculatively executes contiguous assignments and
-// answers clients directly (Figure "spec response" path).
-func (z *Zyzzyva) acceptOrderReq(or *core.ProposeMsg) {
-	if z.Slots.Accept(or) == nil {
-		return
-	}
-	for {
-		next := z.Slots.Get(z.specTip() + 1)
-		if next == nil || next.Batch == nil || !z.execSpeculative(next) {
-			return
-		}
-	}
-}
-
-func (z *Zyzzyva) specTip() types.SeqNum {
-	tip := z.env.Ledger().LastExecuted()
-	for sl := range z.Slots.All() {
-		if sl.X.executed && sl.Seq > tip {
-			tip = sl.Seq
-		}
-	}
-	return tip
-}
-
-func (z *Zyzzyva) execSpeculative(sl *core.Slot[slotExt]) bool {
-	results := z.env.SpecExecute(sl.Seq, sl.Batch)
-	if results == nil {
-		return false
-	}
-	sl.X.executed = true
-	for i, req := range sl.Batch.Requests {
-		res := results[i]
-		if z.opts.CorruptBackup {
-			res = []byte("corrupt")
-		}
-		z.env.Reply(&types.Reply{
-			Client:      req.Client,
-			ClientSeq:   req.ClientSeq,
-			View:        z.View(),
-			Seq:         sl.Seq,
-			Result:      res,
-			Speculative: true,
-			History:     z.env.HistoryDigest(),
-		})
-	}
-	z.backlog.Progress() // the leader is making progress
-	// Lazy commitment: exchange history digests at checkpoint windows.
-	iv := z.env.Config().CheckpointInterval
-	if iv > 0 && uint64(sl.Seq)%iv == 0 {
-		cp := &core.CheckpointMsg{Seq: sl.Seq, StateHash: z.env.HistoryDigest(), Replica: z.env.ID()}
-		cp.Sig = z.env.Signer().Sign(cp.Digest())
-		z.env.Broadcast(cp)
-		z.recordCheckpoint(z.env.ID(), cp)
-	}
-	return true
-}
-
-// commitPrefix durably commits every speculative slot up to seq.
-func (z *Zyzzyva) commitPrefix(seq types.SeqNum, voters []types.NodeID) {
-	for s := z.env.Ledger().LastExecuted() + 1; s <= seq; s++ {
-		sl := z.Slots.Get(s)
-		if sl == nil || !sl.X.executed {
-			return
-		}
-		proof := &types.CommitProof{View: z.View(), Seq: s, Digest: sl.Digest,
-			Voters: append([]types.NodeID(nil), voters...)}
-		z.env.Commit(z.View(), s, sl.Batch, proof)
-	}
-}
-
-func (z *Zyzzyva) recordCheckpoint(from types.NodeID, m *core.CheckpointMsg) {
-	z.cpVotes.Add(m.Seq, from, m.StateHash)
-	// Only a quorum on our own history commits anything, so that is the
-	// one value worth counting — on every vote, since our speculative tip
-	// may reach m.Seq after the quorum formed.
-	if voters := core.Backers(&z.cpVotes, m.Seq, z.historyAt(m.Seq)); len(voters) >= z.Slots.Quorum {
-		z.commitPrefix(m.Seq, voters)
-		z.cpVotes.Delete(m.Seq)
-	}
-}
-
-// historyAt returns our history digest if our speculative tip is exactly
-// seq (the only point at which we can compare).
-func (z *Zyzzyva) historyAt(seq types.SeqNum) types.Digest {
-	if z.specTip() >= seq {
-		return z.env.HistoryDigest() // approximation: tips beyond seq share the prefix
-	}
-	return types.Digest{0xff}
-}
+func (z *Zyzzyva) maybePropose() { z.Slots.Propose(z.Slots.Issue) }
 
 // OnMessage implements core.Protocol.
 func (z *Zyzzyva) OnMessage(from types.NodeID, m types.Message) {
-	if z.vc.OnMessage(from, m) {
+	if z.vc.OnMessage(from, m) || z.Slots.OnMessage(from, m) {
 		return
 	}
 	switch mm := m.(type) {
 	case *core.ForwardMsg:
 		z.OnRequest(mm.Req)
-	case *core.ProposeMsg:
-		if mm.Verify(z.env) {
-			z.acceptOrderReq(mm)
-		}
 	case *CommitMsg:
 		z.onCommitCert(from, mm)
-	case *core.CheckpointMsg:
-		if mm.Replica == from && z.env.Verifier().VerifySig(from, mm.Digest(), mm.Sig) {
-			z.recordCheckpoint(from, mm)
-		}
 	}
 }
 
@@ -300,9 +202,7 @@ func (z *Zyzzyva) onCommitCert(from types.NodeID, m *CommitMsg) {
 	}
 	z.clientCerts[m.Seq] = m
 	// Commit our prefix if we hold the same speculative history.
-	if z.specTip() >= m.Seq {
-		z.commitPrefix(m.Seq, m.Cert.Signers)
-	}
+	z.Slots.CommitSpeculated(m.Seq, m.Cert.Signers)
 	z.env.Send(from, &LocalCommitMsg{Seq: m.Seq, Client: m.Client, ClientSeq: m.ClientSeq, Replica: z.env.ID()})
 }
 
@@ -335,6 +235,6 @@ func (z *Zyzzyva) OnExecuted(seq types.SeqNum, batch *types.Batch, results [][]b
 	// Committed (non-speculative) replies: they let clients finish with
 	// f+1 matches when the fast path fell apart (e.g. after a view change
 	// re-executed the slot).
-	z.Slots.Executed(seq, batch, results, true)
+	z.Slots.Executed(seq, batch, results)
 	z.maybePropose()
 }

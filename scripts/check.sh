@@ -42,6 +42,18 @@ if [ -n "$private" ]; then
 	exit 1
 fi
 
+# One stage runner: core.Slots casts, counts, certifies, commits and
+# speculates for the six packages that declare a stage list (SBFT and Kauri
+# still drive their stages by hand).
+ported=$(ls internal/protocols/pbft/*.go internal/protocols/fab/*.go internal/protocols/cheapbft/*.go \
+	internal/protocols/themis/*.go internal/protocols/poe/*.go internal/protocols/zyzzyva/*.go | grep -v _test.go)
+staged=$(grep -nE 'NewVote\(|Slots\.Vote\(|\.Reached\(|\.Certify\(|SpecExecute\(|HistoryDigest\(' $ported || true)
+if [ -n "$staged" ]; then
+	echo "hand-written ordering stages (declare a core.StageSpec list and let core.Slots run it):" >&2
+	echo "$staged" >&2
+	exit 1
+fi
+
 # One deployment assembly (internal/harness/node.go): the sizing loop, the
 # forensics role-asymmetry gate, the verification-engine constructor and
 # the inbound-lane call each live in one file, and there is one tap type.
@@ -74,6 +86,28 @@ fi
 
 go vet ./...
 go build ./...
+
+# Smoke-test what has no test of its own: every example program, and
+# bftspace apply for every design choice on pbft. A choice may refuse pbft
+# with its "is not applicable" precondition error; any other failure — a
+# panic, an unknown name — fails the gate.
+for example in examples/*/; do
+	go run "./$example" >/dev/null
+done
+bin=$(mktemp -d)
+go build -o "$bin/bftspace" ./cmd/bftspace
+for choice in $("$bin/bftspace" choices | awk '{print $2}'); do
+	if ! out=$("$bin/bftspace" apply "$choice" pbft 2>&1); then
+		case "$out" in
+		*"is not applicable"*) ;;
+		*)
+			echo "bftspace apply $choice pbft: $out" >&2
+			exit 1
+			;;
+		esac
+	fi
+done
+rm -rf "$bin"
 # The experiment smoke suite replays every table of EXPERIMENTS.md; under
 # the race detector's ~15x slowdown that outgrows go test's default 10m
 # per-package budget, so raise it — a hang still fails, just later.
