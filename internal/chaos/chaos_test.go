@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"bftkit/internal/core"
+	"bftkit/internal/sim"
 	"bftkit/internal/types"
 
 	_ "bftkit/internal/protocols/chainrepl"
@@ -112,6 +113,24 @@ func TestChaosRunsAreDeterministic(t *testing.T) {
 	fb := Fuzz(FuzzOptions{Seed: 11, Budget: 6, ShrinkBudget: -1})
 	if fa.Verdict() != fb.Verdict() {
 		t.Fatalf("same campaign, different verdicts:\n  %s\n  %s", fa.Verdict(), fb.Verdict())
+	}
+}
+
+// TestEventStormEndsAsRunaway: a replica that re-arms a 1 ns timer keeps
+// the scheduler inside one 250 ms slice for 250 million events. Run must
+// still return, after its event budget, with runaway as the verdict.
+func TestEventStormEndsAsRunaway(t *testing.T) {
+	s := Schedule{Config: Config{
+		Protocol: "pbft", N: 4, F: 1, Clients: 1, Requests: 1, Seed: 1,
+		Net: sim.DefaultLAN(),
+		Byz: []ByzAssignment{{Node: 3, Spec: "stale:1ns"}},
+	}}
+	rep := Run(s)
+	if v := rep.First(); v == nil || v.Invariant != InvRunaway {
+		t.Fatalf("storm verdict %v, want [%s]", v, InvRunaway)
+	}
+	if rep.EndTime >= runStep {
+		t.Fatalf("storm ended at t=%v, past the first %v slice", rep.EndTime, runStep)
 	}
 }
 

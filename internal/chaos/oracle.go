@@ -42,6 +42,10 @@ const (
 	// an honest replica. This is the accountability layer's soundness
 	// invariant: every proof must trace to an actual misbehavior.
 	InvFalseAccusation = "false-accusation"
+	// InvRunaway: the schedule fired its whole event budget before the
+	// workload and drain finished — an event storm that would otherwise
+	// hold the run inside one virtual time slice forever.
+	InvRunaway = "runaway"
 )
 
 // Violation is one invariant breach, timestamped on the virtual clock.

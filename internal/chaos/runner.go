@@ -24,6 +24,12 @@ const Grace = 30 * time.Second
 // drain the event queue, so the run loop slices instead of RunUntilIdle.
 const runStep = 250 * time.Millisecond
 
+// eventBudget caps the events one schedule may fire. It sits far above
+// what any case of fuzz seeds 1–6 × 256 uses; a schedule that spends it
+// is an event storm and fails as InvRunaway instead of hanging the
+// campaign.
+const eventBudget = 1_000_000
+
 // drainTime is the extra virtual time after the workload completes (or
 // the deadline passes) in which late commits and executions may still
 // land before the oracle's final durability check.
@@ -226,14 +232,33 @@ func RunRecorded(s Schedule) (*Report, *obsv.Tracer) {
 		submitNext(i)
 	}
 
-	deadline := s.Quiet() + Grace
-	for completed < expected && c.Sched.Now() < deadline {
-		c.Run(runStep)
+	// Advance in slices, never firing more than the schedule's event
+	// budget: a storm that never leaves one slice still ends the case.
+	left := eventBudget
+	advance := func(d time.Duration) bool {
+		left -= c.Sched.RunLimit(c.Sched.Now()+d, left)
+		return left > 0
 	}
-	c.Run(drainTime)
+	deadline := s.Quiet() + Grace
+	finished := true
+	for finished && completed < expected && c.Sched.Now() < deadline {
+		finished = advance(runStep)
+	}
+	finished = finished && advance(drainTime)
 
-	oracle.Finalize(completed, expected, s.EventuallyGood(), deadline)
+	// Finalize's liveness and durability verdicts need a finished run; a
+	// runaway one gets the runaway verdict instead.
+	if finished {
+		oracle.Finalize(completed, expected, s.EventuallyGood(), deadline)
+	}
 	violations := oracle.Violations()
+	if !finished && len(violations) < maxViolations {
+		violations = append(violations, Violation{
+			Invariant: InvRunaway,
+			At:        c.Sched.Now(),
+			Detail:    fmt.Sprintf("schedule fired its whole budget of %d events (%d of %d requests completed)", eventBudget, completed, expected),
+		})
+	}
 	// The end-of-run audit is redundant with the continuous checks but
 	// cheap; a discrepancy would mean the oracle itself missed something.
 	if err := c.Audit(); err != nil && len(violations) < maxViolations {

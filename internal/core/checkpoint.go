@@ -52,6 +52,7 @@ type CheckpointManager struct {
 func NewCheckpointManager(env Env) *CheckpointManager {
 	return &CheckpointManager{
 		env:      env,
+		votes:    NewTally[types.SeqNum, types.Digest](env.N()),
 		expected: make(map[types.SeqNum]types.Digest),
 	}
 }

@@ -100,6 +100,9 @@ func NewSlots[X any](env Env, profile Profile, backlog *Backlog, vc *ViewChange,
 		spec:   profile.Speculative,
 		Quorum: profile.QuorumSize(env.F()),
 		slots:  make(map[types.SeqNum]*Slot[X]),
+
+		votes:       NewTally[stageKey, ballot](env.N()),
+		checkpoints: NewTally[types.SeqNum, types.Digest](env.N()),
 	}
 	for _, st := range stages {
 		if st.Voters == VotersActive {
@@ -116,7 +119,7 @@ func NewSlots[X any](env Env, profile Profile, backlog *Backlog, vc *ViewChange,
 // state and history digests).
 func (s *Slots[X]) Reset() {
 	clear(s.slots)
-	s.votes = Tally[stageKey, ballot]{}
+	s.votes = NewTally[stageKey, ballot](s.env.N())
 	if s.spec {
 		s.env.RollbackSpecAbove(s.env.Ledger().LastExecuted())
 	}

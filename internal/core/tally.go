@@ -26,7 +26,14 @@ type Vote[V any] struct {
 // message), or struct{} when only presence counts.
 type Tally[K comparable, V any] struct {
 	slots map[K][]Vote[V]
+	// voters is how many senders may vote at a slot, when the owner
+	// knows it (NewTally).
+	voters int
 }
+
+// NewTally returns an empty tally whose vote lists start with room for
+// n voters, so a slot's list is allocated once at any cluster size.
+func NewTally[K comparable, V any](n int) Tally[K, V] { return Tally[K, V]{voters: n} }
 
 func (t *Tally[K, V]) index(k K, from types.NodeID) int {
 	for i, v := range t.slots[k] {
@@ -50,9 +57,9 @@ func (t *Tally[K, V]) Add(k K, from types.NodeID, v V) int {
 	}
 	votes := t.slots[k]
 	if votes == nil {
-		// The smallest quorum worth counting is f+1 = 2 of n = 4: start
-		// with room for n, not with append's 1-2-4 growth.
-		votes = make([]Vote[V], 0, 4)
+		// Start with room for every voter (at least the smallest
+		// cluster's four), not with append's 1-2-4-8 growth.
+		votes = make([]Vote[V], 0, max(t.voters, 4))
 	}
 	votes = append(votes, Vote[V]{From: from, Val: v})
 	t.slots[k] = votes

@@ -277,6 +277,7 @@ func NewViewChange(env Env, backlog *Backlog, quorum int, hooks ViewChangeHooks)
 		backlog:    backlog,
 		quorum:     quorum,
 		hooks:      hooks,
+		votes:      NewTally[types.View, *ViewChangeMsg](env.N()),
 		sent:       make(map[types.View]bool),
 		RetryAfter: env.Config().ViewChangeTimeout,
 	}
@@ -558,7 +559,7 @@ func (vc *ViewChange) Enter(v types.View) {
 
 // Forget discards the received view-change messages (proactive recovery
 // drops volatile state and rebuilds from what peers resend).
-func (vc *ViewChange) Forget() { vc.votes = Tally[types.View, *ViewChangeMsg]{} }
+func (vc *ViewChange) Forget() { vc.votes = NewTally[types.View, *ViewChangeMsg](vc.env.N()) }
 
 // SlotClaims is how a new leader without transferable certificates picks
 // the new view's slots (FaB, CheapBFT, Themis, Zyzzyva): every

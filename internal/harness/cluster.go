@@ -125,8 +125,7 @@ func (d nodeDriver) Send(from, to types.NodeID, m types.Message) {
 	d.c.Net.Send(from, to, m)
 }
 func (d nodeDriver) After(t time.Duration, fn func()) func() {
-	timer := d.c.Sched.After(t, fn)
-	return timer.Stop
+	return d.c.Sched.After(t, fn).Stop
 }
 
 // NewCluster builds a deployment. It panics on unknown protocols or

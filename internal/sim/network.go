@@ -105,9 +105,13 @@ type Network struct {
 	tap        func(at time.Duration, from, to types.NodeID, m types.Message)
 }
 
-// NewNetwork creates a network on the given scheduler.
+// NewNetwork creates a network on the given scheduler. A scheduler
+// carries at most one network: its delivery events fire into it.
 func NewNetwork(sched *Scheduler, cfg NetConfig) *Network {
-	return &Network{
+	if sched.net != nil {
+		panic("sim: scheduler already has a network")
+	}
+	n := &Network{
 		sched:      sched,
 		cfg:        cfg,
 		nodes:      make(map[types.NodeID]Handler),
@@ -119,6 +123,8 @@ func NewNetwork(sched *Scheduler, cfg NetConfig) *Network {
 		kindBytes:  make(map[string]int64),
 		egressFree: make(map[types.NodeID]time.Duration),
 	}
+	sched.net = n
+	return n
 }
 
 // Register attaches a handler under the given ID.
@@ -295,35 +301,42 @@ func (n *Network) deliver(from, to types.NodeID, m types.Message, extra time.Dur
 		n.tracer.ObserveQueueDepth(int(n.inflight))
 	}
 
-	deliverAt := func(d time.Duration) {
-		n.inflight++
-		n.sched.After(d, func() {
-			n.inflight--
-			if n.crashed[to] || (n.partActive && n.partition[from] != n.partition[to]) {
-				n.dropped++
-				return
-			}
-			h := n.nodes[to]
-			if h == nil {
-				n.dropped++
-				return
-			}
-			rs := n.Stats(to)
-			rs.MsgsRecv++
-			rs.BytesRecv += int64(size)
-			n.delivered++
-			n.tracer.MsgDelivered(n.sched.Now(), from, to, m, size)
-			if n.tap != nil {
-				n.tap(n.sched.Now(), from, to, m)
-			}
-			h.Deliver(from, m)
-		})
-	}
 	// The original is scheduled first; the scheduler breaks same-instant
 	// ties in scheduling order, so a duplicate (dup >= 0) can never
 	// arrive before its original even when dup draws zero.
-	deliverAt(delay)
+	n.schedule(now+delay, from, to, m, size)
 	if dup >= 0 {
-		deliverAt(delay + dup)
+		n.schedule(now+delay+dup, from, to, m, size)
 	}
+}
+
+// schedule queues one copy of a message for arrival at virtual time at.
+func (n *Network) schedule(at time.Duration, from, to types.NodeID, m types.Message, size int) {
+	n.inflight++
+	n.sched.schedule(event{at: at, m: m, from: from, to: to, size: size})
+}
+
+// arrive is a delivery event firing: the receiver must still be up and
+// reachable, then the delivery is counted, traced, tapped and handed over.
+func (n *Network) arrive(from, to types.NodeID, m types.Message, size int) {
+	n.inflight--
+	if n.crashed[to] || (n.partActive && n.partition[from] != n.partition[to]) {
+		n.dropped++
+		return
+	}
+	h := n.nodes[to]
+	if h == nil {
+		n.dropped++
+		return
+	}
+	rs := n.Stats(to)
+	rs.MsgsRecv++
+	rs.BytesRecv += int64(size)
+	n.delivered++
+	now := n.sched.Now()
+	n.tracer.MsgDelivered(now, from, to, m, size)
+	if n.tap != nil {
+		n.tap(now, from, to, m)
+	}
+	h.Deliver(from, m)
 }

@@ -74,6 +74,18 @@ if [ "$(printf '%s\n' "$taps" | grep -c .)" -gt 1 ]; then
 	exit 1
 fi
 
+# One scheduler: internal/sim queues event values in its own heap. Neither
+# container/heap (which boxes every push) nor a closure per delivery in
+# network.go may come back.
+sim_sources=$(ls internal/sim/*.go | grep -v _test.go)
+boxed=$(grep -n '"container/heap"' $sim_sources || true)
+closures=$(grep -nE '[(,=] *func\(' internal/sim/network.go || true)
+if [ -n "$boxed$closures" ]; then
+	echo "sim: container/heap or a function literal on the delivery path (schedule event values):" >&2
+	echo "$boxed$closures" >&2
+	exit 1
+fi
+
 # One setter in the store: the leaf-digest cache behind Store.Hash is only
 # right if every change to a key goes through Store.set, so a second
 # assignment into (or delete from) s.data must not come back.
