@@ -131,12 +131,13 @@ const (
 	// was torn down (write error, EOF, or a rejected frame). A
 	// connection the node only read from ends without one.
 	TransportConnDrop
-	// TransportSendDrop: an envelope was dropped instead of sent — no
+	// TransportSendDrop: a message was dropped instead of sent — no
 	// route to the peer, outbound queue overflow, or a write that died.
 	TransportSendDrop
 	// TransportFrameReject: an inbound frame violated the framing
-	// contract (oversized, zero-length, or not exactly one envelope);
-	// the connection was recycled.
+	// contract (oversized, zero-length, or not exactly one message) and
+	// its connection was recycled, or an outbound message over the frame
+	// bound was dropped at Send.
 	TransportFrameReject
 )
 

@@ -336,8 +336,8 @@ func TestWriteProm(t *testing.T) {
 }
 
 func TestSizeOfSteadyState(t *testing.T) {
-	// Two same-type messages: neither pays the gob type descriptor, so
-	// sizes differ only by content length.
+	// Two same-type messages: sizes differ only by content length and its
+	// varint prefix, with no per-type overhead.
 	a := SizeOf(&fakeMsg{K: "A", Body: make([]byte, 100)})
 	b := SizeOf(&fakeMsg{K: "A", Body: make([]byte, 200)})
 	if a < 100 || b < 200 {

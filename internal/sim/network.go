@@ -212,9 +212,9 @@ func (n *Network) ResetStats() {
 
 // Sizer lets a message define its own accounted wire size; messages
 // carrying certificates use it so the threshold-signature size model
-// holds. Messages without it are measured through the same gob encoding
-// the TCP transport uses (obsv.SizeOf), so simulator byte accounting
-// matches real wire bytes.
+// holds. Messages without it are measured by the codec the TCP transport
+// frames them with (obsv.SizeOf), so simulator byte accounting matches
+// real wire bytes.
 type Sizer = obsv.Sizer
 
 // SizeOf returns the accounted wire size of a message.

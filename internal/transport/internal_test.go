@@ -7,8 +7,6 @@ package transport
 // listener and poke peer lanes directly.
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -20,6 +18,7 @@ import (
 	"bftkit/internal/core"
 	"bftkit/internal/obsv"
 	"bftkit/internal/types"
+	"bftkit/internal/wire"
 )
 
 func newTestRand() *rand.Rand { return rand.New(rand.NewSource(7)) }
@@ -354,9 +353,8 @@ func TestFirstContactLosesNothing(t *testing.T) {
 }
 
 // TestTracedBytesAreFrameSizes: the size a tracer is told for a message
-// is the frame's header plus its gob payload, the same number on the
-// sending and on the receiving end — the first frame of a type carries
-// gob's descriptors, the second is the steady state.
+// is the length of its frame, header included, the same number on the
+// sending and on the receiving end.
 func TestTracedBytesAreFrameSizes(t *testing.T) {
 	addrs := testAddrs(t, 2)
 	peers := map[types.NodeID]string{0: addrs[0], 1: addrs[1]}
@@ -374,15 +372,13 @@ func TestTracedBytesAreFrameSizes(t *testing.T) {
 		defer ns[i].Stop()
 	}
 
-	var payload bytes.Buffer
-	enc := gob.NewEncoder(&payload)
 	var want []int
 	for seq := uint64(1); seq <= 2; seq++ {
-		payload.Reset()
-		if err := enc.Encode(&Envelope{From: 0, Msg: testMsg(seq)}); err != nil {
+		frame, err := wire.AppendFrame(nil, 0, testMsg(seq))
+		if err != nil {
 			t.Fatal(err)
 		}
-		want = append(want, frameHeaderLen+payload.Len())
+		want = append(want, len(frame))
 		ns[0].Send(0, 1, testMsg(seq))
 	}
 	for deadline := time.Now().Add(5 * time.Second); bh.count() < len(want); time.Sleep(5 * time.Millisecond) {
@@ -539,5 +535,45 @@ func TestVerifyLanesAreLazy(t *testing.T) {
 	case <-stopped:
 	case <-time.After(10 * time.Second):
 		t.Fatal("Stop did not return with lazy lanes in place")
+	}
+}
+
+// TestBroadcastEncodesOnce: a message sent to peer after peer, as
+// Broadcast does, is encoded once and every queue holds the same frame;
+// the next message gets a frame of its own.
+func TestBroadcastEncodesOnce(t *testing.T) {
+	peers := map[types.NodeID]string{0: "self", 1: "a", 2: "b", 3: "c"}
+	n := NewNode(0, peers, 1)
+	hold := make(chan struct{})
+	n.dial = func(string, time.Duration) (net.Conn, error) {
+		<-hold // keep every frame queued
+		return nil, errors.New("unreachable")
+	}
+	defer n.Stop()
+	defer close(hold)
+
+	first, second := testMsg(1), testMsg(2)
+	for to := types.NodeID(1); to <= 3; to++ {
+		n.Send(0, to, first)
+	}
+	n.Send(0, 1, second)
+	queued := func(to types.NodeID, i int) []byte {
+		p := n.lookupPeer(to)
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		return p.queue[i].frame
+	}
+	frame := queued(1, 0)
+	for to := types.NodeID(2); to <= 3; to++ {
+		if f := queued(to, 0); &f[0] != &frame[0] {
+			t.Errorf("peer %v queued its own copy of the broadcast frame", to)
+		}
+	}
+	if f := queued(1, 1); &f[0] == &frame[0] {
+		t.Error("a second message reused the first message's frame")
+	}
+	want, err := wire.AppendFrame(nil, 0, first)
+	if err != nil || string(want) != string(frame) {
+		t.Fatalf("queued frame %x, want %x (%v)", frame, want, err)
 	}
 }

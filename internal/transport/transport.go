@@ -4,13 +4,14 @@
 // event loop per node, so protocol code keeps the same single-threaded
 // contract it has on the simulator.
 //
-// Wire format: length-prefixed frames carrying gob-encoded envelopes on
-// persistent connections (frame.go bounds every envelope before the
-// decoder touches it). All protocol message types are registered in
-// wire.go.
+// Wire format: length-prefixed frames of the stateless codec in
+// internal/wire on persistent connections (frame.go bounds every frame
+// before the decoder touches it). A frame depends only on its message and
+// sender, so Send encodes a message once and every recipient's queue holds
+// the same bytes. All protocol message types are registered in wire.go.
 //
 // Delivery contract: lossy, like the simulator's adversarial networks.
-// Send never blocks the caller — envelopes are queued per peer and
+// Send never blocks the caller — frames are queued per peer and
 // drained by a background sender that dials off the hot path with
 // jittered exponential backoff. A full queue, an unreachable peer, or a
 // connection that dies mid-write all drop messages; the protocols are
@@ -22,9 +23,6 @@
 package transport
 
 import (
-	"bytes"
-	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"math/rand"
 	"net"
@@ -34,17 +32,8 @@ import (
 
 	"bftkit/internal/obsv"
 	"bftkit/internal/types"
+	"bftkit/internal/wire"
 )
-
-// Envelope frames one message on the wire. From is not authenticated at
-// this layer — the crypto authority authenticates message *contents*;
-// the untrusted network is assumed to spoof, drop, and replay at will.
-// This node never sends a nil Msg, and one arriving from the network is
-// skipped: nothing acts on it.
-type Envelope struct {
-	From types.NodeID
-	Msg  types.Message
-}
 
 // Handler receives delivered messages (core.Replica and core.Client
 // satisfy it).
@@ -53,7 +42,7 @@ type Handler interface {
 }
 
 // DefaultQueueCap bounds each peer's outbound queue; overflow drops the
-// oldest queued envelope (the newest traffic is what keeps a protocol
+// oldest queued frame (the newest traffic is what keeps a protocol
 // live — old messages are superseded by retransmissions).
 const DefaultQueueCap = 4096
 
@@ -89,10 +78,17 @@ type Node struct {
 	maxFrame int
 	queueCap int
 
-	events  chan func()
+	events  chan event
 	handler Handler
 	tracer  *obsv.Tracer
 	prepare func(from types.NodeID, m types.Message)
+
+	// The previous Send's frame: Broadcast sends one message to peer
+	// after peer, so it is encoded for the first and reused for the rest.
+	sendMu    sync.Mutex
+	lastMsg   types.Message
+	lastFrom  types.NodeID
+	lastFrame []byte
 
 	// dial is swappable so tests can make dials hang or fail
 	// deterministically without touching the kernel.
@@ -115,10 +111,9 @@ type Node struct {
 	wg       sync.WaitGroup
 }
 
-// wireConn is one live socket: a framed gob stream and the identity
-// bookkeeping the connection manager needs. gen rises monotonically per
-// node, so a stale failure can never evict the replacement connection
-// that superseded it.
+// wireConn is one live socket and the identity bookkeeping the
+// connection manager needs. gen rises monotonically per node, so a stale
+// failure can never evict the replacement connection that superseded it.
 type wireConn struct {
 	c   net.Conn
 	gen uint64
@@ -131,14 +126,27 @@ type wireConn struct {
 	hasPeer bool
 
 	// lane is the conn's inbound-verify lane, made by its read loop on
-	// the first envelope that arrives: a dialed replica socket is only
+	// the first message that arrives: a dialed replica socket is only
 	// ever written, so it never gets one. Guarded by Node.mu.
-	lane chan laneItem
+	lane chan event
+}
 
-	mu      sync.Mutex // serializes writes: enc, buf and scratch are per-socket state
-	enc     *gob.Encoder
-	buf     bytes.Buffer
-	scratch []byte
+// event is one unit of event-loop work: a delivery of msg from from, or,
+// when fn is set, a callback (a timer or Do). A delivery is plain data,
+// so handing one to the loop builds no closure.
+type event struct {
+	from types.NodeID
+	msg  types.Message
+	fn   func()
+}
+
+// outFrame is one queued send: the encoded frame, and the sender and
+// message the tracer reports once it is written. Every recipient of a
+// broadcast queues the same frame bytes; nothing writes to them.
+type outFrame struct {
+	from  types.NodeID
+	msg   types.Message
+	frame []byte
 }
 
 // peer is one outbound lane: the queue Send appends to, the connection
@@ -150,7 +158,7 @@ type peer struct {
 	rng  *rand.Rand
 
 	mu        sync.Mutex
-	queue     []*Envelope
+	queue     []outFrame
 	cur       *wireConn
 	running   bool // a sender goroutine is draining the queue
 	dialFails int  // consecutive failures, drives backoff
@@ -168,7 +176,7 @@ func NewNode(id types.NodeID, peers map[types.NodeID]string, seed int64) *Node {
 		rng:      rand.New(rand.NewSource(seed ^ int64(id))),
 		maxFrame: DefaultMaxFrame,
 		queueCap: DefaultQueueCap,
-		events:   make(chan func(), 4096),
+		events:   make(chan event, 4096),
 		peerSt:   make(map[types.NodeID]*peer),
 		open:     make(map[*wireConn]struct{}),
 		dial: func(addr string, timeout time.Duration) (net.Conn, error) {
@@ -187,8 +195,8 @@ func (n *Node) SetHandler(h Handler) { n.handler = h }
 func (n *Node) SetTracer(t *obsv.Tracer) { n.tracer = t }
 
 // SetInboundPrepare installs an async inbound stage: fn runs for every
-// inbound protocol envelope on a per-connection lane goroutine, off the
-// event loop, before the envelope is enqueued for delivery. The
+// inbound protocol message on a per-connection lane goroutine, off the
+// event loop, before the message is enqueued for delivery. The
 // verification engine uses it to batch-verify a message's signature
 // claims while the event loop processes earlier traffic. Ordering
 // guarantees are unchanged — one lane per connection preserves the
@@ -203,16 +211,10 @@ func (n *Node) SetInboundPrepare(fn func(from types.NodeID, m types.Message)) { 
 // per-conn isolation the rest of the transport maintains.
 const laneCap = 1024
 
-// laneItem is one prepared-and-forwarded inbound message.
-type laneItem struct {
-	from types.NodeID
-	msg  types.Message
-}
-
 // startLane makes wc's inbound lane and starts the goroutine draining it.
 // Returns nil when the node is already stopping.
-func (n *Node) startLane(wc *wireConn) chan laneItem {
-	lane := make(chan laneItem, laneCap)
+func (n *Node) startLane(wc *wireConn) chan event {
+	lane := make(chan event, laneCap)
 	if !n.goTracked(func() { n.runLane(lane) }) {
 		return nil
 	}
@@ -225,12 +227,11 @@ func (n *Node) startLane(wc *wireConn) chan laneItem {
 // runLane drains one connection's inbound lane: prepare, then hand to
 // the event loop. Exits when the owning read loop closes the lane (after
 // draining it) or the node stops.
-func (n *Node) runLane(lane chan laneItem) {
-	for it := range lane {
-		n.prepare(it.from, it.msg)
-		from, msg := it.from, it.msg
+func (n *Node) runLane(lane chan event) {
+	for ev := range lane {
+		n.prepare(ev.from, ev.msg)
 		select {
-		case n.events <- func() { n.handler.Deliver(from, msg) }:
+		case n.events <- ev:
 			n.tracer.ObserveQueueDepth(len(n.events))
 		case <-n.done:
 			return
@@ -238,10 +239,10 @@ func (n *Node) runLane(lane chan laneItem) {
 	}
 }
 
-// SetMaxFrame bounds one envelope on the wire (default DefaultMaxFrame).
-// Inbound frames over the bound cost the connection; outbound envelopes
-// over it are dropped. Must be set before Start and match across the
-// deployment.
+// SetMaxFrame bounds one frame's payload (default DefaultMaxFrame).
+// Inbound frames over the bound cost the connection; outbound messages
+// over it are dropped at Send. Must be set before Start and match across
+// the deployment.
 func (n *Node) SetMaxFrame(bytes int) {
 	if bytes > 0 {
 		n.maxFrame = bytes
@@ -338,8 +339,12 @@ func (n *Node) sleep(d time.Duration) bool {
 func (n *Node) eventLoop() {
 	for {
 		select {
-		case fn := <-n.events:
-			fn()
+		case ev := <-n.events:
+			if ev.fn != nil {
+				ev.fn()
+			} else {
+				n.handler.Deliver(ev.from, ev.msg)
+			}
 		case <-n.done:
 			return
 		}
@@ -365,14 +370,13 @@ func (n *Node) acceptLoop() {
 	}
 }
 
-// newWireConn wraps a socket in a framed gob stream and tracks it for
-// Stop. Returns nil when the node is already stopping.
+// newWireConn wraps a socket and tracks it for Stop. Returns nil when the
+// node is already stopping.
 func (n *Node) newWireConn(c net.Conn) *wireConn {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.nextGen++
 	wc := &wireConn{c: c, gen: n.nextGen}
-	wc.enc = gob.NewEncoder(&wc.buf)
 	if n.stoppedLocked() {
 		return nil
 	}
@@ -399,43 +403,18 @@ func (n *Node) removeOpen(wc *wireConn) {
 	n.mu.Unlock()
 }
 
-// writeEnvelope encodes env into one length-prefixed frame and writes it
-// out, returning the frame's wire size (header + payload). An envelope
-// that encodes past max poisons the stream (the encoder's descriptor
-// state now references types the peer never saw), so the caller must
-// recycle the connection on any error.
-func (wc *wireConn) writeEnvelope(env *Envelope, max int) (int, error) {
-	wc.mu.Lock()
-	defer wc.mu.Unlock()
-	wc.buf.Reset()
-	if err := wc.enc.Encode(env); err != nil {
-		return 0, err
-	}
-	payload := wc.buf.Bytes()
-	if len(payload) > max {
-		return 0, frameSizeError{declared: uint32(len(payload)), max: max}
-	}
-	need := frameHeaderLen + len(payload)
-	if cap(wc.scratch) < need {
-		wc.scratch = make([]byte, need)
-	}
-	frame := wc.scratch[:need]
-	binary.BigEndian.PutUint32(frame[:frameHeaderLen], uint32(len(payload)))
-	copy(frame[frameHeaderLen:], payload)
-	_, err := wc.c.Write(frame)
-	return need, err
-}
-
-// readLoop drains one connection: framed envelopes are decoded under the
-// frame bound and handed to the event loop. Any error — disconnect,
-// oversized frame, garbage — closes and detaches the connection; the
-// node itself never dies with it.
+// readLoop drains one connection: frames are decoded under the frame
+// bound, straight from the frame buffer, and handed to the event loop.
+// Any error — disconnect, oversized frame, garbage — closes and detaches
+// the connection; the node itself never dies with it. The sender a frame
+// names is not authenticated at this layer — the crypto authority
+// authenticates message contents; the untrusted network is assumed to
+// spoof, drop and replay at will.
 func (n *Node) readLoop(wc *wireConn) {
 	defer n.detachConn(wc)
 	fr := newFrameReader(wc.c, n.maxFrame)
-	dec := gob.NewDecoder(fr)
 	identified := wc.hasPeer // a dialed conn is bound before it is read
-	var lane chan laneItem
+	var lane chan event
 	// Closing the lane when this read loop exits lets the lane drain what
 	// it already accepted, then stop — no goroutine leak, no dropped
 	// prepared messages.
@@ -451,21 +430,16 @@ func (n *Node) readLoop(wc *wireConn) {
 			}
 			return
 		}
-		var env Envelope
-		if err := dec.Decode(&env); err != nil {
-			// A frame that does not decode as exactly one envelope is
+		from, msg, err := wire.Decode(fr.buf)
+		if err != nil {
+			// A frame that does not decode as exactly one message is
 			// hostile or corrupt; the stream cannot be trusted further.
 			n.tracer.TransportEvent(obsv.TransportFrameReject)
 			return
 		}
-		if fr.remaining() != 0 {
-			n.tracer.TransportEvent(obsv.TransportFrameReject)
-			return
+		if msg == nil {
+			continue // this node never sends one; nothing acts on it
 		}
-		if env.Msg == nil {
-			continue // empty envelope: ignored, see Envelope
-		}
-		from, msg := env.From, env.Msg
 		if !identified {
 			identified = true
 			if _, dialable := n.peers[from]; !dialable {
@@ -485,7 +459,7 @@ func (n *Node) readLoop(wc *wireConn) {
 				}
 			}
 			select {
-			case lane <- laneItem{from: from, msg: msg}:
+			case lane <- event{from: from, msg: msg}:
 				n.tracer.ObserveVerifyQueueDepth(len(lane))
 			case <-n.done:
 				return
@@ -493,7 +467,7 @@ func (n *Node) readLoop(wc *wireConn) {
 			continue
 		}
 		select {
-		case n.events <- func() { n.handler.Deliver(from, msg) }:
+		case n.events <- event{from: from, msg: msg}:
 			n.tracer.ObserveQueueDepth(len(n.events))
 		case <-n.done:
 			return
@@ -590,7 +564,7 @@ func (n *Node) startSenderLocked(p *peer) {
 }
 
 // runSender drains one peer's queue: it dials (with backoff) when
-// disconnected and an address is known, writes queued envelopes FIFO,
+// disconnected and an address is known, writes queued frames FIFO,
 // and exits when the queue is empty or no progress is possible — Send
 // and adopt restart it on new work.
 func (n *Node) runSender(p *peer) {
@@ -602,10 +576,10 @@ func (n *Node) runSender(p *peer) {
 			return
 		}
 		wc := p.cur
-		var env *Envelope
+		var out outFrame
 		if wc != nil {
-			env = p.queue[0]
-			p.queue[0] = nil
+			out = p.queue[0]
+			p.queue[0] = outFrame{}
 			p.queue = p.queue[1:]
 		}
 		p.mu.Unlock()
@@ -614,19 +588,15 @@ func (n *Node) runSender(p *peer) {
 			n.dialPeer(p)
 			continue
 		}
-		size, err := wc.writeEnvelope(env, n.maxFrame)
-		if err != nil {
-			// The envelope is lost (lossy contract) and the stream is
-			// unusable; recycle the connection and let the loop redial.
+		if _, err := wc.c.Write(out.frame); err != nil {
+			// The frame is lost (lossy contract) and the socket is dead;
+			// unlink it and let the loop redial.
 			n.dropConn(p, wc.gen)
 			wc.c.Close()
 			n.tracer.TransportEvent(obsv.TransportSendDrop)
-			if isFrameViolation(err) {
-				n.tracer.TransportEvent(obsv.TransportFrameReject)
-			}
 			continue
 		}
-		n.tracer.MsgSent(n.Now(), env.From, p.id, env.Msg, size)
+		n.tracer.MsgSent(n.Now(), out.from, p.id, out.msg, len(out.frame))
 	}
 }
 
@@ -704,7 +674,7 @@ func backoffDelay(rng *rand.Rand, fails int) time.Duration {
 // directly.
 func (n *Node) Do(fn func()) {
 	select {
-	case n.events <- fn:
+	case n.events <- event{fn: fn}:
 	case <-n.done:
 	}
 }
@@ -722,7 +692,7 @@ func (n *Node) Rand() *rand.Rand { return n.rng }
 func (n *Node) After(d time.Duration, fn func()) func() {
 	t := time.AfterFunc(d, func() {
 		select {
-		case n.events <- fn:
+		case n.events <- event{fn: fn}:
 		case <-n.done:
 		}
 	})
@@ -730,10 +700,12 @@ func (n *Node) After(d time.Duration, fn func()) func() {
 }
 
 // Send implements core.Driver: best-effort delivery over a persistent
-// connection. It never blocks and never dials — the envelope joins the
-// peer's queue and the sender drains it, so one unreachable peer cannot
-// head-of-line-block traffic to the others. Messages are dropped when
-// the peer is unknown, the queue overflows, or the connection dies
+// connection. It never blocks and never dials — m is encoded here, the
+// frame joins the peer's queue and the sender drains it, so one
+// unreachable peer cannot head-of-line-block traffic to the others. m must
+// not change once sent: its frame may be reused for the next recipient.
+// Messages are dropped when the peer is unknown, the message has no frame
+// within the frame bound, the queue overflows, or the connection dies
 // mid-write; the network is allowed to be lossy and the protocols are
 // built for that.
 func (n *Node) Send(from, to types.NodeID, m types.Message) {
@@ -742,12 +714,12 @@ func (n *Node) Send(from, to types.NodeID, m types.Message) {
 	}
 	if to == n.id {
 		// Local loopback: no socket, but the same event-loop delivery and
-		// accounting (sized as the wire would have sized it).
-		size := obsv.SizeOf(m) + frameHeaderLen
+		// accounting (sized as the wire would have framed it).
+		size := wire.FrameSize(from, m)
 		n.tracer.MsgSent(n.Now(), from, to, m, size)
 		n.tracer.MsgDelivered(n.Now(), from, to, m, size)
 		select {
-		case n.events <- func() { n.handler.Deliver(from, m) }:
+		case n.events <- event{from: from, msg: m}:
 		case <-n.done:
 		}
 		return
@@ -761,7 +733,14 @@ func (n *Node) Send(from, to types.NodeID, m types.Message) {
 		}
 		p = n.ensurePeer(to)
 	}
-	env := &Envelope{From: from, Msg: m}
+	frame, err := n.frame(from, m)
+	if err != nil {
+		n.tracer.TransportEvent(obsv.TransportSendDrop)
+		if isFrameViolation(err) {
+			n.tracer.TransportEvent(obsv.TransportFrameReject)
+		}
+		return
+	}
 	p.mu.Lock()
 	if p.cur == nil && p.addr == "" {
 		// The adopted connection this peer arrived on is gone and there
@@ -771,14 +750,36 @@ func (n *Node) Send(from, to types.NodeID, m types.Message) {
 		return
 	}
 	if len(p.queue) >= n.queueCap {
-		p.queue[0] = nil
+		p.queue[0] = outFrame{}
 		p.queue = p.queue[1:]
 		n.tracer.TransportEvent(obsv.TransportSendDrop)
 	}
-	p.queue = append(p.queue, env)
+	p.queue = append(p.queue, outFrame{from: from, msg: m, frame: frame})
 	n.tracer.ObserveOutQueueDepth(len(p.queue))
 	n.startSenderLocked(p)
 	p.mu.Unlock()
+}
+
+// frame returns m's frame from sender from, refusing one whose payload
+// exceeds the frame bound — the socket stays up, as nothing was written.
+// A broadcast sends one message to peer after peer, so the previous
+// Send's frame is reused while message and sender match.
+func (n *Node) frame(from types.NodeID, m types.Message) ([]byte, error) {
+	n.sendMu.Lock()
+	defer n.sendMu.Unlock()
+	// lastMsg only ever holds an encodable message, a pointer, so the
+	// comparison cannot panic on an incomparable dynamic type.
+	if m != n.lastMsg || from != n.lastFrom || n.lastFrame == nil {
+		f, err := wire.AppendFrame(make([]byte, 0, wire.FrameSize(from, m)), from, m)
+		if err != nil {
+			return nil, err
+		}
+		n.lastMsg, n.lastFrom, n.lastFrame = m, from, f
+	}
+	if payload := len(n.lastFrame) - wire.HeaderLen; payload > n.maxFrame {
+		return nil, frameSizeError{declared: uint32(payload), max: n.maxFrame}
+	}
+	return n.lastFrame, nil
 }
 
 // ParsePeers parses "0=host:port,1=host:port,..." into a peer table.

@@ -308,7 +308,7 @@ func TestHostileFramesCostOnlyTheConnection(t *testing.T) {
 	expectConnClosed(t, over, "oversized frame")
 	over.Close()
 
-	// Garbage frame: plausible length, bytes that are not an envelope.
+	// Garbage frame: plausible length, bytes that are not a message.
 	garbage := dialRaw(t, addrs[0])
 	binary.BigEndian.PutUint32(hdr[:], 8)
 	payload := append(hdr[:], 0xde, 0xad, 0xbe, 0xef, 0xde, 0xad, 0xbe, 0xef)
@@ -341,9 +341,9 @@ func TestHostileFramesCostOnlyTheConnection(t *testing.T) {
 	waitFor(t, 5*time.Second, func() bool { return h.count() >= 1 }, "post-attack delivery")
 }
 
-// TestOversizedOutboundDropped: an envelope that encodes past the frame
-// bound is dropped locally (and recycles the poisoned stream) instead of
-// being shipped for the peer to reject; smaller traffic keeps flowing.
+// TestOversizedOutboundDropped: a message that encodes past the frame
+// bound is dropped locally instead of being shipped for the peer to
+// reject; smaller traffic keeps flowing.
 func TestOversizedOutboundDropped(t *testing.T) {
 	addrs := freePorts(t, 2)
 	peers := map[types.NodeID]string{0: addrs[0], 1: addrs[1]}
@@ -374,8 +374,55 @@ func TestOversizedOutboundDropped(t *testing.T) {
 		"outbound oversize to be rejected")
 
 	a.Send(0, 1, ping(3))
-	waitFor(t, 5*time.Second, func() bool { return bh.count() >= 2 }, "small message after reconnect")
+	waitFor(t, 5*time.Second, func() bool { return bh.count() >= 2 }, "small message after the drop")
 	if got := bh.count(); got != 2 {
-		t.Fatalf("peer saw %d messages, want exactly 2 (oversized envelope must not arrive)", got)
+		t.Fatalf("peer saw %d messages, want exactly 2 (oversized message must not arrive)", got)
+	}
+}
+
+// TestOversizedSendKeepsConnection: an outbound message over the frame
+// bound is refused at Send — one send drop, one frame reject — and the
+// healthy socket it would have gone out on stays up: no connection is
+// dropped, redialed or reconnected for it.
+func TestOversizedSendKeepsConnection(t *testing.T) {
+	addrs := freePorts(t, 2)
+	peers := map[types.NodeID]string{0: addrs[0], 1: addrs[1]}
+	tracer := obsv.New(obsv.Options{})
+	a := transport.NewNode(0, peers, 1)
+	a.SetHandler(newCountingHandler())
+	a.SetTracer(tracer)
+	a.SetMaxFrame(4096)
+	b := transport.NewNode(1, peers, 2)
+	bh := newCountingHandler()
+	b.SetHandler(bh)
+	b.SetMaxFrame(4096)
+	if err := a.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer a.Stop()
+	if err := b.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer b.Stop()
+
+	a.Send(0, 1, ping(1))
+	waitFor(t, 5*time.Second, func() bool { return bh.count() == 1 }, "small message before")
+	before := tracer.TransportStats()
+
+	big := &core.RequestMsg{Req: &types.Request{Client: types.ClientIDBase, ClientSeq: 2, Op: make([]byte, 64<<10)}}
+	a.Send(0, 1, big)
+	after := tracer.TransportStats()
+	if after.SendDrops != before.SendDrops+1 || after.FrameRejects != before.FrameRejects+1 {
+		t.Fatalf("oversized send: stats %+v after %+v, want one more send drop and frame reject", after, before)
+	}
+
+	a.Send(0, 1, ping(3))
+	waitFor(t, 5*time.Second, func() bool { return bh.count() >= 2 }, "small message after")
+	after = tracer.TransportStats()
+	if after.ConnDrops != before.ConnDrops || after.Reconnects != before.Reconnects || after.Dials != before.Dials {
+		t.Fatalf("the oversized send moved the connection: stats %+v, before %+v", after, before)
+	}
+	if got := bh.count(); got != 2 {
+		t.Fatalf("peer saw %d messages, want exactly 2 (oversized message must not arrive)", got)
 	}
 }

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
 	"reflect"
 	"testing"
@@ -12,6 +11,7 @@ import (
 	"bftkit/internal/protocols/themis"
 	"bftkit/internal/protocols/zyzzyva"
 	"bftkit/internal/types"
+	"bftkit/internal/wire"
 )
 
 // fill populates every exported field of v with a distinct non-zero
@@ -22,8 +22,9 @@ func fill(v reflect.Value, seed *uint64, depth int) {
 	next := func() uint64 { *seed++; return *seed }
 	switch v.Kind() {
 	case reflect.Ptr:
-		// Allocate even at the depth limit: gob rejects nil elements
-		// inside a slice of pointers, and a zero struct round-trips.
+		// Allocate even at the depth limit: the codec refuses nil
+		// elements inside a slice of pointers, and a zero struct
+		// round-trips.
 		if v.IsNil() {
 			v.Set(reflect.New(v.Type().Elem()))
 		}
@@ -36,7 +37,7 @@ func fill(v reflect.Value, seed *uint64, depth int) {
 		}
 		for i := 0; i < v.NumField(); i++ {
 			if v.Type().Field(i).PkgPath != "" {
-				continue // unexported: not gob's job
+				continue // unexported: not the codec's job
 			}
 			fill(v.Field(i), seed, depth)
 		}
@@ -80,8 +81,9 @@ func fill(v reflect.Value, seed *uint64, depth int) {
 }
 
 // TestWireMessagesRoundTrip proves every registered message kind
-// survives the Envelope encode/decode cycle with all exported fields
-// intact — the wire contract the TCP deployment path depends on. A
+// survives the codec's encode/decode cycle with all exported fields
+// intact, and re-encodes to the same bytes — the wire contract the TCP
+// deployment path depends on. A
 // message type added to a protocol but not to wireMessages fails the
 // TCP path at runtime; keeping the list and this test in lockstep is
 // the point. The ordering and view-change messages the eight
@@ -127,29 +129,35 @@ func TestTransportLinksEveryProtocol(t *testing.T) {
 }
 
 func roundTrip(t *testing.T, msg types.Message) {
-	var buf bytes.Buffer
-	env := Envelope{From: 3, Msg: msg}
-	if err := gob.NewEncoder(&buf).Encode(&env); err != nil {
+	frame, err := wire.AppendFrame(nil, 3, msg)
+	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
-	var got Envelope
-	if err := gob.NewDecoder(&buf).Decode(&got); err != nil {
+	if size := wire.FrameSize(3, msg); size != len(frame) {
+		t.Fatalf("FrameSize %d, frame %d bytes", size, len(frame))
+	}
+	from, got, err := wire.Decode(frame[wire.HeaderLen:])
+	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if got.From != 3 {
-		t.Fatalf("From = %v", got.From)
+	if from != 3 {
+		t.Fatalf("From = %v", from)
 	}
-	if reflect.TypeOf(got.Msg) != reflect.TypeOf(env.Msg) {
-		t.Fatalf("type changed: sent %T, got %T", env.Msg, got.Msg)
+	if reflect.TypeOf(got) != reflect.TypeOf(msg) {
+		t.Fatalf("type changed: sent %T, got %T", msg, got)
 	}
-	if got.Msg.Kind() != msg.Kind() {
-		t.Fatalf("kind changed: sent %q, got %q", msg.Kind(), got.Msg.Kind())
+	if got.Kind() != msg.Kind() {
+		t.Fatalf("kind changed: sent %q, got %q", msg.Kind(), got.Kind())
 	}
-	if !reflect.DeepEqual(got.Msg, env.Msg) {
-		t.Fatalf("fields lost in transit:\nsent %+v\ngot  %+v", env.Msg, got.Msg)
+	if !reflect.DeepEqual(got, msg) {
+		t.Fatalf("fields lost in transit:\nsent %+v\ngot  %+v", msg, got)
+	}
+	again, err := wire.AppendFrame(nil, from, got)
+	if err != nil || !bytes.Equal(again, frame) {
+		t.Fatalf("the decoded message re-encodes differently (%v):\nsent %x\nagain %x", err, frame, again)
 	}
 	// What the sender signed is what the receiver verifies.
-	if signed, ok := msg.(core.Evidence); ok && signed.SigDigest() != got.Msg.(core.Evidence).SigDigest() {
+	if signed, ok := msg.(core.Evidence); ok && signed.SigDigest() != got.(core.Evidence).SigDigest() {
 		t.Fatal("the signed digest changed in transit")
 	}
 }

@@ -96,6 +96,17 @@ if [ "$(printf '%s\n' "$writes" | grep -c .)" -ne 2 ]; then
 	exit 1
 fi
 
+# One codec: the transport frames messages with internal/wire and obsv
+# sizes them with it. gob survives only in internal/transport/wire.go,
+# whose registration and Envelope the benchmark's micro-suite still uses
+# to price gob beside the codec.
+gob=$(grep -l '"encoding/gob"' $sources | grep -v '^./internal/transport/wire.go$' || true)
+if [ -n "$gob" ]; then
+	echo "encoding/gob imported outside internal/transport/wire.go (frame with internal/wire):" >&2
+	echo "$gob" >&2
+	exit 1
+fi
+
 go vet ./...
 go build ./...
 
