@@ -17,10 +17,10 @@ func (*RequestMsg) Kind() string { return "REQUEST" }
 // RequestRef implements obsv.Keyed: a request message is about itself.
 func (m *RequestMsg) RequestRef() types.RequestKey { return m.Req.Key() }
 
-// SigClaims implements crypto.SigClaimer: the client's signature over
+// AppendSigClaims implements crypto.SigClaimer: the client's signature over
 // the request digest, which every replica verifies on receipt.
-func (m *RequestMsg) SigClaims(types.NodeID) []crypto.SigClaim {
-	return []crypto.SigClaim{{Signer: m.Req.Client, Digest: m.Req.Digest(), Sig: m.Req.Sig}}
+func (m *RequestMsg) AppendSigClaims(dst []crypto.SigClaim, _ types.NodeID) []crypto.SigClaim {
+	return append(dst, crypto.SigClaim{Signer: m.Req.Client, Digest: m.Req.Digest(), Sig: m.Req.Sig})
 }
 
 // ReplyMsg carries a replica's reply back to a client.
@@ -41,10 +41,10 @@ func (m *ReplyMsg) RequestRef() types.RequestKey {
 // Slot implements obsv.Slotted.
 func (m *ReplyMsg) Slot() (types.View, types.SeqNum) { return m.R.View, m.R.Seq }
 
-// SigClaims implements crypto.SigClaimer: the replica's reply signature,
+// AppendSigClaims implements crypto.SigClaimer: the replica's reply signature,
 // which the client verifies before counting the vote.
-func (m *ReplyMsg) SigClaims(types.NodeID) []crypto.SigClaim {
-	return []crypto.SigClaim{{Signer: m.R.Replica, Digest: m.R.Digest(), Sig: m.R.Sig}}
+func (m *ReplyMsg) AppendSigClaims(dst []crypto.SigClaim, _ types.NodeID) []crypto.SigClaim {
+	return append(dst, crypto.SigClaim{Signer: m.R.Replica, Digest: m.R.Digest(), Sig: m.R.Sig})
 }
 
 // ReplyPayload exposes the signed reply for the forensics auditor's
@@ -63,10 +63,10 @@ func (*ForwardMsg) Kind() string { return "FORWARD" }
 // RequestRef implements obsv.Keyed.
 func (m *ForwardMsg) RequestRef() types.RequestKey { return m.Req.Key() }
 
-// SigClaims implements crypto.SigClaimer: a forward relays the client's
+// AppendSigClaims implements crypto.SigClaimer: a forward relays the client's
 // signed request, so the claim is the client's, not the forwarder's.
-func (m *ForwardMsg) SigClaims(types.NodeID) []crypto.SigClaim {
-	return []crypto.SigClaim{{Signer: m.Req.Client, Digest: m.Req.Digest(), Sig: m.Req.Sig}}
+func (m *ForwardMsg) AppendSigClaims(dst []crypto.SigClaim, _ types.NodeID) []crypto.SigClaim {
+	return append(dst, crypto.SigClaim{Signer: m.Req.Client, Digest: m.Req.Digest(), Sig: m.Req.Sig})
 }
 
 // CheckpointMsg announces a replica's checkpoint at a sequence number
@@ -89,10 +89,10 @@ func (m *CheckpointMsg) Digest() types.Digest {
 	return h.Sum()
 }
 
-// SigClaims implements crypto.SigClaimer: the announcing replica's
+// AppendSigClaims implements crypto.SigClaimer: the announcing replica's
 // signature over the checkpoint claim.
-func (m *CheckpointMsg) SigClaims(types.NodeID) []crypto.SigClaim {
-	return []crypto.SigClaim{{Signer: m.Replica, Digest: m.Digest(), Sig: m.Sig}}
+func (m *CheckpointMsg) AppendSigClaims(dst []crypto.SigClaim, _ types.NodeID) []crypto.SigClaim {
+	return append(dst, crypto.SigClaim{Signer: m.Replica, Digest: m.Digest(), Sig: m.Sig})
 }
 
 // FetchStateMsg asks a peer for the snapshot behind a stable checkpoint

@@ -88,10 +88,10 @@ func (m *ProposeMsg) SigDigest() types.Digest {
 	return h.Sum()
 }
 
-// SigClaims implements crypto.SigClaimer: the leader's signature, whoever
+// AppendSigClaims implements crypto.SigClaimer: the leader's signature, whoever
 // relayed the proposal.
-func (m *ProposeMsg) SigClaims(types.NodeID) []crypto.SigClaim {
-	return []crypto.SigClaim{{Signer: m.Leader, Digest: m.SigDigest(), Sig: m.Sig}}
+func (m *ProposeMsg) AppendSigClaims(dst []crypto.SigClaim, _ types.NodeID) []crypto.SigClaim {
+	return append(dst, crypto.SigClaim{Signer: m.Leader, Digest: m.SigDigest(), Sig: m.Sig})
 }
 
 // Verify reports whether m is its view's leader's validly authenticated
@@ -132,9 +132,9 @@ func (m *VoteMsg) Slot() (types.View, types.SeqNum) { return m.View, m.Seq }
 // SigDigest is the signed content.
 func (m *VoteMsg) SigDigest() types.Digest { return VoteDigest(m.Stage, m.View, m.Seq, m.Digest) }
 
-// SigClaims implements crypto.SigClaimer: the voter's signature.
-func (m *VoteMsg) SigClaims(types.NodeID) []crypto.SigClaim {
-	return []crypto.SigClaim{{Signer: m.Replica, Digest: m.SigDigest(), Sig: m.Sig}}
+// AppendSigClaims implements crypto.SigClaimer: the voter's signature.
+func (m *VoteMsg) AppendSigClaims(dst []crypto.SigClaim, _ types.NodeID) []crypto.SigClaim {
+	return append(dst, crypto.SigClaim{Signer: m.Replica, Digest: m.SigDigest(), Sig: m.Sig})
 }
 
 // Verify reports whether m is from's validly authenticated vote: a vote
@@ -182,10 +182,10 @@ func (m *CertMsg) SigDigest() types.Digest {
 	return h.Sum()
 }
 
-// SigClaims implements crypto.SigClaimer: the leader's signature, whoever
+// AppendSigClaims implements crypto.SigClaimer: the leader's signature, whoever
 // relayed the certificate.
-func (m *CertMsg) SigClaims(types.NodeID) []crypto.SigClaim {
-	return []crypto.SigClaim{{Signer: m.Leader, Digest: m.SigDigest(), Sig: m.Sig}}
+func (m *CertMsg) AppendSigClaims(dst []crypto.SigClaim, _ types.NodeID) []crypto.SigClaim {
+	return append(dst, crypto.SigClaim{Signer: m.Leader, Digest: m.SigDigest(), Sig: m.Sig})
 }
 
 // Verify reports whether m carries its view's leader's valid signature.

@@ -124,12 +124,14 @@ type SigClaim struct {
 }
 
 // SigClaimer is implemented by messages that can expose their signature
-// claims for pre-verification. from is the transport-level sender, which
+// claims for pre-verification. AppendSigClaims appends them to dst and
+// returns the extended slice, so a caller that reuses dst pays no
+// allocation per message. from is the transport-level sender, which
 // claims whose signer the message does not name (e.g. a Tendermint
 // proposal is implicitly signed by the round's proposer — the sender, when
 // honest).
 type SigClaimer interface {
-	SigClaims(from types.NodeID) []SigClaim
+	AppendSigClaims(dst []SigClaim, from types.NodeID) []SigClaim
 }
 
 // Authority owns the key material of one deployment: an Ed25519 keypair

@@ -20,16 +20,24 @@
 // Workers=0 — every verification is inline and synchronous on the
 // calling goroutine, no pool goroutines exist, and results are pure
 // functions of the inputs. The worker pool and the async inbound-verify
-// stage (transport.Node.SetInboundPrepare feeding VerifyBatch) are
+// stage (transport.Node.SetInboundPrepare feeding Prepare) are
 // real-TCP-path features, where wall-clock nondeterminism already rules.
+//
+// On TCP the inbound lane already runs off the event loop, so Prepare
+// verifies a message's claims on the lane's own goroutine; the worker
+// pool is reached only by batches of more than batchChunk claims (a
+// chain-replication hop chain, the benchmark's batch micro-suite). That
+// prefetch path allocates nothing in steady state: claims are appended
+// into a pooled buffer, the inline VerifyBatch path captures nothing, and
+// the memo is an index-linked LRU that reuses its evicted entry once full.
 package vpool
 
 import (
-	"container/list"
 	"crypto/ed25519"
 	"crypto/sha256"
 	"encoding/binary"
-	"sort"
+	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -39,8 +47,8 @@ import (
 )
 
 // DefaultCache is the default bound on each cache (entries). With map
-// and list overhead an entry costs ~100 bytes, so the two caches
-// together stay under ~2 MiB per authority at this bound.
+// overhead an entry costs under 100 bytes, so the two caches together
+// stay under ~2 MiB per authority at this bound.
 const DefaultCache = 8192
 
 // batchChunk is the number of signatures one worker task verifies; small
@@ -99,7 +107,7 @@ type Engine struct {
 
 	// cacheMu guards both LRUs. One mutex, not two: a cert query touches
 	// the memo via its component verifies anyway, and the critical
-	// sections are map+list pokes dwarfed by the Ed25519 math outside.
+	// sections are map+index pokes dwarfed by the Ed25519 math outside.
 	cacheMu sync.Mutex
 	memo    *lruSet
 	certs   *lruSet
@@ -220,9 +228,8 @@ func sigKey(signer types.NodeID, d types.Digest, sig []byte) [32]byte {
 // into a copy first: the cached fact is about the *set*, and two
 // orderings of the same quorum must collide.
 func certKey(d types.Digest, signers []types.NodeID) [32]byte {
-	sorted := make([]types.NodeID, len(signers))
-	copy(sorted, signers)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	sorted := slices.Clone(signers)
+	slices.Sort(sorted)
 	h := sha256.New()
 	h.Write(d[:])
 	var idb [8]byte
@@ -321,34 +328,41 @@ func (e *Engine) VerifyBatch(claims []crypto.SigClaim) (ok, bad int) {
 	e.batchedSigs.Add(int64(len(claims)))
 	e.tracer.ObserveVerifyBatch(len(claims))
 
-	verifyChunk := func(chunk []crypto.SigClaim, good *int64) {
-		for _, c := range chunk {
-			if e.VerifySig(e.auth.PublicKey(c.Signer), c.Signer, c.Digest, c.Sig) {
-				atomic.AddInt64(good, 1)
-			}
+	e.poolMu.RLock()
+	pooled := e.tasks != nil
+	e.poolMu.RUnlock()
+	if !pooled || len(claims) <= batchChunk {
+		good := e.verifyRun(claims)
+		return good, len(claims) - good
+	}
+	good := e.verifyPooled(claims)
+	return good, len(claims) - good
+}
+
+// verifyRun verifies claims one after another on the calling goroutine
+// and returns how many hold. It captures nothing, so the inline path of
+// VerifyBatch allocates nothing.
+func (e *Engine) verifyRun(claims []crypto.SigClaim) int {
+	good := 0
+	for _, c := range claims {
+		if e.VerifySig(e.auth.PublicKey(c.Signer), c.Signer, c.Digest, c.Sig) {
+			good++
 		}
 	}
+	return good
+}
 
-	var good int64
-	e.poolMu.RLock()
-	tasks := e.tasks
-	e.poolMu.RUnlock()
-	if tasks == nil || len(claims) <= batchChunk {
-		verifyChunk(claims, &good)
-		return int(good), len(claims) - int(good)
-	}
-
+// verifyPooled spreads claims over the worker pool in chunks of
+// batchChunk and returns how many hold.
+func (e *Engine) verifyPooled(claims []crypto.SigClaim) int {
+	var good atomic.Int64
 	var wg sync.WaitGroup
 	for start := 0; start < len(claims); start += batchChunk {
-		end := start + batchChunk
-		if end > len(claims) {
-			end = len(claims)
-		}
-		chunk := claims[start:end]
+		chunk := claims[start:min(start+batchChunk, len(claims))]
 		wg.Add(1)
 		job := func() {
 			defer wg.Done()
-			verifyChunk(chunk, &good)
+			good.Add(int64(e.verifyRun(chunk)))
 		}
 		// Submission races Resize/Stop closing the channel; the read lock
 		// makes the send safe, and a full queue degrades to inline.
@@ -366,44 +380,91 @@ func (e *Engine) VerifyBatch(claims []crypto.SigClaim) (ok, bad int) {
 		e.poolMu.RUnlock()
 	}
 	wg.Wait()
-	return int(good), len(claims) - int(good)
+	return int(good.Load())
 }
 
-// lruSet is a bounded set of 32-byte keys with least-recently-used
-// eviction (map + intrusive list; has() refreshes recency).
+// lruSet is a bounded set of 32-byte keys with exact least-recently-used
+// eviction; has refreshes recency. The entries live in one array, linked
+// by index from most to least recent. The array grows by append up to the
+// bound; once the set is full, add reuses the evicted entry, so neither
+// add nor has allocates.
 type lruSet struct {
-	cap   int
-	order *list.List // front = most recent; values are [32]byte keys
-	items map[[32]byte]*list.Element
+	cap        int
+	items      map[[32]byte]int32 // key → index into ents
+	ents       []lruEntry
+	head, tail int32 // most and least recently used; -1 when empty
+}
+
+type lruEntry struct {
+	key        [32]byte
+	prev, next int32 // toward head and tail; -1 past either end
 }
 
 func newLRUSet(cap int) *lruSet {
-	return &lruSet{cap: cap, order: list.New(), items: make(map[[32]byte]*list.Element, cap)}
+	cap = min(cap, math.MaxInt32)
+	return &lruSet{cap: cap, items: make(map[[32]byte]int32, cap), head: -1, tail: -1}
 }
 
 func (s *lruSet) has(k [32]byte) bool {
-	el, ok := s.items[k]
+	i, ok := s.items[k]
 	if ok {
-		s.order.MoveToFront(el)
+		s.toFront(i)
 	}
 	return ok
 }
 
 func (s *lruSet) add(k [32]byte) {
-	if el, ok := s.items[k]; ok {
-		s.order.MoveToFront(el)
+	if i, ok := s.items[k]; ok {
+		s.toFront(i)
 		return
 	}
-	s.items[k] = s.order.PushFront(k)
-	for s.order.Len() > s.cap {
-		oldest := s.order.Back()
-		s.order.Remove(oldest)
-		delete(s.items, oldest.Value.([32]byte))
+	var i int32
+	if len(s.ents) < s.cap {
+		i = int32(len(s.ents))
+		s.ents = append(s.ents, lruEntry{key: k})
+	} else {
+		i = s.tail
+		s.unlink(i)
+		delete(s.items, s.ents[i].key)
+		s.ents[i].key = k
+	}
+	s.items[k] = i
+	s.pushFront(i)
+}
+
+func (s *lruSet) toFront(i int32) {
+	if i != s.head {
+		s.unlink(i)
+		s.pushFront(i)
 	}
 }
 
+func (s *lruSet) unlink(i int32) {
+	e := &s.ents[i]
+	if e.prev >= 0 {
+		s.ents[e.prev].next = e.next
+	} else {
+		s.head = e.next
+	}
+	if e.next >= 0 {
+		s.ents[e.next].prev = e.prev
+	} else {
+		s.tail = e.prev
+	}
+}
+
+func (s *lruSet) pushFront(i int32) {
+	s.ents[i].prev, s.ents[i].next = -1, s.head
+	if s.head >= 0 {
+		s.ents[s.head].prev = i
+	} else {
+		s.tail = i
+	}
+	s.head = i
+}
+
 // Len returns the current entry count (tests).
-func (s *lruSet) Len() int { return s.order.Len() }
+func (s *lruSet) Len() int { return len(s.ents) }
 
 // MemoLen / CertLen expose cache sizes for tests and ops surfaces.
 func (e *Engine) MemoLen() int {
@@ -424,26 +485,29 @@ func (e *Engine) CertLen() int {
 	return e.certs.Len()
 }
 
-// Claims extracts the signature claims a message exposes, nil when it
-// exposes none or carries an empty signature (MAC-authenticated variants
-// leave Sig nil). Shared by every inbound-prepare hook.
-func Claims(from types.NodeID, m types.Message) []crypto.SigClaim {
+// Claims appends to dst the signature claims a message exposes, leaving
+// out those with an empty signature (MAC-authenticated variants leave Sig
+// nil), and returns the extended slice: dst itself when the message
+// exposes none. Shared by every inbound-prepare hook.
+func Claims(dst []crypto.SigClaim, from types.NodeID, m types.Message) []crypto.SigClaim {
 	sc, ok := m.(crypto.SigClaimer)
 	if !ok {
-		return nil
+		return dst
 	}
-	all := sc.SigClaims(from)
-	out := all[:0]
-	for _, c := range all {
+	start := len(dst)
+	all := sc.AppendSigClaims(dst, from)
+	out := all[:start]
+	for _, c := range all[start:] {
 		if len(c.Sig) > 0 {
 			out = append(out, c)
 		}
 	}
-	if len(out) == 0 {
-		return nil
-	}
 	return out
 }
+
+// claimBufs recycles Prepare's claim buffers. Inbound lanes call one
+// Prepare hook in parallel, so each call draws a buffer of its own.
+var claimBufs = sync.Pool{New: func() any { return new([]crypto.SigClaim) }}
 
 // Prepare returns a transport inbound-prepare hook: it batch-verifies
 // every signature claim the message exposes, warming the memo so the
@@ -452,8 +516,11 @@ func Claims(from types.NodeID, m types.Message) []crypto.SigClaim {
 // stays with the protocol.
 func (e *Engine) Prepare() func(from types.NodeID, m types.Message) {
 	return func(from types.NodeID, m types.Message) {
-		if claims := Claims(from, m); claims != nil {
-			e.VerifyBatch(claims)
-		}
+		buf := claimBufs.Get().(*[]crypto.SigClaim)
+		claims := Claims((*buf)[:0], from, m)
+		e.VerifyBatch(claims)
+		clear(claims[:cap(claims)]) // pool no message's signatures
+		*buf = claims[:0]
+		claimBufs.Put(buf)
 	}
 }

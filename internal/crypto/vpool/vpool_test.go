@@ -1,8 +1,10 @@
 package vpool
 
 import (
+	"container/list"
 	"crypto/ed25519"
 	"fmt"
+	"math/rand/v2"
 	"runtime"
 	"sync"
 	"testing"
@@ -381,21 +383,120 @@ func TestStopDrainsGoroutines(t *testing.T) {
 }
 
 // TestClaims pins the claim-extraction helper: non-claimers and empty
-// signatures (MAC-mode messages) yield nil.
+// signatures (MAC-mode messages) append nothing, and what the caller's
+// buffer already holds is kept.
 func TestClaims(t *testing.T) {
 	d := types.DigestBytes([]byte("c"))
-	if Claims(0, plainMsg{}) != nil {
-		t.Fatal("non-claimer must yield nil")
+	if got := Claims(nil, 0, plainMsg{}); got != nil {
+		t.Fatalf("non-claimer appended %+v", got)
 	}
-	if Claims(0, claimMsg{claims: []crypto.SigClaim{{Signer: 1, Digest: d}}}) != nil {
-		t.Fatal("empty-signature claims must be filtered out")
+	if got := Claims(nil, 0, claimMsg{claims: []crypto.SigClaim{{Signer: 1, Digest: d}}}); len(got) != 0 {
+		t.Fatalf("empty-signature claims must be filtered out, got %+v", got)
 	}
-	got := Claims(0, claimMsg{claims: []crypto.SigClaim{
+	prior := crypto.SigClaim{Signer: 7, Digest: d}
+	got := Claims([]crypto.SigClaim{prior}, 0, claimMsg{claims: []crypto.SigClaim{
 		{Signer: 1, Digest: d},
 		{Signer: 2, Digest: d, Sig: []byte{1, 2, 3}},
 	}})
-	if len(got) != 1 || got[0].Signer != 2 {
-		t.Fatalf("claims = %+v, want the one signed claim", got)
+	if len(got) != 2 || got[0].Signer != 7 || got[1].Signer != 2 {
+		t.Fatalf("claims = %+v, want the prior claim, then the one signed claim", got)
+	}
+}
+
+// TestLRUMatchesListReference runs a random add/has program against the
+// index-linked set and the container/list set it replaced: membership and
+// Len agree after every operation, so eviction is exactly LRU and memo
+// hit/miss counts are what they were.
+func TestLRUMatchesListReference(t *testing.T) {
+	for _, capacity := range []int{1, 2, 5, 64} {
+		rng := rand.New(rand.NewPCG(uint64(capacity), 30))
+		s, ref := newLRUSet(capacity), newListLRU(capacity)
+		keys := make([][32]byte, 3*capacity+2)
+		for i := range keys {
+			keys[i][0], keys[i][1] = byte(i), byte(i>>8)
+		}
+		for op := 0; op < 20_000; op++ {
+			k := keys[rng.IntN(len(keys))]
+			if rng.IntN(2) == 0 {
+				s.add(k)
+				ref.add(k)
+			} else if got, want := s.has(k), ref.has(k); got != want {
+				t.Fatalf("cap %d op %d: has = %v, reference %v", capacity, op, got, want)
+			}
+			if s.Len() != ref.order.Len() {
+				t.Fatalf("cap %d op %d: Len = %d, reference %d", capacity, op, s.Len(), ref.order.Len())
+			}
+			for _, k := range keys {
+				if _, in := s.items[k]; in != (ref.items[k] != nil) {
+					t.Fatalf("cap %d op %d: membership of %x differs", capacity, op, k[:2])
+				}
+			}
+		}
+	}
+}
+
+// listLRU is the container/list set lruSet replaced, kept as the
+// reference TestLRUMatchesListReference checks it against.
+type listLRU struct {
+	cap   int
+	order *list.List // front = most recent; values are [32]byte keys
+	items map[[32]byte]*list.Element
+}
+
+func newListLRU(cap int) *listLRU {
+	return &listLRU{cap: cap, order: list.New(), items: make(map[[32]byte]*list.Element)}
+}
+
+func (s *listLRU) has(k [32]byte) bool {
+	el, ok := s.items[k]
+	if ok {
+		s.order.MoveToFront(el)
+	}
+	return ok
+}
+
+func (s *listLRU) add(k [32]byte) {
+	if el, ok := s.items[k]; ok {
+		s.order.MoveToFront(el)
+		return
+	}
+	s.items[k] = s.order.PushFront(k)
+	for s.order.Len() > s.cap {
+		oldest := s.order.Back()
+		s.order.Remove(oldest)
+		delete(s.items, oldest.Value.([32]byte))
+	}
+}
+
+// TestPrepareConcurrentBuffers calls one Prepare hook from many goroutines
+// with distinct signed messages. Each claim is verified exactly once and
+// none is rejected, which a claim buffer shared between two calls would
+// break (under -race it would also be a reported race).
+func TestPrepareConcurrentBuffers(t *testing.T) {
+	auth := crypto.NewAuthority(13)
+	e := New(auth, Options{Cache: 4096})
+	prepare := e.Prepare()
+	const goroutines, perG = 8, 40
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		msgs := make([]claimMsg, perG)
+		for i := range msgs {
+			signer := types.NodeID(g)
+			d := digestN(g*perG + i)
+			msgs[i] = claimMsg{claims: []crypto.SigClaim{{Signer: signer, Digest: d, Sig: auth.Signer(signer).Sign(d)}}}
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, m := range msgs {
+				prepare(types.NodeID(g), m)
+			}
+		}()
+	}
+	wg.Wait()
+	s := e.Stats()
+	if s.Performed != goroutines*perG || s.Rejected != 0 || s.BatchedSigs != goroutines*perG {
+		t.Fatalf("stats = %+v, want %d performed and batched, 0 rejected", s, goroutines*perG)
 	}
 }
 
@@ -405,5 +506,7 @@ func (plainMsg) Kind() string { return "PLAIN" }
 
 type claimMsg struct{ claims []crypto.SigClaim }
 
-func (claimMsg) Kind() string                               { return "CLAIMED" }
-func (m claimMsg) SigClaims(types.NodeID) []crypto.SigClaim { return m.claims }
+func (claimMsg) Kind() string { return "CLAIMED" }
+func (m claimMsg) AppendSigClaims(dst []crypto.SigClaim, _ types.NodeID) []crypto.SigClaim {
+	return append(dst, m.claims...)
+}

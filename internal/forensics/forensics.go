@@ -6,8 +6,8 @@
 //
 // The auditor taps message delivery (sim.Network.SetTap on the
 // simulator, a handler wrapper on real TCP), extracts each message's
-// crypto.SigClaims, and keeps a bounded evidence table keyed by
-// (signer, kind, view, seq). Conflicting validly-signed digests at one
+// signature claims (crypto.SigClaimer), and keeps a bounded evidence
+// table keyed by (signer, kind, view, seq). Conflicting validly-signed digests at one
 // key become equivocation proofs; invalid claims become forged-sig
 // proofs blaming the transport sender; excessive identical deliveries
 // become replay proofs; conflicting signed replies for one request
@@ -230,6 +230,10 @@ type Auditor struct {
 
 	proofs     []*Proof
 	proofCount map[proofCountKey]int
+
+	// claims is the buffer each delivery's signature claims are appended
+	// into, reused under mu.
+	claims []crypto.SigClaim
 }
 
 // New builds an auditor. It panics on a missing key ring or replica
@@ -308,7 +312,8 @@ func (a *Auditor) Observe(at time.Duration, from, to types.NodeID, m types.Messa
 	if !ok {
 		return
 	}
-	for _, c := range claimer.SigClaims(from) {
+	a.claims = claimer.AppendSigClaims(a.claims[:0], from)
+	for _, c := range a.claims {
 		a.observeClaim(at, from, to, kind, phase, m, c)
 	}
 }

@@ -58,16 +58,15 @@ func slotDigest(v types.View, seq types.SeqNum, d types.Digest) types.Digest {
 	return h.Sum()
 }
 
-// SigClaims implements crypto.SigClaimer: one claim per hop, each a named
-// replica's endorsement of the slot digest — receivers verify every hop
-// against hop.Replica, not the sender.
-func (m *ChainMsg) SigClaims(types.NodeID) []crypto.SigClaim {
+// AppendSigClaims implements crypto.SigClaimer: one claim per hop, each a
+// named replica's endorsement of the slot digest — receivers verify every
+// hop against hop.Replica, not the sender.
+func (m *ChainMsg) AppendSigClaims(dst []crypto.SigClaim, _ types.NodeID) []crypto.SigClaim {
 	sd := slotDigest(m.View, m.Seq, m.Digest)
-	claims := make([]crypto.SigClaim, 0, len(m.Hops))
 	for _, hop := range m.Hops {
-		claims = append(claims, crypto.SigClaim{Signer: hop.Replica, Digest: sd, Sig: hop.Sig})
+		dst = append(dst, crypto.SigClaim{Signer: hop.Replica, Digest: sd, Sig: hop.Sig})
 	}
-	return claims
+	return dst
 }
 
 // CommitNoticeMsg is the tail's signed commit announcement.
@@ -93,10 +92,10 @@ func (m *CommitNoticeMsg) SigDigest() types.Digest {
 	return h.Sum()
 }
 
-// SigClaims implements crypto.SigClaimer: the named tail's signature —
+// AppendSigClaims implements crypto.SigClaimer: the named tail's signature —
 // receivers verify against m.Tail, not the sender.
-func (m *CommitNoticeMsg) SigClaims(types.NodeID) []crypto.SigClaim {
-	return []crypto.SigClaim{{Signer: m.Tail, Digest: m.SigDigest(), Sig: m.Sig}}
+func (m *CommitNoticeMsg) AppendSigClaims(dst []crypto.SigClaim, _ types.NodeID) []crypto.SigClaim {
+	return append(dst, crypto.SigClaim{Signer: m.Tail, Digest: m.SigDigest(), Sig: m.Sig})
 }
 
 // PanicMsg is the client's alarm that the chain stalled.

@@ -49,10 +49,10 @@ func (m *UpdateMsg) SigDigest() types.Digest {
 	return h.Sum()
 }
 
-// SigClaims implements crypto.SigClaimer: the active replica's signature
+// AppendSigClaims implements crypto.SigClaimer: the active replica's signature
 // on the shipped batch, which passive receivers verify against the sender.
-func (m *UpdateMsg) SigClaims(from types.NodeID) []crypto.SigClaim {
-	return []crypto.SigClaim{{Signer: from, Digest: m.SigDigest(), Sig: m.Sig}}
+func (m *UpdateMsg) AppendSigClaims(dst []crypto.SigClaim, from types.NodeID) []crypto.SigClaim {
+	return append(dst, crypto.SigClaim{Signer: from, Digest: m.SigDigest(), Sig: m.Sig})
 }
 
 // Options tunes a CheapBFT replica.

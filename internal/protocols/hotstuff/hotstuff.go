@@ -109,10 +109,10 @@ func (m *ProposalMsg) SigDigest() types.Digest {
 	return h.Sum()
 }
 
-// SigClaims implements crypto.SigClaimer: the leader's signature, which
+// AppendSigClaims implements crypto.SigClaimer: the leader's signature, which
 // receivers verify against the sender.
-func (m *ProposalMsg) SigClaims(from types.NodeID) []crypto.SigClaim {
-	return []crypto.SigClaim{{Signer: from, Digest: m.SigDigest(), Sig: m.Sig}}
+func (m *ProposalMsg) AppendSigClaims(dst []crypto.SigClaim, from types.NodeID) []crypto.SigClaim {
+	return append(dst, crypto.SigClaim{Signer: from, Digest: m.SigDigest(), Sig: m.Sig})
 }
 
 // VoteMsg is a replica's vote for a block, sent to the next leader.
@@ -130,10 +130,10 @@ func (*VoteMsg) Kind() string { return "HS-VOTE" }
 // Slot implements obsv.Slotted.
 func (m *VoteMsg) Slot() (types.View, types.SeqNum) { return m.View, m.Height }
 
-// SigClaims implements crypto.SigClaimer: the voter's signature over the
+// AppendSigClaims implements crypto.SigClaimer: the voter's signature over the
 // vote digest, which the next leader verifies against the sender.
-func (m *VoteMsg) SigClaims(from types.NodeID) []crypto.SigClaim {
-	return []crypto.SigClaim{{Signer: from, Digest: voteDigest(m.Block, m.View, m.Height), Sig: m.Sig}}
+func (m *VoteMsg) AppendSigClaims(dst []crypto.SigClaim, from types.NodeID) []crypto.SigClaim {
+	return append(dst, crypto.SigClaim{Signer: from, Digest: voteDigest(m.Block, m.View, m.Height), Sig: m.Sig})
 }
 
 // TimeoutMsg is the pacemaker's view-synchronization message (τ5).

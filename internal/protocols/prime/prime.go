@@ -49,10 +49,10 @@ func (m *PORequestMsg) SigDigest() types.Digest {
 	return h.Sum()
 }
 
-// SigClaims implements crypto.SigClaimer: the origin's preorder stamp,
+// AppendSigClaims implements crypto.SigClaimer: the origin's preorder stamp,
 // which receivers verify against the sender.
-func (m *PORequestMsg) SigClaims(from types.NodeID) []crypto.SigClaim {
-	return []crypto.SigClaim{{Signer: from, Digest: m.SigDigest(), Sig: m.Sig}}
+func (m *PORequestMsg) AppendSigClaims(dst []crypto.SigClaim, from types.NodeID) []crypto.SigClaim {
+	return append(dst, crypto.SigClaim{Signer: from, Digest: m.SigDigest(), Sig: m.Sig})
 }
 
 // POAckMsg acknowledges receipt of a preordered request (all-to-all).
@@ -74,10 +74,10 @@ func (m *POAckMsg) SigDigest() types.Digest {
 	return h.Sum()
 }
 
-// SigClaims implements crypto.SigClaimer: the acker's signature, which
+// AppendSigClaims implements crypto.SigClaimer: the acker's signature, which
 // receivers verify against the sender.
-func (m *POAckMsg) SigClaims(from types.NodeID) []crypto.SigClaim {
-	return []crypto.SigClaim{{Signer: from, Digest: m.SigDigest(), Sig: m.Sig}}
+func (m *POAckMsg) AppendSigClaims(dst []crypto.SigClaim, from types.NodeID) []crypto.SigClaim {
+	return append(dst, crypto.SigClaim{Signer: from, Digest: m.SigDigest(), Sig: m.Sig})
 }
 
 // Options tunes a Prime replica.

@@ -59,10 +59,10 @@ func (m *ProposalMsg) SigDigest() types.Digest {
 	return h.Sum()
 }
 
-// SigClaims implements crypto.SigClaimer: the proposer's signature,
+// AppendSigClaims implements crypto.SigClaimer: the proposer's signature,
 // which receivers verify against the sender.
-func (m *ProposalMsg) SigClaims(from types.NodeID) []crypto.SigClaim {
-	return []crypto.SigClaim{{Signer: from, Digest: m.SigDigest(), Sig: m.Sig}}
+func (m *ProposalMsg) AppendSigClaims(dst []crypto.SigClaim, from types.NodeID) []crypto.SigClaim {
+	return append(dst, crypto.SigClaim{Signer: from, Digest: m.SigDigest(), Sig: m.Sig})
 }
 
 // VoteMsg is a prevote or precommit. A zero digest votes nil.
@@ -89,10 +89,10 @@ func (m *VoteMsg) SigDigest() types.Digest {
 	return h.Sum()
 }
 
-// SigClaims implements crypto.SigClaimer: the voter's signature, which
+// AppendSigClaims implements crypto.SigClaimer: the voter's signature, which
 // receivers verify against the sender.
-func (m *VoteMsg) SigClaims(from types.NodeID) []crypto.SigClaim {
-	return []crypto.SigClaim{{Signer: from, Digest: m.SigDigest(), Sig: m.Sig}}
+func (m *VoteMsg) AppendSigClaims(dst []crypto.SigClaim, from types.NodeID) []crypto.SigClaim {
+	return append(dst, crypto.SigClaim{Signer: from, Digest: m.SigDigest(), Sig: m.Sig})
 }
 
 // FetchProposalMsg asks a peer to re-send the batch behind a decided

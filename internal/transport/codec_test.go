@@ -58,6 +58,29 @@ func TestWireRejectsLengthPastFrame(t *testing.T) {
 	expectReject(t, cat([]byte{3, propose, 0, 0}, make([]byte, 32), []byte{0}, uv(1<<40)), wire.ErrShort)
 }
 
+// TestWireRejectsMemoryAmplification: a MAC vector of empty entries costs
+// 1 byte per entry on the wire and a 24-byte slice header in memory, so a
+// 4 MiB frame of them would decode into 96 MiB. The decoder charges what
+// a frame allocates against one budget of wire.MaxExpansion bytes per
+// frame byte. Spreading the holes over many nested vectors, each small
+// beside the whole frame, still exhausts that one budget.
+func TestWireRejectsMemoryAmplification(t *testing.T) {
+	expectReject(t, payload(t, 3, &core.VoteMsg{Auth: make([][]byte, 1<<16)}), wire.ErrMemory)
+
+	nested := &core.ProposeMsg{}
+	for i := 0; i < 256; i++ {
+		nested.Evidence = append(nested.Evidence, &core.VoteMsg{Auth: make([][]byte, 256)})
+	}
+	expectReject(t, payload(t, 3, nested), wire.ErrMemory)
+
+	// A real authenticator vector decodes: its MACs are bytes on the wire.
+	macs := make([][]byte, 16)
+	for i := range macs {
+		macs[i] = bytes.Repeat([]byte{byte(i + 1)}, 32)
+	}
+	roundTrip(t, &core.VoteMsg{Replica: 1, Auth: macs})
+}
+
 // TestWireRejectsNonMinimalVarint: 3 encoded in two bytes is not the
 // canonical 3, in the sender or in a field, and an 11-byte varint
 // overflows.

@@ -14,7 +14,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"hash"
-	"sort"
+	"slices"
 )
 
 // NodeID identifies a participant. Replicas are numbered 0..n-1; clients
@@ -292,7 +292,7 @@ type CommitProof struct {
 
 // NormalizeVoters sorts and deduplicates the voter list in place.
 func (p *CommitProof) NormalizeVoters() {
-	sort.Slice(p.Voters, func(i, j int) bool { return p.Voters[i] < p.Voters[j] })
+	slices.Sort(p.Voters)
 	out := p.Voters[:0]
 	var prev NodeID = -1
 	for _, v := range p.Voters {

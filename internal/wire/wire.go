@@ -29,7 +29,9 @@
 // or 1, an unknown tag, a tag whose type does not implement the interface
 // of the field it fills, a nil element of a slice of pointers, trailing
 // bytes, and nesting deeper than MaxDepth. Every length is checked against
-// the bytes left in the frame before anything is allocated.
+// the bytes left in the frame before anything is allocated, and what a
+// frame allocates is charged against a budget proportional to its length
+// (MaxExpansion).
 package wire
 
 import (
@@ -53,6 +55,15 @@ const HeaderLen = 4
 // the decoder recurses once per level.
 const MaxDepth = 16
 
+// MaxExpansion bounds the memory a frame decodes into, per byte of its
+// payload. Beyond the message's own struct, every slice (n × element
+// size), string, pointee and interface value the decoder allocates is
+// charged against one budget of MaxExpansion × the payload length, so
+// nesting cannot multiply the bound. Without it a vector of empty byte
+// strings costs 1 byte each on the wire and 24 in memory. Real messages
+// carry digests and signatures and stay far below the bound.
+const MaxExpansion = 16
+
 // Decode errors: each is a frame the decoder refuses.
 var (
 	ErrShort     = errors.New("wire: frame ends before the value does")
@@ -64,6 +75,7 @@ var (
 	ErrNilElem   = errors.New("wire: nil element in a slice of pointers")
 	ErrTrailing  = errors.New("wire: trailing bytes after the message")
 	ErrDepth     = errors.New("wire: nesting deeper than MaxDepth")
+	ErrMemory    = errors.New("wire: frame decodes to more than MaxExpansion bytes per frame byte")
 )
 
 // Encode errors: each is a message that has no frame.
@@ -270,7 +282,7 @@ func FrameSize(from types.NodeID, m types.Message) int {
 // prefix. A nil message with no error is a frame that carries none. The
 // message owns its memory: nothing in it aliases payload.
 func Decode(payload []byte) (types.NodeID, types.Message, error) {
-	d := decoder{buf: payload}
+	d := decoder{buf: payload, budget: MaxExpansion * uint64(len(payload))}
 	from, err := d.uvarint()
 	if err != nil {
 		return 0, nil, err
@@ -438,8 +450,18 @@ func sizeValue(p *plan, v reflect.Value, depth int) int {
 // --- decoding ---
 
 type decoder struct {
-	buf []byte
-	off int
+	buf    []byte
+	off    int
+	budget uint64 // bytes the frame may still allocate
+}
+
+// charge takes size bytes of memory from the frame's budget.
+func (d *decoder) charge(size uint64) error {
+	if size > d.budget {
+		return ErrMemory
+	}
+	d.budget -= size
+	return nil
 }
 
 func (d *decoder) uvarint() (uint64, error) {
@@ -483,9 +505,10 @@ func (d *decoder) take(n int) ([]byte, error) {
 	return d.buf[d.off-n : d.off], nil
 }
 
-// count reads a length whose items encode to at least min bytes each, and
-// refuses it unless that many items fit in what is left of the frame.
-func (d *decoder) count(min int) (int, error) {
+// count reads a length whose items encode to at least min bytes each and
+// take size bytes each in memory. It refuses the length unless that many
+// items fit in what is left of the frame, then charges their memory.
+func (d *decoder) count(min int, size uintptr) (int, error) {
 	n, err := d.uvarint()
 	if err != nil {
 		return 0, err
@@ -493,7 +516,7 @@ func (d *decoder) count(min int) (int, error) {
 	if n > uint64(len(d.buf)-d.off)/uint64(max(min, 1)) {
 		return 0, ErrShort
 	}
-	return int(n), nil
+	return int(n), d.charge(n * uint64(size))
 }
 
 // tagged reads a kind tag and the message behind it. iface, when not nil,
@@ -514,6 +537,11 @@ func (d *decoder) tagged(iface reflect.Type, depth int) (reflect.Value, error) {
 	rt := registry.kinds[tag-1]
 	if iface != nil && !rt.Implements(iface) {
 		return reflect.Value{}, ErrInterface
+	}
+	if iface != nil { // a nested message; the frame's own is free
+		if err := d.charge(uint64(rt.Elem().Size())); err != nil {
+			return reflect.Value{}, err
+		}
 	}
 	v := reflect.New(rt.Elem())
 	return v, d.value(registry.plans[tag-1], v.Elem(), depth)
@@ -548,7 +576,7 @@ func (d *decoder) value(p *plan, v reflect.Value, depth int) error {
 		v.SetInt(i)
 		return nil
 	case opString, opBytes:
-		n, err := d.count(1)
+		n, err := d.count(1, 1)
 		if err != nil || n == 0 {
 			return err
 		}
@@ -573,7 +601,7 @@ func (d *decoder) value(p *plan, v reflect.Value, depth int) error {
 		}
 		return nil
 	case opSlice:
-		n, err := d.count(p.elem.min)
+		n, err := d.count(p.elem.min, p.elem.typ.Size())
 		if err != nil || n == 0 {
 			return err
 		}
@@ -622,6 +650,9 @@ func (d *decoder) pointee(p *plan, v reflect.Value, depth int, absent error) err
 	}
 	if !present {
 		return absent
+	}
+	if err := d.charge(uint64(p.typ.Elem().Size())); err != nil {
+		return err
 	}
 	nv := reflect.New(p.typ.Elem())
 	if err := d.value(p.elem, nv.Elem(), depth); err != nil {

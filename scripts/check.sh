@@ -107,6 +107,18 @@ if [ -n "$gob" ]; then
 	exit 1
 fi
 
+# One claim interface, and a prefetch that allocates nothing: messages
+# expose their signatures through crypto.SigClaimer's AppendSigClaims
+# alone, and the verification engine's memo is its own index-linked LRU,
+# not container/list, which boxes every key.
+listed=$(grep -l '"container/list"' $(ls internal/crypto/vpool/*.go | grep -v _test.go) || true)
+claimers=$(grep -nE '\) SigClaims\(' $sources || true)
+if [ -n "$listed$claimers" ]; then
+	echo "container/list in internal/crypto/vpool, or a SigClaims method (implement AppendSigClaims):" >&2
+	echo "$listed$claimers" >&2
+	exit 1
+fi
+
 go vet ./...
 go build ./...
 
