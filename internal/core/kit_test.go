@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -813,23 +814,23 @@ func TestSlotsOneVotePerSenderPerStage(t *testing.T) {
 	if sl == nil {
 		t.Fatal("a valid proposal was refused")
 	}
-	if r.slots.Vote(StagePrepare, 0, 1, 2, dx, sig(2)) != sl {
+	if r.slots.vote(StagePrepare, 0, 1, 2, dx, sig(2)) != sl {
 		t.Fatal("first vote not recorded")
 	}
-	if r.slots.Vote(StagePrepare, 0, 1, 2, dx, sig(9)) != nil || r.slots.Vote(StagePrepare, 0, 1, 2, r.y.Digest(), sig(9)) != nil {
+	if r.slots.vote(StagePrepare, 0, 1, 2, dx, sig(9)) != nil || r.slots.vote(StagePrepare, 0, 1, 2, r.y.Digest(), sig(9)) != nil {
 		t.Fatal("a sender voted twice at one stage")
 	}
-	if r.slots.Vote(StageCommit, 0, 1, 2, dx, sig(2)) != sl {
+	if r.slots.vote(StageCommit, 0, 1, 2, dx, sig(2)) != sl {
 		t.Fatal("a vote at another stage is a separate vote")
 	}
-	if r.slots.Vote(StageSign, 0, 1, 3, dx, nil) != nil || r.slots.Vote(StagePrepare, 1, 1, 3, dx, nil) != nil {
+	if r.slots.vote(StageSign, 0, 1, 3, dx, nil) != nil || r.slots.vote(StagePrepare, 1, 1, 3, dx, nil) != nil {
 		t.Fatal("votes for an undeclared stage or another view must be refused")
 	}
-	if got := sl.Count(StagePrepare); got != 1 {
+	if got := sl.count(StagePrepare); got != 1 {
 		t.Fatalf("prepare count = %d, want 1", got)
 	}
-	if !sl.Voted(StagePrepare, 2) || sl.Voted(StagePrepare, 3) {
-		t.Fatal("Voted does not reflect who is on record")
+	if voted := func(id types.NodeID) bool { return r.slots.votes.index(stageKey{1, StagePrepare}, id) >= 0 }; !voted(2) || voted(3) {
+		t.Fatal("the tally does not reflect who is on record")
 	}
 }
 
@@ -838,16 +839,16 @@ func TestSlotsVoteCountsOnlyTowardItsDigest(t *testing.T) {
 	dx, dy := r.x.Digest(), r.y.Digest()
 	// One vote for y and one for x overtake the proposal; the leader
 	// assigns x; then one more vote each way.
-	r.slots.Vote(StagePrepare, 0, 1, 0, dy, sig(0))
-	early := r.slots.Vote(StagePrepare, 0, 1, 2, dx, sig(2))
-	if early == nil || early.Count(StagePrepare) != 0 || early.Reached(StagePrepare, 1) {
+	r.slots.vote(StagePrepare, 0, 1, 0, dy, sig(0))
+	early := r.slots.vote(StagePrepare, 0, 1, 2, dx, sig(2))
+	if early == nil || early.count(StagePrepare) != 0 || early.reached(StagePrepare, 1) {
 		t.Fatal("votes counted at a slot with no assigned digest")
 	}
 	sl := r.slots.Accept(proposal(0, 1, dx, r.x))
-	r.slots.Vote(StagePrepare, 0, 1, 3, dy, sig(3))
-	r.slots.Vote(StagePrepare, 0, 1, 1, dx, sig(1))
-	if sl != early || sl.Count(StagePrepare) != 2 {
-		t.Fatalf("count for the assigned digest = %d, want 2", sl.Count(StagePrepare))
+	r.slots.vote(StagePrepare, 0, 1, 3, dy, sig(3))
+	r.slots.vote(StagePrepare, 0, 1, 1, dx, sig(1))
+	if sl != early || sl.count(StagePrepare) != 2 {
+		t.Fatalf("count for the assigned digest = %d, want 2", sl.count(StagePrepare))
 	}
 	cert := sl.Certificate(StagePrepare)
 	if !reflect.DeepEqual(cert.Signers, []types.NodeID{2, 1}) || !reflect.DeepEqual(cert.Sigs, [][]byte{sig(2), sig(1)}) {
@@ -864,13 +865,13 @@ func TestSlotsReachedFiresOnce(t *testing.T) {
 	sl := r.slots.Accept(proposal(0, 1, dx, r.x))
 	fired := 0
 	for from := types.NodeID(0); from < 4; from++ {
-		r.slots.Vote(StageCommit, 0, 1, from, dx, nil) // presence-only votes
-		if sl.Reached(StageCommit, 3) {
+		r.slots.vote(StageCommit, 0, 1, from, dx, nil) // presence-only votes
+		if sl.reached(StageCommit, 3) {
 			fired++
 		}
 	}
 	if fired != 1 || !sl.Past(StageCommit) || sl.Past(StagePrepare) {
-		t.Fatalf("Reached fired %d times (Past commit %v, prepare %v)", fired, sl.Past(StageCommit), sl.Past(StagePrepare))
+		t.Fatalf("reached fired %d times (Past commit %v, prepare %v)", fired, sl.Past(StageCommit), sl.Past(StagePrepare))
 	}
 	if got := sl.Voters(StageCommit); len(got) != 4 {
 		t.Fatalf("voters = %v, want all four", got)
@@ -908,17 +909,17 @@ func TestSlotsWindowRefusal(t *testing.T) {
 	r := newVCRig(1)
 	dx := r.x.Digest()
 	window := types.SeqNum(r.rep.Config().HighWaterWindow)
-	if r.slots.Vote(StagePrepare, 0, window+1, 2, dx, nil) != nil || r.slots.Accept(proposal(0, window+1, dx, r.x)) != nil {
+	if r.slots.vote(StagePrepare, 0, window+1, 2, dx, nil) != nil || r.slots.Accept(proposal(0, window+1, dx, r.x)) != nil {
 		t.Fatal("state created above the window")
 	}
-	if r.slots.Vote(StagePrepare, 0, window, 2, dx, nil) == nil {
+	if r.slots.vote(StagePrepare, 0, window, 2, dx, nil) == nil {
 		t.Fatal("the window's last slot was refused")
 	}
 	r.rep.Commit(0, 1, r.x, nil) // executes slot 1: the window slides
-	if r.slots.Vote(StagePrepare, 0, 1, 2, dx, nil) != nil || r.slots.Accept(proposal(0, 1, dx, r.x)) != nil {
+	if r.slots.vote(StagePrepare, 0, 1, 2, dx, nil) != nil || r.slots.Accept(proposal(0, 1, dx, r.x)) != nil {
 		t.Fatal("state created for an executed slot")
 	}
-	if r.slots.Vote(StagePrepare, 0, window+1, 2, dx, nil) == nil {
+	if r.slots.vote(StagePrepare, 0, window+1, 2, dx, nil) == nil {
 		t.Fatal("the window did not follow execution")
 	}
 	if r.slots.Len() != 2 {
@@ -933,8 +934,8 @@ func TestSlotsViewEntryDropsVotesNotExecution(t *testing.T) {
 	r.rep.Commit(0, 1, r.x, nil)
 	r.slots.Executed(1, r.x, [][]byte{nil})
 	r.slots.Accept(proposal(0, 2, dy, r.y))
-	r.slots.Vote(StagePrepare, 0, 2, 3, dy, sig(3))
-	if r.slots.Get(1) != nil || r.slots.Len() != 1 || r.slots.NextSeq() != 1 {
+	r.slots.vote(StagePrepare, 0, 2, 3, dy, sig(3))
+	if r.slots.slots[1] != nil || r.slots.Len() != 1 || r.slots.NextSeq() != 1 {
 		t.Fatalf("after executing slot 1: Len %d, NextSeq %d", r.slots.Len(), r.slots.NextSeq())
 	}
 
@@ -943,7 +944,7 @@ func TestSlotsViewEntryDropsVotesNotExecution(t *testing.T) {
 		t.Fatal("entering a view kept the old view's slots")
 	}
 	sl := r.slots.Accept(proposal(1, 2, dy, r.y))
-	if sl == nil || sl.Count(StagePrepare) != 0 || sl.Voted(StagePrepare, 3) {
+	if sl == nil || sl.count(StagePrepare) != 0 || r.slots.votes.index(stageKey{2, StagePrepare}, 3) >= 0 {
 		t.Fatal("a vote of the old view survived into the new one")
 	}
 	if r.slots.Accept(proposal(1, 1, dx, r.x)) != nil || !r.backlog.Done(r.x.Requests[0].Key()) || r.slots.NextSeq() != 1 {
@@ -984,12 +985,214 @@ func TestSlotsProposeStopsAtTheWindow(t *testing.T) {
 	if !reflect.DeepEqual(proposed, []types.SeqNum{1, 2, 3, 4}) {
 		t.Fatalf("proposed %v with a window of 4, want [1 2 3 4]", proposed)
 	}
-	first := slots.Get(1).Batch
+	first := slots.slots[1].Batch
 	r.rep.Commit(0, 1, first, nil)
 	slots.Executed(1, first, [][]byte{nil})
 	proposed = nil
 	propose()
 	if !reflect.DeepEqual(proposed, []types.SeqNum{5}) {
 		t.Fatalf("after slot 1 executed the leader proposed %v, want [5]", proposed)
+	}
+}
+
+// --- the fast path and the tree ---------------------------------------------
+
+// sbftStages is SBFT's stage list: sign shares to the collector with the
+// fast path, then, on the slow path, commit shares to the collector.
+var sbftStages = []StageSpec{
+	{Stage: StageSign, Voters: VotersAll, Collect: true, Quorum: Term(2, 1), FastWait: 8 * time.Millisecond},
+	{Stage: StageCommit, Voters: VotersAll, Collect: true, Quorum: Term(2, 1)},
+}
+
+// kauriStages is Kauri's: two rounds the root certifies, run on its tree.
+var kauriStages = []StageSpec{
+	{Stage: StagePrepare, Voters: VotersAll, Collect: true, Quorum: Term(2, 1)},
+	{Stage: StageCommit, Voters: VotersAll, Collect: true, Quorum: Term(2, 1)},
+}
+
+// newRunnerRig is the rig's replica running stages under profile, with
+// the runner's own acceptance of re-issued slots.
+func newRunnerRig(id types.NodeID, profile Profile, stages ...StageSpec) *vcRig {
+	r := newVCRig(id, func(h *ViewChangeHooks) { h.Accept = nil })
+	r.slots = NewSlots[struct{}](r.rep, profile, r.backlog, r.vc, nil, stages...)
+	return r
+}
+
+// signedVote is from's vote at stage for d at slot 1 of view 0.
+func (r *vcRig) signedVote(stage Stage, from types.NodeID, d types.Digest) *VoteMsg {
+	m := &VoteMsg{Stage: stage, Seq: 1, Digest: d, Replica: from}
+	m.Sig = r.auth.Signer(from).Sign(m.SigDigest())
+	return m
+}
+
+// aggregate is an aggregate of the signers' votes at stage for d at slot 1
+// of view 0.
+func (r *vcRig) aggregate(stage Stage, d types.Digest, signers ...types.NodeID) *AggrMsg {
+	m := &AggrMsg{Stage: stage, Seq: 1, Digest: d, Signers: signers}
+	for _, id := range signers {
+		m.Sigs = append(m.Sigs, r.auth.Signer(id).Sign(VoteDigest(stage, 0, 1, d)))
+	}
+	return m
+}
+
+// sentSince lists what the replica sent from the mark'th send on, as
+// "KIND->to", and moves the mark to the end.
+func (r *vcRig) sentSince(mark *int) []string {
+	var out []string
+	for _, s := range r.d.sent[*mark:] {
+		out = append(out, fmt.Sprintf("%s->%d", s.M.Kind(), s.To))
+	}
+	*mark = len(r.d.sent)
+	return out
+}
+
+// fire releases the timers due within dt and hands them to the runner.
+func (r *vcRig) fire(dt time.Duration) {
+	r.rec.timers = nil
+	r.d.advance(dt)
+	for _, id := range r.rec.timers {
+		if !r.slots.OnTimer(id) {
+			r.vc.OnTimer(id)
+		}
+	}
+}
+
+// lastCert returns the last certificate the replica sent.
+func (r *vcRig) lastCert() *CertMsg {
+	for i := len(r.d.sent) - 1; i >= 0; i-- {
+		if cm, ok := r.d.sent[i].M.(*CertMsg); ok {
+			return cm
+		}
+	}
+	return nil
+}
+
+func TestFastPathCommitsOnAllNShares(t *testing.T) {
+	r := newRunnerRig(0, SBFTProfile(), sbftStages...)
+	dx, mark := r.x.Digest(), 0
+	r.slots.Issue(NewProposal(r.rep, 0, 1, r.x))
+	r.slots.OnMessage(1, r.signedVote(StageSign, 1, dx))
+	r.slots.OnMessage(2, r.signedVote(StageSign, 2, dx))
+	if got := r.sentSince(&mark); !reflect.DeepEqual(got, []string{"PROPOSE->1", "PROPOSE->2", "PROPOSE->3"}) || len(r.rec.executed) != 0 {
+		t.Fatalf("with a quorum of 3 shares but not all 4: sent %v, executed %v; the fast path waits for all n", got, r.rec.executed)
+	}
+	r.slots.OnMessage(3, r.signedVote(StageSign, 3, dx))
+	if got := r.sentSince(&mark); !reflect.DeepEqual(got, []string{"FAST-COMMIT-CERT->1", "FAST-COMMIT-CERT->2", "FAST-COMMIT-CERT->3"}) {
+		t.Fatalf("on the 4th share the collector sent %v", got)
+	}
+	if cm := r.lastCert(); cm.Cert.Size() != 4 || !reflect.DeepEqual(r.rec.executed, []types.SeqNum{1}) {
+		t.Fatalf("fast certificate of %d shares, executed %v", cm.Cert.Size(), r.rec.executed)
+	}
+	if r.fire(sbftStages[0].FastWait); len(r.rec.timers) != 0 {
+		t.Fatalf("τ3 still fired after the fast commit: %v", r.rec.timers)
+	}
+}
+
+func TestFastPathTimeoutWithQuorumTakesTheSlowPath(t *testing.T) {
+	r := newRunnerRig(0, SBFTProfile(), sbftStages...)
+	dx, mark := r.x.Digest(), 0
+	r.slots.Issue(NewProposal(r.rep, 0, 1, r.x))
+	r.slots.OnMessage(1, r.signedVote(StageSign, 1, dx))
+	r.slots.OnMessage(2, r.signedVote(StageSign, 2, dx))
+	r.sentSince(&mark)
+	r.fire(sbftStages[0].FastWait)
+	if got := r.sentSince(&mark); !reflect.DeepEqual(got, []string{"PREPARE-CERT->1", "PREPARE-CERT->2", "PREPARE-CERT->3"}) {
+		t.Fatalf("τ3 with a quorum sent %v, want the prepare certificate", got)
+	}
+	cm := r.lastCert()
+	if !reflect.DeepEqual(cm.Cert.Signers, []types.NodeID{0, 1, 2}) || cm.Cert.Digest != VoteDigest(StageSign, 0, 1, dx) {
+		t.Fatalf("prepare certificate holds %v: want the sign shares of 0, 1, 2", cm.Cert.Signers)
+	}
+	sl := r.slots.slots[1]
+	if !sl.Past(StageSign) || r.slots.votes.index(stageKey{1, StageCommit}, 0) < 0 {
+		t.Fatal("the prepare certificate did not open the commit stage with the leader's own share")
+	}
+	r.slots.OnMessage(1, r.signedVote(StageCommit, 1, dx))
+	r.slots.OnMessage(2, r.signedVote(StageCommit, 2, dx))
+	if got := r.sentSince(&mark); !reflect.DeepEqual(got, []string{"COMMIT-CERT->1", "COMMIT-CERT->2", "COMMIT-CERT->3"}) ||
+		!reflect.DeepEqual(r.rec.executed, []types.SeqNum{1}) {
+		t.Fatalf("a commit quorum sent %v and executed %v", got, r.rec.executed)
+	}
+}
+
+func TestFastPathTimeoutBelowQuorumWaitsAgain(t *testing.T) {
+	r := newRunnerRig(0, SBFTProfile(), sbftStages...)
+	dx, mark, wait := r.x.Digest(), 0, sbftStages[0].FastWait
+	r.slots.Issue(NewProposal(r.rep, 0, 1, r.x))
+	r.slots.OnMessage(1, r.signedVote(StageSign, 1, dx))
+	r.sentSince(&mark)
+	r.fire(wait)
+	if got := r.sentSince(&mark); len(got) != 0 || !slices.Contains(r.liveTimers(), 2*wait) {
+		t.Fatalf("τ3 with 2 of 3 shares sent %v and left timers %v, want nothing sent and τ3 re-armed", got, r.liveTimers())
+	}
+	r.slots.OnMessage(2, r.signedVote(StageSign, 2, dx))
+	r.fire(wait)
+	if got := r.sentSince(&mark); len(got) != 3 || r.lastCert().Stage != StagePrepare {
+		t.Fatalf("the re-armed τ3 with a quorum sent %v, want the prepare certificate", got)
+	}
+}
+
+// TestTreeRelaysProposalsAndCertificatesDown: replica 1 of four is an inner
+// node of view 0's tree (root 0, children 1 and 2; 1's child 3). It relays
+// the proposal and the root's certificate to 3 and sends its subtree's
+// votes up to 0 once both of them are in.
+func TestTreeRelaysProposalsAndCertificatesDown(t *testing.T) {
+	r := newRunnerRig(1, KauriProfile(), kauriStages...)
+	if r.slots.Parent(0) != 0 || r.slots.subtree() != 2 {
+		t.Fatalf("replica 1: parent %d, subtree %d; want 0 and 2", r.slots.Parent(0), r.slots.subtree())
+	}
+	dx, mark := r.x.Digest(), 0
+	p := &ProposeMsg{Seq: 1, Digest: dx, Batch: r.x, Leader: 0}
+	p.Sig = r.auth.Signer(0).Sign(p.SigDigest())
+	r.slots.OnMessage(0, p)
+	if got := r.sentSince(&mark); !reflect.DeepEqual(got, []string{"PROPOSE->3"}) {
+		t.Fatalf("on the proposal sent %v, want it relayed to the child only", got)
+	}
+	r.slots.OnMessage(3, r.aggregate(StagePrepare, dx, 3))
+	if got := r.sentSince(&mark); !reflect.DeepEqual(got, []string{"KAURI-AGGR-prepare->0"}) {
+		t.Fatalf("with the subtree's votes in, sent %v", got)
+	}
+	if m := r.d.sent[len(r.d.sent)-1].M.(*AggrMsg); !reflect.DeepEqual(m.Signers, []types.NodeID{1, 3}) {
+		t.Fatalf("aggregate up holds %v, want [1 3]", m.Signers)
+	}
+	cert := &crypto.Certificate{Digest: VoteDigest(StagePrepare, 0, 1, dx)}
+	for _, id := range []types.NodeID{0, 1, 3} {
+		cert.Add(id, r.auth.Signer(id).Sign(cert.Digest))
+	}
+	cm := &CertMsg{Stage: StagePrepare, Seq: 1, Digest: dx, Cert: cert, Leader: 0}
+	cm.Sig = r.auth.Signer(0).Sign(cm.SigDigest())
+	r.slots.OnMessage(0, cm)
+	if got := r.sentSince(&mark); !reflect.DeepEqual(got, []string{"PREPARE-CERT->3"}) || !r.slots.slots[1].Past(StagePrepare) {
+		t.Fatalf("on the prepare certificate sent %v, want it relayed to the child, the stage closed", got)
+	}
+}
+
+// TestTreePartialAggregateOnTimeout: an inner node whose subtree is slow
+// forwards what it holds when its wait ends, then each late vote
+// incrementally, and a repeat not at all.
+func TestTreePartialAggregateOnTimeout(t *testing.T) {
+	r := newRunnerRig(1, KauriProfile(), kauriStages...)
+	dx, mark := r.x.Digest(), 0
+	p := &ProposeMsg{Seq: 1, Digest: dx, Batch: r.x, Leader: 0}
+	p.Sig = r.auth.Signer(0).Sign(p.SigDigest())
+	r.slots.OnMessage(0, p)
+	r.sentSince(&mark)
+	r.fire(2 * r.rep.Config().BatchTimeout)
+	if got := r.sentSince(&mark); !reflect.DeepEqual(got, []string{"KAURI-AGGR-prepare->0"}) {
+		t.Fatalf("when the wait ended sent %v, want the partial aggregate", got)
+	}
+	if m := r.d.sent[len(r.d.sent)-1].M.(*AggrMsg); !reflect.DeepEqual(m.Signers, []types.NodeID{1}) {
+		t.Fatalf("partial aggregate holds %v, want [1]", m.Signers)
+	}
+	r.slots.OnMessage(3, r.aggregate(StagePrepare, dx, 3))
+	if got := r.sentSince(&mark); !reflect.DeepEqual(got, []string{"KAURI-AGGR-prepare->0"}) {
+		t.Fatalf("on a late vote sent %v, want one more aggregate", got)
+	}
+	if m := r.d.sent[len(r.d.sent)-1].M.(*AggrMsg); !reflect.DeepEqual(m.Signers, []types.NodeID{1, 3}) {
+		t.Fatalf("re-sent aggregate holds %v, want [1 3]", m.Signers)
+	}
+	r.slots.OnMessage(3, r.aggregate(StagePrepare, dx, 3))
+	if got := r.sentSince(&mark); len(got) != 0 {
+		t.Fatalf("a repeat aggregate sent %v", got)
 	}
 }

@@ -147,7 +147,8 @@ func (m *VoteMsg) Verify(env Env, from types.NodeID) bool {
 // CertMsg broadcasts the certificate that closes Stage at (View, Seq) for
 // Digest — SBFT's prepare, commit and fast-commit proofs, PoE's certify,
 // Kauri's certificates flowing down the tree — signed by Leader, the view's
-// leader, which collected it.
+// leader, which collected it. A fast-path stage's certificates are
+// announced as StagePrepare and StageFastCommit (StageSpec.FastWait).
 type CertMsg struct {
 	Stage  Stage
 	View   types.View
@@ -194,6 +195,29 @@ func (m *CertMsg) AppendSigClaims(dst []crypto.SigClaim, _ types.NodeID) []crypt
 func (m *CertMsg) Verify(env Env) bool {
 	return m.Leader == env.Config().LeaderOf(m.View) && env.Verifier().VerifySig(m.Leader, m.SigDigest(), m.Sig)
 }
+
+// AggrMsg carries a subtree's votes at Stage up a Tree topology's tree
+// (Kauri's), each signature over VoteDigest. Unlike a CertMsg it is
+// partial and unsigned: each inner node adds its subtree's votes.
+type AggrMsg struct {
+	Stage   Stage
+	View    types.View
+	Seq     types.SeqNum
+	Digest  types.Digest
+	Signers []types.NodeID
+	Sigs    [][]byte
+}
+
+// Kind implements types.Message.
+func (m *AggrMsg) Kind() string {
+	if m.Stage == StageCommit {
+		return "KAURI-AGGR-commit"
+	}
+	return "KAURI-AGGR-prepare"
+}
+
+// Slot implements obsv.Slotted.
+func (m *AggrMsg) Slot() (types.View, types.SeqNum) { return m.View, m.Seq }
 
 // VerifyCert reports whether cert holds quorum valid signatures from
 // distinct replicas over the stage vote for digest at (view, seq).

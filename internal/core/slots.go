@@ -34,10 +34,11 @@ type Slot[X any] struct {
 	s *Slots[X]
 	// cert is the certificate that closed the slot's last collector stage
 	// or, under a speculative profile, one that overtook the proposal.
-	cert    *CertMsg
-	reached uint8 // bit s: Stage s has closed
-	done    bool  // the last stage has closed
-	specd   bool  // speculatively executed
+	cert  *CertMsg
+	past  uint8     // bit s: Stage s has closed
+	done  bool      // the last stage has closed
+	specd bool      // speculatively executed
+	sent  [2]uint16 // per stage of a tree's (two-stage) list: signatures last sent up
 }
 
 // Slots is the ordering stage of a stable-leader replica (dimension P1/P2
@@ -54,8 +55,9 @@ type Slot[X any] struct {
 // Slots also runs the protocol's declared stage list (stages.go): it casts
 // this replica's votes, closes each stage at its quorum, and commits the
 // slot — or, under a speculative profile, executes it speculatively —
-// once the last stage closes. SBFT and Kauri declare their stages and
-// drive them by hand through Accept, Vote, Reached and Certify.
+// once the last stage closes. A collector stage may have SBFT's fast path
+// (StageSpec.FastWait), and under a Tree topology (Kauri) proposals and
+// certificates go down the view's tree and votes come up it.
 type Slots[X any] struct {
 	env     Env
 	backlog *Backlog
@@ -64,20 +66,24 @@ type Slots[X any] struct {
 	stages  []StageSpec
 	active  int  // the active set's size; 0 when every replica takes part
 	spec    bool // the profile executes speculatively
+	tree    bool // the profile's topology is Tree
 
 	// Quorum is the ordering quorum at this deployment's f, taken from
 	// the protocol's registered Profile.
 	Quorum int
 
 	// Closed, when set, runs when a stage closes at a slot, before the
-	// next stage starts or the slot commits (PBFT's and Themis's prepared
-	// certificates, PBFT's commit certificate).
-	Closed func(sl *Slot[X], stage Stage)
+	// next stage starts or the slot commits (PBFT's, Themis's, SBFT's and
+	// Kauri's prepared certificates, PBFT's commit certificate). cm is the
+	// collector's certificate that closed it, nil when the votes were
+	// counted here.
+	Closed func(sl *Slot[X], stage Stage, cm *CertMsg)
 	// Committed, when set, runs after a slot whose last stage closed is
-	// committed (CheapBFT's updates to its passive replicas).
+	// committed (CheapBFT's updates to its passive replicas, SBFT's commit
+	// certificates).
 	Committed func(sl *Slot[X], proof *types.CommitProof)
 	// Withhold makes this replica cast no vote (attack injection: a
-	// silent CheapBFT active replica).
+	// silent CheapBFT active replica or SBFT backup).
 	Withhold bool
 
 	nextSeq types.SeqNum
@@ -98,6 +104,7 @@ func NewSlots[X any](env Env, profile Profile, backlog *Backlog, vc *ViewChange,
 	s := &Slots[X]{
 		env: env, backlog: backlog, vc: vc, cm: cm, stages: stages,
 		spec:   profile.Speculative,
+		tree:   profile.Topology == Tree,
 		Quorum: profile.QuorumSize(env.F()),
 		slots:  make(map[types.SeqNum]*Slot[X]),
 
@@ -128,9 +135,6 @@ func (s *Slots[X]) Reset() {
 
 // Len returns how many sequence numbers hold state.
 func (s *Slots[X]) Len() int { return len(s.slots) }
-
-// Get returns seq's slot, or nil if nothing was accepted or voted there.
-func (s *Slots[X]) Get(seq types.SeqNum) *Slot[X] { return s.slots[seq] }
 
 // Assigned returns the slots that hold an accepted proposal, in sequence
 // order (what a view-change message is built from).
@@ -189,14 +193,13 @@ func (s *Slots[X]) Accept(m *ProposeMsg) *Slot[X] {
 	return sl
 }
 
-// Vote records from's vote for digest at a stage of seq — from is the
-// authenticated sender (or a signer whose signature the caller verified),
-// sig its signature where the stage builds certificates. It returns the
-// slot when the vote was recorded, and nil when it is for another view,
-// an unknown stage or a sequence number outside the window, or when from
-// has already voted at this stage: one sender, one vote, whatever digests
-// it names.
-func (s *Slots[X]) Vote(stage Stage, view types.View, seq types.SeqNum, from types.NodeID, digest types.Digest, sig []byte) *Slot[X] {
+// vote records from's vote for digest at a stage of seq — from is the
+// authenticated sender (or a signer whose signature was verified), sig its
+// signature where the stage builds certificates. It returns the slot when
+// the vote was recorded, and nil when it is for another view, an unknown
+// stage or a sequence number outside the window, or when from has already
+// voted at this stage: one sender, one vote, whatever digests it names.
+func (s *Slots[X]) vote(stage Stage, view types.View, seq types.SeqNum, from types.NodeID, digest types.Digest, sig []byte) *Slot[X] {
 	if view != s.vc.View() || s.vc.Active() || s.index(stage) < 0 {
 		return nil
 	}
@@ -273,8 +276,8 @@ func (sl *Slot[X]) votes(stage Stage) []Vote[ballot] {
 	return sl.s.votes.Votes(stageKey{sl.Seq, stage})
 }
 
-// Count returns how many senders voted for the assigned digest at stage.
-func (sl *Slot[X]) Count(stage Stage) int {
+// count returns how many senders voted for the assigned digest at stage.
+func (sl *Slot[X]) count(stage Stage) int {
 	n := 0
 	for _, v := range sl.votes(stage) {
 		if v.Val.digest == sl.Digest {
@@ -284,26 +287,19 @@ func (sl *Slot[X]) Count(stage Stage) int {
 	return n
 }
 
-// Voted reports whether id has a vote on record at stage (for any
-// digest).
-func (sl *Slot[X]) Voted(stage Stage, id types.NodeID) bool {
-	return sl.s.votes.index(stageKey{sl.Seq, stage}, id) >= 0
-}
-
-// Reached reports, exactly once per slot and stage, that quorum senders
-// voted for the assigned digest. Call it after recording a vote and after
-// accepting the proposal — votes may have overtaken it.
-func (sl *Slot[X]) Reached(stage Stage, quorum int) bool {
-	if sl.Past(stage) || sl.Count(stage) < quorum {
+// reached reports, exactly once per slot and stage, that quorum senders
+// voted for the assigned digest.
+func (sl *Slot[X]) reached(stage Stage, quorum int) bool {
+	if sl.Past(stage) || sl.count(stage) < quorum {
 		return false
 	}
-	sl.reached |= 1 << stage
+	sl.past |= 1 << stage
 	return true
 }
 
-// Past reports whether stage has closed: Reached has fired for it, or its
-// certificate arrived.
-func (sl *Slot[X]) Past(stage Stage) bool { return sl.reached&(1<<stage) != 0 }
+// Past reports whether stage has closed: its votes reached the quorum
+// here, or its certificate arrived.
+func (sl *Slot[X]) Past(stage Stage) bool { return sl.past&(1<<stage) != 0 }
 
 // Voters returns the senders that voted for the assigned digest at stage,
 // in arrival order (a CommitProof's voter list).
@@ -333,14 +329,4 @@ func (sl *Slot[X]) Certificate(stage Stage) *crypto.Certificate {
 		}
 	}
 	return cert
-}
-
-// Certify returns this replica's signed broadcast, as the view's leader,
-// of the certificate that closes stage: the one of votes (Certificate).
-func (sl *Slot[X]) Certify(stage, votes Stage) *CertMsg {
-	env := sl.s.env
-	m := &CertMsg{Stage: stage, View: sl.s.vc.View(), Seq: sl.Seq, Digest: sl.Digest,
-		Cert: sl.Certificate(votes), Leader: env.ID()}
-	m.Sig = env.Signer().Sign(m.SigDigest())
-	return m
 }

@@ -11,7 +11,6 @@ import (
 	"bftkit/internal/core"
 	"bftkit/internal/harness"
 	"bftkit/internal/kvstore"
-	"bftkit/internal/protocols/kauri"
 	"bftkit/internal/protocols/themis"
 	"bftkit/internal/sim"
 	"bftkit/internal/types"
@@ -379,7 +378,7 @@ func TestProofsAndCertificatesAreDeterministic(t *testing.T) {
 				sig = mm.Sig
 			case *core.CertMsg:
 				sig = mm.Sig
-			case *kauri.AggrMsg:
+			case *core.AggrMsg:
 				fmt.Fprintf(&out, "%v->%v %s %v\n", from, to, m.Kind(), mm.Signers)
 				return
 			default:

@@ -85,7 +85,7 @@ var earlyVotes = map[string]voteMaker{
 	"poe":  signedVote(core.StageShare),
 	"sbft": signedVote(core.StageSign),
 	"kauri": func(seq types.SeqNum, bogus types.Digest, from types.NodeID, sign func(types.Digest) []byte) types.Message {
-		return &kauri.AggrMsg{Stage: core.StagePrepare, Seq: seq, Digest: bogus,
+		return &core.AggrMsg{Stage: core.StagePrepare, Seq: seq, Digest: bogus,
 			Signers: []types.NodeID{from}, Sigs: [][]byte{sign(core.VoteDigest(core.StagePrepare, 0, seq, bogus))}}
 	},
 }

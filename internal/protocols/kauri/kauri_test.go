@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"bftkit/internal/core"
+	"bftkit/internal/crypto"
 	"bftkit/internal/harness"
 	"bftkit/internal/kvstore"
 	"bftkit/internal/protocols/kauri"
@@ -36,20 +37,24 @@ func TestTreeGeometry(t *testing.T) {
 	k3 := c.Replicas[3].Protocol().(*kauri.Kauri)
 	// View 0: positions equal IDs. Node 3's parent is node 1; node 1's
 	// children are 3 and 4.
-	if p := k3.Parent(0); p != 1 {
+	if p := k3.Slots.Parent(0); p != 1 {
 		t.Fatalf("parent of r3 in view 0 = %v, want r1", p)
 	}
-	k1 := c.Replicas[1].Protocol().(*kauri.Kauri)
-	ch := k1.Children(0)
+	var ch []types.NodeID
+	for _, r := range c.Replicas {
+		if r.Protocol().(*kauri.Kauri).Slots.Parent(0) == 1 {
+			ch = append(ch, r.ID())
+		}
+	}
 	if len(ch) != 2 || ch[0] != 3 || ch[1] != 4 {
 		t.Fatalf("children of r1 in view 0 = %v, want [r3 r4]", ch)
 	}
 	// Rotating the view rotates the whole layout: in view 1 the root is
 	// r1 and r3 sits at position 2, a direct child of the root.
-	if p := k3.Parent(1); p != 1 {
+	if p := k3.Slots.Parent(1); p != 1 {
 		t.Fatalf("parent of r3 in view 1 = %v, want r1 (the new root)", p)
 	}
-	if p := k3.Parent(0); p != 1 {
+	if p := k3.Slots.Parent(0); p != 1 {
 		t.Fatalf("parent of r3 in view 0 changed: %v", p)
 	}
 }
@@ -137,10 +142,33 @@ func TestAggregateAtAnotherStageIsRefused(t *testing.T) {
 	seq := c.Replicas[1].Ledger().LastExecuted() + 1
 	c.Submit(0, op(0, 2))
 	c.Run(3 * time.Millisecond) // r1 holds the proposal, its subtree has not voted
-	c.Replicas[1].Deliver(3, &kauri.AggrMsg{Stage: core.StageShare, Seq: seq,
+	c.Replicas[1].Deliver(3, &core.AggrMsg{Stage: core.StageShare, Seq: seq,
 		Signers: []types.NodeID{3}, Sigs: [][]byte{{1}}})
 	c.RunUntilIdle(5 * time.Second)
 	if c.Metrics.Completed != 2 {
 		t.Fatalf("completed %d of 2", c.Metrics.Completed)
+	}
+}
+
+// TestAggregateCostsAtMostNVerifies: an aggregate's signatures are checked
+// one by one, so what it may list is bounded before the first check:
+// distinct replica IDs, at most n of them. One naming the same signer 500
+// times with junk signatures costs no more than n verifications.
+func TestAggregateCostsAtMostNVerifies(t *testing.T) {
+	const n = 7
+	c := harness.NewCluster(harness.Options{Protocol: "kauri", N: n, Clients: 1})
+	c.Start()
+	c.Submit(0, op(0, 1))
+	c.RunUntilIdle(5 * time.Second)
+	// r3 is a child of r1 in view 0.
+	m := &core.AggrMsg{Stage: core.StagePrepare, Seq: c.Replicas[1].Ledger().LastExecuted() + 1, Digest: types.Digest{1}}
+	for range 500 {
+		m.Signers = append(m.Signers, 3)
+		m.Sigs = append(m.Sigs, make([]byte, crypto.SigSize))
+	}
+	before := c.Auth.Stats.VerifyOps.Load()
+	c.Replicas[1].Deliver(3, m)
+	if got := c.Auth.Stats.VerifyOps.Load() - before; got > n {
+		t.Fatalf("an aggregate listing one signer 500 times cost %d verifications, want at most n = %d", got, n)
 	}
 }

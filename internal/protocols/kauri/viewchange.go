@@ -26,7 +26,6 @@ func (k *Kauri) viewChangeHooks() core.ViewChangeHooks {
 			return core.VerifyCert(k.env, s.Cert, k.Slots.Quorum, core.StagePrepare, s.View, s.Seq, s.Digest)
 		}),
 		Keep:   core.UpToBase,
-		Accept: k.acceptProposal,
 		Resume: k.maybePropose,
 	}
 }

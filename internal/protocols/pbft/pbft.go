@@ -368,7 +368,7 @@ func (p *PBFT) dropCatchup(seq types.SeqNum) {
 // signatures plus the leader's pre-prepare signature. A commit keeps its
 // commit certificate, which MAC-mode votes, carrying no signature, do not
 // form.
-func (p *PBFT) closed(sl *core.Slot[slotExt], stage core.Stage) {
+func (p *PBFT) closed(sl *core.Slot[slotExt], stage core.Stage, _ *core.CertMsg) {
 	if stage == core.StageCommit {
 		if cert := sl.Certificate(core.StageCommit); cert.Size() >= p.Slots.Quorum {
 			p.keepCert(sl.Seq, cert)

@@ -199,3 +199,22 @@ func TestByzWithholderFallsBackToSlowPath(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestMisdirectedShareCostsNoVerify: shares go to the collector. A backup
+// drops one addressed to it before checking its signature, so a replica
+// flooding a backup with junk shares costs it no verification.
+func TestMisdirectedShareCostsNoVerify(t *testing.T) {
+	c := harness.NewCluster(harness.Options{Protocol: "sbft", N: 4, Clients: 1})
+	c.Start()
+	c.Submit(0, op(0, 1))
+	c.RunUntilIdle(5 * time.Second)
+	seq := c.Replicas[1].Ledger().LastExecuted() + 1
+	before := c.Auth.Stats.VerifyOps.Load()
+	for i := range 100 {
+		c.Replicas[1].Deliver(2, &core.VoteMsg{Stage: core.StageSign, Seq: seq, Digest: types.Digest{byte(i)},
+			Replica: 2, Sig: make([]byte, crypto.SigSize)})
+	}
+	if got := c.Auth.Stats.VerifyOps.Load() - before; got != 0 {
+		t.Fatalf("100 shares misdirected to a backup cost %d verifications, want 0", got)
+	}
+}

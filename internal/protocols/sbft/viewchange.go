@@ -19,12 +19,6 @@ func (s *SBFT) viewChangeHooks() core.ViewChangeHooks {
 		Vouch: s.vouch,
 		Pick:  core.HighestView(s.validPrepared),
 		Keep:  func(cs *core.CommittedSlot, _ types.SeqNum) bool { return s.validCommitted(cs) },
-		Accept: func(pp *core.ProposeMsg) {
-			s.acceptPrePrepare(pp)
-			if s.vc.Leading() {
-				s.env.SetTimer(core.TimerID{Name: timerFastPath, Seq: pp.Seq, View: pp.View}, s.opts.FastPathWait)
-			}
-		},
 		// The certificate is transferable: check it, and retain it for the
 		// next view change.
 		Adopt: func(cs *core.CommittedSlot) {
@@ -51,26 +45,21 @@ func (s *SBFT) vouch(m *core.ViewChangeMsg) {
 	// The collector can also assemble fresh certificates from the sign
 	// shares it holds for the current view.
 	for _, sl := range s.Slots.Assigned() {
-		if sl.Seq > m.Base && s.preparedProof[sl.Seq] == nil && sl.Count(core.StageSign) >= s.Slots.Quorum {
-			m.Carried = append(m.Carried, core.CarriedSlot{
-				View: s.View(), Seq: sl.Seq, Digest: sl.Digest, Batch: sl.Batch,
-				Cert: sl.Certificate(core.StageSign),
-			})
+		if cert := sl.Certificate(core.StageSign); sl.Seq > m.Base && s.preparedProof[sl.Seq] == nil && cert.Size() >= s.Slots.Quorum {
+			m.Carried = append(m.Carried, core.CarriedSlot{View: s.vc.View(), Seq: sl.Seq, Digest: sl.Digest, Batch: sl.Batch, Cert: cert})
 		}
 	}
 }
 
-// validPrepared reports whether a carried slot's certificate verifies; it
-// may cover the "sign" or the "commit" stage depending on which proof the
-// sender held.
+// validPrepared reports whether a carried slot's certificate verifies: a
+// quorum of sign or of commit shares, whichever proof the sender held.
 func (s *SBFT) validPrepared(p *core.CarriedSlot) bool {
 	return core.VerifyCert(s.env, p.Cert, s.Slots.Quorum, core.StageSign, p.View, p.Seq, p.Digest) ||
 		core.VerifyCert(s.env, p.Cert, s.Slots.Quorum, core.StageCommit, p.View, p.Seq, p.Digest)
 }
 
-// validCommitted reports whether a carried committed slot's certificate
-// verifies: all n sign shares for a fast commit, 2f+1 commit shares
-// otherwise.
+// validCommitted reports whether a committed slot's certificate verifies:
+// all n sign shares for a fast commit, 2f+1 commit shares otherwise.
 func (s *SBFT) validCommitted(cs *core.CommittedSlot) bool {
 	if cs.Batch == nil {
 		return false

@@ -222,7 +222,7 @@ func (t *Themis) OnMessage(from types.NodeID, m types.Message) {
 }
 
 // prepared keeps a prepared slot for view changes.
-func (t *Themis) prepared(sl *core.Slot[struct{}], stage core.Stage) {
+func (t *Themis) prepared(sl *core.Slot[struct{}], stage core.Stage, _ *core.CertMsg) {
 	if stage != core.StagePrepare {
 		return
 	}

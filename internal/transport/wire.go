@@ -7,7 +7,6 @@ import (
 	"bftkit/internal/protocols/chainrepl"
 	"bftkit/internal/protocols/cheapbft"
 	"bftkit/internal/protocols/hotstuff"
-	"bftkit/internal/protocols/kauri"
 	"bftkit/internal/protocols/pbft"
 	"bftkit/internal/protocols/prime"
 	"bftkit/internal/protocols/qu"
@@ -19,8 +18,9 @@ import (
 	"bftkit/internal/wire"
 
 	// Every registered protocol is linked wherever the transport is, so a
-	// node can run any of them; these three send only core's messages.
+	// node can run any of them; these four send only core's messages.
 	_ "bftkit/internal/protocols/fab"
+	_ "bftkit/internal/protocols/kauri"
 	_ "bftkit/internal/protocols/poe"
 	_ "bftkit/internal/protocols/sbft"
 )
@@ -55,8 +55,8 @@ var wireMessages = []types.Message{
 	&prime.PORequestMsg{}, &prime.POAckMsg{},
 	// themis
 	&themis.ReportMsg{},
-	// kauri
-	&kauri.AggrMsg{},
+	// kauri: its up-tree aggregates are core.AggrMsg, at this tag
+	&core.AggrMsg{},
 	// chain
 	&chainrepl.ChainMsg{}, &chainrepl.CommitNoticeMsg{}, &chainrepl.PanicMsg{},
 	&chainrepl.ReconfigMsg{}, &chainrepl.FetchChainMsg{}, &chainrepl.ChainEntriesMsg{},

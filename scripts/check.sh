@@ -33,8 +33,8 @@ fi
 # VoteMsg / CertMsg and change views with core.ViewChangeMsg / NewViewMsg.
 # A message type of their own is one of those with no counterpart there:
 # Zyzzyva's client commit path, Themis's order reports, CheapBFT's updates
-# to passive replicas, Kauri's up-tree aggregates and PBFT's catch-up pair.
-keep='/zyzzyva/[a-z]+\.go:[0-9]+:type (CommitMsg|LocalCommitMsg) |/themis/[a-z]+\.go:[0-9]+:type ReportMsg |/cheapbft/[a-z]+\.go:[0-9]+:type UpdateMsg |/kauri/[a-z]+\.go:[0-9]+:type AggrMsg |/pbft/[a-z]+\.go:[0-9]+:type (FetchCommittedMsg|CommittedMsg) '
+# to passive replicas and PBFT's catch-up pair.
+keep='/zyzzyva/[a-z]+\.go:[0-9]+:type (CommitMsg|LocalCommitMsg) |/themis/[a-z]+\.go:[0-9]+:type ReportMsg |/cheapbft/[a-z]+\.go:[0-9]+:type UpdateMsg |/pbft/[a-z]+\.go:[0-9]+:type (FetchCommittedMsg|CommittedMsg) '
 private=$(grep -nE 'type [A-Za-z0-9_]*Msg struct' $slots_sources | grep -vE "$keep" || true)
 if [ -n "$private" ]; then
 	echo "per-protocol ordering or view-change wire types (use the shared ones in internal/core):" >&2
@@ -43,11 +43,9 @@ if [ -n "$private" ]; then
 fi
 
 # One stage runner: core.Slots casts, counts, certifies, commits and
-# speculates for the six packages that declare a stage list (SBFT and Kauri
-# still drive their stages by hand).
-ported=$(ls internal/protocols/pbft/*.go internal/protocols/fab/*.go internal/protocols/cheapbft/*.go \
-	internal/protocols/themis/*.go internal/protocols/poe/*.go internal/protocols/zyzzyva/*.go | grep -v _test.go)
-staged=$(grep -nE 'NewVote\(|Slots\.Vote\(|\.Reached\(|\.Certify\(|SpecExecute\(|HistoryDigest\(' $ported || true)
+# speculates for the eight packages that declare a stage list, SBFT's fast
+# path and Kauri's tree included.
+staged=$(grep -nE 'NewVote\(|Slots\.Vote\(|\.Reached\(|\.Certify\(|SpecExecute\(|HistoryDigest\(' $slots_sources || true)
 if [ -n "$staged" ]; then
 	echo "hand-written ordering stages (declare a core.StageSpec list and let core.Slots run it):" >&2
 	echo "$staged" >&2
