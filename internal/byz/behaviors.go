@@ -38,6 +38,22 @@ type equivActor struct {
 	b       Equivocate
 	t       *Tools
 	targets map[types.NodeID]bool
+	// last is the latest client request delivered to this replica. It
+	// fills the fork of an empty batch: a leader whose turns all fall on
+	// request-free blocks (HotStuff-2's carriers, when batching locks the
+	// clients into step) still signs two blocks at each of its heights.
+	last *types.Request
+}
+
+func (a *equivActor) Incoming(req *types.Request) { a.last = req }
+
+// fork is ForkBatch, with an empty batch forked into one carrying the
+// last request this replica saw.
+func (a *equivActor) fork(b *types.Batch) *types.Batch {
+	if b.Len() == 0 && a.last != nil {
+		return types.NewBatch(a.last)
+	}
+	return ForkBatch(b)
 }
 
 func (a *equivActor) Init(t *Tools) {
@@ -59,7 +75,7 @@ func (a *equivActor) Outgoing(to types.NodeID, m types.Message) Verdict {
 	if !a.targets[to] {
 		return Verdict{}
 	}
-	alt, ok := ReplaceBatch(m, ForkBatch, a.t.Env.Signer().Sign)
+	alt, ok := ReplaceBatch(m, a.fork, a.t.Env.Signer().Sign)
 	if !ok {
 		return Verdict{}
 	}
@@ -335,6 +351,8 @@ func (a *targetedActor) Outgoing(to types.NodeID, m types.Message) Verdict {
 	return a.inner.Outgoing(to, m)
 }
 
+func (a *targetedActor) Incoming(req *types.Request) { a.inner.Incoming(req) }
+
 func (a *targetedActor) OutgoingReply(rp *types.Reply) {
 	if a.only[rp.Client] {
 		a.inner.OutgoingReply(rp)
@@ -389,6 +407,12 @@ func (a *compositeActor) Outgoing(to types.NodeID, m types.Message) Verdict {
 		out.Delay += v.Delay
 	}
 	return out
+}
+
+func (a *compositeActor) Incoming(req *types.Request) {
+	for _, x := range a.actors {
+		x.Incoming(req)
+	}
 }
 
 func (a *compositeActor) OutgoingReply(rp *types.Reply) {

@@ -63,6 +63,8 @@ type Actor interface {
 	// OutgoingReply may mutate a reply before the runtime stamps and
 	// signs it; the signed ReplyMsg then passes through Outgoing too.
 	OutgoingReply(rp *types.Reply)
+	// Incoming sees every client request delivered to the replica.
+	Incoming(req *types.Request)
 }
 
 // Passive is a no-op Actor base; embed it and override what you need.
@@ -71,6 +73,7 @@ type Passive struct{}
 func (Passive) Init(*Tools)                                  {}
 func (Passive) Outgoing(types.NodeID, types.Message) Verdict { return Verdict{} }
 func (Passive) OutgoingReply(*types.Reply)                   {}
+func (Passive) Incoming(*types.Request)                      {}
 
 // Wrap interposes behavior b between proto and its environment. The
 // returned value implements core.Protocol and is handed to the replica
@@ -104,7 +107,10 @@ func (w *wrapper) Init(env core.Env) {
 }
 
 // OnRequest implements core.Protocol.
-func (w *wrapper) OnRequest(req *types.Request) { w.inner.OnRequest(req) }
+func (w *wrapper) OnRequest(req *types.Request) {
+	w.actor.Incoming(req)
+	w.inner.OnRequest(req)
+}
 
 // OnMessage implements core.Protocol.
 func (w *wrapper) OnMessage(from types.NodeID, m types.Message) { w.inner.OnMessage(from, m) }

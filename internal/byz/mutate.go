@@ -26,9 +26,10 @@ type sigDigester interface {
 //     SigDigest() is re-signed via sign, covering the mutated content.
 //
 // The original message is never modified (proposers keep pointers into
-// their own log). ok is false when m carries no non-empty batch — such
-// messages pass through unchanged, which keeps generic behaviors
-// best-effort rather than protocol-specific.
+// their own log). ok is false when m carries no batch, or when mut leaves
+// it as it is (ForkBatch does an empty one) — such messages pass through
+// unchanged, which keeps generic behaviors best-effort rather than
+// protocol-specific.
 func ReplaceBatch(m types.Message, mut func(*types.Batch) *types.Batch, sign func(types.Digest) []byte) (types.Message, bool) {
 	pv := reflect.ValueOf(m)
 	if pv.Kind() != reflect.Ptr || pv.IsNil() || pv.Elem().Kind() != reflect.Struct {
@@ -90,15 +91,15 @@ func ReplaceBatch(m types.Message, mut func(*types.Batch) *types.Batch, sign fun
 }
 
 func batchField(v reflect.Value) bool {
-	return v.IsValid() && v.Type() == reflect.TypeOf((*types.Batch)(nil)) &&
-		!v.IsNil() && v.CanSet() && v.Interface().(*types.Batch).Len() > 0
+	return v.IsValid() && v.Type() == reflect.TypeOf((*types.Batch)(nil)) && !v.IsNil() && v.CanSet()
 }
 
 // ForkBatch is the canonical equivocation mutator: it returns a batch
 // over the same validly-signed client requests whose digest differs
 // from the original (reversed order, or the single request duplicated).
 // It is deterministic, so every target of one equivocation sees the
-// same alternative history.
+// same alternative history. An empty batch has no requests to reorder and
+// is returned as it is.
 func ForkBatch(b *types.Batch) *types.Batch {
 	if b == nil || b.Len() == 0 {
 		return b

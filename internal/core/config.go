@@ -16,9 +16,14 @@ type Config struct {
 	// Scheme selects the authentication mode (dimension E3 / DC11).
 	Scheme crypto.Scheme
 
-	// BatchSize is the maximum number of requests ordered per consensus
-	// instance; BatchTimeout bounds how long a leader waits to fill a
-	// batch before proposing a partial one.
+	// BatchSize caps how many requests one consensus instance orders. A
+	// leader proposes whatever is queued, up to BatchSize, and never waits
+	// to fill a batch; the Slots protocols queue requests only while their
+	// pipeline window is full (DESIGN.md → Batching and the pipeline
+	// window). BatchTimeout is the base of the protocols' short timers:
+	// SBFT's τ3 (4×), the Themis report round (2×), Kauri's aggregation
+	// wait (2×), Q/U's back-off unit, Tendermint's propose delay and PBFT's
+	// front-running adversary's hold (5×).
 	BatchSize    int
 	BatchTimeout time.Duration
 
@@ -48,7 +53,7 @@ func DefaultConfig(n int) Config {
 		N:                  n,
 		F:                  types.FaultThreshold(n),
 		Scheme:             crypto.SchemeSig,
-		BatchSize:          1,
+		BatchSize:          16,
 		BatchTimeout:       2 * time.Millisecond,
 		CheckpointInterval: 128,
 		ViewChangeTimeout:  250 * time.Millisecond,

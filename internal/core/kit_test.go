@@ -964,6 +964,9 @@ func TestSlotsProposeStopsAtTheWindow(t *testing.T) {
 	r := &kitRig{d: newFakeDriver(), rec: &recorder{}, auth: crypto.NewAuthority(1)}
 	cfg := DefaultConfig(4)
 	cfg.HighWaterWindow = 4
+	// One request per slot, so that the six requests need six slots: at
+	// the default cap all six leave in slot 1 and no window binds.
+	cfg.BatchSize = 1
 	r.rep = NewReplica(0, cfg, r.d, r.rec, kvstore.New(), r.auth, Hooks{})
 	r.rep.Start()
 	backlog := NewBacklog(r.rep, testProgress)
@@ -973,15 +976,13 @@ func TestSlotsProposeStopsAtTheWindow(t *testing.T) {
 		backlog.Submit(r.signedReq(s), 0)
 	}
 	var proposed []types.SeqNum
-	propose := func() {
-		slots.Propose(func(m *ProposeMsg) {
-			proposed = append(proposed, m.Seq)
-			if slots.Accept(m) == nil {
-				t.Errorf("the leader refused its own proposal at %d", m.Seq)
-			}
-		})
+	slots.Issuer = func(m *ProposeMsg) {
+		proposed = append(proposed, m.Seq)
+		if slots.Accept(m) == nil {
+			t.Errorf("the leader refused its own proposal at %d", m.Seq)
+		}
 	}
-	propose()
+	slots.Propose()
 	if !reflect.DeepEqual(proposed, []types.SeqNum{1, 2, 3, 4}) {
 		t.Fatalf("proposed %v with a window of 4, want [1 2 3 4]", proposed)
 	}
@@ -989,9 +990,171 @@ func TestSlotsProposeStopsAtTheWindow(t *testing.T) {
 	r.rep.Commit(0, 1, first, nil)
 	slots.Executed(1, first, [][]byte{nil})
 	proposed = nil
-	propose()
+	slots.Propose()
 	if !reflect.DeepEqual(proposed, []types.SeqNum{5}) {
 		t.Fatalf("after slot 1 executed the leader proposed %v, want [5]", proposed)
+	}
+}
+
+// --- batching behind the pipeline window ------------------------------------
+
+// pipelineRig is view 0's leader running stages under profile, with every
+// proposal it issues recorded, as its requests' sequence numbers, and
+// ordered.
+type pipelineRig struct {
+	*vcRig
+	batches [][]uint64
+	last    uint64 // the last request submitted
+}
+
+func newPipelineRig(profile Profile, stages ...StageSpec) *pipelineRig {
+	r := &pipelineRig{vcRig: newRunnerRig(0, profile, stages...)}
+	r.slots.Issuer = func(m *ProposeMsg) {
+		r.batches = append(r.batches, seqs(m.Batch.Requests))
+		r.slots.Order(m)
+	}
+	return r
+}
+
+// submit hands the leader k fresh requests one at a time, as OnRequest
+// does, and returns the proposals they caused.
+func (r *pipelineRig) submit(k int) [][]uint64 {
+	before := len(r.batches)
+	for range k {
+		r.last++
+		if r.backlog.Submit(r.signedReq(r.last), 0) {
+			r.slots.Propose()
+		}
+	}
+	return r.batches[before:]
+}
+
+// execute commits and executes slot seq, and proposes as OnExecuted does;
+// it returns the proposals that caused.
+func (r *pipelineRig) execute(seq types.SeqNum) [][]uint64 {
+	before := len(r.batches)
+	b := r.slots.slots[seq].Batch
+	r.rep.Commit(0, seq, b, nil)
+	r.slots.Executed(seq, b, make([][]byte, b.Len()))
+	r.slots.Propose()
+	return r.batches[before:]
+}
+
+// span returns the request sequence numbers lo … hi.
+func span(lo, hi uint64) []uint64 {
+	var out []uint64
+	for s := lo; s <= hi; s++ {
+		out = append(out, s)
+	}
+	return out
+}
+
+func TestPipelineLoneRequestIsProposedAtOnce(t *testing.T) {
+	r := newPipelineRig(PBFTProfile(), pbftStages...)
+	mark := len(r.d.timers)
+	if got := r.submit(1); !reflect.DeepEqual(got, [][]uint64{{1}}) {
+		t.Fatalf("one request caused proposals %v, want [[1]] at once", got)
+	}
+	for _, tm := range r.d.timers[mark:] {
+		if tm.at != r.rep.Config().ViewChangeTimeout {
+			t.Fatalf("proposing armed a timer at %v: a lone request waited for company", tm.at)
+		}
+	}
+}
+
+func TestPipelineWindowStopsAtDepth(t *testing.T) {
+	r := newPipelineRig(PBFTProfile(), pbftStages...)
+	got := r.submit(pipelineDepth + 3)
+	want := make([][]uint64, pipelineDepth)
+	for i := range want {
+		want[i] = []uint64{uint64(i + 1)}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("proposals %v, want one slot per request up to the depth %d", got, pipelineDepth)
+	}
+	if r.slots.NextSeq() != pipelineDepth {
+		t.Fatalf("assigned up to %d with nothing executed, want %d", r.slots.NextSeq(), pipelineDepth)
+	}
+}
+
+// TestPipelineQueueLeavesAsOneCappedBatch: what queued behind a full
+// window leaves in the next slot, up to BatchSize, when a slot executes;
+// the rest leaves when the next one does.
+func TestPipelineQueueLeavesAsOneCappedBatch(t *testing.T) {
+	r := newPipelineRig(PBFTProfile(), pbftStages...)
+	limit := uint64(r.rep.Config().BatchSize)
+	r.submit(pipelineDepth)
+	if got := r.submit(int(limit) + 4); len(got) != 0 {
+		t.Fatalf("proposed %v with the window full", got)
+	}
+	d := uint64(pipelineDepth)
+	if got := r.execute(1); !reflect.DeepEqual(got, [][]uint64{span(d+1, d+limit)}) {
+		t.Fatalf("slot 1 executed: proposals %v, want one batch of the %d oldest queued", got, limit)
+	}
+	if got := r.execute(2); !reflect.DeepEqual(got, [][]uint64{span(d+limit+1, d+limit+4)}) {
+		t.Fatalf("slot 2 executed: proposals %v, want the 4 left", got)
+	}
+}
+
+// TestPipelineSpeculativeExecutionReopensTheWindow: under a speculative
+// profile the execution point is the speculative tip, so a slot executed
+// speculatively leaves the window — nothing has committed — and the
+// queue leaves at once.
+func TestPipelineSpeculativeExecutionReopensTheWindow(t *testing.T) {
+	poe := []StageSpec{{Stage: StageShare, Voters: VotersAll, Collect: true, Quorum: Term(2, 1)}}
+	r := newPipelineRig(PoEProfile(), poe...)
+	r.submit(pipelineDepth)
+	if got := r.submit(3); len(got) != 0 {
+		t.Fatalf("proposed %v with the window full", got)
+	}
+	d := r.slots.slots[1].Digest
+	for _, from := range []types.NodeID{1, 2} {
+		r.slots.OnMessage(from, r.signedVote(StageShare, from, d))
+	}
+	if !r.slots.slots[1].Speculated() || r.rep.Ledger().LastExecuted() != 0 {
+		t.Fatal("slot 1 was not executed speculatively (and only speculatively)")
+	}
+	want := [][]uint64{span(pipelineDepth+1, pipelineDepth+3)}
+	if got := r.batches[pipelineDepth:]; !reflect.DeepEqual(got, want) {
+		t.Fatalf("after speculative execution: proposals %v, want %v", got, want)
+	}
+}
+
+// TestSpeculativeCheckpointCommitsAfterTheTipMovedOn: a checkpoint's
+// quorum is checked against this replica's history at the checkpoint, not
+// its current one. Announcements that arrive after the tip has passed the
+// checkpoint still commit the prefix up to it; compared with the current
+// history digest they never did, and the speculated slots stayed
+// uncommitted until a checkpoint happened to land at the tip.
+func TestSpeculativeCheckpointCommitsAfterTheTipMovedOn(t *testing.T) {
+	r := &kitRig{d: newFakeDriver(), rec: &recorder{}, auth: crypto.NewAuthority(1)}
+	cfg := DefaultConfig(4)
+	cfg.CheckpointInterval = 2
+	r.rep = NewReplica(1, cfg, r.d, r.rec, kvstore.New(), r.auth, Hooks{})
+	r.rep.Start()
+	backlog := NewBacklog(r.rep, testProgress)
+	vc := NewViewChange(r.rep, backlog, cfg.Quorum(), ViewChangeHooks{})
+	slots := NewSlots[struct{}](r.rep, ZyzzyvaProfile(), backlog, vc, nil)
+	for seq := types.SeqNum(1); seq <= 3; seq++ {
+		b := types.NewBatch(r.signedReq(uint64(seq)))
+		slots.Order(proposal(0, seq, b.Digest(), b))
+	}
+	var own *CheckpointMsg
+	for _, m := range r.d.sent {
+		if cp, ok := m.M.(*CheckpointMsg); ok && cp.Seq == 2 {
+			own = cp
+		}
+	}
+	if slots.specTip() != 3 || own == nil || own.StateHash == r.rep.HistoryDigest() {
+		t.Fatalf("tip %d, checkpoint at 2 announced: %v", slots.specTip(), own != nil)
+	}
+	for _, from := range []types.NodeID{2, 3} {
+		m := &CheckpointMsg{Seq: 2, StateHash: own.StateHash, Replica: from}
+		m.Sig = r.auth.Signer(from).Sign(m.Digest())
+		slots.OnMessage(from, m)
+	}
+	if got := r.rep.Ledger().LastExecuted(); got != 2 {
+		t.Fatalf("committed up to %d, want the checkpoint's 2", got)
 	}
 }
 

@@ -85,10 +85,18 @@ type Slots[X any] struct {
 	// Withhold makes this replica cast no vote (attack injection: a
 	// silent CheapBFT active replica or SBFT backup).
 	Withhold bool
+	// Issuer, when set, disseminates and orders this leader's proposals in
+	// place of Issue (PBFT keeps the pre-prepare's signature, and its
+	// attack seams delay or fork it). Take, when set, picks a proposal's
+	// requests in place of the backlog's arrival order (PBFT's
+	// front-running adversary).
+	Issuer func(*ProposeMsg)
+	Take   func(max int) []*types.Request
 
-	nextSeq types.SeqNum
-	slots   map[types.SeqNum]*Slot[X]
-	votes   Tally[stageKey, ballot]
+	nextSeq   types.SeqNum
+	proposing bool // Propose is running: a nested call leaves it to the loop
+	slots     map[types.SeqNum]*Slot[X]
+	votes     Tally[stageKey, ballot]
 
 	// The speculative tail: the highest slot of the view executed
 	// speculatively, and the history digests replicas announce per
@@ -210,20 +218,49 @@ func (s *Slots[X]) vote(stage Stage, view types.View, seq types.SeqNum, from typ
 	return sl
 }
 
-// Propose is the leader's assignment loop: while this replica may propose,
-// the next sequence number lies inside the window Accept enforces and the
-// backlog holds proposable requests, batch up to BatchSize of them under
-// the next sequence number and hand the signed proposal to send, which
-// disseminates and accepts it (Issue, for a protocol that adds nothing).
-// Proposing resumes as execution slides the window.
-func (s *Slots[X]) Propose(send func(*ProposeMsg)) {
-	for s.vc.MayPropose() && uint64(s.nextSeq) < uint64(s.env.Ledger().LastExecuted())+s.env.Config().HighWaterWindow {
-		reqs := s.backlog.Take(s.env.Config().BatchSize)
-		if len(reqs) == 0 {
-			return
-		}
-		send(NewProposal(s.env, s.vc.View(), s.Next(), types.NewBatch(reqs...)))
+// pipelineDepth is how many slots a leader keeps in flight above its
+// execution point. Up to pipelineDepth independent closed-loop clients
+// never wait behind the window; past it, requests queue and the next slot
+// carries them all (DESIGN.md → Batching and the pipeline window).
+const pipelineDepth = 8
+
+// Propose is the leader's assignment loop, the one batching rule of every
+// Slots protocol: while this replica may propose, fewer than pipelineDepth
+// slots are in flight above its execution point (the speculative tip under
+// a speculative profile) and the backlog holds proposable requests, it
+// takes what is queued, up to BatchSize, under the next sequence number and
+// hands the signed proposal to Issuer (Issue if unset). A lone request is
+// proposed at once; requests wait only while the window is full. The
+// caller proposes again when a slot executes (after Executed); the
+// speculative tail does so itself when a slot executes speculatively.
+func (s *Slots[X]) Propose() {
+	if s.proposing {
+		return
 	}
+	s.proposing = true
+	issue, take := s.Issuer, s.Take
+	if issue == nil {
+		issue = s.Issue
+	}
+	if take == nil {
+		take = s.backlog.Take
+	}
+	for s.vc.MayPropose() && s.nextSeq < s.windowTop() {
+		reqs := take(s.env.Config().BatchSize)
+		if len(reqs) == 0 {
+			break
+		}
+		issue(NewProposal(s.env, s.vc.View(), s.Next(), types.NewBatch(reqs...)))
+	}
+	s.proposing = false
+}
+
+// windowTop is the highest sequence number this leader may assign now:
+// pipelineDepth above its execution point, and never past the window
+// Accept enforces.
+func (s *Slots[X]) windowTop() types.SeqNum {
+	last := s.env.Ledger().LastExecuted()
+	return min(s.specTip()+pipelineDepth, last+types.SeqNum(s.env.Config().HighWaterWindow))
 }
 
 // Next assigns the next sequence number (leader only).

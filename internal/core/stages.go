@@ -474,16 +474,18 @@ func (s *Slots[X]) specTip() types.SeqNum { return max(s.env.Ledger().LastExecut
 // drain speculatively executes, in order, each slot right above the tip
 // whose last stage closed (or whose early certificate names its proposal),
 // answers its clients, restarts τ2, and announces the history digest at
-// each checkpoint interval.
+// each checkpoint interval. A slot executed speculatively has left the
+// leader's window, so the leader proposes again.
 func (s *Slots[X]) drain() {
+	tip := s.tip
 	for {
 		sl := s.slots[s.specTip()+1]
 		if sl == nil || sl.Batch == nil || !sl.done && (sl.cert == nil || sl.cert.Digest != sl.Digest) {
-			return
+			break
 		}
 		results := s.env.SpecExecute(sl.Seq, sl.Batch)
 		if results == nil {
-			return
+			break
 		}
 		sl.specd, s.tip = true, sl.Seq
 		ReplyExecuted(s.env, s.vc.View(), sl.Seq, sl.Batch, results, true)
@@ -495,16 +497,28 @@ func (s *Slots[X]) drain() {
 			s.checkpoint(s.env.ID(), cp)
 		}
 	}
+	if s.tip != tip {
+		s.Propose()
+	}
 }
 
 // checkpoint records a replica's history digest at a checkpoint and, once
-// a quorum announced this replica's own, commits the speculated prefix up
-// to it. Own means the current HistoryDigest, not the digest at m.Seq: once
-// the tip has passed m.Seq the two differ, and that checkpoint never
-// commits (a known defect, ROADMAP item 2).
+// a quorum announced the digest this replica announced there itself — its
+// history at m.Seq, whatever it has executed since — commits the speculated
+// prefix up to it. This replica's own announcement replaces the one it made
+// before a rollback re-executed the slot.
 func (s *Slots[X]) checkpoint(from types.NodeID, m *CheckpointMsg) {
-	s.checkpoints.Add(m.Seq, from, m.StateHash)
-	if voters := Backers(&s.checkpoints, m.Seq, s.env.HistoryDigest()); len(voters) >= s.Quorum && s.specTip() >= m.Seq {
+	self := s.env.ID()
+	if from == self {
+		s.checkpoints.Replace(m.Seq, from, m.StateHash)
+	} else {
+		s.checkpoints.Add(m.Seq, from, m.StateHash)
+	}
+	i := s.checkpoints.index(m.Seq, self)
+	if i < 0 || s.specTip() < m.Seq {
+		return
+	}
+	if voters := Backers(&s.checkpoints, m.Seq, s.checkpoints.Votes(m.Seq)[i].Val); len(voters) >= s.Quorum {
 		s.CommitSpeculated(m.Seq, voters)
 		s.checkpoints.Delete(m.Seq)
 	}

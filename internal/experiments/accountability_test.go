@@ -219,6 +219,43 @@ func TestAccountabilityGauntlet(t *testing.T) {
 	}
 }
 
+// TestEquivocatorForksCarrierBlocks: with one closed-loop client,
+// HotStuff-2's requests ride one view in two and replica 0 leads only the
+// empty carrier blocks between them. An equivocator that forked only
+// batches with requests in them never equivocated there, and left no proof
+// — the same lock-step that batching brings to two clients. It forks an
+// empty block into one carrying the last request it saw.
+func TestEquivocatorForksCarrierBlocks(t *testing.T) {
+	c := harness.NewCluster(harness.Options{
+		Protocol: "hotstuff2", N: 4, F: 1, Clients: 1, Seed: 42,
+		Tune: func(cfg *core.Config) {
+			cfg.Delta = 20 * time.Millisecond
+			cfg.RequestTimeout = 100 * time.Millisecond
+		},
+		Byzantine: map[types.NodeID]byz.Behavior{0: byz.Equivocate{}},
+		Forensics: &forensics.Options{},
+	})
+	c.Start()
+	c.ClosedLoop(20, func(cl, k int) []byte {
+		return kvstore.Put(fmt.Sprintf("c%d-k%d", cl, k), []byte("v"))
+	})
+	c.RunUntilIdle(30 * time.Second)
+	if c.Metrics.Completed != 20 {
+		t.Fatalf("completed %d of 20", c.Metrics.Completed)
+	}
+	rep := c.Forensics.Report(c.Sched.Now())
+	found := false
+	for _, p := range rep.Proofs {
+		if p.Culprit != 0 {
+			t.Fatalf("proof frames replica %d: %v", p.Culprit, p)
+		}
+		found = found || p.Proof == forensics.ProofEquivocation
+	}
+	if !found {
+		t.Fatalf("no equivocation proof against replica 0 (got %v)", rep.Proofs)
+	}
+}
+
 // TestAsymmetricRolesNotAccused pins the structural false-positive fix:
 // a sustained fault-free run of a protocol with asymmetric replica
 // roles (CheapBFT's passive spare, Kauri's tree interior) must end with

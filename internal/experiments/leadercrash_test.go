@@ -44,9 +44,9 @@ type leaderCrashRun struct {
 
 // leaderCrash runs 30 closed-loop requests per client and crashes the
 // view-0 leader 20 ms in: some slots have committed under view 0, some are
-// in flight.
-func leaderCrash(proto string, seed int64, clients int, until time.Duration, setup func(*harness.Cluster)) *harness.Cluster {
-	c := harness.NewCluster(harness.Options{Protocol: proto, F: 1, Clients: clients, Seed: seed})
+// in flight. tune, when set, adjusts the deployment's configuration.
+func leaderCrash(proto string, seed int64, clients int, until time.Duration, tune func(*core.Config), setup func(*harness.Cluster)) *harness.Cluster {
+	c := harness.NewCluster(harness.Options{Protocol: proto, F: 1, Clients: clients, Seed: seed, Tune: tune})
 	c.Start()
 	c.ClosedLoop(30, func(cl, k int) []byte {
 		return kvstore.Put(fmt.Sprintf("c%d-k%d", cl, k), []byte("v"))
@@ -60,7 +60,7 @@ func leaderCrash(proto string, seed int64, clients int, until time.Duration, set
 
 func runLeaderCrash(proto string, seed int64) leaderCrashRun {
 	run := leaderCrashRun{Protocol: proto, Seed: seed}
-	c := leaderCrash(proto, seed, 2, 20*time.Second, func(c *harness.Cluster) {
+	c := leaderCrash(proto, seed, 2, 20*time.Second, nil, func(c *harness.Cluster) {
 		c.AddDoneObserver(func(at time.Duration) { run.LastDoneUS = at.Microseconds() })
 	})
 
@@ -148,7 +148,11 @@ func TestViewChangeMessagesAreDeterministic(t *testing.T) {
 			var widest int
 			delivered := func() []string {
 				var sigs []string
-				leaderCrash(proto, 1, 4, 3*time.Second, func(c *harness.Cluster) {
+				// One request per slot: a new leader re-proposes its
+				// backlog as one batch at the default cap, so no later
+				// view-change message would carry two slots.
+				oneEach := func(cfg *core.Config) { cfg.BatchSize = 1 }
+				leaderCrash(proto, 1, 4, 3*time.Second, oneEach, func(c *harness.Cluster) {
 					c.Net.SetTap(func(_ time.Duration, from, to types.NodeID, m types.Message) {
 						switch mm := m.(type) {
 						case *core.ViewChangeMsg:

@@ -114,7 +114,7 @@ func (c *CheapBFT) OnRequest(req *types.Request) {
 	}
 }
 
-func (c *CheapBFT) maybePropose() { c.Slots.Propose(c.Slots.Issue) }
+func (c *CheapBFT) maybePropose() { c.Slots.Propose() }
 
 // OnMessage implements core.Protocol.
 func (c *CheapBFT) OnMessage(from types.NodeID, m types.Message) {

@@ -64,7 +64,7 @@ func (f *FaB) OnRequest(req *types.Request) {
 	}
 }
 
-func (f *FaB) maybePropose() { f.Slots.Propose(f.Slots.Issue) }
+func (f *FaB) maybePropose() { f.Slots.Propose() }
 
 // OnMessage implements core.Protocol.
 func (f *FaB) OnMessage(from types.NodeID, m types.Message) {

@@ -23,7 +23,6 @@ import (
 // Timer names.
 const (
 	timerView  = "view"  // τ5: pacemaker view timer
-	timerBatch = "batch" // leader batch formation
 	timerDelta = "delta" // HotStuff-2: Δ wait after a timeout-based takeover
 )
 
@@ -327,11 +326,7 @@ func (hs *HotStuff) OnRequest(req *types.Request) {
 	hs.memSet[key] = true
 	hs.mempool = append(hs.mempool, req)
 	if hs.leaderOf(hs.view) == hs.env.ID() {
-		if len(hs.mempool) >= hs.env.Config().BatchSize {
-			hs.maybePropose()
-		} else {
-			hs.env.SetTimer(core.TimerID{Name: timerBatch, View: hs.view}, hs.env.Config().BatchTimeout)
-		}
+		hs.maybePropose()
 	}
 	hs.armViewTimer()
 }
@@ -745,10 +740,6 @@ func (hs *HotStuff) onTimeout(m *TimeoutMsg) {
 // OnTimer implements core.Protocol.
 func (hs *HotStuff) OnTimer(id core.TimerID) {
 	switch id.Name {
-	case timerBatch:
-		if id.View == hs.view {
-			hs.maybePropose()
-		}
 	case timerDelta:
 		if id.View == hs.view {
 			hs.deltaHold = false

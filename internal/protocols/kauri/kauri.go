@@ -70,7 +70,7 @@ func (k *Kauri) OnRequest(req *types.Request) {
 	}
 }
 
-func (k *Kauri) maybePropose() { k.Slots.Propose(k.Slots.Issue) }
+func (k *Kauri) maybePropose() { k.Slots.Propose() }
 
 // OnMessage implements core.Protocol.
 func (k *Kauri) OnMessage(from types.NodeID, m types.Message) {

@@ -11,7 +11,7 @@ import (
 
 // Timer names (mapped to the paper's τ taxonomy).
 const (
-	timerBatch      = "batch"      // leader batch formation
+	timerHold       = "hold"       // attack injection only: FrontRun's hold
 	timerProgress   = "progress"   // τ2: trigger view change
 	timerRejuvenate = "rejuvenate" // τ8: proactive recovery watchdog
 	timerDelay      = "delay"      // attack injection only
@@ -91,7 +91,8 @@ type PBFT struct {
 	// so the (f+1)-th highest evidenced view is safe to adopt.
 	viewEvidence map[types.NodeID]types.View
 
-	batchArmed bool
+	// holding: the FrontRun adversary's hold timer is armed.
+	holding bool
 }
 
 // New returns a PBFT replica protocol with default options.
@@ -125,6 +126,10 @@ func (p *PBFT) Init(env core.Env) {
 	p.vc = core.NewViewChange(env, p.backlog, env.Config().Quorum(), p.viewChangeHooks())
 	p.Slots = core.NewSlots[slotExt](env, core.PBFTProfile(), p.backlog, p.vc, p.cm, p.stages...)
 	p.Slots.Closed = p.closed
+	p.Slots.Issuer = p.sendPrePrepare
+	if p.opts.FrontRun {
+		p.Slots.Take = p.takeNewest
+	}
 	p.viewEvidence = make(map[types.NodeID]types.View)
 	if p.opts.RejuvenationInterval > 0 {
 		stagger := time.Duration(int(env.ID())+1) * p.opts.RejuvenationInterval / time.Duration(env.N())
@@ -146,44 +151,15 @@ func (p *PBFT) OnRequest(req *types.Request) {
 }
 
 func (p *PBFT) maybePropose() {
-	if !p.vc.MayPropose() {
+	if !p.opts.FrontRun {
+		p.Slots.Propose()
 		return
 	}
-	cfg := p.env.Config()
-	if p.opts.FrontRun {
-		// The front-running adversary deliberately holds requests to
-		// build a backlog it can drain newest-first.
-		if p.backlog.Len() > 0 && !p.batchArmed {
-			p.batchArmed = true
-			p.env.SetTimer(core.TimerID{Name: timerBatch}, 5*cfg.BatchTimeout)
-		}
-		return
-	}
-	if p.backlog.Len() >= cfg.BatchSize {
-		p.proposeBatch()
-		return
-	}
-	if p.backlog.Len() > 0 && !p.batchArmed {
-		p.batchArmed = true
-		p.env.SetTimer(core.TimerID{Name: timerBatch}, cfg.BatchTimeout)
-	}
-}
-
-func (p *PBFT) proposeBatch() {
-	cfg := p.env.Config()
-	take := p.backlog.Take
-	if p.opts.FrontRun {
-		take = p.takeNewest
-	}
-	for {
-		if uint64(p.Slots.NextSeq()) >= uint64(p.env.Ledger().LowWater())+cfg.HighWaterWindow {
-			return // out of window; resume as checkpoints advance
-		}
-		reqs := take(cfg.BatchSize)
-		if len(reqs) == 0 {
-			return
-		}
-		p.sendPrePrepare(p.Slots.Next(), types.NewBatch(reqs...))
+	// The front-running adversary deliberately holds requests to build a
+	// backlog it can drain newest-first.
+	if p.vc.MayPropose() && p.backlog.Len() > 0 && !p.holding {
+		p.holding = true
+		p.env.SetTimer(core.TimerID{Name: timerHold}, 5*p.env.Config().BatchTimeout)
 	}
 }
 
@@ -200,16 +176,17 @@ func (p *PBFT) takeNewest(k int) []*types.Request {
 	return out
 }
 
-func (p *PBFT) sendPrePrepare(seq types.SeqNum, batch *types.Batch) {
-	pp := core.NewProposal(p.env, p.View(), seq, batch)
+// sendPrePrepare disseminates the leader's proposal (or, as the
+// adversary, delays or forks it) and records it.
+func (p *PBFT) sendPrePrepare(pp *core.ProposeMsg) {
 	if p.opts.DelayAttack > 0 {
 		// Hold the proposal back by the attack delay before letting the
 		// backups see it.
 		if p.delayed == nil {
 			p.delayed = make(map[types.SeqNum]*core.ProposeMsg)
 		}
-		p.delayed[seq] = pp
-		p.env.SetTimer(core.TimerID{Name: timerDelay, Seq: seq}, p.opts.DelayAttack)
+		p.delayed[pp.Seq] = pp
+		p.env.SetTimer(core.TimerID{Name: timerDelay, Seq: pp.Seq}, p.opts.DelayAttack)
 	} else if p.opts.EquivocateAsLeader {
 		p.equivocate(pp)
 	} else {
@@ -444,11 +421,9 @@ func (p *PBFT) OnExecuted(seq types.SeqNum, batch *types.Batch, results [][]byte
 // OnTimer implements core.Protocol.
 func (p *PBFT) OnTimer(id core.TimerID) {
 	switch id.Name {
-	case timerBatch:
-		p.batchArmed = false
-		if p.backlog.Len() > 0 {
-			p.proposeBatch()
-		}
+	case timerHold:
+		p.holding = false
+		p.Slots.Propose()
 	case timerProgress:
 		if p.backlog.Expired(id) {
 			// A committed-but-gapped ledger means we may simply have

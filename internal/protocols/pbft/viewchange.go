@@ -34,10 +34,10 @@ func (p *PBFT) viewChangeHooks() core.ViewChangeHooks {
 }
 
 // vouch carries everything prepared above the last stable checkpoint. A
-// replica that starts a view change also stops forming batches.
+// front-running adversary that starts a view change also drops its hold.
 func (p *PBFT) vouch(m *core.ViewChangeMsg) {
-	p.batchArmed = false
-	p.env.StopTimer(core.TimerID{Name: timerBatch})
+	p.holding = false
+	p.env.StopTimer(core.TimerID{Name: timerHold})
 	for _, proof := range p.preparedProof {
 		if proof.Seq > m.Stable {
 			m.Carried = append(m.Carried, *proof)

@@ -79,7 +79,7 @@ func (p *PoE) OnRequest(req *types.Request) {
 	}
 }
 
-func (p *PoE) maybePropose() { p.Slots.Propose(p.Slots.Issue) }
+func (p *PoE) maybePropose() { p.Slots.Propose() }
 
 // OnMessage implements core.Protocol.
 func (p *PoE) OnMessage(from types.NodeID, m types.Message) {

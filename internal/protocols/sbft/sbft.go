@@ -94,7 +94,7 @@ func (s *SBFT) OnRequest(req *types.Request) {
 	}
 }
 
-func (s *SBFT) maybePropose() { s.Slots.Propose(s.Slots.Issue) }
+func (s *SBFT) maybePropose() { s.Slots.Propose() }
 
 // OnMessage implements core.Protocol.
 func (s *SBFT) OnMessage(from types.NodeID, m types.Message) {

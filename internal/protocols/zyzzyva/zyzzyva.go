@@ -179,7 +179,7 @@ func (z *Zyzzyva) OnRequest(req *types.Request) {
 	}
 }
 
-func (z *Zyzzyva) maybePropose() { z.Slots.Propose(z.Slots.Issue) }
+func (z *Zyzzyva) maybePropose() { z.Slots.Propose() }
 
 // OnMessage implements core.Protocol.
 func (z *Zyzzyva) OnMessage(from types.NodeID, m types.Message) {

@@ -52,6 +52,16 @@ if [ -n "$staged" ]; then
 	exit 1
 fi
 
+# One assignment loop: the Slots packages hand out sequence numbers through
+# core.Slots.Propose and its pipeline window. Themis alone assigns its
+# own: its batch is the fair order of n-f reports, which a cap would cut.
+assigned=$(grep -nE 'Slots\.Next\(\)' $slots_sources | grep -v '/themis/' || true)
+if [ -n "$assigned" ]; then
+	echo "a second assignment loop (propose through core.Slots.Propose; Issuer and Take are its seams):" >&2
+	echo "$assigned" >&2
+	exit 1
+fi
+
 # One deployment assembly (internal/harness/node.go): the sizing loop, the
 # forensics role-asymmetry gate, the verification-engine constructor and
 # the inbound-lane call each live in one file, and there is one tap type.
