@@ -85,11 +85,11 @@ type Slots[X any] struct {
 	// Withhold makes this replica cast no vote (attack injection: a
 	// silent CheapBFT active replica or SBFT backup).
 	Withhold bool
-	// Issuer, when set, disseminates and orders this leader's proposals in
-	// place of Issue (PBFT keeps the pre-prepare's signature, and its
-	// attack seams delay or fork it). Take, when set, picks a proposal's
-	// requests in place of the backlog's arrival order (PBFT's
-	// front-running adversary).
+	// Issuer disseminates and orders this leader's proposals: Issue,
+	// unless the protocol replaces it (PBFT keeps the pre-prepare's
+	// signature, and its attack seams delay or fork it). Take picks a
+	// proposal's requests: the backlog's, in arrival order, unless the
+	// protocol replaces it (PBFT's front-running adversary).
 	Issuer func(*ProposeMsg)
 	Take   func(max int) []*types.Request
 
@@ -124,6 +124,7 @@ func NewSlots[X any](env Env, profile Profile, backlog *Backlog, vc *ViewChange,
 			s.active = profile.ActiveReplicas.Eval(env.F())
 		}
 	}
+	s.Issuer, s.Take = s.Issue, backlog.Take
 	vc.slots = s
 	return s
 }
@@ -229,28 +230,21 @@ const pipelineDepth = 8
 // slots are in flight above its execution point (the speculative tip under
 // a speculative profile) and the backlog holds proposable requests, it
 // takes what is queued, up to BatchSize, under the next sequence number and
-// hands the signed proposal to Issuer (Issue if unset). A lone request is
-// proposed at once; requests wait only while the window is full. The
-// caller proposes again when a slot executes (after Executed); the
-// speculative tail does so itself when a slot executes speculatively.
+// hands the signed proposal to Issuer. A lone request is proposed at once;
+// requests wait only while the window is full. The caller proposes again
+// when a slot executes (after Executed); the speculative tail does so
+// itself when a slot executes speculatively.
 func (s *Slots[X]) Propose() {
 	if s.proposing {
 		return
 	}
 	s.proposing = true
-	issue, take := s.Issuer, s.Take
-	if issue == nil {
-		issue = s.Issue
-	}
-	if take == nil {
-		take = s.backlog.Take
-	}
 	for s.vc.MayPropose() && s.nextSeq < s.windowTop() {
-		reqs := take(s.env.Config().BatchSize)
+		reqs := s.Take(s.env.Config().BatchSize)
 		if len(reqs) == 0 {
 			break
 		}
-		issue(NewProposal(s.env, s.vc.View(), s.Next(), types.NewBatch(reqs...)))
+		s.Issuer(NewProposal(s.env, s.vc.View(), s.Next(), types.NewBatch(reqs...)))
 	}
 	s.proposing = false
 }
