@@ -41,13 +41,14 @@
 //	bftbench -fuzz -fuzz-protocols pbft,hotstuff # restrict the sweep
 //	bftbench -fuzz-replay chaos-out/chaos-pbft-seed1-case0007.json
 //
-// Perf mode measures the curated benchmark matrix on the simulator and
-// writes/diffs BENCH_*.json performance snapshots (see perf.go and
-// internal/perf). Flags must precede the positional candidate:
+// Perf mode runs the curated benchmark matrix on the simulator and
+// writes/diffs BENCH_*.json snapshots, failing on any virtual-metric
+// drift not acknowledged in .perf-allow (see perf.go and internal/perf).
+// Flags must precede the positional candidate:
 //
 //	bftbench -snapshot BENCH_head.json
 //	bftbench -compare BENCH_baseline.json BENCH_head.json
-//	bftbench -profile-dir perf-profiles -compare old.json new.json
+//	bftbench -perf-allow-file other.allow -compare old.json new.json
 package main
 
 import (
@@ -88,29 +89,21 @@ func main() {
 	snapshot := flag.String("snapshot", "", "run the perf matrix and write a BENCH_*.json snapshot to this file")
 	compare := flag.String("compare", "", "baseline snapshot; the candidate follows as a positional arg (nonzero exit on regression)")
 	virtual := flag.String("perf-virtual", "", "print a snapshot's deterministic virtual-metric section and exit")
-	var pf perfFlags
-	flag.IntVar(&pf.repeats, "snapshot-repeats", 3, "host-metric repeats per cell (median taken; virtual metrics must agree)")
-	flag.StringVar(&pf.slow, "snapshot-slow", "", "self-test: run this protocol's cells with a byz delay replica")
-	flag.StringVar(&pf.allow, "perf-allow", "", "comma-separated cell-ID patterns whose virtual drift is acknowledged")
-	flag.StringVar(&pf.allowFile, "perf-allow-file", defaultAllowFile, "allowlist file (one pattern per line, #-comments)")
-	flag.Float64Var(&pf.tolerance, "perf-tolerance", 0.30, "fractional tolerance for host metrics (wall time, allocations)")
-	flag.IntVar(&pf.verifyCache, "verify-cache", 0, "verification-engine cache bound for -snapshot cells (0 = harness default, negative = engine off)")
-	flag.BoolVar(&pf.gateWall, "perf-gate-wall", false, "fail -compare on out-of-tolerance host regressions too")
-	flag.StringVar(&pf.profDir, "profile-dir", "", "capture per-cell pprof CPU/heap profiles for regressed cells into this dir")
+	allowFile := flag.String("perf-allow-file", defaultAllowFile, "allowlist file for -compare (one cell-ID pattern per line, #-comments)")
 	flag.Parse()
 
 	if *virtual != "" {
 		os.Exit(perfVirtual(*virtual))
 	}
 	if *snapshot != "" {
-		os.Exit(perfSnapshot(*snapshot, pf))
+		os.Exit(perfSnapshot(*snapshot))
 	}
 	if *compare != "" {
 		if flag.NArg() != 1 {
 			fmt.Fprintln(os.Stderr, "bftbench: -compare wants exactly one candidate snapshot: bftbench -compare old.json new.json")
 			os.Exit(2)
 		}
-		os.Exit(perfCompare(*compare, flag.Arg(0), pf))
+		os.Exit(perfCompare(*compare, flag.Arg(0), *allowFile))
 	}
 	if *fuzzReplay != "" {
 		os.Exit(replayOne(*fuzzReplay))

@@ -61,13 +61,6 @@ type Options struct {
 	// Metrics has. Continuous checkers (the chaos invariant oracle) hook
 	// in here rather than monkey-patching hooks.
 	Observers []Observer
-	// VerifyCache bounds the verification engine's signature memo and
-	// certificate LRU (0 = vpool.DefaultCache, negative = disable the
-	// engine entirely). The deployment shares one authority, so the memo
-	// deduplicates broadcast verifications across all receivers — pure
-	// host-CPU savings; the charged (deterministic) crypto counters are
-	// identical either way.
-	VerifyCache int
 	// Forensics, when set, runs the accountability auditor on the
 	// deployment's delivery stream (sim.Network.SetTap). N, F, and Keys
 	// are filled in from the cluster (NewAuditor); Tracer defaults to
@@ -163,8 +156,9 @@ func NewCluster(opts Options) *Cluster {
 	// signature across receivers. Workers stay 0 on the simulator (the
 	// determinism rule: verify inline, no pool goroutines); the memo is
 	// deterministic too — it changes which verifications run Ed25519
-	// math, never their results or the charged counters.
-	c.Engine = newEngine(c.Auth, 0, opts.VerifyCache, opts.Trace)
+	// math, never their results or the charged counters. Cache 0 is
+	// vpool.DefaultCache.
+	c.Engine = newEngine(c.Auth, 0, 0, opts.Trace)
 	if opts.Forensics != nil {
 		c.Forensics = NewAuditor(reg, cfg, c.Auth, *opts.Forensics, opts.Trace)
 	}

@@ -198,7 +198,7 @@ func TestDriverParity(t *testing.T) {
 	const requests = 20
 	for _, proto := range core.Names() {
 		if proto == "qu" {
-			continue // no ordered execution, so no OnExecute on either driver (ROADMAP item 5)
+			continue // no ordered execution, so no OnExecute on either driver (ROADMAP item 3, "Small ones")
 		}
 		t.Run(proto+"/sim", func(t *testing.T) {
 			rec := newParityRec()

@@ -13,28 +13,10 @@ import (
 
 // The comparison rule, in one place: virtual metrics are deterministic,
 // so ANY difference is a real behavioral change and fails the gate
-// unless the cell is allowlisted as an intended change. Host metrics
-// (wall time, allocations) are noisy, so they only count as changed
-// outside a configurable tolerance, and only fail the gate when wall
-// gating is explicitly enabled (CI runs on shared machines where wall
-// time proves nothing).
+// unless the cell is allowlisted as an intended change. Host metrics are
+// not compared at all.
 
-// CompareOptions tunes a snapshot diff.
-type CompareOptions struct {
-	// Allow holds wildcard patterns over cell IDs ('*' matches any run
-	// of characters). A matching cell's virtual drift is acknowledged:
-	// still reported, but not a gate failure. The committed .perf-allow
-	// file feeds this.
-	Allow []string
-	// WallTolerance is the fractional host-metric band (default 0.30):
-	// |new-old|/old beyond it is reported as a host change.
-	WallTolerance float64
-	// GateWall makes out-of-tolerance host regressions fail the gate
-	// too (off by default; virtual drift is always gated).
-	GateWall bool
-}
-
-// Delta is one metric's change in one cell.
+// Delta is one virtual metric's change in one cell.
 type Delta struct {
 	Cell   string
 	Metric string
@@ -46,8 +28,6 @@ type Delta struct {
 	// Badness orients Change so positive means "worse" (latency up =
 	// bad, throughput up = good). Deltas render worst-first.
 	Badness float64
-	// Kind is "virtual" (exact comparison) or "host" (tolerance).
-	Kind string
 	// Allowed marks deltas in allowlisted cells.
 	Allowed bool
 }
@@ -60,7 +40,9 @@ type Report struct {
 	Missing []string
 	// Added lists new cells with no baseline; informational only.
 	Added []string
-	Opts  CompareOptions
+	// allow is Compare's allowlist; Failed and Render match missing
+	// cells against it.
+	allow []string
 }
 
 // virtualMetrics enumerates the exactly-compared fields. higherBetter
@@ -87,22 +69,13 @@ var virtualMetrics = []struct {
 	{"mac_ops_per_txn", false, func(v Virtual) float64 { return v.MACOpsPerTxn }},
 }
 
-var hostMetrics = []struct {
-	name string
-	get  func(Host) float64
-}{
-	{"wall_ns", func(h Host) float64 { return float64(h.WallNS) }},
-	{"allocs", func(h Host) float64 { return float64(h.Allocs) }},
-	{"alloc_bytes", func(h Host) float64 { return float64(h.AllocBytes) }},
-}
-
-// Compare diffs two snapshots under the exact-virtual / tolerant-host
-// rule. old is the baseline; new is the candidate.
-func Compare(old, nw *Snapshot, opts CompareOptions) *Report {
-	if opts.WallTolerance <= 0 {
-		opts.WallTolerance = 0.30
-	}
-	r := &Report{Opts: opts}
+// Compare diffs two snapshots' virtual metrics exactly. old is the
+// baseline; new is the candidate. allow holds wildcard patterns over
+// cell IDs ('*' matches any run of characters): a matching cell's drift
+// is acknowledged — still reported, but not a gate failure. The
+// committed .perf-allow file feeds it.
+func Compare(old, nw *Snapshot, allow []string) *Report {
+	r := &Report{allow: allow}
 	newCells := make(map[string]CellResult, len(nw.Cells))
 	for _, c := range nw.Cells {
 		newCells[c.ID] = c
@@ -115,20 +88,13 @@ func Compare(old, nw *Snapshot, opts CompareOptions) *Report {
 			r.Missing = append(r.Missing, oc.ID)
 			continue
 		}
-		allowed := matchAny(opts.Allow, oc.ID)
+		allowed := matchAny(allow, oc.ID)
 		for _, m := range virtualMetrics {
 			ov, nv := m.get(oc.Virtual), m.get(nc.Virtual)
 			if ov == nv {
 				continue
 			}
-			r.Deltas = append(r.Deltas, delta(oc.ID, m.name, "virtual", ov, nv, m.higherBetter, allowed))
-		}
-		for _, m := range hostMetrics {
-			ov, nv := m.get(oc.Host), m.get(nc.Host)
-			if withinTolerance(ov, nv, opts.WallTolerance) {
-				continue
-			}
-			r.Deltas = append(r.Deltas, delta(oc.ID, m.name, "host", ov, nv, false, allowed))
+			r.Deltas = append(r.Deltas, delta(oc.ID, m.name, ov, nv, m.higherBetter, allowed))
 		}
 	}
 	for _, c := range nw.Cells {
@@ -140,7 +106,7 @@ func Compare(old, nw *Snapshot, opts CompareOptions) *Report {
 	return r
 }
 
-func delta(cell, metric, kind string, ov, nv float64, higherBetter, allowed bool) Delta {
+func delta(cell, metric string, ov, nv float64, higherBetter, allowed bool) Delta {
 	var change float64
 	switch {
 	case ov != 0:
@@ -154,54 +120,27 @@ func delta(cell, metric, kind string, ov, nv float64, higherBetter, allowed bool
 	if higherBetter {
 		bad = -change
 	}
-	return Delta{Cell: cell, Metric: metric, Old: ov, New: nv, Change: change, Badness: bad, Kind: kind, Allowed: allowed}
-}
-
-func withinTolerance(ov, nv, tol float64) bool {
-	if ov == nv {
-		return true
-	}
-	if ov == 0 {
-		return false
-	}
-	return math.Abs(nv-ov)/math.Abs(ov) <= tol
-}
-
-// gates reports whether a delta fails the gate under the report's options.
-func (r *Report) gates(d Delta) bool {
-	if d.Allowed {
-		return false
-	}
-	if d.Kind == "virtual" {
-		return true
-	}
-	return r.Opts.GateWall && d.Badness > 0
+	return Delta{Cell: cell, Metric: metric, Old: ov, New: nv, Change: change, Badness: bad, Allowed: allowed}
 }
 
 // Failed reports whether the comparison should exit nonzero: any
-// unacknowledged virtual drift, any missing cell, or (with GateWall) an
-// out-of-tolerance host regression.
+// unacknowledged virtual drift or missing cell.
 func (r *Report) Failed() bool {
 	for _, id := range r.Missing {
-		if !matchAny(r.Opts.Allow, id) {
+		if !matchAny(r.allow, id) {
 			return true
 		}
 	}
-	for _, d := range r.Deltas {
-		if r.gates(d) {
-			return true
-		}
-	}
-	return false
+	return len(r.RegressedCells()) > 0
 }
 
-// RegressedCells returns the distinct cells with gating deltas, worst
-// first — the set -profile-dir captures pprof profiles for.
+// RegressedCells returns the distinct cells with unacknowledged drift,
+// worst first — the list the FAIL line names.
 func (r *Report) RegressedCells() []string {
 	var out []string
 	seen := make(map[string]bool)
 	for _, d := range r.Deltas {
-		if r.gates(d) && !seen[d.Cell] {
+		if !d.Allowed && !seen[d.Cell] {
 			seen[d.Cell] = true
 			out = append(out, d.Cell)
 		}
@@ -217,7 +156,7 @@ func (r *Report) Render(w io.Writer) {
 	}
 	for _, id := range r.Missing {
 		mark := "MISSING"
-		if matchAny(r.Opts.Allow, id) {
+		if matchAny(r.allow, id) {
 			mark = "MISSING (allowed)"
 		}
 		fmt.Fprintf(w, "%-44s %s — cell present in baseline but not in new snapshot\n", id, mark)
@@ -225,36 +164,19 @@ func (r *Report) Render(w io.Writer) {
 	if len(r.Deltas) > 0 {
 		fmt.Fprintf(w, "%-44s %-16s %14s %14s %9s  %s\n", "cell", "metric", "old", "new", "Δ", "verdict")
 		for _, d := range r.Deltas {
-			verdict := ""
-			switch {
-			case d.Kind == "virtual" && d.Allowed:
+			verdict := "VIRTUAL DRIFT"
+			if d.Allowed {
 				verdict = "drift (allowed)"
-			case d.Kind == "virtual":
-				verdict = "VIRTUAL DRIFT"
-			case d.Badness > 0 && r.Opts.GateWall && !d.Allowed:
-				verdict = "HOST REGRESSION"
-			case d.Badness > 0:
-				verdict = "host regression (not gated)"
-			default:
-				verdict = "host improvement"
 			}
 			fmt.Fprintf(w, "%-44s %-16s %14s %14s %9s  %s\n",
 				d.Cell, d.Metric, num(d.Old), num(d.New), pct(d.Change), verdict)
 		}
 	}
-	virt, host := 0, 0
-	for _, d := range r.Deltas {
-		if d.Kind == "virtual" {
-			virt++
-		} else {
-			host++
-		}
-	}
 	if r.Failed() {
-		fmt.Fprintf(w, "PERF GATE: FAIL — %d virtual drift(s), %d missing cell(s), %d host change(s); regressed cells: %s\n",
-			virt, len(r.Missing), host, strings.Join(r.RegressedCells(), ", "))
+		fmt.Fprintf(w, "PERF GATE: FAIL — %d virtual drift(s), %d missing cell(s); regressed cells: %s\n",
+			len(r.Deltas), len(r.Missing), strings.Join(r.RegressedCells(), ", "))
 	} else {
-		fmt.Fprintf(w, "PERF GATE: PASS — %d virtual drift(s) (all allowed), %d host change(s) within gating policy\n", virt, host)
+		fmt.Fprintf(w, "PERF GATE: PASS — %d virtual drift(s) (all allowed)\n", len(r.Deltas))
 	}
 }
 

@@ -1,27 +1,25 @@
-// Package perf is the performance-trajectory subsystem: it runs a
-// curated benchmark matrix (protocol × cluster size × network × workload
-// cells) on the deterministic simulator and emits schema-versioned
-// BENCH_<seq>.json snapshots, so every PR answers "did the hot path get
-// faster or slower?" with a diff instead of a guess.
+// Package perf is the sameness gate: it runs a curated benchmark matrix
+// (protocol × cluster size × network × workload cells) on the
+// deterministic simulator and emits schema-versioned BENCH_<seq>.json
+// snapshots, so every PR answers "did the protocols' behaviour change?"
+// with a diff instead of a guess.
 //
-// Each cell reports two kinds of metrics with very different comparison
-// rules:
+// Each cell records virtual metrics — throughput, latency percentiles,
+// messages, wire bytes, signature/MAC operations, all in virtual time,
+// from harness.Metrics and the obsv counters. They are exactly
+// reproducible: the simulator is deterministic, so two snapshots taken
+// at the same revision are byte-identical in their virtual sections. Any
+// drift between two revisions is a real behavioural change, and the
+// comparator (compare.go) fails it unless the cell is allowlisted as an
+// intended change.
 //
-//   - Virtual metrics (throughput, latency percentiles, messages, wire
-//     bytes, signature/MAC operations — all in virtual time, from
-//     harness.Metrics and the obsv counters) are exactly reproducible:
-//     the simulator is deterministic, so two snapshots taken at the same
-//     revision are byte-identical in their virtual sections. Any drift
-//     between two revisions is a real behavioral change, and the
-//     comparator (compare.go) treats it as a regression unless the cell
-//     is explicitly allowlisted as an intended change.
-//
-//   - Host metrics (wall-clock time and allocations per cell, measured
-//     repeat-and-take-median) are noisy, machine-dependent, and compared
-//     against a configurable tolerance.
+// Each cell also records its allocation count and bytes (median over the
+// repeats) as data. The comparator never reads them: cost is judged by
+// the benchmark (`go run ./benchmark`, allocs_per_txn among its
+// metrics), not here.
 //
 // cmd/bftbench exposes the subsystem as -snapshot / -compare /
-// -profile-dir; `make bench-snapshot` and `make bench-compare` wrap the
+// -perf-virtual; `make bench-snapshot` and `make bench-compare` wrap the
 // common flows, and the CI perf job gates every PR on unacknowledged
 // virtual-metric drift against the committed BENCH_baseline.json.
 package perf
@@ -46,15 +44,15 @@ type Snapshot struct {
 	GoVersion string `json:"go_version"`
 	// Repeats is how many times each cell ran on the host; virtual
 	// metrics must agree across all repeats (the runner enforces it) and
-	// host metrics are the median of the repeats.
+	// the allocation counts are the median of the repeats.
 	Repeats int          `json:"repeats"`
 	Cells   []CellResult `json:"cells"`
 }
 
 // CellResult is one matrix cell's measurements. The full cell spec is
-// embedded so a snapshot is self-describing: the comparator can re-run
-// (and profile) a regressed cell from the snapshot alone, even if the
-// default matrix has since changed.
+// embedded so a snapshot is self-describing: a regressed cell can be
+// re-run from the snapshot alone, even if the default matrix has since
+// changed.
 type CellResult struct {
 	ID      string  `json:"id"`
 	Cell    Cell    `json:"cell"`
@@ -99,20 +97,10 @@ type Virtual struct {
 }
 
 // Host holds the machine-dependent metrics for one cell: the median
-// over the snapshot's repeats. Comparisons use a tolerance, never
-// equality.
+// over the snapshot's repeats. They are recorded, never compared.
 type Host struct {
-	WallNS     int64 `json:"wall_ns_median"`
 	Allocs     int64 `json:"allocs_median"`
 	AllocBytes int64 `json:"alloc_bytes_median"`
-}
-
-// Sample is one host-side measurement of a cell run; the runner takes
-// the median over Repeats of these.
-type Sample struct {
-	WallNS     int64
-	Allocs     int64
-	AllocBytes int64
 }
 
 // WriteFile marshals the snapshot as indented JSON (stable field order,

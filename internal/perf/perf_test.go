@@ -5,6 +5,10 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"bftkit/internal/byz"
+	"bftkit/internal/harness"
+	"bftkit/internal/types"
 )
 
 // smallMatrix keeps sim work per test in the tens of milliseconds while
@@ -18,7 +22,7 @@ func smallMatrix() []Cell {
 
 // TestSnapshotDeterminism is the guard the CI perf job relies on: two
 // back-to-back snapshots at the same revision must produce byte-identical
-// virtual-metric sections (headers and host metrics may differ).
+// virtual-metric sections (headers and allocation counts may differ).
 func TestSnapshotDeterminism(t *testing.T) {
 	a, err := Take(RunOptions{Matrix: smallMatrix(), Repeats: 2})
 	if err != nil {
@@ -42,12 +46,26 @@ func TestSnapshotDeterminism(t *testing.T) {
 		if c.Virtual.Msgs == 0 || c.Virtual.WireBytes == 0 || c.Virtual.ThroughputRPS == 0 {
 			t.Errorf("%s: empty virtual metrics: %+v", c.ID, c.Virtual)
 		}
-		if c.Host.WallNS <= 0 {
-			t.Errorf("%s: non-positive wall time %d", c.ID, c.Host.WallNS)
+		if c.Host.Allocs <= 0 {
+			t.Errorf("%s: non-positive alloc count %d", c.ID, c.Host.Allocs)
 		}
 	}
 	if a.Schema != SchemaVersion || a.GoVersion == "" || a.Date == "" {
 		t.Errorf("incomplete header: %+v", a)
+	}
+}
+
+// SlowWrap returns a Wrap hook that makes every cell of one protocol run
+// with replica 1 delaying its ordering messages by d (zero = byz's 5ms
+// default) — an intentionally regressed build.
+func SlowWrap(protocol string, d time.Duration) func(Cell, *harness.Options) {
+	return func(cell Cell, opts *harness.Options) {
+		if cell.Protocol != protocol {
+			return
+		}
+		opts.Byzantine = map[types.NodeID]byz.Behavior{
+			1: byz.DelayProposals{Delay: d},
+		}
 	}
 }
 
@@ -67,7 +85,7 @@ func TestCompareCatchesSlowdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := Compare(base, slow, CompareOptions{})
+	rep := Compare(base, slow, nil)
 	if !rep.Failed() {
 		t.Fatal("comparator passed a run with a delay replica injected")
 	}
@@ -91,7 +109,7 @@ func TestCompareCatchesSlowdown(t *testing.T) {
 
 	// The same drift, acknowledged per-cell, passes the gate but is
 	// still visible in the table — the intended-change workflow.
-	allowed := Compare(base, slow, CompareOptions{Allow: []string{"pbft/*"}})
+	allowed := Compare(base, slow, []string{"pbft/*"})
 	if allowed.Failed() {
 		t.Fatal("allowlisted drift still failed the gate")
 	}
@@ -103,13 +121,13 @@ func TestCompareCatchesSlowdown(t *testing.T) {
 }
 
 // TestCompareSelf: a snapshot against itself is a clean pass with no
-// deltas of either kind.
+// deltas.
 func TestCompareSelf(t *testing.T) {
 	snap, err := Take(RunOptions{Matrix: smallMatrix()[:1], Repeats: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := Compare(snap, snap, CompareOptions{})
+	rep := Compare(snap, snap, nil)
 	if rep.Failed() || len(rep.Deltas) != 0 || len(rep.Missing) != 0 || len(rep.Added) != 0 {
 		t.Fatalf("self-comparison not clean: %+v", rep)
 	}

@@ -8,10 +8,8 @@ import (
 	"strings"
 	"time"
 
-	"bftkit/internal/byz"
 	"bftkit/internal/harness"
 	"bftkit/internal/obsv"
-	"bftkit/internal/types"
 
 	// Register every protocol the matrix can name.
 	_ "bftkit/internal/protocols/hotstuff"
@@ -26,12 +24,12 @@ type RunOptions struct {
 	// Matrix is the cell list (default DefaultMatrix()).
 	Matrix []Cell
 	// Repeats is how many times each cell runs on the host (default 3).
-	// Virtual metrics must agree bit-for-bit across repeats; host
-	// metrics take the median.
+	// Virtual metrics must agree bit-for-bit across repeats; the
+	// allocation counts take the median.
 	Repeats int
 	// Wrap, when set, adjusts each cell's harness options before the
-	// cluster is built. Tests (and bftbench -snapshot-slow) use it to
-	// inject a Byzantine delay replica and prove the comparator notices.
+	// cluster is built. Tests use it to inject a Byzantine delay replica
+	// and prove the comparator notices.
 	Wrap func(Cell, *harness.Options)
 	// Logf reports per-cell progress (nil = silent).
 	Logf func(format string, args ...any)
@@ -61,7 +59,7 @@ func Take(opts RunOptions) (*Snapshot, error) {
 	}
 	for _, cell := range opts.Matrix {
 		var virt Virtual
-		samples := make([]Sample, 0, opts.Repeats)
+		samples := make([]Host, 0, opts.Repeats)
 		for r := 0; r < opts.Repeats; r++ {
 			v, s, err := MeasureCell(cell, opts.Wrap)
 			if err != nil {
@@ -81,33 +79,32 @@ func Take(opts RunOptions) (*Snapshot, error) {
 			Virtual: virt,
 			Host:    medianHost(samples),
 		})
-		logf("perf: %-40s %8.0f req/s  p99 %6dµs  %6.1f msgs/txn  wall %s",
+		logf("perf: %-40s %8.0f req/s  p99 %6dµs  %6.1f msgs/txn  %8d allocs",
 			cell.ID(), virt.ThroughputRPS, virt.P99US, virt.MsgsPerTxn,
-			time.Duration(snap.Cells[len(snap.Cells)-1].Host.WallNS).Round(time.Millisecond))
+			snap.Cells[len(snap.Cells)-1].Host.Allocs)
 	}
 	return snap, nil
 }
 
 // MeasureCell runs one cell once, returning its virtual metrics and the
-// host-side sample for that run. wrap may be nil.
-func MeasureCell(cell Cell, wrap func(Cell, *harness.Options)) (Virtual, Sample, error) {
+// allocations of that run. wrap may be nil.
+func MeasureCell(cell Cell, wrap func(Cell, *harness.Options)) (Virtual, Host, error) {
 	net, err := netConfig(cell.Net)
 	if err != nil {
-		return Virtual{}, Sample{}, err
+		return Virtual{}, Host{}, err
 	}
 	nextOp, err := workloadFor(cell)
 	if err != nil {
-		return Virtual{}, Sample{}, err
+		return Virtual{}, Host{}, err
 	}
 
-	// Host measurement brackets the whole cell — cluster construction
-	// included, since allocation behavior there is part of the cost a
-	// perf PR may change. A GC fence keeps the previous cell's garbage
-	// out of this cell's alloc delta.
+	// The allocation count brackets the whole cell — cluster
+	// construction included, since allocation behavior there is part of
+	// the cost a change may move. A GC fence keeps the previous cell's
+	// garbage out of this cell's alloc delta.
 	runtime.GC()
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
-	t0 := time.Now()
 
 	tr := obsv.New(obsv.Options{}) // counters only: no event log on the hot path
 	hopts := harness.Options{
@@ -138,15 +135,14 @@ func MeasureCell(cell Cell, wrap func(Cell, *harness.Options)) (Virtual, Sample,
 		c.Run(step)
 	}
 	if c.Metrics.Completed < expected {
-		return Virtual{}, Sample{}, fmt.Errorf("stalled: %d/%d requests completed within %v of virtual time",
+		return Virtual{}, Host{}, fmt.Errorf("stalled: %d/%d requests completed within %v of virtual time",
 			c.Metrics.Completed, expected, cap)
 	}
 
-	wall := time.Since(t0)
 	runtime.ReadMemStats(&m1)
 
 	if err := c.Audit(); err != nil {
-		return Virtual{}, Sample{}, err
+		return Virtual{}, Host{}, err
 	}
 	m := c.Metrics
 	virt := Virtual{
@@ -172,20 +168,18 @@ func MeasureCell(cell Cell, wrap func(Cell, *harness.Options)) (Virtual, Sample,
 		virt.SigOpsPerTxn = float64(virt.SigOps) / n
 		virt.MACOpsPerTxn = float64(virt.MACOps) / n
 	}
-	sample := Sample{
-		WallNS:     wall.Nanoseconds(),
+	host := Host{
 		Allocs:     int64(m1.Mallocs - m0.Mallocs),
 		AllocBytes: int64(m1.TotalAlloc - m0.TotalAlloc),
 	}
-	return virt, sample, nil
+	return virt, host, nil
 }
 
 // medianHost reduces repeat samples to their per-field medians. Fields
-// are reduced independently: the median wall time and the median alloc
-// count may come from different repeats, which is fine — each field is
-// compared on its own.
-func medianHost(samples []Sample) Host {
-	med := func(get func(Sample) int64) int64 {
+// are reduced independently: the median alloc count and the median
+// alloc bytes may come from different repeats.
+func medianHost(samples []Host) Host {
+	med := func(get func(Host) int64) int64 {
 		vals := make([]int64, len(samples))
 		for i, s := range samples {
 			vals[i] = get(s)
@@ -194,25 +188,8 @@ func medianHost(samples []Sample) Host {
 		return vals[len(vals)/2]
 	}
 	return Host{
-		WallNS:     med(func(s Sample) int64 { return s.WallNS }),
-		Allocs:     med(func(s Sample) int64 { return s.Allocs }),
-		AllocBytes: med(func(s Sample) int64 { return s.AllocBytes }),
-	}
-}
-
-// SlowWrap returns a Wrap hook that makes every cell of one protocol run
-// with replica 1 delaying its ordering messages by d (zero = byz's 5ms
-// default) — an intentionally regressed build, used to verify end to end
-// that the comparator catches and names a slowdown
-// (bftbench -snapshot-slow, TestCompareCatchesSlowdown).
-func SlowWrap(protocol string, d time.Duration) func(Cell, *harness.Options) {
-	return func(cell Cell, opts *harness.Options) {
-		if cell.Protocol != protocol {
-			return
-		}
-		opts.Byzantine = map[types.NodeID]byz.Behavior{
-			1: byz.DelayProposals{Delay: d},
-		}
+		Allocs:     med(func(h Host) int64 { return h.Allocs }),
+		AllocBytes: med(func(h Host) int64 { return h.AllocBytes }),
 	}
 }
 

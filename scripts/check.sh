@@ -127,6 +127,17 @@ if [ -n "$listed$claimers" ]; then
 	exit 1
 fi
 
+# One judge per question: internal/perf and bftbench's perf mode judge
+# sameness (exact virtual metrics) alone; cost is go run ./benchmark's.
+# Host-wall bands, wall medians and pprof capture must not come back.
+perf_sources=$(ls internal/perf/*.go cmd/bftbench/*.go | grep -v _test.go)
+hostgate=$(grep -nE 'WallNS|wall_ns|WallTolerance|GateWall|runtime/pprof' $perf_sources || true)
+if [ -n "$hostgate" ]; then
+	echo "host-wall gating or pprof capture in the perf gate (it judges sameness only):" >&2
+	echo "$hostgate" >&2
+	exit 1
+fi
+
 go vet ./...
 go build ./...
 

@@ -8,8 +8,8 @@
 #     comparison would be meaningless.
 #  2. bftbench -compare gates on unacknowledged virtual drift against
 #     BENCH_baseline.json (.perf-allow acknowledges intended changes).
-#     Host metrics (wall/allocs) are reported but not gated: CI machines
-#     share cores, so wall time proves nothing there.
+#     It compares nothing else: the snapshot's allocation counts are
+#     recorded data, and cost is judged by go run ./benchmark.
 #
 # The workflow uploads BENCH_head.json and BENCH_baseline.json as
 # artifacts either way, so a red gate ships the evidence.
