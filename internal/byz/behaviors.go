@@ -129,10 +129,10 @@ var DefaultVotePhases = []string{
 func WithholdVotes() Behavior { return SilentPhases{Phases: DefaultVotePhases} }
 
 // ---------------------------------------------------------------------
-// DelayProposals: the X14 delay attack, generalized from PBFT to any
-// protocol. The node stays just inside every timeout, degrading latency
-// without ever triggering a view change — the paper's argument (§1,
-// DC12) for why robustness needs more than liveness timers.
+// DelayProposals: the X14 delay attack, on any protocol. The node stays
+// just inside every timeout, degrading latency without ever triggering a
+// view change — the paper's argument (§1, DC12) for why robustness needs
+// more than liveness timers.
 
 // DelayProposals holds selected outgoing messages for a fixed time.
 type DelayProposals struct {

@@ -82,14 +82,11 @@ type Slots[X any] struct {
 	// committed (CheapBFT's updates to its passive replicas, SBFT's commit
 	// certificates).
 	Committed func(sl *Slot[X], proof *types.CommitProof)
-	// Withhold makes this replica cast no vote (attack injection: a
-	// silent CheapBFT active replica or SBFT backup).
-	Withhold bool
 	// Issuer disseminates and orders this leader's proposals: Issue,
 	// unless the protocol replaces it (PBFT keeps the pre-prepare's
-	// signature, and its attack seams delay or fork it). Take picks a
-	// proposal's requests: the backlog's, in arrival order, unless the
-	// protocol replaces it (PBFT's front-running adversary).
+	// signature). Take picks a proposal's requests: the backlog's, in
+	// arrival order, unless the protocol replaces it (PBFT's
+	// front-running adversary).
 	Issuer func(*ProposeMsg)
 	Take   func(max int) []*types.Request
 

@@ -299,7 +299,7 @@ func (s *Slots[X]) close(sl *Slot[X], i int, cm *CertMsg) {
 func (s *Slots[X]) advance(sl *Slot[X], i int, cm *CertMsg) {
 	if i+1 < len(s.stages) {
 		st := &s.stages[i+1]
-		if !s.Withhold && (st.Voters != VotersBackups || !s.vc.Leading()) {
+		if st.Voters != VotersBackups || !s.vc.Leading() {
 			s.cast(sl, st)
 		}
 		s.check(sl, i+1)

@@ -5,6 +5,7 @@ import (
 	"io"
 	"time"
 
+	"bftkit/internal/byz"
 	"bftkit/internal/core"
 	"bftkit/internal/harness"
 	"bftkit/internal/protocols/hotstuff"
@@ -83,8 +84,8 @@ func A2LeaderReputation(w io.Writer) {
 func A3ProgressTimer(w io.Writer) {
 	fmt.Fprintln(w, "A3: silent leader + clients retransmitting every 40ms (< 250ms timeout)")
 	_, r := run(runCfg{Proto: "pbft", F: 1, Clients: 2, PerClient: 10, Seed: 9,
-		Tune:        func(cfg *core.Config) { cfg.RequestTimeout = 40 * time.Millisecond },
-		MakeReplica: silentLeaderFactory()})
+		Tune:      func(cfg *core.Config) { cfg.RequestTimeout = 40 * time.Millisecond },
+		Byzantine: map[types.NodeID]byz.Behavior{0: silentLeader}})
 	fmt.Fprintf(w, "completed=%d viewchanges=%d (level-triggered timers fire despite the request stream)\n",
 		r.Completed, r.ViewChgs)
 }

@@ -360,9 +360,13 @@ func X6OptimisticFallback(w io.Writer) {
 			cfg.RequestTimeout = 40 * time.Millisecond
 			cfg.CheckpointInterval = 16
 		}
-		_, clean := run(runCfg{Proto: proto, F: 1, Clients: 1, PerClient: 15, Tune: tune})
+		// Bounded window: a speculative protocol watches its last
+		// requests until a checkpoint the 15-request run never reaches,
+		// so its progress timer would keep the run from going idle.
+		_, clean := run(runCfg{Proto: proto, F: 1, Clients: 1, PerClient: 15, Tune: tune,
+			Window: 20 * time.Second})
 		_, faulty := run(runCfg{Proto: proto, F: 1, Clients: 1, PerClient: 15, Tune: tune,
-			MakeReplica: faultyBackupFactory(proto)})
+			Window: 20 * time.Second, Byzantine: x6Faults[proto]})
 		ratio := 0.0
 		if clean.Mean > 0 {
 			ratio = float64(faulty.Mean) / float64(clean.Mean)
@@ -554,7 +558,8 @@ func X14RobustUnderAttack(w io.Writer) {
 		// after the workload drains, which would otherwise inflate the
 		// view-change count without bound.
 		_, r := run(runCfg{Proto: proto, F: 1, Clients: 2, PerClient: 15, Seed: 3,
-			Window: 20 * time.Second, MakeReplica: delayAttackFactory(proto, attack)})
+			Window: 20 * time.Second, Byzantine: map[types.NodeID]byz.Behavior{
+				0: byz.DelayProposals{Delay: attack, Phases: []string{"propose"}}}})
 		fmt.Fprintf(w, "%-10s %-10s %-12v %-10d\n", proto, "150ms", r.P50.Round(time.Millisecond), r.ViewChgs)
 	}
 	_, r := run(runCfg{Proto: "raftlite", N: 3, F: 1, Clients: 2, PerClient: 15,

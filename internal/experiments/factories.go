@@ -1,44 +1,28 @@
 package experiments
 
 import (
-	"time"
-
+	"bftkit/internal/byz"
 	"bftkit/internal/core"
-	"bftkit/internal/protocols/cheapbft"
 	"bftkit/internal/protocols/pbft"
-	"bftkit/internal/protocols/poe"
-	"bftkit/internal/protocols/prime"
-	"bftkit/internal/protocols/sbft"
-	"bftkit/internal/protocols/zyzzyva"
 	"bftkit/internal/types"
 )
 
-// faultyBackupFactory breaks one backup in the way each optimistic
-// protocol's assumption fears most (X6).
-func faultyBackupFactory(proto string) func(types.NodeID, core.Config) core.Protocol {
-	return func(id types.NodeID, cfg core.Config) core.Protocol {
-		switch proto {
-		case "sbft":
-			if id == 3 {
-				return sbft.NewWithOptions(cfg, sbft.Options{SilentBackup: true})
-			}
-		case "zyzzyva":
-			if id == 3 {
-				return zyzzyva.NewWithOptions(cfg, zyzzyva.Options{CorruptBackup: true})
-			}
-		case "poe":
-			// PoE only needs 2f+1 of 3f+1; a silent backup is absorbed.
-			// Break the leader instead so the view-change path shows up.
-			if id == 0 {
-				return poe.NewWithOptions(cfg, poe.Options{SilentLeader: true})
-			}
-		case "cheapbft":
-			if id == 1 {
-				return cheapbft.NewWithOptions(cfg, cheapbft.Options{SilentActive: true})
-			}
-		}
-		return nil
-	}
+// silentLeader is a replica that drops its proposals: the faulty leader of
+// X6's PoE row and of A3.
+var silentLeader = byz.SilentPhases{Phases: []string{"propose"}}
+
+// x6Faults breaks one replica in the way each optimistic protocol's
+// assumption fears most (X6).
+var x6Faults = map[string]map[types.NodeID]byz.Behavior{
+	// A backup withholding its shares denies the all-n fast path.
+	"sbft": {3: byz.SilentPhases{Phases: []string{"sign", "commit"}}},
+	// A backup reporting wrong results denies the client 3f+1 matches.
+	"zyzzyva": {3: byz.CorruptResults{}},
+	// PoE only needs 2f+1 of 3f+1; a silent backup is absorbed. Break
+	// the leader instead so the view-change path shows up.
+	"poe": {0: silentLeader},
+	// An active replica withholding its votes denies the active quorum.
+	"cheapbft": {1: byz.SilentPhases{Phases: []string{"commit"}}},
 }
 
 // frontRunFactory equips the PBFT leader with the reordering adversary
@@ -50,32 +34,6 @@ func frontRunFactory(proto string) func(types.NodeID, core.Config) core.Protocol
 	return func(id types.NodeID, cfg core.Config) core.Protocol {
 		if id == 0 {
 			return pbft.NewWithOptions(cfg, pbft.Options{FrontRun: true})
-		}
-		return nil
-	}
-}
-
-// silentLeaderFactory installs a leader that drops client requests (A3).
-func silentLeaderFactory() func(types.NodeID, core.Config) core.Protocol {
-	return func(id types.NodeID, cfg core.Config) core.Protocol {
-		if id == 0 {
-			return pbft.NewWithOptions(cfg, pbft.Options{SilentLeader: true})
-		}
-		return nil
-	}
-}
-
-// delayAttackFactory installs the Byzantine delaying leader (X14).
-func delayAttackFactory(proto string, attack time.Duration) func(types.NodeID, core.Config) core.Protocol {
-	return func(id types.NodeID, cfg core.Config) core.Protocol {
-		if id != 0 {
-			return nil
-		}
-		switch proto {
-		case "pbft":
-			return pbft.NewWithOptions(cfg, pbft.Options{DelayAttack: attack})
-		case "prime":
-			return prime.NewWithOptions(cfg, prime.Options{Inner: pbft.Options{DelayAttack: attack}})
 		}
 		return nil
 	}

@@ -40,9 +40,8 @@ func x16Run(proto string, b byz.Behavior, node types.NodeID, prepare func(*harne
 }
 
 // X16ByzantineFallback measures the paper's DC5–DC8 fallback claims
-// against live adversaries from internal/byz rather than hand-rolled
-// protocol options. Three speculative protocols face a vote/reply
-// withholder and an equivocating leader:
+// against live adversaries from internal/byz. Three speculative
+// protocols face a vote/reply withholder and an equivocating leader:
 //
 //   - Zyzzyva (DC8): its 3f+1 speculative quorum dies with one silent
 //     replica — the client falls back to the 2f+1 commit-certificate

@@ -43,8 +43,9 @@ type Options struct {
 	// Tune adjusts the derived config before the cluster is built.
 	Tune func(*core.Config)
 	// MakeReplica, when set, overrides protocol construction for
-	// selected replicas (fault/attack injection: return nil to fall
-	// back to the registered constructor).
+	// selected replicas (a protocol variant or PBFT's front-running
+	// leader; return nil to fall back to the registered constructor).
+	// Byzantine faults go through Byzantine.
 	MakeReplica func(id types.NodeID, cfg core.Config) core.Protocol
 	// Byzantine assigns a byz behavior to selected replicas. The node
 	// runs the protocol's honest code wrapped by the behavior

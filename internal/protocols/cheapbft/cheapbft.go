@@ -55,17 +55,10 @@ func (m *UpdateMsg) AppendSigClaims(dst []crypto.SigClaim, from types.NodeID) []
 	return append(dst, crypto.SigClaim{Signer: from, Digest: m.SigDigest(), Sig: m.Sig})
 }
 
-// Options tunes a CheapBFT replica.
-type Options struct {
-	// SilentActive withholds votes while active (forces the fallback).
-	SilentActive bool
-}
-
 // CheapBFT is the protocol state machine for one replica.
 type CheapBFT struct {
-	env  core.Env
-	opts Options
-	cm   *core.CheckpointManager
+	env core.Env
+	cm  *core.CheckpointManager
 
 	// backlog is the request intake and τ2 timer; vc the view-change
 	// stage, which owns the current view; Slots the ordering stage's
@@ -76,10 +69,7 @@ type CheapBFT struct {
 }
 
 // New returns a CheapBFT replica.
-func New(cfg core.Config) core.Protocol { return NewWithOptions(cfg, Options{}) }
-
-// NewWithOptions returns a replica with explicit options.
-func NewWithOptions(_ core.Config, opts Options) core.Protocol { return &CheapBFT{opts: opts} }
+func New(core.Config) core.Protocol { return &CheapBFT{} }
 
 func init() {
 	core.Register(core.Registration{
@@ -100,7 +90,6 @@ func (c *CheapBFT) Init(env core.Env) {
 	profile := core.CheapBFTProfile()
 	c.Slots = core.NewSlots[struct{}](env, profile, c.backlog, c.vc, c.cm,
 		core.StageSpec{Stage: core.StageCommit, Voters: core.VotersActive, Quorum: profile.Quorum})
-	c.Slots.Withhold = c.opts.SilentActive
 	c.Slots.Committed = c.update
 }
 

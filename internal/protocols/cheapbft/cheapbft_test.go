@@ -5,10 +5,10 @@ import (
 	"testing"
 	"time"
 
-	"bftkit/internal/core"
+	"bftkit/internal/byz"
 	"bftkit/internal/harness"
 	"bftkit/internal/kvstore"
-	"bftkit/internal/protocols/cheapbft"
+	_ "bftkit/internal/protocols/cheapbft"
 	_ "bftkit/internal/protocols/pbft" // registers the comparison baseline
 	"bftkit/internal/types"
 )
@@ -52,12 +52,7 @@ func TestSilentActiveForcesRotation(t *testing.T) {
 	// silent replica is benched.
 	c := harness.NewCluster(harness.Options{
 		Protocol: "cheapbft", N: 4, Clients: 2,
-		MakeReplica: func(id types.NodeID, cfg core.Config) core.Protocol {
-			if id == 1 {
-				return cheapbft.NewWithOptions(cfg, cheapbft.Options{SilentActive: true})
-			}
-			return nil
-		},
+		Byzantine: map[types.NodeID]byz.Behavior{1: byz.SilentPhases{Phases: []string{"commit"}}},
 	})
 	c.Start()
 	c.ClosedLoop(10, op)

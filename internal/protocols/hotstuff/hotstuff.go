@@ -185,16 +185,10 @@ type Options struct {
 	// TwoPhase enables the HotStuff-2 commit rule (two-chain) with the
 	// Δ wait after timeout-based leader changes.
 	TwoPhase bool
-	// SilentLeader drops proposals when this replica leads (attack
-	// injection).
-	SilentLeader bool
 	// PlainRoundRobin disables the leader-reputation demotion — the
 	// ablation showing why chained HotStuff needs it (a crashed
 	// replica then starves the three-chain commit rule at n=4).
 	PlainRoundRobin bool
-	// EquivocateAsLeader proposes two conflicting blocks per led view;
-	// the vote-once rule must keep at most one QC per view.
-	EquivocateAsLeader bool
 }
 
 // HotStuff is the protocol state machine for one replica.
@@ -387,7 +381,7 @@ func (hs *HotStuff) inChain(key types.RequestKey) bool {
 // work (mempool) or the pipeline has uncommitted blocks that need carrier
 // blocks to reach their commit rule.
 func (hs *HotStuff) maybePropose() {
-	if hs.opts.SilentLeader || hs.deltaHold {
+	if hs.deltaHold {
 		return
 	}
 	if hs.leaderOf(hs.view) != hs.env.ID() || hs.proposedInView[hs.view] {
@@ -417,24 +411,6 @@ func (hs *HotStuff) maybePropose() {
 	hs.proposedInView[hs.view] = true
 	prop := &ProposalMsg{Block: block}
 	prop.Sig = hs.env.Signer().Sign(prop.SigDigest())
-	if hs.opts.EquivocateAsLeader {
-		alt := &Block{View: block.View, Height: block.Height, Parent: block.Parent,
-			Batch: types.NewBatch(), Justify: block.Justify}
-		altProp := &ProposalMsg{Block: alt}
-		altProp.Sig = hs.env.Signer().Sign(altProp.SigDigest())
-		for i, id := range hs.env.Replicas() {
-			if id == hs.env.ID() {
-				continue
-			}
-			if i%2 == 0 {
-				hs.env.Send(id, prop)
-			} else {
-				hs.env.Send(id, altProp)
-			}
-		}
-		hs.onProposal(hs.env.ID(), prop)
-		return
-	}
 	hs.env.Broadcast(prop)
 	hs.onProposal(hs.env.ID(), prop)
 }

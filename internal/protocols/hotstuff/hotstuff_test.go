@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"bftkit/internal/byz"
 	"bftkit/internal/core"
 	"bftkit/internal/crypto"
 	"bftkit/internal/harness"
@@ -86,12 +87,7 @@ func TestLeaderCrashPacemaker(t *testing.T) {
 func TestSilentLeaderTimeout(t *testing.T) {
 	c := harness.NewCluster(harness.Options{
 		Protocol: "hotstuff", N: 4, Clients: 2,
-		MakeReplica: func(id types.NodeID, cfg core.Config) core.Protocol {
-			if id == 1 {
-				return hotstuff.NewWithOptions(cfg, hotstuff.Options{SilentLeader: true})
-			}
-			return nil
-		},
+		Byzantine: map[types.NodeID]byz.Behavior{1: byz.SilentPhases{Phases: []string{"propose"}}},
 	})
 	c.Start()
 	c.ClosedLoop(15, op)
@@ -173,12 +169,7 @@ func TestEquivocatingLeaderSafety(t *testing.T) {
 	// safety holds throughout.
 	c := harness.NewCluster(harness.Options{
 		Protocol: "hotstuff", N: 4, Clients: 2,
-		MakeReplica: func(id types.NodeID, cfg core.Config) core.Protocol {
-			if id == 1 {
-				return hotstuff.NewWithOptions(cfg, hotstuff.Options{EquivocateAsLeader: true})
-			}
-			return nil
-		},
+		Byzantine: map[types.NodeID]byz.Behavior{1: byz.Equivocate{}},
 	})
 	c.Start()
 	c.ClosedLoop(10, op)

@@ -14,21 +14,13 @@ const (
 	timerHold       = "hold"       // attack injection only: FrontRun's hold
 	timerProgress   = "progress"   // τ2: trigger view change
 	timerRejuvenate = "rejuvenate" // τ8: proactive recovery watchdog
-	timerDelay      = "delay"      // attack injection only
 )
 
-// Options tunes a PBFT instance, including the Byzantine behaviors the
-// experiments inject when this replica plays the adversary.
+// Options tunes a PBFT instance. Byzantine faults an Env interposer can
+// express (equivocation, silence, delay) come from internal/byz; FrontRun
+// stays here because it picks which queued requests enter a batch, which
+// no outgoing message shows.
 type Options struct {
-	// EquivocateAsLeader makes a Byzantine leader send conflicting
-	// pre-prepares to different halves of the backups.
-	EquivocateAsLeader bool
-	// SilentLeader makes a Byzantine leader drop client requests.
-	SilentLeader bool
-	// DelayAttack makes a Byzantine leader delay every proposal by the
-	// given duration (staying just inside the view-change timeout —
-	// the attack Prime was designed to bound, X14).
-	DelayAttack time.Duration
 	// RejuvenationInterval enables proactive recovery (τ8): the
 	// replica periodically discards its volatile ordering state and
 	// rebuilds from the log. Zero disables it.
@@ -66,8 +58,6 @@ type PBFT struct {
 	vc      *core.ViewChange
 	Slots   *core.Slots[slotExt]
 
-	// delayed holds proposals the DelayAttack adversary is sitting on.
-	delayed map[types.SeqNum]*core.ProposeMsg
 	// preparedProof remembers, per sequence number, the
 	// highest-view prepared certificate for view changes.
 	preparedProof map[types.SeqNum]*core.CarriedSlot
@@ -145,7 +135,7 @@ func (p *PBFT) View() types.View { return p.vc.View() }
 
 // OnRequest implements core.Protocol.
 func (p *PBFT) OnRequest(req *types.Request) {
-	if p.backlog.Submit(req, p.Leader()) && !p.opts.SilentLeader {
+	if p.backlog.Submit(req, p.Leader()) {
 		p.maybePropose()
 	}
 }
@@ -176,39 +166,10 @@ func (p *PBFT) takeNewest(k int) []*types.Request {
 	return out
 }
 
-// sendPrePrepare disseminates the leader's proposal (or, as the
-// adversary, delays or forks it) and records it.
+// sendPrePrepare disseminates the leader's proposal and records it.
 func (p *PBFT) sendPrePrepare(pp *core.ProposeMsg) {
-	if p.opts.DelayAttack > 0 {
-		// Hold the proposal back by the attack delay before letting the
-		// backups see it.
-		if p.delayed == nil {
-			p.delayed = make(map[types.SeqNum]*core.ProposeMsg)
-		}
-		p.delayed[pp.Seq] = pp
-		p.env.SetTimer(core.TimerID{Name: timerDelay, Seq: pp.Seq}, p.opts.DelayAttack)
-	} else if p.opts.EquivocateAsLeader {
-		p.equivocate(pp)
-	} else {
-		p.env.Broadcast(pp)
-	}
+	p.env.Broadcast(pp)
 	p.acceptPrePrepare(pp)
-}
-
-func (p *PBFT) equivocate(pp *core.ProposeMsg) {
-	// Conflicting assignment: the second half of the backups see an
-	// empty batch at the same sequence number.
-	alt := core.NewProposal(p.env, pp.View, pp.Seq, types.NewBatch())
-	for i, id := range p.env.Replicas() {
-		if id == p.env.ID() {
-			continue
-		}
-		if i%2 == 0 {
-			p.env.Send(id, pp)
-		} else {
-			p.env.Send(id, alt)
-		}
-	}
 }
 
 // acceptPrePrepare runs the backup-side acceptance rules (also used by
@@ -446,12 +407,6 @@ func (p *PBFT) OnTimer(id core.TimerID) {
 			}
 			p.vc.Retry(id)
 		}
-	case timerDelay:
-		// Attack injection: release the withheld proposal.
-		if pp := p.delayed[id.Seq]; pp != nil && pp.View == p.View() {
-			p.env.Broadcast(pp)
-		}
-		delete(p.delayed, id.Seq)
 	case timerRejuvenate:
 		p.rejuvenate()
 	}

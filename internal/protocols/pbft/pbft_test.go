@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"bftkit/internal/byz"
 	"bftkit/internal/core"
 	"bftkit/internal/harness"
 	"bftkit/internal/kvstore"
@@ -141,12 +142,7 @@ func TestConsecutiveLeaderCrashes(t *testing.T) {
 func TestEquivocatingLeaderSafety(t *testing.T) {
 	c := harness.NewCluster(harness.Options{
 		Protocol: "pbft", N: 4, Clients: 2,
-		MakeReplica: func(id types.NodeID, cfg core.Config) core.Protocol {
-			if id == 0 {
-				return pbft.NewWithOptions(cfg, pbft.Options{EquivocateAsLeader: true})
-			}
-			return nil
-		},
+		Byzantine: map[types.NodeID]byz.Behavior{0: byz.Equivocate{}},
 	})
 	c.Start()
 	c.ClosedLoop(10, op)

@@ -24,16 +24,9 @@ const (
 	timerProgress = "progress"
 )
 
-// Options tunes a PoE replica.
-type Options struct {
-	// SilentLeader drops client requests (attack injection).
-	SilentLeader bool
-}
-
 // PoE is the protocol state machine for one replica.
 type PoE struct {
-	env  core.Env
-	opts Options
+	env core.Env
 
 	// backlog is the request intake and τ2 timer; vc the view-change
 	// stage, which owns the current view; Slots the ordering stage's
@@ -44,10 +37,7 @@ type PoE struct {
 }
 
 // New returns a PoE replica.
-func New(cfg core.Config) core.Protocol { return NewWithOptions(cfg, Options{}) }
-
-// NewWithOptions returns a replica with explicit options.
-func NewWithOptions(_ core.Config, opts Options) core.Protocol { return &PoE{opts: opts} }
+func New(core.Config) core.Protocol { return &PoE{} }
 
 func init() {
 	core.Register(core.Registration{
@@ -74,7 +64,7 @@ func (p *PoE) View() types.View { return p.vc.View() }
 
 // OnRequest implements core.Protocol.
 func (p *PoE) OnRequest(req *types.Request) {
-	if p.backlog.Submit(req, p.vc.Leader()) && !p.opts.SilentLeader {
+	if p.backlog.Submit(req, p.vc.Leader()) {
 		p.maybePropose()
 	}
 }

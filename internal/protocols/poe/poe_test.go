@@ -9,7 +9,7 @@ import (
 	"bftkit/internal/core"
 	"bftkit/internal/harness"
 	"bftkit/internal/kvstore"
-	"bftkit/internal/protocols/poe"
+	_ "bftkit/internal/protocols/poe"
 	"bftkit/internal/types"
 )
 
@@ -91,12 +91,7 @@ func TestLeaderCrashViewChangeWithRollbackMachinery(t *testing.T) {
 func TestSilentLeaderReplaced(t *testing.T) {
 	c := harness.NewCluster(harness.Options{
 		Protocol: "poe", N: 4, Clients: 2, Tune: tune,
-		MakeReplica: func(id types.NodeID, cfg core.Config) core.Protocol {
-			if id == 0 {
-				return poe.NewWithOptions(cfg, poe.Options{SilentLeader: true})
-			}
-			return nil
-		},
+		Byzantine: map[types.NodeID]byz.Behavior{0: byz.SilentPhases{Phases: []string{"propose"}}},
 	})
 	c.Start()
 	c.ClosedLoop(10, op)

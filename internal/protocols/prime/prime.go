@@ -80,17 +80,11 @@ func (m *POAckMsg) AppendSigClaims(dst []crypto.SigClaim, from types.NodeID) []c
 	return append(dst, crypto.SigClaim{Signer: from, Digest: m.SigDigest(), Sig: m.Sig})
 }
 
-// Options tunes a Prime replica.
-type Options struct {
-	// MonitorBound is the leader-performance bound (the tightened
-	// view-change timeout of the inner ordering engine). Zero defaults
-	// to 30ms — far tighter than the default 250ms PBFT timeout, as
-	// Prime's monitoring is calibrated to actual network round trips.
-	MonitorBound time.Duration
-	// Inner carries attack options through to the inner PBFT engine
-	// (e.g. DelayAttack for X14's adversarial leader).
-	Inner pbft.Options
-}
+// monitorBound is the leader-performance bound: the tightened view-change
+// timeout of the inner ordering engine, far below the default 250ms PBFT
+// timeout, as Prime's monitoring is calibrated to actual network round
+// trips.
+const monitorBound = 30 * time.Millisecond
 
 type poKey struct {
 	Origin   types.NodeID
@@ -100,7 +94,6 @@ type poKey struct {
 type poState struct {
 	req    *types.Request
 	digest types.Digest
-	acks   map[types.NodeID]bool
 	fed    bool
 }
 
@@ -137,23 +130,21 @@ func (e tightEnv) Config() core.Config { return e.cfg }
 // Prime is the protocol state machine for one replica.
 type Prime struct {
 	env   core.Env
-	opts  Options
 	inner core.Protocol
 
 	localSeq uint64
 	po       map[poKey]*poState
-	elig     eligHeap
-	seen     map[types.RequestKey]bool
-	done     map[types.RequestKey]bool
+	// acks holds each PO-ACK's digest by its sender: a request is
+	// eligible on 2f+1 backers of its own digest, however many acks
+	// for another one arrived before it.
+	acks core.Tally[poKey, types.Digest]
+	elig eligHeap
+	seen map[types.RequestKey]bool
+	done map[types.RequestKey]bool
 }
 
-// New returns a Prime replica with default options.
-func New(cfg core.Config) core.Protocol { return NewWithOptions(cfg, Options{}) }
-
-// NewWithOptions returns a replica with explicit options.
-func NewWithOptions(_ core.Config, opts Options) core.Protocol {
-	return &Prime{opts: opts}
-}
+// New returns a Prime replica.
+func New(core.Config) core.Protocol { return &Prime{} }
 
 func init() {
 	core.Register(core.Registration{
@@ -170,14 +161,12 @@ func init() {
 func (p *Prime) Init(env core.Env) {
 	p.env = env
 	p.po = make(map[poKey]*poState)
+	p.acks = core.NewTally[poKey, types.Digest](env.N())
 	p.seen = make(map[types.RequestKey]bool)
 	p.done = make(map[types.RequestKey]bool)
-	if p.opts.MonitorBound == 0 {
-		p.opts.MonitorBound = 30 * time.Millisecond
-	}
 	cfg := env.Config()
-	cfg.ViewChangeTimeout = p.opts.MonitorBound
-	p.inner = pbft.NewWithOptions(cfg, p.opts.Inner)
+	cfg.ViewChangeTimeout = monitorBound
+	p.inner = pbft.New(cfg)
 	p.inner.Init(tightEnv{Env: env, cfg: cfg})
 }
 
@@ -225,7 +214,7 @@ func (p *Prime) OnMessage(from types.NodeID, m types.Message) {
 		if !p.env.Verifier().VerifySig(from, mm.SigDigest(), mm.Sig) {
 			return
 		}
-		p.onPOAck(mm)
+		p.onPOAck(from, mm)
 	default:
 		p.inner.OnMessage(from, m)
 	}
@@ -235,7 +224,7 @@ func (p *Prime) onPORequest(from types.NodeID, m *PORequestMsg) {
 	k := poKey{m.Origin, m.LocalSeq}
 	st := p.po[k]
 	if st == nil {
-		st = &poState{acks: make(map[types.NodeID]bool)}
+		st = &poState{}
 		p.po[k] = st
 	}
 	if st.req != nil {
@@ -247,29 +236,24 @@ func (p *Prime) onPORequest(from types.NodeID, m *PORequestMsg) {
 	ack := &POAckMsg{Origin: m.Origin, LocalSeq: m.LocalSeq, Digest: st.digest, Replica: p.env.ID()}
 	ack.Sig = p.env.Signer().Sign(ack.SigDigest())
 	p.env.Broadcast(ack)
-	st.acks[p.env.ID()] = true
+	p.acks.Add(k, p.env.ID(), st.digest)
 	p.checkEligible(k, st)
 }
 
-func (p *Prime) onPOAck(m *POAckMsg) {
+func (p *Prime) onPOAck(from types.NodeID, m *POAckMsg) {
 	k := poKey{m.Origin, m.LocalSeq}
-	st := p.po[k]
-	if st == nil {
-		st = &poState{acks: make(map[types.NodeID]bool)}
-		p.po[k] = st
+	p.acks.Add(k, from, m.Digest)
+	if st := p.po[k]; st != nil {
+		p.checkEligible(k, st)
 	}
-	if st.req != nil && st.digest != m.Digest {
-		return
-	}
-	st.acks[m.Replica] = true
-	p.checkEligible(k, st)
 }
 
-// checkEligible feeds requests with 2f+1 acknowledgements into the
-// ordering stage in (localSeq, origin) order. Requests already executed
-// (stamped redundantly by several origins) are dropped here.
+// checkEligible feeds requests with 2f+1 acknowledgements of their
+// digest into the ordering stage in (localSeq, origin) order. Requests
+// already executed (stamped redundantly by several origins) are dropped
+// here.
 func (p *Prime) checkEligible(k poKey, st *poState) {
-	if st.fed || st.req == nil || len(st.acks) < p.env.Config().Quorum() {
+	if st.fed || st.req == nil || len(core.Backers(&p.acks, k, st.digest)) < p.env.Config().Quorum() {
 		return
 	}
 	st.fed = true
@@ -281,6 +265,7 @@ func (p *Prime) checkEligible(k poKey, st *poState) {
 				p.inner.OnRequest(s.req)
 			}
 			delete(p.po, next)
+			p.acks.Delete(next)
 		}
 	}
 }

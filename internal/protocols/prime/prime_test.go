@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"bftkit/internal/byz"
 	"bftkit/internal/core"
 	"bftkit/internal/harness"
 	"bftkit/internal/kvstore"
@@ -61,17 +62,8 @@ func TestDelayAttackBounded(t *testing.T) {
 	run := func(proto string) (time.Duration, int) {
 		c := harness.NewCluster(harness.Options{
 			Protocol: proto, N: 4, Clients: 2,
-			MakeReplica: func(id types.NodeID, cfg core.Config) core.Protocol {
-				if id != 0 {
-					return nil
-				}
-				if proto == "prime" {
-					return prime.NewWithOptions(cfg, prime.Options{
-						Inner: pbft.Options{DelayAttack: attack},
-					})
-				}
-				return pbft.NewWithOptions(cfg, pbft.Options{DelayAttack: attack})
-			},
+			Byzantine: map[types.NodeID]byz.Behavior{
+				0: byz.DelayProposals{Delay: attack, Phases: []string{"propose"}}},
 		})
 		c.Start()
 		c.ClosedLoop(15, op)
@@ -97,6 +89,33 @@ func TestDelayAttackBounded(t *testing.T) {
 	}
 	if primeLat >= pbftLat/2 {
 		t.Fatalf("prime median latency %v should be far below pbft's %v under attack", primeLat, pbftLat)
+	}
+}
+
+// TestEarlyAcksForAnotherDigestDoNotMakeARequestEligible is the
+// regression test for PO-ACKs counted before their PO-REQUEST: they were
+// counted whatever digest they named, so an equivocating origin that
+// showed two replicas request B and the leader request A at the same
+// (origin, localSeq) made A eligible on the leader's own ack alone. An
+// ack now counts only toward the digest it names.
+func TestEarlyAcksForAnotherDigestDoNotMakeARequestEligible(t *testing.T) {
+	c := harness.NewCluster(harness.Options{Protocol: "prime", N: 4, Clients: 1})
+	c.Start()
+	leader, origin := c.Replicas[0], c.Replicas[3]
+	other := &types.Request{Client: types.ClientIDBase, ClientSeq: 1, Op: op(0, 2)}
+	for _, acker := range c.Replicas[1:3] { // 2f acks for B
+		ack := &prime.POAckMsg{Origin: origin.ID(), LocalSeq: 1, Digest: other.Digest(), Replica: acker.ID()}
+		ack.Sig = acker.Signer().Sign(ack.SigDigest())
+		leader.Deliver(acker.ID(), ack)
+	}
+	req := &types.Request{Client: types.ClientIDBase, ClientSeq: 1, Op: op(0, 1)}
+	req.Sig = c.Auth.Signer(req.Client).Sign(req.Digest())
+	pr := &prime.PORequestMsg{Origin: origin.ID(), LocalSeq: 1, Req: req}
+	pr.Sig = origin.Signer().Sign(pr.SigDigest())
+	leader.Deliver(origin.ID(), pr)
+	c.Run(20 * time.Millisecond)
+	if kinds, _ := c.Net.KindCounts(); kinds["PROPOSE"] != 0 {
+		t.Fatalf("the leader proposed a request backed by its own ack alone (%d PROPOSE sent)", kinds["PROPOSE"])
 	}
 }
 

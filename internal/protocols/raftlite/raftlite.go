@@ -108,7 +108,8 @@ type Raft struct {
 	log         []Entry // log[i] is the entry at index i+1
 	commitIndex types.SeqNum
 
-	votes      map[types.NodeID]bool
+	// votes holds the granted election votes per term, by sender.
+	votes      core.Tally[uint64, struct{}]
 	nextIndex  map[types.NodeID]types.SeqNum
 	matchIndex map[types.NodeID]types.SeqNum
 
@@ -133,7 +134,7 @@ func (r *Raft) Init(env core.Env) {
 	r.env = env
 	r.votedFor = -1
 	r.leaderID = -1
-	r.votes = make(map[types.NodeID]bool)
+	r.votes = core.NewTally[uint64, struct{}](env.N())
 	r.nextIndex = make(map[types.NodeID]types.SeqNum)
 	r.matchIndex = make(map[types.NodeID]types.SeqNum)
 	r.pendingSet = make(map[types.RequestKey]bool)
@@ -254,7 +255,7 @@ func (r *Raft) OnMessage(from types.NodeID, m types.Message) {
 	case *RequestVoteMsg:
 		r.onRequestVote(mm)
 	case *VoteMsg:
-		r.onVote(mm)
+		r.onVote(from, mm)
 	}
 }
 
@@ -264,7 +265,6 @@ func (r *Raft) stepDown(term uint64) {
 		r.votedFor = -1
 	}
 	r.role = follower
-	r.votes = make(map[types.NodeID]bool)
 	r.env.StopTimer(core.TimerID{Name: timerHeartbeat})
 	r.resetElectionTimer()
 }
@@ -373,7 +373,7 @@ func (r *Raft) onRequestVote(m *RequestVoteMsg) {
 	r.env.Send(m.Candidate, &VoteMsg{Term: r.term, Granted: grant, Replica: r.env.ID()})
 }
 
-func (r *Raft) onVote(m *VoteMsg) {
+func (r *Raft) onVote(from types.NodeID, m *VoteMsg) {
 	if m.Term > r.term {
 		r.stepDown(m.Term)
 		return
@@ -381,8 +381,7 @@ func (r *Raft) onVote(m *VoteMsg) {
 	if r.role != candidate || m.Term != r.term || !m.Granted {
 		return
 	}
-	r.votes[m.Replica] = true
-	if len(r.votes) >= r.majority() {
+	if r.votes.Add(m.Term, from, struct{}{}) >= r.majority() {
 		r.role = leader
 		r.leaderID = r.env.ID()
 		for _, id := range r.env.Replicas() {
@@ -404,13 +403,14 @@ func (r *Raft) OnTimer(id core.TimerID) {
 		r.term++
 		r.role = candidate
 		r.votedFor = r.env.ID()
-		r.votes = map[types.NodeID]bool{r.env.ID(): true}
+		r.votes.Prune(func(term uint64) bool { return term < r.term })
+		r.votes.Add(r.term, r.env.ID(), struct{}{})
 		r.env.Broadcast(&RequestVoteMsg{
 			Term: r.term, Candidate: r.env.ID(),
 			LastIndex: r.lastIndex(), LastTerm: r.termAt(r.lastIndex()),
 		})
 		r.resetElectionTimer()
-		if len(r.votes) >= r.majority() { // n == 1 degenerate case
+		if r.votes.Count(r.term) >= r.majority() { // n == 1 degenerate case
 			r.role = leader
 			r.leaderID = r.env.ID()
 			r.drainPending()

@@ -26,18 +26,10 @@ import (
 
 const timerProgress = "progress" // τ2: triggers a view change
 
-// Options tunes an SBFT instance.
-type Options struct {
-	// SilentBackup makes this replica withhold its shares, forcing the
-	// cluster onto the slow path (the DC6 fallback).
-	SilentBackup bool
-}
-
 // SBFT is the protocol state machine for one replica.
 type SBFT struct {
-	env  core.Env
-	opts Options
-	cm   *core.CheckpointManager
+	env core.Env
+	cm  *core.CheckpointManager
 
 	// The core kit: request intake and τ2, view change, ordering.
 	backlog *core.Backlog
@@ -53,11 +45,8 @@ type SBFT struct {
 	SlowCommits int
 }
 
-// New returns an SBFT replica with default options.
-func New(cfg core.Config) core.Protocol { return NewWithOptions(cfg, Options{}) }
-
-// NewWithOptions returns an SBFT replica with explicit options.
-func NewWithOptions(_ core.Config, opts Options) core.Protocol { return &SBFT{opts: opts} }
+// New returns an SBFT replica.
+func New(core.Config) core.Protocol { return &SBFT{} }
 
 func init() {
 	core.Register(core.Registration{
@@ -82,7 +71,6 @@ func (s *SBFT) Init(env core.Env) {
 		core.StageSpec{Stage: core.StageSign, Voters: core.VotersAll, Collect: true, Quorum: profile.Quorum,
 			FastWait: 4 * env.Config().BatchTimeout},
 		core.StageSpec{Stage: core.StageCommit, Voters: core.VotersAll, Collect: true, Quorum: profile.Quorum})
-	s.Slots.Withhold = s.opts.SilentBackup
 	s.Slots.Closed = s.prepared
 	s.Slots.Committed = s.committed
 }

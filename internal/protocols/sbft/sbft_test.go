@@ -38,15 +38,13 @@ func TestFaultFreeUsesFastPath(t *testing.T) {
 	}
 }
 
+// silentBackup withholds its sign and commit shares from the collector.
+var silentBackup = byz.SilentPhases{Phases: []string{"sign", "commit"}}
+
 func TestSilentBackupFallsBackToSlowPath(t *testing.T) {
 	c := harness.NewCluster(harness.Options{
 		Protocol: "sbft", N: 4, Clients: 2,
-		MakeReplica: func(id types.NodeID, cfg core.Config) core.Protocol {
-			if id == 3 {
-				return sbft.NewWithOptions(cfg, sbft.Options{SilentBackup: true})
-			}
-			return nil
-		},
+		Byzantine: map[types.NodeID]byz.Behavior{3: silentBackup},
 	})
 	c.Start()
 	c.ClosedLoop(15, op)
@@ -67,15 +65,11 @@ func TestSlowPathCostsLatency(t *testing.T) {
 	// The DC6 trade-off: the fast path saves phases when everyone is
 	// honest; a single silent backup costs at least τ3 per batch.
 	run := func(silent bool) time.Duration {
-		c := harness.NewCluster(harness.Options{
-			Protocol: "sbft", N: 4, Clients: 1,
-			MakeReplica: func(id types.NodeID, cfg core.Config) core.Protocol {
-				if silent && id == 3 {
-					return sbft.NewWithOptions(cfg, sbft.Options{SilentBackup: true})
-				}
-				return nil
-			},
-		})
+		opts := harness.Options{Protocol: "sbft", N: 4, Clients: 1}
+		if silent {
+			opts.Byzantine = map[types.NodeID]byz.Behavior{3: silentBackup}
+		}
+		c := harness.NewCluster(opts)
 		c.Start()
 		c.ClosedLoop(20, op)
 		c.RunUntilIdle(120 * time.Second)

@@ -163,14 +163,8 @@ type decision struct {
 	sigs  map[types.NodeID][]byte
 }
 
-// Options tunes a Tendermint instance, including attack injection.
+// Options tunes a Tendermint instance.
 type Options struct {
-	// SilentProposer drops proposals when this replica should propose.
-	SilentProposer bool
-	// EquivocatingProposer sends conflicting proposals to different
-	// halves of the replicas (the locking rule must keep at most one of
-	// them committable).
-	EquivocatingProposer bool
 	// SkipDeltaWait enables the HotStuff-2-style optimization noted in
 	// DC4: a proposer that was part of the previous height's precommit
 	// quorum proposes immediately instead of waiting Δ.
@@ -338,9 +332,6 @@ func (t *Tendermint) takeBatch() *types.Batch {
 }
 
 func (t *Tendermint) propose() {
-	if t.opts.SilentProposer {
-		return
-	}
 	if t.round == 0 && !t.deltaDone {
 		return // DC4: the Δ wait has not elapsed yet
 	}
@@ -354,24 +345,6 @@ func (t *Tendermint) propose() {
 	}
 	prop := &ProposalMsg{Height: t.height, Round: t.round, Digest: batch.Digest(), Batch: batch}
 	prop.Sig = t.env.Signer().Sign(prop.SigDigest())
-	if t.opts.EquivocatingProposer {
-		alt := &ProposalMsg{Height: t.height, Round: t.round,
-			Digest: types.ZeroDigest, Batch: types.NewBatch()}
-		alt.Digest = alt.Batch.Digest()
-		alt.Sig = t.env.Signer().Sign(alt.SigDigest())
-		for i, id := range t.env.Replicas() {
-			if id == t.env.ID() {
-				continue
-			}
-			if i%2 == 0 {
-				t.env.Send(id, prop)
-			} else {
-				t.env.Send(id, alt)
-			}
-		}
-		t.acceptProposal(prop)
-		return
-	}
 	t.env.Broadcast(prop)
 	t.acceptProposal(prop)
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"bftkit/internal/byz"
 	"bftkit/internal/core"
 	"bftkit/internal/harness"
 	"bftkit/internal/kvstore"
@@ -73,12 +74,7 @@ func TestCrashedProposerRoundAdvance(t *testing.T) {
 func TestSilentProposerRoundAdvance(t *testing.T) {
 	c := harness.NewCluster(harness.Options{
 		Protocol: "tendermint", N: 4, Clients: 2, Tune: tune,
-		MakeReplica: func(id types.NodeID, cfg core.Config) core.Protocol {
-			if id == 2 {
-				return tendermint.NewWithOptions(cfg, tendermint.Options{SilentProposer: true})
-			}
-			return nil
-		},
+		Byzantine: map[types.NodeID]byz.Behavior{2: byz.SilentPhases{Phases: []string{"propose"}}},
 	})
 	c.Start()
 	c.ClosedLoop(10, op)
@@ -131,12 +127,7 @@ func TestEquivocatingProposerSafety(t *testing.T) {
 	// one height, and liveness must return through round advancement.
 	c := harness.NewCluster(harness.Options{
 		Protocol: "tendermint", N: 4, Clients: 2, Tune: tune,
-		MakeReplica: func(id types.NodeID, cfg core.Config) core.Protocol {
-			if id == 1 {
-				return tendermint.NewWithOptions(cfg, tendermint.Options{EquivocatingProposer: true})
-			}
-			return nil
-		},
+		Byzantine: map[types.NodeID]byz.Behavior{1: byz.Equivocate{}},
 	})
 	c.Start()
 	c.ClosedLoop(10, op)

@@ -86,11 +86,6 @@ func (m *LocalCommitMsg) RequestRef() types.RequestKey {
 type Options struct {
 	// Five selects the Zyzzyva5 thresholds (n−f fast path).
 	Five bool
-	// SilentLeader drops client requests (attack injection).
-	SilentLeader bool
-	// CorruptBackup makes this backup return wrong results to clients,
-	// which must still complete via the commit-certificate path.
-	CorruptBackup bool
 }
 
 // Zyzzyva is the replica state machine.
@@ -141,22 +136,8 @@ func init() {
 	})
 }
 
-// corruptReplies is a CorruptBackup replica's environment: its speculative
-// replies carry a wrong result.
-type corruptReplies struct{ core.Env }
-
-func (e corruptReplies) Reply(r *types.Reply) {
-	if r.Speculative {
-		r.Result = []byte("corrupt")
-	}
-	e.Env.Reply(r)
-}
-
 // Init implements core.Protocol.
 func (z *Zyzzyva) Init(env core.Env) {
-	if z.opts.CorruptBackup {
-		env = corruptReplies{env}
-	}
 	z.env = env
 	z.clientCerts = make(map[types.SeqNum]*CommitMsg)
 	z.backlog = core.NewBacklog(env, timerProgress)
@@ -174,7 +155,7 @@ func (z *Zyzzyva) View() types.View { return z.vc.View() }
 
 // OnRequest implements core.Protocol.
 func (z *Zyzzyva) OnRequest(req *types.Request) {
-	if z.backlog.Submit(req, z.vc.Leader()) && !z.opts.SilentLeader {
+	if z.backlog.Submit(req, z.vc.Leader()) {
 		z.maybePropose()
 	}
 }

@@ -9,7 +9,7 @@ import (
 	"bftkit/internal/core"
 	"bftkit/internal/harness"
 	"bftkit/internal/kvstore"
-	"bftkit/internal/protocols/zyzzyva"
+	_ "bftkit/internal/protocols/zyzzyva"
 	"bftkit/internal/types"
 )
 
@@ -66,12 +66,7 @@ func TestCorruptBackupTriggersRepairerClient(t *testing.T) {
 	// still complete with the correct result (DC8's fallback).
 	c := harness.NewCluster(harness.Options{
 		Protocol: "zyzzyva", N: 4, Clients: 2, Tune: tune,
-		MakeReplica: func(id types.NodeID, cfg core.Config) core.Protocol {
-			if id == 3 {
-				return zyzzyva.NewWithOptions(cfg, zyzzyva.Options{CorruptBackup: true})
-			}
-			return nil
-		},
+		Byzantine: map[types.NodeID]byz.Behavior{3: byz.CorruptResults{}},
 	})
 	c.Start()
 	c.ClosedLoop(10, op)
@@ -94,15 +89,11 @@ func TestCorruptBackupTriggersRepairerClient(t *testing.T) {
 func TestFallbackCostsLatency(t *testing.T) {
 	// The DC8 trade-off: losing the fast path costs the client τ1.
 	run := func(corrupt bool) time.Duration {
-		c := harness.NewCluster(harness.Options{
-			Protocol: "zyzzyva", N: 4, Clients: 1, Tune: tune,
-			MakeReplica: func(id types.NodeID, cfg core.Config) core.Protocol {
-				if corrupt && id == 3 {
-					return zyzzyva.NewWithOptions(cfg, zyzzyva.Options{CorruptBackup: true})
-				}
-				return nil
-			},
-		})
+		opts := harness.Options{Protocol: "zyzzyva", N: 4, Clients: 1, Tune: tune}
+		if corrupt {
+			opts.Byzantine = map[types.NodeID]byz.Behavior{3: byz.CorruptResults{}}
+		}
+		c := harness.NewCluster(opts)
 		c.Start()
 		c.ClosedLoop(10, op)
 		c.RunUntilIdle(120 * time.Second)
@@ -157,10 +148,10 @@ func TestLeaderCrashViewChange(t *testing.T) {
 }
 
 // TestByzWithholderTriggersCommitRepair runs a live Byzantine replica
-// (internal/byz vote withholder) instead of a hand-rolled option: with
-// one replica silent in the ordering phase, the 3f+1 speculative quorum
-// is unreachable and every request must be repaired through the client's
-// 2f+1 commit-certificate path.
+// (internal/byz vote withholder): with one replica silent in the
+// ordering phase, the 3f+1 speculative quorum is unreachable and every
+// request must be repaired through the client's 2f+1 commit-certificate
+// path.
 func TestByzWithholderTriggersCommitRepair(t *testing.T) {
 	c := harness.NewCluster(harness.Options{
 		Protocol: "zyzzyva", N: 4, Clients: 2, Seed: 7,

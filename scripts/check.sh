@@ -19,13 +19,27 @@ slots_sources=$(ls internal/protocols/pbft/*.go internal/protocols/poe/*.go inte
 	internal/protocols/kauri/*.go internal/protocols/themis/*.go | grep -v _test.go)
 
 # One vote table: nested per-sender vote maps anywhere in the protocols or
-# the kit, and flat per-slot vote maps in the eight Slots packages, must
-# not come back.
+# the kit, and flat per-slot vote maps in the eight Slots packages, Prime
+# and RaftLite, must not come back. (Q/U and Tendermint still keep
+# per-message dedupe maps of this shape.)
+tallied_sources=$(ls $slots_sources internal/protocols/prime/*.go internal/protocols/raftlite/*.go | grep -v _test.go)
 nested=$(grep -rnE 'map\[[^]]+\]map\[types\.NodeID\]' internal/protocols internal/core || true)
-flat=$(grep -nE 'map\[types\.NodeID\](\[\]byte|bool)' $slots_sources || true)
+flat=$(grep -nE 'map\[types\.NodeID\](\[\]byte|bool)' $tallied_sources || true)
 if [ -n "$nested$flat" ]; then
 	echo "hand-rolled vote maps (count votes with core.Tally / core.Slots):" >&2
 	echo "$nested$flat" >&2
+	exit 1
+fi
+
+# One fault vocabulary: Byzantine behaviour is injected through
+# internal/byz (harness.Options.Byzantine), not through attack knobs
+# compiled into a protocol or the kit. FrontRun stays in pbft: it picks
+# which queued requests enter a batch, which no outgoing message shows.
+knob_sources=$(find internal/protocols internal/core -name '*.go' ! -name '*_test.go')
+knobs=$(grep -nE 'Silent(Leader|Backup|Active|Proposer)|EquivocateAsLeader|EquivocatingProposer|DelayAttack|CorruptBackup|Withhold' $knob_sources || true)
+if [ -n "$knobs" ]; then
+	echo "attack knobs in a protocol or the kit (inject the fault with an internal/byz behaviour):" >&2
+	echo "$knobs" >&2
 	exit 1
 fi
 
