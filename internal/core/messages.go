@@ -23,7 +23,9 @@ func (m *RequestMsg) AppendSigClaims(dst []crypto.SigClaim, _ types.NodeID) []cr
 	return append(dst, crypto.SigClaim{Signer: m.Req.Client, Digest: m.Req.Digest(), Sig: m.Req.Sig})
 }
 
-// ReplyMsg carries a replica's reply back to a client.
+// ReplyMsg carries a replica's reply back to a client. It exposes no
+// signature claims: a client protocol that counts reply signatures
+// verifies them inline.
 type ReplyMsg struct {
 	R *types.Reply
 }
@@ -40,12 +42,6 @@ func (m *ReplyMsg) RequestRef() types.RequestKey {
 
 // Slot implements obsv.Slotted.
 func (m *ReplyMsg) Slot() (types.View, types.SeqNum) { return m.R.View, m.R.Seq }
-
-// AppendSigClaims implements crypto.SigClaimer: the replica's reply signature,
-// which the client verifies before counting the vote.
-func (m *ReplyMsg) AppendSigClaims(dst []crypto.SigClaim, _ types.NodeID) []crypto.SigClaim {
-	return append(dst, crypto.SigClaim{Signer: m.R.Replica, Digest: m.R.Digest(), Sig: m.R.Sig})
-}
 
 // ReplyPayload exposes the signed reply for the forensics auditor's
 // divergent-result cross-check (structural, like obsv.Keyed).

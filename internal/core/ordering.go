@@ -88,10 +88,17 @@ func (m *ProposeMsg) SigDigest() types.Digest {
 	return h.Sum()
 }
 
-// AppendSigClaims implements crypto.SigClaimer: the leader's signature, whoever
-// relayed the proposal.
+// AppendSigClaims implements crypto.SigClaimer: the leader's signature,
+// whoever relayed the proposal, and the client signature of every request
+// in the batch, which a backup checks before it accepts the batch.
 func (m *ProposeMsg) AppendSigClaims(dst []crypto.SigClaim, _ types.NodeID) []crypto.SigClaim {
-	return append(dst, crypto.SigClaim{Signer: m.Leader, Digest: m.SigDigest(), Sig: m.Sig})
+	dst = append(dst, crypto.SigClaim{Signer: m.Leader, Digest: m.SigDigest(), Sig: m.Sig})
+	if m.Batch != nil {
+		for _, r := range m.Batch.Requests {
+			dst = append(dst, crypto.SigClaim{Signer: r.Client, Digest: r.Digest(), Sig: r.Sig})
+		}
+	}
+	return dst
 }
 
 // Verify reports whether m is its view's leader's validly authenticated
@@ -104,7 +111,9 @@ func (m *ProposeMsg) Verify(env Env) bool {
 
 // VoteMsg is Replica's vote at Stage for Digest at (View, Seq): a prepare
 // or commit, an SBFT or PoE share, a FaB accept. Sig is over VoteDigest;
-// in MAC mode Auth is the voter's authenticator vector instead.
+// in MAC mode Auth is the voter's authenticator vector instead. A vote
+// exposes no signature claims to the inbound lane: Slots verifies it on
+// demand, and only while it can still change what the stage runner does.
 type VoteMsg struct {
 	Stage   Stage
 	View    types.View
@@ -131,11 +140,6 @@ func (m *VoteMsg) Slot() (types.View, types.SeqNum) { return m.View, m.Seq }
 
 // SigDigest is the signed content.
 func (m *VoteMsg) SigDigest() types.Digest { return VoteDigest(m.Stage, m.View, m.Seq, m.Digest) }
-
-// AppendSigClaims implements crypto.SigClaimer: the voter's signature.
-func (m *VoteMsg) AppendSigClaims(dst []crypto.SigClaim, _ types.NodeID) []crypto.SigClaim {
-	return append(dst, crypto.SigClaim{Signer: m.Replica, Digest: m.SigDigest(), Sig: m.Sig})
-}
 
 // Verify reports whether m is from's validly authenticated vote: a vote
 // naming another voter than its sender is refused before the signature

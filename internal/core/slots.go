@@ -176,9 +176,12 @@ func (s *Slots[X]) slot(seq types.SeqNum) *Slot[X] {
 // no view change running, this replica takes part (InActiveSet), the batch
 // hashes to the digest, the slot is inside the window. A second,
 // conflicting assignment for the slot is leader equivocation — the slot is
-// left as it was and a view change starts. It returns the slot when the proposal newly assigned it (its
-// requests are then watched and in flight), and nil otherwise, duplicates
-// included.
+// left as it was and a view change starts. A batch enters a slot only once
+// this replica has checked each request's client signature, a new view's
+// re-issued slots included; only a leader's own fresh proposal skips the
+// check, since its backlog's Submit checked each request. It returns the
+// slot when the proposal newly assigned it (its requests are then watched
+// and in flight), and nil otherwise, duplicates included.
 func (s *Slots[X]) Accept(m *ProposeMsg) *Slot[X] {
 	if m.View != s.vc.View() || s.vc.Active() || !s.InActiveSet(m.View, s.env.ID()) ||
 		m.Batch == nil || m.Batch.Digest() != m.Digest {
@@ -194,9 +197,23 @@ func (s *Slots[X]) Accept(m *ProposeMsg) *Slot[X] {
 		}
 		return nil
 	}
+	if (m.Leader != s.env.ID() || s.vc.adopting) && !clientSigned(s.env, m.Batch) {
+		return nil
+	}
 	sl.Digest, sl.Batch = m.Digest, m.Batch
 	s.backlog.Proposed(m.Batch)
 	return sl
+}
+
+// clientSigned reports whether every request in b carries its client's
+// valid signature.
+func clientSigned(env Env, b *types.Batch) bool {
+	for _, r := range b.Requests {
+		if !env.Verifier().VerifySig(r.Client, r.Digest(), r.Sig) {
+			return false
+		}
+	}
+	return true
 }
 
 // vote records from's vote for digest at a stage of seq — from is the

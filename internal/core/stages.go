@@ -144,8 +144,8 @@ func (s *Slots[X]) Run(sl *Slot[X]) { s.advance(sl, -1, nil) }
 
 // OnMessage authenticates and handles the ordering messages (under a
 // speculative profile, history checkpoints too) and reports whether m was
-// one. A stale or misdirected vote or aggregate is dropped before its
-// signatures are checked.
+// one. A stale, late or misdirected vote or aggregate is dropped before
+// its signatures are checked.
 func (s *Slots[X]) OnMessage(from types.NodeID, m types.Message) bool {
 	switch mm := m.(type) {
 	case *ProposeMsg:
@@ -178,13 +178,26 @@ func (s *Slots[X]) onVote(from types.NodeID, m *VoteMsg) {
 	i := s.index(m.Stage)
 	if i < 0 || s.tree || s.stages[i].Collect && !s.vc.Leading() ||
 		!s.InActiveSet(m.View, from) || !s.InActiveSet(m.View, s.env.ID()) ||
-		m.Seq <= s.env.Ledger().LowWater() || !m.Verify(s.env, from) {
+		s.settled(m.Seq, i) || !m.Verify(s.env, from) {
 		return
 	}
 	sl := s.vote(m.Stage, m.View, m.Seq, from, m.Digest, m.Sig)
 	if sl != nil && (i == 0 || sl.Past(s.stages[i-1].Stage)) {
 		s.check(sl, i)
 	}
+}
+
+// settled reports whether a vote at stage i of seq can no longer change
+// what the runner does, so that it is dropped unverified: the slot has
+// executed or its last stage closed, or stage i closed. The exception is
+// the fast-path stage of an undecided slot: after τ3 closed it, the
+// leader still turns the n-th vote into the fast-commit certificate.
+func (s *Slots[X]) settled(seq types.SeqNum, i int) bool {
+	if seq <= s.env.Ledger().LastExecuted() {
+		return true
+	}
+	sl := s.slots[seq]
+	return sl != nil && (sl.done || sl.Past(s.stages[i].Stage) && s.stages[i].FastWait == 0)
 }
 
 // onCert handles the leader's certificate closing a collector stage; own

@@ -26,10 +26,19 @@
 // On TCP the inbound lane already runs off the event loop, so Prepare
 // verifies a message's claims on the lane's own goroutine; the worker
 // pool is reached only by batches of more than batchChunk claims (a
-// chain-replication hop chain, the benchmark's batch micro-suite). That
-// prefetch path allocates nothing in steady state: claims are appended
-// into a pooled buffer, the inline VerifyBatch path captures nothing, and
-// the memo is an index-linked LRU that reuses its evicted entry once full.
+// chain-replication hop chain, a proposal's requests, the benchmark's
+// batch micro-suite). That prefetch path allocates nothing in steady
+// state: claims are appended into a pooled buffer, the inline VerifyBatch
+// path captures nothing, and the memo is an index-linked LRU that reuses
+// its evicted entry once full.
+//
+// The lane prefetches only signatures the event loop will check anyway:
+// requests, proposals with their requests' client signatures,
+// certificates, checkpoints and forwards. A message whose signature may
+// never matter exposes no claims and is verified on demand on the event
+// loop: a stage-runner vote, which is dropped unverified once it can no
+// longer change the outcome, and a reply, which only the client
+// protocols that count reply signatures check. Client nodes have no lane.
 package vpool
 
 import (

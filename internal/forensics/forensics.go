@@ -6,16 +6,17 @@
 //
 // The auditor taps message delivery (sim.Network.SetTap on the
 // simulator, a handler wrapper on real TCP), extracts each message's
-// signature claims (crypto.SigClaimer), and keeps a bounded evidence
-// table keyed by (signer, kind, view, seq). Conflicting validly-signed digests at one
-// key become equivocation proofs; invalid claims become forged-sig
-// proofs blaming the transport sender; excessive identical deliveries
-// become replay proofs; conflicting signed replies for one request
-// become divergent-result proofs. Withholding and delaying leave no
-// signature trail — the classic omission-fault attribution gap — so
-// they are scored, never proved: per-time-bucket traffic and delivery
-// lag against honest-peer baselines, with guards that keep crashes,
-// partitions, and delay spikes from indicting honest replicas.
+// signature claims (crypto.SigClaimer, or a vote's own signature), and
+// keeps a bounded evidence table keyed by (signer, kind, view, seq).
+// Conflicting validly-signed digests at one key become equivocation
+// proofs; invalid claims become forged-sig proofs blaming the transport
+// sender; excessive identical deliveries become replay proofs;
+// conflicting signed replies for one request become divergent-result
+// proofs. Withholding and delaying leave no signature trail — the
+// classic omission-fault attribution gap — so they are scored, never
+// proved: per-time-bucket traffic and delivery lag against honest-peer
+// baselines, with guards that keep crashes, partitions, and delay spikes
+// from indicting honest replicas.
 package forensics
 
 import (
@@ -308,11 +309,16 @@ func (a *Auditor) Observe(at time.Duration, from, to types.NodeID, m types.Messa
 		return
 	}
 
-	claimer, ok := m.(crypto.SigClaimer)
-	if !ok {
+	switch mm := m.(type) {
+	case *core.VoteMsg:
+		// Votes are verified on demand, not prefetched, so they expose no
+		// claims; the auditor reads the voter's signature itself.
+		a.claims = append(a.claims[:0], crypto.SigClaim{Signer: mm.Replica, Digest: mm.SigDigest(), Sig: mm.Sig})
+	case crypto.SigClaimer:
+		a.claims = mm.AppendSigClaims(a.claims[:0], from)
+	default:
 		return
 	}
-	a.claims = claimer.AppendSigClaims(a.claims[:0], from)
 	for _, c := range a.claims {
 		a.observeClaim(at, from, to, kind, phase, m, c)
 	}

@@ -310,10 +310,12 @@ func (n *TCPNode) Stop() {
 }
 
 // start boots what a replica and a client share — transport node,
-// authority, tracer, verification engine with its inbound lanes,
-// observer fan-out, delivery tap — around the runtime that build
-// returns, and runs the runtime's begin on the node's event loop.
-func (s *NodeSpec) start(build func(*TCPNode, *crypto.Authority, *fanout) (h transport.Handler, begin func())) (*TCPNode, *fanout, error) {
+// authority, tracer, verification engine, observer fan-out, delivery tap
+// — around the runtime that build returns, and runs the runtime's begin
+// on the node's event loop. A replica's engine also gets inbound lanes.
+// A client's does not: the client protocols that check reply signatures
+// verify them inline, and a lane would only add a goroutine hop per reply.
+func (s *NodeSpec) start(replica bool, build func(*TCPNode, *crypto.Authority, *fanout) (h transport.Handler, begin func())) (*TCPNode, *fanout, error) {
 	node := transport.NewNode(s.ID, s.Peers, s.Seed)
 	node.SetMaxFrame(s.MaxFrame)
 	auth := crypto.NewAuthority(s.Seed)
@@ -321,7 +323,7 @@ func (s *NodeSpec) start(build func(*TCPNode, *crypto.Authority, *fanout) (h tra
 	// Each TCP node has its own authority (a real process would), so
 	// caches are per-node; the pool is what async verify rides.
 	n := &TCPNode{Node: node, engine: newEngine(auth, s.VerifyWorkers, s.VerifyCache, s.Tracer)}
-	if n.engine != nil && s.VerifyWorkers > 0 {
+	if replica && n.engine != nil && s.VerifyWorkers > 0 {
 		node.SetInboundPrepare(n.engine.Prepare())
 	}
 	fan := &fanout{obs: s.Observers, mu: s.Mu, now: s.Now}
@@ -351,7 +353,7 @@ func StartReplica(s NodeSpec) (*TCPNode, error) {
 	// The committed-slot high-water mark /healthz reports, so a cluster
 	// monitor can measure progress and stragglers.
 	var lastSeq atomic.Uint64
-	n, fan, err := s.start(func(n *TCPNode, auth *crypto.Authority, fan *fanout) (transport.Handler, func()) {
+	n, fan, err := s.start(true, func(n *TCPNode, auth *crypto.Authority, fan *fanout) (transport.Handler, func()) {
 		hooks := fan.hooks(s.Logf, s.Tracer)
 		observe := hooks.OnCommit
 		hooks.OnCommit = func(id types.NodeID, v types.View, seq types.SeqNum, b *types.Batch, proof *types.CommitProof, at time.Duration) {
@@ -386,7 +388,7 @@ func StartReplica(s NodeSpec) (*TCPNode, error) {
 // StartClient boots the deployment's client process; done runs on the
 // client's event loop after every completed request.
 func StartClient(s NodeSpec, done func(req *types.Request)) (*TCPNode, error) {
-	n, _, err := s.start(func(n *TCPNode, auth *crypto.Authority, fan *fanout) (transport.Handler, func()) {
+	n, _, err := s.start(false, func(n *TCPNode, auth *crypto.Authority, fan *fanout) (transport.Handler, func()) {
 		hooks := fan.clientHooks(s.Logf, func(_ types.NodeID, req *types.Request, _ []byte, _ time.Duration) { done(req) })
 		n.Client = core.NewClient(s.ID, s.Cfg, n.Node, s.Reg.ClientFor(s.Cfg), auth, hooks)
 		return n.Client, n.Client.Start

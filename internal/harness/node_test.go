@@ -321,3 +321,27 @@ func TestTCPClusterSharedTraceSeesRuntimeAndCrypto(t *testing.T) {
 		t.Fatalf("Totals: sign=%d verify=%d, want both non-zero", tot.Sign, tot.Verify)
 	}
 }
+
+// TestTCPClientHasNoInboundLane: a replica's engine prefetches on its
+// inbound lanes, a client's has none. A pbft client counts replies
+// without checking their signatures, so its engine performs no
+// verification at all.
+func TestTCPClientHasNoInboundLane(t *testing.T) {
+	clu, err := NewTCPCluster(TCPOptions{Protocol: "pbft", N: 4, VerifyWorkers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer clu.Stop()
+	for k := 1; k <= 10; k++ {
+		clu.Submit(parityOp(k))
+		if _, err := clu.AwaitDone(20 * time.Second); err != nil {
+			t.Fatalf("request %d: %v", k, err)
+		}
+	}
+	if got := clu.client.engine.Stats().Performed; got != 0 {
+		t.Errorf("the client's engine performed %d verifications, want 0", got)
+	}
+	if got := clu.replicas[1].engine.Stats().Performed; got == 0 {
+		t.Error("a backup's engine performed no verification")
+	}
+}

@@ -57,10 +57,11 @@ type TCPOptions struct {
 	// timer events) report to it.
 	Trace *obsv.Tracer
 	// VerifyWorkers sizes each node's signature-verification pool and,
-	// when positive, enables the async inbound-verify stage: signature
-	// claims are batch-verified on per-connection lanes off the event
-	// loop, so the loop's own verify is a memo lookup. 0 keeps the
-	// legacy synchronous path.
+	// when positive, enables each replica's async inbound-verify stage:
+	// the signature claims a message exposes are batch-verified on
+	// per-connection lanes off the event loop, so the loop's own verify is
+	// a memo lookup. Votes and replies expose none and are verified on
+	// demand; the client has no lane. 0 keeps the synchronous path.
 	VerifyWorkers int
 	// VerifyCache bounds each node's signature memo and certificate LRU
 	// (0 = vpool.DefaultCache, negative = no engine at all).
