@@ -1270,6 +1270,42 @@ func TestLateVotesAreDroppedUnverified(t *testing.T) {
 	}
 }
 
+// TestMACVotesAreNotSigned: under MACs a backup runs a slot through both
+// stages — its own votes included — without signing anything, and the
+// stages' certificates stay empty: no vote counted there carries a
+// signature.
+func TestMACVotesAreNotSigned(t *testing.T) {
+	r := newRunnerRig(1, PBFTMACProfile(), pbftStages...)
+	r.rep.cfg.Scheme = crypto.SchemeMAC
+	dx, replicas := r.x.Digest(), r.rep.Replicas()
+	macVote := func(stage Stage, from types.NodeID) *VoteMsg {
+		m := &VoteMsg{Stage: stage, Seq: 1, Digest: dx, Replica: from}
+		m.Auth = r.auth.Signer(from).AuthVector(m.SigDigest(), replicas)
+		return m
+	}
+	signs := r.auth.Stats.SignOps.Load()
+	p := &ProposeMsg{Seq: 1, Digest: dx, Batch: r.x, Leader: 0}
+	p.Auth = r.auth.Signer(0).AuthVector(p.SigDigest(), replicas)
+	r.slots.OnMessage(0, p)
+	r.slots.OnMessage(2, macVote(StagePrepare, 2))
+	r.slots.OnMessage(0, macVote(StageCommit, 0))
+	sl := r.slots.slots[1]
+	if sl == nil || !sl.Past(StagePrepare) || len(sl.Voters(StageCommit)) != 2 {
+		t.Fatal("the proposal, one backup's prepare and one commit did not close the prepare stage and count two commits")
+	}
+	for _, st := range []Stage{StagePrepare, StageCommit} {
+		if c := sl.Certificate(st); c.Size() != 0 {
+			t.Errorf("the stage %d certificate holds the signatures of %v, want none", st, c.Signers)
+		}
+	}
+	if r.slots.OnMessage(2, macVote(StageCommit, 2)); !reflect.DeepEqual(r.rec.executed, []types.SeqNum{1}) {
+		t.Fatalf("executed %v, want slot 1", r.rec.executed)
+	}
+	if n := r.auth.Stats.SignOps.Load() - signs; n != 0 {
+		t.Fatalf("the backup signed %d times to run a MAC-authenticated slot", n)
+	}
+}
+
 // TestFastPathShareAfterTimeoutStillCommitsFast: after τ3 closed the sign
 // stage on a quorum, the n-th share is still verified and turned into the
 // fast-commit certificate; a share after the slot is decided is not.

@@ -235,9 +235,10 @@ func (s *Slots[X]) onCert(m *CertMsg, own bool) {
 
 // cast sends this replica's vote at st — to the leader of a collector
 // stage, to everyone taking part otherwise — and records it where it is
-// counted here, under a real signature even when the sent copy is
-// MAC-authenticated, so certificates stay transferable. On a tree the
-// vote is recorded here and travels up in this replica's aggregate.
+// counted here as it was sent: signed under signatures, unsigned under
+// MACs, where no peer's vote carries a signature either, so a MAC-mode
+// certificate would never reach a quorum. On a tree the vote is signed,
+// recorded here and travels up in this replica's aggregate.
 func (s *Slots[X]) cast(sl *Slot[X], st *StageSpec) {
 	if v := s.vc.View(); s.tree {
 		s.vote(st.Stage, v, sl.Seq, s.env.ID(), sl.Digest, s.env.Signer().Sign(VoteDigest(st.Stage, v, sl.Seq, sl.Digest)))
@@ -251,11 +252,7 @@ func (s *Slots[X]) cast(sl *Slot[X], st *StageSpec) {
 	if !st.Collect {
 		s.send(m)
 	}
-	sig := m.Sig
-	if sig == nil {
-		sig = s.env.Signer().Sign(m.SigDigest())
-	}
-	s.vote(st.Stage, m.View, m.Seq, s.env.ID(), m.Digest, sig)
+	s.vote(st.Stage, m.View, m.Seq, s.env.ID(), m.Digest, m.Sig)
 }
 
 // check closes stage i of sl if a quorum voted for the assigned digest. A

@@ -18,11 +18,12 @@ package crypto
 
 import (
 	"crypto/ed25519"
-	"crypto/hmac"
 	"crypto/sha256"
+	"crypto/subtle"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -143,7 +144,7 @@ type Authority struct {
 	mu      sync.Mutex
 	privs   map[types.NodeID]ed25519.PrivateKey
 	pubs    map[types.NodeID]ed25519.PublicKey
-	macKeys map[[2]types.NodeID][]byte
+	macKeys map[[2]types.NodeID]*macPads
 
 	observer atomic.Value // Observer
 	engine   atomic.Value // Engine
@@ -184,7 +185,7 @@ func NewAuthority(seed int64) *Authority {
 		seed:    seed,
 		privs:   make(map[types.NodeID]ed25519.PrivateKey),
 		pubs:    make(map[types.NodeID]ed25519.PublicKey),
-		macKeys: make(map[[2]types.NodeID][]byte),
+		macKeys: make(map[[2]types.NodeID]*macPads),
 	}
 }
 
@@ -205,24 +206,56 @@ func (a *Authority) keyFor(id types.NodeID) (ed25519.PrivateKey, ed25519.PublicK
 	return priv, pub
 }
 
-func (a *Authority) macKey(x, y types.NodeID) []byte {
+// macPads is one pair's HMAC-SHA256 key, kept as the two pads HMAC
+// hashes it with: the key, zero-filled to sha256's 64-byte block, XORed
+// with 0x36 (inner) and with 0x5c (outer).
+type macPads struct{ inner, outer [64]byte }
+
+// macKey returns the pads of the symmetric key the pair {x, y} shares,
+// deriving them on the pair's first use.
+func (a *Authority) macKey(x, y types.NodeID) *macPads {
 	if x > y {
 		x, y = y, x
 	}
 	pair := [2]types.NodeID{x, y}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if k, ok := a.macKeys[pair]; ok {
-		return k
+	if p, ok := a.macKeys[pair]; ok {
+		return p
 	}
+	key := a.macSecret(x, y)
+	p := new(macPads)
+	for i := range p.inner {
+		p.inner[i], p.outer[i] = 0x36, 0x5c
+	}
+	for i, b := range key {
+		p.inner[i] ^= b
+		p.outer[i] ^= b
+	}
+	a.macKeys[pair] = p
+	return p
+}
+
+// macSecret derives the 32-byte key of the pair x < y from the seed.
+func (a *Authority) macSecret(x, y types.NodeID) [32]byte {
 	var buf [24]byte
 	binary.BigEndian.PutUint64(buf[:8], uint64(a.seed)^0xabcdef)
 	binary.BigEndian.PutUint64(buf[8:16], uint64(x))
 	binary.BigEndian.PutUint64(buf[16:], uint64(y))
-	k := sha256.Sum256(buf[:])
-	key := k[:]
-	a.macKeys[pair] = key
-	return key
+	return sha256.Sum256(buf[:])
+}
+
+// tag is HMAC-SHA256 of d under p, RFC 2104 spelled out for a 32-byte
+// message: H(outer ‖ H(inner ‖ d)), each hash over one stack buffer, so
+// computing it allocates nothing.
+func (p *macPads) tag(d types.Digest) [MACSize]byte {
+	var buf [64 + MACSize]byte
+	copy(buf[:64], p.inner[:])
+	copy(buf[64:], d[:])
+	sum := sha256.Sum256(buf[:])
+	copy(buf[:64], p.outer[:])
+	copy(buf[64:], sum[:])
+	return sha256.Sum256(buf[:])
 }
 
 // PublicKey returns one participant's public key (deriving the pair on
@@ -291,23 +324,35 @@ func (s *Signer) Sign(d types.Digest) []byte {
 
 // MAC produces an HMAC tag on the digest for one receiver.
 func (s *Signer) MAC(to types.NodeID, d types.Digest) []byte {
-	key := s.auth.macKey(s.id, to)
+	tag := s.mac(to, d)
+	return tag[:]
+}
+
+// mac computes and accounts one tag.
+func (s *Signer) mac(to types.NodeID, d types.Digest) [MACSize]byte {
 	s.auth.Stats.MACOps.Add(1)
 	s.auth.observe(s.id, OpMAC)
-	m := hmac.New(sha256.New, key)
-	m.Write(d[:])
-	return m.Sum(nil)
+	return s.auth.macKey(s.id, to).tag(d)
 }
 
 // AuthVector produces the authenticator vector used by MAC-based PBFT:
-// one MAC per receiver, indexed by position in peers.
+// one MAC per receiver, indexed by position in peers, all cut from one
+// backing array.
 func (s *Signer) AuthVector(d types.Digest, peers []types.NodeID) [][]byte {
 	out := make([][]byte, len(peers))
+	others := len(peers)
+	if slices.Contains(peers, s.id) {
+		others-- // no self-MAC needed
+	}
+	tags := make([]byte, others*MACSize)
 	for i, p := range peers {
 		if p == s.id {
-			continue // no self-MAC needed
+			continue
 		}
-		out[i] = s.MAC(p, d)
+		tag := s.mac(p, d)
+		out[i] = tags[:MACSize:MACSize]
+		copy(out[i], tag[:])
+		tags = tags[MACSize:]
 	}
 	return out
 }
@@ -345,14 +390,13 @@ func (v *Verifier) AccountVerifies(n int) {
 	}
 }
 
-// VerifyMAC reports whether mac is a valid tag from `from` to `to` on d.
+// VerifyMAC reports whether mac is a valid tag from `from` to `to` on d,
+// comparing in constant time.
 func (v *Verifier) VerifyMAC(from, to types.NodeID, d types.Digest, mac []byte) bool {
-	key := v.auth.macKey(from, to)
 	v.auth.Stats.MACVerifyOps.Add(1)
 	v.auth.observe(v.id, OpMACVerify)
-	m := hmac.New(sha256.New, key)
-	m.Write(d[:])
-	return hmac.Equal(m.Sum(nil), mac)
+	tag := v.auth.macKey(from, to).tag(d)
+	return subtle.ConstantTimeCompare(tag[:], mac) == 1
 }
 
 // Certificate is a quorum certificate: a set of signatures from distinct

@@ -1,7 +1,12 @@
 package crypto
 
 import (
+	"bytes"
+	"crypto/hmac"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -59,6 +64,77 @@ func TestAuthVector(t *testing.T) {
 		if !v.VerifyMAC(1, to, d, vec[to]) {
 			t.Fatalf("vector entry for %v must verify", to)
 		}
+		if !bytes.Equal(vec[to], s.MAC(to, d)) || cap(vec[to]) != MACSize {
+			t.Fatalf("vector entry for %v is not its own MAC-sized tag", to)
+		}
+	}
+}
+
+// TestMACIsHMACSHA256 holds the pad-based MAC to crypto/hmac's bytes for
+// every ordered pair of nodes 0–4, and VerifyMAC to accepting exactly the
+// tag: each call charges one MAC op (or MAC verify) and one observer event.
+func TestMACIsHMACSHA256(t *testing.T) {
+	auth := NewAuthority(7)
+	var events [4]int
+	auth.SetObserver(func(_ types.NodeID, op Op) { events[op]++ })
+	// Pinned tags: the key derivation and the HMAC are part of the wire.
+	if got := hex.EncodeToString(auth.Signer(0).MAC(1, types.DigestBytes([]byte("m")))); got != "bcd078210088b58af0f82b84beaf51cff6588cd3078320a27249ae81d4d92f34" {
+		t.Fatalf("MAC(0→1, \"m\") = %s", got)
+	}
+	if got := hex.EncodeToString(auth.Signer(3).MAC(2, types.DigestBytes([]byte("m")))); got != "1d23d338f6cd04d24dda918c588facaea3344a5e5439c6dc81dff25729b5fd71" {
+		t.Fatalf("MAC(3→2, \"m\") = %s", got)
+	}
+	digests := []types.Digest{{}, types.DigestBytes([]byte("a")), types.DigestBytes([]byte("vote")), {0: 0xff, 31: 0x01}}
+	v := auth.VerifierFor(9)
+	macs, verifies := 2, 0
+	for x := types.NodeID(0); x < 5; x++ {
+		for y := types.NodeID(0); y < 5; y++ {
+			if x == y {
+				continue
+			}
+			key := auth.macSecret(min(x, y), max(x, y))
+			for di, d := range digests {
+				want := hmac.New(sha256.New, key[:])
+				want.Write(d[:])
+				tag := auth.Signer(x).MAC(y, d)
+				macs++
+				if !bytes.Equal(tag, want.Sum(nil)) {
+					t.Fatalf("MAC(%v→%v, digest %d) = %x, want crypto/hmac's %x", x, y, di, tag, want.Sum(nil))
+				}
+				flipped := slices.Clone(tag)
+				flipped[di%MACSize] ^= 1 << (di % 8)
+				other := digests[(di+1)%len(digests)]
+				wrong := (y + 1) % 5
+				if wrong == x {
+					wrong = (wrong + 1) % 5
+				}
+				checks := []struct {
+					name     string
+					from, to types.NodeID
+					d        types.Digest
+					mac      []byte
+					want     bool
+				}{
+					{"the tag", x, y, d, tag, true},
+					{"a flipped bit", x, y, d, flipped, false},
+					{"a truncated tag", x, y, d, tag[:MACSize-1], false},
+					{"the wrong pair", x, wrong, d, tag, false},
+					{"the wrong digest", x, y, other, tag, false},
+				}
+				for _, c := range checks {
+					if v.VerifyMAC(c.from, c.to, c.d, c.mac) != c.want {
+						t.Fatalf("VerifyMAC(%v→%v, digest %d) of %s: got %v", x, y, di, c.name, !c.want)
+					}
+					verifies++
+				}
+			}
+		}
+	}
+	if _, _, m, mv := auth.Stats.Snapshot(); m != int64(macs) || mv != int64(verifies) {
+		t.Fatalf("Stats: %d MACs, %d MAC verifies, want %d and %d", m, mv, macs, verifies)
+	}
+	if events[OpMAC] != macs || events[OpMACVerify] != verifies || events[OpSign]+events[OpVerify] != 0 {
+		t.Fatalf("observer events %v, want %d MACs and %d MAC verifies", events, macs, verifies)
 	}
 }
 
