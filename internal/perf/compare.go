@@ -14,7 +14,9 @@ import (
 // The comparison rule, in one place: virtual metrics are deterministic,
 // so ANY difference is a real behavioral change and fails the gate
 // unless the cell is allowlisted as an intended change. Host metrics are
-// not compared at all.
+// not compared at all. end_state is compared like the numbers, except
+// that a baseline cell recorded before the field existed has none, and
+// then there is nothing to compare it with.
 
 // Delta is one virtual metric's change in one cell.
 type Delta struct {
@@ -30,6 +32,9 @@ type Delta struct {
 	Badness float64
 	// Allowed marks deltas in allowlisted cells.
 	Allowed bool
+	// OldState and NewState are set, and Old and New are zero, for the
+	// end_state metric: a hash has no magnitude, only a difference.
+	OldState, NewState string
 }
 
 // Report is the outcome of comparing two snapshots.
@@ -95,6 +100,12 @@ func Compare(old, nw *Snapshot, allow []string) *Report {
 				continue
 			}
 			r.Deltas = append(r.Deltas, delta(oc.ID, m.name, ov, nv, m.higherBetter, allowed))
+		}
+		if was, now := oc.Virtual.EndState, nc.Virtual.EndState; was != "" && was != now {
+			// A different end state ranks with the worst drift: the run
+			// ended somewhere else.
+			r.Deltas = append(r.Deltas, Delta{Cell: oc.ID, Metric: "end_state", Change: math.Inf(1),
+				Badness: math.Inf(1), Allowed: allowed, OldState: was, NewState: now})
 		}
 	}
 	for _, c := range nw.Cells {
@@ -168,8 +179,11 @@ func (r *Report) Render(w io.Writer) {
 			if d.Allowed {
 				verdict = "drift (allowed)"
 			}
-			fmt.Fprintf(w, "%-44s %-16s %14s %14s %9s  %s\n",
-				d.Cell, d.Metric, num(d.Old), num(d.New), pct(d.Change), verdict)
+			old, nw, change := num(d.Old), num(d.New), pct(d.Change)
+			if d.Metric == "end_state" {
+				old, nw, change = short(d.OldState), short(d.NewState), "changed"
+			}
+			fmt.Fprintf(w, "%-44s %-16s %14s %14s %9s  %s\n", d.Cell, d.Metric, old, nw, change, verdict)
 		}
 	}
 	if r.Failed() {
@@ -185,6 +199,17 @@ func num(v float64) string {
 		return fmt.Sprintf("%.0f", v)
 	}
 	return fmt.Sprintf("%.3f", v)
+}
+
+// short abbreviates a hash to the table's column width.
+func short(state string) string {
+	if len(state) > 12 {
+		return state[:12]
+	}
+	if state == "" {
+		return "none"
+	}
+	return state
 }
 
 func pct(change float64) string {

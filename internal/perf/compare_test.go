@@ -90,6 +90,48 @@ func TestVirtualDriftAlwaysGates(t *testing.T) {
 	}
 }
 
+// TestEndStateDriftGates: a cell that ends in a different state fails
+// the gate like any numeric drift, ranks first, and is acknowledged the
+// same way.
+func TestEndStateDriftGates(t *testing.T) {
+	ov, nv, slower := baseVirtual(), baseVirtual(), baseVirtual()
+	ov.EndState, nv.EndState = strings.Repeat("a", 64), strings.Repeat("b", 64)
+	slower.EndState = ov.EndState
+	slower.P99US *= 2
+	old := synthetic(cellResult("state", ov, Host{}), cellResult("slow", ov, Host{}))
+	nw := synthetic(cellResult("state", nv, Host{}), cellResult("slow", slower, Host{}))
+	rep := Compare(old, nw, nil)
+	if !rep.Failed() || len(rep.Deltas) != 2 {
+		t.Fatalf("end_state change: failed=%v deltas %+v", rep.Failed(), rep.Deltas)
+	}
+	d := rep.Deltas[0]
+	if d.Cell != "state" || d.Metric != "end_state" || d.OldState != ov.EndState || d.NewState != nv.EndState {
+		t.Fatalf("first delta %+v, want the end_state change", d)
+	}
+	var buf bytes.Buffer
+	rep.Render(&buf)
+	if !strings.Contains(buf.String(), "aaaaaaaaaaaa   bbbbbbbbbbbb   changed  VIRTUAL DRIFT") {
+		t.Fatalf("end_state row not rendered:\n%s", buf.String())
+	}
+	if rep := Compare(old, nw, []string{"state", "slow"}); rep.Failed() || len(rep.Deltas) != 2 {
+		t.Fatalf("allowlisted end_state change: failed=%v deltas %d", rep.Failed(), len(rep.Deltas))
+	}
+}
+
+// TestEndStateSkippedOnlyWithoutBaseline: a baseline recorded before
+// end_state existed has none, and then there is nothing to compare; a
+// candidate that lost the field is still drift.
+func TestEndStateSkippedOnlyWithoutBaseline(t *testing.T) {
+	with := baseVirtual()
+	with.EndState = strings.Repeat("c", 64)
+	if rep := Compare(synthetic(cellResult("a", baseVirtual(), Host{})), synthetic(cellResult("a", with, Host{})), nil); rep.Failed() || len(rep.Deltas) != 0 {
+		t.Fatalf("baseline without end_state: %+v", rep.Deltas)
+	}
+	if rep := Compare(synthetic(cellResult("a", with, Host{})), synthetic(cellResult("a", baseVirtual(), Host{})), nil); !rep.Failed() {
+		t.Fatal("candidate without end_state passed against a baseline that has one")
+	}
+}
+
 func TestMissingAndAddedCells(t *testing.T) {
 	old := synthetic(
 		cellResult("a", baseVirtual(), Host{}),

@@ -23,32 +23,49 @@ type Cell struct {
 	// cells tune timers up (X2-style) so view changes stay out of the
 	// good case.
 	Net string `json:"net"`
-	// Workload names the client arrival/key pattern: "closed" (uniform
-	// keys, one outstanding request per client) or "zipf" (closed loop
-	// over a contended Zipfian keyspace).
+	// Workload names the client arrival/key pattern and the fault:
+	// "closed" (uniform keys, one outstanding request per client), "zipf"
+	// (closed loop over a contended Zipfian keyspace) or "leader-crash"
+	// (closed loop, the view-0 leader crashed 20 ms in, then drained to
+	// idle).
 	Workload string `json:"workload"`
 	Seed     int64  `json:"seed"`
 }
 
 // ID is the cell's stable name — the key the comparator, the allowlist,
-// and the delta table all use.
+// and the delta table all use. The seed is named only when it is not 1,
+// so cells that differ by seed alone stay distinct and no seed-1 ID
+// moves.
 func (c Cell) ID() string {
-	return fmt.Sprintf("%s/n=%d/c=%dx%d/%s/%s", c.Protocol, c.N, c.Clients, c.PerClient, c.Net, c.Workload)
+	id := fmt.Sprintf("%s/n=%d/c=%dx%d/%s/%s", c.Protocol, c.N, c.Clients, c.PerClient, c.Net, c.Workload)
+	if c.Seed != 1 {
+		id += fmt.Sprintf("/seed=%d", c.Seed)
+	}
+	return id
 }
 
-// DefaultMatrix is the curated trajectory matrix: small enough to run on
-// every PR, broad enough to cover the design-space corners the paper
-// cares about — a three-phase classic (PBFT) at two cluster sizes and
-// two network models, a chained/pipelined protocol (HotStuff), a
-// speculative single-phase path (Zyzzyva), a fast-path/slow-path hybrid
-// (SBFT), a Δ-waiting protocol (Tendermint), and one contended-workload
-// cell. Changing the matrix invalidates baselines, so additions should
-// come with a regenerated BENCH_baseline.json.
+// DefaultMatrix is the trajectory matrix, derived from the registry so
+// that no registration goes ungated. It is three parts:
+//
+//   - ten curated cells that cover the design-space corners the paper
+//     cares about — a three-phase classic (PBFT) at two cluster sizes and
+//     two network models, a chained/pipelined protocol (HotStuff), a
+//     speculative single-phase path (Zyzzyva), a fast-path/slow-path
+//     hybrid (SBFT), a Δ-waiting protocol (Tendermint), and one
+//     contended-workload cell;
+//   - a LAN 2×50 closed-loop cell at the profile's minimum n for f = 1
+//     for every registration the curated cells leave without one;
+//   - a leader-crash cell (2×30, the view-0 leader crashed 20 ms in) for
+//     every registration at seeds 1, 2 and 3: the view change, the τ2
+//     timers and recovery, where the protocols differ most.
+//
+// Changing the matrix invalidates baselines, so additions should come
+// with a regenerated BENCH_baseline.json.
 func DefaultMatrix() []Cell {
 	lan := func(proto string, n int) Cell {
 		return Cell{Protocol: proto, N: n, Clients: 2, PerClient: 50, Net: "lan", Workload: "closed", Seed: 1}
 	}
-	return []Cell{
+	cells := []Cell{
 		lan("pbft", 4),
 		lan("pbft", 7),
 		{Protocol: "pbft", N: 4, Clients: 2, PerClient: 50, Net: "wan", Workload: "closed", Seed: 1},
@@ -60,6 +77,31 @@ func DefaultMatrix() []Cell {
 		lan("sbft", 4),
 		lan("tendermint", 4),
 	}
+	covered := make(map[string]bool)
+	for _, c := range cells {
+		if c.Net == "lan" && c.Workload == "closed" {
+			covered[c.Protocol] = true
+		}
+	}
+	names := core.Names()
+	for _, name := range names {
+		if !covered[name] {
+			cells = append(cells, lan(name, minReplicas(name)))
+		}
+	}
+	for _, name := range names {
+		for seed := int64(1); seed <= 3; seed++ {
+			cells = append(cells, Cell{Protocol: name, N: minReplicas(name), Clients: 2, PerClient: 30,
+				Net: "lan", Workload: "leader-crash", Seed: seed})
+		}
+	}
+	return cells
+}
+
+// minReplicas is the registration's minimum deployment size for f = 1.
+func minReplicas(name string) int {
+	reg, _ := core.Lookup(name)
+	return reg.Profile.MinReplicas(1)
 }
 
 // netConfig resolves a cell's network name.
@@ -96,6 +138,10 @@ func workloadFor(cell Cell) (func(client, k int) []byte, error) {
 		}, nil
 	case "zipf":
 		return harness.ZipfOps(cell.Seed, 64, []byte("zv")), nil
+	case "leader-crash":
+		return func(client, k int) []byte {
+			return kvstore.Put(fmt.Sprintf("c%d-k%d", client, k), []byte("v"))
+		}, nil
 	}
-	return nil, fmt.Errorf("perf: unknown workload %q (want closed or zipf)", cell.Workload)
+	return nil, fmt.Errorf("perf: unknown workload %q (want closed, zipf or leader-crash)", cell.Workload)
 }

@@ -1,12 +1,18 @@
-// Package perf is the sameness gate: it runs a curated benchmark matrix
-// (protocol × cluster size × network × workload cells) on the
-// deterministic simulator and emits schema-versioned BENCH_<seq>.json
-// snapshots, so every PR answers "did the protocols' behaviour change?"
-// with a diff instead of a guess.
+// Package perf is the sameness gate, the repository's one sameness
+// ledger: it runs a benchmark matrix (protocol × cluster size × network
+// × workload cells) on the deterministic simulator and emits
+// schema-versioned BENCH_<seq>.json snapshots, so every PR answers "did
+// the protocols' behaviour change?" with a diff instead of a guess.
+//
+// The matrix (DefaultMatrix) is derived from the protocol registry:
+// every registration has a fault-free LAN cell and three leader-crash
+// cells, so the view change, the τ2 timers and recovery are gated like
+// the good case.
 //
 // Each cell records virtual metrics — throughput, latency percentiles,
-// messages, wire bytes, signature/MAC operations, all in virtual time,
-// from harness.Metrics and the obsv counters. They are exactly
+// messages, wire bytes, signature/MAC operations, view changes, all in
+// virtual time, from harness.Metrics and the obsv counters — and an
+// end_state hash of where each replica ended. They are exactly
 // reproducible: the simulator is deterministic, so two snapshots taken
 // at the same revision are byte-identical in their virtual sections. Any
 // drift between two revisions is a real behavioural change, and the
@@ -94,6 +100,13 @@ type Virtual struct {
 	BytesPerTxn  float64 `json:"bytes_per_txn"`
 	SigOpsPerTxn float64 `json:"sig_ops_per_txn"`
 	MACOpsPerTxn float64 `json:"mac_ops_per_txn"`
+	// EndState is a hex SHA-256 of where the run ended: each replica's
+	// last view, last executed slot and state hash, and the VIEW-CHANGE
+	// and NEW-VIEW send counts (run.go's endState). It moves when a
+	// change alters which view the replicas settle in, what they
+	// executed or how many view-change messages it took, even if every
+	// numeric column happens to agree.
+	EndState string `json:"end_state"`
 }
 
 // Host holds the machine-dependent metrics for one cell: the median

@@ -2,11 +2,15 @@ package perf
 
 import (
 	"bytes"
+	"encoding/hex"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"bftkit/internal/byz"
+	"bftkit/internal/core"
 	"bftkit/internal/harness"
 	"bftkit/internal/types"
 )
@@ -167,6 +171,129 @@ func TestTakeRejectsBadCells(t *testing.T) {
 	bad[0].Net, bad[0].Workload = "lan", "adversarial"
 	if _, err := Take(RunOptions{Matrix: bad, Repeats: 1}); err == nil {
 		t.Fatal("unknown workload accepted")
+	}
+}
+
+// TestTakeFillsEndState: every cell, whatever its workload, records a
+// SHA-256 end state.
+func TestTakeFillsEndState(t *testing.T) {
+	matrix := append(smallMatrix(),
+		Cell{Protocol: "pbft", N: 4, Clients: 2, PerClient: 10, Net: "lan", Workload: "zipf", Seed: 1},
+		Cell{Protocol: "pbft", N: 4, Clients: 2, PerClient: 10, Net: "lan", Workload: "leader-crash", Seed: 1})
+	snap, err := Take(RunOptions{Matrix: matrix, Repeats: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range snap.Cells {
+		if b, err := hex.DecodeString(c.Virtual.EndState); err != nil || len(b) != 32 {
+			t.Errorf("%s: end_state %q is not a hex SHA-256", c.ID, c.Virtual.EndState)
+		}
+	}
+}
+
+// TestCrashCellCatchesViewChangeDrift: a setting that only the crash
+// path reads — the view-change timeout, doubled — drifts the
+// leader-crash cell and leaves the fault-free cell of the same protocol
+// bit-identical, so the crash cells gate what the good case cannot see.
+func TestCrashCellCatchesViewChangeDrift(t *testing.T) {
+	closed := smallMatrix()[0]
+	crash := closed
+	crash.Workload = "leader-crash"
+	matrix := []Cell{closed, crash}
+	slowTimeout := func(_ Cell, opts *harness.Options) {
+		prev := opts.Tune
+		opts.Tune = func(cfg *core.Config) {
+			if prev != nil {
+				prev(cfg)
+			}
+			cfg.ViewChangeTimeout *= 2
+		}
+	}
+	base, err := Take(RunOptions{Matrix: matrix, Repeats: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base.Cells[1].Virtual.ViewChanges == 0 {
+		t.Fatalf("%s ran no view change", crash.ID())
+	}
+	tuned, err := Take(RunOptions{Matrix: matrix, Repeats: 1, Wrap: slowTimeout})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := Compare(base, tuned, nil)
+	if cells := rep.RegressedCells(); len(cells) != 1 || cells[0] != crash.ID() {
+		var buf bytes.Buffer
+		rep.Render(&buf)
+		t.Fatalf("regressed cells %v, want [%s]:\n%s", cells, crash.ID(), buf.String())
+	}
+}
+
+// TestDefaultMatrixCoversEveryRegistration: every registration has one
+// fault-free LAN cell at its minimum n for f = 1 and leader-crash cells
+// at seeds 1–3, and every cell ID of the last ten-cell trajectory point
+// is still in the matrix, byte for byte.
+func TestDefaultMatrixCoversEveryRegistration(t *testing.T) {
+	// The matrix is derived from the registry, so a protocol package
+	// this package does not import would silently have no cells. Count
+	// the registrations the protocol sources make instead.
+	sources, err := filepath.Glob("../protocols/*/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	registered := 0
+	for _, path := range sources {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		registered += strings.Count(string(b), "core.Register(")
+	}
+	names := core.Names()
+	if len(names) != registered {
+		t.Fatalf("%d registrations linked into internal/perf, the protocol packages make %d: import the missing package in run.go",
+			len(names), registered)
+	}
+
+	matrix := DefaultMatrix()
+	for _, name := range names {
+		reg, _ := core.Lookup(name)
+		n := reg.Profile.MinReplicas(1)
+		lan, seeds := 0, make(map[int64]bool)
+		for _, c := range matrix {
+			switch {
+			case c.Protocol != name:
+			case c.Net == "lan" && c.Workload == "closed" && c.N == n:
+				lan++
+			case c.Net == "lan" && c.Workload == "leader-crash" && c.N == n:
+				seeds[c.Seed] = true
+			}
+		}
+		if lan != 1 {
+			t.Errorf("%s: %d lan/closed cells at n=%d, want 1", name, lan, n)
+		}
+		if len(seeds) != 3 || !seeds[1] || !seeds[2] || !seeds[3] {
+			t.Errorf("%s: leader-crash cells at seeds %v, want 1, 2 and 3", name, seeds)
+		}
+	}
+
+	ids := make(map[string]bool)
+	for _, c := range matrix {
+		ids[c.ID()] = true
+	}
+	prior, err := ReadFile("../../BENCH_15.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(prior.Cells) != 10 {
+		t.Fatalf("BENCH_15.json has %d cells, want 10", len(prior.Cells))
+	}
+	for _, c := range prior.Cells {
+		if !ids[c.ID] {
+			t.Errorf("BENCH_15.json cell %s is not in the matrix", c.ID)
+		}
 	}
 }
 

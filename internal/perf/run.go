@@ -1,6 +1,9 @@
 package perf
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"os/exec"
 	"runtime"
@@ -10,12 +13,23 @@ import (
 
 	"bftkit/internal/harness"
 	"bftkit/internal/obsv"
+	"bftkit/internal/types"
 
-	// Register every protocol the matrix can name.
+	// Register every protocol: DefaultMatrix derives cells from the
+	// registry.
+	_ "bftkit/internal/protocols/chainrepl"
+	_ "bftkit/internal/protocols/cheapbft"
+	_ "bftkit/internal/protocols/fab"
 	_ "bftkit/internal/protocols/hotstuff"
+	_ "bftkit/internal/protocols/kauri"
 	_ "bftkit/internal/protocols/pbft"
+	_ "bftkit/internal/protocols/poe"
+	_ "bftkit/internal/protocols/prime"
+	_ "bftkit/internal/protocols/qu"
+	_ "bftkit/internal/protocols/raftlite"
 	_ "bftkit/internal/protocols/sbft"
 	_ "bftkit/internal/protocols/tendermint"
+	_ "bftkit/internal/protocols/themis"
 	_ "bftkit/internal/protocols/zyzzyva"
 )
 
@@ -124,24 +138,39 @@ func MeasureCell(cell Cell, wrap func(Cell, *harness.Options)) (Virtual, Host, e
 			lastDone = at
 		}
 	})
-	// Advance in fixed virtual-time steps until the workload completes
-	// rather than draining to idle: protocols with long-tail timers
-	// (speculative clients arming commit certificates, pacemakers) would
-	// otherwise burn host time simulating an empty tail that no metric
-	// reads. Fixed step boundaries keep the stop point deterministic.
 	expected := cell.Clients * cell.PerClient
-	const step, cap = 50 * time.Millisecond, 600 * time.Second
-	for c.Metrics.Completed < expected && c.Sched.Now() < cap {
-		c.Run(step)
+	var crashed []types.NodeID
+	limit := 600 * time.Second
+	if cell.Workload == "leader-crash" {
+		// Some slots have committed under view 0 and some are in flight
+		// when the leader crashes. Draining to idle lets the view change,
+		// the τ2 re-fires and recovery run out, so end_state pins where
+		// the protocol settles, not a snapshot mid-recovery.
+		limit = 20 * time.Second
+		c.Run(20 * time.Millisecond)
+		c.Crash(0)
+		crashed = append(crashed, 0)
+		c.RunUntilIdle(limit)
+	} else {
+		// Advance in fixed virtual-time steps until the workload
+		// completes rather than draining to idle: protocols with
+		// long-tail timers (speculative clients arming commit
+		// certificates, pacemakers) would otherwise burn host time
+		// simulating an empty tail that no metric reads. Fixed step
+		// boundaries keep the stop point deterministic.
+		const step = 50 * time.Millisecond
+		for c.Metrics.Completed < expected && c.Sched.Now() < limit {
+			c.Run(step)
+		}
 	}
 	if c.Metrics.Completed < expected {
 		return Virtual{}, Host{}, fmt.Errorf("stalled: %d/%d requests completed within %v of virtual time",
-			c.Metrics.Completed, expected, cap)
+			c.Metrics.Completed, expected, limit)
 	}
 
 	runtime.ReadMemStats(&m1)
 
-	if err := c.Audit(); err != nil {
+	if err := c.Audit(crashed...); err != nil {
 		return Virtual{}, Host{}, err
 	}
 	m := c.Metrics
@@ -168,11 +197,48 @@ func MeasureCell(cell Cell, wrap func(Cell, *harness.Options)) (Virtual, Host, e
 		virt.SigOpsPerTxn = float64(virt.SigOps) / n
 		virt.MACOpsPerTxn = float64(virt.MACOps) / n
 	}
+	virt.EndState = endState(c)
 	host := Host{
 		Allocs:     int64(m1.Mallocs - m0.Mallocs),
 		AllocBytes: int64(m1.TotalAlloc - m0.TotalAlloc),
 	}
 	return virt, host, nil
+}
+
+// endState fingerprints where a run ended: SHA-256 over each replica, in
+// ID order, of the last view it changed to, its last executed sequence
+// number and its application state hash, then the run's VIEW-CHANGE and
+// NEW-VIEW send counts. Every integer is 8 bytes, big-endian.
+func endState(c *harness.Cluster) string {
+	h := sha256.New()
+	var buf [8]byte
+	put := func(v uint64) {
+		binary.BigEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	for i, r := range c.Replicas {
+		var view types.View
+		if vs := c.Metrics.ViewChanges[r.ID()]; len(vs) > 0 {
+			view = vs[len(vs)-1]
+		}
+		put(uint64(view))
+		put(uint64(r.Ledger().LastExecuted()))
+		app := c.Apps[i].Hash()
+		h.Write(app[:])
+	}
+	var viewChanges, newViews int64
+	counts, _ := c.Net.KindCounts()
+	for kind, n := range counts {
+		switch {
+		case strings.Contains(kind, "VIEW-CHANGE"):
+			viewChanges += n
+		case strings.Contains(kind, "NEW-VIEW"):
+			newViews += n
+		}
+	}
+	put(uint64(viewChanges))
+	put(uint64(newViews))
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // medianHost reduces repeat samples to their per-field medians. Fields
