@@ -41,7 +41,8 @@
 //	bftbench -fuzz -fuzz-protocols pbft,hotstuff # restrict the sweep
 //	bftbench -fuzz-replay chaos-out/chaos-pbft-seed1-case0007.json
 //
-// Perf mode runs the curated benchmark matrix on the simulator and
+// Perf mode runs the benchmark matrix (perf.DefaultMatrix: every
+// registration fault-free and under a leader crash) on the simulator and
 // writes/diffs BENCH_*.json snapshots, failing on any virtual-metric
 // drift not acknowledged in .perf-allow (see perf.go and internal/perf).
 // Flags must precede the positional candidate:

@@ -152,6 +152,19 @@ if [ -n "$hostgate" ]; then
 	exit 1
 fi
 
+# One sameness ledger: the perf matrix's leader-crash cells pin what a
+# crash does, in BENCH_<seq>.json beside every other cell. A second
+# golden for it, or a flag that rewrites one, must not come back.
+ledger=$(grep -rln 'update-leader-crash' --include='*.go' . || true)
+if [ -e internal/experiments/testdata/leader_crash.json ]; then
+	ledger="internal/experiments/testdata/leader_crash.json $ledger"
+fi
+if [ -n "$ledger" ]; then
+	echo "a second sameness ledger (gate fault-path behaviour with a leader-crash cell in internal/perf):" >&2
+	echo "$ledger" >&2
+	exit 1
+fi
+
 go vet ./...
 go build ./...
 
