@@ -24,6 +24,7 @@ type Backlog struct {
 	inFlight map[types.RequestKey]bool
 	watch    map[types.RequestKey]bool
 	done     map[types.RequestKey]bool
+	free     int // queued requests not in flight: what Take can claim
 
 	armed     bool
 	suspended bool
@@ -58,6 +59,9 @@ func (b *Backlog) Submit(req *types.Request, leader types.NodeID) bool {
 	if fresh {
 		b.queued[key] = true
 		b.pending = append(b.pending, req)
+		if !b.inFlight[key] {
+			b.free++
+		}
 	}
 	if leader != b.env.ID() {
 		b.env.Send(leader, &ForwardMsg{Req: req})
@@ -78,6 +82,10 @@ func (b *Backlog) Done(key types.RequestKey) bool { return b.done[key] }
 // Len bounds the queue length from above: executed requests leave the
 // queue lazily, on the next Pending or Take.
 func (b *Backlog) Len() int { return len(b.pending) }
+
+// Proposable returns how many requests Take can claim now: queued, not
+// executed and not in flight. It is kept as a count, not found by a scan.
+func (b *Backlog) Proposable() int { return b.free }
 
 // Pending drops executed requests from the queue and returns what is
 // left in arrival order. Requests stay queued until they execute, so a
@@ -100,7 +108,7 @@ func (b *Backlog) Claim(req *types.Request) bool {
 	if b.inFlight[key] {
 		return false
 	}
-	b.inFlight[key] = true
+	b.fly(key)
 	return true
 }
 
@@ -127,7 +135,7 @@ func (b *Backlog) Proposed(batch *types.Batch) {
 	for _, req := range batch.Requests {
 		if key := req.Key(); !b.done[key] {
 			b.watch[key] = true
-			b.inFlight[key] = true
+			b.fly(key)
 		}
 	}
 	if len(b.watch) > 0 {
@@ -140,11 +148,22 @@ func (b *Backlog) Proposed(batch *types.Batch) {
 func (b *Backlog) Executed(batch *types.Batch) {
 	for _, req := range batch.Requests {
 		key := req.Key()
+		if b.queued[key] && !b.inFlight[key] {
+			b.free--
+		}
 		delete(b.watch, key)
 		delete(b.queued, key)
 		delete(b.inFlight, key)
 		b.done[key] = true
 	}
+}
+
+// fly marks key in flight; a queued request stops being proposable.
+func (b *Backlog) fly(key types.RequestKey) {
+	if !b.inFlight[key] && b.queued[key] {
+		b.free--
+	}
+	b.inFlight[key] = true
 }
 
 // Progress restarts τ2 after the leader demonstrably moved: the running
@@ -179,6 +198,7 @@ func (b *Backlog) EnterView(v types.View) {
 	b.view = v
 	b.suspended = false
 	b.inFlight = make(map[types.RequestKey]bool)
+	b.free = len(b.queued)
 	if len(b.watch) > 0 {
 		b.arm()
 	}

@@ -21,6 +21,7 @@ type ClientHooks struct {
 type Client struct {
 	id       types.NodeID
 	cfg      Config
+	replicas []types.NodeID
 	driver   Driver
 	proto    ClientProtocol
 	signer   *crypto.Signer
@@ -36,6 +37,7 @@ func NewClient(id types.NodeID, cfg Config, driver Driver, proto ClientProtocol,
 	return &Client{
 		id:       id,
 		cfg:      cfg,
+		replicas: cfg.AllReplicas(),
 		driver:   driver,
 		proto:    proto,
 		signer:   auth.Signer(id),
@@ -92,7 +94,7 @@ func (c *Client) F() int { return c.cfg.F }
 func (c *Client) Config() Config { return c.cfg }
 
 // Replicas implements ClientEnv.
-func (c *Client) Replicas() []types.NodeID { return c.cfg.AllReplicas() }
+func (c *Client) Replicas() []types.NodeID { return c.replicas }
 
 // Send implements ClientEnv.
 func (c *Client) Send(to types.NodeID, m types.Message) {

@@ -62,12 +62,18 @@ type Application interface {
 // driver (virtual-time simulator or TCP), the ledger, the application,
 // and the crypto substrate behind one surface.
 type Env interface {
-	// Identity and configuration.
+	// Identity and configuration. Replicas is the IDs 0..N-1, built
+	// once and shared: callers only read it.
 	ID() types.NodeID
 	N() int
 	F() int
 	Config() Config
 	Replicas() []types.NodeID
+
+	// Busy reports whether inbound events are queued for this replica's
+	// event loop: the leader's load, which Slots.Propose alone reads. A
+	// simulated replica has no service time and is never busy.
+	Busy() bool
 
 	// Communication. Broadcast sends to every replica except the
 	// caller; protocols that count themselves into quorums do so
@@ -123,7 +129,8 @@ type ClientProtocol interface {
 	OnTimer(id TimerID)
 }
 
-// ClientEnv is the environment available to client protocols.
+// ClientEnv is the environment available to client protocols. Replicas
+// is shared, as in Env: callers only read it.
 type ClientEnv interface {
 	ID() types.NodeID
 	N() int

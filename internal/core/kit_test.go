@@ -1121,6 +1121,118 @@ func TestPipelineSpeculativeExecutionReopensTheWindow(t *testing.T) {
 	}
 }
 
+// --- batching by load -------------------------------------------------------
+
+// TestLoadHoldsAPartialBatchBehindASlotInFlight: a busy leader with a slot
+// in flight keeps a partial batch queued (a), proposes a full one at once
+// (b), and proposes a lone request at once when nothing is in flight (c).
+func TestLoadHoldsAPartialBatchBehindASlotInFlight(t *testing.T) {
+	r := newPipelineRig(PBFTProfile(), pbftStages...)
+	limit := r.rep.Config().BatchSize
+	r.d.busy = true
+	if got := r.submit(1); !reflect.DeepEqual(got, [][]uint64{{1}}) {
+		t.Fatalf("(c) busy with nothing in flight: proposals %v, want [[1]] at once", got)
+	}
+	if got := r.submit(limit - 1); len(got) != 0 {
+		t.Fatalf("(a) busy with slot 1 in flight: proposed %v, want the partial batch held", got)
+	}
+	if got := r.submit(1); !reflect.DeepEqual(got, [][]uint64{span(2, uint64(limit)+1)}) {
+		t.Fatalf("(b) %d requests proposable: proposals %v, want one full batch at once", limit, got)
+	}
+	if got := r.submit(1); len(got) != 0 {
+		t.Fatalf("(a) busy with two slots in flight: proposed %v, want it held", got)
+	}
+}
+
+// TestLoadHeldRequestsLeaveWhenTheLoopIsIdle: what the load rule held goes
+// out on the next Executed, or on the next request, once the event loop
+// has nothing waiting (d).
+func TestLoadHeldRequestsLeaveWhenTheLoopIsIdle(t *testing.T) {
+	r := newPipelineRig(PBFTProfile(), pbftStages...)
+	r.d.busy = true
+	r.submit(1)
+	r.submit(3)
+	r.d.busy = false
+	if got := r.execute(1); !reflect.DeepEqual(got, [][]uint64{{2, 3, 4}}) {
+		t.Fatalf("slot 1 executed on an idle loop: proposals %v, want [[2 3 4]]", got)
+	}
+	r.d.busy = true
+	if got := r.submit(2); len(got) != 0 {
+		t.Fatalf("busy with slot 2 in flight: proposed %v, want it held", got)
+	}
+	r.d.busy = false
+	if got := r.submit(1); !reflect.DeepEqual(got, [][]uint64{{5, 6, 7}}) {
+		t.Fatalf("a request on an idle loop: proposals %v, want [[5 6 7]]", got)
+	}
+}
+
+// TestLoadSpeculativeTipEndsTheHold: under a speculative profile a slot
+// executed speculatively is no longer in flight, so the held queue leaves
+// at once, busy or not, though nothing has committed (e).
+func TestLoadSpeculativeTipEndsTheHold(t *testing.T) {
+	poe := []StageSpec{{Stage: StageShare, Voters: VotersAll, Collect: true, Quorum: Term(2, 1)}}
+	r := newPipelineRig(PoEProfile(), poe...)
+	r.d.busy = true
+	r.submit(1)
+	if got := r.submit(3); len(got) != 0 {
+		t.Fatalf("busy with slot 1 in flight: proposed %v, want it held", got)
+	}
+	d := r.slots.slots[1].Digest
+	for _, from := range []types.NodeID{1, 2} {
+		r.slots.OnMessage(from, r.signedVote(StageShare, from, d))
+	}
+	if !r.slots.slots[1].Speculated() || r.rep.Ledger().LastExecuted() != 0 {
+		t.Fatal("slot 1 was not executed speculatively (and only speculatively)")
+	}
+	if got := r.batches[1:]; !reflect.DeepEqual(got, [][]uint64{{2, 3, 4}}) {
+		t.Fatalf("after speculative execution: proposals %v, want [[2 3 4]]", got)
+	}
+}
+
+// TestBacklogProposableMatchesTake: the kept count of proposable requests
+// is what a scan of the queue finds, through every way a request enters,
+// leaves or is claimed.
+func TestBacklogProposableMatchesTake(t *testing.T) {
+	r := newKitRig(0)
+	b := NewBacklog(r.rep, testProgress)
+	scan := func() int {
+		n := 0
+		for _, q := range b.Pending() {
+			if !b.inFlight[q.Key()] {
+				n++
+			}
+		}
+		return n
+	}
+	var all []*types.Request
+	for s := uint64(1); s <= 40; s++ {
+		all = append(all, r.signedReq(s))
+	}
+	rng := r.d.rng
+	for step := range 400 {
+		q := all[rng.Intn(len(all))]
+		switch op := rng.Intn(10); {
+		case op < 4:
+			b.Submit(q, 0)
+		case op < 6:
+			b.Take(1 + rng.Intn(4))
+		case op < 8:
+			b.Proposed(types.NewBatch(q))
+		case op < 9:
+			b.Executed(types.NewBatch(q))
+		default:
+			b.EnterView(types.View(step))
+		}
+		if got, want := b.Proposable(), scan(); got != want {
+			t.Fatalf("step %d: Proposable = %d, a scan finds %d", step, got, want)
+		}
+	}
+	want := b.Proposable()
+	if got := len(b.Take(len(all))); got != want || b.Proposable() != 0 {
+		t.Fatalf("Take claimed %d of %d proposable, leaving %d", got, want, b.Proposable())
+	}
+}
+
 // TestSpeculativeCheckpointCommitsAfterTheTipMovedOn: a checkpoint's
 // quorum is checked against this replica's history at the checkpoint, not
 // its current one. Announcements that arrive after the tip has passed the

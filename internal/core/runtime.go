@@ -14,11 +14,15 @@ import (
 // Driver abstracts the substrate a replica runs on: the deterministic
 // simulator (internal/sim) or the TCP transport (internal/transport).
 // Drivers guarantee that all callbacks into one replica are serialized.
+// Busy reports whether inbound events are queued for the node's event
+// loop, the load a leader batches by (Slots.Propose); a driver without
+// service time, the simulator's, is never busy.
 type Driver interface {
 	Now() time.Duration
 	After(d time.Duration, fn func()) (cancel func())
 	Send(from, to types.NodeID, m types.Message)
 	Rand() *rand.Rand
+	Busy() bool
 }
 
 // Hooks are the harness's observation points. All fields are optional.
@@ -73,6 +77,7 @@ type Replica struct {
 	signer   *crypto.Signer
 	verifier *crypto.Verifier
 	hooks    Hooks
+	replicas []types.NodeID
 
 	timers    map[TimerID]func()
 	spec      []specEntry
@@ -96,6 +101,7 @@ func NewReplica(id types.NodeID, cfg Config, driver Driver, proto Protocol,
 		signer:    auth.Signer(id),
 		verifier:  auth.VerifierFor(id),
 		hooks:     hooks,
+		replicas:  cfg.AllReplicas(),
 		timers:    make(map[TimerID]func()),
 		executed:  make(map[types.RequestKey]bool),
 		lastReply: make(map[types.NodeID]*types.Reply),
@@ -160,7 +166,10 @@ func (r *Replica) F() int { return r.cfg.F }
 func (r *Replica) Config() Config { return r.cfg }
 
 // Replicas implements Env.
-func (r *Replica) Replicas() []types.NodeID { return r.cfg.AllReplicas() }
+func (r *Replica) Replicas() []types.NodeID { return r.replicas }
+
+// Busy implements Env.
+func (r *Replica) Busy() bool { return r.driver.Busy() }
 
 // Send implements Env.
 func (r *Replica) Send(to types.NodeID, m types.Message) {

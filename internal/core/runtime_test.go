@@ -17,6 +17,7 @@ type fakeDriver struct {
 	sent   []sentMsg
 	timers []*fakeTimer
 	rng    *rand.Rand
+	busy   bool // what Busy reports: the test stands in for queued events
 }
 
 type sentMsg struct {
@@ -34,6 +35,7 @@ func newFakeDriver() *fakeDriver { return &fakeDriver{rng: rand.New(rand.NewSour
 
 func (d *fakeDriver) Now() time.Duration { return d.now }
 func (d *fakeDriver) Rand() *rand.Rand   { return d.rng }
+func (d *fakeDriver) Busy() bool         { return d.busy }
 func (d *fakeDriver) Send(from, to types.NodeID, m types.Message) {
 	d.sent = append(d.sent, sentMsg{To: to, M: m})
 }

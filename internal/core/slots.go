@@ -244,16 +244,21 @@ const pipelineDepth = 8
 // slots are in flight above its execution point (the speculative tip under
 // a speculative profile) and the backlog holds proposable requests, it
 // takes what is queued, up to BatchSize, under the next sequence number and
-// hands the signed proposal to Issuer. A lone request is proposed at once;
-// requests wait only while the window is full. The caller proposes again
-// when a slot executes (after Executed); the speculative tail does so
-// itself when a slot executes speculatively.
+// hands the signed proposal to Issuer. Requests wait while the window is
+// full, and a partial batch also waits while the leader is loaded — a slot
+// is in flight and inbound events are queued for its event loop
+// (Env.Busy) — so that it leaves with what arrives behind it. A full
+// batch, an idle loop or an empty window proposes at once: a lone request
+// is never held, and a held one waits no longer than the slot in flight.
+// No timer re-runs the rule: the protocol proposes on every request and
+// again when a slot executes (after Executed); the speculative tail does
+// so itself when a slot executes speculatively.
 func (s *Slots[X]) Propose() {
 	if s.proposing {
 		return
 	}
 	s.proposing = true
-	for s.vc.MayPropose() && s.nextSeq < s.windowTop() {
+	for s.vc.MayPropose() && s.nextSeq < s.windowTop() && s.backlog.Proposable() > 0 && !s.held() {
 		reqs := s.Take(s.env.Config().BatchSize)
 		if len(reqs) == 0 {
 			break
@@ -261,6 +266,13 @@ func (s *Slots[X]) Propose() {
 		s.Issuer(NewProposal(s.env, s.vc.View(), s.Next(), types.NewBatch(reqs...)))
 	}
 	s.proposing = false
+}
+
+// held reports whether load holds a partial batch back: a slot is in
+// flight, fewer than BatchSize requests are proposable and inbound events
+// wait for the event loop.
+func (s *Slots[X]) held() bool {
+	return s.nextSeq > s.specTip() && s.backlog.Proposable() < s.env.Config().BatchSize && s.env.Busy()
 }
 
 // windowTop is the highest sequence number this leader may assign now:

@@ -122,6 +122,10 @@ func (d nodeDriver) After(t time.Duration, fn func()) func() {
 	return d.c.Sched.After(t, fn).Stop
 }
 
+// Busy is false: a simulated node has no service time, so no event ever
+// waits for it.
+func (d nodeDriver) Busy() bool { return false }
+
 // NewCluster builds a deployment. It panics on unknown protocols or
 // invalid sizing — harness misuse is a programming error in a test or
 // bench, not a runtime condition.

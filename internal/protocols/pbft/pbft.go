@@ -304,10 +304,13 @@ func (p *PBFT) dropCatchup(seq types.SeqNum) {
 // from 2f replicas are in — 2f+1 distinct replicas, the paper's prepared
 // predicate — and its prepared certificate is the backups' prepare
 // signatures plus the leader's pre-prepare signature. A commit keeps its
-// commit certificate, which MAC-mode votes, carrying no signature, do not
-// form.
+// commit certificate. MAC-mode votes carry no signature and never form
+// one, so under MACs none is built.
 func (p *PBFT) closed(sl *core.Slot[slotExt], stage core.Stage, _ *core.CertMsg) {
 	if stage == core.StageCommit {
+		if p.env.Scheme() == crypto.SchemeMAC {
+			return
+		}
 		if cert := sl.Certificate(core.StageCommit); cert.Size() >= p.Slots.Quorum {
 			p.keepCert(sl.Seq, cert)
 		}

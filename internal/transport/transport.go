@@ -687,6 +687,9 @@ func (n *Node) Now() time.Duration { return time.Since(n.start) }
 // Rand implements core.Driver.
 func (n *Node) Rand() *rand.Rand { return n.rng }
 
+// Busy implements core.Driver: events wait for the event loop.
+func (n *Node) Busy() bool { return len(n.events) > 0 }
+
 // After implements core.Driver: the callback is serialized through the
 // event loop like every other event.
 func (n *Node) After(d time.Duration, fn func()) func() {

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"hash"
 	"slices"
+	"sync"
 )
 
 // NodeID identifies a participant. Replicas are numbered 0..n-1; clients
@@ -74,7 +75,8 @@ func (h *Hasher) Str(s string) *Hasher { h.h.str(s); return h }
 // Digest appends another digest as a field.
 func (h *Hasher) Digest(d Digest) *Hasher { h.h.digest(d); return h }
 
-// Sum finalizes the hash.
+// Sum finalizes the hash. The Hasher is spent: write to it or sum it
+// again and the digest is wrong.
 func (h *Hasher) Sum() Digest { return h.h.sum() }
 
 // stageLen is how much preimage a hasher holds before it starts
@@ -86,9 +88,11 @@ const stageLen = 160
 // hasher computes SHA-256 over the concatenation of its fields — u64s as
 // 8 big-endian bytes, byte and string fields behind a u64 length — without
 // ever holding that concatenation: fields are staged in buf, a preimage
-// that outgrows buf moves to a heap-allocated spill that feeds a
-// hash.Hash, and a byte field longer than the staging buffer is written
-// through uncopied. The bytes hashed are the same whichever way they go.
+// that outgrows buf moves to a spill that feeds a hash.Hash, and a byte
+// field longer than the staging buffer is written through uncopied. The
+// bytes hashed are the same whichever way they go. Spills are pooled: one
+// is taken when a preimage outgrows buf and given back by sum, so a
+// digest of a 4 KiB request or reply allocates nothing.
 type hasher struct {
 	n     int
 	buf   [stageLen]byte
@@ -105,6 +109,9 @@ type spill struct {
 	out Digest
 }
 
+// spills holds the spills no hasher is using.
+var spills = sync.Pool{New: func() any { return &spill{h: sha256.New()} }}
+
 func (s *spill) flush() {
 	s.h.Write(s.buf[:s.n])
 	s.n = 0
@@ -113,7 +120,8 @@ func (s *spill) flush() {
 // spilled switches the hasher to streaming, carrying over what is staged.
 func (h *hasher) spilled() *spill {
 	if h.spill == nil {
-		s := &spill{h: sha256.New()}
+		s := spills.Get().(*spill)
+		s.h.Reset()
 		s.n = copy(s.buf[:], h.buf[:h.n])
 		h.spill = s
 	}
@@ -170,7 +178,10 @@ func (h *hasher) sum() Digest {
 	}
 	s.flush()
 	s.h.Sum(s.out[:0])
-	return s.out
+	d := s.out
+	h.spill = nil
+	spills.Put(s)
+	return d
 }
 
 // Request is a signed client transaction: an opaque operation to be

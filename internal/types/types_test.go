@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -210,4 +211,29 @@ func TestHasherStreamsTheSameBytes(t *testing.T) {
 			t.Fatalf("round %d: streamed %v, materialised %v (%d bytes)", round, got, want, len(preimage))
 		}
 	}
+}
+
+// TestPooledSpillsAreNotShared: hashers that spill on several goroutines
+// at once each stream through a spill of their own.
+func TestPooledSpillsAreNotShared(t *testing.T) {
+	reqs := make([]*Request, 8)
+	want := make([]Digest, len(reqs))
+	for i := range reqs {
+		reqs[i] = &Request{Client: ClientIDBase, ClientSeq: uint64(i), Op: pattern(1000 + 100*i)}
+		want[i] = reqs[i].Digest()
+	}
+	var wg sync.WaitGroup
+	for i := range reqs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 200 {
+				if got := reqs[i].Digest(); got != want[i] {
+					t.Errorf("request %d: digest %v on a shared pool, %v alone", i, got, want[i])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

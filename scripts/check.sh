@@ -76,6 +76,17 @@ if [ -n "$assigned" ]; then
 	exit 1
 fi
 
+# One batching rule: a leader's load (Env.Busy, the driver's queued
+# inbound events) is read by core.Slots.Propose alone; the Replica only
+# passes its Driver's answer on. A protocol or kit file that read load
+# itself would batch by a second rule.
+busy=$(grep -nE '\.Busy\(\)' $knob_sources | grep -vE '^internal/core/(slots|runtime)\.go:' || true)
+if [ -n "$busy" ]; then
+	echo "load read outside core.Slots.Propose (batch through its one rule):" >&2
+	echo "$busy" >&2
+	exit 1
+fi
+
 # One deployment assembly (internal/harness/node.go): the sizing loop, the
 # forensics role-asymmetry gate, the verification-engine constructor and
 # the inbound-lane call each live in one file, and there is one tap type.
