@@ -226,10 +226,10 @@ func (a *corruptActor) OutgoingReply(rp *types.Reply) {
 	if !a.b.Stuff {
 		return
 	}
-	// Forge f more votes for the corrupted result. The signatures are
-	// garbage — a Byzantine node cannot sign for others — so only a
-	// client that skips signature checks AND trusts the claimed
-	// identity is fooled.
+	// Forge f more votes for the corrupted result. The authenticators
+	// are garbage — a Byzantine node can neither sign nor MAC for
+	// others — so only a client that skips reply checks AND trusts the
+	// claimed identity is fooled.
 	self := a.t.Env.ID()
 	left := a.t.Env.F()
 	for _, id := range a.t.Env.Replicas() {

@@ -61,7 +61,8 @@ type Actor interface {
 	// what makes equivocation possible).
 	Outgoing(to types.NodeID, m types.Message) Verdict
 	// OutgoingReply may mutate a reply before the runtime stamps and
-	// signs it; the signed ReplyMsg then passes through Outgoing too.
+	// authenticates it; the stamped ReplyMsg then passes through
+	// Outgoing too.
 	OutgoingReply(rp *types.Reply)
 	// Incoming sees every client request delivered to the replica.
 	Incoming(req *types.Request)
@@ -169,15 +170,14 @@ func (w *wrapper) Broadcast(m types.Message) {
 	}
 }
 
-// Reply implements core.Env. It reproduces the runtime's reply stamping
-// (identity, then signature over the stamped reply) so the outgoing
-// REPLY routes through the actor like any other send; the runtime's own
-// Reply would bypass interception. The actor mutates first — a result
-// corrupted here is then signed, modeling a Byzantine replica that
-// executes wrongly but authenticates honestly.
+// Reply implements core.Env. It stamps the reply as the runtime does
+// (core.AuthenticateReply) so the outgoing REPLY routes through the
+// actor like any other send; the runtime's own Reply would bypass
+// interception. The actor mutates first — a result corrupted here is
+// then signed or MAC'd, modeling a Byzantine replica that executes
+// wrongly but authenticates honestly.
 func (w *wrapper) Reply(rp *types.Reply) {
 	w.actor.OutgoingReply(rp)
-	rp.Replica = w.Env.ID()
-	rp.Sig = w.Env.Signer().Sign(rp.Digest())
+	core.AuthenticateReply(w.Env, rp)
 	w.Send(rp.Client, &core.ReplyMsg{R: rp})
 }

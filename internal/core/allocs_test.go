@@ -1,0 +1,39 @@
+//go:build !race
+
+package core
+
+import (
+	"testing"
+
+	"bftkit/internal/crypto"
+	"bftkit/internal/kvstore"
+	"bftkit/internal/types"
+)
+
+// TestAllocsReply: a reply costs its authenticator (a signature, or one
+// MAC to the client) and the REPLY message that carries it. The
+// retransmission cache keeps the sent reply itself, not a copy. Not under
+// the race detector, which allocates on its own.
+func TestAllocsReply(t *testing.T) {
+	for _, scheme := range []crypto.Scheme{crypto.SchemeSig, crypto.SchemeMAC} {
+		t.Run(scheme.String(), func(t *testing.T) {
+			d := newFakeDriver()
+			cfg := DefaultConfig(4)
+			cfg.Scheme = scheme
+			rep := NewReplica(0, cfg, d, &recorder{}, kvstore.New(), crypto.NewAuthority(1), Hooks{})
+			rep.Start()
+			// Seq 0 is at the execution point, so every reply is cached.
+			rp := &types.Reply{Client: types.ClientIDBase, ClientSeq: 1, Result: []byte("ok")}
+			got := testing.AllocsPerRun(100, func() {
+				d.sent = d.sent[:0]
+				rep.Reply(rp)
+			})
+			if got > 2 {
+				t.Errorf("Replica.Reply under %v: %v allocations, want at most 2 (authenticator, message)", scheme, got)
+			}
+			if rep.lastReply[rp.Client] != rp {
+				t.Error("the retransmission cache holds a copy, not the sent reply")
+			}
+		})
+	}
+}

@@ -28,3 +28,29 @@ func VerifyAuth(env Env, from types.NodeID, d types.Digest, sig []byte, vec [][]
 	}
 	return env.Verifier().VerifySig(from, d, sig)
 }
+
+// AuthenticateReply stamps rp with the replying replica's identity and
+// authenticates it under the environment's scheme, like every other
+// message: one MAC to the client under SchemeMAC, a signature under
+// SchemeSig/SchemeThreshold. The authenticator goes in rp.Sig. Both
+// schemes are deterministic, so stamping a reply that was already sent
+// (chain's retransmission) rewrites identical bytes.
+func AuthenticateReply(env Env, rp *types.Reply) {
+	rp.Replica = env.ID()
+	if env.Scheme() == crypto.SchemeMAC {
+		rp.Sig = env.Signer().MAC(rp.Client, rp.Digest())
+		return
+	}
+	rp.Sig = env.Signer().Sign(rp.Digest())
+}
+
+// VerifyReply checks a reply's authenticator against the replica it
+// names, under the client's deployment scheme: a MAC from rp.Replica to
+// this client, or rp.Replica's signature. A MAC convinces only this
+// client; a signed reply is evidence a third party can check.
+func VerifyReply(env ClientEnv, rp *types.Reply) bool {
+	if env.Config().Scheme == crypto.SchemeMAC {
+		return env.Verifier().VerifyMAC(rp.Replica, env.ID(), rp.Digest(), rp.Sig)
+	}
+	return env.Verifier().VerifySig(rp.Replica, rp.Digest(), rp.Sig)
+}

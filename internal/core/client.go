@@ -174,7 +174,9 @@ type RequesterOpts struct {
 	// Defaults to f+1 (PBFT).
 	RepliesNeeded func(f int) int
 	// VerifyReplySigs makes the client check each reply signature
-	// before counting it (costs one verification per reply).
+	// before counting it (costs one verification per reply) in a
+	// signature deployment. Under SchemeMAC every reply's MAC is checked
+	// regardless: it costs one HMAC.
 	VerifyReplySigs bool
 }
 
@@ -241,17 +243,20 @@ func (r *Requester) OnMessage(from types.NodeID, m types.Message) {
 	if p == nil || p.done {
 		return
 	}
-	if r.Opts.VerifyReplySigs {
-		if rep.Replica != from || !r.env.Verifier().VerifySig(from, rep.Digest(), rep.Sig) {
+	if r.Opts.VerifyReplySigs || r.env.Config().Scheme == crypto.SchemeMAC {
+		if rep.Replica != from || !VerifyReply(r.env, rep) {
 			return
 		}
 	}
 	if rep.View > r.viewHint {
 		r.viewHint = rep.View
 	}
-	// Votes are keyed by the authenticated sender, not the claimed
-	// rep.Replica: with signature checks off, one Byzantine replica
-	// could otherwise stuff f+1 matching votes under forged identities.
+	// Votes are keyed by the sender, not the claimed rep.Replica: with
+	// reply checks off, one Byzantine replica could otherwise stuff f+1
+	// matching votes under forged identities on a driver whose `from`
+	// is authenticated. On TCP `from` is the frame's own claim, so only
+	// a checked reply (a MAC keyed on the named replica, or a signature)
+	// pins a vote to its replica.
 	key := replyKey{rep.ClientSeq, string(rep.Result)}
 	r.votes.Add(key, from, struct{}{})
 	if r.votes.Count(key) >= r.Opts.RepliesNeeded(r.env.F()) {

@@ -5,16 +5,24 @@ import (
 	"time"
 
 	"bftkit/internal/crypto"
+	"bftkit/internal/kvstore"
 	"bftkit/internal/types"
 )
 
 func newTestClient(t *testing.T, opts RequesterOpts) (*Client, *Requester, *fakeDriver, *[]string) {
 	t.Helper()
+	return newSchemeTestClient(t, crypto.SchemeSig, opts)
+}
+
+func newSchemeTestClient(t *testing.T, scheme crypto.Scheme, opts RequesterOpts) (*Client, *Requester, *fakeDriver, *[]string) {
+	t.Helper()
 	d := newFakeDriver()
 	auth := crypto.NewAuthority(1)
 	proto := NewRequester(opts)
 	var done []string
-	cl := NewClient(types.ClientIDBase, DefaultConfig(4), d, proto, auth, ClientHooks{
+	cfg := DefaultConfig(4)
+	cfg.Scheme = scheme
+	cl := NewClient(types.ClientIDBase, cfg, d, proto, auth, ClientHooks{
 		OnDone: func(_ types.NodeID, _ *types.Request, result []byte, _ time.Duration) {
 			done = append(done, string(result))
 		},
@@ -29,6 +37,17 @@ func reply(replica types.NodeID, clientSeq uint64, result string, auth *crypto.A
 		Result: []byte(result),
 	}
 	r.Sig = auth.Signer(replica).Sign(r.Digest())
+	return &ReplyMsg{R: r}
+}
+
+// macReply is replica's reply as a MAC deployment sends it: one tag from
+// the replica to the client.
+func macReply(replica types.NodeID, clientSeq uint64, result string, auth *crypto.Authority) *ReplyMsg {
+	r := &types.Reply{
+		Replica: replica, Client: types.ClientIDBase, ClientSeq: clientSeq,
+		Result: []byte(result),
+	}
+	r.Sig = auth.Signer(replica).MAC(types.ClientIDBase, r.Digest())
 	return &ReplyMsg{R: r}
 }
 
@@ -187,10 +206,12 @@ func TestAuthenticateVerifyHelpers(t *testing.T) {
 
 func TestRequesterVotesKeyedByAuthenticatedSender(t *testing.T) {
 	// One Byzantine replica mails f+1 replies with the same fabricated
-	// result, each claiming a different replica identity. With
-	// VerifyReplySigs off (the default) the signatures are not checked,
-	// so the only defense is keying votes by the network-authenticated
-	// sender: all stuffed votes collapse onto the one Byzantine node.
+	// result, each claiming a different replica identity. In a signature
+	// deployment with VerifyReplySigs off (the default) the signatures
+	// are not checked, so the only defense is keying votes by the
+	// driver's sender: all stuffed votes collapse onto the one Byzantine
+	// node. (On TCP the sender is the frame's own claim; see
+	// TestRequesterChecksReplyMACs for the MAC deployments' defense.)
 	cl, _, _, done := newTestClient(t, RequesterOpts{})
 	cl.Submit(&types.Request{ClientSeq: 1, Op: []byte("op")})
 	auth := crypto.NewAuthority(1)
@@ -227,5 +248,94 @@ func TestRequesterRejectsIdentityMismatchWhenVerifying(t *testing.T) {
 	cl.Deliver(1, reply(1, 1, "ok", auth))
 	if len(*done) != 1 {
 		t.Fatalf("done = %v", *done)
+	}
+}
+
+// TestRequesterChecksReplyMACs: in a MAC deployment the Requester checks
+// every reply's tag, keyed on the replica the reply names, and requires
+// that replica to be the sender. Neither a wrong tag, nor a valid reply
+// relayed by another sender, nor one replica's own tag under two other
+// IDs (a framer on TCP, where a frame names its own sender) counts; f+1
+// valid tags complete the request.
+func TestRequesterChecksReplyMACs(t *testing.T) {
+	cl, _, _, done := newSchemeTestClient(t, crypto.SchemeMAC, RequesterOpts{})
+	cl.Submit(&types.Request{ClientSeq: 1, Op: []byte("op")})
+	auth := crypto.NewAuthority(1)
+
+	// A wrong tag: replica 0's reply tagged with replica 3's key, and
+	// a signature where a MAC belongs.
+	wrong := macReply(0, 1, "forged", auth)
+	wrong.R.Sig = auth.Signer(3).MAC(types.ClientIDBase, wrong.R.Digest())
+	cl.Deliver(0, wrong)
+	cl.Deliver(1, reply(1, 1, "forged", auth))
+	if len(*done) != 0 {
+		t.Fatalf("wrongly tagged replies counted: %v", *done)
+	}
+
+	// A validly tagged reply whose named replica is not the sender.
+	cl.Deliver(3, macReply(0, 1, "ok", auth))
+	cl.Deliver(3, macReply(1, 1, "ok", auth))
+	if len(*done) != 0 {
+		t.Fatalf("relayed replies counted as the relayer's votes: %v", *done)
+	}
+
+	// Replica 3's own tag under two other IDs, each frame claiming the
+	// named replica as its sender.
+	for _, id := range []types.NodeID{0, 1} {
+		m := macReply(3, 1, "forged", auth)
+		m.R.Replica = id
+		cl.Deliver(id, m)
+	}
+	if len(*done) != 0 {
+		t.Fatalf("one replica's tag counted under other identities: %v", *done)
+	}
+
+	// f+1 = 2 valid tags complete the request with their result.
+	cl.Deliver(2, macReply(2, 1, "ok", auth))
+	if len(*done) != 0 {
+		t.Fatal("completed on a single valid reply (f+1 needed)")
+	}
+	cl.Deliver(0, macReply(0, 1, "ok", auth))
+	if len(*done) != 1 || (*done)[0] != "ok" {
+		t.Fatalf("done = %v, want the honest result", *done)
+	}
+}
+
+// TestAuthenticateReplyFollowsScheme: a replica signs its reply in a
+// signature deployment and MACs it to the client in a MAC deployment;
+// VerifyReply accepts exactly that authenticator for the named replica.
+func TestAuthenticateReplyFollowsScheme(t *testing.T) {
+	for _, scheme := range []crypto.Scheme{crypto.SchemeSig, crypto.SchemeMAC} {
+		d := newFakeDriver()
+		cfg := DefaultConfig(4)
+		cfg.Scheme = scheme
+		auth := crypto.NewAuthority(1)
+		rep := NewReplica(2, cfg, d, &recorder{}, kvstore.New(), auth, Hooks{})
+		rep.Start()
+		cl := NewClient(types.ClientIDBase, cfg, d, NewRequester(RequesterOpts{}), auth, ClientHooks{})
+		rp := &types.Reply{Client: types.ClientIDBase, ClientSeq: 1, Result: []byte("ok")}
+		AuthenticateReply(rep, rp)
+		if rp.Replica != 2 {
+			t.Fatalf("%v: stamped replica %d, want 2", scheme, rp.Replica)
+		}
+		wantLen := crypto.MACSize
+		if scheme != crypto.SchemeMAC {
+			wantLen = 64
+		}
+		if len(rp.Sig) != wantLen {
+			t.Errorf("%v: authenticator is %d bytes, want %d", scheme, len(rp.Sig), wantLen)
+		}
+		if !VerifyReply(cl, rp) {
+			t.Errorf("%v: the reply's own authenticator does not verify", scheme)
+		}
+		before := append([]byte(nil), rp.Sig...)
+		AuthenticateReply(rep, rp)
+		if string(rp.Sig) != string(before) {
+			t.Errorf("%v: re-stamping a sent reply changed its bytes", scheme)
+		}
+		rp.Replica = 1
+		if VerifyReply(cl, rp) {
+			t.Errorf("%v: replica 2's authenticator verified for replica 1", scheme)
+		}
 	}
 }

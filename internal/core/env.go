@@ -111,7 +111,8 @@ type Env interface {
 	Ledger() *ledger.Ledger
 	App() Application
 
-	// Reply signs and sends a reply to a client.
+	// Reply stamps, authenticates (AuthenticateReply) and sends a reply
+	// to a client.
 	Reply(r *types.Reply)
 
 	// Instrumentation.

@@ -24,8 +24,8 @@ func (m *RequestMsg) AppendSigClaims(dst []crypto.SigClaim, _ types.NodeID) []cr
 }
 
 // ReplyMsg carries a replica's reply back to a client. It exposes no
-// signature claims: a client protocol that counts reply signatures
-// verifies them inline.
+// signature claims: a client protocol that counts replies checks each
+// one's authenticator inline (VerifyReply).
 type ReplyMsg struct {
 	R *types.Reply
 }
@@ -43,7 +43,7 @@ func (m *ReplyMsg) RequestRef() types.RequestKey {
 // Slot implements obsv.Slotted.
 func (m *ReplyMsg) Slot() (types.View, types.SeqNum) { return m.R.View, m.R.Seq }
 
-// ReplyPayload exposes the signed reply for the forensics auditor's
+// ReplyPayload exposes the reply for the forensics auditor's
 // divergent-result cross-check (structural, like obsv.Keyed).
 func (m *ReplyMsg) ReplyPayload() *types.Reply { return m.R }
 

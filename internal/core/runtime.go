@@ -136,11 +136,11 @@ func (r *Replica) Deliver(from types.NodeID, m types.Message) {
 	case *RequestMsg:
 		// At-most-once retransmission handling for every protocol: if
 		// this replica already replied to exactly this request, resend
-		// the cached signed reply. A client whose f+1 matching replies
-		// were all lost (a partition or crash window) retransmits, and
-		// protocols drop already-executed requests from admission — so
-		// without the resend the client would starve forever on a
-		// request the cluster long since committed.
+		// the cached authenticated reply. A client whose f+1 matching
+		// replies were all lost (a partition or crash window)
+		// retransmits, and protocols drop already-executed requests
+		// from admission — so without the resend the client would
+		// starve forever on a request the cluster long since committed.
 		if last := r.lastReply[mm.Req.Client]; last != nil && last.ClientSeq == mm.Req.ClientSeq {
 			r.Send(last.Client, &ReplyMsg{R: last})
 			return
@@ -398,17 +398,16 @@ func (r *Replica) SpecTip() types.SeqNum {
 // HistoryDigest implements Env.
 func (r *Replica) HistoryDigest() types.Digest { return r.history }
 
-// Reply implements Env: sign and deliver a reply to its client.
+// Reply implements Env: authenticate and deliver a reply to its client.
 func (r *Replica) Reply(rp *types.Reply) {
-	rp.Replica = r.id
-	rp.Sig = r.signer.Sign(rp.Digest())
+	AuthenticateReply(r, rp)
 	// Cache only replies whose slot is committed-executed. Speculative
 	// replies (DC7/DC8 fast paths) may be rolled back, and serving one
 	// from the cache would both resend a retracted result and hide the
-	// retransmission from the protocol's re-ordering path.
+	// retransmission from the protocol's re-ordering path. A sent
+	// message never changes, so the cache keeps rp itself.
 	if rp.Seq <= r.led.LastExecuted() {
-		cp := *rp
-		r.lastReply[rp.Client] = &cp
+		r.lastReply[rp.Client] = rp
 	}
 	r.Send(rp.Client, &ReplyMsg{R: rp})
 }

@@ -38,7 +38,7 @@
 // never matter exposes no claims and is verified on demand on the event
 // loop: a stage-runner vote, which is dropped unverified once it can no
 // longer change the outcome, and a reply, which only the client
-// protocols that count reply signatures check. Client nodes have no lane.
+// protocols that count replies check. Client nodes have no lane.
 package vpool
 
 import (

@@ -38,8 +38,9 @@ import (
 //     for the octile evidence gate);
 //   - divergent-result proofs need f+1 honest signed replies for the
 //     same request, so protocols where the culprit never signs a reply
-//     (cheapbft's passive spare, qu's unsigned client protocol) yield
-//     none;
+//     (cheapbft's passive spare, qu's unsigned client protocol) and MAC
+//     deployments, whose replies carry one MAC to the client that
+//     convinces no third party (pbft-mac, chain, raftlite), yield none;
 //   - replay proofs need the replayed message to carry the replayer's
 //     own signature claim.
 //
@@ -71,7 +72,7 @@ var (
 // names the wrong replica is a framing bug.
 var accountabilityTable = map[string]map[string]accountabilityExpect{
 	"pbft":       {"equivocate": expectProof(forensics.ProofEquivocation), "withhold": accuse, "delay": accuse, "corrupt": expectProof(forensics.ProofDivergentResult), "stuff": expectProof(forensics.ProofDivergentResult, forensics.ProofForgedSig), "stale": expectProof(forensics.ProofReplay)},
-	"pbft-mac":   {"equivocate": none, "withhold": accuse, "delay": accuse, "corrupt": expectProof(forensics.ProofDivergentResult), "stuff": expectProof(forensics.ProofDivergentResult, forensics.ProofForgedSig), "stale": none},
+	"pbft-mac":   {"equivocate": none, "withhold": accuse, "delay": accuse, "corrupt": none, "stuff": none, "stale": none},
 	"hotstuff":   {"equivocate": expectProof(forensics.ProofEquivocation), "withhold": none, "delay": accuse, "corrupt": expectProof(forensics.ProofDivergentResult), "stuff": expectProof(forensics.ProofDivergentResult, forensics.ProofForgedSig), "stale": expectProof(forensics.ProofReplay)},
 	"hotstuff2":  {"equivocate": expectProof(forensics.ProofEquivocation), "withhold": none, "delay": accuse, "corrupt": expectProof(forensics.ProofDivergentResult), "stuff": expectProof(forensics.ProofDivergentResult, forensics.ProofForgedSig), "stale": none},
 	"tendermint": {"equivocate": expectProof(forensics.ProofEquivocation), "withhold": accuse, "delay": accuse, "corrupt": expectProof(forensics.ProofDivergentResult), "stuff": expectProof(forensics.ProofDivergentResult, forensics.ProofForgedSig), "stale": expectProof(forensics.ProofReplay)},
@@ -85,8 +86,8 @@ var accountabilityTable = map[string]map[string]accountabilityExpect{
 	"prime":      {"equivocate": expectProof(forensics.ProofEquivocation), "withhold": none, "delay": accuse, "corrupt": expectProof(forensics.ProofDivergentResult), "stuff": expectProof(forensics.ProofDivergentResult, forensics.ProofForgedSig), "stale": expectProof(forensics.ProofReplay)},
 	"themis":     {"equivocate": expectProof(forensics.ProofEquivocation), "withhold": top, "delay": accuse, "corrupt": expectProof(forensics.ProofDivergentResult), "stuff": expectProof(forensics.ProofDivergentResult, forensics.ProofForgedSig), "stale": expectProof(forensics.ProofReplay)},
 	"kauri":      {"equivocate": expectProof(forensics.ProofEquivocation), "withhold": top, "delay": none, "corrupt": expectProof(forensics.ProofDivergentResult), "stuff": expectProof(forensics.ProofDivergentResult, forensics.ProofForgedSig), "stale": expectProof(forensics.ProofReplay)},
-	"chain":      {"equivocate": none, "withhold": none, "delay": none, "corrupt": expectProof(forensics.ProofDivergentResult), "stuff": expectProof(forensics.ProofDivergentResult, forensics.ProofForgedSig), "stale": expectProof(forensics.ProofReplay)},
-	"raftlite":   {"withhold": top, "delay": none, "corrupt": expectProof(forensics.ProofDivergentResult), "stuff": expectProof(forensics.ProofDivergentResult, forensics.ProofForgedSig), "stale": none},
+	"chain":      {"equivocate": none, "withhold": none, "delay": none, "corrupt": none, "stuff": none, "stale": expectProof(forensics.ProofReplay)},
+	"raftlite":   {"withhold": top, "delay": none, "corrupt": none, "stuff": none, "stale": none},
 }
 
 // accountabilityCells configures each behavior: who misbehaves

@@ -112,3 +112,42 @@ func TestForgedReplySig(t *testing.T) {
 		t.Fatalf("proof does not verify: %v", err)
 	}
 }
+
+// macReply builds one replica's reply as a MAC deployment sends it: one
+// tag to the client, which no third party can check.
+func macReply(auth *crypto.Authority, replica types.NodeID, seq types.SeqNum, result string) *core.ReplyMsg {
+	m := signedReply(auth, replica, seq, result)
+	m.R.Sig = auth.Signer(replica).MAC(types.ClientIDBase, m.R.Digest())
+	return m
+}
+
+// TestMACRepliesAreNotEvidence: an auditor of a MAC deployment reads no
+// reply, honest or divergent, so it neither frames an honest replica with
+// a forged-sig proof over a tag nor cites a MAC in a divergent result.
+func TestMACRepliesAreNotEvidence(t *testing.T) {
+	a, auth := testAuditor(t, Options{MACReplies: true})
+	client := types.ClientIDBase
+	for i := 1; i < 4; i++ {
+		a.Observe(time.Duration(i)*time.Millisecond, types.NodeID(i), client, macReply(auth, types.NodeID(i), 9, "ok"))
+	}
+	a.Observe(5*time.Millisecond, 0, client, macReply(auth, 0, 9, "tampered"))
+	if ps := a.Proofs(); len(ps) != 0 {
+		t.Fatalf("MAC'd replies produced proofs: %v", ps)
+	}
+}
+
+// TestShortReplySigIsForged: an auditor of a signature deployment (the
+// zero Options) still reads a reply carrying a 32-byte non-signature as a
+// forged signature, so a Byzantine replica cannot dodge the check by
+// sending a MAC-sized Sig.
+func TestShortReplySigIsForged(t *testing.T) {
+	a, auth := testAuditor(t, Options{})
+	a.Observe(1*time.Millisecond, 1, types.ClientIDBase, macReply(auth, 1, 9, "ok"))
+	ps := a.Proofs()
+	if len(ps) != 1 || ps[0].Proof != ProofForgedSig || ps[0].Culprit != 1 {
+		t.Fatalf("want forged-sig proof against sender 1, got %v", ps)
+	}
+	if err := ps[0].Verify(auth.KeyRing(4), 1); err != nil {
+		t.Fatalf("proof does not verify: %v", err)
+	}
+}

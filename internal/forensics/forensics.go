@@ -99,6 +99,16 @@ type Options struct {
 	// formal accusation; only delay evidence and proofs accuse.
 	AsymmetricRoles bool
 
+	// MACReplies marks a deployment whose replies carry one MAC to the
+	// client (SchemeMAC) rather than a signature. A MAC proves nothing
+	// to a third party, so the auditor skips replies there: it neither
+	// reads the tag as a forged signature nor cites the reply in a
+	// divergent-result proof. The zero value means replies are signed
+	// (crypto.SchemeMAC is Scheme's zero value, so a Scheme field would
+	// switch every hand-built auditor to skipping). harness.NewAuditor
+	// derives it from the deployment's scheme.
+	MACReplies bool
+
 	// LocalNode, when non-nil, is the replica at whose vantage this
 	// auditor runs (a node-local deployment tapping only its own inbound
 	// stream, like bftnode -forensics). That replica's own sends never
@@ -411,9 +421,9 @@ func (a *Auditor) observeClaim(at time.Duration, from, to types.NodeID, kind, ph
 
 // observeReply processes a signed reply: forged-signature screening
 // plus the divergent-result cross-check against other replicas'
-// replies to the same request.
+// replies to the same request. A MAC'd reply is not evidence.
 func (a *Auditor) observeReply(at time.Duration, from, to types.NodeID, rp *types.Reply) {
-	if len(rp.Sig) == 0 || rp.Replica.IsClient() {
+	if a.opt.MACReplies || len(rp.Sig) == 0 || rp.Replica.IsClient() {
 		return
 	}
 	c := crypto.SigClaim{Signer: rp.Replica, Digest: rp.Digest(), Sig: rp.Sig}

@@ -244,24 +244,28 @@ func TestDeterministicClusters(t *testing.T) {
 func TestForensicsCleanOnHonestRun(t *testing.T) {
 	// Enabling the auditor must be a pure observer: the honest cluster
 	// completes its workload as usual and the forensic verdict is clean.
-	c := NewCluster(Options{
-		Protocol: "pbft", N: 4, Clients: 2, Seed: 7,
-		Forensics: &forensics.Options{},
-	})
-	c.Start()
-	c.ClosedLoop(10, func(cl, k int) []byte {
-		return kvstore.Put(fmt.Sprintf("c%d-k%d", cl, k), []byte("v"))
-	})
-	c.RunUntilIdle(30 * time.Second)
-	if c.Metrics.Completed == 0 {
-		t.Fatal("workload did not complete")
-	}
-	rep := c.Forensics.Report(c.Sched.Now())
-	if !rep.Clean() {
-		t.Fatalf("honest run not clean: proofs=%v accused=%v", rep.Proofs, rep.Accused)
-	}
-	if len(rep.Scores) != 4 {
-		t.Fatalf("expected a score per replica, got %d", len(rep.Scores))
+	// Under pbft-mac the replies carry MACs, which NewAuditor's auditor
+	// must not read as forged signatures.
+	for _, proto := range []string{"pbft", "pbft-mac"} {
+		c := NewCluster(Options{
+			Protocol: proto, N: 4, Clients: 2, Seed: 7,
+			Forensics: &forensics.Options{},
+		})
+		c.Start()
+		c.ClosedLoop(10, func(cl, k int) []byte {
+			return kvstore.Put(fmt.Sprintf("c%d-k%d", cl, k), []byte("v"))
+		})
+		c.RunUntilIdle(30 * time.Second)
+		if c.Metrics.Completed == 0 {
+			t.Fatalf("%s: workload did not complete", proto)
+		}
+		rep := c.Forensics.Report(c.Sched.Now())
+		if !rep.Clean() {
+			t.Fatalf("%s: honest run not clean: proofs=%v accused=%v", proto, rep.Proofs, rep.Accused)
+		}
+		if len(rep.Scores) != 4 {
+			t.Fatalf("%s: expected a score per replica, got %d", proto, len(rep.Scores))
+		}
 	}
 }
 

@@ -124,6 +124,8 @@ func NewAuditor(reg core.Registration, cfg core.Config, auth *crypto.Authority, 
 		reg.Profile.Topology == core.Tree || reg.Profile.Topology == core.Chain {
 		fo.AsymmetricRoles = true
 	}
+	// A MAC deployment authenticates replies to the client only.
+	fo.MACReplies = cfg.Scheme == crypto.SchemeMAC
 	return forensics.New(fo)
 }
 
@@ -313,8 +315,8 @@ func (n *TCPNode) Stop() {
 // authority, tracer, verification engine, observer fan-out, delivery tap
 // — around the runtime that build returns, and runs the runtime's begin
 // on the node's event loop. A replica's engine also gets inbound lanes.
-// A client's does not: the client protocols that check reply signatures
-// verify them inline, and a lane would only add a goroutine hop per reply.
+// A client's does not: the client protocols that check replies verify
+// them inline, and a lane would only add a goroutine hop per reply.
 func (s *NodeSpec) start(replica bool, build func(*TCPNode, *crypto.Authority, *fanout) (h transport.Handler, begin func())) (*TCPNode, *fanout, error) {
 	node := transport.NewNode(s.ID, s.Peers, s.Seed)
 	node.SetMaxFrame(s.MaxFrame)

@@ -65,25 +65,28 @@ func TestVerifyBudgetPBFT(t *testing.T) {
 }
 
 // TestSignBudgetPBFTMAC pins what pbft-mac at n = 4 signs per request,
-// one request per slot: the client's request and the four replies, which
-// the client keeps as evidence of what each replica answered. Its
-// proposals and votes are MAC'd and nothing else: a 3-tag vector for the
-// proposal and for each of 3 prepares and 4 commits (24 MACs), checked
-// exactly where pbft checks their signatures (16 MAC verifies).
+// one request per slot: the client's request and nothing else. Replies
+// follow the deployment's scheme like every other message, so each of
+// the four carries one MAC to the client. Proposals and votes are MAC'd
+// too: a 3-tag vector for the proposal and for each of 3 prepares and 4
+// commits (24 MACs), checked exactly where pbft checks their signatures
+// (16 MAC verifies). With the 4 reply MACs the replicas compute 28; the
+// client checks the tags of the f+1 = 2 replies that complete the
+// request and drops the late two unchecked.
 func TestSignBudgetPBFTMAC(t *testing.T) {
 	const requests = 20
 	_, b := budgetRun(t, Options{Protocol: "pbft-mac", N: 4, Seed: 3}, requests)
 	perReq := func(op crypto.Op) (client, replicas float64) {
 		return float64(b.clients[op]) / requests, float64(b.replicas[op]) / requests
 	}
-	if c, r := perReq(crypto.OpSign); c != 1 || r != 4 {
-		t.Errorf("signs per request: %.2f by the client and %.2f by the replicas, want 1 and 4", c, r)
+	if c, r := perReq(crypto.OpSign); c != 1 || r != 0 {
+		t.Errorf("signs per request: %.2f by the client and %.2f by the replicas, want 1 and 0", c, r)
 	}
-	if c, r := perReq(crypto.OpMAC); c != 0 || r != 24 {
-		t.Errorf("MACs per request: %.2f by the client and %.2f by the replicas, want 0 and 24", c, r)
+	if c, r := perReq(crypto.OpMAC); c != 0 || r != 28 {
+		t.Errorf("MACs per request: %.2f by the client and %.2f by the replicas, want 0 and 28", c, r)
 	}
-	if c, r := perReq(crypto.OpMACVerify); c != 0 || r != 16 {
-		t.Errorf("MAC verifies per request: %.2f by the client and %.2f by the replicas, want 0 and 16", c, r)
+	if c, r := perReq(crypto.OpMACVerify); c != 2 || r != 16 {
+		t.Errorf("MAC verifies per request: %.2f by the client and %.2f by the replicas, want 2 and 16", c, r)
 	}
 }
 

@@ -472,9 +472,9 @@ func (c *Chain) inReplySuffix() bool {
 }
 
 // OnExecuted implements core.Protocol: the last f+1 chain members each
-// reply, and the client accepts a result only on f+1 signed matches. A
-// single-tail reply would let one corrupt tail hand clients wrong
-// results with no honest replica in the loop (P6).
+// reply, and the client accepts a result only on f+1 authenticated
+// matches. A single-tail reply would let one corrupt tail hand clients
+// wrong results with no honest replica in the loop (P6).
 func (c *Chain) OnExecuted(seq types.SeqNum, batch *types.Batch, results [][]byte) {
 	c.backlog.Executed(batch)
 	for i, req := range batch.Requests {
@@ -500,8 +500,8 @@ func (c *Chain) OnExecuted(seq types.SeqNum, batch *types.Batch, results [][]byt
 }
 
 // Client is the chain client: send to the head, accept a result once
-// f+1 distinct chain members have signed it (the reply suffix), panic on
-// timeout (repairer role).
+// f+1 distinct chain members have authenticated it (the reply suffix),
+// panic on timeout (repairer role).
 type Client struct {
 	env      core.ClientEnv
 	view     types.View
@@ -510,7 +510,7 @@ type Client struct {
 	panicked map[uint64]int
 }
 
-// replyKey groups signed replies by request and result content.
+// replyKey groups authenticated replies by request and result content.
 type replyKey struct {
 	ClientSeq uint64
 	Result    string
@@ -555,15 +555,15 @@ func (c *Client) OnMessage(from types.NodeID, m types.Message) {
 	if req == nil {
 		return
 	}
-	if !c.env.Verifier().VerifySig(rep.Replica, rep.Digest(), rep.Sig) {
+	if !core.VerifyReply(c.env, rep) {
 		return
 	}
 	if rep.View > c.view {
 		c.view = rep.View
 	}
 	// One corrupt suffix member (the tail included) must not be able to
-	// pass off a wrong result, so count signed matching replies until
-	// f+1 distinct replicas agree.
+	// pass off a wrong result, so count authenticated matching replies
+	// until f+1 distinct replicas agree.
 	k := replyKey{rep.ClientSeq, string(rep.Result)}
 	c.votes.Add(k, rep.Replica, struct{}{})
 	if c.votes.Count(k) < c.env.F()+1 {

@@ -373,7 +373,7 @@ func (p *PBFT) keepCert(seq types.SeqNum, cert *crypto.Certificate) {
 }
 
 // OnExecuted implements core.Protocol: reply to clients (the runtime
-// caches the signed reply for retransmissions), service the checkpoint
+// caches the authenticated reply for retransmissions), service the checkpoint
 // manager, and keep the progress timer honest.
 func (p *PBFT) OnExecuted(seq types.SeqNum, batch *types.Batch, results [][]byte) {
 	delete(p.preparedProof, seq)

@@ -261,10 +261,12 @@ type Reply struct {
 	// History authenticates the replica's execution history up to Seq
 	// (used by Zyzzyva clients to detect divergence).
 	History Digest
-	Sig     []byte
+	// Sig is the reply's authenticator, under the deployment's scheme:
+	// the replica's signature, or one MAC from the replica to Client.
+	Sig []byte
 }
 
-// Digest hashes the reply content. The replica ID and signature are
+// Digest hashes the reply content. The replica ID and authenticator are
 // excluded: matching replies from different replicas share a digest, so a
 // quorum of reply signatures forms a certificate over one digest
 // (Zyzzyva's commit certificates rely on this).
