@@ -28,3 +28,18 @@ func TestAllocsMAC(t *testing.T) {
 		t.Errorf("AuthVector over 4 replicas: %v allocs, want ≤ 2", n)
 	}
 }
+
+// TestAllocsModeled holds the modeled signature to its output: Sign
+// allocates its tag and nothing else, and a check allocates nothing.
+func TestAllocsModeled(t *testing.T) {
+	auth := NewModeledAuthority(3)
+	s, v := auth.Signer(1), auth.VerifierFor(2)
+	d := types.DigestBytes([]byte("allocs"))
+	sig := s.Sign(d) // derives the signer's secret
+	if n := testing.AllocsPerRun(100, func() { s.Sign(d) }); n > 1 {
+		t.Errorf("modeled Sign: %v allocs, want ≤ 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { v.VerifySig(1, d, sig) }); n != 0 {
+		t.Errorf("modeled VerifySig: %v allocs, want 0", n)
+	}
+}

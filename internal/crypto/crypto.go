@@ -14,11 +14,21 @@
 //
 // All keys are derived deterministically from a seed so simulations are
 // reproducible; this is a research harness, not a production KMS.
+//
+// The simulator signs with a modeled authority (NewModeledAuthority): a
+// signature is a 64-byte tag keyed by a per-node secret, still checked on
+// every verify and charged to Stats and the observer exactly as an
+// Ed25519 signature is. Every virtual metric reads counts and sizes, never
+// signature bytes, and the simulated parties share one authority that
+// holds every private key anyway, so a keyed tag is as unforgeable there
+// as Ed25519 — at a fraction of the host time. Socket deployments keep
+// Ed25519 (NewAuthority).
 package crypto
 
 import (
 	"crypto/ed25519"
 	"crypto/sha256"
+	"crypto/sha512"
 	"crypto/subtle"
 	"encoding/binary"
 	"errors"
@@ -58,8 +68,12 @@ func (s Scheme) String() string {
 	}
 }
 
-// SigSize is the wire size charged per Ed25519 signature.
+// SigSize is the wire size charged per signature: an Ed25519 signature,
+// or the modeled tag that stands in for one on the simulator.
 const SigSize = ed25519.SignatureSize
+
+// tagKeySize is the size of one node's modeled signing secret.
+const tagKeySize = 32
 
 // MACSize is the wire size charged per HMAC-SHA256 tag.
 const MACSize = sha256.Size
@@ -136,8 +150,9 @@ type SigClaimer interface {
 }
 
 // Authority owns the key material of one deployment: an Ed25519 keypair
-// per participant and a pairwise MAC key per (ordered) participant pair.
-// Keys are derived lazily and deterministically from the authority seed.
+// (or, modeled, a tag secret) per participant and a pairwise MAC key per
+// (ordered) participant pair. Keys are derived lazily and
+// deterministically from the authority seed.
 type Authority struct {
 	seed int64
 
@@ -145,6 +160,9 @@ type Authority struct {
 	privs   map[types.NodeID]ed25519.PrivateKey
 	pubs    map[types.NodeID]ed25519.PublicKey
 	macKeys map[[2]types.NodeID]*macPads
+	// tagKeys holds the modeled signing secrets; non-nil exactly when the
+	// authority is modeled.
+	tagKeys map[types.NodeID][tagKeySize]byte
 
 	observer atomic.Value // Observer
 	engine   atomic.Value // Engine
@@ -154,8 +172,14 @@ type Authority struct {
 
 // SetEngine installs a verification engine (nil to remove). The engine
 // only replaces the raw Ed25519 work; all Stats/observer accounting stays
-// in this package and is unchanged by the swap.
-func (a *Authority) SetEngine(e Engine) { a.engine.Store(engineBox{e}) }
+// in this package and is unchanged by the swap. A modeled authority does
+// no Ed25519 work, so it takes no engine.
+func (a *Authority) SetEngine(e Engine) {
+	if e != nil && a.modeled() {
+		panic("crypto: a modeled authority takes no verification engine")
+	}
+	a.engine.Store(engineBox{e})
+}
 
 // engineBox wraps the interface so storing a nil Engine (to uninstall)
 // does not panic atomic.Value's consistent-type check.
@@ -187,6 +211,53 @@ func NewAuthority(seed int64) *Authority {
 		pubs:    make(map[types.NodeID]ed25519.PublicKey),
 		macKeys: make(map[[2]types.NodeID]*macPads),
 	}
+}
+
+// NewModeledAuthority creates a deterministic authority whose signatures
+// are modeled: Sign returns a SigSize-byte tag keyed by the signer's
+// secret, and every verify recomputes and compares it. MACs are the same
+// HMACs NewAuthority computes. For the simulator only, whose parties all
+// share one authority; sockets need NewAuthority.
+func NewModeledAuthority(seed int64) *Authority {
+	a := NewAuthority(seed)
+	a.tagKeys = make(map[types.NodeID][tagKeySize]byte)
+	return a
+}
+
+func (a *Authority) modeled() bool { return a.tagKeys != nil }
+
+// tagKey returns id's modeled signing secret, deriving it on first use.
+func (a *Authority) tagKey(id types.NodeID) [tagKeySize]byte {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if k, ok := a.tagKeys[id]; ok {
+		return k
+	}
+	const domain = "modeled-signature"
+	var buf [16 + len(domain)]byte
+	binary.BigEndian.PutUint64(buf[:8], uint64(a.seed))
+	binary.BigEndian.PutUint64(buf[8:16], uint64(id))
+	copy(buf[16:], domain)
+	k := sha256.Sum256(buf[:])
+	a.tagKeys[id] = k
+	return k
+}
+
+// modeledTag is the modeled signature over d under key: one SHA-512 block
+// over key ‖ d. The message is a fixed-length digest, so the prefix key
+// admits no length extension.
+func modeledTag(key *[tagKeySize]byte, d types.Digest) [SigSize]byte {
+	var buf [tagKeySize + len(d)]byte
+	copy(buf[:tagKeySize], key[:])
+	copy(buf[tagKeySize:], d[:])
+	return sha512.Sum512(buf[:])
+}
+
+// checkTag reports whether sig is key's modeled tag over d, comparing in
+// constant time; a wrong length never matches.
+func checkTag(key *[tagKeySize]byte, d types.Digest, sig []byte) bool {
+	tag := modeledTag(key, d)
+	return subtle.ConstantTimeCompare(tag[:], sig) == 1
 }
 
 func (a *Authority) keyFor(id types.NodeID) (ed25519.PrivateKey, ed25519.PublicKey) {
@@ -259,39 +330,60 @@ func (p *macPads) tag(d types.Digest) [MACSize]byte {
 }
 
 // PublicKey returns one participant's public key (deriving the pair on
-// first use). Engines use it to verify claims without private access.
+// first use). Engines use it to verify claims without private access. A
+// modeled authority has no Ed25519 keys and panics.
 func (a *Authority) PublicKey(id types.NodeID) ed25519.PublicKey {
+	if a.modeled() {
+		panic("crypto: a modeled authority has no Ed25519 public keys")
+	}
 	_, pub := a.keyFor(id)
 	return pub
 }
 
-// KeyRing is the public half of an Authority: participant identities
-// mapped to raw Ed25519 public keys. It is what an offline auditor —
-// a party with no private key material and no Authority — needs to
-// re-verify a forensic proof, and it serializes to JSON so evidence
-// bundles can carry the keys they were checked against.
-type KeyRing map[types.NodeID][]byte
+// KeyRing is what an offline auditor — a party with no Authority — needs
+// to re-verify a forensic proof: participant identities mapped to the
+// keys their signatures check against. It serializes to JSON so evidence
+// bundles can carry the keys they were checked against, and it records
+// its scheme, so a ring verifies the signatures of the run that exported
+// it and never the other scheme's.
+type KeyRing struct {
+	// Modeled marks a ring exported by a modeled authority: Keys are
+	// the per-node tag secrets (on the simulator every party shares
+	// them anyway) and the ring checks modeled tags only. Otherwise Keys
+	// are raw Ed25519 public keys.
+	Modeled bool                    `json:"modeled,omitempty"`
+	Keys    map[types.NodeID][]byte `json:"keys"`
+}
 
-// KeyRing exports the public keys of participants 0..n-1.
+// KeyRing exports the verification keys of participants 0..n-1.
 func (a *Authority) KeyRing(n int) KeyRing {
-	kr := make(KeyRing, n)
+	kr := KeyRing{Modeled: a.modeled(), Keys: make(map[types.NodeID][]byte, n)}
 	for i := 0; i < n; i++ {
 		id := types.NodeID(i)
-		kr[id] = append([]byte(nil), a.PublicKey(id)...)
+		if kr.Modeled {
+			k := a.tagKey(id)
+			kr.Keys[id] = k[:]
+		} else {
+			kr.Keys[id] = append([]byte(nil), a.PublicKey(id)...)
+		}
 	}
 	return kr
 }
 
-// VerifySig checks sig over d against id's public key. Unlike
+// VerifySig checks sig over d against id's key. Unlike
 // Verifier.VerifySig it performs no cost-model accounting and needs no
 // Authority, making it safe for auditors that must not perturb the
 // deterministic operation counts of the run they observe.
 func (k KeyRing) VerifySig(id types.NodeID, d types.Digest, sig []byte) bool {
-	pub, ok := k[id]
-	if !ok || len(pub) != ed25519.PublicKeySize || len(sig) != ed25519.SignatureSize {
+	key, ok := k.Keys[id]
+	switch {
+	case !ok || len(sig) != SigSize:
 		return false
+	case k.Modeled:
+		return len(key) == tagKeySize && checkTag((*[tagKeySize]byte)(key), d, sig)
+	default:
+		return len(key) == ed25519.PublicKeySize && ed25519.Verify(ed25519.PublicKey(key), d[:], sig)
 	}
-	return ed25519.Verify(ed25519.PublicKey(pub), d[:], sig)
 }
 
 // Signer returns the signing handle for one participant.
@@ -314,11 +406,17 @@ type Signer struct {
 // ID returns the owning participant.
 func (s *Signer) ID() types.NodeID { return s.id }
 
-// Sign produces an Ed25519 signature over the digest.
+// Sign produces a signature over the digest: Ed25519, or the modeled tag
+// under a modeled authority.
 func (s *Signer) Sign(d types.Digest) []byte {
-	priv, _ := s.auth.keyFor(s.id)
 	s.auth.Stats.SignOps.Add(1)
 	s.auth.observe(s.id, OpSign)
+	if s.auth.modeled() {
+		key := s.auth.tagKey(s.id)
+		tag := modeledTag(&key, d)
+		return tag[:]
+	}
+	priv, _ := s.auth.keyFor(s.id)
 	return ed25519.Sign(priv, d[:])
 }
 
@@ -366,12 +464,17 @@ type Verifier struct {
 }
 
 // VerifySig reports whether sig is a valid signature by id over d. The
-// check is always charged to Stats and the observer; the raw Ed25519
-// work goes through the installed engine when one is present.
+// check is always charged to Stats and the observer; a modeled authority
+// recomputes id's tag, and the raw Ed25519 work goes through the
+// installed engine when one is present.
 func (v *Verifier) VerifySig(id types.NodeID, d types.Digest, sig []byte) bool {
-	_, pub := v.auth.keyFor(id)
 	v.auth.Stats.VerifyOps.Add(1)
 	v.auth.observe(v.id, OpVerify)
+	if v.auth.modeled() {
+		key := v.auth.tagKey(id)
+		return checkTag(&key, d, sig)
+	}
+	_, pub := v.auth.keyFor(id)
 	if e := v.auth.getEngine(); e != nil {
 		return e.VerifySig(pub, id, d, sig)
 	}

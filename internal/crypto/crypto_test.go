@@ -2,6 +2,7 @@ package crypto
 
 import (
 	"bytes"
+	"crypto/ed25519"
 	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/hex"
@@ -13,23 +14,153 @@ import (
 	"bftkit/internal/types"
 )
 
+// schemes is every way an Authority signs: Ed25519 (sockets) and the
+// modeled tag (the simulator). The signature tests run over both.
+var schemes = []struct {
+	name string
+	make func(seed int64) *Authority
+}{
+	{"ed25519", NewAuthority},
+	{"modeled", NewModeledAuthority},
+}
+
 func TestSignVerifyRoundTrip(t *testing.T) {
-	auth := NewAuthority(1)
-	s := auth.Signer(2)
-	v := auth.Verifier()
-	d := types.DigestBytes([]byte("hello"))
-	sig := s.Sign(d)
-	if !v.VerifySig(2, d, sig) {
-		t.Fatal("own signature must verify")
-	}
-	if v.VerifySig(3, d, sig) {
-		t.Fatal("signature must not verify under another identity")
-	}
-	d2 := types.DigestBytes([]byte("tampered"))
-	if v.VerifySig(2, d2, sig) {
-		t.Fatal("signature must not cover a different digest")
+	for _, sc := range schemes {
+		auth := sc.make(1)
+		s := auth.Signer(2)
+		v := auth.Verifier()
+		d := types.DigestBytes([]byte("hello"))
+		sig := s.Sign(d)
+		if len(sig) != SigSize {
+			t.Fatalf("%s: signature is %d bytes, want %d", sc.name, len(sig), SigSize)
+		}
+		if !v.VerifySig(2, d, sig) {
+			t.Fatalf("%s: own signature must verify", sc.name)
+		}
+		if v.VerifySig(3, d, sig) {
+			t.Fatalf("%s: signature must not verify under another identity", sc.name)
+		}
+		d2 := types.DigestBytes([]byte("tampered"))
+		if v.VerifySig(2, d2, sig) {
+			t.Fatalf("%s: signature must not cover a different digest", sc.name)
+		}
+		for i := range sig {
+			flipped := slices.Clone(sig)
+			flipped[i] ^= 1 << (i % 8)
+			if v.VerifySig(2, d, flipped) {
+				t.Fatalf("%s: signature with bit %d of byte %d flipped verifies", sc.name, i%8, i)
+			}
+		}
+		for _, bad := range [][]byte{nil, sig[:SigSize-1], append(slices.Clone(sig), 0)} {
+			if v.VerifySig(2, d, bad) {
+				t.Fatalf("%s: a %d-byte signature verifies", sc.name, len(bad))
+			}
+		}
 	}
 }
+
+// TestSchemesNeverCross holds each scheme to its own signatures: a modeled
+// tag is refused by an Ed25519 Verifier and KeyRing, an Ed25519 signature
+// by a modeled Verifier and KeyRing, and each ring accepts its own. The
+// same operations charge both authorities identically, Stats and
+// observer alike.
+func TestSchemesNeverCross(t *testing.T) {
+	ed, modeled := NewAuthority(5), NewModeledAuthority(5)
+	d := types.DigestBytes([]byte("cross"))
+	realSig, tag := ed.Signer(1).Sign(d), modeled.Signer(1).Sign(d)
+	realRing, modeledRing := ed.KeyRing(4), modeled.KeyRing(4)
+	if realRing.Modeled || !modeledRing.Modeled {
+		t.Fatalf("rings record the wrong scheme: ed25519 ring modeled=%v, modeled ring modeled=%v", realRing.Modeled, modeledRing.Modeled)
+	}
+	checks := []struct {
+		name string
+		v    interface {
+			VerifySig(types.NodeID, types.Digest, []byte) bool
+		}
+		sig  []byte
+		want bool
+	}{
+		{"ed25519 Verifier, own signature", ed.Verifier(), realSig, true},
+		{"ed25519 KeyRing, own signature", realRing, realSig, true},
+		{"modeled Verifier, own tag", modeled.Verifier(), tag, true},
+		{"modeled KeyRing, own tag", modeledRing, tag, true},
+		{"ed25519 Verifier, modeled tag", ed.Verifier(), tag, false},
+		{"ed25519 KeyRing, modeled tag", realRing, tag, false},
+		{"modeled Verifier, ed25519 signature", modeled.Verifier(), realSig, false},
+		{"modeled KeyRing, ed25519 signature", modeledRing, realSig, false},
+	}
+	for _, c := range checks {
+		if got := c.v.VerifySig(1, d, c.sig); got != c.want {
+			t.Errorf("%s: VerifySig = %v, want %v", c.name, got, c.want)
+		}
+	}
+	for name, ring := range map[string]KeyRing{"ed25519": realRing, "modeled": modeledRing} {
+		if ring.VerifySig(2, d, ring.Keys[1]) || ring.VerifySig(7, d, tag) || ring.VerifySig(7, d, realSig) {
+			t.Errorf("%s ring accepts a wrong signer or a key as a signature", name)
+		}
+	}
+
+	// One fixed sequence of operations, run under each authority.
+	type event struct {
+		node types.NodeID
+		op   Op
+	}
+	run := func(auth *Authority) ([4]int64, []event) {
+		var events []event
+		auth.SetObserver(func(node types.NodeID, op Op) { events = append(events, event{node, op}) })
+		v := auth.VerifierFor(3)
+		sig := auth.Signer(0).Sign(d)
+		v.VerifySig(0, d, sig)
+		v.VerifySig(1, d, sig) // a failed check is charged too
+		cert := &Certificate{Digest: d}
+		for i := types.NodeID(0); i < 3; i++ {
+			cert.Add(i, auth.Signer(i).Sign(d))
+		}
+		if err := cert.Verify(v, 3); err != nil {
+			t.Fatalf("certificate: %v", err)
+		}
+		cert.Sigs[2] = sig
+		if err := cert.Verify(v, 3); !errors.Is(err, ErrCertBadSig) {
+			t.Fatalf("certificate with a wrong component: %v", err)
+		}
+		auth.Signer(2).AuthVector(d, []types.NodeID{0, 1, 2, 3})
+		v.VerifyMAC(2, 3, d, auth.Signer(2).MAC(3, d))
+		var n [4]int64
+		n[0], n[1], n[2], n[3] = auth.Stats.Snapshot()
+		return n, events
+	}
+	realStats, realEvents := run(ed)
+	modeledStats, modeledEvents := run(modeled)
+	if realStats != modeledStats {
+		t.Errorf("Stats (sign, verify, mac, mac verify): ed25519 %v, modeled %v", realStats, modeledStats)
+	}
+	if !slices.Equal(realEvents, modeledEvents) {
+		t.Errorf("observer calls differ:\ned25519 %v\nmodeled %v", realEvents, modeledEvents)
+	}
+
+	// A modeled authority has no Ed25519 keys to hand out or work to
+	// hand an engine.
+	for name, misuse := range map[string]func(){
+		"PublicKey": func() { modeled.PublicKey(1) },
+		"SetEngine": func() { modeled.SetEngine(noEngine{}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("modeled %s did not panic", name)
+				}
+			}()
+			misuse()
+		}()
+	}
+}
+
+// noEngine is an Engine that answers nothing.
+type noEngine struct{}
+
+func (noEngine) VerifySig(ed25519.PublicKey, types.NodeID, types.Digest, []byte) bool { return false }
+func (noEngine) CertCached(types.Digest, []types.NodeID) bool                         { return false }
+func (noEngine) CertStore(types.Digest, []types.NodeID)                               {}
 
 func TestMACRoundTrip(t *testing.T) {
 	auth := NewAuthority(7)
@@ -152,35 +283,37 @@ func TestDeterministicKeys(t *testing.T) {
 }
 
 func TestCertificateVerify(t *testing.T) {
-	auth := NewAuthority(3)
-	v := auth.Verifier()
-	d := types.DigestBytes([]byte("cert"))
-	cert := &Certificate{Digest: d}
-	for i := 0; i < 3; i++ {
-		cert.Add(types.NodeID(i), auth.Signer(types.NodeID(i)).Sign(d))
-	}
-	if err := cert.Verify(v, 3); err != nil {
-		t.Fatalf("valid certificate rejected: %v", err)
-	}
-	if err := cert.Verify(v, 4); err == nil {
-		t.Fatal("undersized certificate accepted")
-	}
-	// Duplicate signer must be rejected.
-	dup := &Certificate{Digest: d}
-	sig := auth.Signer(0).Sign(d)
-	dup.Add(0, sig)
-	dup.Add(0, sig)
-	dup.Add(1, auth.Signer(1).Sign(d))
-	if err := dup.Verify(v, 3); err == nil {
-		t.Fatal("duplicate signer accepted")
-	}
-	// Forged component must be rejected.
-	forged := &Certificate{Digest: d}
-	forged.Add(0, auth.Signer(0).Sign(d))
-	forged.Add(1, auth.Signer(2).Sign(d)) // wrong identity
-	forged.Add(2, auth.Signer(2).Sign(d))
-	if err := forged.Verify(v, 3); err == nil {
-		t.Fatal("forged certificate accepted")
+	for _, sc := range schemes {
+		auth := sc.make(3)
+		v := auth.Verifier()
+		d := types.DigestBytes([]byte("cert"))
+		cert := &Certificate{Digest: d}
+		for i := 0; i < 3; i++ {
+			cert.Add(types.NodeID(i), auth.Signer(types.NodeID(i)).Sign(d))
+		}
+		if err := cert.Verify(v, 3); err != nil {
+			t.Fatalf("%s: valid certificate rejected: %v", sc.name, err)
+		}
+		if err := cert.Verify(v, 4); err == nil {
+			t.Fatalf("%s: undersized certificate accepted", sc.name)
+		}
+		// Duplicate signer must be rejected.
+		dup := &Certificate{Digest: d}
+		sig := auth.Signer(0).Sign(d)
+		dup.Add(0, sig)
+		dup.Add(0, sig)
+		dup.Add(1, auth.Signer(1).Sign(d))
+		if err := dup.Verify(v, 3); err == nil {
+			t.Fatalf("%s: duplicate signer accepted", sc.name)
+		}
+		// Forged component must be rejected.
+		forged := &Certificate{Digest: d}
+		forged.Add(0, auth.Signer(0).Sign(d))
+		forged.Add(1, auth.Signer(2).Sign(d)) // wrong identity
+		forged.Add(2, auth.Signer(2).Sign(d))
+		if err := forged.Verify(v, 3); err == nil {
+			t.Fatalf("%s: forged certificate accepted", sc.name)
+		}
 	}
 }
 
@@ -189,10 +322,9 @@ func TestCertificateVerify(t *testing.T) {
 // each case pins the exact error identity so refactors of Verify cannot
 // silently reorder or weaken a check.
 func TestCertificateVerifyEdgeCases(t *testing.T) {
-	auth := NewAuthority(17)
-	v := auth.Verifier()
 	d := types.DigestBytes([]byte("edge"))
 	other := types.DigestBytes([]byte("other"))
+	var auth *Authority // the scheme under test, set per run below
 	sign := func(id types.NodeID, dig types.Digest) []byte {
 		return auth.Signer(id).Sign(dig)
 	}
@@ -296,15 +428,12 @@ func TestCertificateVerifyEdgeCases(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := tc.build().Verify(v, tc.quorum)
-			if tc.want == nil {
-				if err != nil {
-					t.Fatalf("Verify() = %v, want nil", err)
+			for _, sc := range schemes {
+				auth = sc.make(17)
+				err := tc.build().Verify(auth.Verifier(), tc.quorum)
+				if tc.want == nil && err != nil || tc.want != nil && !errors.Is(err, tc.want) {
+					t.Fatalf("%s: Verify() = %v, want %v", sc.name, err, tc.want)
 				}
-				return
-			}
-			if !errors.Is(err, tc.want) {
-				t.Fatalf("Verify() = %v, want %v", err, tc.want)
 			}
 		})
 	}
@@ -361,27 +490,37 @@ func TestCertificateSizeModel(t *testing.T) {
 }
 
 func TestStatsCounting(t *testing.T) {
-	auth := NewAuthority(1)
-	d := types.DigestBytes([]byte("s"))
-	sig := auth.Signer(0).Sign(d)
-	auth.Verifier().VerifySig(0, d, sig)
-	auth.Signer(0).MAC(1, d)
-	s, v, m, _ := auth.Stats.Snapshot()
-	if s != 1 || v != 1 || m != 1 {
-		t.Fatalf("stats = %d/%d/%d, want 1/1/1", s, v, m)
+	for _, sc := range schemes {
+		auth := sc.make(1)
+		d := types.DigestBytes([]byte("s"))
+		sig := auth.Signer(0).Sign(d)
+		auth.Verifier().VerifySig(0, d, sig)
+		auth.Signer(0).MAC(1, d)
+		s, v, m, _ := auth.Stats.Snapshot()
+		if s != 1 || v != 1 || m != 1 {
+			t.Fatalf("%s: stats = %d/%d/%d, want 1/1/1", sc.name, s, v, m)
+		}
 	}
 }
 
+// TestSignVerifyProperty holds every signature to verifying under its
+// signer and its digest only, and to being a pure function of seed,
+// signer and digest (Ed25519 signing is deterministic too).
 func TestSignVerifyProperty(t *testing.T) {
-	auth := NewAuthority(9)
-	v := auth.Verifier()
-	f := func(id uint8, payload []byte) bool {
-		node := types.NodeID(id % 16)
-		d := types.DigestBytes(payload)
-		return v.VerifySig(node, d, auth.Signer(node).Sign(d))
-	}
-	cfg := &quick.Config{MaxCount: 25} // ed25519 ops are not free
-	if err := quick.Check(f, cfg); err != nil {
-		t.Fatal(err)
+	for _, sc := range schemes {
+		auth, twin := sc.make(9), sc.make(9)
+		v := auth.Verifier()
+		f := func(id uint8, payload []byte) bool {
+			node := types.NodeID(id % 16)
+			d := types.DigestBytes(payload)
+			sig := auth.Signer(node).Sign(d)
+			other := types.DigestBytes(append(payload, 0))
+			return v.VerifySig(node, d, sig) && !v.VerifySig(node+1, d, sig) && !v.VerifySig(node, other, sig) &&
+				bytes.Equal(sig, twin.Signer(node).Sign(d))
+		}
+		cfg := &quick.Config{MaxCount: 25} // ed25519 ops are not free
+		if err := quick.Check(f, cfg); err != nil {
+			t.Fatalf("%s: %v", sc.name, err)
+		}
 	}
 }

@@ -26,7 +26,7 @@ func benchClaims(auth *crypto.Authority, n int) []crypto.SigClaim {
 const benchBatch = 64
 
 // BenchmarkVerifySerial is the baseline: every signature verified inline
-// on one goroutine, no caches (Workers=0, Cache=0 — the simulator mode).
+// on one goroutine, no caches (Workers=0, Cache=0).
 func BenchmarkVerifySerial(b *testing.B) {
 	auth := crypto.NewAuthority(1)
 	e := New(auth, Options{Workers: 0, Cache: 0})

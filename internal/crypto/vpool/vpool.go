@@ -12,16 +12,12 @@
 // The engine plugs into crypto.Authority via crypto.Engine. Division of
 // labor: the crypto package keeps all cost-model accounting (Stats and
 // the per-phase observer are charged for every protocol-required check,
-// cache hit or not), so installing an engine changes host CPU time only
-// — the deterministic virtual metrics the perf snapshots pin are
-// bit-identical by construction.
+// cache hit or not), so installing an engine changes host CPU time only,
+// never an operation count.
 //
-// Determinism rule: on the virtual-time simulator the engine runs with
-// Workers=0 — every verification is inline and synchronous on the
-// calling goroutine, no pool goroutines exist, and results are pure
-// functions of the inputs. The worker pool and the async inbound-verify
-// stage (transport.Node.SetInboundPrepare feeding Prepare) are
-// real-TCP-path features, where wall-clock nondeterminism already rules.
+// It is the TCP path's engine only: the simulator signs with a modeled
+// authority (crypto.NewModeledAuthority), which does no Ed25519 work and
+// takes no engine.
 //
 // On TCP the inbound lane already runs off the event loop, so Prepare
 // verifies a message's claims on the lane's own goroutine; the worker
@@ -69,7 +65,7 @@ const batchChunk = 4
 type Options struct {
 	// Workers is the verification-pool size. 0 means fully synchronous:
 	// no goroutines are created and VerifyBatch runs inline on the
-	// caller — the mandatory mode on the deterministic simulator.
+	// caller.
 	Workers int
 	// Cache bounds the signature memo and certificate LRU (entries each).
 	// <= 0 disables both caches.

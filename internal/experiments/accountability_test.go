@@ -32,10 +32,12 @@ import (
 //     hop chains (the forked message dies at the first honest hop) yield
 //     none; a shared ordering message names its signer, so a proposal
 //     Kauri's tree relays is still claimed by the root that signed it;
-//   - withholding and delaying are omissions — unprovable, so the
-//     expectation is a statistical accusation (or just the top score
-//     when the run is too short or the protocol's traffic too lopsided
-//     for the octile evidence gate);
+//   - withholding is an omission — unprovable, so the expectation is a
+//     statistical accusation (or just the top score when the run is too
+//     short or the protocol's traffic too lopsided for the octile
+//     evidence gate);
+//   - delaying earns at most the top score: an honest replica behind a
+//     slow link is just as late, so lateness never accuses;
 //   - divergent-result proofs need f+1 honest signed replies for the
 //     same request, so protocols where the culprit never signs a reply
 //     (cheapbft's passive spare, qu's unsigned client protocol) and MAC
@@ -71,11 +73,11 @@ var (
 // that regresses to less evidence is a detection loss, a cell that
 // names the wrong replica is a framing bug.
 var accountabilityTable = map[string]map[string]accountabilityExpect{
-	"pbft":       {"equivocate": expectProof(forensics.ProofEquivocation), "withhold": accuse, "delay": accuse, "corrupt": expectProof(forensics.ProofDivergentResult), "stuff": expectProof(forensics.ProofDivergentResult, forensics.ProofForgedSig), "stale": expectProof(forensics.ProofReplay)},
-	"pbft-mac":   {"equivocate": none, "withhold": accuse, "delay": accuse, "corrupt": none, "stuff": none, "stale": none},
-	"hotstuff":   {"equivocate": expectProof(forensics.ProofEquivocation), "withhold": none, "delay": accuse, "corrupt": expectProof(forensics.ProofDivergentResult), "stuff": expectProof(forensics.ProofDivergentResult, forensics.ProofForgedSig), "stale": expectProof(forensics.ProofReplay)},
-	"hotstuff2":  {"equivocate": expectProof(forensics.ProofEquivocation), "withhold": none, "delay": accuse, "corrupt": expectProof(forensics.ProofDivergentResult), "stuff": expectProof(forensics.ProofDivergentResult, forensics.ProofForgedSig), "stale": none},
-	"tendermint": {"equivocate": expectProof(forensics.ProofEquivocation), "withhold": accuse, "delay": accuse, "corrupt": expectProof(forensics.ProofDivergentResult), "stuff": expectProof(forensics.ProofDivergentResult, forensics.ProofForgedSig), "stale": expectProof(forensics.ProofReplay)},
+	"pbft":       {"equivocate": expectProof(forensics.ProofEquivocation), "withhold": accuse, "delay": top, "corrupt": expectProof(forensics.ProofDivergentResult), "stuff": expectProof(forensics.ProofDivergentResult, forensics.ProofForgedSig), "stale": expectProof(forensics.ProofReplay)},
+	"pbft-mac":   {"equivocate": none, "withhold": accuse, "delay": top, "corrupt": none, "stuff": none, "stale": none},
+	"hotstuff":   {"equivocate": expectProof(forensics.ProofEquivocation), "withhold": none, "delay": top, "corrupt": expectProof(forensics.ProofDivergentResult), "stuff": expectProof(forensics.ProofDivergentResult, forensics.ProofForgedSig), "stale": expectProof(forensics.ProofReplay)},
+	"hotstuff2":  {"equivocate": expectProof(forensics.ProofEquivocation), "withhold": none, "delay": top, "corrupt": expectProof(forensics.ProofDivergentResult), "stuff": expectProof(forensics.ProofDivergentResult, forensics.ProofForgedSig), "stale": none},
+	"tendermint": {"equivocate": expectProof(forensics.ProofEquivocation), "withhold": accuse, "delay": top, "corrupt": expectProof(forensics.ProofDivergentResult), "stuff": expectProof(forensics.ProofDivergentResult, forensics.ProofForgedSig), "stale": expectProof(forensics.ProofReplay)},
 	"sbft":       {"equivocate": expectProof(forensics.ProofEquivocation), "withhold": accuse, "delay": none, "corrupt": expectProof(forensics.ProofDivergentResult), "stuff": expectProof(forensics.ProofDivergentResult, forensics.ProofForgedSig), "stale": expectProof(forensics.ProofReplay)},
 	"zyzzyva":    {"equivocate": expectProof(forensics.ProofEquivocation), "withhold": accuse, "delay": none, "corrupt": expectProof(forensics.ProofDivergentResult), "stuff": expectProof(forensics.ProofDivergentResult, forensics.ProofForgedSig), "stale": expectProof(forensics.ProofReplay)},
 	"zyzzyva5":   {"equivocate": expectProof(forensics.ProofEquivocation), "withhold": top, "delay": none, "corrupt": expectProof(forensics.ProofDivergentResult), "stuff": expectProof(forensics.ProofDivergentResult, forensics.ProofForgedSig), "stale": expectProof(forensics.ProofReplay)},
@@ -83,8 +85,8 @@ var accountabilityTable = map[string]map[string]accountabilityExpect{
 	"cheapbft":   {"equivocate": expectProof(forensics.ProofEquivocation), "withhold": top, "delay": none, "corrupt": none, "stuff": none, "stale": expectProof(forensics.ProofReplay)},
 	"fab":        {"equivocate": expectProof(forensics.ProofEquivocation), "withhold": accuse, "delay": none, "corrupt": expectProof(forensics.ProofDivergentResult), "stuff": expectProof(forensics.ProofDivergentResult, forensics.ProofForgedSig), "stale": expectProof(forensics.ProofReplay)},
 	"qu":         {"equivocate": none, "withhold": accuse, "delay": none, "corrupt": none, "stuff": none, "stale": none},
-	"prime":      {"equivocate": expectProof(forensics.ProofEquivocation), "withhold": none, "delay": accuse, "corrupt": expectProof(forensics.ProofDivergentResult), "stuff": expectProof(forensics.ProofDivergentResult, forensics.ProofForgedSig), "stale": expectProof(forensics.ProofReplay)},
-	"themis":     {"equivocate": expectProof(forensics.ProofEquivocation), "withhold": top, "delay": accuse, "corrupt": expectProof(forensics.ProofDivergentResult), "stuff": expectProof(forensics.ProofDivergentResult, forensics.ProofForgedSig), "stale": expectProof(forensics.ProofReplay)},
+	"prime":      {"equivocate": expectProof(forensics.ProofEquivocation), "withhold": none, "delay": top, "corrupt": expectProof(forensics.ProofDivergentResult), "stuff": expectProof(forensics.ProofDivergentResult, forensics.ProofForgedSig), "stale": expectProof(forensics.ProofReplay)},
+	"themis":     {"equivocate": expectProof(forensics.ProofEquivocation), "withhold": top, "delay": top, "corrupt": expectProof(forensics.ProofDivergentResult), "stuff": expectProof(forensics.ProofDivergentResult, forensics.ProofForgedSig), "stale": expectProof(forensics.ProofReplay)},
 	"kauri":      {"equivocate": expectProof(forensics.ProofEquivocation), "withhold": top, "delay": none, "corrupt": expectProof(forensics.ProofDivergentResult), "stuff": expectProof(forensics.ProofDivergentResult, forensics.ProofForgedSig), "stale": expectProof(forensics.ProofReplay)},
 	"chain":      {"equivocate": none, "withhold": none, "delay": none, "corrupt": none, "stuff": none, "stale": expectProof(forensics.ProofReplay)},
 	"raftlite":   {"withhold": top, "delay": none, "corrupt": none, "stuff": none, "stale": none},

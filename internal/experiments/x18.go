@@ -83,10 +83,12 @@ func x18Run(proto string, cell x18Cell) (*harness.Cluster, types.NodeID, *forens
 // forensics auditor attached and classifies the verdict:
 //
 //   - convicted: a cryptographic proof names the culprit and re-verifies
-//     offline with public keys alone — portable evidence;
+//     offline against the run's key ring alone — portable evidence;
 //   - accused: no proof exists (omissions are unprovable) but the
-//     culprit's suspicion score crossed the accusation threshold;
-//   - suspected: the culprit merely tops the suspicion ranking;
+//     culprit's withholding score crossed the accusation threshold;
+//   - suspected: the culprit merely tops the suspicion ranking — always
+//     the best lateness can earn, since an honest replica behind a slow
+//     link is just as late;
 //   - undetected: the behavior leaves no attributable trace under this
 //     protocol's signing discipline (MAC ordering has no
 //     non-repudiation, a passive spare never signs replies, ...).

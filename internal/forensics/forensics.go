@@ -73,9 +73,10 @@ type Options struct {
 	// F is the fault threshold (divergent-result proofs need f+1
 	// matching references). Required.
 	F int
-	// Keys verifies signature claims. Required — the auditor is a
-	// public-key-only party and never touches an Authority, so its
-	// verifications do not perturb the run's crypto cost accounting.
+	// Keys verifies signature claims: the ring of the run's own
+	// authority, Ed25519 or modeled. Required — the auditor never
+	// touches an Authority, so its verifications do not perturb the
+	// run's crypto cost accounting.
 	Keys crypto.KeyRing
 	// Tracer, when set, receives live proof counters and suspicion
 	// gauges for the Prometheus surface.
@@ -250,7 +251,7 @@ type Auditor struct {
 // New builds an auditor. It panics on a missing key ring or replica
 // count, mirroring harness constructors.
 func New(opt Options) *Auditor {
-	if opt.N <= 0 || len(opt.Keys) == 0 {
+	if opt.N <= 0 || len(opt.Keys.Keys) == 0 {
 		panic("forensics: Options.N and Options.Keys are required")
 	}
 	opt.fill()

@@ -12,6 +12,12 @@ package forensics
 // for windowed faults. Known-administrative downtime (the chaos
 // runner's own crash schedule) is excused outright; everything else
 // must be absorbed by the octile structure.
+//
+// Lateness makes a replica suspected, never accused: a permanent few
+// milliseconds of extra link delay on an honest replica looks exactly
+// like a Byzantine delayer, and lateness within the protocols' timeouts
+// fires no timer that could tell them apart. Only proofs and withholding
+// accuse.
 
 import (
 	"sort"
@@ -31,10 +37,10 @@ type Score struct {
 	// replica's median delivery lag behind its peers' broadcast of the
 	// same slot exceeded the adaptive lag floor.
 	Delay float64 `json:"delay"`
-	// Suspicion is the score the accusation threshold applies to.
+	// Suspicion is the larger of Withhold and Delay.
 	Suspicion float64 `json:"suspicion"`
-	// Accused marks Suspicion >= the accusation threshold over enough
-	// evidence. Proof-convicted replicas are accused regardless.
+	// Accused marks a proof conviction, or Withhold >= the accusation
+	// threshold over enough evidence.
 	Accused bool `json:"accused"`
 	// Note explains the verdict in one phrase.
 	Note string `json:"note,omitempty"`
@@ -197,31 +203,22 @@ func (a *Auditor) scores(end time.Duration) []Score {
 			s.Delay = float64(dLate) / float64(dConsidered)
 		}
 
-		s.Suspicion = s.Withhold
-		if s.Delay > s.Suspicion {
-			s.Suspicion = s.Delay
-		}
-		// Under asymmetric replica roles a silent replica may simply be
-		// benched or starved, so withholding evidence informs the gauge
-		// but cannot convict; the accusation gate then rests on delay
-		// evidence alone.
-		accuse, evidence := s.Suspicion, wConsidered+dConsidered
-		if a.opt.AsymmetricRoles {
-			accuse, evidence = s.Delay, dConsidered
-		}
+		s.Suspicion = max(s.Withhold, s.Delay)
+		silent := s.Withhold >= a.opt.AccuseThreshold && wConsidered >= minConsidered
+		late := s.Delay >= a.opt.AccuseThreshold && dConsidered >= minConsidered
 		switch {
 		case convicted[node]:
 			s.Accused = true
 			s.Note = "convicted by proof"
-		case accuse >= a.opt.AccuseThreshold && evidence >= minConsidered:
+		case silent && !a.opt.AsymmetricRoles:
 			s.Accused = true
-			if !a.opt.AsymmetricRoles && s.Withhold >= s.Delay {
-				s.Note = "persistently silent versus peer baseline"
-			} else {
-				s.Note = "persistently late versus peer baseline"
-			}
-		case a.opt.AsymmetricRoles && s.Withhold >= a.opt.AccuseThreshold:
+			s.Note = "persistently silent versus peer baseline"
+		case silent && a.opt.AsymmetricRoles:
+			// Under asymmetric replica roles a silent replica may
+			// simply be benched or starved.
 			s.Note = "silent, but replica roles are asymmetric — possibly benched or starved"
+		case late:
+			s.Note = "persistently late versus peer baseline — lateness is not attributable"
 		}
 		out[i] = s
 	}

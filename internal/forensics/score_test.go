@@ -155,7 +155,11 @@ func TestCrashWindowNotAccused(t *testing.T) {
 	}
 }
 
-func TestDelayAccused(t *testing.T) {
+// TestDelaySuspectedNotAccused holds persistent lateness to a suspicion:
+// a replica whose every copy lands 25ms behind its peers' scores Delay 1
+// and tops the suspicion gauge, but only proofs and withholding accuse —
+// an honest replica behind a slow link looks the same.
+func TestDelaySuspectedNotAccused(t *testing.T) {
 	a, _ := testAuditor(t, Options{})
 	span := 1600 * time.Millisecond
 	// Every slot is a broadcast all four replicas send to receiver 0;
@@ -170,8 +174,11 @@ func TestDelayAccused(t *testing.T) {
 	}
 	r := a.Report(span)
 	s := scoreOf(r, 1)
-	if s.Delay < 0.9 || !s.Accused {
-		t.Fatalf("persistently late replica not accused: %+v", s)
+	if s.Delay < 0.9 || s.Suspicion < 0.9 || s.Note == "" {
+		t.Fatalf("persistently late replica not suspected: %+v", s)
+	}
+	if s.Accused || !r.Clean() {
+		t.Fatalf("lateness alone accused: %+v, accused %v", s, r.Accused)
 	}
 	for _, id := range []types.NodeID{0, 2, 3} {
 		if hs := scoreOf(r, id); hs.Accused || hs.Delay > 0.2 {

@@ -91,7 +91,7 @@ type Cluster struct {
 	Sched    *sim.Scheduler
 	Net      *sim.Network
 	Auth     *crypto.Authority
-	Engine   *vpool.Engine
+	Engine   *vpool.Engine // always nil: a modeled authority takes no engine
 	Replicas []*core.Replica
 	Clients  []*core.Client
 	Apps     []*kvstore.Store
@@ -149,21 +149,12 @@ func NewCluster(opts Options) *Cluster {
 		Reg:     reg,
 		Cfg:     cfg,
 		Sched:   sim.NewScheduler(opts.Seed),
-		Auth:    crypto.NewAuthority(opts.Seed),
+		Auth:    crypto.NewModeledAuthority(opts.Seed),
 		Metrics: NewMetrics(),
 	}
 	c.Net = sim.NewNetwork(c.Sched, opts.Net)
 	c.Metrics.Trace = opts.Trace
 	attachTracer(opts.Trace, c.Net, c.Auth)
-	// The verification engine rides the shared authority: all replicas
-	// and clients derive keys from one Authority, so the positive-only
-	// memo deduplicates the n-fold re-verification of every broadcast
-	// signature across receivers. Workers stay 0 on the simulator (the
-	// determinism rule: verify inline, no pool goroutines); the memo is
-	// deterministic too — it changes which verifications run Ed25519
-	// math, never their results or the charged counters. Cache 0 is
-	// vpool.DefaultCache.
-	c.Engine = newEngine(c.Auth, 0, 0, opts.Trace)
 	if opts.Forensics != nil {
 		c.Forensics = NewAuditor(reg, cfg, c.Auth, *opts.Forensics, opts.Trace)
 	}

@@ -107,11 +107,12 @@ func newEngine(auth *crypto.Authority, workers, cache int, tr *obsv.Tracer) *vpo
 }
 
 // NewAuditor builds the accountability auditor for a deployment: N, F
-// and the public keys come from the deployment, Tracer defaults to tr.
+// and the key ring come from the deployment, Tracer defaults to tr.
 func NewAuditor(reg core.Registration, cfg core.Config, auth *crypto.Authority, fo forensics.Options, tr *obsv.Tracer) *forensics.Auditor {
 	fo.N, fo.F = cfg.N, cfg.F
 	// Every node derives the same key material from the shared seed;
-	// the auditor only needs the public half.
+	// the auditor needs only the ring of auth's own scheme: Ed25519
+	// public keys on sockets, the modeled tag secrets on the simulator.
 	fo.Keys = auth.KeyRing(cfg.N)
 	if fo.Tracer == nil {
 		fo.Tracer = tr

@@ -100,6 +100,16 @@ for pattern in 'MinReplicas(ff) <= n' 'AsymmetricRoles = true' 'vpool\.New(' '[a
 		exit 1
 	fi
 done
+# The simulator alone signs with modeled tags: harness.NewCluster is the
+# one caller of the modeled authority's constructor, so no other program
+# (a socket deployment, benchmark/'s micro-suite) can build one.
+modeled=$(grep -ln 'crypto\.NewModeledAuthority(' $(find . -name '*.go' ! -name '*_test.go') |
+	grep -v '^\./internal/harness/cluster\.go$' || true)
+if [ -n "$modeled" ]; then
+	echo "the modeled signature authority built outside harness.NewCluster (sockets sign with crypto.NewAuthority):" >&2
+	echo "$modeled" >&2
+	exit 1
+fi
 taps=$(grep -nE 'type [a-zA-Z]*Tap struct' $sources || true)
 if [ "$(printf '%s\n' "$taps" | grep -c .)" -gt 1 ]; then
 	echo "more than one delivery-tap type (feed listeners through harness's fanout.tap):" >&2
@@ -200,7 +210,4 @@ for choice in $("$bin/bftspace" choices | awk '{print $2}'); do
 	fi
 done
 rm -rf "$bin"
-# The experiment smoke suite replays every table of EXPERIMENTS.md; under
-# the race detector's ~15x slowdown that outgrows go test's default 10m
-# per-package budget, so raise it — a hang still fails, just later.
-go test -race -timeout 40m ./...
+go test -race ./...
