@@ -234,25 +234,23 @@ func BenchmarkTraceNilCall(b *testing.B) {
 // BFTKIT_BENCH_GUARD so ordinary `go test` runs — and the race-enabled
 // suite, whose ~15× slowdown would drown the signal — skip it; the CI
 // bench job sets the variable on an otherwise idle runner. Min-of-N
-// wall-clock comparison filters scheduler noise.
+// wall-clock comparison filters scheduler noise; the two modes run in
+// interleaved pairs, so host drift over the run reaches both alike.
 func TestSpanCaptureOverheadGuard(t *testing.T) {
 	if os.Getenv("BFTKIT_BENCH_GUARD") == "" {
 		t.Skip("set BFTKIT_BENCH_GUARD=1 to run the span-capture overhead guard")
 	}
-	best := func(mk func() *obsv.Tracer) float64 {
-		min := math.MaxFloat64
-		for i := 0; i < 5; i++ {
-			r := testing.Benchmark(func(b *testing.B) { benchTracedCluster(b, mk()) })
-			if v := float64(r.NsPerOp()); v < min {
-				min = v
-			}
-		}
-		return min
+	run := func(mk func() *obsv.Tracer) float64 {
+		r := testing.Benchmark(func(b *testing.B) { benchTracedCluster(b, mk()) })
+		return float64(r.NsPerOp())
 	}
-	counters := best(func() *obsv.Tracer { return obsv.New(obsv.Options{}) })
-	ring := best(func() *obsv.Tracer {
-		return obsv.New(obsv.Options{Events: true, Ring: true, MaxEvents: 1 << 15})
-	})
+	counters, ring := math.MaxFloat64, math.MaxFloat64
+	for i := 0; i < 5; i++ {
+		counters = min(counters, run(func() *obsv.Tracer { return obsv.New(obsv.Options{}) }))
+		ring = min(ring, run(func() *obsv.Tracer {
+			return obsv.New(obsv.Options{Events: true, Ring: true, MaxEvents: 1 << 15})
+		}))
+	}
 	overhead := (ring - counters) / counters
 	t.Logf("counters-only %.0fns/op, events+ring %.0fns/op, overhead %.2f%%", counters, ring, overhead*100)
 	if overhead > 0.05 {

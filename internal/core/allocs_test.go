@@ -37,3 +37,23 @@ func TestAllocsReply(t *testing.T) {
 		})
 	}
 }
+
+// TestAllocsAhead: the "f+1 are ahead" rule counts senders without
+// allocating. Tendermint asks it on every vote and proposal, and
+// core.ViewChange on every VIEW-CHANGE message.
+func TestAllocsAhead(t *testing.T) {
+	tl := NewTally[types.View, struct{}](16)
+	for v := types.View(1); v <= 8; v++ {
+		for from := types.NodeID(0); from < 16; from++ {
+			tl.Add(v, from, struct{}{})
+		}
+	}
+	var n int
+	got := testing.AllocsPerRun(100, func() { n, _ = Ahead(&tl, 2, 0) })
+	if n != 15 {
+		t.Fatalf("Ahead counted %d senders, want 15", n)
+	}
+	if got != 0 {
+		t.Errorf("Ahead: %v allocations, want 0", got)
+	}
+}

@@ -43,19 +43,35 @@ func NewBacklog(env Env, progressTimer string) *Backlog {
 	}
 }
 
-// Submit is the common OnRequest path. It drops executed and forged
-// requests, watches the request, queues it if it is new, and forwards it
-// to the leader when this replica is not the leader — every replica
-// buffers, so a backup that later becomes leader proposes its backlog.
-// It reports whether the caller should now try to propose: this replica
-// leads and the request was not queued before.
+// Submit is the common OnRequest path of a stable leader: it admits the
+// request and forwards it to the leader when this replica is not the
+// leader — every replica buffers, so a backup that later becomes leader
+// proposes its backlog. It reports whether the caller should now try to
+// propose: this replica leads and the request was not queued before.
 func (b *Backlog) Submit(req *types.Request, leader types.NodeID) bool {
-	key := req.Key()
-	if b.done[key] || !b.env.Verifier().VerifySig(req.Client, req.Digest(), req.Sig) {
+	queued, fresh := b.Admit(req)
+	if !queued {
 		return false
 	}
+	if leader != b.env.ID() {
+		b.env.Send(leader, &ForwardMsg{Req: req})
+		return false
+	}
+	return fresh
+}
+
+// Admit drops executed and forged requests, watches the request and
+// queues it if it is new. It reports whether the request is queued now
+// and whether this call queued it (false for a retransmission). A
+// protocol whose clients send to every replica admits without
+// forwarding.
+func (b *Backlog) Admit(req *types.Request) (queued, fresh bool) {
+	key := req.Key()
+	if b.done[key] || !b.env.Verifier().VerifySig(req.Client, req.Digest(), req.Sig) {
+		return false, false
+	}
 	b.Watch(key)
-	fresh := !b.queued[key]
+	fresh = !b.queued[key]
 	if fresh {
 		b.queued[key] = true
 		b.pending = append(b.pending, req)
@@ -63,11 +79,7 @@ func (b *Backlog) Submit(req *types.Request, leader types.NodeID) bool {
 			b.free++
 		}
 	}
-	if leader != b.env.ID() {
-		b.env.Send(leader, &ForwardMsg{Req: req})
-		return false
-	}
-	return fresh
+	return true, fresh
 }
 
 // Watch notes that a client is waiting on key and arms τ2 if it is idle.

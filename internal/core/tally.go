@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"iter"
+	"slices"
 
 	"bftkit/internal/types"
 )
@@ -136,7 +137,10 @@ func Backers[K, V comparable](t *Tally[K, V], k K, v V) []types.NodeID {
 // slot. It is the evidence behind every "f+1 replicas have moved on"
 // rule: a sender counts once however many future views it votes in.
 func Ahead[K cmp.Ordered, V any](t *Tally[K, V], above K, self types.NodeID) (senders int, lowest K) {
-	seen := make(map[types.NodeID]bool)
+	// The senders counted so far: a cluster's worth fits on the stack,
+	// so the rule allocates nothing however often it is asked.
+	var buf [64]types.NodeID
+	seen := buf[:0]
 	for k, votes := range t.slots {
 		if k <= above {
 			continue
@@ -148,7 +152,9 @@ func Ahead[K cmp.Ordered, V any](t *Tally[K, V], above K, self types.NodeID) (se
 			if len(seen) == 0 || k < lowest {
 				lowest = k
 			}
-			seen[v.From] = true
+			if !slices.Contains(seen, v.From) {
+				seen = append(seen, v.From)
+			}
 		}
 	}
 	return len(seen), lowest

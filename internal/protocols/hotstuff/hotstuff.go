@@ -210,9 +210,9 @@ type HotStuff struct {
 	// timeouts per view for the pacemaker.
 	timeouts core.Tally[types.View, struct{}]
 
-	mempool []*types.Request
-	memSet  map[types.RequestKey]bool
-	done    map[types.RequestKey]bool
+	// backlog is the request intake; clients send to every replica, so
+	// nothing is forwarded and no τ2 timer runs (the pacemaker is τ5).
+	backlog *core.Backlog
 
 	proposedInView map[types.View]bool
 	// demoted implements DiemBFT-style leader reputation: a replica
@@ -268,8 +268,7 @@ func (hs *HotStuff) Init(env core.Env) {
 	hs.cm = core.NewCheckpointManager(env)
 	hs.voted = make(map[types.View]bool)
 	hs.blocks = make(map[types.Digest]*Block)
-	hs.memSet = make(map[types.RequestKey]bool)
-	hs.done = make(map[types.RequestKey]bool)
+	hs.backlog = core.NewBacklog(env, "")
 	hs.proposedInView = make(map[types.View]bool)
 	hs.demoted = make(map[types.NodeID]types.View)
 	hs.tcReady = make(map[types.View]bool)
@@ -305,20 +304,11 @@ func (hs *HotStuff) leaderOf(v types.View) types.NodeID {
 	return types.NodeID(uint64(v) % n)
 }
 
-// OnRequest implements core.Protocol: mempool admission.
+// OnRequest implements core.Protocol: backlog admission.
 func (hs *HotStuff) OnRequest(req *types.Request) {
-	if hs.done[req.Key()] {
+	if _, fresh := hs.backlog.Admit(req); !fresh {
 		return
 	}
-	if !hs.env.Verifier().VerifySig(req.Client, req.Digest(), req.Sig) {
-		return
-	}
-	key := req.Key()
-	if hs.memSet[key] {
-		return
-	}
-	hs.memSet[key] = true
-	hs.mempool = append(hs.mempool, req)
 	if hs.leaderOf(hs.view) == hs.env.ID() {
 		hs.maybePropose()
 	}
@@ -331,19 +321,14 @@ func (hs *HotStuff) armViewTimer() {
 
 func (hs *HotStuff) takeBatch() *types.Batch {
 	var reqs []*types.Request
-	live := hs.mempool[:0]
-	max := hs.env.Config().BatchSize
-	for _, req := range hs.mempool {
-		if hs.done[req.Key()] {
-			delete(hs.memSet, req.Key())
-			continue
+	for _, req := range hs.backlog.Pending() {
+		if len(reqs) == hs.env.Config().BatchSize {
+			break
 		}
-		live = append(live, req)
-		if len(reqs) < max && !hs.inChain(req.Key()) {
+		if !hs.inChain(req.Key()) {
 			reqs = append(reqs, req)
 		}
 	}
-	hs.mempool = live
 	return types.NewBatch(reqs...)
 }
 
@@ -378,7 +363,7 @@ func (hs *HotStuff) inChain(key types.RequestKey) bool {
 }
 
 // maybePropose lets the current leader extend the chain: when it holds
-// work (mempool) or the pipeline has uncommitted blocks that need carrier
+// work (backlog) or the pipeline has uncommitted blocks that need carrier
 // blocks to reach their commit rule.
 func (hs *HotStuff) maybePropose() {
 	if hs.deltaHold {
@@ -725,8 +710,7 @@ func (hs *HotStuff) OnTimer(id core.TimerID) {
 		if id.View != hs.view {
 			return
 		}
-		hs.pruneMempool()
-		if len(hs.mempool) == 0 && !hs.uncommittedWork() {
+		if len(hs.backlog.Pending()) == 0 && !hs.uncommittedWork() {
 			return // idle: no work, nothing stuck
 		}
 		// Leader reputation: demote the node this replica can blame for
@@ -753,26 +737,9 @@ func (hs *HotStuff) OnTimer(id core.TimerID) {
 	}
 }
 
-// pruneMempool drops executed requests from the buffer so idle checks
-// see the true backlog.
-func (hs *HotStuff) pruneMempool() {
-	live := hs.mempool[:0]
-	for _, req := range hs.mempool {
-		if hs.memSet[req.Key()] && !hs.done[req.Key()] {
-			live = append(live, req)
-		} else {
-			delete(hs.memSet, req.Key())
-		}
-	}
-	hs.mempool = live
-}
-
 // OnExecuted implements core.Protocol.
 func (hs *HotStuff) OnExecuted(seq types.SeqNum, batch *types.Batch, results [][]byte) {
-	for _, req := range batch.Requests {
-		delete(hs.memSet, req.Key())
-		hs.done[req.Key()] = true
-	}
+	hs.backlog.Executed(batch)
 	core.ReplyExecuted(hs.env, types.View(seq), seq, batch, results, false)
 	hs.cm.OnExecuted(seq)
 	// Garbage-collect old vote/timeout/view state.

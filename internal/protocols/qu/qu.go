@@ -29,6 +29,7 @@ package qu
 
 import (
 	"bytes"
+	"slices"
 	"time"
 
 	"bftkit/internal/core"
@@ -268,12 +269,13 @@ func (r *Replica) onResolve(m *ResolveMsg) {
 		return
 	}
 	want := attDigest(m.Key, m.Version, m.Value, m.Exists, m.Lineage)
-	seen := make(map[types.NodeID]bool)
-	for _, a := range m.Evidence {
-		if seen[a.Replica] || attDigest(m.Key, a.Version, a.Value, a.Exists, a.Lineage) != want {
+	for i, a := range m.Evidence {
+		// One replica is one attestation: evidence that names a replica
+		// twice is short of f+1.
+		named := func(b Attestation) bool { return b.Replica == a.Replica }
+		if slices.ContainsFunc(m.Evidence[:i], named) || attDigest(m.Key, a.Version, a.Value, a.Exists, a.Lineage) != want {
 			return
 		}
-		seen[a.Replica] = true
 		if !r.env.Verifier().VerifySig(a.Replica, want, a.Sig) {
 			return
 		}
@@ -307,6 +309,12 @@ type Client struct {
 	pending map[uint64]*opState // keyed by the op's ClientSeq
 	byQID   map[uint64]*opState
 	byWID   map[uint64]*opState
+	// answers holds each replica's latest answer to a query, keyed by
+	// the op's current QID; oks and rejects hold the replicas that
+	// acknowledged or refused a write, keyed by the op's current WID.
+	answers core.Tally[uint64, *QueryRespMsg]
+	oks     core.Tally[uint64, struct{}]
+	rejects core.Tally[uint64, struct{}]
 	// Retries counts conflict-triggered restarts (experiment X7).
 	Retries int
 }
@@ -317,15 +325,11 @@ type opState struct {
 	key      string
 	phase    string // "query" | "write"
 	qid, wid uint64
-	// query phase
-	answers map[types.NodeID]*QueryRespMsg
 	// write phase
-	target  uint64
-	value   []byte
-	delete  bool
-	result  []byte
-	oks     map[types.NodeID]bool
-	rejects map[types.NodeID]uint64
+	target uint64
+	value  []byte
+	delete bool
+	result []byte
 	// bookkeeping
 	attempts int
 	done     bool
@@ -343,7 +347,12 @@ func NewClient(quorum, f int) *Client {
 }
 
 // Init implements core.ClientProtocol.
-func (c *Client) Init(env core.ClientEnv) { c.env = env }
+func (c *Client) Init(env core.ClientEnv) {
+	c.env = env
+	c.answers = core.NewTally[uint64, *QueryRespMsg](env.N())
+	c.oks = core.NewTally[uint64, struct{}](env.N())
+	c.rejects = core.NewTally[uint64, struct{}](env.N())
+}
 
 // Submit implements core.ClientProtocol.
 func (c *Client) Submit(req *types.Request) {
@@ -358,10 +367,10 @@ func (c *Client) Submit(req *types.Request) {
 
 func (c *Client) startQuery(st *opState) {
 	delete(c.byQID, st.qid)
+	c.answers.Delete(st.qid)
 	c.nextID++
 	st.qid = c.nextID
 	st.phase = "query"
-	st.answers = make(map[types.NodeID]*QueryRespMsg)
 	c.byQID[st.qid] = st
 	c.env.BroadcastReplicas(&QueryMsg{Client: c.env.ID(), QID: st.qid, Key: st.key})
 	c.env.SetTimer(core.TimerID{Name: timerPhase, Seq: types.SeqNum(st.req.ClientSeq)},
@@ -380,7 +389,7 @@ func (c *Client) OnMessage(from types.NodeID, m types.Message) {
 			attDigest(mm.Key, mm.Version, mm.Value, mm.Exists, mm.Lineage), mm.Sig) {
 			return
 		}
-		st.answers[from] = mm
+		c.answers.Replace(st.qid, from, mm)
 		c.classify(st)
 	case *WriteRespMsg:
 		st := c.byWID[mm.WID]
@@ -388,30 +397,47 @@ func (c *Client) OnMessage(from types.NodeID, m types.Message) {
 			return
 		}
 		if mm.OK {
-			st.oks[from] = true
+			c.oks.Add(st.wid, from, struct{}{})
 		} else {
-			st.rejects[from] = mm.Version
+			c.rejects.Add(st.wid, from, struct{}{})
 		}
 		c.checkWrite(st)
 	}
 }
 
+// candidate is one attested object state: its digest, the first answer
+// that attests it and how many answers do.
+type candidate struct {
+	digest types.Digest
+	first  *QueryRespMsg
+	n      int
+}
+
 // classify inspects query answers: 4f+1 matching states establish the
-// object; otherwise, once enough answers arrived, repair.
+// object; otherwise, once every replica answered, repair. Answers are
+// grouped in arrival order, so a repair's evidence is the same on every
+// run of a seed.
 func (c *Client) classify(st *opState) {
-	counts := make(map[types.Digest][]*QueryRespMsg)
-	for _, a := range st.answers {
-		d := attDigest(a.Key, a.Version, a.Value, a.Exists, a.Lineage)
-		counts[d] = append(counts[d], a)
+	answers := c.answers.Votes(st.qid)
+	var buf [8]candidate
+	groups := buf[:0]
+	for _, a := range answers {
+		d := attDigest(a.Val.Key, a.Val.Version, a.Val.Value, a.Val.Exists, a.Val.Lineage)
+		i := slices.IndexFunc(groups, func(g candidate) bool { return g.digest == d })
+		if i < 0 {
+			i = len(groups)
+			groups = append(groups, candidate{digest: d, first: a.Val})
+		}
+		groups[i].n++
 	}
-	for _, group := range counts {
-		if len(group) >= c.quorum {
-			c.established(st, group[0])
+	for _, g := range groups {
+		if g.n >= c.quorum {
+			c.established(st, g.first)
 			return
 		}
 	}
-	if len(st.answers) >= c.env.N() {
-		c.repair(st, counts)
+	if len(answers) >= c.env.N() {
+		c.repair(st, groups, answers)
 	}
 }
 
@@ -478,11 +504,11 @@ func (c *Client) established(st *opState, a *QueryRespMsg) {
 		st.result = kvstore.ResultOK
 	}
 	st.target = a.Version + 1
+	c.oks.Delete(st.wid)
+	c.rejects.Delete(st.wid)
 	c.nextID++
 	st.wid = c.nextID
 	st.phase = "write"
-	st.oks = make(map[types.NodeID]bool)
-	st.rejects = make(map[types.NodeID]uint64)
 	c.byWID[st.wid] = st
 	c.env.BroadcastReplicas(&WriteMsg{
 		Client: c.env.ID(), WID: st.wid, Key: st.key,
@@ -494,13 +520,13 @@ func (c *Client) established(st *opState, a *QueryRespMsg) {
 }
 
 func (c *Client) checkWrite(st *opState) {
-	if len(st.oks) >= c.quorum {
+	if c.oks.Count(st.wid) >= c.quorum {
 		c.finish(st, st.result)
 		return
 	}
 	// Enough rejections that the quorum is unreachable: someone else
 	// consumed our target version — retry from a fresh query.
-	if len(st.rejects) > c.env.N()-c.quorum {
+	if c.rejects.Count(st.wid) > c.env.N()-c.quorum {
 		c.backoffRetry(st)
 	}
 }
@@ -508,24 +534,28 @@ func (c *Client) checkWrite(st *opState) {
 // repair handles a query with no 4f+1 agreement: pick the highest
 // version vouched by f+1 replicas, break value ties by digest, and push a
 // Resolve with the attestations; then retry the query.
-func (c *Client) repair(st *opState, counts map[types.Digest][]*QueryRespMsg) {
-	var bestDigest types.Digest
-	var best []*QueryRespMsg
-	for d, group := range counts {
-		if len(group) < c.f+1 {
+func (c *Client) repair(st *opState, groups []candidate, answers []core.Vote[*QueryRespMsg]) {
+	var best *candidate
+	for i := range groups {
+		g := &groups[i]
+		if g.n < c.f+1 {
 			continue
 		}
 		if best == nil ||
-			group[0].Version > best[0].Version ||
-			(group[0].Version == best[0].Version && bytes.Compare(d[:], bestDigest[:]) < 0) {
-			best, bestDigest = group, d
+			g.first.Version > best.first.Version ||
+			(g.first.Version == best.first.Version && bytes.Compare(g.digest[:], best.digest[:]) < 0) {
+			best = g
 		}
 	}
 	if best != nil {
-		win := best[0]
+		win := best.first
 		rm := &ResolveMsg{Key: st.key, Version: win.Version, Value: win.Value,
 			Exists: win.Exists, Lineage: win.Lineage}
-		for _, a := range best[:c.f+1] {
+		for _, v := range answers {
+			a := v.Val
+			if len(rm.Evidence) == c.f+1 || attDigest(a.Key, a.Version, a.Value, a.Exists, a.Lineage) != best.digest {
+				continue
+			}
 			rm.Evidence = append(rm.Evidence, Attestation{
 				Replica: a.Replica, Version: a.Version, Value: a.Value,
 				Exists: a.Exists, Lineage: a.Lineage, Sig: a.Sig,
@@ -561,6 +591,9 @@ func (c *Client) finish(st *opState, result []byte) {
 	delete(c.pending, st.req.ClientSeq)
 	delete(c.byQID, st.qid)
 	delete(c.byWID, st.wid)
+	c.answers.Delete(st.qid)
+	c.oks.Delete(st.wid)
+	c.rejects.Delete(st.wid)
 	c.env.Done(st.req, result)
 }
 

@@ -131,3 +131,34 @@ func TestReadsAreWriteFree(t *testing.T) {
 	}
 	_ = types.NodeID(0)
 }
+
+// TestResolveRefusesRepeatedAttester: a Resolve's f+1 attestations must
+// come from f+1 distinct replicas. Evidence that repeats one replica's
+// genuine signature is one attestation, and a replica that adopted it
+// would let a single (possibly Byzantine) replica overwrite its state.
+func TestResolveRefusesRepeatedAttester(t *testing.T) {
+	c := harness.NewCluster(harness.Options{Protocol: "qu", F: 1, Clients: 1}) // n = 6, f+1 = 2
+	c.Start()
+	resolve := func(attesters ...types.NodeID) *qu.ResolveMsg {
+		m := &qu.ResolveMsg{Key: "k", Version: 1, Value: []byte("forged"), Exists: true}
+		d := qu.AttDigest(m.Key, m.Version, m.Value, m.Exists, m.Lineage)
+		for _, id := range attesters {
+			m.Evidence = append(m.Evidence, qu.Attestation{
+				Replica: id, Version: m.Version, Value: m.Value, Exists: m.Exists,
+				Sig: c.Auth.Signer(id).Sign(d),
+			})
+		}
+		return m
+	}
+	store := func(i int) *kvstore.Store { return c.Replicas[i].Protocol().(*qu.Replica).Store() }
+
+	c.Replicas[0].Protocol().OnMessage(types.ClientIDBase, resolve(1, 1))
+	if v, ok := store(0).GetValue("k"); ok {
+		t.Fatalf("replica 0 adopted %q on one replica's attestation named twice", v)
+	}
+	// The same evidence from two distinct replicas is a valid repair.
+	c.Replicas[0].Protocol().OnMessage(types.ClientIDBase, resolve(1, 2))
+	if v, ok := store(0).GetValue("k"); !ok || string(v) != "forged" {
+		t.Fatalf("replica 0 holds (%q, %v) after a valid repair, want the attested value", v, ok)
+	}
+}

@@ -8,11 +8,13 @@
 // prevote, precommit timeouts) and τ5 (view synchronization: the Δ wait).
 //
 // Transactions are disseminated mempool-style: clients broadcast to all
-// replicas, every replica buffers, and the proposer of the moment batches
-// from its own mempool.
+// replicas, every replica admits them into its core.Backlog, and the
+// proposer of the moment batches from its own backlog.
 package tendermint
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"time"
 
@@ -160,7 +162,7 @@ type roundState struct {
 type decision struct {
 	round uint32
 	batch *types.Batch
-	sigs  map[types.NodeID][]byte
+	votes []core.Vote[[]byte] // the deciding precommits, in arrival order
 }
 
 // Options tunes a Tendermint instance.
@@ -180,14 +182,14 @@ type Tendermint struct {
 	height types.SeqNum
 	round  uint32
 	states map[hrKey]*roundState
-	// peerRound tracks the highest round each peer has shown activity
-	// in at the current height; f+1 peers ahead of us trigger the round
-	// catch-up jump (Tendermint's round synchronization).
-	peerRound map[types.NodeID]uint32
-	// peerHeight tracks the highest height each peer has shown activity
-	// in; f+1 peers above ours mean the cluster decided heights we
-	// missed, triggering decision catch-up.
-	peerHeight map[types.NodeID]types.SeqNum
+	// peerRounds holds, per round of the current height, the peers that
+	// showed activity there; f+1 peers at or above a round trigger the
+	// round catch-up jump (Tendermint's round synchronization).
+	peerRounds core.Tally[uint32, struct{}]
+	// peerHeights holds, per height above ours, the peers that showed
+	// activity there; f+1 peers above ours mean the cluster decided
+	// heights we missed, triggering decision catch-up.
+	peerHeights core.Tally[types.SeqNum, struct{}]
 	// decisions retains decided heights' certificates for catch-up.
 	decisions map[types.SeqNum]*decision
 	// fetchingFrom is the height the last decision fetch started from;
@@ -199,9 +201,9 @@ type Tendermint struct {
 	lockedBatch  *types.Batch
 	locked       bool
 
-	mempool []*types.Request
-	memSet  map[types.RequestKey]bool
-	done    map[types.RequestKey]bool
+	// backlog is the request intake; clients send to every replica, so
+	// nothing is forwarded and no τ2 timer runs (the round timers are τ4).
+	backlog *core.Backlog
 
 	// sawQuorumPrev records that this replica observed the full
 	// precommit quorum for the previous height (the DC4 optimization).
@@ -241,11 +243,8 @@ func (t *Tendermint) Init(env core.Env) {
 		}
 	}
 	t.states = make(map[hrKey]*roundState)
-	t.peerRound = make(map[types.NodeID]uint32)
-	t.peerHeight = make(map[types.NodeID]types.SeqNum)
 	t.decisions = make(map[types.SeqNum]*decision)
-	t.memSet = make(map[types.RequestKey]bool)
-	t.done = make(map[types.RequestKey]bool)
+	t.backlog = core.NewBacklog(env, "")
 	t.height = 1
 	t.deltaDone = true // the first height has no prior decision to wait for
 }
@@ -270,22 +269,12 @@ func (t *Tendermint) state(h types.SeqNum, r uint32) *roundState {
 	return st
 }
 
-// OnRequest implements core.Protocol: mempool admission.
+// OnRequest implements core.Protocol: backlog admission. A
+// retransmission of a queued request kicks too: the round may be stuck.
 func (t *Tendermint) OnRequest(req *types.Request) {
-	if t.done[req.Key()] {
-		return
+	if queued, _ := t.backlog.Admit(req); queued {
+		t.kick()
 	}
-	if !t.env.Verifier().VerifySig(req.Client, req.Digest(), req.Sig) {
-		return
-	}
-	key := req.Key()
-	if t.memSet[key] {
-		t.kick() // a retransmission: the round may be stuck, re-arm
-		return
-	}
-	t.memSet[key] = true
-	t.mempool = append(t.mempool, req)
-	t.kick()
 }
 
 // kick starts the current round's machinery when there is work to do.
@@ -296,7 +285,7 @@ func (t *Tendermint) kick() {
 	}
 	if t.proposer(t.height, t.round) == t.env.ID() {
 		t.env.SetTimer(core.TimerID{Name: timerBatch, Seq: t.height}, t.env.Config().BatchTimeout)
-	} else if len(t.mempool) > 0 {
+	} else if t.backlog.Len() > 0 {
 		// There is known work; if no proposal shows up, advance (τ4).
 		t.armProposeTimeout()
 	}
@@ -311,24 +300,11 @@ func (t *Tendermint) takeBatch() *types.Batch {
 	if t.locked {
 		return t.lockedBatch
 	}
-	var reqs []*types.Request
-	live := t.mempool[:0]
-	max := t.env.Config().BatchSize
-	for _, req := range t.mempool {
-		if t.done[req.Key()] {
-			delete(t.memSet, req.Key())
-			continue
-		}
-		live = append(live, req)
-		if len(reqs) < max {
-			reqs = append(reqs, req)
-		}
+	pending := t.backlog.Pending()
+	if k := min(len(pending), t.env.Config().BatchSize); k > 0 {
+		return types.NewBatch(slices.Clone(pending[:k])...)
 	}
-	t.mempool = live
-	if len(reqs) == 0 {
-		return nil
-	}
-	return types.NewBatch(reqs...)
+	return nil
 }
 
 func (t *Tendermint) propose() {
@@ -454,29 +430,17 @@ func (t *Tendermint) onFetchDecision(from types.NodeID, m *FetchDecisionMsg) {
 			return
 		}
 		resp := &DecisionMsg{Height: h, Round: d.round, Batch: d.batch}
-		for id, sig := range d.sigs {
-			resp.Voters = append(resp.Voters, id)
-			resp.Sigs = append(resp.Sigs, sig)
+		// The certificate is served in voter order, whatever order the
+		// precommits arrived in.
+		for _, v := range slices.SortedFunc(slices.Values(d.votes), byVoter) {
+			resp.Voters = append(resp.Voters, v.From)
+			resp.Sigs = append(resp.Sigs, v.Val)
 		}
-		// Map order would leak into the wire bytes; replays must be
-		// bit-identical, so fix the certificate order.
-		sort.Sort(&decisionCert{resp.Voters, resp.Sigs})
 		t.env.Send(from, resp)
 	}
 }
 
-// decisionCert sorts a (voter, sig) certificate by voter ID.
-type decisionCert struct {
-	voters []types.NodeID
-	sigs   [][]byte
-}
-
-func (c *decisionCert) Len() int { return len(c.voters) }
-func (c *decisionCert) Swap(i, j int) {
-	c.voters[i], c.voters[j] = c.voters[j], c.voters[i]
-	c.sigs[i], c.sigs[j] = c.sigs[j], c.sigs[i]
-}
-func (c *decisionCert) Less(i, j int) bool { return c.voters[i] < c.voters[j] }
+func byVoter(a, b core.Vote[[]byte]) int { return cmp.Compare(a.From, b.From) }
 
 // onDecision adopts a decided height after re-verifying its 2f+1
 // precommit signatures, feeding them through the normal vote path so
@@ -486,15 +450,14 @@ func (t *Tendermint) onDecision(m *DecisionMsg) {
 		return
 	}
 	d := m.Batch.Digest()
-	seen := make(map[types.NodeID]bool, len(m.Voters))
 	votes := make([]*VoteMsg, 0, len(m.Voters))
 	for i, id := range m.Voters {
 		v := &VoteMsg{Type: votePrecommit, Height: m.Height, Round: m.Round,
 			Digest: d, Replica: id, Sig: m.Sigs[i]}
-		if seen[id] || !t.env.Verifier().VerifySig(id, v.SigDigest(), v.Sig) {
+		// One voter is one vote: a voter named twice is a forged quorum.
+		if slices.Contains(m.Voters[:i], id) || !t.env.Verifier().VerifySig(id, v.SigDigest(), v.Sig) {
 			return
 		}
-		seen[id] = true
 		votes = append(votes, v)
 	}
 	if len(votes) < t.env.Config().Quorum() {
@@ -515,19 +478,11 @@ func (t *Tendermint) onDecision(m *DecisionMsg) {
 // above our height the cluster has decided heights we missed, and no
 // quorum may remain at ours — fetch the decisions.
 func (t *Tendermint) noteHeight(from types.NodeID, h types.SeqNum) {
-	if h > t.peerHeight[from] {
-		t.peerHeight[from] = h
-	}
 	if h <= t.height {
 		return
 	}
-	ahead := 0
-	for _, ph := range t.peerHeight {
-		if ph > t.height {
-			ahead++
-		}
-	}
-	if ahead < t.env.F()+1 {
+	t.peerHeights.Add(h, from, struct{}{})
+	if ahead, _ := core.Ahead(&t.peerHeights, t.height, -1); ahead < t.env.F()+1 {
 		return
 	}
 	if t.fetching && t.fetchingFrom >= t.height {
@@ -548,19 +503,11 @@ func (t *Tendermint) noteRound(from types.NodeID, h types.SeqNum, r uint32) {
 	if h != t.height {
 		return
 	}
-	if r > t.peerRound[from] {
-		t.peerRound[from] = r
-	}
+	t.peerRounds.Add(r, from, struct{}{})
 	if r <= t.round {
 		return
 	}
-	ahead := 0
-	for _, pr := range t.peerRound {
-		if pr >= r {
-			ahead++
-		}
-	}
-	if ahead < t.env.F()+1 {
+	if ahead, _ := core.Ahead(&t.peerRounds, r-1, -1); ahead < t.env.F()+1 {
 		return
 	}
 	t.stopRoundTimers()
@@ -571,7 +518,7 @@ func (t *Tendermint) noteRound(from types.NodeID, h types.SeqNum, r uint32) {
 		if !st.hasProp {
 			t.propose()
 		}
-	} else if len(t.mempool) > 0 || t.locked {
+	} else if t.backlog.Len() > 0 || t.locked {
 		t.armProposeTimeout()
 	}
 }
@@ -656,11 +603,7 @@ func (t *Tendermint) maybeCommit(h types.SeqNum, r uint32) {
 		proof := &types.CommitProof{View: types.View(r), Seq: h, Digest: digest, Voters: core.Senders(voters)}
 		// Retain the signed quorum: it is the transferable certificate
 		// that lets stranded replicas adopt this decision later.
-		sigs := make(map[types.NodeID][]byte, len(voters))
-		for _, vote := range voters {
-			sigs[vote.From] = vote.Val
-		}
-		t.decisions[h] = &decision{round: r, batch: st.batch, sigs: sigs}
+		t.decisions[h] = &decision{round: r, batch: st.batch, votes: voters}
 		t.sawQuorumPrev = true
 		// Commit executes synchronously; OnExecuted advances the height.
 		t.env.Commit(types.View(r), h, st.batch, proof)
@@ -678,7 +621,8 @@ func (t *Tendermint) enterHeight(h types.SeqNum) {
 	t.stopRoundTimers()
 	t.height = h
 	t.round = 0
-	t.peerRound = make(map[types.NodeID]uint32)
+	t.peerRounds = core.Tally[uint32, struct{}]{}
+	t.peerHeights.Prune(func(ph types.SeqNum) bool { return ph <= h })
 	t.locked = false
 	t.lockedBatch = nil
 	t.lockedDigest = types.ZeroDigest
@@ -739,7 +683,7 @@ func (t *Tendermint) nextRound() {
 		if !st.hasProp {
 			t.propose()
 		}
-	} else if len(t.mempool) > 0 || t.locked {
+	} else if t.backlog.Len() > 0 || t.locked {
 		t.armProposeTimeout()
 	}
 }
@@ -760,7 +704,7 @@ func (t *Tendermint) OnTimer(id core.TimerID) {
 	case timerNewHeight:
 		if id.Seq == t.height && t.proposer(t.height, t.round) == t.env.ID() {
 			t.deltaDone = true
-			if len(t.mempool) > 0 || t.locked {
+			if t.backlog.Len() > 0 || t.locked {
 				t.propose()
 			}
 		}
@@ -803,10 +747,7 @@ func (t *Tendermint) OnExecuted(seq types.SeqNum, batch *types.Batch, results []
 	if seq >= t.height {
 		t.enterHeight(seq + 1)
 	}
-	for _, req := range batch.Requests {
-		delete(t.memSet, req.Key())
-		t.done[req.Key()] = true
-	}
+	t.backlog.Executed(batch)
 	core.ReplyExecuted(t.env, types.View(seq), seq, batch, results, false)
 	t.cm.OnExecuted(seq)
 }

@@ -139,3 +139,39 @@ func TestEquivocatingProposerSafety(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestDecisionRefusesRepeatedVoter: a transferred decision needs 2f+1
+// precommits from 2f+1 distinct voters. One voter's genuine precommit
+// named 2f+1 times is one vote. A replica that took it for a decision
+// would also take its batch for the round's proposal, and then could not
+// adopt the height's real decision.
+func TestDecisionRefusesRepeatedVoter(t *testing.T) {
+	c := harness.NewCluster(harness.Options{Protocol: "tendermint", N: 4, Clients: 1, Tune: tune})
+	c.Start()
+	batch := func(seq uint64) *types.Batch {
+		req := &types.Request{Client: types.ClientIDBase, ClientSeq: seq, Op: op(0, int(seq))}
+		req.Sig = c.Auth.Signer(req.Client).Sign(req.Digest())
+		return types.NewBatch(req)
+	}
+	decision := func(b *types.Batch, voters ...types.NodeID) *tendermint.DecisionMsg {
+		m := &tendermint.DecisionMsg{Height: 1, Batch: b}
+		for _, id := range voters {
+			v := &tendermint.VoteMsg{Type: "PRECOMMIT", Height: 1, Digest: b.Digest(), Replica: id}
+			m.Voters = append(m.Voters, id)
+			m.Sigs = append(m.Sigs, c.Auth.Signer(id).Sign(v.SigDigest()))
+		}
+		return m
+	}
+	r0 := c.Replicas[0].Protocol().(*tendermint.Tendermint)
+
+	r0.OnMessage(3, decision(batch(1), 3, 3, 3))
+	if r0.Height() != 1 {
+		t.Fatalf("replica 0 decided height 1 on one voter named three times (now at height %d)", r0.Height())
+	}
+	// Three distinct voters are a quorum: the height's real decision is
+	// adopted.
+	r0.OnMessage(3, decision(batch(2), 1, 2, 3))
+	if r0.Height() != 2 {
+		t.Fatalf("replica 0 is at height %d after a valid decision, want 2", r0.Height())
+	}
+}

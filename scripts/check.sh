@@ -18,16 +18,29 @@ slots_sources=$(ls internal/protocols/pbft/*.go internal/protocols/poe/*.go inte
 	internal/protocols/zyzzyva/*.go internal/protocols/fab/*.go internal/protocols/cheapbft/*.go \
 	internal/protocols/kauri/*.go internal/protocols/themis/*.go | grep -v _test.go)
 
-# One vote table: nested per-sender vote maps anywhere in the protocols or
-# the kit, and flat per-slot vote maps in the eight Slots packages, Prime
-# and RaftLite, must not come back. (Q/U and Tendermint still keep
-# per-message dedupe maps of this shape.)
-tallied_sources=$(ls $slots_sources internal/protocols/prime/*.go internal/protocols/raftlite/*.go | grep -v _test.go)
+# One vote table: nested per-sender vote maps in the protocols or the kit,
+# and flat per-sender vote maps in any protocol, must not come back. The
+# votes, acknowledgements and distinct-signer checks they held count
+# through core.Tally.
+protocol_sources=$(find internal/protocols -name '*.go' ! -name '*_test.go')
 nested=$(grep -rnE 'map\[[^]]+\]map\[types\.NodeID\]' internal/protocols internal/core || true)
-flat=$(grep -nE 'map\[types\.NodeID\](\[\]byte|bool)' $tallied_sources || true)
+flat=$(grep -nE 'map\[types\.NodeID\](\[\]byte|bool)' $protocol_sources || true)
 if [ -n "$nested$flat" ]; then
 	echo "hand-rolled vote maps (count votes with core.Tally / core.Slots):" >&2
 	echo "$nested$flat" >&2
+	exit 1
+fi
+
+# One request intake: HotStuff, Tendermint and the eight Slots packages
+# admit, queue and retire requests through core.Backlog, so none of them
+# declares a per-request set of its own. Themis's fair-order sets (the
+# requests reported to it, and those already fed into a proposal) are
+# ordering state, not an intake.
+intake_sources=$(ls $slots_sources internal/protocols/hotstuff/*.go internal/protocols/tendermint/*.go | grep -v _test.go)
+request_sets=$(grep -nE 'map\[types\.RequestKey\]bool' $intake_sources | grep -vE '/themis/[a-z]+\.go:' || true)
+if [ -n "$request_sets" ]; then
+	echo "per-request sets outside core.Backlog (admit requests through core.Backlog):" >&2
+	echo "$request_sets" >&2
 	exit 1
 fi
 
