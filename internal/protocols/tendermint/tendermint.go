@@ -155,6 +155,9 @@ type roundState struct {
 	precommits core.Tally[types.Digest, []byte]
 	sentPV     bool
 	sentPC     bool
+	// proposeArmed: τ4's propose timeout runs or ran in this round. It
+	// is armed once per round, so arrivals cannot push it out.
+	proposeArmed bool
 }
 
 // decision retains one decided height's certificate so laggards can be
@@ -292,6 +295,11 @@ func (t *Tendermint) kick() {
 }
 
 func (t *Tendermint) armProposeTimeout() {
+	st := t.state(t.height, t.round)
+	if st.proposeArmed {
+		return
+	}
+	st.proposeArmed = true
 	d := t.env.Config().ViewChangeTimeout + time.Duration(t.round)*t.env.Config().ViewChangeTimeout/2
 	t.env.SetTimer(core.TimerID{Name: timerPropose, View: types.View(t.round), Seq: t.height}, d)
 }

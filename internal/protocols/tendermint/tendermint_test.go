@@ -175,3 +175,22 @@ func TestDecisionRefusesRepeatedVoter(t *testing.T) {
 		t.Fatalf("replica 0 is at height %d after a valid decision, want 2", r0.Height())
 	}
 }
+
+// TestCrashedProposerSkippedUnderOpenLoad: a crashed proposer's round is
+// skipped while requests keep arriving. τ4 is armed once per round, so
+// neither fresh requests nor client retransmissions push the propose
+// timeout out, and the nil prevote's own timeout then carries the round
+// on to the next proposer.
+func TestCrashedProposerSkippedUnderOpenLoad(t *testing.T) {
+	c := harness.NewCluster(harness.Options{Protocol: "tendermint", N: 4, Clients: 4})
+	c.Crash(1) // the proposer of height 1, round 0
+	c.Start()
+	c.OpenLoop(20, 200*time.Millisecond, op)
+	c.RunUntilIdle(120 * time.Second)
+	if got, want := c.Metrics.Completed, 80; got != want {
+		t.Fatalf("completed %d of %d requests with a crashed proposer under open load", got, want)
+	}
+	if err := c.Audit(1); err != nil {
+		t.Fatal(err)
+	}
+}
