@@ -443,19 +443,27 @@ func (hs *HotStuff) OnMessage(from types.NodeID, m types.Message) {
 			hs.env.Send(from, &BlockMsg{Block: b})
 		}
 	case *BlockMsg:
-		hs.storeBlock(mm.Block)
-		hs.commitChain(hs.highQC)
+		// Only a block this replica lacked can complete the chain: a
+		// duplicated answer re-running the commit rule would fetch the
+		// next missing ancestor again, and every duplicate fetch draws
+		// one more answer.
+		if hs.storeBlock(mm.Block) {
+			hs.commitChain(hs.highQC)
+		}
 	}
 }
 
-func (hs *HotStuff) storeBlock(b *Block) {
+// storeBlock keeps b under its digest and reports whether it was new.
+func (hs *HotStuff) storeBlock(b *Block) bool {
 	if b == nil {
-		return
+		return false
 	}
 	d := b.Digest()
-	if _, ok := hs.blocks[d]; !ok {
-		hs.blocks[d] = b
+	if _, ok := hs.blocks[d]; ok {
+		return false
 	}
+	hs.blocks[d] = b
+	return true
 }
 
 func (hs *HotStuff) onProposal(from types.NodeID, m *ProposalMsg) {
