@@ -57,3 +57,33 @@ func TestAllocsAhead(t *testing.T) {
 		t.Errorf("Ahead: %v allocations, want 0", got)
 	}
 }
+
+// TestAllocsRequestAuth: a client's MAC'd request costs its authenticator
+// vector and nothing else, and a replica checks a request under either
+// scheme without allocating.
+func TestAllocsRequestAuth(t *testing.T) {
+	for _, scheme := range []crypto.Scheme{crypto.SchemeSig, crypto.SchemeMAC} {
+		t.Run(scheme.String(), func(t *testing.T) {
+			cfg := DefaultConfig(4)
+			cfg.Scheme = scheme
+			auth := crypto.NewAuthority(1)
+			rep := NewReplica(2, cfg, newFakeDriver(), &recorder{}, kvstore.New(), auth, Hooks{})
+			rep.Start()
+			cl := NewClient(types.ClientIDBase, cfg, newFakeDriver(), NewRequester(RequesterOpts{}), auth, ClientHooks{})
+			q := &types.Request{Client: types.ClientIDBase, ClientSeq: 1, Op: []byte("op")}
+			AuthenticateRequest(cl, q)
+			if scheme == crypto.SchemeMAC {
+				if got := testing.AllocsPerRun(100, func() { AuthenticateRequest(cl, q) }); got > 2 {
+					t.Errorf("AuthenticateRequest under MACs: %v allocations, want at most 2", got)
+				}
+			}
+			ok := false
+			if got := testing.AllocsPerRun(100, func() { ok = VerifyRequest(rep, q) }); got != 0 {
+				t.Errorf("VerifyRequest: %v allocations, want 0", got)
+			}
+			if !ok {
+				t.Fatal("the client's own authenticator does not verify")
+			}
+		})
+	}
+}

@@ -54,3 +54,33 @@ func VerifyReply(env ClientEnv, rp *types.Reply) bool {
 	}
 	return env.Verifier().VerifySig(rp.Replica, rp.Digest(), rp.Sig)
 }
+
+// AuthenticateRequest authenticates a client's request under its
+// deployment's scheme, like every other message: the client's signature
+// under SchemeSig/SchemeThreshold, or under SchemeMAC its authenticator to
+// the replicas, one MAC per replica indexed by replica ID
+// (Signer.AuthTags over Replicas). Either goes in req.Sig; the digest
+// covers neither.
+func AuthenticateRequest(env ClientEnv, req *types.Request) {
+	if env.Config().Scheme == crypto.SchemeMAC {
+		req.Sig = env.Signer().AuthTags(req.Digest(), env.Replicas())
+		return
+	}
+	req.Sig = env.Signer().Sign(req.Digest())
+}
+
+// VerifyRequest checks a request's authenticator against the client it
+// names: under SchemeMAC only this replica's own entry of the vector,
+// which must hold one entry per replica, and otherwise the client's
+// signature. A replica holds no other replica's key to a client, so
+// under either scheme it cannot forge a request its peers accept.
+func VerifyRequest(env Env, req *types.Request) bool {
+	if env.Scheme() == crypto.SchemeMAC {
+		if len(req.Sig) != env.N()*crypto.MACSize {
+			return false
+		}
+		at := int(env.ID()) * crypto.MACSize
+		return env.Verifier().VerifyMAC(req.Client, env.ID(), req.Digest(), req.Sig[at:at+crypto.MACSize])
+	}
+	return env.Verifier().VerifySig(req.Client, req.Digest(), req.Sig)
+}

@@ -67,7 +67,7 @@ func (b *Backlog) Submit(req *types.Request, leader types.NodeID) bool {
 // forwarding.
 func (b *Backlog) Admit(req *types.Request) (queued, fresh bool) {
 	key := req.Key()
-	if b.done[key] || !b.env.Verifier().VerifySig(req.Client, req.Digest(), req.Sig) {
+	if b.done[key] || !VerifyRequest(b.env, req) {
 		return false, false
 	}
 	b.Watch(key)

@@ -59,14 +59,15 @@ func (c *Client) Stop() {
 	}
 }
 
-// Submit signs and hands a request to the client protocol.
+// Submit authenticates (AuthenticateRequest) and hands a request to the
+// client protocol.
 func (c *Client) Submit(req *types.Request) {
 	if c.stopped {
 		return
 	}
 	req.Client = c.id
 	if len(req.Sig) == 0 {
-		req.Sig = c.signer.Sign(req.Digest())
+		AuthenticateRequest(c, req)
 	}
 	c.proto.Submit(req)
 }

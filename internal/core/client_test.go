@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -337,5 +338,78 @@ func TestAuthenticateReplyFollowsScheme(t *testing.T) {
 		if VerifyReply(cl, rp) {
 			t.Errorf("%v: replica 2's authenticator verified for replica 1", scheme)
 		}
+	}
+}
+
+// TestAuthenticateRequestFollowsScheme: a client signs its request in a
+// signature deployment and MACs it to every replica in a MAC deployment,
+// one entry per replica ID; each replica's VerifyRequest accepts exactly
+// that authenticator, and checks only its own entry of a vector. A MAC'd
+// request exposes no signature claim to the inbound lane.
+func TestAuthenticateRequestFollowsScheme(t *testing.T) {
+	for _, scheme := range []crypto.Scheme{crypto.SchemeSig, crypto.SchemeMAC} {
+		t.Run(scheme.String(), func(t *testing.T) {
+			cfg := DefaultConfig(4)
+			cfg.Scheme = scheme
+			auth := crypto.NewAuthority(1)
+			reps := make([]*Replica, cfg.N)
+			for i := range reps {
+				reps[i] = NewReplica(types.NodeID(i), cfg, newFakeDriver(), &recorder{}, kvstore.New(), auth, Hooks{})
+				reps[i].Start()
+			}
+			cl := NewClient(types.ClientIDBase, cfg, newFakeDriver(), NewRequester(RequesterOpts{}), auth, ClientHooks{})
+			accepted := func(q *types.Request) (ids []int) {
+				for i, rep := range reps {
+					if VerifyRequest(rep, q) {
+						ids = append(ids, i)
+					}
+				}
+				return ids
+			}
+			q := &types.Request{Client: types.ClientIDBase, ClientSeq: 1, Op: []byte("op")}
+			AuthenticateRequest(cl, q)
+			wantLen, claims := crypto.SigSize, 1
+			if scheme == crypto.SchemeMAC {
+				wantLen, claims = cfg.N*crypto.MACSize, 0
+			}
+			if len(q.Sig) != wantLen {
+				t.Fatalf("authenticator is %d bytes, want %d", len(q.Sig), wantLen)
+			}
+			if got := accepted(q); len(got) != cfg.N {
+				t.Fatalf("replicas %v accept the request, want all %d", got, cfg.N)
+			}
+			if n := len((&RequestMsg{Req: q}).AppendSigClaims(nil, 0)); n != claims {
+				t.Errorf("the request exposes %d signature claims, want %d", n, claims)
+			}
+			tampered := *q
+			tampered.Op = []byte("other op")
+			if got := accepted(&tampered); len(got) != 0 {
+				t.Errorf("replicas %v accept an op the client did not authenticate", got)
+			}
+
+			wrongKind := *q
+			if scheme == crypto.SchemeMAC {
+				wrongKind.Sig = auth.Signer(q.Client).Sign(q.Digest())
+			} else {
+				wrongKind.Sig = auth.Signer(q.Client).AuthTags(q.Digest(), cl.Replicas())
+			}
+			if got := accepted(&wrongKind); len(got) != 0 {
+				t.Errorf("replicas %v accept the other scheme's authenticator", got)
+			}
+			if scheme != crypto.SchemeMAC {
+				return
+			}
+			wrong := *q
+			wrong.Sig = append([]byte(nil), q.Sig...)
+			wrong.Sig[2*crypto.MACSize] ^= 1
+			if got := accepted(&wrong); !reflect.DeepEqual(got, []int{0, 1, 3}) {
+				t.Errorf("with replica 2's entry spoiled, replicas %v accept, want [0 1 3]", got)
+			}
+			missing := *q
+			missing.Sig = q.Sig[:3*crypto.MACSize]
+			if got := accepted(&missing); len(got) != 0 {
+				t.Errorf("replicas %v accept a vector missing replica 3's entry", got)
+			}
+		})
 	}
 }

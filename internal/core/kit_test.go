@@ -143,9 +143,15 @@ func newKitRig(id types.NodeID) *kitRig {
 	return r
 }
 
+// signedReq is request seq as its client authenticates it under the
+// rig's scheme (AuthenticateRequest).
 func (r *kitRig) signedReq(seq uint64) *types.Request {
 	q := req(seq, []byte{byte(seq)})
-	q.Sig = r.auth.Signer(q.Client).Sign(q.Digest())
+	if r.rep.cfg.Scheme == crypto.SchemeMAC {
+		q.Sig = r.auth.Signer(q.Client).AuthTags(q.Digest(), r.rep.Replicas())
+	} else {
+		q.Sig = r.auth.Signer(q.Client).Sign(q.Digest())
+	}
 	return q
 }
 
@@ -329,6 +335,14 @@ func newVCRig(id types.NodeID, tune ...func(*ViewChangeHooks)) *vcRig {
 	r.x = types.NewBatch(r.signedReq(1))
 	r.y = types.NewBatch(r.signedReq(2))
 	return r
+}
+
+// useMACs switches the rig's deployment to SchemeMAC and has the clients
+// of x and y authenticate them again under it.
+func (r *vcRig) useMACs() {
+	r.rep.cfg.Scheme = crypto.SchemeMAC
+	r.x = types.NewBatch(r.signedReq(1))
+	r.y = types.NewBatch(r.signedReq(2))
 }
 
 // signed returns from's signed view-change message for v; fill adds what
@@ -1329,22 +1343,30 @@ func TestAcceptChecksClientSignatures(t *testing.T) {
 // TestReissuedSlotsAreCheckedAtTheNewLeader: a new view's re-issued
 // slots are the new leader's own proposals, but their batches come from
 // other replicas' view-change messages, so the leader checks their client
-// signatures too while it adopts them.
+// authenticators too while it adopts them — signatures, or under MACs its
+// own entry of each request's vector.
 func TestReissuedSlotsAreCheckedAtTheNewLeader(t *testing.T) {
-	r := newRunnerRig(1, PBFTProfile(), pbftStages...)
-	unsigned := types.NewBatch(req(3, []byte("z")))
-	r.vc.OnViewChange(2, r.signed(1, 2, func(m *ViewChangeMsg) {
-		m.Carried = []CarriedSlot{carry(0, 1, r.x), carry(0, 2, unsigned)}
-	}))
-	r.vc.OnViewChange(3, r.signed(1, 3))
-	if nv := r.newViews(); len(nv) != 1 || len(nv[0].Reissued) != 2 {
-		t.Fatalf("sent %d new views, want one re-issuing slots 1 and 2", len(nv))
-	}
-	if sl := r.slots.slots[1]; sl == nil || sl.Batch != r.x {
-		t.Fatal("the new leader did not adopt the re-issued slot of signed requests")
-	}
-	if sl := r.slots.slots[2]; sl != nil && sl.Batch != nil {
-		t.Fatal("the new leader adopted a re-issued batch holding a request no client signed")
+	for _, scheme := range []crypto.Scheme{crypto.SchemeSig, crypto.SchemeMAC} {
+		t.Run(scheme.String(), func(t *testing.T) {
+			r := newRunnerRig(1, PBFTProfile(), pbftStages...)
+			if scheme == crypto.SchemeMAC {
+				r.useMACs()
+			}
+			unsigned := types.NewBatch(req(3, []byte("z")))
+			r.vc.OnViewChange(2, r.signed(1, 2, func(m *ViewChangeMsg) {
+				m.Carried = []CarriedSlot{carry(0, 1, r.x), carry(0, 2, unsigned)}
+			}))
+			r.vc.OnViewChange(3, r.signed(1, 3))
+			if nv := r.newViews(); len(nv) != 1 || len(nv[0].Reissued) != 2 {
+				t.Fatalf("sent %d new views, want one re-issuing slots 1 and 2", len(nv))
+			}
+			if sl := r.slots.slots[1]; sl == nil || sl.Batch != r.x {
+				t.Fatal("the new leader did not adopt the re-issued slot of authenticated requests")
+			}
+			if sl := r.slots.slots[2]; sl != nil && sl.Batch != nil {
+				t.Fatal("the new leader adopted a re-issued batch holding a request no client authenticated")
+			}
+		})
 	}
 }
 
@@ -1388,7 +1410,7 @@ func TestLateVotesAreDroppedUnverified(t *testing.T) {
 // signature.
 func TestMACVotesAreNotSigned(t *testing.T) {
 	r := newRunnerRig(1, PBFTMACProfile(), pbftStages...)
-	r.rep.cfg.Scheme = crypto.SchemeMAC
+	r.useMACs()
 	dx, replicas := r.x.Digest(), r.rep.Replicas()
 	macVote := func(stage Stage, from types.NodeID) *VoteMsg {
 		m := &VoteMsg{Stage: stage, Seq: 1, Digest: dx, Replica: from}

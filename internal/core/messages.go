@@ -20,7 +20,19 @@ func (m *RequestMsg) RequestRef() types.RequestKey { return m.Req.Key() }
 // AppendSigClaims implements crypto.SigClaimer: the client's signature over
 // the request digest, which every replica verifies on receipt.
 func (m *RequestMsg) AppendSigClaims(dst []crypto.SigClaim, _ types.NodeID) []crypto.SigClaim {
-	return append(dst, crypto.SigClaim{Signer: m.Req.Client, Digest: m.Req.Digest(), Sig: m.Req.Sig})
+	return appendRequestClaim(dst, m.Req)
+}
+
+// appendRequestClaim appends r's client signature as a claim. A request
+// MAC'd under SchemeMAC exposes none: its authenticator is one MAC per
+// replica, N·MACSize bytes — never SigSize, as every profile needs at
+// least 3 replicas — and only VerifyRequest checks it, so the inbound
+// lane never runs Ed25519 over a MAC vector.
+func appendRequestClaim(dst []crypto.SigClaim, r *types.Request) []crypto.SigClaim {
+	if len(r.Sig) != crypto.SigSize {
+		return dst
+	}
+	return append(dst, crypto.SigClaim{Signer: r.Client, Digest: r.Digest(), Sig: r.Sig})
 }
 
 // ReplyMsg carries a replica's reply back to a client. It exposes no
@@ -62,7 +74,7 @@ func (m *ForwardMsg) RequestRef() types.RequestKey { return m.Req.Key() }
 // AppendSigClaims implements crypto.SigClaimer: a forward relays the client's
 // signed request, so the claim is the client's, not the forwarder's.
 func (m *ForwardMsg) AppendSigClaims(dst []crypto.SigClaim, _ types.NodeID) []crypto.SigClaim {
-	return append(dst, crypto.SigClaim{Signer: m.Req.Client, Digest: m.Req.Digest(), Sig: m.Req.Sig})
+	return appendRequestClaim(dst, m.Req)
 }
 
 // CheckpointMsg announces a replica's checkpoint at a sequence number

@@ -89,13 +89,13 @@ func (m *ProposeMsg) SigDigest() types.Digest {
 }
 
 // AppendSigClaims implements crypto.SigClaimer: the leader's signature,
-// whoever relayed the proposal, and the client signature of every request
-// in the batch, which a backup checks before it accepts the batch.
+// whoever relayed the proposal, and the client signature of every signed
+// request in the batch, which a backup checks before it accepts the batch.
 func (m *ProposeMsg) AppendSigClaims(dst []crypto.SigClaim, _ types.NodeID) []crypto.SigClaim {
 	dst = append(dst, crypto.SigClaim{Signer: m.Leader, Digest: m.SigDigest(), Sig: m.Sig})
 	if m.Batch != nil {
 		for _, r := range m.Batch.Requests {
-			dst = append(dst, crypto.SigClaim{Signer: r.Client, Digest: r.Digest(), Sig: r.Sig})
+			dst = appendRequestClaim(dst, r)
 		}
 	}
 	return dst

@@ -177,8 +177,9 @@ func (s *Slots[X]) slot(seq types.SeqNum) *Slot[X] {
 // hashes to the digest, the slot is inside the window. A second,
 // conflicting assignment for the slot is leader equivocation — the slot is
 // left as it was and a view change starts. A batch enters a slot only once
-// this replica has checked each request's client signature, a new view's
-// re-issued slots included; only a leader's own fresh proposal skips the
+// this replica has checked each request's client authenticator
+// (VerifyRequest), a new view's re-issued slots included; only a leader's
+// own fresh proposal skips the
 // check, since its backlog's Submit checked each request. It returns the
 // slot when the proposal newly assigned it (its requests are then watched
 // and in flight), and nil otherwise, duplicates included.
@@ -206,10 +207,10 @@ func (s *Slots[X]) Accept(m *ProposeMsg) *Slot[X] {
 }
 
 // clientSigned reports whether every request in b carries its client's
-// valid signature.
+// valid authenticator (VerifyRequest).
 func clientSigned(env Env, b *types.Batch) bool {
 	for _, r := range b.Requests {
-		if !env.Verifier().VerifySig(r.Client, r.Digest(), r.Sig) {
+		if !VerifyRequest(env, r) {
 			return false
 		}
 	}

@@ -33,7 +33,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -433,24 +432,31 @@ func (s *Signer) mac(to types.NodeID, d types.Digest) [MACSize]byte {
 	return s.auth.macKey(s.id, to).tag(d)
 }
 
-// AuthVector produces the authenticator vector used by MAC-based PBFT:
-// one MAC per receiver, indexed by position in peers, all cut from one
-// backing array.
-func (s *Signer) AuthVector(d types.Digest, peers []types.NodeID) [][]byte {
-	out := make([][]byte, len(peers))
-	others := len(peers)
-	if slices.Contains(peers, s.id) {
-		others-- // no self-MAC needed
-	}
-	tags := make([]byte, others*MACSize)
+// AuthTags authenticates d to every peer at once: one MAC per receiver,
+// the i-th at [i*MACSize, (i+1)*MACSize), with the sender's own entry, if
+// it is one of peers, left zero. A client's request carries its tags to
+// the replicas flat like this (core.AuthenticateRequest).
+func (s *Signer) AuthTags(d types.Digest, peers []types.NodeID) []byte {
+	tags := make([]byte, len(peers)*MACSize)
 	for i, p := range peers {
-		if p == s.id {
-			continue
+		if p != s.id {
+			tag := s.mac(p, d)
+			copy(tags[i*MACSize:], tag[:])
 		}
-		tag := s.mac(p, d)
-		out[i] = tags[:MACSize:MACSize]
-		copy(out[i], tag[:])
-		tags = tags[MACSize:]
+	}
+	return tags
+}
+
+// AuthVector produces the authenticator vector used by MAC-based PBFT:
+// AuthTags cut per receiver, indexed by position in peers, nil at the
+// sender's own position.
+func (s *Signer) AuthVector(d types.Digest, peers []types.NodeID) [][]byte {
+	tags := s.AuthTags(d, peers)
+	out := make([][]byte, len(peers))
+	for i, p := range peers {
+		if p != s.id {
+			out[i] = tags[i*MACSize : (i+1)*MACSize : (i+1)*MACSize]
+		}
 	}
 	return out
 }

@@ -8,8 +8,10 @@ import (
 
 	"bftkit/internal/byz"
 	"bftkit/internal/core"
+	"bftkit/internal/crypto"
 	"bftkit/internal/harness"
 	"bftkit/internal/kvstore"
+	"bftkit/internal/sim"
 	"bftkit/internal/types"
 )
 
@@ -18,9 +20,11 @@ import (
 var forgedOp = kvstore.Put("forged", []byte("by the leader"))
 
 // forgeOps rewrites the Op of every request in the wrapped replica's
-// proposals and re-signs each proposal, so the leader's own signature and
-// the batch digest are valid while every client signature in the batch is
-// not. It stays out of byz.Catalog: the fuzzer's census does not include it.
+// proposals and authenticates each proposal again under the deployment's
+// scheme (core.Authenticate), so the leader's own signature or MAC vector
+// and the batch digest are valid while every client authenticator in the
+// batch is not. It stays out of byz.Catalog: the fuzzer's census does not
+// include it.
 type forgeOps struct{}
 
 func (forgeOps) Name() string   { return "forge-ops" }
@@ -48,11 +52,13 @@ func (a *forgeOpsActor) Outgoing(_ types.NodeID, m types.Message) byz.Verdict {
 			reqs[i] = &cp
 		}
 		return types.NewBatch(reqs...)
-	}, a.t.Env.Signer().Sign)
+	}, nil)
 	if !ok {
 		return byz.Verdict{}
 	}
-	return byz.Verdict{Replace: forged}
+	fp := forged.(*core.ProposeMsg)
+	fp.Sig, fp.Auth = core.Authenticate(a.t.Env, fp.SigDigest())
+	return byz.Verdict{Replace: fp}
 }
 
 // forgedExecutions counts, per replica, the executed requests whose Op is
@@ -72,13 +78,16 @@ func (f *forgedExecutions) OnExecute(id types.NodeID, _ types.SeqNum, b *types.B
 
 // TestForgedRequestsNeverApply is the regression test for proposals whose
 // requests the leader forged: leader 0 rewrites each request's Op and
-// re-signs its proposal, so only the client signatures inside the batch
-// betray it. A backup accepts no batch before it has checked each
-// request's client signature (Slots.Accept), so no honest replica applies
-// the forged op, and a view change lets every honestly signed request
-// complete. Before that check, pbft's three honest replicas applied it.
+// authenticates its proposal again, so only the client authenticators
+// inside the batch betray it. A backup accepts no batch before it has
+// checked each request's client authenticator (Slots.Accept), so no honest
+// replica applies the forged op, and a view change lets every honestly
+// authenticated request complete. Before that check, pbft's three honest
+// replicas applied it. pbft-mac runs it with MAC'd requests: the leader
+// holds no other replica's key to the client, so it cannot forge a
+// backup's entry of a request's vector.
 func TestForgedRequestsNeverApply(t *testing.T) {
-	for _, proto := range stableLeaderProtocols {
+	for _, proto := range append(stableLeaderProtocols, "pbft-mac") {
 		t.Run(proto, func(t *testing.T) {
 			obs := &forgedExecutions{Observer: harness.NewMetrics(), count: map[types.NodeID]int{}}
 			c := harness.NewCluster(harness.Options{Protocol: proto, F: 1, Clients: 2, Seed: 5,
@@ -107,5 +116,49 @@ func TestForgedRequestsNeverApply(t *testing.T) {
 				failf(t, c, "%v", err)
 			}
 		})
+	}
+}
+
+// spoilEntry is a client-side fault on the wire: every REQUEST of the
+// client's first request carries a vector whose entry for one backup is
+// wrong, while the other entries stay valid.
+type spoilEntry struct{ backup types.NodeID }
+
+func (s spoilEntry) OnSend(from, _ types.NodeID, m types.Message) sim.Action {
+	rm, ok := m.(*core.RequestMsg)
+	if !ok || !from.IsClient() || rm.Req.ClientSeq != 1 {
+		return sim.Action{}
+	}
+	q := *rm.Req
+	q.Sig = append([]byte(nil), q.Sig...)
+	q.Sig[int(s.backup)*crypto.MACSize] ^= 1
+	return sim.Action{Replace: &core.RequestMsg{Req: &q}}
+}
+
+// TestSpoiledEntryCostsNoViewChange: under MACs a backup checks only its
+// own entry of a request's vector, so a client that spoils one backup's
+// entry is still served at f = 1. The leader and the other two backups
+// order and commit the request; the spoiled backup refuses the slot, and
+// once later slots commit past the gap its τ2 fetches the slot from f+1
+// peers. No replica enters a new view and every request completes. The
+// backup's τ2 also starts a view change that no peer joins, so it takes
+// no part in ordering until the next view change.
+func TestSpoiledEntryCostsNoViewChange(t *testing.T) {
+	c := harness.NewCluster(harness.Options{Protocol: "pbft-mac", F: 1, Clients: 1, Seed: 5})
+	c.Net.SetInterceptor(spoilEntry{backup: 2})
+	c.Start()
+	c.ClosedLoop(10, func(_, k int) []byte { return kvstore.Put(fmt.Sprintf("k%d", k), []byte("v")) })
+	c.RunUntilIdle(60 * time.Second)
+	if c.Metrics.Completed != 10 {
+		failf(t, c, "completed %d/10 requests", c.Metrics.Completed)
+	}
+	if len(c.Metrics.ViewChanges) != 0 {
+		failf(t, c, "replicas entered new views: %v", c.Metrics.ViewChanges)
+	}
+	if e := c.Replicas[2].Ledger().Get(1); e == nil || e.Proof == nil || e.Proof.Special != "catch-up" {
+		failf(t, c, "the spoiled backup did not adopt slot 1 by catch-up: %+v", e)
+	}
+	if err := c.Audit(); err != nil {
+		failf(t, c, "%v", err)
 	}
 }

@@ -64,29 +64,35 @@ func TestVerifyBudgetPBFT(t *testing.T) {
 	}
 }
 
-// TestSignBudgetPBFTMAC pins what pbft-mac at n = 4 signs per request,
-// one request per slot: the client's request and nothing else. Replies
-// follow the deployment's scheme like every other message, so each of
-// the four carries one MAC to the client. Proposals and votes are MAC'd
-// too: a 3-tag vector for the proposal and for each of 3 prepares and 4
-// commits (24 MACs), checked exactly where pbft checks their signatures
-// (16 MAC verifies). With the 4 reply MACs the replicas compute 28; the
-// client checks the tags of the f+1 = 2 replies that complete the
-// request and drops the late two unchecked.
+// TestSignBudgetPBFTMAC pins what pbft-mac at n = 4 signs, MACs and
+// checks per request, one request per slot: nothing is signed or
+// verified with a signature. The client MACs its request to each of the 4
+// replicas, and each replica checks its own entry once: the leader at
+// Submit, each backup at Accept (4 MAC verifies). Replies follow the
+// deployment's scheme like every other message, so each of the four
+// carries one MAC to the client. Proposals and votes are MAC'd too: a
+// 3-tag vector for the proposal and for each of 3 prepares and 4 commits
+// (24 MACs), checked exactly where pbft checks their signatures (16 MAC
+// verifies). With the 4 reply MACs the replicas compute 28; the client
+// checks the tags of the f+1 = 2 replies that complete the request and
+// drops the late two unchecked.
 func TestSignBudgetPBFTMAC(t *testing.T) {
 	const requests = 20
 	_, b := budgetRun(t, Options{Protocol: "pbft-mac", N: 4, Seed: 3}, requests)
 	perReq := func(op crypto.Op) (client, replicas float64) {
 		return float64(b.clients[op]) / requests, float64(b.replicas[op]) / requests
 	}
-	if c, r := perReq(crypto.OpSign); c != 1 || r != 0 {
-		t.Errorf("signs per request: %.2f by the client and %.2f by the replicas, want 1 and 0", c, r)
+	if c, r := perReq(crypto.OpSign); c != 0 || r != 0 {
+		t.Errorf("signs per request: %.2f by the client and %.2f by the replicas, want none", c, r)
 	}
-	if c, r := perReq(crypto.OpMAC); c != 0 || r != 28 {
-		t.Errorf("MACs per request: %.2f by the client and %.2f by the replicas, want 0 and 28", c, r)
+	if c, r := perReq(crypto.OpVerify); c != 0 || r != 0 {
+		t.Errorf("signature verifies per request: %.2f by the client and %.2f by the replicas, want none", c, r)
 	}
-	if c, r := perReq(crypto.OpMACVerify); c != 2 || r != 16 {
-		t.Errorf("MAC verifies per request: %.2f by the client and %.2f by the replicas, want 2 and 16", c, r)
+	if c, r := perReq(crypto.OpMAC); c != 4 || r != 28 {
+		t.Errorf("MACs per request: %.2f by the client and %.2f by the replicas, want 4 and 28", c, r)
+	}
+	if c, r := perReq(crypto.OpMACVerify); c != 2 || r != 20 {
+		t.Errorf("MAC verifies per request: %.2f by the client and %.2f by the replicas, want 2 and 20", c, r)
 	}
 }
 

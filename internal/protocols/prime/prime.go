@@ -185,7 +185,7 @@ func (p *Prime) OnRequest(req *types.Request) {
 	if p.seen[key] {
 		return
 	}
-	if !p.env.Verifier().VerifySig(req.Client, req.Digest(), req.Sig) {
+	if !core.VerifyRequest(p.env, req) {
 		return
 	}
 	p.seen[key] = true

@@ -81,7 +81,7 @@ func (t *Themis) OnRequest(req *types.Request) {
 	if t.backlog.Done(key) || t.seen[key] {
 		return
 	}
-	if !t.env.Verifier().VerifySig(req.Client, req.Digest(), req.Sig) {
+	if !core.VerifyRequest(t.env, req) {
 		return
 	}
 	t.seen[key] = true

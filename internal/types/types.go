@@ -184,7 +184,7 @@ func (h *hasher) sum() Digest {
 	return d
 }
 
-// Request is a signed client transaction: an opaque operation to be
+// Request is an authenticated client transaction: an opaque operation to be
 // applied to the replicated state machine, plus the metadata replicas use
 // for deduplication and ordering.
 type Request struct {
@@ -196,7 +196,10 @@ type Request struct {
 	// Prime) never trust it; it exists so the harness can measure
 	// order-fairness violations against ground truth.
 	ArrivalHint int64
-	Sig         []byte // client signature over Digest()
+	// Sig is the client's authenticator over Digest(), under the
+	// deployment's scheme (core.AuthenticateRequest): its signature, or
+	// one MAC per replica, indexed by replica ID.
+	Sig []byte
 }
 
 // Digest hashes the request identity (everything except the signature).

@@ -130,6 +130,18 @@ if [ "$(printf '%s\n' "$taps" | grep -c .)" -gt 1 ]; then
 	exit 1
 fi
 
+# One request authenticator: a client's request is checked by
+# core.VerifyRequest alone, which reads the deployment's scheme (a MAC
+# deployment's request carries one MAC per replica, not a signature). A
+# signature check over a request's client anywhere else would refuse every
+# MAC'd request or accept a signature where a vector belongs.
+reqsig=$(grep -nE 'VerifySig\(([a-z]+\.)?(r|req|Req)\.Client\b' $sources | grep -v '^\./internal/core/auth\.go:' || true)
+if [ -n "$reqsig" ]; then
+	echo "a client's request checked outside core.VerifyRequest (call it; it follows the deployment's scheme):" >&2
+	echo "$reqsig" >&2
+	exit 1
+fi
+
 # One scheduler: internal/sim queues event values in its own heap. Neither
 # container/heap (which boxes every push) nor a closure per delivery in
 # network.go may come back.
